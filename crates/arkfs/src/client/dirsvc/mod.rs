@@ -54,7 +54,7 @@ use arkfs_netsim::{NodeId, Service};
 use arkfs_objstore::ObjectKey;
 use arkfs_simkit::{Nanos, Port};
 use arkfs_telemetry::PID_CLIENT;
-use arkfs_vfs::{Credentials, FileType, FsError, FsResult, Ino};
+use arkfs_vfs::{Credentials, DirEntry, FileType, FsError, FsResult, Ino};
 use bytes::Bytes;
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
@@ -216,6 +216,8 @@ impl Service<OpRequest, OpResponse> for ClientService {
         }
         let spec = &self.0.cluster.config().spec;
         let start = self.0.server.reserve(arrival, spec.leader_op_service);
+        self.0.leader_served.inc();
+        self.0.leader_busy.add(spec.leader_op_service);
         let port = Port::starting_at(start);
         let resp = self.0.serve(&port, req);
         (resp, port.now())
@@ -706,6 +708,28 @@ impl ArkClient {
                     OpResponse::Inode(rec) => Ok(rec),
                     OpResponse::Err(e) => Err(e),
                     _ => Err(FsError::Io("unexpected dir-inode response".into())),
+                }
+            }
+        }
+    }
+
+    /// A directory's view, local or remote: its inode record plus the
+    /// subdirectory dentries partition 0 holds (the body of a
+    /// permission-cache fill). One RPC when remote.
+    pub(crate) fn dir_view(&self, dir: Ino) -> FsResult<(InodeRecord, Arc<[DirEntry]>)> {
+        match self.dir_ref(dir)? {
+            DirRef::Local(table) => {
+                self.port.advance(self.config().spec.local_meta_op);
+                let mut t = self.state.lock_table(&table);
+                Ok((t.dir.clone(), t.subdir_view()))
+            }
+            DirRef::Remote(leader) => {
+                let resp =
+                    self.remote_call(&Credentials::root(), dir, leader, OpBody::DirView { dir })?;
+                match resp {
+                    OpResponse::View { dir, subdirs } => Ok((dir, subdirs)),
+                    OpResponse::Err(e) => Err(e),
+                    _ => Err(FsError::Io("unexpected dir-view response".into())),
                 }
             }
         }

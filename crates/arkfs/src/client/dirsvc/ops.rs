@@ -11,7 +11,7 @@ use super::super::{ClientState, TableGuard};
 use crate::config::CommitMode;
 use crate::journal::{OpStamps, Transaction};
 use crate::metatable::Metatable;
-use crate::partition::PartitionMap;
+use crate::partition::{lease_partition, PartitionMap};
 use crate::prt::Prt;
 use crate::rpc::{OpBody, OpRequest, OpResponse};
 use arkfs_lease::FileLeaseDecision;
@@ -54,6 +54,16 @@ impl ClientState {
             return OpResponse::NotLeader;
         }
         let pkey = t.pkey();
+        // Create-and-open is a create whose reply may carry a lease.
+        let (body, opener) = match body {
+            OpBody::CreateOpen {
+                dir,
+                name,
+                rec,
+                client,
+            } => (OpBody::Create { dir, name, rec }, Some(client)),
+            body => (body, None),
+        };
 
         // Seal the running compound transaction when its buffering window
         // elapsed (§III-E). Forced commits (2PC prepares/decisions, sync-
@@ -191,15 +201,32 @@ impl ClientState {
                 }
             }
             OpBody::DirInode { .. } => OpResponse::Inode(t.dir.clone()),
+            OpBody::DirView { .. } => OpResponse::View {
+                dir: t.dir.clone(),
+                subdirs: t.subdir_view(),
+            },
             OpBody::Create { name, rec, .. } => {
                 if let Err(e) = dir_perm(&t, AM_WRITE | AM_EXEC) {
                     return OpResponse::Err(e);
                 }
+                let file = rec.ino;
                 match t
                     .create_child(rec, &name, now)
                     .and_then(|()| stamp_commit(&mut t, "op.create", false))
                 {
-                    Ok(()) => OpResponse::Ok,
+                    // Create-and-open: the creator's read lease rides on
+                    // the reply when this partition is also the file's
+                    // lease shard (the client steers the ino so that it
+                    // is); otherwise plain `Ok`, and the client asks the
+                    // lease shard itself.
+                    Ok(()) => match opener {
+                        Some(client) if t.leases_file(file) => {
+                            let decision = t.file_leases.acquire_read(client, file, port.now());
+                            self.broadcast_flushes(port, &mut t, file, &decision);
+                            OpResponse::Lease(decision)
+                        }
+                        _ => OpResponse::Ok,
+                    },
                     Err(e) => OpResponse::Err(e),
                 }
             }
@@ -500,6 +527,7 @@ impl ClientState {
             OpBody::FlushCache { .. } | OpBody::RelinquishPartition { .. } => {
                 unreachable!("handled in serve()")
             }
+            OpBody::CreateOpen { .. } => unreachable!("rewritten to Create above"),
         }
     }
 
@@ -645,7 +673,9 @@ pub(crate) fn target_dir(body: &OpBody) -> Option<Ino> {
     Some(match body {
         OpBody::Lookup { dir, .. }
         | OpBody::DirInode { dir }
+        | OpBody::DirView { dir }
         | OpBody::Create { dir, .. }
+        | OpBody::CreateOpen { dir, .. }
         | OpBody::AddSubdir { dir, .. }
         | OpBody::Unlink { dir, .. }
         | OpBody::RemoveSubdir { dir, .. }
@@ -688,6 +718,7 @@ pub(crate) fn route_of(body: &OpBody, pmap: &PartitionMap, buckets: u64) -> u32 
     match body {
         OpBody::Lookup { name, .. }
         | OpBody::Create { name, .. }
+        | OpBody::CreateOpen { name, .. }
         | OpBody::AddSubdir { name, .. }
         | OpBody::Unlink { name, .. }
         | OpBody::RemoveSubdir { name, .. }
@@ -708,17 +739,15 @@ pub(crate) fn route_of(body: &OpBody, pmap: &PartitionMap, buckets: u64) -> u32 
                 pmap.partition_of_name(name, buckets)
             }
         }
-        // File-lease service shards by file ino, which (unlike the
-        // name) is stable across renames: every request for one file
-        // meets at one partition, but a hot directory's lease traffic
-        // spreads over all leaders instead of serializing on partition
-        // 0's — with per-create acquire + release RPCs that would cap
+        // File-lease service shards by file ino (see `lease_partition`):
+        // served from partition 0 alone, per-create lease RPCs would cap
         // aggregate create throughput at one leader's service rate no
         // matter the partition count.
         OpBody::AcquireReadLease { file, .. }
         | OpBody::AcquireWriteLease { file, .. }
-        | OpBody::ReleaseFileLease { file, .. } => (file % pmap.partitions as u128) as u32,
+        | OpBody::ReleaseFileLease { file, .. } => lease_partition(*file, pmap.partitions),
         OpBody::DirInode { .. }
+        | OpBody::DirView { .. }
         | OpBody::SetAttrDir { .. }
         | OpBody::FlushCache { .. }
         | OpBody::Readdir { .. }
@@ -738,6 +767,7 @@ fn owned_by(t: &Metatable, body: &OpBody) -> bool {
     match body {
         OpBody::Lookup { name, .. }
         | OpBody::Create { name, .. }
+        | OpBody::CreateOpen { name, .. }
         | OpBody::AddSubdir { name, .. }
         | OpBody::Unlink { name, .. }
         | OpBody::RemoveSubdir { name, .. }
@@ -761,10 +791,10 @@ fn owned_by(t: &Metatable, body: &OpBody) -> bool {
         }
         OpBody::AcquireReadLease { file, .. }
         | OpBody::AcquireWriteLease { file, .. }
-        | OpBody::ReleaseFileLease { file, .. } => {
-            t.partition() == (*file % t.pcount() as u128) as u32
+        | OpBody::ReleaseFileLease { file, .. } => t.leases_file(*file),
+        OpBody::DirInode { .. } | OpBody::DirView { .. } | OpBody::SetAttrDir { .. } => {
+            t.partition() == 0
         }
-        OpBody::DirInode { .. } | OpBody::SetAttrDir { .. } => t.partition() == 0,
         // Addressed before dispatch (serve()'s special cases).
         OpBody::FlushCache { .. } | OpBody::RelinquishPartition { .. } => true,
     }

@@ -366,6 +366,12 @@ pub(crate) struct ClientState {
     pub(crate) partition_splits: Arc<Counter>,
     pub(crate) partition_merges: Arc<Counter>,
     pub(crate) partition_handoffs: Arc<Counter>,
+    /// `leader.served.count` / `leader.busy_ns`: forwarded ops served by
+    /// any client's RPC service and the virtual time they held that
+    /// service (deployment-wide sums; [`ArkClient::leader_stats`] has
+    /// this client's share).
+    pub(crate) leader_served: Arc<Counter>,
+    pub(crate) leader_busy: Arc<Counter>,
     /// Repartition requests raised by the load trigger inside
     /// `serve_local` (which holds the metatable and cannot run the split
     /// protocol itself): `(dir, target partition count)` pairs drained at
@@ -415,6 +421,8 @@ impl ArkClient {
         let partition_splits = telemetry.registry.counter("meta.partition.split.count");
         let partition_merges = telemetry.registry.counter("meta.partition.merge.count");
         let partition_handoffs = telemetry.registry.counter("meta.partition.handoff.count");
+        let leader_served = telemetry.registry.counter("leader.served.count");
+        let leader_busy = telemetry.registry.counter("leader.busy_ns");
         let state = Arc::new(ClientState {
             id,
             cluster: Arc::clone(&cluster),
@@ -437,6 +445,8 @@ impl ArkClient {
             partition_splits,
             partition_merges,
             partition_handoffs,
+            leader_served,
+            leader_busy,
             pending_splits: Mutex::new(Vec::new()),
             dirty_dirs: Mutex::new(HashSet::new()),
             flush_epoch: AtomicU64::new(0),
@@ -494,6 +504,14 @@ impl ArkClient {
             self.state.partition_handoffs.get(),
             self.state.lease_handoff_failed.get(),
         )
+    }
+
+    /// Forwarded ops this client served as a leader and the virtual
+    /// nanoseconds its RPC service was busy with them. Busy time over a
+    /// run's makespan is the leader's utilisation: near 1 means the
+    /// client is the queue every forwarding client waits in.
+    pub fn leader_stats(&self) -> (u64, Nanos) {
+        (self.state.server.served(), self.state.server.busy_time())
     }
 
     /// Per-family lock acquisition and contention statistics of the
@@ -659,10 +677,13 @@ impl ArkClient {
         r
     }
 
+    /// A fresh inode number, with headroom on both sides so that
+    /// `partition::steer_ino` can move it by up to a partition count.
     pub(crate) fn fresh_ino(&self) -> Ino {
+        const HEADROOM: Ino = u32::MAX as Ino;
         loop {
             let ino: u128 = self.state.rngs.random_u128();
-            if ino > ROOT_INO {
+            if ino > ROOT_INO + HEADROOM && ino <= Ino::MAX - HEADROOM {
                 return ino;
             }
         }

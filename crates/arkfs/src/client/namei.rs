@@ -2,10 +2,12 @@
 //!
 //! Paths resolve component by component through [`ArkClient::lookup_step`];
 //! every step checks exec permission on the containing directory. For
-//! *remote* directories, permission-cache mode (§III-C) caches the
-//! directory's inode (permissions + stat) and recent lookup results for
-//! one lease period in the [`Pcache`], trading a little consistency for
-//! local-speed resolution.
+//! *remote* directories, permission-cache mode (§III-C) caches a
+//! *directory view* — the directory's inode (permissions + stat) and its
+//! subdirectory dentries, fetched in one RPC — plus recent per-name
+//! lookup results for one lease period in the [`Pcache`], trading a
+//! little consistency for local-speed resolution: `/a/b/c` costs one
+//! leader RPC per ancestor per lease period.
 //!
 //! The pcache is lock-striped by directory ino (rank *Stripe*, see
 //! [`super::lockorder`]); a stripe is never held across an RPC or a
@@ -18,18 +20,27 @@ use crate::meta::InodeRecord;
 use crate::rpc::{OpBody, OpResponse};
 use arkfs_simkit::Nanos;
 use arkfs_vfs::{
-    path as vpath, perm, Credentials, FileType, FsError, FsResult, Ino, AM_EXEC, ROOT_INO,
+    path as vpath, perm, Credentials, DirEntry, FileType, FsError, FsResult, Ino, AM_EXEC, ROOT_INO,
 };
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
+use std::sync::Arc;
 
 /// A cached view of a remote directory used in permission-cache mode
-/// (§III-C): its inode (permissions + stat) and recent lookup results,
-/// valid for one lease period.
+/// (§III-C), valid for one lease period from its fill: the directory's
+/// inode (permissions + stat), the subdirectory dentries its leader
+/// held at fill time, and per-name results learned since.
 #[derive(Debug, Clone)]
 pub(crate) struct PermCacheEntry {
     pub(crate) dir: InodeRecord,
+    /// The leader's subdirectory dentries, sorted by name; shared with
+    /// every other client filled from the same build. Positive only: a
+    /// name absent here proves nothing.
+    subdirs: Arc<[DirEntry]>,
+    /// Per-name overlay, consulted before `subdirs`: results of this
+    /// client's own lookups and mutations (`None` = known absent), so a
+    /// local `rmdir`/`rename` overrides the view.
     pub(crate) lookups: HashMap<String, Option<(Ino, FileType)>>,
     pub(crate) expires_at: Nanos,
 }
@@ -165,9 +176,10 @@ impl ArkClient {
         }
     }
 
-    /// Try the permission cache: returns `Some(result)` on a conclusive
-    /// hit, `None` when the caller must RPC. Also checks exec permission
-    /// locally from the cached directory inode.
+    /// Try the permission cache, filling it first when `dir` has no
+    /// live entry: returns `Some(result)` on a conclusive hit, `None`
+    /// when the caller must ask the leader by name. Also checks exec
+    /// permission locally from the cached directory inode.
     fn pcache_lookup(
         &self,
         ctx: &Credentials,
@@ -175,14 +187,15 @@ impl ArkClient {
         name: &str,
     ) -> FsResult<Option<FsResult<(Ino, FileType)>>> {
         let now = self.port.now();
-        let pc = self.state.pcache.stripe(dir);
-        let entry = match pc.get(&dir) {
-            Some(e) if e.expires_at > now => e,
-            _ => {
-                drop(pc);
-                self.pcache_fill(ctx, dir)?;
-                return Ok(None);
-            }
+        let mut pc = self.state.pcache.stripe(dir);
+        if pc.get(&dir).is_none_or(|e| e.expires_at <= now) {
+            drop(pc);
+            self.pcache_fill(dir)?;
+            pc = self.state.pcache.stripe(dir);
+        }
+        // Gone again only if another thread forgot it meanwhile.
+        let Some(entry) = pc.get(&dir) else {
+            return Ok(None);
         };
         perm::check_access(
             ctx,
@@ -193,20 +206,25 @@ impl ArkClient {
             AM_EXEC,
         )?;
         self.port.advance(self.config().spec.local_meta_op);
-        Ok(entry.lookups.get(name).map(|cached| match cached {
-            Some(hit) => Ok(*hit),
-            None => Err(FsError::NotFound),
-        }))
+        if let Some(cached) = entry.lookups.get(name) {
+            return Ok(Some(cached.ok_or(FsError::NotFound)));
+        }
+        Ok(entry
+            .subdirs
+            .binary_search_by(|e| e.name.as_str().cmp(name))
+            .ok()
+            .map(|i| Ok((entry.subdirs[i].ino, entry.subdirs[i].ftype))))
     }
 
-    /// Fetch and cache a remote directory's inode (permission info).
-    fn pcache_fill(&self, _ctx: &Credentials, dir: Ino) -> FsResult<()> {
-        let rec = self.dir_inode(dir)?;
+    /// Fetch and cache a remote directory's view (one RPC).
+    fn pcache_fill(&self, dir: Ino) -> FsResult<()> {
+        let (rec, subdirs) = self.dir_view(dir)?;
         let expires_at = self.port.now() + self.config().lease_period;
         self.state.pcache.stripe(dir).insert(
             dir,
             PermCacheEntry {
                 dir: rec,
+                subdirs,
                 lookups: HashMap::new(),
                 expires_at,
             },

@@ -14,8 +14,9 @@ use crate::cluster::manager_node;
 use crate::config::CommitMode;
 use crate::meta::InodeRecord;
 use crate::metatable::Metatable;
+use crate::partition::steer_ino;
 use crate::rpc::{OpBody, OpResponse};
-use arkfs_lease::LeaseRequest;
+use arkfs_lease::{FileLeaseDecision, LeaseRequest};
 use arkfs_simkit::Port;
 use arkfs_vfs::{
     path as vpath, perm, Acl, Credentials, DirEntry, FileHandle, FileType, FsError, FsResult,
@@ -305,7 +306,19 @@ impl Vfs for ArkClient {
         self.traced("op.create", || {
             let (parent, name) = self.resolve_parent(ctx, path)?;
             vpath::validate_name(name)?;
-            let ino = self.fresh_ino();
+            // Create-and-open: one op at the leader creates the file and
+            // grants our read lease on it. File leases shard by ino, so
+            // the ino is steered to make the name's partition the file's
+            // lease shard too. The cached map is only a hint: steered
+            // under a stale one, the create still lands at the right
+            // partition (`on_dir` re-routes by name), which then replies
+            // plain `Ok` and the lease shard is asked separately.
+            let pmap = self.state.cached_pmap(parent);
+            let ino = steer_ino(
+                self.fresh_ino(),
+                pmap.partitions,
+                pmap.partition_of_name(name, self.config().dentry_buckets),
+            );
             let rec = InodeRecord::new(
                 ino,
                 FileType::Regular,
@@ -314,23 +327,26 @@ impl Vfs for ArkClient {
                 ctx.gid,
                 self.port.now(),
             );
-            match self.on_dir(
+            let cached = match self.on_dir(
                 ctx,
                 parent,
-                OpBody::Create {
+                OpBody::CreateOpen {
                     dir: parent,
                     name: name.to_string(),
                     rec,
+                    client: self.state.id,
                 },
             )? {
-                OpResponse::Ok => {}
+                OpResponse::Lease(decision) => {
+                    matches!(decision, FileLeaseDecision::Granted { .. })
+                }
+                OpResponse::Ok => self.file_lease_read(parent, ino)?,
                 OpResponse::Err(e) => return Err(e),
                 _ => return Err(FsError::Io("unexpected create response".into())),
-            }
+            };
             if self.config().permission_cache {
                 self.pcache_note(parent, name, Some((ino, FileType::Regular)));
             }
-            let cached = self.file_lease_read(parent, ino)?;
             let id = self.state.files.insert(OpenFile {
                 ino,
                 parent,

@@ -10,11 +10,12 @@ use crate::client::ArkClient;
 use crate::config::ArkConfig;
 use crate::meta::InodeRecord;
 use crate::prt::Prt;
-use crate::rpc::{OpRequest, OpResponse};
+use crate::rpc::{OpBody, OpRequest, OpResponse};
 use arkfs_lease::{LeaseConfig, LeaseManager, LeaseRequest, LeaseResponse};
 use arkfs_netsim::{call_with_retry, Bus, NetError, NodeId, RetryCounters, Transport};
 use arkfs_objstore::ObjectStore;
 use arkfs_simkit::{Nanos, Port};
+use arkfs_telemetry::Counter;
 use arkfs_vfs::{FileType, FsError, Ino, ROOT_INO};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -38,6 +39,9 @@ pub struct ArkCluster {
     lease_net: Arc<dyn Transport<LeaseRequest, LeaseResponse>>,
     ops_net: Arc<dyn Transport<OpRequest, OpResponse>>,
     net_counters: RetryCounters,
+    /// `rpc.forward.<op>.count`, indexed by [`OpBody::tag`]: forwarded
+    /// ops by kind, counted where they are sent.
+    forward_counts: Vec<Arc<Counter>>,
     next_node: AtomicU32,
 }
 
@@ -90,12 +94,21 @@ impl ArkCluster {
         }
 
         let net_counters = RetryCounters::register(&prt.telemetry().registry);
+        let forward_counts = OpBody::KINDS
+            .iter()
+            .map(|op| {
+                prt.telemetry()
+                    .registry
+                    .counter(&format!("rpc.forward.{op}.count"))
+            })
+            .collect();
         Arc::new(ArkCluster {
             config,
             prt,
             lease_net,
             ops_net,
             net_counters,
+            forward_counts,
             next_node: AtomicU32::new(1),
         })
     }
@@ -148,6 +161,7 @@ impl ArkCluster {
         to: NodeId,
         req: OpRequest,
     ) -> Result<OpResponse, NetError> {
+        self.forward_counts[req.body.tag() as usize].inc();
         call_with_retry(
             self.ops_net.as_ref(),
             port,

@@ -246,11 +246,14 @@ impl DirJournal {
         self.dir
     }
 
-    /// Append an op to the running transaction.
+    /// Append an op to the running transaction. The seal window counts
+    /// from the *oldest* stamp buffered, not the first in host order:
+    /// forwarded ops reach a leader out of virtual-time order (one engine
+    /// step runs a whole client op and its queued RPCs), and an entry
+    /// stamped before the window opened must not wait a window plus the
+    /// skew for its seal.
     pub fn append(&mut self, op: JournalOp, now: Nanos) {
-        if self.running.is_empty() {
-            self.running_since = Some(now);
-        }
+        self.running_since = Some(self.running_since.map_or(now, |since| since.min(now)));
         self.running.push(op);
     }
 
@@ -612,6 +615,20 @@ mod tests {
             j.append(JournalOp::DeleteInode(i), 101);
         }
         assert!(j.commit_due(102, 1000, 4), "entry bound hit");
+    }
+
+    #[test]
+    fn seal_window_counts_from_the_oldest_entry() {
+        // Forwarded ops reach a leader out of virtual-time order: the
+        // entry stamped 100 arrives after the one stamped 150.
+        let mut j = DirJournal::new(1, 0);
+        j.append(JournalOp::DeleteInode(1), 150);
+        j.append(JournalOp::DeleteInode(2), 100);
+        assert!(j.commit_due(200, 100, 64), "100 has waited a full window");
+        // Sealing resets the window for the next transaction.
+        j.seal();
+        j.append(JournalOp::DeleteInode(3), 180);
+        assert!(!j.commit_due(200, 100, 64));
     }
 
     #[test]

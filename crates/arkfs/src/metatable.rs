@@ -16,7 +16,7 @@
 
 use crate::journal::{resolve_renames, scan_journal_stream, DirJournal, JournalOp};
 use crate::meta::{dentry_bucket, DentryBlock, DentryEntry, InodeRecord};
-use crate::partition::{partition_hi, partition_ino, partition_lo};
+use crate::partition::{lease_partition, partition_hi, partition_ino, partition_lo};
 use crate::prt::Prt;
 use arkfs_lease::FileLeaseTable;
 use arkfs_simkit::{Nanos, Port, MSEC, SEC};
@@ -24,6 +24,12 @@ use arkfs_telemetry::Gauge;
 use arkfs_vfs::{DirEntry, FileType, FsError, FsResult, Ino, SetAttr};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
+
+/// Most subdirectory dentries a directory view ships
+/// ([`Metatable::subdir_view`]). A directory with more answers with an
+/// empty view: absence from a view proves nothing, so its clients fall
+/// back to per-name lookups.
+pub const MAX_VIEW_ENTRIES: usize = 4096;
 
 /// Window over which a partition leader measures its journal append
 /// rate for load-triggered split/merge decisions.
@@ -66,6 +72,10 @@ pub struct Metatable {
     dirty_children: HashSet<Ino>,
     deleted_children: HashSet<Ino>,
     dirty_buckets: HashSet<u64>,
+    /// The subdirectory dentries handed to permission-cache fills, built
+    /// on first request and dropped whenever a subdirectory dentry
+    /// changes, so every fill between two changes shares one allocation.
+    subdir_view: Option<Arc<[DirEntry]>>,
 }
 
 impl Metatable {
@@ -168,6 +178,7 @@ impl Metatable {
             dirty_children: HashSet::new(),
             deleted_children: HashSet::new(),
             dirty_buckets: HashSet::new(),
+            subdir_view: None,
         })
     }
 
@@ -195,6 +206,7 @@ impl Metatable {
             dirty_children: HashSet::new(),
             deleted_children: HashSet::new(),
             dirty_buckets: HashSet::new(),
+            subdir_view: None,
         }
     }
 
@@ -223,6 +235,11 @@ impl Metatable {
         }
         let b = dentry_bucket(name, self.buckets);
         b >= self.bucket_lo && b < self.bucket_hi
+    }
+
+    /// Is this partition `file`'s lease shard?
+    pub fn leases_file(&self, file: Ino) -> bool {
+        lease_partition(file, self.pcount) == self.partition
     }
 
     /// Record one journal append for the load trigger. Returns the
@@ -274,6 +291,32 @@ impl Metatable {
             .collect();
         out.sort_by(|a, b| a.name.cmp(&b.name));
         out
+    }
+
+    /// This partition's subdirectory dentries, sorted by name: the body
+    /// of a directory view. Empty above [`MAX_VIEW_ENTRIES`].
+    pub fn subdir_view(&mut self) -> Arc<[DirEntry]> {
+        if let Some(view) = &self.subdir_view {
+            return Arc::clone(view);
+        }
+        let mut subdirs: Vec<DirEntry> = self
+            .dentries
+            .values()
+            .filter(|e| e.ftype == FileType::Directory)
+            .take(MAX_VIEW_ENTRIES + 1)
+            .map(|e| DirEntry {
+                name: e.name.clone(),
+                ino: e.ino,
+                ftype: e.ftype,
+            })
+            .collect();
+        if subdirs.len() > MAX_VIEW_ENTRIES {
+            subdirs.clear();
+        }
+        subdirs.sort_by(|a, b| a.name.cmp(&b.name));
+        let view: Arc<[DirEntry]> = subdirs.into();
+        self.subdir_view = Some(Arc::clone(&view));
+        view
     }
 
     // ---- mutations (memory + journal) -------------------------------------
@@ -354,6 +397,7 @@ impl Metatable {
             },
         );
         self.mark_dentry(name);
+        self.subdir_view = None;
         if self.partition == 0 {
             self.dir.nlink += 1;
         }
@@ -405,6 +449,7 @@ impl Metatable {
         );
         self.journal.append(JournalOp::DeleteInode(ino), now);
         self.mark_dentry(name);
+        self.subdir_view = None;
         if self.partition == 0 {
             self.dir.nlink = self.dir.nlink.saturating_sub(1);
         }
@@ -514,6 +559,9 @@ impl Metatable {
         );
         self.mark_dentry(from);
         self.mark_dentry(to);
+        if entry.ftype == FileType::Directory {
+            self.subdir_view = None;
+        }
         self.touch_dir(now);
         Ok(())
     }
@@ -531,6 +579,7 @@ impl Metatable {
             self.dirty_children.remove(&entry.ino);
             rec
         } else {
+            self.subdir_view = None;
             if self.partition == 0 {
                 self.dir.nlink = self.dir.nlink.saturating_sub(1);
             }
@@ -562,8 +611,11 @@ impl Metatable {
                 ftype,
             },
         );
-        if ftype == FileType::Directory && self.partition == 0 {
-            self.dir.nlink += 1;
+        if ftype == FileType::Directory {
+            self.subdir_view = None;
+            if self.partition == 0 {
+                self.dir.nlink += 1;
+            }
         }
         if let Some(rec) = rec {
             self.dirty_children.insert(rec.ino);
@@ -889,6 +941,41 @@ mod tests {
         // remove_subdir refuses files
         mt.create_child(file_inode(5), "f", 4).unwrap();
         assert_eq!(mt.remove_subdir("f", 5), Err(FsError::NotADirectory));
+    }
+
+    #[test]
+    fn subdir_view_is_shared_until_a_subdirectory_changes() {
+        let names = |v: &[DirEntry]| v.iter().map(|e| e.name.clone()).collect::<Vec<_>>();
+        let mut mt = fresh_table();
+        mt.add_subdir("b", 201, 1).unwrap();
+        mt.add_subdir("a", 200, 1).unwrap();
+        mt.create_child(file_inode(1), "f", 1).unwrap();
+        let v1 = mt.subdir_view();
+        assert_eq!(names(&v1), ["a", "b"], "subdirectories only, sorted");
+        // File churn leaves the build alone: every fill shares it.
+        mt.create_child(file_inode(2), "g", 2).unwrap();
+        mt.unlink_child("f", 3).unwrap();
+        assert!(Arc::ptr_eq(&v1, &mt.subdir_view()));
+        mt.remove_subdir("a", 4).unwrap();
+        assert_eq!(names(&mt.subdir_view()), ["b"]);
+        mt.rename_local("b", "c", 5).unwrap();
+        assert_eq!(names(&mt.subdir_view()), ["c"]);
+        let (entry, _) = mt.detach_child("c", 6).unwrap();
+        assert!(mt.subdir_view().is_empty());
+        mt.attach_child("d", entry.ino, entry.ftype, None, 7)
+            .unwrap();
+        assert_eq!(names(&mt.subdir_view()), ["d"]);
+    }
+
+    #[test]
+    fn subdir_view_over_the_cap_is_empty() {
+        let mut mt = fresh_table();
+        for i in 0..MAX_VIEW_ENTRIES {
+            mt.add_subdir(&format!("d{i}"), 1000 + i as Ino, 1).unwrap();
+        }
+        assert_eq!(mt.subdir_view().len(), MAX_VIEW_ENTRIES);
+        mt.add_subdir("one-more", 9, 2).unwrap();
+        assert!(mt.subdir_view().is_empty(), "absence proves nothing");
     }
 
     #[test]

@@ -63,6 +63,24 @@ pub fn partition_of_bucket(bucket: u64, buckets: u64, partitions: u32) -> u32 {
     ((bucket as u128 * p + p - 1) / buckets.max(1) as u128) as u32
 }
 
+/// The partition serving `file`'s read/write leases. File-lease traffic
+/// shards by file ino, which (unlike the name) is stable across renames:
+/// every request for one file meets at one partition, while a hot
+/// directory's lease traffic spreads over all of its leaders.
+pub fn lease_partition(file: Ino, partitions: u32) -> u32 {
+    (file % partitions.max(1) as u128) as u32
+}
+
+/// Steer a freshly drawn inode number so that [`lease_partition`] of the
+/// result is `partition`: the file's lease shard then equals its name's
+/// partition and one leader can create the file and grant its first
+/// lease in a single RPC. Identity when `partitions <= 1`. The caller
+/// draws `raw` at least `partitions` below `Ino::MAX`.
+pub fn steer_ino(raw: Ino, partitions: u32, partition: u32) -> Ino {
+    let p = partitions.max(1) as u128;
+    raw - raw % p + partition as u128
+}
+
 /// The on-store partition map of one directory. Absent object = one
 /// partition. `epoch` increments on every split/merge install, purely
 /// for observability and staleness diagnostics — correctness comes from
@@ -171,6 +189,20 @@ mod tests {
                 }
                 assert_eq!(covered, buckets);
                 assert_eq!(partition_hi(partitions - 1, buckets, partitions), buckets);
+            }
+        }
+    }
+
+    #[test]
+    fn steered_inos_lease_at_the_requested_partition() {
+        for raw in [2u128, 77, 1 << 90, Ino::MAX - 8] {
+            assert_eq!(steer_ino(raw, 1, 0), raw, "one partition: identity");
+            for partitions in [2u32, 3, 8] {
+                for p in 0..partitions {
+                    let ino = steer_ino(raw, partitions, p);
+                    assert_eq!(lease_partition(ino, partitions), p);
+                    assert!(ino.abs_diff(raw) < partitions as u128);
+                }
             }
         }
     }

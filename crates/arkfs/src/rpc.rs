@@ -9,6 +9,7 @@ use arkfs_lease::FileLeaseDecision;
 use arkfs_netsim::NodeId;
 use arkfs_telemetry::{ctx, TraceCtx};
 use arkfs_vfs::{Acl, Credentials, DirEntry, FileType, FsError, Ino, SetAttr};
+use std::sync::Arc;
 
 /// A forwarded file-system operation, carrying the originator's
 /// credentials so the leader can enforce permissions ("If C1 does not
@@ -180,9 +181,87 @@ pub enum OpBody {
         dir: Ino,
         partition: u32,
     },
+    /// Permission-cache fill: the directory's inode record plus its
+    /// subdirectory dentries in one reply ([`OpResponse::View`]), so a
+    /// client resolves every path through `dir` for one lease period
+    /// without a per-name `Lookup`. Served by partition 0, like
+    /// `DirInode`.
+    DirView {
+        dir: Ino,
+    },
+    /// `Create` of a regular file fused with the creator's read lease on
+    /// it (create-and-open). The reply is [`OpResponse::Lease`] when the
+    /// serving partition is also the file's lease shard
+    /// (`rec.ino % partitions`), else plain [`OpResponse::Ok`]: the file
+    /// exists and the caller asks the lease shard with
+    /// `AcquireReadLease`.
+    CreateOpen {
+        dir: Ino,
+        name: String,
+        rec: InodeRecord,
+        client: NodeId,
+    },
 }
 
 impl OpBody {
+    /// Operation names by wire tag: the `<op>` of the per-kind
+    /// `rpc.forward.<op>.count` counters.
+    pub const KINDS: [&'static str; 23] = [
+        "lookup",
+        "dir_inode",
+        "create",
+        "add_subdir",
+        "unlink",
+        "remove_subdir",
+        "readdir",
+        "set_size",
+        "set_attr_child",
+        "set_attr_dir",
+        "set_acl",
+        "rename_local",
+        "rename_src_prepare",
+        "rename_dst_prepare",
+        "rename_decide",
+        "acquire_read_lease",
+        "acquire_write_lease",
+        "release_file_lease",
+        "flush_cache",
+        "fsync_dir",
+        "relinquish_partition",
+        "dir_view",
+        "create_open",
+    ];
+
+    /// The variant's wire tag (append-only: old tags never change
+    /// meaning), also the index into [`Self::KINDS`].
+    pub fn tag(&self) -> u8 {
+        match self {
+            OpBody::Lookup { .. } => 0,
+            OpBody::DirInode { .. } => 1,
+            OpBody::Create { .. } => 2,
+            OpBody::AddSubdir { .. } => 3,
+            OpBody::Unlink { .. } => 4,
+            OpBody::RemoveSubdir { .. } => 5,
+            OpBody::Readdir { .. } => 6,
+            OpBody::SetSize { .. } => 7,
+            OpBody::SetAttrChild { .. } => 8,
+            OpBody::SetAttrDir { .. } => 9,
+            OpBody::SetAcl { .. } => 10,
+            OpBody::RenameLocal { .. } => 11,
+            OpBody::RenameSrcPrepare { .. } => 12,
+            OpBody::RenameDstPrepare { .. } => 13,
+            OpBody::RenameDecide { .. } => 14,
+            OpBody::AcquireReadLease { .. } => 15,
+            OpBody::AcquireWriteLease { .. } => 16,
+            OpBody::ReleaseFileLease { .. } => 17,
+            OpBody::FlushCache { .. } => 18,
+            OpBody::FsyncDir { .. } => 19,
+            OpBody::RelinquishPartition { .. } => 20,
+            OpBody::DirView { .. } => 21,
+            OpBody::CreateOpen { .. } => 22,
+        }
+    }
+
     /// Whether a successful serve of this op changes directory state
     /// that an async-mode leader may ack before it is durable. `sync_all`
     /// uses this to track which directories still owe a barrier.
@@ -190,6 +269,7 @@ impl OpBody {
         matches!(
             self,
             OpBody::Create { .. }
+                | OpBody::CreateOpen { .. }
                 | OpBody::AddSubdir { .. }
                 | OpBody::Unlink { .. }
                 | OpBody::RemoveSubdir { .. }
@@ -233,6 +313,16 @@ pub enum OpResponse {
         rec: Option<InodeRecord>,
     },
     Lease(FileLeaseDecision),
+    /// DirView result: the directory inode and its subdirectory
+    /// dentries, sorted by name. The list is built once per change at
+    /// the leader and shared by every reply (and, on the bus, by every
+    /// client's permission cache). Entries are only ever positive: a
+    /// name absent from the view proves nothing (it may be a file, live
+    /// in another partition, or the directory may exceed the view cap).
+    View {
+        dir: InodeRecord,
+        subdirs: Arc<[DirEntry]>,
+    },
     /// FlushCache result: the flushed client's local view of the file
     /// size (None when it held no dirty data).
     Flushed {

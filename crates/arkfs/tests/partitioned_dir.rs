@@ -9,11 +9,11 @@
 //! isolation, and across a crash landing at an arbitrary split
 //! boundary.
 
-use arkfs::partition::{partition_ino, PartitionMap};
+use arkfs::partition::{lease_partition, partition_ino, PartitionMap};
 use arkfs::{ArkCluster, ArkConfig};
 use arkfs_objstore::{ClusterConfig, ObjectCluster, StoreProfile};
 use arkfs_simkit::{Port, MSEC, SEC};
-use arkfs_vfs::{Credentials, DirEntry, FileType, FsError, Vfs};
+use arkfs_vfs::{Credentials, DirEntry, FileType, FsError, OpenFlags, Vfs};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -167,6 +167,106 @@ fn cross_partition_rename_is_atomic_and_survives_crash() {
     assert_eq!(c2.stat(&ctx, &format!("/d/{src}")), Err(FsError::NotFound));
 }
 
+// ---- create-and-open: lease shard = name shard --------------------------------
+
+/// Forwarded ops of one kind so far (`rpc.forward.<op>.count`).
+fn forwards(cl: &Arc<ArkCluster>, op: &str) -> u64 {
+    cl.telemetry()
+        .registry
+        .counter(&format!("rpc.forward.{op}.count"))
+        .get()
+}
+
+/// Does `holder`'s read lease on `path` live at the file's lease shard?
+/// A second client's first write asks that shard for the write lease; it
+/// answers with a flush broadcast to the reader only if it knows the
+/// reader — a lease granted at any other partition would go unnoticed.
+fn lease_conflicts_at_shard(cl: &Arc<ArkCluster>, writer: &arkfs::ArkClient, path: &str) -> bool {
+    let ctx = root();
+    let flushes = forwards(cl, "flush_cache");
+    let fh = writer.open(&ctx, path, OpenFlags::RDWR).unwrap();
+    writer.write(&ctx, fh, 0, b"w").unwrap();
+    writer.close(&ctx, fh).unwrap();
+    forwards(cl, "flush_cache") > flushes
+}
+
+#[test]
+fn create_and_open_grants_at_the_names_partition() {
+    const BUCKETS16: u64 = 16;
+    let mut config = async_wide_window().with_dir_partitions(8, 0, 0);
+    config.dentry_buckets = BUCKETS16;
+    let cl = cluster_on(config, false);
+    let (leader, creator, writer) = (cl.client(), cl.client(), cl.client());
+    let ctx = root();
+    leader.mkdir(&ctx, "/d", 0o755).unwrap();
+    let dir = leader.stat(&ctx, "/d").unwrap().ino;
+    // The creator installs the map (and so has it cached); the readdir
+    // then makes one other client the leader of all eight partitions, so
+    // every create below is forwarded.
+    creator.set_dir_partitions(&ctx, "/d", 8).unwrap();
+    assert!(names(&leader, &ctx, "/d").is_empty());
+    let map8 = PartitionMap {
+        dir,
+        epoch: 1,
+        partitions: 8,
+    };
+
+    // Steered under the right map: one RPC creates the file and grants
+    // the lease, at the partition the name hashes to.
+    let mut held = Vec::new();
+    for i in 0..32 {
+        let name = format!("f{i:02}");
+        let (creates, leases) = (
+            forwards(&cl, "create_open"),
+            forwards(&cl, "acquire_read_lease"),
+        );
+        let fh = creator.create(&ctx, &format!("/d/{name}"), 0o644).unwrap();
+        assert_eq!(forwards(&cl, "create_open"), creates + 1, "{name}");
+        assert_eq!(forwards(&cl, "acquire_read_lease"), leases, "{name}");
+        let ino = creator.stat(&ctx, &format!("/d/{name}")).unwrap().ino;
+        assert_eq!(
+            lease_partition(ino, 8),
+            map8.partition_of_name(&name, BUCKETS16),
+            "{name}: lease shard is the name's partition"
+        );
+        held.push(fh);
+    }
+    assert!(lease_conflicts_at_shard(&cl, &writer, "/d/f07"));
+    for fh in held {
+        creator.close(&ctx, fh).unwrap();
+    }
+
+    // A repartition the creator has not heard of: its next create is
+    // steered for eight partitions but lands in a directory of four. A
+    // name whose two shards now disagree must come back `Ok` without a
+    // lease, and the fallback must find the file's real lease shard.
+    leader.set_dir_partitions(&ctx, "/d", 4).unwrap();
+    assert_eq!(names(&leader, &ctx, "/d").len(), 32);
+    let map4 = PartitionMap {
+        dir,
+        epoch: 2,
+        partitions: 4,
+    };
+    let raced = (0..200)
+        .map(|i| format!("g{i}"))
+        .find(|n| map8.partition_of_name(n, BUCKETS16) % 4 != map4.partition_of_name(n, BUCKETS16))
+        .unwrap();
+    let leases = forwards(&cl, "acquire_read_lease");
+    let fh = creator.create(&ctx, &format!("/d/{raced}"), 0o644).unwrap();
+    assert_eq!(
+        forwards(&cl, "acquire_read_lease"),
+        leases + 1,
+        "the leader declined the lease and the creator asked the lease shard"
+    );
+    assert!(lease_conflicts_at_shard(
+        &cl,
+        &writer,
+        &format!("/d/{raced}")
+    ));
+    creator.close(&ctx, fh).unwrap();
+    assert_eq!(names(&creator, &ctx, "/d").len(), 33);
+}
+
 // ---- load-triggered split -----------------------------------------------------
 
 #[test]
@@ -316,11 +416,20 @@ fn arb_ns_op() -> impl Strategy<Value = NsOp> {
     ]
 }
 
-fn entries(c: &arkfs::ArkClient, ctx: &Credentials) -> Vec<(String, u128, FileType)> {
+/// `/d`'s listing with ino steering undone: a create in a directory of
+/// `partitions` partitions moves its drawn ino by less than `partitions`
+/// (`partition::steer_ino`), so rounding both sides down to a multiple
+/// of the partitioned side's count compares the underlying ino *draws* —
+/// which must still line up one for one.
+fn entries(
+    c: &arkfs::ArkClient,
+    ctx: &Credentials,
+    partitions: u32,
+) -> Vec<(String, u128, FileType)> {
     c.readdir(ctx, "/d")
         .unwrap()
         .into_iter()
-        .map(|DirEntry { name, ino, ftype }| (name, ino, ftype))
+        .map(|DirEntry { name, ino, ftype }| (name, ino - ino % partitions as u128, ftype))
         .collect()
 }
 
@@ -370,12 +479,16 @@ fn run_oracle(ops: &[NsOp], partitions: u32, s3: bool) {
                 );
             }
             NsOp::Readdir => {
-                assert_eq!(entries(p, &ctx), entries(r, &ctx), "interleaved readdir");
+                assert_eq!(
+                    entries(p, &ctx, partitions),
+                    entries(r, &ctx, partitions),
+                    "interleaved readdir"
+                );
             }
         }
     }
-    let live = entries(&pc[0], &ctx);
-    assert_eq!(live, entries(&rc[0], &ctx), "final namespace");
+    let live = entries(&pc[0], &ctx, partitions);
+    assert_eq!(live, entries(&rc[0], &ctx, partitions), "final namespace");
     // Durability equivalence: barrier on every client (each makes its
     // own acked ops durable), crash every client, and let a fresh one
     // recover each side from its journal streams alone.
@@ -390,8 +503,12 @@ fn run_oracle(ops: &[NsOp], partitions: u32, s3: bool) {
     let (p3, r3) = (part.client(), refc.client());
     p3.port().advance(50 * MSEC);
     r3.port().advance(50 * MSEC);
-    let recovered = entries(&p3, &ctx);
-    assert_eq!(recovered, entries(&r3, &ctx), "recovered namespace");
+    let recovered = entries(&p3, &ctx, partitions);
+    assert_eq!(
+        recovered,
+        entries(&r3, &ctx, partitions),
+        "recovered namespace"
+    );
     assert_eq!(recovered, live, "recovery preserved the live namespace");
 }
 

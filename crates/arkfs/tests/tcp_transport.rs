@@ -104,6 +104,21 @@ fn run_script(c1: &ArkClient, c2: &ArkClient) -> Vec<String> {
         "ok".into()
     }));
 
+    // One create in each direction: whoever leads /shared and
+    // /shared/sub, one of each pair is a forwarded create-and-open, and
+    // both paths resolve through an ancestor the other client leads (a
+    // directory-view fill).
+    log.push(outcome(
+        write_file(c2, &ctx, "/shared/from_c2.txt", b"two"),
+        |()| "ok".into(),
+    ));
+    log.push(outcome(
+        write_file(c1, &ctx, "/shared/sub/from_c1.bin", b"one"),
+        |()| "ok".into(),
+    ));
+    log.push(outcome(c1.stat(&ctx, "/shared/from_c2.txt"), stat_line));
+    log.push(outcome(c2.stat(&ctx, "/shared/sub/from_c1.bin"), stat_line));
+
     // Rename within the c1-led directory, observed by c2.
     log.push(outcome(
         c1.rename(&ctx, "/shared/a.txt", "/shared/b.txt"),
@@ -233,6 +248,14 @@ fn tcp_run(config: ArkConfig) -> (Vec<String>, Vec<String>) {
     // Frames really crossed sockets: every B-side protocol was used.
     assert!(b_lease.message_count() > 0, "no lease frames over TCP");
     assert!(b_ops.message_count() > 0, "no forwarded ops over TCP");
+    // Each endpoint hosts one client, so a forwarded op is a frame on a
+    // socket: both new messages were carried by the codecs.
+    for op in ["dir_view", "create_open"] {
+        let name = format!("rpc.forward.{op}.count");
+        let sent = cluster_a.telemetry().registry.counter(&name).get()
+            + cluster_b.telemetry().registry.counter(&name).get();
+        assert!(sent > 0, "no {op} frame crossed a socket");
+    }
 
     a_lease.shutdown();
     a_ops.shutdown();

@@ -32,7 +32,7 @@ fn rec(ino: u128) -> InodeRecord {
     r
 }
 
-/// One representative request per `OpBody` variant (all 21).
+/// One representative request per `OpBody` variant (all 23).
 fn request_pool() -> Vec<OpRequest> {
     let bodies = vec![
         OpBody::Lookup {
@@ -141,7 +141,15 @@ fn request_pool() -> Vec<OpRequest> {
             dir: 2,
             partition: 1,
         },
+        OpBody::DirView { dir: 2 },
+        OpBody::CreateOpen {
+            dir: 2,
+            name: "opened.bin".into(),
+            rec: rec(0x78),
+            client: arkfs_netsim::NodeId(4),
+        },
     ];
+    assert_eq!(bodies.len(), OpBody::KINDS.len(), "a variant is missing");
     bodies
         .into_iter()
         .enumerate()
@@ -157,7 +165,7 @@ fn request_pool() -> Vec<OpRequest> {
         .collect()
 }
 
-/// One representative response per `OpResponse` variant (all 9), plus
+/// One representative response per `OpResponse` variant (all 10), plus
 /// an extra with string-carrying errors.
 fn response_pool() -> Vec<OpResponse> {
     vec![
@@ -195,6 +203,22 @@ fn response_pool() -> Vec<OpResponse> {
         OpResponse::NotLeader,
         OpResponse::Err(FsError::NotFound),
         OpResponse::Err(FsError::Io("disk on fire".into())),
+        OpResponse::View {
+            dir: rec(2),
+            subdirs: vec![
+                DirEntry {
+                    name: "d0".into(),
+                    ino: 0x100,
+                    ftype: FileType::Directory,
+                },
+                DirEntry {
+                    name: "d1".into(),
+                    ino: 0x101,
+                    ftype: FileType::Directory,
+                },
+            ]
+            .into(),
+        },
     ]
 }
 
@@ -225,6 +249,8 @@ fn valid_frames_round_trip_exactly() {
         let back: OpRequest =
             from_frame(&frame).unwrap_or_else(|e| panic!("request {i} failed to decode: {e}"));
         assert_eq!(to_frame(&back), frame, "request {i} re-encoding differs");
+        // The pool is in tag order: names, tags and decoder agree.
+        assert_eq!(back.body.tag() as usize, i, "{}", OpBody::KINDS[i]);
     }
     for (i, resp) in response_pool().iter().enumerate() {
         let frame = to_frame(resp);
@@ -237,7 +263,7 @@ fn valid_frames_round_trip_exactly() {
 proptest! {
     /// Every proper prefix of a frame is a decode error, never a panic.
     #[test]
-    fn truncations_error_cleanly(which in 0usize..31, cut in 0u32..10_000) {
+    fn truncations_error_cleanly(which in 0usize..34, cut in 0u32..10_000) {
         let frames = frame_pool();
         let n_requests = request_pool().len();
         let frame = &frames[which % frames.len()];
@@ -247,7 +273,7 @@ proptest! {
 
     /// Every single bit-flip is a decode error (CRC32 guarantees it).
     #[test]
-    fn bit_flips_error_cleanly(which in 0usize..31, pos in 0usize..4096, bit in 0u8..8) {
+    fn bit_flips_error_cleanly(which in 0usize..34, pos in 0usize..4096, bit in 0u8..8) {
         let frames = frame_pool();
         let n_requests = request_pool().len();
         let idx = which % frames.len();

@@ -314,6 +314,11 @@ fn main() {
             let fh = writer.create(&ctx, &format!("/meta/f{i}"), 0o644).unwrap();
             writer.close(&ctx, fh).unwrap();
         }
+        // Forwarded path: while the writer still leads, the reader's
+        // stats go to it (`rpc.forward.*`, `leader.*`).
+        for i in 0..8 {
+            reader.stat(&ctx, &format!("/meta/f{i}")).unwrap();
+        }
         writer.release_all(&ctx).unwrap();
         for i in 0..64 {
             reader.stat(&ctx, &format!("/meta/f{i}")).unwrap();
@@ -327,6 +332,16 @@ fn main() {
         // is exempt from the byte-identical drift check.
         cluster.telemetry().publish_ring_losses();
         writer.publish_lock_stats();
+        // `leader.served.count` / `leader.busy_ns` are sums over all
+        // leaders; a hotspot is one leader, so publish the busiest.
+        let (served, busy) = [&writer, &reader]
+            .iter()
+            .map(|c| c.leader_stats())
+            .max()
+            .unwrap_or((0, 0));
+        let reg = &cluster.telemetry().registry;
+        reg.gauge("leader.served.max").set(served as i64);
+        reg.gauge("leader.busy_ns.max").set(busy as i64);
 
         let rows: Vec<Vec<String>> = cluster
             .telemetry()

@@ -9,8 +9,9 @@
 //! climbs while the metadata service has headroom, then hits a knee —
 //! a throughput plateau and/or an ack-p99 inflection — as the hot
 //! directories' leaders saturate. The per-point lease and commit-lane
-//! telemetry (redirects, retries, journal flights, partition splits)
-//! identifies which resource saturates at the knee.
+//! telemetry (redirects, retries, journal flights, partition splits),
+//! the leader RPCs each create cost and the busiest leader's share of
+//! the makespan identify which resource saturates at the knee.
 //!
 //! Scale knobs: `ARKFS_BENCH_FILES` (total creates per point),
 //! `ARKFS_BENCH_CLIENTS` (cap on the largest client count; CI uses
@@ -51,6 +52,13 @@ struct Point {
     lease_redirects: u64,
     journal_flights: u64,
     partition_splits: u64,
+    /// Forwarded ops served by all leaders (`leader.served.count`) per
+    /// create: resolution, the create itself and its close.
+    leader_rpcs_per_create: f64,
+    /// The busiest leader: ops it served, and the share of the phase's
+    /// virtual makespan its RPC service was busy.
+    hot_leader_served: u64,
+    hot_leader_busy: f64,
     /// Mean critical-path nanoseconds per segment of the sampled
     /// create traces, indexed by [`critpath::SEGMENTS`].
     cp_segs: [f64; critpath::SEGMENTS.len()],
@@ -79,8 +87,10 @@ fn run_point(n_clients: usize, files_total: u64) -> Point {
     admin.sync_all(&ctx).unwrap();
     admin.release_all(&ctx).unwrap();
 
-    let clients: Vec<Arc<dyn SimClient>> = (0..n_clients)
-        .map(|_| cluster.client() as Arc<dyn SimClient>)
+    let ark_clients: Vec<_> = (0..n_clients).map(|_| cluster.client()).collect();
+    let clients: Vec<Arc<dyn SimClient>> = ark_clients
+        .iter()
+        .map(|c| Arc::clone(c) as Arc<dyn SimClient>)
         .collect();
     let per_client = (files_total / n_clients as u64).max(1);
     let gens: Vec<Box<dyn OpGen>> = (0..n_clients)
@@ -98,6 +108,17 @@ fn run_point(n_clients: usize, files_total: u64) -> Point {
     let report = run_ops(&clients, gens, Drive::Engine, Some(&meter));
     let host_secs = host_t0.elapsed().as_secs_f64();
     assert_eq!(report.total_errors(), 0, "zipf creates failed");
+    // Leader service over the create phase proper, before the closing
+    // `sync_all`s add their barrier RPCs.
+    let tel = cluster.telemetry();
+    let leader_rpcs = tel.registry.counter("leader.served.count").get();
+    let makespan = clients.iter().map(|c| c.port().now()).max().unwrap_or(0)
+        - starts.iter().copied().min().unwrap_or(0);
+    let (hot_leader_served, hot_leader_busy_ns) = ark_clients
+        .iter()
+        .map(|c| c.leader_stats())
+        .max()
+        .unwrap_or((0, 0));
     for (i, c) in clients.iter().enumerate() {
         let _ = c.sync_all(&ctx);
         meter.record_span(per_client, starts[i], c.port().now());
@@ -105,7 +126,6 @@ fn run_point(n_clients: usize, files_total: u64) -> Point {
     barrier(&clients);
     let phase = meter.finish("create");
 
-    let tel = cluster.telemetry();
     let counter = |name: &str| tel.registry.counter(name).get();
     let durable = tel.registry.histogram("op.create.durable_ns").snapshot();
     eprintln!(
@@ -140,6 +160,9 @@ fn run_point(n_clients: usize, files_total: u64) -> Point {
         lease_redirects: counter("lease.redirect.count"),
         journal_flights: counter("journal.flight.count"),
         partition_splits: counter("meta.partition.split.count"),
+        leader_rpcs_per_create: leader_rpcs as f64 / phase.ops.max(1) as f64,
+        hot_leader_served,
+        hot_leader_busy: hot_leader_busy_ns as f64 / makespan.max(1) as f64,
         cp_segs,
         cp_total,
     }
@@ -202,6 +225,7 @@ fn main() {
             p.ack_p99.to_string(),
             p.durable_p99.to_string(),
             p.lease_redirects.to_string(),
+            format!("{:.2}", p.leader_rpcs_per_create),
             p.journal_flights.to_string(),
             p.partition_splits.to_string(),
         ]);
@@ -220,6 +244,10 @@ fn main() {
             ("lease_redirects".to_string(), p.lease_redirects as f64),
             ("journal_flights".to_string(), p.journal_flights as f64),
             ("partition_splits".to_string(), p.partition_splits as f64),
+            (
+                "leader_rpcs_per_create".to_string(),
+                p.leader_rpcs_per_create,
+            ),
         ];
         for (i, seg) in critpath::SEGMENTS.iter().enumerate() {
             metrics.push((format!("create_cp_{seg}_ns"), p.cp_segs[i]));
@@ -242,11 +270,24 @@ fn main() {
             "ack p99 ns",
             "durable p99 ns",
             "lease redirects",
+            "leader rpcs/create",
             "journal flights",
             "partition splits",
         ],
         &rows,
     );
+
+    // Where the remaining queue is: the busiest leader of each point.
+    for p in &points {
+        let line = format!(
+            "hottest leader @{} clients: served {} forwarded ops, busy {:.1}% of the makespan",
+            p.clients,
+            p.hot_leader_served,
+            100.0 * p.hot_leader_busy,
+        );
+        println!("{line}");
+        lines.push(line);
+    }
 
     let knee = knee_index(&points);
     if let Some(k) = knee {

@@ -26,6 +26,10 @@
 //! segment means must sum to the total mean (within fp tolerance). The
 //! group is *required* for fig9 (the knee attribution depends on it)
 //! and optional for fig8 (only emitted on traced runs).
+//!
+//! Schema v4 adds `leader_rpcs_per_create` to every fig9 record: the
+//! forwarded ops all leaders served per create (resolution, the create,
+//! its close), non-negative.
 
 use arkfs_bench::BENCH_SCHEMA_VERSION;
 use std::collections::BTreeSet;
@@ -324,6 +328,7 @@ fn expected_metrics(bench: &str) -> Option<Vec<String>> {
             keys.push("lease_redirects".to_string());
             keys.push("journal_flights".to_string());
             keys.push("partition_splits".to_string());
+            keys.push("leader_rpcs_per_create".to_string());
         }
         _ => return None,
     }
@@ -593,6 +598,15 @@ fn check_bench_doc(path: &str) -> Result<(), String> {
     if bench == "fig9" {
         let mut prev = 0.0f64;
         for (i, rec) in results.iter().enumerate() {
+            let rpcs = rec
+                .get("metrics")
+                .and_then(|m| m.get("leader_rpcs_per_create"))
+                .and_then(Json::as_num);
+            if !rpcs.is_some_and(|v| v >= 0.0) {
+                return Err(format!(
+                    "results[{i}]: leader_rpcs_per_create {rpcs:?} is not a non-negative number"
+                ));
+            }
             let clients = rec
                 .get("metrics")
                 .and_then(|m| m.get("clients"))

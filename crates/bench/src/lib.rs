@@ -24,8 +24,9 @@ use std::sync::Arc;
 /// reject documents with an unknown version; purely additive metric
 /// fields do not bump it. v3 adds critical-path attribution metrics
 /// (`<phase>_cp_<segment>_ns`, from the causal tracing layer) to
-/// benches that run traced.
-pub const BENCH_SCHEMA_VERSION: u64 = 3;
+/// benches that run traced. v4 adds fig9's required
+/// `leader_rpcs_per_create`.
+pub const BENCH_SCHEMA_VERSION: u64 = 4;
 
 /// A named fleet of clients of one file system under test.
 pub struct System {

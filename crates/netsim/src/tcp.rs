@@ -3,8 +3,9 @@
 //! TCP streams.
 //!
 //! Built only on the standard library (the workspace is vendored/offline):
-//! a thread-per-connection accept loop on the serving side, a small
-//! connection pool on the calling side. Frames are:
+//! a blocking thread-per-connection accept loop on the serving side
+//! (woken for shutdown by a self-connection), a small connection pool on
+//! the calling side. Frames are:
 //!
 //! ```text
 //! request:  u32 len | u8 kind (0=call, 1=notify, 2=shutdown) |
@@ -34,7 +35,7 @@ use arkfs_simkit::{Nanos, Port};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::{Condvar, Mutex as StdMutex};
@@ -86,6 +87,8 @@ struct Shared<Req, Resp> {
     stop: AtomicBool,
     shutdown: StdMutex<bool>,
     shutdown_cv: Condvar,
+    /// Where the accept loop listens, once [`TcpTransport::listen`] ran.
+    local_addr: Mutex<Option<SocketAddr>>,
 }
 
 /// A [`Transport`] over real TCP sockets.
@@ -102,7 +105,6 @@ pub struct TcpTransport<Req, Resp> {
     /// Idle connections, keyed by peer address.
     pool: Mutex<HashMap<SocketAddr, Vec<TcpStream>>>,
     read_timeout: Duration,
-    local_addr: Mutex<Option<SocketAddr>>,
 }
 
 impl<Req: Send + Sync + 'static, Resp: Send + Sync + 'static> TcpTransport<Req, Resp> {
@@ -121,11 +123,11 @@ impl<Req: Send + Sync + 'static, Resp: Send + Sync + 'static> TcpTransport<Req, 
                 stop: AtomicBool::new(false),
                 shutdown: StdMutex::new(false),
                 shutdown_cv: Condvar::new(),
+                local_addr: Mutex::new(None),
             }),
             registry: RwLock::new(HashMap::new()),
             pool: Mutex::new(HashMap::new()),
             read_timeout,
-            local_addr: Mutex::new(None),
         }
     }
 
@@ -138,7 +140,7 @@ impl<Req: Send + Sync + 'static, Resp: Send + Sync + 'static> TcpTransport<Req, 
     ///
     /// [`listen`]: TcpTransport::listen
     pub fn local_addr(&self) -> Option<SocketAddr> {
-        *self.local_addr.lock()
+        *self.shared.local_addr.lock()
     }
 
     /// Bind `addr` and start the accept loop on a background thread.
@@ -146,8 +148,7 @@ impl<Req: Send + Sync + 'static, Resp: Send + Sync + 'static> TcpTransport<Req, 
     pub fn listen<A: ToSocketAddrs>(&self, addr: A) -> io::Result<SocketAddr> {
         let listener = TcpListener::bind(addr)?;
         let bound = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        *self.local_addr.lock() = Some(bound);
+        *self.shared.local_addr.lock() = Some(bound);
         let shared = Arc::clone(&self.shared);
         std::thread::Builder::new()
             .name(format!("arkfs-accept-{bound}"))
@@ -212,10 +213,28 @@ impl<Req: Send + Sync + 'static, Resp: Send + Sync + 'static> TcpTransport<Req, 
 
 impl<Req, Resp> Shared<Req, Resp> {
     fn request_stop(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        let mut done = self.shutdown.lock().unwrap();
-        *done = true;
-        self.shutdown_cv.notify_all();
+        let first = !self.stop.swap(true, Ordering::SeqCst);
+        {
+            let mut done = self.shutdown.lock().unwrap();
+            *done = true;
+            self.shutdown_cv.notify_all();
+        }
+        // The accept loop blocks in `accept`; one throwaway connection
+        // to ourselves (the first stop only: later the port may belong
+        // to someone else) makes it return and observe `stop`.
+        let Some(mut addr) = *self.local_addr.lock() else {
+            return;
+        };
+        if !first {
+            return;
+        }
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
     }
 }
 
@@ -313,22 +332,29 @@ fn accept_loop<Req: Send + Sync + 'static, Resp: Send + Sync + 'static>(
     listener: TcpListener,
     shared: Arc<Shared<Req, Resp>>,
 ) {
-    // The listener is non-blocking so the loop can observe a shutdown
-    // request promptly without a self-connection trick.
-    while !shared.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
+    // Blocks in `accept`: a new connection is served the moment it
+    // arrives. `request_stop` wakes the loop with a self-connection.
+    loop {
+        let accepted = listener.accept();
+        if shared.stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 stream.set_nodelay(true).ok();
-                stream.set_nonblocking(false).ok();
                 let shared = Arc::clone(&shared);
                 let _ = std::thread::Builder::new()
                     .name("arkfs-conn".into())
                     .spawn(move || connection_loop(stream, shared));
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => break,
+            // A connection that died in the backlog is not the listener
+            // failing; anything else is.
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::ConnectionAborted | io::ErrorKind::Interrupted
+                ) => {}
+            Err(_) => return,
         }
     }
 }
@@ -515,6 +541,27 @@ mod tests {
         let client: TcpTransport<u32, u32> = TcpTransport::new(u32_codec());
         client.send_shutdown(addr).unwrap();
         waiter.join().unwrap();
+    }
+
+    #[test]
+    fn shutdown_wakes_the_blocked_accept_loop() {
+        let server = Arc::new(TcpTransport::new(u32_codec()));
+        let addr = server.listen("127.0.0.1:0").unwrap();
+        let t0 = std::time::Instant::now();
+        server.shutdown();
+        // The listener closes once the accept thread has returned; until
+        // then connects still succeed, so poll for the refusal.
+        let mut closed = false;
+        for _ in 0..500 {
+            if TcpStream::connect(addr).is_err() {
+                closed = true;
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert!(closed, "accept loop still listening after shutdown");
+        assert!(t0.elapsed() < Duration::from_secs(5));
+        server.shutdown(); // idempotent
     }
 
     #[test]
