@@ -40,8 +40,6 @@
 
 mod ops;
 
-pub(crate) use ops::target_dir;
-
 use super::lockorder::{self, Rank, RankGuard};
 use super::{ArkClient, ClientState, MAX_LEASE_RETRIES};
 use crate::cluster::manager_node;
@@ -87,7 +85,7 @@ pub(crate) struct DirStripe {
     /// hints only — never authoritative; a directory with no entry is
     /// treated as unpartitioned until a `Stale`/`NotLeader` forces a
     /// refresh from the store.
-    pub(crate) pmaps: HashMap<Ino, Arc<PartitionMap>>,
+    pub(crate) pmaps: HashMap<Ino, PartitionMap>,
     /// Acquisitions of this stripe's lock (maintained under the lock).
     locks: u64,
 }
@@ -226,11 +224,9 @@ impl Service<OpRequest, OpResponse> for ClientService {
 
 impl ClientState {
     /// The cached partition map for `dir` (singleton when none cached).
-    pub(crate) fn cached_pmap(&self, dir: Ino) -> Arc<PartitionMap> {
-        if let Some(m) = self.dirs.stripe(dir).pmaps.get(&dir) {
-            return Arc::clone(m);
-        }
-        Arc::new(PartitionMap::singleton(dir))
+    pub(crate) fn cached_pmap(&self, dir: Ino) -> PartitionMap {
+        let cached = self.dirs.stripe(dir).pmaps.get(&dir).copied();
+        cached.unwrap_or_else(|| PartitionMap::singleton(dir))
     }
 
     /// Install a partition map into the cache. Singleton maps are stored
@@ -240,13 +236,13 @@ impl ClientState {
         if map.partitions <= 1 {
             s.pmaps.remove(&map.dir);
         } else {
-            s.pmaps.insert(map.dir, Arc::new(map));
+            s.pmaps.insert(map.dir, map);
         }
     }
 
     /// Re-read `dir`'s partition map from the store (absent == singleton)
     /// and cache the result.
-    pub(crate) fn refresh_pmap(&self, port: &Port, dir: Ino) -> FsResult<Arc<PartitionMap>> {
+    pub(crate) fn refresh_pmap(&self, port: &Port, dir: Ino) -> FsResult<PartitionMap> {
         let t0 = port.now();
         let map = self
             .cluster
@@ -254,25 +250,24 @@ impl ClientState {
             .load_pmap(port, dir)?
             .unwrap_or_else(|| PartitionMap::singleton(dir));
         // The refresh GET is time the op spends re-routing, not serving.
-        let tracer = &self.telemetry.tracer;
-        if tracer.enabled() && port.now() > t0 {
-            tracer.record(
-                PID_CLIENT,
-                self.id.0,
-                "route.refresh",
-                "route",
-                t0,
-                port.now(),
-            );
+        self.trace_span("route.refresh", "route", t0, port.now());
+        self.cache_pmap(map);
+        Ok(map)
+    }
+
+    /// Record a client-side wait or detour on the tracer, if it took any
+    /// virtual time.
+    pub(super) fn trace_span(
+        &self,
+        name: &'static str,
+        cat: &'static str,
+        start: Nanos,
+        end: Nanos,
+    ) {
+        if end > start {
+            let tracer = &self.telemetry.tracer;
+            tracer.record(PID_CLIENT, self.id.0, name, cat, start, end);
         }
-        let arc = Arc::new(map);
-        let mut s = self.dirs.stripe(dir);
-        if arc.partitions <= 1 {
-            s.pmaps.remove(&dir);
-        } else {
-            s.pmaps.insert(dir, Arc::clone(&arc));
-        }
-        Ok(arc)
     }
 
     /// Resolve partition 0 of a directory (== the whole directory when
@@ -312,168 +307,91 @@ impl ClientState {
     ) -> FsResult<DirRef> {
         let config = self.cluster.config();
         let pkey = partition_ino(dir, pidx);
+        let manager = manager_node(pkey, config.lease_managers);
+        let client = self.id;
         for _ in 0..MAX_LEASE_RETRIES {
             let mut s = self.dirs.stripe(pkey);
             let now = port.now();
-            if let Some(table) = s.tables.get(&pkey).cloned() {
-                let expiry = s.leases.get(&pkey).copied().unwrap_or(0);
-                if expiry > now.saturating_add(config.lease_renew_margin) {
-                    return Ok(DirRef::Local(table));
+            // What we hold: a led table with its lease expiry, or nothing.
+            let held = s.tables.get(&pkey).cloned();
+            let expiry = s.leases.get(&pkey).copied().unwrap_or(0);
+            match &held {
+                Some(table) if expiry > now.saturating_add(config.lease_renew_margin) => {
+                    return Ok(DirRef::Local(Arc::clone(table)));
                 }
-                // Extend (or same-holder re-acquire).
-                match self.cluster.call_lease(
-                    port,
-                    manager_node(pkey, config.lease_managers),
-                    LeaseRequest::Acquire {
-                        client: self.id,
-                        ino: pkey,
-                    },
-                ) {
-                    Ok(LeaseResponse::Granted {
-                        expires_at,
-                        must_load,
-                        ..
-                    }) => {
-                        if must_load {
-                            // Defensive: the manager believes our state is
-                            // stale; rebuild. On failure drop the old
-                            // table too — it may have been built under a
-                            // superseded partition map.
-                            let fresh = match Metatable::load_partition(
-                                self.cluster.prt(),
-                                port,
-                                dir,
-                                pidx,
-                                pcount,
-                                config.dentry_buckets,
-                                config.lease_period,
-                            ) {
-                                Ok(t) => t,
-                                Err(e) => {
-                                    s.tables.remove(&pkey);
-                                    s.leases.remove(&pkey);
-                                    let _ = self.cluster.call_lease(
-                                        port,
-                                        manager_node(pkey, config.lease_managers),
-                                        LeaseRequest::Release {
-                                            client: self.id,
-                                            ino: pkey,
-                                        },
-                                    );
-                                    return Err(e);
-                                }
-                            };
-                            let fresh = Arc::new(Mutex::new(fresh));
-                            s.tables.insert(pkey, Arc::clone(&fresh));
-                            s.leases.insert(pkey, expires_at);
-                            self.lane(pkey).register(pkey, &fresh);
-                            return Ok(DirRef::Local(fresh));
-                        }
-                        s.leases.insert(pkey, expires_at);
-                        return Ok(DirRef::Local(table));
-                    }
-                    Ok(LeaseResponse::Redirect { leader }) => {
-                        // We lost the partition; discard stale state.
-                        s.tables.remove(&pkey);
-                        s.leases.remove(&pkey);
-                        s.remote_hints.insert(pkey, leader);
-                        self.telemetry.flight.record(
-                            self.id.0,
-                            port.now(),
-                            "lease.redirect",
-                            leader.0 as i64,
-                            "lost partition lease; redirected to leader",
-                        );
+                Some(_) => {} // extend (or same-holder re-acquire) below
+                None => {
+                    if let Some(leader) = s.remote_hints.get(&pkey).copied() {
                         return Ok(DirRef::Remote(leader));
                     }
-                    Ok(LeaseResponse::Retry { until }) => {
-                        drop(s);
-                        self.telemetry.flight.record(
-                            self.id.0,
-                            port.now(),
-                            "lease.retry",
-                            pidx as i64,
-                            "lease busy; backing off",
-                        );
-                        let wait_start = port.now();
-                        port.wait_until(until);
-                        let tracer = &self.telemetry.tracer;
-                        if tracer.enabled() && port.now() > wait_start {
-                            tracer.record(
-                                PID_CLIENT,
-                                self.id.0,
-                                "lease.wait",
-                                "lease",
-                                wait_start,
-                                port.now(),
-                            );
-                        }
-                        continue;
-                    }
-                    Ok(LeaseResponse::Released) => unreachable!("release response to acquire"),
-                    Err(_) => {
-                        // Manager unreachable (crash, or exhausted retries
-                        // on a real transport) but our lease may still be
-                        // valid.
-                        if expiry > now {
-                            return Ok(DirRef::Local(table));
-                        }
-                        return Err(FsError::TimedOut);
-                    }
                 }
-            }
-            if let Some(leader) = s.remote_hints.get(&pkey).copied() {
-                return Ok(DirRef::Remote(leader));
             }
             match self.cluster.call_lease(
                 port,
-                manager_node(pkey, config.lease_managers),
-                LeaseRequest::Acquire {
-                    client: self.id,
-                    ino: pkey,
-                },
+                manager,
+                LeaseRequest::Acquire { client, ino: pkey },
             ) {
-                Ok(LeaseResponse::Granted { expires_at, .. }) => {
-                    // Build the metatable; §III-C: load inode, check, pull
-                    // dentries and child inodes. Metatable::load_partition
-                    // validates the partition map and runs journal
-                    // recovery on this partition's stream first.
-                    let table = match Metatable::load_partition(
-                        self.cluster.prt(),
-                        port,
-                        dir,
-                        pidx,
-                        pcount,
-                        config.dentry_buckets,
-                        config.lease_period,
-                    ) {
-                        Ok(t) => t,
-                        Err(e) => {
-                            let _ = self.cluster.call_lease(
-                                port,
-                                manager_node(pkey, config.lease_managers),
-                                LeaseRequest::Release {
-                                    client: self.id,
-                                    ino: pkey,
-                                },
-                            );
-                            return Err(e);
-                        }
+                Ok(LeaseResponse::Granted {
+                    expires_at,
+                    must_load,
+                    ..
+                }) => {
+                    let table = match held {
+                        Some(table) if !must_load => table,
+                        // First acquisition, or the manager believes our
+                        // state is stale: build the metatable. §III-C:
+                        // load inode, check, pull dentries and child
+                        // inodes. Metatable::load_partition validates the
+                        // partition map and runs journal recovery on this
+                        // partition's stream first.
+                        _ => match Metatable::load_partition(
+                            self.cluster.prt(),
+                            port,
+                            dir,
+                            pidx,
+                            pcount,
+                            config.dentry_buckets,
+                            config.lease_period,
+                        ) {
+                            Ok(t) => {
+                                let t = Arc::new(Mutex::new(t));
+                                s.tables.insert(pkey, Arc::clone(&t));
+                                self.lane(pkey).register(pkey, &t);
+                                t
+                            }
+                            Err(e) => {
+                                // Drop an old table too: it may have been
+                                // built under a superseded partition map.
+                                s.tables.remove(&pkey);
+                                s.leases.remove(&pkey);
+                                let _ = self.cluster.call_lease(
+                                    port,
+                                    manager,
+                                    LeaseRequest::Release { client, ino: pkey },
+                                );
+                                return Err(e);
+                            }
+                        },
                     };
-                    let table = Arc::new(Mutex::new(table));
-                    s.tables.insert(pkey, Arc::clone(&table));
                     s.leases.insert(pkey, expires_at);
-                    self.lane(pkey).register(pkey, &table);
                     return Ok(DirRef::Local(table));
                 }
                 Ok(LeaseResponse::Redirect { leader }) => {
+                    // If we led the partition we lost it; discard stale
+                    // state.
+                    s.tables.remove(&pkey);
+                    s.leases.remove(&pkey);
                     s.remote_hints.insert(pkey, leader);
                     self.telemetry.flight.record(
                         self.id.0,
                         port.now(),
                         "lease.redirect",
                         leader.0 as i64,
-                        "partition led elsewhere",
+                        if held.is_some() {
+                            "lost partition lease; redirected to leader"
+                        } else {
+                            "partition led elsewhere"
+                        },
                     );
                     return Ok(DirRef::Remote(leader));
                 }
@@ -488,24 +406,28 @@ impl ClientState {
                     );
                     let wait_start = port.now();
                     port.wait_until(until);
-                    let tracer = &self.telemetry.tracer;
-                    if tracer.enabled() && port.now() > wait_start {
-                        tracer.record(
-                            PID_CLIENT,
-                            self.id.0,
-                            "lease.wait",
-                            "lease",
-                            wait_start,
-                            port.now(),
-                        );
-                    }
-                    continue;
+                    self.trace_span("lease.wait", "lease", wait_start, port.now());
                 }
                 Ok(LeaseResponse::Released) => unreachable!("release response to acquire"),
-                Err(_) => return Err(FsError::TimedOut),
+                // Manager unreachable (crash, or exhausted retries on a
+                // real transport), but a lease we hold may still be valid.
+                Err(_) => {
+                    return match held {
+                        Some(table) if expiry > now => Ok(DirRef::Local(table)),
+                        _ => Err(FsError::TimedOut),
+                    };
+                }
             }
         }
         Err(FsError::TimedOut)
+    }
+
+    /// The key of the partition `body` routes to under our cached map of
+    /// its directory (`None` for an op not addressed to a directory).
+    fn route_pkey(&self, body: &OpBody) -> Option<Ino> {
+        let (dir, key) = body.route()?;
+        let pmap = self.cached_pmap(dir);
+        Some(pmap.pkey(pmap.partition_of(key, self.cluster.config().dentry_buckets)))
     }
 
     /// Service entry point: leadership checks + dispatch.
@@ -525,13 +447,9 @@ impl ClientState {
         if let OpBody::RelinquishPartition { dir, partition } = req.body {
             return self.serve_relinquish(port, dir, partition);
         }
-        let dir = match target_dir(&req.body) {
-            Some(d) => d,
-            None => return OpResponse::Err(FsError::InvalidArgument),
+        let Some(pkey) = self.route_pkey(&req.body) else {
+            return OpResponse::Err(FsError::InvalidArgument);
         };
-        let pmap = self.cached_pmap(dir);
-        let pidx = ops::route_of(&req.body, &pmap, self.cluster.config().dentry_buckets);
-        let pkey = pmap.pkey(pidx);
         let table = {
             let mut s = self.dirs.stripe(pkey);
             let Some(table) = s.tables.get(&pkey).cloned() else {
@@ -587,33 +505,12 @@ impl ClientState {
                 None => return OpResponse::NotLeader,
             }
         };
-        {
-            let mut t = self.lock_table(&table);
-            if t.frozen {
-                // Another repartition already owns this handoff.
-                return OpResponse::Err(FsError::Busy);
-            }
-            t.frozen = true;
-            let lane = self.lane(pkey);
-            let drained = t
-                .journal
-                .commit(
-                    self.cluster.prt(),
-                    port,
-                    &lane.res,
-                    config.spec.local_meta_op,
-                )
-                .and_then(|()| {
-                    let done = lane.drain_until(port.now());
-                    port.wait_until(done);
-                    t.checkpoint(self.cluster.prt(), port)
-                });
-            if let Err(e) = drained {
-                // Stay leader (unfrozen); the caller counts the failed
-                // handoff and falls back to takeover or aborts.
-                t.frozen = false;
-                return OpResponse::Err(e);
-            }
+        // On failure we stay leader (unfrozen); the caller counts the
+        // failed handoff and falls back to takeover or aborts. `Busy`:
+        // another repartition already owns this handoff.
+        let quiesced = self.quiesce(port, pkey, &mut self.lock_table(&table));
+        if let Err(e) = quiesced {
+            return OpResponse::Err(e);
         }
         self.dirs.forget(pkey);
         let _ = self.cluster.call_lease(
@@ -633,6 +530,33 @@ impl ClientState {
             "partition quiesced and relinquished",
         );
         OpResponse::Ok
+    }
+
+    /// Quiesce a led partition for a split/merge handoff: freeze it (no
+    /// new work enters), commit its journal, drain its commit lane and
+    /// checkpoint, so its stream is empty before the map that governs it
+    /// is replaced. `Busy` if it is already frozen by another
+    /// repartition; on any other error it is left unfrozen and serving.
+    pub(crate) fn quiesce(&self, port: &Port, pkey: Ino, t: &mut Metatable) -> FsResult<()> {
+        if t.frozen {
+            return Err(FsError::Busy);
+        }
+        t.frozen = true;
+        let prt = self.cluster.prt();
+        let lane = self.lane(pkey);
+        let local_meta_op = self.cluster.config().spec.local_meta_op;
+        let drained = t
+            .journal
+            .commit(prt, port, &lane.res, local_meta_op)
+            .and_then(|()| {
+                let done = lane.drain_until(port.now());
+                port.wait_until(done);
+                t.checkpoint(prt, port)
+            });
+        if drained.is_err() {
+            t.frozen = false;
+        }
+        drained
     }
 
     /// Write back and drop our cached chunks of `file` (leader-initiated
@@ -747,9 +671,9 @@ impl ArkClient {
         let req = OpRequest::new(ctx.clone(), body.clone());
         match self.state.cluster.call_ops(&self.port, leader, req) {
             Ok(OpResponse::NotLeader) | Err(_) => {
-                let pmap = self.state.cached_pmap(dir);
-                let pidx = ops::route_of(&body, &pmap, self.config().dentry_buckets);
-                self.state.dirs.forget_hint(pmap.pkey(pidx));
+                if let Some(pkey) = self.state.route_pkey(&body) {
+                    self.state.dirs.forget_hint(pkey);
+                }
                 self.on_dir_port(&self.port, ctx, dir, body)
             }
             Ok(resp) => Ok(resp),
@@ -779,9 +703,12 @@ impl ArkClient {
             // client's next `sync_all` barriers every partition of it.
             self.state.dirty_dirs.lock().insert(dir);
         }
+        let Some((_, key)) = body.route() else {
+            return Err(FsError::InvalidArgument);
+        };
         for _ in 0..MAX_LEASE_RETRIES {
             let pmap = self.state.cached_pmap(dir);
-            let pidx = ops::route_of(&body, &pmap, config.dentry_buckets);
+            let pidx = pmap.partition_of(key, config.dentry_buckets);
             let pkey = pmap.pkey(pidx);
             match self.state.dir_ref_part(port, dir, pidx, pmap.partitions) {
                 Ok(DirRef::Local(table)) => {
@@ -884,35 +811,15 @@ impl ArkClient {
             for _ in 0..MAX_LEASE_RETRIES {
                 match self.state.dir_ref_part(&self.port, dir, p, old.partitions) {
                     Ok(DirRef::Local(table)) => {
+                        // `Busy`: a concurrent repartition beat us to it.
                         let mut t = self.state.lock_table(&table);
-                        if t.frozen {
-                            // A concurrent repartition beat us to it.
+                        if let Err(e) = self.state.quiesce(&self.port, pkey, &mut t) {
                             drop(t);
                             self.unfreeze(&frozen);
-                            return Err(FsError::Busy);
+                            return Err(e);
                         }
-                        t.frozen = true;
-                        let lane = self.state.lane(pkey);
-                        let drained = t
-                            .journal
-                            .commit(self.prt(), &self.port, &lane.res, config.spec.local_meta_op)
-                            .and_then(|()| {
-                                let done = lane.drain_until(self.port.now());
-                                self.port.wait_until(done);
-                                t.checkpoint(self.prt(), &self.port)
-                            });
-                        match drained {
-                            Ok(()) => {
-                                frozen.push(pkey);
-                                quiesced = true;
-                            }
-                            Err(e) => {
-                                t.frozen = false;
-                                drop(t);
-                                self.unfreeze(&frozen);
-                                return Err(e);
-                            }
-                        }
+                        frozen.push(pkey);
+                        quiesced = true;
                         break;
                     }
                     Ok(DirRef::Remote(leader)) => {

@@ -11,12 +11,11 @@ use super::super::{ClientState, TableGuard};
 use crate::config::CommitMode;
 use crate::journal::{OpStamps, Transaction};
 use crate::metatable::Metatable;
-use crate::partition::{lease_partition, PartitionMap};
 use crate::prt::Prt;
 use crate::rpc::{OpBody, OpRequest, OpResponse};
 use arkfs_lease::FileLeaseDecision;
 use arkfs_simkit::Port;
-use arkfs_telemetry::{CtxGuard, PID_CLIENT};
+use arkfs_telemetry::CtxGuard;
 use arkfs_vfs::{perm, Credentials, FileType, FsError, FsResult, Ino, AM_EXEC, AM_READ, AM_WRITE};
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -46,11 +45,11 @@ impl ClientState {
         if t.frozen {
             return OpResponse::NotLeader;
         }
-        // Authority: the routed table must own the op. A mismatch means
-        // the sender (or our serve()) routed under a stale partition map;
-        // NotLeader makes it refresh and re-route — we never serve a name
-        // outside our bucket range.
-        if !owned_by(&t, &body) {
+        // Authority: the routed table must own the op's route key. A
+        // mismatch means the sender (or our serve()) routed under a stale
+        // partition map; NotLeader makes it refresh and re-route — we
+        // never serve a name outside our bucket range.
+        if !body.route().is_some_and(|(_, key)| t.owns(key)) {
             return OpResponse::NotLeader;
         }
         let pkey = t.pkey();
@@ -109,20 +108,7 @@ impl ClientState {
                         let wait_start = port.now();
                         let admitted = lane.admit(wait_start, config.async_commit_max_inflight);
                         port.wait_until(admitted);
-                        let wait_end = port.now();
-                        if wait_end > wait_start {
-                            let tracer = &self.telemetry.tracer;
-                            if tracer.enabled() {
-                                tracer.record(
-                                    PID_CLIENT,
-                                    self.id.0,
-                                    "lane.wait",
-                                    "lane",
-                                    wait_start,
-                                    wait_end,
-                                );
-                            }
-                        }
+                        self.trace_span("lane.wait", "lane", wait_start, port.now());
                         if t.journal.seal().is_some() {
                             let background = Port::starting_at(port.now());
                             // Background flush: follow-from, not child
@@ -665,137 +651,5 @@ impl ClientState {
                 }
             }
         }
-    }
-}
-
-/// The directory an operation must be served by.
-pub(crate) fn target_dir(body: &OpBody) -> Option<Ino> {
-    Some(match body {
-        OpBody::Lookup { dir, .. }
-        | OpBody::DirInode { dir }
-        | OpBody::DirView { dir }
-        | OpBody::Create { dir, .. }
-        | OpBody::CreateOpen { dir, .. }
-        | OpBody::AddSubdir { dir, .. }
-        | OpBody::Unlink { dir, .. }
-        | OpBody::RemoveSubdir { dir, .. }
-        | OpBody::Readdir { dir, .. }
-        | OpBody::SetSize { dir, .. }
-        | OpBody::SetAttrChild { dir, .. }
-        | OpBody::SetAttrDir { dir, .. }
-        | OpBody::SetAcl { dir, .. }
-        | OpBody::RenameLocal { dir, .. }
-        | OpBody::RenameSrcPrepare { dir, .. }
-        | OpBody::RenameDstPrepare { dir, .. }
-        | OpBody::RenameDecide { dir, .. }
-        | OpBody::AcquireReadLease { dir, .. }
-        | OpBody::AcquireWriteLease { dir, .. }
-        | OpBody::ReleaseFileLease { dir, .. }
-        | OpBody::FsyncDir { dir, .. }
-        | OpBody::RelinquishPartition { dir, .. } => *dir,
-        OpBody::FlushCache { .. } => return None,
-    })
-}
-
-/// The partition index an operation routes to under `pmap`.
-///
-/// Name-carrying ops hash the name straight to the owning partition;
-/// readdir/fsync/relinquish address a partition explicitly (the pkey
-/// formula is count-independent, so an explicit index stays meaningful
-/// even under a stale map); directory-level ops (dir inode, dir attrs)
-/// live on partition 0; file-lease ops shard by file ino.
-pub(crate) fn route_of(body: &OpBody, pmap: &PartitionMap, buckets: u64) -> u32 {
-    // Explicitly-addressed ops keep their index regardless of the map.
-    if let OpBody::Readdir { partition, .. }
-    | OpBody::FsyncDir { partition, .. }
-    | OpBody::RelinquishPartition { partition, .. } = body
-    {
-        return *partition;
-    }
-    if pmap.partitions <= 1 {
-        return 0;
-    }
-    match body {
-        OpBody::Lookup { name, .. }
-        | OpBody::Create { name, .. }
-        | OpBody::CreateOpen { name, .. }
-        | OpBody::AddSubdir { name, .. }
-        | OpBody::Unlink { name, .. }
-        | OpBody::RemoveSubdir { name, .. }
-        | OpBody::SetSize { name, .. }
-        | OpBody::SetAttrChild { name, .. }
-        | OpBody::RenameSrcPrepare { name, .. }
-        | OpBody::RenameDstPrepare { name, .. }
-        | OpBody::RenameDecide { name, .. } => pmap.partition_of_name(name, buckets),
-        // Same-partition by construction (the client falls back to the
-        // 2PC path otherwise); route by the source name.
-        OpBody::RenameLocal { from, .. } => pmap.partition_of_name(from, buckets),
-        OpBody::SetAcl {
-            name, target, dir, ..
-        } => {
-            if target == dir {
-                0
-            } else {
-                pmap.partition_of_name(name, buckets)
-            }
-        }
-        // File-lease service shards by file ino (see `lease_partition`):
-        // served from partition 0 alone, per-create lease RPCs would cap
-        // aggregate create throughput at one leader's service rate no
-        // matter the partition count.
-        OpBody::AcquireReadLease { file, .. }
-        | OpBody::AcquireWriteLease { file, .. }
-        | OpBody::ReleaseFileLease { file, .. } => lease_partition(*file, pmap.partitions),
-        OpBody::DirInode { .. }
-        | OpBody::DirView { .. }
-        | OpBody::SetAttrDir { .. }
-        | OpBody::FlushCache { .. }
-        | OpBody::Readdir { .. }
-        | OpBody::FsyncDir { .. }
-        | OpBody::RelinquishPartition { .. } => 0,
-    }
-}
-
-/// Leader-side authority check for a routed op against the led
-/// partition (see `serve_local`). Unpartitioned tables own everything
-/// that reaches them: wrong-partition requests route to a pkey nobody
-/// leads and bounce as `NotLeader` before getting here.
-fn owned_by(t: &Metatable, body: &OpBody) -> bool {
-    if t.pcount() <= 1 {
-        return true;
-    }
-    match body {
-        OpBody::Lookup { name, .. }
-        | OpBody::Create { name, .. }
-        | OpBody::CreateOpen { name, .. }
-        | OpBody::AddSubdir { name, .. }
-        | OpBody::Unlink { name, .. }
-        | OpBody::RemoveSubdir { name, .. }
-        | OpBody::SetSize { name, .. }
-        | OpBody::SetAttrChild { name, .. }
-        | OpBody::RenameSrcPrepare { name, .. }
-        | OpBody::RenameDstPrepare { name, .. }
-        | OpBody::RenameDecide { name, .. } => t.owns_name(name),
-        OpBody::RenameLocal { from, to, .. } => t.owns_name(from) && t.owns_name(to),
-        OpBody::SetAcl {
-            name, target, dir, ..
-        } => {
-            if target == dir {
-                t.partition() == 0
-            } else {
-                t.owns_name(name)
-            }
-        }
-        OpBody::Readdir { partition, .. } | OpBody::FsyncDir { partition, .. } => {
-            t.partition() == *partition
-        }
-        OpBody::AcquireReadLease { file, .. }
-        | OpBody::AcquireWriteLease { file, .. }
-        | OpBody::ReleaseFileLease { file, .. } => t.leases_file(*file),
-        OpBody::DirInode { .. } | OpBody::DirView { .. } | OpBody::SetAttrDir { .. } => {
-            t.partition() == 0
-        }
-        // Addressed before dispatch (serve()'s special cases).
-        OpBody::FlushCache { .. } | OpBody::RelinquishPartition { .. } => true,
     }
 }

@@ -543,12 +543,11 @@ impl Vfs for ArkClient {
             // not perturb the ino stream later operations draw from.
             let txid: u128 = self.state.rngs.random_u128();
             let buckets = self.config().dentry_buckets;
-            let same_partition = |pmap: &crate::partition::PartitionMap| {
-                pmap.partitions <= 1
-                    || pmap.partition_of_name(src_name, buckets)
-                        == pmap.partition_of_name(dst_name, buckets)
+            let same_partition = |pmap: crate::partition::PartitionMap| {
+                pmap.partition_of_name(src_name, buckets)
+                    == pmap.partition_of_name(dst_name, buckets)
             };
-            if src_dir == dst_dir && same_partition(&self.state.cached_pmap(src_dir)) {
+            if src_dir == dst_dir && same_partition(self.state.cached_pmap(src_dir)) {
                 let local = self.on_dir(
                     ctx,
                     src_dir,
@@ -573,7 +572,7 @@ impl Vfs for ArkClient {
                     // against a fresh map and fall through to the 2PC if
                     // that is what happened.
                     Err(FsError::TimedOut)
-                        if !same_partition(&*self.state.refresh_pmap(&self.port, src_dir)?) => {}
+                        if !same_partition(self.state.refresh_pmap(&self.port, src_dir)?) => {}
                     Err(e) => return Err(e),
                 }
             }

@@ -16,7 +16,7 @@
 
 use crate::journal::{resolve_renames, scan_journal_stream, DirJournal, JournalOp};
 use crate::meta::{dentry_bucket, DentryBlock, DentryEntry, InodeRecord};
-use crate::partition::{lease_partition, partition_hi, partition_ino, partition_lo};
+use crate::partition::{lease_partition, partition_hi, partition_ino, partition_lo, RouteKey};
 use crate::prt::Prt;
 use arkfs_lease::FileLeaseTable;
 use arkfs_simkit::{Nanos, Port, MSEC, SEC};
@@ -228,11 +228,23 @@ impl Metatable {
         self.pcount
     }
 
+    /// Leader-side authority: is this the partition an operation keyed
+    /// by `key` belongs to? The counterpart of the caller's
+    /// [`PartitionMap::partition_of`](crate::partition::PartitionMap::partition_of):
+    /// under one map, the partition it names is the only one that
+    /// answers `true`.
+    pub fn owns(&self, key: RouteKey<'_>) -> bool {
+        match key {
+            RouteKey::Name(name) => self.owns_name(name),
+            RouteKey::Names(a, b) => self.owns_name(a) && self.owns_name(b),
+            RouteKey::File(file) => self.leases_file(file),
+            RouteKey::Partition(p) => self.partition == p,
+            RouteKey::Dir => self.partition == 0,
+        }
+    }
+
     /// Does this partition own `name`'s dentry bucket?
     pub fn owns_name(&self, name: &str) -> bool {
-        if self.pcount == 1 {
-            return true;
-        }
         let b = dentry_bucket(name, self.buckets);
         b >= self.bucket_lo && b < self.bucket_hi
     }
@@ -872,6 +884,7 @@ mod tests {
     use crate::journal::Transaction;
     use arkfs_objstore::{ClusterConfig, ObjectCluster};
     use arkfs_simkit::SharedResource;
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     const BUCKETS: u64 = 4;
@@ -1191,6 +1204,57 @@ mod tests {
         }
         for e in p1.readdir() {
             assert!(p1.owns_name(&e.name) && !p0.owns_name(&e.name));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        /// Caller and leader evaluate one routing rule: under one map,
+        /// the partition `partition_of` names is the only one whose
+        /// table `owns` the key — for one partition that is partition 0,
+        /// whatever the key. A name pair has an owner iff both names
+        /// route to one partition.
+        #[test]
+        fn the_routed_partition_is_the_only_owner(
+            buckets in prop_oneof![Just(1u64), Just(4), Just(16), Just(64)],
+            (pseed, kind, explicit) in (0u32..8, 0u8..5, 0u32..8),
+            (a, b) in ("[a-z0-9._-]{1,12}", "[a-z0-9._-]{1,12}"),
+            file in any::<u128>(),
+        ) {
+            use crate::partition::PartitionMap;
+            let partitions = 1 + pseed % buckets.min(8) as u32;
+            let pmap = PartitionMap { dir: DIR, epoch: 1, partitions };
+            let (prt, port) = setup();
+            prt.store_inode(&port, &dir_inode()).unwrap();
+            if partitions > 1 {
+                prt.store_pmap(&port, &pmap).unwrap();
+            }
+            let key = match kind {
+                0 => RouteKey::Name(&a),
+                1 => RouteKey::Names(&a, &b),
+                2 => RouteKey::File(file),
+                3 => RouteKey::Partition(explicit % partitions),
+                _ => RouteKey::Dir,
+            };
+            let owners: Vec<u32> = (0..partitions)
+                .filter(|&p| {
+                    Metatable::load_partition(&prt, &port, DIR, p, partitions, buckets, 1000)
+                        .unwrap()
+                        .owns(key)
+                })
+                .collect();
+            let routed = pmap.partition_of(key, buckets);
+            let straddles = kind == 1
+                && pmap.partition_of_name(&a, buckets) != pmap.partition_of_name(&b, buckets);
+            if straddles {
+                prop_assert!(owners.is_empty(), "{key:?} owned by {owners:?}");
+            } else {
+                prop_assert_eq!(&owners, &vec![routed], "{:?} of {}", key, partitions);
+            }
+            if partitions == 1 {
+                prop_assert_eq!(routed, 0);
+            }
         }
     }
 

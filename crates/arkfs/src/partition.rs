@@ -81,11 +81,36 @@ pub fn steer_ino(raw: Ino, partitions: u32, partition: u32) -> Ino {
     raw - raw % p + partition as u128
 }
 
+/// What decides which partition of its directory serves an operation
+/// (`OpBody::route`). The rule is stated once, here, and evaluated
+/// twice: the caller picks [`PartitionMap::partition_of`] the key, the
+/// leader serves only what its table
+/// [`owns`](crate::metatable::Metatable::owns). An unpartitioned
+/// directory is the same rule with one partition: every key lands on,
+/// and is owned by, partition 0.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RouteKey<'a> {
+    /// The partition whose bucket range holds the name's dentry bucket.
+    Name(&'a str),
+    /// Two names one partition must both own (same-directory rename);
+    /// routes by the first. No partition owns a pair that straddles
+    /// two, so the client sends such a rename down the 2PC path.
+    Names(&'a str, &'a str),
+    /// The file's lease shard ([`lease_partition`]).
+    File(Ino),
+    /// An explicitly addressed partition (readdir slices, barriers,
+    /// handoffs). The pkey formula does not depend on the count, so the
+    /// index stays meaningful under a stale map.
+    Partition(u32),
+    /// Directory-level state (inode, attributes, view): partition 0.
+    Dir,
+}
+
 /// The on-store partition map of one directory. Absent object = one
 /// partition. `epoch` increments on every split/merge install, purely
 /// for observability and staleness diagnostics — correctness comes from
 /// leaders validating bucket ownership against their own loaded range.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PartitionMap {
     pub dir: Ino,
     pub epoch: u64,
@@ -114,6 +139,18 @@ impl PartitionMap {
             buckets,
             self.partitions,
         )
+    }
+
+    /// The partition an operation keyed by `key` routes to.
+    pub fn partition_of(&self, key: RouteKey<'_>, buckets: u64) -> u32 {
+        match key {
+            RouteKey::Name(name) | RouteKey::Names(name, _) => {
+                self.partition_of_name(name, buckets)
+            }
+            RouteKey::File(file) => lease_partition(file, self.partitions),
+            RouteKey::Partition(p) => p,
+            RouteKey::Dir => 0,
+        }
     }
 
     /// The owned bucket range `[lo, hi)` of partition `p`.

@@ -922,7 +922,7 @@ mod tests {
             partitions: 4,
         };
         prt.store_pmap(&port, &map).unwrap();
-        assert_eq!(prt.load_pmap(&port, 5).unwrap(), Some(map.clone()));
+        assert_eq!(prt.load_pmap(&port, 5).unwrap(), Some(map));
         let (ino, got) = prt.load_inode_and_pmap(&port, 5).unwrap();
         assert_eq!(ino, None);
         assert_eq!(got, Some(map));

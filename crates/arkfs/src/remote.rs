@@ -14,9 +14,7 @@
 //! `netsim`, because the codecs are this crate's `WireCodec` impls.
 
 use crate::rpc::{OpRequest, OpResponse};
-use crate::wire::{
-    from_frame, intern, to_frame, Decoder, Encoder, WireCodec, WireError, WireResult,
-};
+use crate::wire::{from_frame, to_frame, wire_enum, wire_struct, WireCodec};
 use arkfs_lease::{LeaseRequest, LeaseResponse};
 use arkfs_netsim::{NetError, NodeId, Service, Transport, WireFns};
 use arkfs_objstore::{KeyKind, ObjectKey, ObjectStore, OsError, OsResult, StoreProfile};
@@ -31,451 +29,72 @@ use std::sync::Arc;
 /// from `u32::MAX`, so it collides with neither.
 pub const STORE_NODE: NodeId = NodeId(0x7FFF_FFFF);
 
-/// One object-store operation, as carried on the wire.
-#[derive(Debug, Clone)]
-pub enum StoreRequest {
-    Profile,
-    Usage,
-    Put(ObjectKey, Bytes),
-    Get(ObjectKey),
-    GetRange(ObjectKey, u64, u64),
-    PutRange(ObjectKey, u64, Bytes),
-    Delete(ObjectKey),
-    Head(ObjectKey),
-    List(Option<KeyKind>, Option<u128>),
-    GetMany(Vec<ObjectKey>),
-    PutMany(Vec<(ObjectKey, Bytes)>),
-    DeleteMany(Vec<ObjectKey>),
-    GetRangeMany(Vec<(ObjectKey, u64, u64)>),
-    PutRangeMany(Vec<(ObjectKey, u64, Bytes)>),
-}
-
-/// The response to a [`StoreRequest`] (variant shape is dictated by the
-/// request kind).
-#[derive(Debug, Clone)]
-pub enum StoreResponse {
-    Profile(StoreProfile),
-    Usage(u64, u64),
-    Unit(Result<(), OsError>),
-    Data(Result<Bytes, OsError>),
-    Size(Result<u64, OsError>),
-    Keys(Result<Vec<ObjectKey>, OsError>),
-    Units(Vec<Result<(), OsError>>),
-    Datas(Vec<Result<Bytes, OsError>>),
-}
-
-const MAX_VEC: usize = 1 << 16;
-
-fn checked_len(dec: &mut Decoder<'_>) -> WireResult<usize> {
-    let n = dec.get_u32()? as usize;
-    if n > MAX_VEC {
-        return Err(WireError::Invalid("collection too large"));
-    }
-    Ok(n)
-}
-
-impl WireCodec for KeyKind {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_u8(match self {
-            KeyKind::Inode => 0,
-            KeyKind::Dentry => 1,
-            KeyKind::Journal => 2,
-            KeyKind::Data => 3,
-        });
-    }
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        Ok(match dec.get_u8()? {
-            0 => KeyKind::Inode,
-            1 => KeyKind::Dentry,
-            2 => KeyKind::Journal,
-            3 => KeyKind::Data,
-            _ => return Err(WireError::Invalid("key kind")),
-        })
+wire_enum! {
+    /// One object-store operation, as carried on the wire.
+    #[derive(Debug, Clone)]
+    pub enum StoreRequest, "store request tag" {
+        0 => Profile,
+        1 => Usage,
+        2 => Put(key: ObjectKey, data: Bytes),
+        3 => Get(key: ObjectKey),
+        4 => GetRange(key: ObjectKey, offset: u64, len: u64),
+        5 => PutRange(key: ObjectKey, offset: u64, data: Bytes),
+        6 => Delete(key: ObjectKey),
+        7 => Head(key: ObjectKey),
+        8 => List(kind: Option<KeyKind>, ino: Option<u128>),
+        9 => GetMany(keys: Vec<ObjectKey>),
+        10 => PutMany(items: Vec<(ObjectKey, Bytes)>),
+        11 => DeleteMany(keys: Vec<ObjectKey>),
+        12 => GetRangeMany(reqs: Vec<(ObjectKey, u64, u64)>),
+        13 => PutRangeMany(items: Vec<(ObjectKey, u64, Bytes)>),
     }
 }
 
-impl WireCodec for ObjectKey {
-    fn encode(&self, enc: &mut Encoder) {
-        self.kind.encode(enc);
-        enc.put_u128(self.ino);
-        enc.put_u64(self.index);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        Ok(ObjectKey {
-            kind: KeyKind::decode(dec)?,
-            ino: dec.get_u128()?,
-            index: dec.get_u64()?,
-        })
-    }
-}
-
-impl WireCodec for OsError {
-    fn encode(&self, enc: &mut Encoder) {
-        match self {
-            OsError::NotFound => enc.put_u8(0),
-            OsError::Unsupported(what) => {
-                enc.put_u8(1);
-                enc.put_str(what);
-            }
-            OsError::Injected(what) => {
-                enc.put_u8(2);
-                enc.put_str(what);
-            }
-            OsError::BadRange => enc.put_u8(3),
-            OsError::BadKey => enc.put_u8(4),
-            OsError::InsufficientFragments => enc.put_u8(5),
-        }
-    }
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        Ok(match dec.get_u8()? {
-            0 => OsError::NotFound,
-            1 => OsError::Unsupported(intern(dec.get_str()?)?),
-            2 => OsError::Injected(intern(dec.get_str()?)?),
-            3 => OsError::BadRange,
-            4 => OsError::BadKey,
-            5 => OsError::InsufficientFragments,
-            _ => return Err(WireError::Invalid("os error tag")),
-        })
+wire_enum! {
+    /// The response to a [`StoreRequest`] (variant shape is dictated by
+    /// the request kind).
+    #[derive(Debug, Clone)]
+    pub enum StoreResponse, "store response tag" {
+        0 => Profile(profile: StoreProfile),
+        1 => Usage(objects: u64, bytes: u64),
+        2 => Unit(result: Result<(), OsError>),
+        3 => Data(result: Result<Bytes, OsError>),
+        4 => Size(result: Result<u64, OsError>),
+        5 => Keys(result: Result<Vec<ObjectKey>, OsError>),
+        6 => Units(results: Vec<Result<(), OsError>>),
+        7 => Datas(results: Vec<Result<Bytes, OsError>>),
     }
 }
 
-impl WireCodec for StoreProfile {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_str(self.name);
-        enc.put_u64(self.op_service);
-        enc.put_u64(self.op_latency);
-        enc.put_bool(self.partial_writes);
-        enc.put_bool(self.ranged_reads);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        Ok(StoreProfile {
-            name: intern(dec.get_str()?)?,
-            op_service: dec.get_u64()?,
-            op_latency: dec.get_u64()?,
-            partial_writes: dec.get_bool()?,
-            ranged_reads: dec.get_bool()?,
-        })
+wire_enum! {
+    impl KeyKind, "key kind" {
+        0 => Inode,
+        1 => Dentry,
+        2 => Journal,
+        3 => Data,
     }
 }
 
-fn put_result<T: WireCodec>(enc: &mut Encoder, r: &Result<T, OsError>) {
-    match r {
-        Ok(v) => {
-            enc.put_bool(true);
-            v.encode(enc);
-        }
-        Err(e) => {
-            enc.put_bool(false);
-            e.encode(enc);
-        }
+wire_struct!(ObjectKey { kind, ino, index });
+
+wire_enum! {
+    impl OsError, "os error tag" {
+        0 => NotFound,
+        1 => Unsupported(what: &'static str),
+        2 => Injected(what: &'static str),
+        3 => BadRange,
+        4 => BadKey,
+        5 => InsufficientFragments,
     }
 }
 
-fn get_result<T: WireCodec>(dec: &mut Decoder<'_>) -> WireResult<Result<T, OsError>> {
-    Ok(if dec.get_bool()? {
-        Ok(T::decode(dec)?)
-    } else {
-        Err(OsError::decode(dec)?)
-    })
-}
-
-/// Unit stand-in so `Result<(), OsError>` fits the generic helpers.
-struct Nothing;
-impl WireCodec for Nothing {
-    fn encode(&self, _enc: &mut Encoder) {}
-    fn decode(_dec: &mut Decoder<'_>) -> WireResult<Self> {
-        Ok(Nothing)
-    }
-}
-
-struct Blob(Bytes);
-impl WireCodec for Blob {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_bytes(&self.0);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        Ok(Blob(Bytes::copy_from_slice(dec.get_bytes()?)))
-    }
-}
-
-struct U64(u64);
-impl WireCodec for U64 {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_u64(self.0);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        Ok(U64(dec.get_u64()?))
-    }
-}
-
-impl WireCodec for StoreRequest {
-    fn encode(&self, enc: &mut Encoder) {
-        match self {
-            StoreRequest::Profile => enc.put_u8(0),
-            StoreRequest::Usage => enc.put_u8(1),
-            StoreRequest::Put(key, data) => {
-                enc.put_u8(2);
-                key.encode(enc);
-                enc.put_bytes(data);
-            }
-            StoreRequest::Get(key) => {
-                enc.put_u8(3);
-                key.encode(enc);
-            }
-            StoreRequest::GetRange(key, offset, len) => {
-                enc.put_u8(4);
-                key.encode(enc);
-                enc.put_u64(*offset);
-                enc.put_u64(*len);
-            }
-            StoreRequest::PutRange(key, offset, data) => {
-                enc.put_u8(5);
-                key.encode(enc);
-                enc.put_u64(*offset);
-                enc.put_bytes(data);
-            }
-            StoreRequest::Delete(key) => {
-                enc.put_u8(6);
-                key.encode(enc);
-            }
-            StoreRequest::Head(key) => {
-                enc.put_u8(7);
-                key.encode(enc);
-            }
-            StoreRequest::List(kind, ino) => {
-                enc.put_u8(8);
-                match kind {
-                    Some(k) => {
-                        enc.put_bool(true);
-                        k.encode(enc);
-                    }
-                    None => enc.put_bool(false),
-                }
-                match ino {
-                    Some(i) => {
-                        enc.put_bool(true);
-                        enc.put_u128(*i);
-                    }
-                    None => enc.put_bool(false),
-                }
-            }
-            StoreRequest::GetMany(keys) => {
-                enc.put_u8(9);
-                enc.put_u32(keys.len() as u32);
-                for k in keys {
-                    k.encode(enc);
-                }
-            }
-            StoreRequest::PutMany(items) => {
-                enc.put_u8(10);
-                enc.put_u32(items.len() as u32);
-                for (k, d) in items {
-                    k.encode(enc);
-                    enc.put_bytes(d);
-                }
-            }
-            StoreRequest::DeleteMany(keys) => {
-                enc.put_u8(11);
-                enc.put_u32(keys.len() as u32);
-                for k in keys {
-                    k.encode(enc);
-                }
-            }
-            StoreRequest::GetRangeMany(reqs) => {
-                enc.put_u8(12);
-                enc.put_u32(reqs.len() as u32);
-                for (k, offset, len) in reqs {
-                    k.encode(enc);
-                    enc.put_u64(*offset);
-                    enc.put_u64(*len);
-                }
-            }
-            StoreRequest::PutRangeMany(items) => {
-                enc.put_u8(13);
-                enc.put_u32(items.len() as u32);
-                for (k, offset, d) in items {
-                    k.encode(enc);
-                    enc.put_u64(*offset);
-                    enc.put_bytes(d);
-                }
-            }
-        }
-    }
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        Ok(match dec.get_u8()? {
-            0 => StoreRequest::Profile,
-            1 => StoreRequest::Usage,
-            2 => StoreRequest::Put(
-                ObjectKey::decode(dec)?,
-                Bytes::copy_from_slice(dec.get_bytes()?),
-            ),
-            3 => StoreRequest::Get(ObjectKey::decode(dec)?),
-            4 => StoreRequest::GetRange(ObjectKey::decode(dec)?, dec.get_u64()?, dec.get_u64()?),
-            5 => StoreRequest::PutRange(
-                ObjectKey::decode(dec)?,
-                dec.get_u64()?,
-                Bytes::copy_from_slice(dec.get_bytes()?),
-            ),
-            6 => StoreRequest::Delete(ObjectKey::decode(dec)?),
-            7 => StoreRequest::Head(ObjectKey::decode(dec)?),
-            8 => {
-                let kind = if dec.get_bool()? {
-                    Some(KeyKind::decode(dec)?)
-                } else {
-                    None
-                };
-                let ino = if dec.get_bool()? {
-                    Some(dec.get_u128()?)
-                } else {
-                    None
-                };
-                StoreRequest::List(kind, ino)
-            }
-            9 => {
-                let n = checked_len(dec)?;
-                let mut keys = Vec::with_capacity(n);
-                for _ in 0..n {
-                    keys.push(ObjectKey::decode(dec)?);
-                }
-                StoreRequest::GetMany(keys)
-            }
-            10 => {
-                let n = checked_len(dec)?;
-                let mut items = Vec::with_capacity(n);
-                for _ in 0..n {
-                    items.push((
-                        ObjectKey::decode(dec)?,
-                        Bytes::copy_from_slice(dec.get_bytes()?),
-                    ));
-                }
-                StoreRequest::PutMany(items)
-            }
-            11 => {
-                let n = checked_len(dec)?;
-                let mut keys = Vec::with_capacity(n);
-                for _ in 0..n {
-                    keys.push(ObjectKey::decode(dec)?);
-                }
-                StoreRequest::DeleteMany(keys)
-            }
-            12 => {
-                let n = checked_len(dec)?;
-                let mut reqs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    reqs.push((ObjectKey::decode(dec)?, dec.get_u64()?, dec.get_u64()?));
-                }
-                StoreRequest::GetRangeMany(reqs)
-            }
-            13 => {
-                let n = checked_len(dec)?;
-                let mut items = Vec::with_capacity(n);
-                for _ in 0..n {
-                    items.push((
-                        ObjectKey::decode(dec)?,
-                        dec.get_u64()?,
-                        Bytes::copy_from_slice(dec.get_bytes()?),
-                    ));
-                }
-                StoreRequest::PutRangeMany(items)
-            }
-            _ => return Err(WireError::Invalid("store request tag")),
-        })
-    }
-}
-
-impl WireCodec for StoreResponse {
-    fn encode(&self, enc: &mut Encoder) {
-        match self {
-            StoreResponse::Profile(p) => {
-                enc.put_u8(0);
-                p.encode(enc);
-            }
-            StoreResponse::Usage(objects, bytes) => {
-                enc.put_u8(1);
-                enc.put_u64(*objects);
-                enc.put_u64(*bytes);
-            }
-            StoreResponse::Unit(r) => {
-                enc.put_u8(2);
-                put_result(enc, &r.clone().map(|()| Nothing));
-            }
-            StoreResponse::Data(r) => {
-                enc.put_u8(3);
-                put_result(enc, &r.clone().map(Blob));
-            }
-            StoreResponse::Size(r) => {
-                enc.put_u8(4);
-                put_result(enc, &r.clone().map(U64));
-            }
-            StoreResponse::Keys(r) => {
-                enc.put_u8(5);
-                match r {
-                    Ok(keys) => {
-                        enc.put_bool(true);
-                        enc.put_u32(keys.len() as u32);
-                        for k in keys {
-                            k.encode(enc);
-                        }
-                    }
-                    Err(e) => {
-                        enc.put_bool(false);
-                        e.encode(enc);
-                    }
-                }
-            }
-            StoreResponse::Units(rs) => {
-                enc.put_u8(6);
-                enc.put_u32(rs.len() as u32);
-                for r in rs {
-                    put_result(enc, &r.clone().map(|()| Nothing));
-                }
-            }
-            StoreResponse::Datas(rs) => {
-                enc.put_u8(7);
-                enc.put_u32(rs.len() as u32);
-                for r in rs {
-                    put_result(enc, &r.clone().map(Blob));
-                }
-            }
-        }
-    }
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        Ok(match dec.get_u8()? {
-            0 => StoreResponse::Profile(StoreProfile::decode(dec)?),
-            1 => StoreResponse::Usage(dec.get_u64()?, dec.get_u64()?),
-            2 => StoreResponse::Unit(get_result::<Nothing>(dec)?.map(|_| ())),
-            3 => StoreResponse::Data(get_result::<Blob>(dec)?.map(|b| b.0)),
-            4 => StoreResponse::Size(get_result::<U64>(dec)?.map(|v| v.0)),
-            5 => StoreResponse::Keys(if dec.get_bool()? {
-                let n = checked_len(dec)?;
-                let mut keys = Vec::with_capacity(n);
-                for _ in 0..n {
-                    keys.push(ObjectKey::decode(dec)?);
-                }
-                Ok(keys)
-            } else {
-                Err(OsError::decode(dec)?)
-            }),
-            6 => {
-                let n = checked_len(dec)?;
-                let mut rs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    rs.push(get_result::<Nothing>(dec)?.map(|_| ()));
-                }
-                StoreResponse::Units(rs)
-            }
-            7 => {
-                let n = checked_len(dec)?;
-                let mut rs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    rs.push(get_result::<Blob>(dec)?.map(|b| b.0));
-                }
-                StoreResponse::Datas(rs)
-            }
-            _ => return Err(WireError::Invalid("store response tag")),
-        })
-    }
-}
+wire_struct!(StoreProfile {
+    name,
+    op_service,
+    op_latency,
+    partial_writes,
+    ranged_reads
+});
 
 /// Serves a local [`ObjectStore`] to remote peers. Registered at
 /// [`STORE_NODE`] on the store transport of the `cli serve` process.
@@ -691,8 +310,7 @@ impl ObjectStore for RemoteStore {
         items: Vec<(ObjectKey, u64, Bytes)>,
     ) -> Vec<OsResult<()>> {
         let n = items.len();
-        let wire_items: Vec<(ObjectKey, u64, Bytes)> = items;
-        match self.call(port, StoreRequest::PutRangeMany(wire_items)) {
+        match self.call(port, StoreRequest::PutRangeMany(items)) {
             Ok(StoreResponse::Units(rs)) if rs.len() == n => rs,
             Ok(_) => (0..n).map(|_| Err(bad_shape())).collect(),
             Err(e) => (0..n).map(|_| Err(net_err(e))).collect(),
@@ -708,42 +326,30 @@ impl ObjectStore for RemoteStore {
     }
 }
 
-fn enc_frame<T: WireCodec>(v: &T) -> Vec<u8> {
-    to_frame(v)
-}
-
-fn dec_frame<T: WireCodec>(buf: &[u8]) -> Option<T> {
-    from_frame(buf).ok()
+/// A protocol's [`WireFns`]: each message is its CRC-trailed
+/// [`to_frame`], and a frame that fails [`from_frame`] is dropped.
+fn frame_fns<Req: WireCodec, Resp: WireCodec>() -> WireFns<Req, Resp> {
+    WireFns {
+        enc_req: to_frame::<Req>,
+        dec_req: |buf| from_frame(buf).ok(),
+        enc_resp: to_frame::<Resp>,
+        dec_resp: |buf| from_frame(buf).ok(),
+    }
 }
 
 /// Codec table for the forwarded-operation protocol over TCP.
 pub fn ops_wire() -> WireFns<OpRequest, OpResponse> {
-    WireFns {
-        enc_req: enc_frame::<OpRequest>,
-        dec_req: dec_frame::<OpRequest>,
-        enc_resp: enc_frame::<OpResponse>,
-        dec_resp: dec_frame::<OpResponse>,
-    }
+    frame_fns()
 }
 
 /// Codec table for the lease protocol over TCP.
 pub fn lease_wire() -> WireFns<LeaseRequest, LeaseResponse> {
-    WireFns {
-        enc_req: enc_frame::<LeaseRequest>,
-        dec_req: dec_frame::<LeaseRequest>,
-        enc_resp: enc_frame::<LeaseResponse>,
-        dec_resp: dec_frame::<LeaseResponse>,
-    }
+    frame_fns()
 }
 
 /// Codec table for the object-store protocol over TCP.
 pub fn store_wire() -> WireFns<StoreRequest, StoreResponse> {
-    WireFns {
-        enc_req: enc_frame::<StoreRequest>,
-        dec_req: dec_frame::<StoreRequest>,
-        enc_resp: enc_frame::<StoreResponse>,
-        dec_resp: dec_frame::<StoreResponse>,
-    }
+    frame_fns()
 }
 
 #[cfg(test)]

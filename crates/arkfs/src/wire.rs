@@ -6,7 +6,15 @@
 //! serializer — and journal transactions carry a CRC32 so recovery can
 //! tell valid transactions from torn ones.
 
+use crate::meta::{decode_acl, encode_acl};
+use arkfs_lease::{FileLeaseDecision, LeaseRequest, LeaseResponse};
+use arkfs_netsim::NodeId;
+use arkfs_simkit::Nanos;
+use arkfs_telemetry::TraceCtx;
+use arkfs_vfs::{Acl, Credentials, DirEntry, FileType, FsError, Ino, SetAttr};
+use bytes::Bytes;
 use std::fmt;
+use std::sync::Arc;
 
 /// Codec failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -190,25 +198,6 @@ pub trait WireCodec: Sized {
     }
 }
 
-/// The RPC envelope's causal trace context has a stable wire shape so
-/// the future real-transport mode (ROADMAP item 4) propagates it
-/// unchanged: `trace_id:u64, parent_span:u64, flags:u8`.
-impl WireCodec for arkfs_telemetry::TraceCtx {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_u64(self.trace_id);
-        enc.put_u64(self.parent_span);
-        enc.put_u8(self.flags);
-    }
-
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        Ok(arkfs_telemetry::TraceCtx {
-            trace_id: dec.get_u64()?,
-            parent_span: dec.get_u64()?,
-            flags: dec.get_u8()?,
-        })
-    }
-}
-
 /// Encode a value as a transport frame payload: the wire body followed
 /// by a CRC32 of the body, so a receiving transport can reject corrupt
 /// or torn frames before interpreting them.
@@ -239,12 +228,19 @@ pub fn from_frame<T: WireCodec>(buf: &[u8]) -> WireResult<T> {
     Ok(v)
 }
 
-/// Deduplicating leak for decoding `&'static str` enum payloads
+/// Most distinct strings [`intern`] ever leaks. With each entry at most
+/// `MAX_INTERN_LEN` bytes the table is bounded at 64 KiB however many
+/// distinct strings a peer sends.
+pub const MAX_INTERNED: usize = 256;
+
+/// What [`intern`] answers for a new string once the table is full. The
+/// vocabulary of static strings in the protocol is a few dozen, so a
+/// well-behaved peer never sees it.
+pub const INTERN_OVERFLOW: &str = "(unknown: intern table full)";
+
+/// Deduplicating leak for decoding `&'static str` payloads
 /// ([`FsError::Unsupported`] and friends). Each distinct string leaks
-/// once, ever; repeats return the existing allocation. The set of such
-/// strings in the protocol is a small fixed vocabulary, so the leak is
-/// bounded in practice, and [`MAX_INTERN_LEN`] bounds each entry against
-/// a hostile frame.
+/// once, ever; repeats return the existing allocation.
 pub(crate) fn intern(s: &str) -> WireResult<&'static str> {
     use std::collections::HashSet;
     use std::sync::{Mutex, OnceLock};
@@ -257,6 +253,9 @@ pub(crate) fn intern(s: &str) -> WireResult<&'static str> {
     let mut set = table.lock().unwrap();
     if let Some(&existing) = set.get(s) {
         return Ok(existing);
+    }
+    if set.len() >= MAX_INTERNED {
+        return Ok(INTERN_OVERFLOW);
     }
     let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
     set.insert(leaked);
@@ -321,732 +320,311 @@ pub fn crc32(data: &[u8]) -> u32 {
     crc ^ 0xFFFF_FFFF
 }
 
-// ===== RPC envelope codecs =====
+// ===== Generic field codecs =====
 //
-// Stable tagged layouts for everything that crosses a transport: the
-// forwarded-operation protocol (`OpRequest`/`OpResponse`), the lease
-// protocol, and their leaf types. Tags are append-only: new variants
-// take the next free tag; old tags never change meaning.
+// Everything that crosses a transport is built from these: integers,
+// strings, byte blobs and the standard containers each have one wire
+// shape, and the message types below and in `rpc`/`remote` are lists of
+// such fields ([`wire_struct!`]) or tagged unions of them
+// ([`wire_enum!`]).
 
-mod envelope {
-    use super::*;
-    use crate::meta::{decode_acl, encode_acl, InodeRecord};
-    use crate::rpc::{OpBody, OpRequest, OpResponse};
-    use arkfs_lease::{FileLeaseDecision, LeaseRequest, LeaseResponse};
-    use arkfs_netsim::NodeId;
-    use arkfs_vfs::{Credentials, DirEntry, FileType, FsError, SetAttr};
-
-    /// Caps decoded collection sizes; a hostile length prefix must not
-    /// cause a giant allocation before `Truncated` is detected.
-    const MAX_VEC: usize = 1 << 16;
-
-    fn put_opt_u64(enc: &mut Encoder, v: Option<u64>) {
-        match v {
-            Some(x) => {
-                enc.put_bool(true);
-                enc.put_u64(x);
+macro_rules! wire_scalar {
+    ($($t:ty: $put:ident, $get:ident;)*) => {$(
+        impl WireCodec for $t {
+            fn encode(&self, enc: &mut Encoder) {
+                enc.$put(*self);
             }
-            None => enc.put_bool(false),
+            fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
+                dec.$get()
+            }
+        }
+    )*};
+}
+
+wire_scalar! {
+    u8: put_u8, get_u8;
+    u32: put_u32, get_u32;
+    u64: put_u64, get_u64;
+    u128: put_u128, get_u128;
+    bool: put_bool, get_bool;
+}
+
+/// Zero bytes: lets `Result<(), E>` use the generic `Result` codec.
+impl WireCodec for () {
+    fn encode(&self, _enc: &mut Encoder) {}
+    fn decode(_dec: &mut Decoder<'_>) -> WireResult<Self> {
+        Ok(())
+    }
+}
+
+impl WireCodec for String {
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_str(self);
+    }
+    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
+        Ok(dec.get_str()?.to_owned())
+    }
+}
+
+/// Static strings (error payloads, profile names) decode through the
+/// bounded [`intern`] table.
+impl WireCodec for &'static str {
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_str(self);
+    }
+    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
+        intern(dec.get_str()?)
+    }
+}
+
+impl WireCodec for Bytes {
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_bytes(self);
+    }
+    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
+        Ok(Bytes::copy_from_slice(dec.get_bytes()?))
+    }
+}
+
+/// Presence flag, then the value.
+impl<T: WireCodec> WireCodec for Option<T> {
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_bool(self.is_some());
+        if let Some(v) = self {
+            v.encode(enc);
         }
     }
-
-    fn get_opt_u64(dec: &mut Decoder<'_>) -> WireResult<Option<u64>> {
+    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
         Ok(if dec.get_bool()? {
-            Some(dec.get_u64()?)
+            Some(T::decode(dec)?)
         } else {
             None
         })
     }
+}
 
-    fn put_opt_u32(enc: &mut Encoder, v: Option<u32>) {
-        match v {
-            Some(x) => {
-                enc.put_bool(true);
-                enc.put_u32(x);
-            }
-            None => enc.put_bool(false),
+/// `true` + the value, or `false` + the error.
+impl<T: WireCodec, E: WireCodec> WireCodec for Result<T, E> {
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_bool(self.is_ok());
+        match self {
+            Ok(v) => v.encode(enc),
+            Err(e) => e.encode(enc),
         }
     }
-
-    fn get_opt_u32(dec: &mut Decoder<'_>) -> WireResult<Option<u32>> {
+    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
         Ok(if dec.get_bool()? {
-            Some(dec.get_u32()?)
+            Ok(T::decode(dec)?)
         } else {
-            None
+            Err(E::decode(dec)?)
         })
     }
+}
 
-    fn put_opt_rec(enc: &mut Encoder, rec: &Option<InodeRecord>) {
-        match rec {
-            Some(r) => {
-                enc.put_bool(true);
-                r.encode(enc);
-            }
-            None => enc.put_bool(false),
-        }
+fn encode_seq<T: WireCodec>(items: &[T], enc: &mut Encoder) {
+    enc.put_u32(items.len() as u32);
+    for v in items {
+        v.encode(enc);
     }
+}
 
-    fn get_opt_rec(dec: &mut Decoder<'_>) -> WireResult<Option<InodeRecord>> {
-        Ok(if dec.get_bool()? {
-            Some(InodeRecord::decode(dec)?)
-        } else {
-            None
-        })
+/// u32 element count, then the elements. Every element type on the wire
+/// encodes to at least one byte, so a count larger than the bytes left
+/// is rejected before anything is allocated for it: a hostile length
+/// prefix cannot reserve more elements than the frame holds bytes.
+impl<T: WireCodec> WireCodec for Vec<T> {
+    fn encode(&self, enc: &mut Encoder) {
+        encode_seq(self, enc);
     }
-
-    fn checked_len(dec: &mut Decoder<'_>) -> WireResult<usize> {
+    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
         let n = dec.get_u32()? as usize;
-        if n > MAX_VEC {
-            return Err(WireError::Invalid("collection too large"));
+        if n > dec.remaining() {
+            return Err(WireError::Truncated);
         }
-        Ok(n)
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(T::decode(dec)?);
+        }
+        Ok(items)
     }
+}
 
-    impl WireCodec for NodeId {
-        fn encode(&self, enc: &mut Encoder) {
-            enc.put_u32(self.0);
-        }
-        fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-            Ok(NodeId(dec.get_u32()?))
-        }
+impl<T: WireCodec> WireCodec for Arc<[T]> {
+    fn encode(&self, enc: &mut Encoder) {
+        encode_seq(self, enc);
     }
+    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
+        Ok(Vec::decode(dec)?.into())
+    }
+}
 
-    impl WireCodec for Credentials {
-        fn encode(&self, enc: &mut Encoder) {
-            enc.put_u32(self.uid);
-            enc.put_u32(self.gid);
-            enc.put_u32(self.groups.len() as u32);
-            for g in &self.groups {
-                enc.put_u32(*g);
+macro_rules! wire_tuple {
+    ($($T:ident . $i:tt),+) => {
+        impl<$($T: WireCodec),+> WireCodec for ($($T,)+) {
+            fn encode(&self, enc: &mut Encoder) {
+                $(self.$i.encode(enc);)+
+            }
+            fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
+                Ok(($($T::decode(dec)?,)+))
             }
         }
-        fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-            let uid = dec.get_u32()?;
-            let gid = dec.get_u32()?;
-            let n = checked_len(dec)?;
-            let mut groups = Vec::with_capacity(n);
-            for _ in 0..n {
-                groups.push(dec.get_u32()?);
+    };
+}
+
+wire_tuple!(A.0, B.1);
+wire_tuple!(A.0, B.1, C.2);
+wire_tuple!(A.0, B.1, C.2, D.3);
+
+/// Codec of a struct as its listed fields, in wire order.
+macro_rules! wire_struct {
+    ($T:ty { $($f:tt),+ $(,)? }) => {
+        impl $crate::wire::WireCodec for $T {
+            fn encode(&self, enc: &mut $crate::wire::Encoder) {
+                $($crate::wire::WireCodec::encode(&self.$f, enc);)+
             }
-            Ok(Credentials { uid, gid, groups })
-        }
-    }
-
-    impl WireCodec for SetAttr {
-        fn encode(&self, enc: &mut Encoder) {
-            put_opt_u32(enc, self.mode);
-            put_opt_u32(enc, self.uid);
-            put_opt_u32(enc, self.gid);
-            put_opt_u64(enc, self.atime);
-            put_opt_u64(enc, self.mtime);
-        }
-        fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-            Ok(SetAttr {
-                mode: get_opt_u32(dec)?,
-                uid: get_opt_u32(dec)?,
-                gid: get_opt_u32(dec)?,
-                atime: get_opt_u64(dec)?,
-                mtime: get_opt_u64(dec)?,
-            })
-        }
-    }
-
-    impl WireCodec for FileType {
-        fn encode(&self, enc: &mut Encoder) {
-            enc.put_u8(self.as_u8());
-        }
-        fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-            FileType::from_u8(dec.get_u8()?).ok_or(WireError::Invalid("file type"))
-        }
-    }
-
-    impl WireCodec for DirEntry {
-        fn encode(&self, enc: &mut Encoder) {
-            enc.put_str(&self.name);
-            enc.put_u128(self.ino);
-            self.ftype.encode(enc);
-        }
-        fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-            Ok(DirEntry {
-                name: dec.get_str()?.to_owned(),
-                ino: dec.get_u128()?,
-                ftype: FileType::decode(dec)?,
-            })
-        }
-    }
-
-    impl WireCodec for FsError {
-        fn encode(&self, enc: &mut Encoder) {
-            match self {
-                FsError::NotFound => enc.put_u8(0),
-                FsError::AlreadyExists => enc.put_u8(1),
-                FsError::NotADirectory => enc.put_u8(2),
-                FsError::IsADirectory => enc.put_u8(3),
-                FsError::NotEmpty => enc.put_u8(4),
-                FsError::PermissionDenied => enc.put_u8(5),
-                FsError::NotPermitted => enc.put_u8(6),
-                FsError::InvalidArgument => enc.put_u8(7),
-                FsError::NameTooLong => enc.put_u8(8),
-                FsError::BadHandle => enc.put_u8(9),
-                FsError::BadAccessMode => enc.put_u8(10),
-                FsError::Stale => enc.put_u8(11),
-                FsError::Busy => enc.put_u8(12),
-                FsError::TimedOut => enc.put_u8(13),
-                FsError::NoSpace => enc.put_u8(14),
-                FsError::Io(msg) => {
-                    enc.put_u8(15);
-                    enc.put_str(msg);
-                }
-                FsError::Unsupported(what) => {
-                    enc.put_u8(16);
-                    enc.put_str(what);
-                }
+            fn decode(dec: &mut $crate::wire::Decoder<'_>) -> $crate::wire::WireResult<Self> {
+                Ok(Self {
+                    $($f: $crate::wire::WireCodec::decode(dec)?,)+
+                })
             }
         }
-        fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-            Ok(match dec.get_u8()? {
-                0 => FsError::NotFound,
-                1 => FsError::AlreadyExists,
-                2 => FsError::NotADirectory,
-                3 => FsError::IsADirectory,
-                4 => FsError::NotEmpty,
-                5 => FsError::PermissionDenied,
-                6 => FsError::NotPermitted,
-                7 => FsError::InvalidArgument,
-                8 => FsError::NameTooLong,
-                9 => FsError::BadHandle,
-                10 => FsError::BadAccessMode,
-                11 => FsError::Stale,
-                12 => FsError::Busy,
-                13 => FsError::TimedOut,
-                14 => FsError::NoSpace,
-                15 => FsError::Io(dec.get_str()?.to_owned()),
-                16 => FsError::Unsupported(intern(dec.get_str()?)?),
-                _ => return Err(WireError::Invalid("fs error tag")),
-            })
-        }
-    }
+    };
+}
+pub(crate) use wire_struct;
 
-    impl WireCodec for FileLeaseDecision {
-        fn encode(&self, enc: &mut Encoder) {
-            match self {
-                FileLeaseDecision::Granted { expires_at } => {
-                    enc.put_u8(0);
-                    enc.put_u64(*expires_at);
-                }
-                FileLeaseDecision::Direct {
-                    flush,
-                    direct_until,
-                } => {
-                    enc.put_u8(1);
-                    enc.put_u32(flush.len() as u32);
-                    for n in flush {
-                        n.encode(enc);
+/// Codec of an enum as a u8 tag plus the variant's fields in listed
+/// order, from one `tag => Variant { field: Type, .. }` (or
+/// `Variant(field: Type, ..)`, or bare `Variant`) line per variant.
+/// `impl Type, "what" { .. }` implements [`WireCodec`] for an enum
+/// declared elsewhere; `pub enum Name, "what" { .. }` also declares the
+/// enum, so a message type of this crate is written down exactly once.
+/// `"what"` names the tag in the `Invalid` error of an unknown one.
+/// Tags are append-only: a new variant takes the next free tag and an
+/// old tag never changes meaning.
+macro_rules! wire_enum {
+    ($(#[$m:meta])* pub enum $T:ident, $what:literal { $($body:tt)* }) => {
+        $crate::wire::wire_enum!(@declare [$(#[$m])*] $T { $($body)* });
+        $crate::wire::wire_enum!(impl $T, $what { $($body)* });
+    };
+    (@declare [$(#[$m:meta])*] $T:ident { $(
+        $(#[$vm:meta])* $tag:literal => $V:ident
+            $({ $($f:ident: $fty:ty),* $(,)? })? $(( $($t:ident: $tty:ty),* $(,)? ))?
+    ),* $(,)? }) => {
+        $(#[$m])*
+        pub enum $T {
+            $( $(#[$vm])* $V $({ $($f: $fty),* })? $(( $($tty),* ))? ),*
+        }
+    };
+    (impl $T:ty, $what:literal { $(
+        $(#[$vm:meta])* $tag:literal => $V:ident
+            $({ $($f:ident: $fty:ty),* $(,)? })? $(( $($t:ident: $tty:ty),* $(,)? ))?
+    ),* $(,)? }) => {
+        impl $crate::wire::WireCodec for $T {
+            fn encode(&self, enc: &mut $crate::wire::Encoder) {
+                match self {$(
+                    Self::$V $({ $($f),* })? $(( $($t),* ))? => {
+                        enc.put_u8($tag);
+                        $($($crate::wire::WireCodec::encode($f, enc);)*)?
+                        $($($crate::wire::WireCodec::encode($t, enc);)*)?
                     }
-                    enc.put_u64(*direct_until);
-                }
+                )*}
+            }
+            fn decode(dec: &mut $crate::wire::Decoder<'_>) -> $crate::wire::WireResult<Self> {
+                Ok(match dec.get_u8()? {
+                    $($tag => Self::$V
+                        $({ $($f: <$fty as $crate::wire::WireCodec>::decode(dec)?),* })?
+                        $(( $(<$tty as $crate::wire::WireCodec>::decode(dec)?),* ))?,)*
+                    _ => return Err($crate::wire::WireError::Invalid($what)),
+                })
             }
         }
-        fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-            Ok(match dec.get_u8()? {
-                0 => FileLeaseDecision::Granted {
-                    expires_at: dec.get_u64()?,
-                },
-                1 => {
-                    let n = checked_len(dec)?;
-                    let mut flush = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        flush.push(NodeId::decode(dec)?);
-                    }
-                    FileLeaseDecision::Direct {
-                        flush,
-                        direct_until: dec.get_u64()?,
-                    }
-                }
-                _ => return Err(WireError::Invalid("lease decision tag")),
-            })
-        }
-    }
+    };
+}
+pub(crate) use wire_enum;
 
-    impl WireCodec for LeaseRequest {
-        fn encode(&self, enc: &mut Encoder) {
-            match self {
-                LeaseRequest::Acquire { client, ino } => {
-                    enc.put_u8(0);
-                    client.encode(enc);
-                    enc.put_u128(*ino);
-                }
-                LeaseRequest::Release { client, ino } => {
-                    enc.put_u8(1);
-                    client.encode(enc);
-                    enc.put_u128(*ino);
-                }
-            }
-        }
-        fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-            let tag = dec.get_u8()?;
-            let client = NodeId::decode(dec)?;
-            let ino = dec.get_u128()?;
-            Ok(match tag {
-                0 => LeaseRequest::Acquire { client, ino },
-                1 => LeaseRequest::Release { client, ino },
-                _ => return Err(WireError::Invalid("lease request tag")),
-            })
-        }
-    }
+// ===== Leaf and lease-protocol codecs =====
+//
+// Message types declared in other crates. The forwarded-operation
+// protocol is in `rpc`, the object-store protocol in `remote`.
 
-    impl WireCodec for LeaseResponse {
-        fn encode(&self, enc: &mut Encoder) {
-            match self {
-                LeaseResponse::Granted {
-                    expires_at,
-                    must_load,
-                    takeover_dirty,
-                } => {
-                    enc.put_u8(0);
-                    enc.put_u64(*expires_at);
-                    enc.put_bool(*must_load);
-                    enc.put_bool(*takeover_dirty);
-                }
-                LeaseResponse::Redirect { leader } => {
-                    enc.put_u8(1);
-                    leader.encode(enc);
-                }
-                LeaseResponse::Retry { until } => {
-                    enc.put_u8(2);
-                    enc.put_u64(*until);
-                }
-                LeaseResponse::Released => enc.put_u8(3),
-            }
-        }
-        fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-            Ok(match dec.get_u8()? {
-                0 => LeaseResponse::Granted {
-                    expires_at: dec.get_u64()?,
-                    must_load: dec.get_bool()?,
-                    takeover_dirty: dec.get_bool()?,
-                },
-                1 => LeaseResponse::Redirect {
-                    leader: NodeId::decode(dec)?,
-                },
-                2 => LeaseResponse::Retry {
-                    until: dec.get_u64()?,
-                },
-                3 => LeaseResponse::Released,
-                _ => return Err(WireError::Invalid("lease response tag")),
-            })
-        }
-    }
+// Stable across transports: `trace_id:u64, parent_span:u64, flags:u8`.
+wire_struct!(TraceCtx {
+    trace_id,
+    parent_span,
+    flags
+});
+wire_struct!(NodeId { 0 });
+wire_struct!(Credentials { uid, gid, groups });
+wire_struct!(SetAttr {
+    mode,
+    uid,
+    gid,
+    atime,
+    mtime
+});
+wire_struct!(DirEntry { name, ino, ftype });
 
-    impl WireCodec for OpBody {
-        fn encode(&self, enc: &mut Encoder) {
-            enc.put_u8(self.tag());
-            match self {
-                OpBody::Lookup { dir, name } => {
-                    enc.put_u128(*dir);
-                    enc.put_str(name);
-                }
-                OpBody::DirInode { dir } => {
-                    enc.put_u128(*dir);
-                }
-                OpBody::Create { dir, name, rec } => {
-                    enc.put_u128(*dir);
-                    enc.put_str(name);
-                    rec.encode(enc);
-                }
-                OpBody::AddSubdir { dir, name, child } => {
-                    enc.put_u128(*dir);
-                    enc.put_str(name);
-                    enc.put_u128(*child);
-                }
-                OpBody::Unlink { dir, name } => {
-                    enc.put_u128(*dir);
-                    enc.put_str(name);
-                }
-                OpBody::RemoveSubdir { dir, name } => {
-                    enc.put_u128(*dir);
-                    enc.put_str(name);
-                }
-                OpBody::Readdir { dir, partition } => {
-                    enc.put_u128(*dir);
-                    enc.put_u32(*partition);
-                }
-                OpBody::SetSize {
-                    dir,
-                    name,
-                    ino,
-                    size,
-                } => {
-                    enc.put_u128(*dir);
-                    enc.put_str(name);
-                    enc.put_u128(*ino);
-                    enc.put_u64(*size);
-                }
-                OpBody::SetAttrChild {
-                    dir,
-                    name,
-                    ino,
-                    attr,
-                } => {
-                    enc.put_u128(*dir);
-                    enc.put_str(name);
-                    enc.put_u128(*ino);
-                    attr.encode(enc);
-                }
-                OpBody::SetAttrDir { dir, attr } => {
-                    enc.put_u128(*dir);
-                    attr.encode(enc);
-                }
-                OpBody::SetAcl {
-                    dir,
-                    name,
-                    target,
-                    acl,
-                } => {
-                    enc.put_u128(*dir);
-                    enc.put_str(name);
-                    enc.put_u128(*target);
-                    encode_acl(acl, enc);
-                }
-                OpBody::RenameLocal { dir, from, to } => {
-                    enc.put_u128(*dir);
-                    enc.put_str(from);
-                    enc.put_str(to);
-                }
-                OpBody::RenameSrcPrepare {
-                    dir,
-                    name,
-                    txid,
-                    peer,
-                } => {
-                    enc.put_u128(*dir);
-                    enc.put_str(name);
-                    enc.put_u128(*txid);
-                    enc.put_u128(*peer);
-                }
-                OpBody::RenameDstPrepare {
-                    dir,
-                    name,
-                    txid,
-                    peer,
-                    ino,
-                    ftype,
-                    rec,
-                } => {
-                    enc.put_u128(*dir);
-                    enc.put_str(name);
-                    enc.put_u128(*txid);
-                    enc.put_u128(*peer);
-                    enc.put_u128(*ino);
-                    ftype.encode(enc);
-                    put_opt_rec(enc, rec);
-                }
-                OpBody::RenameDecide {
-                    dir,
-                    name,
-                    txid,
-                    commit,
-                    undo,
-                } => {
-                    enc.put_u128(*dir);
-                    enc.put_str(name);
-                    enc.put_u128(*txid);
-                    enc.put_bool(*commit);
-                    match undo {
-                        Some((uname, uino, uftype, urec)) => {
-                            enc.put_bool(true);
-                            enc.put_str(uname);
-                            enc.put_u128(*uino);
-                            uftype.encode(enc);
-                            put_opt_rec(enc, urec);
-                        }
-                        None => enc.put_bool(false),
-                    }
-                }
-                OpBody::AcquireReadLease { dir, file, client } => {
-                    enc.put_u128(*dir);
-                    enc.put_u128(*file);
-                    client.encode(enc);
-                }
-                OpBody::AcquireWriteLease { dir, file, client } => {
-                    enc.put_u128(*dir);
-                    enc.put_u128(*file);
-                    client.encode(enc);
-                }
-                OpBody::ReleaseFileLease { dir, file, client } => {
-                    enc.put_u128(*dir);
-                    enc.put_u128(*file);
-                    client.encode(enc);
-                }
-                OpBody::FlushCache { file } => {
-                    enc.put_u128(*file);
-                }
-                OpBody::FsyncDir { dir, partition } => {
-                    enc.put_u128(*dir);
-                    enc.put_u32(*partition);
-                }
-                OpBody::RelinquishPartition { dir, partition } => {
-                    enc.put_u128(*dir);
-                    enc.put_u32(*partition);
-                }
-                OpBody::DirView { dir } => enc.put_u128(*dir),
-                OpBody::CreateOpen {
-                    dir,
-                    name,
-                    rec,
-                    client,
-                } => {
-                    enc.put_u128(*dir);
-                    enc.put_str(name);
-                    rec.encode(enc);
-                    client.encode(enc);
-                }
-            }
-        }
-        fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-            Ok(match dec.get_u8()? {
-                0 => OpBody::Lookup {
-                    dir: dec.get_u128()?,
-                    name: dec.get_str()?.to_owned(),
-                },
-                1 => OpBody::DirInode {
-                    dir: dec.get_u128()?,
-                },
-                2 => OpBody::Create {
-                    dir: dec.get_u128()?,
-                    name: dec.get_str()?.to_owned(),
-                    rec: InodeRecord::decode(dec)?,
-                },
-                3 => OpBody::AddSubdir {
-                    dir: dec.get_u128()?,
-                    name: dec.get_str()?.to_owned(),
-                    child: dec.get_u128()?,
-                },
-                4 => OpBody::Unlink {
-                    dir: dec.get_u128()?,
-                    name: dec.get_str()?.to_owned(),
-                },
-                5 => OpBody::RemoveSubdir {
-                    dir: dec.get_u128()?,
-                    name: dec.get_str()?.to_owned(),
-                },
-                6 => OpBody::Readdir {
-                    dir: dec.get_u128()?,
-                    partition: dec.get_u32()?,
-                },
-                7 => OpBody::SetSize {
-                    dir: dec.get_u128()?,
-                    name: dec.get_str()?.to_owned(),
-                    ino: dec.get_u128()?,
-                    size: dec.get_u64()?,
-                },
-                8 => OpBody::SetAttrChild {
-                    dir: dec.get_u128()?,
-                    name: dec.get_str()?.to_owned(),
-                    ino: dec.get_u128()?,
-                    attr: SetAttr::decode(dec)?,
-                },
-                9 => OpBody::SetAttrDir {
-                    dir: dec.get_u128()?,
-                    attr: SetAttr::decode(dec)?,
-                },
-                10 => OpBody::SetAcl {
-                    dir: dec.get_u128()?,
-                    name: dec.get_str()?.to_owned(),
-                    target: dec.get_u128()?,
-                    acl: decode_acl(dec)?,
-                },
-                11 => OpBody::RenameLocal {
-                    dir: dec.get_u128()?,
-                    from: dec.get_str()?.to_owned(),
-                    to: dec.get_str()?.to_owned(),
-                },
-                12 => OpBody::RenameSrcPrepare {
-                    dir: dec.get_u128()?,
-                    name: dec.get_str()?.to_owned(),
-                    txid: dec.get_u128()?,
-                    peer: dec.get_u128()?,
-                },
-                13 => OpBody::RenameDstPrepare {
-                    dir: dec.get_u128()?,
-                    name: dec.get_str()?.to_owned(),
-                    txid: dec.get_u128()?,
-                    peer: dec.get_u128()?,
-                    ino: dec.get_u128()?,
-                    ftype: FileType::decode(dec)?,
-                    rec: get_opt_rec(dec)?,
-                },
-                14 => OpBody::RenameDecide {
-                    dir: dec.get_u128()?,
-                    name: dec.get_str()?.to_owned(),
-                    txid: dec.get_u128()?,
-                    commit: dec.get_bool()?,
-                    undo: if dec.get_bool()? {
-                        Some((
-                            dec.get_str()?.to_owned(),
-                            dec.get_u128()?,
-                            FileType::decode(dec)?,
-                            get_opt_rec(dec)?,
-                        ))
-                    } else {
-                        None
-                    },
-                },
-                15 => OpBody::AcquireReadLease {
-                    dir: dec.get_u128()?,
-                    file: dec.get_u128()?,
-                    client: NodeId::decode(dec)?,
-                },
-                16 => OpBody::AcquireWriteLease {
-                    dir: dec.get_u128()?,
-                    file: dec.get_u128()?,
-                    client: NodeId::decode(dec)?,
-                },
-                17 => OpBody::ReleaseFileLease {
-                    dir: dec.get_u128()?,
-                    file: dec.get_u128()?,
-                    client: NodeId::decode(dec)?,
-                },
-                18 => OpBody::FlushCache {
-                    file: dec.get_u128()?,
-                },
-                19 => OpBody::FsyncDir {
-                    dir: dec.get_u128()?,
-                    partition: dec.get_u32()?,
-                },
-                20 => OpBody::RelinquishPartition {
-                    dir: dec.get_u128()?,
-                    partition: dec.get_u32()?,
-                },
-                21 => OpBody::DirView {
-                    dir: dec.get_u128()?,
-                },
-                22 => OpBody::CreateOpen {
-                    dir: dec.get_u128()?,
-                    name: dec.get_str()?.to_owned(),
-                    rec: InodeRecord::decode(dec)?,
-                    client: NodeId::decode(dec)?,
-                },
-                _ => return Err(WireError::Invalid("op body tag")),
-            })
-        }
+impl WireCodec for FileType {
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_u8(self.as_u8());
     }
-
-    impl WireCodec for OpRequest {
-        fn encode(&self, enc: &mut Encoder) {
-            self.creds.encode(enc);
-            self.trace.encode(enc);
-            self.body.encode(enc);
-        }
-        fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-            Ok(OpRequest {
-                creds: Credentials::decode(dec)?,
-                trace: arkfs_telemetry::TraceCtx::decode(dec)?,
-                body: OpBody::decode(dec)?,
-            })
-        }
+    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
+        FileType::from_u8(dec.get_u8()?).ok_or(WireError::Invalid("file type"))
     }
+}
 
-    impl WireCodec for OpResponse {
-        fn encode(&self, enc: &mut Encoder) {
-            match self {
-                OpResponse::Entry { ino, ftype, rec } => {
-                    enc.put_u8(0);
-                    enc.put_u128(*ino);
-                    ftype.encode(enc);
-                    put_opt_rec(enc, rec);
-                }
-                OpResponse::Inode(rec) => {
-                    enc.put_u8(1);
-                    rec.encode(enc);
-                }
-                OpResponse::Entries {
-                    entries,
-                    partitions,
-                } => {
-                    enc.put_u8(2);
-                    enc.put_u32(entries.len() as u32);
-                    for e in entries {
-                        e.encode(enc);
-                    }
-                    enc.put_u32(*partitions);
-                }
-                OpResponse::Detached { ino, ftype, rec } => {
-                    enc.put_u8(3);
-                    enc.put_u128(*ino);
-                    ftype.encode(enc);
-                    put_opt_rec(enc, rec);
-                }
-                OpResponse::Lease(d) => {
-                    enc.put_u8(4);
-                    d.encode(enc);
-                }
-                OpResponse::Flushed { size } => {
-                    enc.put_u8(5);
-                    put_opt_u64(enc, *size);
-                }
-                OpResponse::Ok => enc.put_u8(6),
-                OpResponse::NotLeader => enc.put_u8(7),
-                OpResponse::Err(e) => {
-                    enc.put_u8(8);
-                    e.encode(enc);
-                }
-                OpResponse::View { dir, subdirs } => {
-                    enc.put_u8(9);
-                    dir.encode(enc);
-                    enc.put_u32(subdirs.len() as u32);
-                    for e in subdirs.iter() {
-                        e.encode(enc);
-                    }
-                }
-            }
-        }
-        fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-            Ok(match dec.get_u8()? {
-                0 => OpResponse::Entry {
-                    ino: dec.get_u128()?,
-                    ftype: FileType::decode(dec)?,
-                    rec: get_opt_rec(dec)?,
-                },
-                1 => OpResponse::Inode(InodeRecord::decode(dec)?),
-                2 => {
-                    let n = checked_len(dec)?;
-                    let mut entries = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        entries.push(DirEntry::decode(dec)?);
-                    }
-                    OpResponse::Entries {
-                        entries,
-                        partitions: dec.get_u32()?,
-                    }
-                }
-                3 => OpResponse::Detached {
-                    ino: dec.get_u128()?,
-                    ftype: FileType::decode(dec)?,
-                    rec: get_opt_rec(dec)?,
-                },
-                4 => OpResponse::Lease(FileLeaseDecision::decode(dec)?),
-                5 => OpResponse::Flushed {
-                    size: get_opt_u64(dec)?,
-                },
-                6 => OpResponse::Ok,
-                7 => OpResponse::NotLeader,
-                8 => OpResponse::Err(FsError::decode(dec)?),
-                9 => {
-                    let dir = InodeRecord::decode(dec)?;
-                    let n = checked_len(dec)?;
-                    let mut subdirs = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        subdirs.push(DirEntry::decode(dec)?);
-                    }
-                    OpResponse::View {
-                        dir,
-                        subdirs: subdirs.into(),
-                    }
-                }
-                _ => return Err(WireError::Invalid("op response tag")),
-            })
-        }
+/// ACLs cross the wire in their on-store form.
+impl WireCodec for Acl {
+    fn encode(&self, enc: &mut Encoder) {
+        encode_acl(self, enc);
+    }
+    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
+        decode_acl(dec)
+    }
+}
+
+wire_enum! {
+    impl FsError, "fs error tag" {
+        0 => NotFound,
+        1 => AlreadyExists,
+        2 => NotADirectory,
+        3 => IsADirectory,
+        4 => NotEmpty,
+        5 => PermissionDenied,
+        6 => NotPermitted,
+        7 => InvalidArgument,
+        8 => NameTooLong,
+        9 => BadHandle,
+        10 => BadAccessMode,
+        11 => Stale,
+        12 => Busy,
+        13 => TimedOut,
+        14 => NoSpace,
+        15 => Io(msg: String),
+        16 => Unsupported(what: &'static str),
+    }
+}
+
+wire_enum! {
+    impl FileLeaseDecision, "lease decision tag" {
+        0 => Granted { expires_at: Nanos },
+        1 => Direct { flush: Vec<NodeId>, direct_until: Nanos },
+    }
+}
+
+wire_enum! {
+    impl LeaseRequest, "lease request tag" {
+        0 => Acquire { client: NodeId, ino: Ino },
+        1 => Release { client: NodeId, ino: Ino },
+    }
+}
+
+wire_enum! {
+    impl LeaseResponse, "lease response tag" {
+        0 => Granted { expires_at: Nanos, must_load: bool, takeover_dirty: bool },
+        1 => Redirect { leader: NodeId },
+        2 => Retry { until: Nanos },
+        3 => Released,
     }
 }
 
@@ -1108,16 +686,16 @@ mod tests {
 
     #[test]
     fn trace_ctx_roundtrips() {
-        let ctx = arkfs_telemetry::TraceCtx {
+        let ctx = TraceCtx {
             trace_id: 0xDEAD_BEEF_0000_0001,
             parent_span: 42,
-            flags: arkfs_telemetry::TraceCtx::SAMPLED | arkfs_telemetry::TraceCtx::BACKGROUND,
+            flags: TraceCtx::SAMPLED | TraceCtx::BACKGROUND,
         };
         let bytes = ctx.to_bytes();
         assert_eq!(bytes.len(), 17);
-        assert_eq!(arkfs_telemetry::TraceCtx::from_bytes(&bytes).unwrap(), ctx);
+        assert_eq!(TraceCtx::from_bytes(&bytes).unwrap(), ctx);
         assert_eq!(
-            arkfs_telemetry::TraceCtx::from_bytes(&bytes[..10]),
+            TraceCtx::from_bytes(&bytes[..10]),
             Err(WireError::Truncated)
         );
     }

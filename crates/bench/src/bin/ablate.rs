@@ -22,7 +22,6 @@ fn create_throughput(config: ArkConfig, procs: usize, files: u64) -> f64 {
     let cfg = MdtestEasyConfig {
         files_total: files,
         create_only: true,
-        ..Default::default()
     };
     mdtest_easy(&system.clients, &cfg).expect("mdtest").phases[0].ops_per_sec()
 }
@@ -112,7 +111,6 @@ fn main() {
         let wl = MdtestEasyConfig {
             files_total: files,
             create_only: true,
-            ..Default::default()
         };
         let result = mdtest_easy(&system.clients, &wl).expect("mdtest");
         let phase = &result.phases[0];
@@ -538,7 +536,7 @@ fn shared_client_setup(stripes: usize) -> Arc<arkfs::ArkClient> {
 /// op streams multiplexed onto ONE client. Returns (ops executed,
 /// striped lock acquisitions) — both deterministic.
 fn shared_client_engine_counts(stripes: usize) -> (u64, u64) {
-    use arkfs_workloads::{gen_iter, run_ops, Drive, Op, OpGen};
+    use arkfs_workloads::{gen_iter, run_ops, Op, OpGen};
 
     let client = shared_client_setup(stripes);
     let clients: Vec<Arc<dyn SimClient>> = (0..SHARED_THREADS)
@@ -562,7 +560,7 @@ fn shared_client_engine_counts(stripes: usize) -> (u64, u64) {
             }))
         })
         .collect();
-    let report = run_ops(&clients, gens, Drive::Engine, None);
+    let report = run_ops(&clients, gens, None);
     assert_eq!(report.total_errors(), 0, "shared-client engine ops failed");
     (
         report.ops.iter().sum(),

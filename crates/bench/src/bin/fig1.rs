@@ -19,7 +19,6 @@ fn main() {
         let cfg = MdtestEasyConfig {
             files_total: per_client * clients as u64,
             create_only: true,
-            ..Default::default()
         };
         let result = mdtest_easy(&system.clients, &cfg).expect("mdtest-easy");
         let tput = result.phases[0].ops_per_sec();

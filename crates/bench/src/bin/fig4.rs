@@ -33,7 +33,6 @@ fn main() {
     let cfg = MdtestEasyConfig {
         files_total: files,
         create_only: false,
-        ..Default::default()
     };
     let mut rows = Vec::new();
     let mut records = Vec::new();

@@ -36,7 +36,6 @@ fn main() {
         dirs: 16,
         file_size: 3901,
         seed: 42,
-        ..Default::default()
     };
     let mut rows = Vec::new();
     let mut records = Vec::new();

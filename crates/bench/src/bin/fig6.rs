@@ -59,7 +59,6 @@ fn main() {
     let cfg = FioConfig {
         file_size,
         request_size: 128 * 1024,
-        ..Default::default()
     };
     let trace = trace_path();
 

@@ -17,7 +17,6 @@ fn run(clients: Vec<Arc<dyn SimClient>>, per_client: u64) -> f64 {
     let cfg = MdtestEasyConfig {
         files_total: per_client * clients.len() as u64,
         create_only: true,
-        ..Default::default()
     };
     mdtest_easy(&clients, &cfg).expect("mdtest-easy").phases[0].ops_per_sec()
 }

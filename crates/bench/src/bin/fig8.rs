@@ -19,7 +19,6 @@ use arkfs_objstore::{ClusterConfig, ObjectCluster};
 use arkfs_telemetry::{critpath, merged_chrome_trace, Telemetry, Tracer};
 use arkfs_vfs::{Credentials, Vfs};
 use arkfs_workloads::mdtest::shared_dir_create;
-use arkfs_workloads::Drive;
 use arkfs_workloads::SimClient;
 use std::sync::Arc;
 
@@ -57,7 +56,7 @@ fn main() {
             .collect();
         let tel = Arc::clone(cluster.telemetry());
         let mut sealed_depth = vec![0i64; pcount as usize];
-        let result = shared_dir_create(&clients, "/shared", files, Drive::Engine, || {
+        let result = shared_dir_create(&clients, "/shared", files, || {
             for (p, slot) in sealed_depth.iter_mut().enumerate() {
                 *slot = tel
                     .registry

@@ -25,7 +25,7 @@ use arkfs_simkit::ThroughputMeter;
 use arkfs_telemetry::critpath;
 use arkfs_vfs::{Credentials, Vfs};
 use arkfs_workloads::client::barrier;
-use arkfs_workloads::{gen_iter, run_ops, Drive, Op, OpGen, SimClient, Zipf};
+use arkfs_workloads::{gen_iter, run_ops, Op, OpGen, SimClient, Zipf};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -105,7 +105,7 @@ fn run_point(n_clients: usize, files_total: u64) -> Point {
     let meter = ThroughputMeter::new();
     let starts: Vec<u64> = clients.iter().map(|c| c.port().now()).collect();
     let host_t0 = Instant::now();
-    let report = run_ops(&clients, gens, Drive::Engine, Some(&meter));
+    let report = run_ops(&clients, gens, Some(&meter));
     let host_secs = host_t0.elapsed().as_secs_f64();
     assert_eq!(report.total_errors(), 0, "zipf creates failed");
     // Leader service over the create phase proper, before the closing

@@ -1,26 +1,11 @@
-//! Workload drivers: run per-client op generators on either the
-//! discrete-event engine (default — one host thread, causal
-//! virtual-time order, deterministic) or the legacy one-OS-thread-per-
-//! client pool (kept as the differential oracle and for wall-clock
-//! lock-contention scenarios).
+//! The workload driver: runs per-client op generators on the
+//! discrete-event engine (one host thread, causal virtual-time order,
+//! deterministic).
 
 use crate::client::SimClient;
 use crate::ops::{exec_op, Op, OpGen, OpState};
 use arkfs_simkit::{Actor, Engine, Nanos, ThroughputMeter};
 use std::sync::Arc;
-
-/// Which driver executes the generators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Drive {
-    /// Discrete-event engine: one host thread multiplexes every client,
-    /// stepping the one with the smallest virtual time. Deterministic.
-    #[default]
-    Engine,
-    /// Legacy pool: one OS thread per client, each draining its
-    /// generator. Real thread racing; virtual arrival order varies with
-    /// the scheduler. Only sensible for small fleets.
-    Threads,
-}
 
 /// Outcome of driving one fleet of generators.
 #[derive(Debug, Clone, Default)]
@@ -30,7 +15,7 @@ pub struct DriveReport {
     /// Per-client error count.
     pub errors: Vec<u64>,
     /// Per-client op outcomes in generation order (`true` = ok), for
-    /// differential checks between drivers.
+    /// differential checks against a reference.
     pub outcomes: Vec<Vec<bool>>,
 }
 
@@ -67,8 +52,14 @@ impl<'a, G: OpGen> ClientActor<'a, G> {
             outcomes: Vec::new(),
         }
     }
+}
 
-    fn exec_pending(&mut self) -> bool {
+impl<G: OpGen> Actor for ClientActor<'_, G> {
+    fn now(&self) -> Nanos {
+        self.client.port().now()
+    }
+
+    fn step(&mut self) -> bool {
         let Some(op) = self.pending.take() else {
             return false;
         };
@@ -89,16 +80,6 @@ impl<'a, G: OpGen> ClientActor<'a, G> {
     }
 }
 
-impl<G: OpGen> Actor for ClientActor<'_, G> {
-    fn now(&self) -> Nanos {
-        self.client.port().now()
-    }
-
-    fn step(&mut self) -> bool {
-        self.exec_pending()
-    }
-}
-
 /// Drive one generator per client. `clients` and `gens` pair up by
 /// index (the same client may appear more than once — e.g. several
 /// workers multiplexed onto one mounted client). When `meter` is given,
@@ -106,7 +87,6 @@ impl<G: OpGen> Actor for ClientActor<'_, G> {
 pub fn run_ops(
     clients: &[Arc<dyn SimClient>],
     gens: Vec<Box<dyn OpGen>>,
-    drive: Drive,
     meter: Option<&ThroughputMeter>,
 ) -> DriveReport {
     assert_eq!(
@@ -114,50 +94,19 @@ pub fn run_ops(
         gens.len(),
         "one generator per client required"
     );
-    match drive {
-        Drive::Engine => {
-            let mut actors: Vec<ClientActor<Box<dyn OpGen>>> = clients
-                .iter()
-                .zip(gens)
-                .map(|(c, g)| ClientActor::new(c, g, meter))
-                .collect();
-            // Drop already-exhausted generators from the run queue.
-            Engine::run(&mut actors);
-            let mut report = DriveReport::default();
-            for a in actors {
-                report.ops.push(a.ops);
-                report.errors.push(a.errors);
-                report.outcomes.push(a.outcomes);
-            }
-            report
-        }
-        Drive::Threads => {
-            let results: Vec<(u64, u64, Vec<bool>)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = clients
-                    .iter()
-                    .zip(gens)
-                    .map(|(c, g)| {
-                        scope.spawn(move || {
-                            let mut actor = ClientActor::new(c, g, meter);
-                            while actor.exec_pending() {}
-                            (actor.ops, actor.errors, actor.outcomes)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("workload thread panicked"))
-                    .collect()
-            });
-            let mut report = DriveReport::default();
-            for (ops, errors, outcomes) in results {
-                report.ops.push(ops);
-                report.errors.push(errors);
-                report.outcomes.push(outcomes);
-            }
-            report
-        }
+    let mut actors: Vec<ClientActor<Box<dyn OpGen>>> = clients
+        .iter()
+        .zip(gens)
+        .map(|(c, g)| ClientActor::new(c, g, meter))
+        .collect();
+    Engine::run(&mut actors);
+    let mut report = DriveReport::default();
+    for a in actors {
+        report.ops.push(a.ops);
+        report.errors.push(a.errors);
+        report.outcomes.push(a.outcomes);
     }
+    report
 }
 
 #[cfg(test)]
@@ -191,7 +140,7 @@ mod tests {
         let clients = fleet(4);
         clients[0].mkdir(&Credentials::root(), "/w", 0o755).unwrap();
         let meter = ThroughputMeter::new();
-        let report = run_ops(&clients, create_gens(4, 8), Drive::Engine, Some(&meter));
+        let report = run_ops(&clients, create_gens(4, 8), Some(&meter));
         assert_eq!(report.ops, vec![8, 8, 8, 8]);
         assert_eq!(report.total_errors(), 0);
         assert_eq!(meter.latency_samples(), 32);
@@ -206,27 +155,6 @@ mod tests {
     }
 
     #[test]
-    fn thread_drive_matches_engine_namespace() {
-        let run = |drive: Drive| {
-            let clients = fleet(3);
-            clients[0].mkdir(&Credentials::root(), "/w", 0o755).unwrap();
-            let report = run_ops(&clients, create_gens(3, 5), drive, None);
-            let mut names: Vec<String> = clients[0]
-                .readdir(&Credentials::root(), "/w")
-                .unwrap()
-                .into_iter()
-                .map(|e| e.name)
-                .collect();
-            names.sort();
-            (report.outcomes, names)
-        };
-        let (eng_out, eng_ns) = run(Drive::Engine);
-        let (thr_out, thr_ns) = run(Drive::Threads);
-        assert_eq!(eng_out, thr_out);
-        assert_eq!(eng_ns, thr_ns);
-    }
-
-    #[test]
     fn errors_are_counted_per_client() {
         let clients = fleet(2);
         let gens: Vec<Box<dyn OpGen>> = vec![
@@ -235,7 +163,7 @@ mod tests {
             })),
             gen_iter(std::iter::once(Op::Mkdir { path: "/ok".into() })),
         ];
-        let report = run_ops(&clients, gens, Drive::Engine, None);
+        let report = run_ops(&clients, gens, None);
         assert_eq!(report.errors, vec![1, 0]);
         assert_eq!(report.outcomes, vec![vec![false], vec![true]]);
     }
@@ -257,7 +185,7 @@ mod tests {
             ]
             .into_iter(),
         )];
-        let report = run_ops(&clients, gens, Drive::Engine, Some(&meter));
+        let report = run_ops(&clients, gens, Some(&meter));
         // All four ops executed, but only the two creates were sampled.
         assert_eq!(report.ops, vec![4]);
         assert_eq!(meter.latency_samples(), 2);
@@ -269,7 +197,7 @@ mod tests {
             let clients = fleet(8);
             clients[0].mkdir(&Credentials::root(), "/w", 0o755).unwrap();
             let meter = ThroughputMeter::new();
-            run_ops(&clients, create_gens(8, 16), Drive::Engine, Some(&meter));
+            run_ops(&clients, create_gens(8, 16), Some(&meter));
             for c in &clients {
                 meter.record_span(16, 0, c.port().now());
             }

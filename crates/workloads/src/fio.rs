@@ -14,7 +14,7 @@
 //! distribution, exactly what the old hand-interleaved loop metered.
 
 use crate::client::{barrier, SimClient};
-use crate::drive::{run_ops, Drive};
+use crate::drive::run_ops;
 use crate::ops::{gen_iter, Op, OpGen};
 use arkfs_simkit::{PhaseResult, ThroughputMeter};
 use arkfs_vfs::{Credentials, FsError, FsResult};
@@ -27,8 +27,6 @@ pub struct FioConfig {
     pub file_size: u64,
     /// Request size (paper: 128 KiB).
     pub request_size: usize,
-    /// Which driver executes the op generators.
-    pub drive: Drive,
 }
 
 impl Default for FioConfig {
@@ -36,7 +34,6 @@ impl Default for FioConfig {
         FioConfig {
             file_size: 64 * 1024 * 1024,
             request_size: 128 * 1024,
-            drive: Drive::Engine,
         }
     }
 }
@@ -67,13 +64,12 @@ fn ctx() -> Credentials {
 fn run_fio_phase(
     clients: &[Arc<dyn SimClient>],
     name: &str,
-    drive: Drive,
     gen_of: impl Fn(usize) -> Box<dyn OpGen>,
 ) -> FsResult<PhaseResult> {
     let meter = ThroughputMeter::new();
     let starts: Vec<u64> = clients.iter().map(|c| c.port().now()).collect();
     let gens: Vec<Box<dyn OpGen>> = (0..clients.len()).map(&gen_of).collect();
-    let report = run_ops(clients, gens, drive, Some(&meter));
+    let report = run_ops(clients, gens, Some(&meter));
     if report.total_errors() > 0 {
         return Err(FsError::Io(format!(
             "fio {name} phase: {} ops failed",
@@ -100,7 +96,7 @@ pub fn fio(clients: &[Arc<dyn SimClient>], cfg: &FioConfig) -> FsResult<FioResul
 
     // WRITE phase: sequential writes, interleaved across processes in
     // virtual-time order, then fsync and drop caches.
-    let write = run_fio_phase(clients, "write", cfg.drive, |i| {
+    let write = run_fio_phase(clients, "write", |i| {
         let open = std::iter::once(Op::Unmetered(Box::new(Op::OpenCreate {
             path: format!("/fio/job{i}.bin"),
         })));
@@ -119,7 +115,7 @@ pub fn fio(clients: &[Arc<dyn SimClient>], cfg: &FioConfig) -> FsResult<FioResul
     })?;
 
     // READ phase: sequential reads of the same files, interleaved.
-    let read = run_fio_phase(clients, "read", cfg.drive, |i| {
+    let read = run_fio_phase(clients, "read", |i| {
         let open = std::iter::once(Op::Unmetered(Box::new(Op::Open {
             path: format!("/fio/job{i}.bin"),
         })));
@@ -155,7 +151,6 @@ mod tests {
         let cfg = FioConfig {
             file_size: 4096,
             request_size: 256,
-            drive: Drive::Engine,
         };
         let result = fio(&fleet, &cfg).unwrap();
         assert_eq!(result.bytes, 8192);
@@ -175,7 +170,6 @@ mod tests {
             let cfg = FioConfig {
                 file_size: 8192,
                 request_size: 512,
-                drive: Drive::Engine,
             };
             let r = fio(&fleet, &cfg).unwrap();
             (r.write, r.read)

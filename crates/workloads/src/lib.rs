@@ -18,7 +18,7 @@ pub mod zipf;
 
 pub use client::SimClient;
 pub use dataset::DatasetSpec;
-pub use drive::{run_ops, Drive, DriveReport};
+pub use drive::{run_ops, DriveReport};
 pub use fio::{FioConfig, FioResult};
 pub use mdtest::{MdtestEasyConfig, MdtestHardConfig, MdtestResult};
 pub use ops::{exec_op, gen_iter, Op, OpGen, OpState};

@@ -11,14 +11,12 @@
 //! the underlying storage, exactly as in §IV-B.
 //!
 //! Each phase is expressed as one resumable op generator per process
-//! (see [`crate::ops`]) and driven by [`run_ops`] — by default on the
-//! discrete-event engine, which multiplexes the whole fleet on one host
-//! thread in causal virtual-time order and makes every phase
-//! deterministic; `Drive::Threads` keeps the legacy
-//! one-OS-thread-per-client pool as a differential oracle.
+//! (see [`crate::ops`]) and driven by [`run_ops`] on the discrete-event
+//! engine, which multiplexes the whole fleet on one host thread in
+//! causal virtual-time order and makes every phase deterministic.
 
 use crate::client::{barrier, SimClient};
-use crate::drive::{run_ops, Drive};
+use crate::drive::run_ops;
 use crate::ops::{gen_iter, Op, OpGen};
 use arkfs_simkit::{PhaseResult, ThroughputMeter};
 use arkfs_vfs::{Credentials, FsResult};
@@ -33,8 +31,6 @@ pub struct MdtestEasyConfig {
     pub files_total: u64,
     /// Only run the CREATE phase (the Fig. 1 / Fig. 7 scalability test).
     pub create_only: bool,
-    /// Which driver executes the op generators.
-    pub drive: Drive,
 }
 
 impl Default for MdtestEasyConfig {
@@ -42,7 +38,6 @@ impl Default for MdtestEasyConfig {
         MdtestEasyConfig {
             files_total: 1_000_000,
             create_only: false,
-            drive: Drive::Engine,
         }
     }
 }
@@ -56,8 +51,6 @@ pub struct MdtestHardConfig {
     /// Bytes written per file (IO500 default: 3901).
     pub file_size: usize,
     pub seed: u64,
-    /// Which driver executes the op generators.
-    pub drive: Drive,
 }
 
 impl Default for MdtestHardConfig {
@@ -67,7 +60,6 @@ impl Default for MdtestHardConfig {
             dirs: 16,
             file_size: 3901,
             seed: 42,
-            drive: Drive::Engine,
         }
     }
 }
@@ -97,13 +89,12 @@ fn run_phase(
     clients: &[Arc<dyn SimClient>],
     name: &str,
     per_proc: u64,
-    drive: Drive,
     gen_of: impl Fn(usize) -> Box<dyn OpGen>,
 ) -> (PhaseResult, u64) {
     let meter = ThroughputMeter::new();
     let starts: Vec<u64> = clients.iter().map(|c| c.port().now()).collect();
     let gens: Vec<Box<dyn OpGen>> = (0..clients.len()).map(&gen_of).collect();
-    let report = run_ops(clients, gens, drive, Some(&meter));
+    let report = run_ops(clients, gens, Some(&meter));
     debug_assert!(report.ops.iter().all(|&n| n == per_proc));
     // fsync after each phase (§IV-B).
     for (i, c) in clients.iter().enumerate() {
@@ -117,13 +108,9 @@ fn run_phase(
 /// Unmetered setup: run one op stream per process through the same
 /// driver as the metered phases (so setup ordering is as deterministic
 /// as the run itself), ignoring errors like the old threaded setup did.
-fn run_setup(
-    clients: &[Arc<dyn SimClient>],
-    drive: Drive,
-    gen_of: impl Fn(usize) -> Box<dyn OpGen>,
-) {
+fn run_setup(clients: &[Arc<dyn SimClient>], gen_of: impl Fn(usize) -> Box<dyn OpGen>) {
     let gens: Vec<Box<dyn OpGen>> = (0..clients.len()).map(&gen_of).collect();
-    let _ = run_ops(clients, gens, drive, None);
+    let _ = run_ops(clients, gens, None);
 }
 
 /// Run mdtest-easy over the fleet. Directory layout: each process works
@@ -137,7 +124,7 @@ pub fn mdtest_easy(
     // Setup (unmetered): the shared parent, then each process creates its
     // own leaf directory so it becomes that directory's leader.
     clients[0].mkdir(&ctx(), "/mdtest-easy", 0o755)?;
-    run_setup(clients, cfg.drive, |i| {
+    run_setup(clients, |i| {
         gen_iter(std::iter::once(Op::Mkdir {
             path: format!("/mdtest-easy/p{i}"),
         }))
@@ -146,7 +133,7 @@ pub fn mdtest_easy(
     let mut phases = Vec::new();
     let mut errors = Vec::new();
 
-    let (create, e) = run_phase(clients, "create", per_proc, cfg.drive, |i| {
+    let (create, e) = run_phase(clients, "create", per_proc, |i| {
         gen_iter((0..per_proc).map(move |j| Op::Create {
             path: format!("/mdtest-easy/p{i}/f{j}"),
         }))
@@ -155,7 +142,7 @@ pub fn mdtest_easy(
     errors.push(e);
 
     if !cfg.create_only {
-        let (stat, e) = run_phase(clients, "stat", per_proc, cfg.drive, |i| {
+        let (stat, e) = run_phase(clients, "stat", per_proc, |i| {
             gen_iter((0..per_proc).map(move |j| Op::Stat {
                 path: format!("/mdtest-easy/p{i}/f{j}"),
             }))
@@ -163,7 +150,7 @@ pub fn mdtest_easy(
         phases.push(stat);
         errors.push(e);
 
-        let (delete, e) = run_phase(clients, "delete", per_proc, cfg.drive, |i| {
+        let (delete, e) = run_phase(clients, "delete", per_proc, |i| {
             gen_iter((0..per_proc).map(move |j| Op::Unlink {
                 path: format!("/mdtest-easy/p{i}/f{j}"),
             }))
@@ -189,12 +176,12 @@ pub fn fanned_dir_create(
     assert!(!clients.is_empty() && dirs_per_proc > 0);
     let per_proc = (files_total / clients.len() as u64).max(1);
     clients[0].mkdir(&ctx(), "/fan", 0o755)?;
-    run_setup(clients, Drive::Engine, |i| {
+    run_setup(clients, |i| {
         gen_iter((0..dirs_per_proc).map(move |d| Op::Mkdir {
             path: format!("/fan/p{i}-d{d}"),
         }))
     });
-    let (create, e) = run_phase(clients, "create", per_proc, Drive::Engine, |i| {
+    let (create, e) = run_phase(clients, "create", per_proc, |i| {
         gen_iter((0..per_proc).map(move |j| {
             let d = j % dirs_per_proc;
             Op::Create {
@@ -219,7 +206,6 @@ pub fn shared_dir_create(
     clients: &[Arc<dyn SimClient>],
     dir: &str,
     files_total: u64,
-    drive: Drive,
     before_sync: impl FnOnce(),
 ) -> FsResult<MdtestResult> {
     assert!(!clients.is_empty());
@@ -234,7 +220,7 @@ pub fn shared_dir_create(
             }))
         })
         .collect();
-    let report = run_ops(clients, gens, drive, Some(&meter));
+    let report = run_ops(clients, gens, Some(&meter));
     before_sync();
     for (i, c) in clients.iter().enumerate() {
         let _ = c.sync_all(&ctx());
@@ -273,7 +259,7 @@ pub fn mdtest_hard(
     let mut phases = Vec::new();
     let mut errors = Vec::new();
 
-    let (write, e) = run_phase(clients, "write", per_proc, cfg.drive, |i| {
+    let (write, e) = run_phase(clients, "write", per_proc, |i| {
         gen_iter((0..per_proc).map(move |j| Op::CreateWrite {
             path: path_of(i, j),
             size,
@@ -283,7 +269,7 @@ pub fn mdtest_hard(
     phases.push(write);
     errors.push(e);
 
-    let (stat, e) = run_phase(clients, "stat", per_proc, cfg.drive, |i| {
+    let (stat, e) = run_phase(clients, "stat", per_proc, |i| {
         gen_iter((0..per_proc).map(move |j| Op::Stat {
             path: path_of(i, j),
         }))
@@ -291,7 +277,7 @@ pub fn mdtest_hard(
     phases.push(stat);
     errors.push(e);
 
-    let (read, e) = run_phase(clients, "read", per_proc, cfg.drive, |i| {
+    let (read, e) = run_phase(clients, "read", per_proc, |i| {
         gen_iter((0..per_proc).map(move |j| Op::OpenRead {
             path: path_of(i, j),
             size,
@@ -300,7 +286,7 @@ pub fn mdtest_hard(
     phases.push(read);
     errors.push(e);
 
-    let (delete, e) = run_phase(clients, "delete", per_proc, cfg.drive, |i| {
+    let (delete, e) = run_phase(clients, "delete", per_proc, |i| {
         gen_iter((0..per_proc).map(move |j| Op::Unlink {
             path: path_of(i, j),
         }))
@@ -331,7 +317,6 @@ mod tests {
         let cfg = MdtestEasyConfig {
             files_total: 64,
             create_only: false,
-            drive: Drive::Engine,
         };
         let result = mdtest_easy(&fleet, &cfg).unwrap();
         assert_eq!(result.phases.len(), 3);
@@ -353,7 +338,6 @@ mod tests {
         let cfg = MdtestEasyConfig {
             files_total: 16,
             create_only: true,
-            drive: Drive::Engine,
         };
         let result = mdtest_easy(&fleet, &cfg).unwrap();
         assert_eq!(result.phases.len(), 1);
@@ -367,7 +351,6 @@ mod tests {
             let cfg = MdtestEasyConfig {
                 files_total: 64,
                 create_only: true,
-                drive: Drive::Engine,
             };
             let r = mdtest_easy(&fleet, &cfg).unwrap();
             r.phases[0].clone()
@@ -383,7 +366,6 @@ mod tests {
             dirs: 4,
             file_size: 128,
             seed: 7,
-            drive: Drive::Engine,
         };
         let result = mdtest_hard(&fleet, &cfg).unwrap();
         assert_eq!(result.phases.len(), 4);
@@ -407,7 +389,6 @@ mod tests {
             dirs: 2,
             file_size: 64,
             seed: 1,
-            drive: Drive::Engine,
         };
         let result = mdtest_hard(&fleet, &cfg).unwrap();
         // Every READ fails on MarFS's interactive interface.

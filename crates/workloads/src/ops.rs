@@ -3,12 +3,11 @@
 //! A workload driver used to be a closure handed one `(client, index)`
 //! pair at a time by a thread pool. To run on the discrete-event engine
 //! it is instead expressed as an *op generator*: a resumable state
-//! machine yielding one [`Op`] per call, which the driver (engine or
-//! legacy thread pool, see [`crate::drive`]) executes against the
-//! client. One `Op` is one *metered unit* — exactly the granularity the
-//! old per-`(client, index)` closures metered (a CREATE "op" in mdtest
-//! is create + close), so latency percentiles mean the same thing under
-//! either driver.
+//! machine yielding one [`Op`] per call, which the driver (see
+//! [`crate::drive`]) executes against the client. One `Op` is one
+//! *metered unit* — exactly the granularity the old per-`(client,
+//! index)` closures metered (a CREATE "op" in mdtest is create +
+//! close), so latency percentiles kept their meaning.
 
 use arkfs_simkit::Nanos;
 use arkfs_vfs::{Credentials, FileHandle, FsError, FsResult, OpenFlags};

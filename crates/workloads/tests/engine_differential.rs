@@ -1,19 +1,18 @@
-//! Differential property tests: the discrete-event engine and the
-//! legacy one-OS-thread-per-client pool must be *functionally*
-//! equivalent drivers. Both execute the same per-client op streams
-//! against real file system code; only the interleaving discipline
-//! differs (causal virtual-time order vs. host scheduler whim). So for
-//! any workload the final namespace and every client's per-op outcome
-//! sequence must be identical — on both object-store profiles, since
-//! S3's whole-object rewrite semantics exercise different error paths
-//! than RADOS.
+//! Differential tests of the discrete-event engine drive against a
+//! reference written down independently of any interleaving: for each
+//! workload the final namespace and every client's per-op outcome
+//! sequence follow from the op streams alone, so they are computed here
+//! and the engine run must match them — on both object-store profiles,
+//! since S3's whole-object rewrite semantics exercise different error
+//! paths than RADOS. The engine must also be bit-identical across
+//! repeats, virtual-time phase results included.
 
 use arkfs::{ArkCluster, ArkConfig};
 use arkfs_objstore::{ClusterConfig, ObjectCluster, StoreProfile};
 use arkfs_vfs::{Credentials, FileType};
 use arkfs_workloads::fio::{fio, FioConfig};
 use arkfs_workloads::mdtest::{mdtest_easy, mdtest_hard, MdtestEasyConfig, MdtestHardConfig};
-use arkfs_workloads::{gen_iter, run_ops, Drive, Op, OpGen, SimClient};
+use arkfs_workloads::{gen_iter, run_ops, Op, OpGen, SimClient};
 use std::sync::Arc;
 
 fn cluster_config(profile: &str) -> ClusterConfig {
@@ -59,8 +58,7 @@ fn namespace_dump(client: &Arc<dyn SimClient>) -> Vec<String> {
     out
 }
 
-/// Mixed op streams with deliberate error cases (stats of files another
-/// client may not have created yet in wall-clock order, double creates,
+/// Mixed op streams with deliberate error cases (double creates,
 /// unlinks of absent paths) so outcome sequences actually discriminate.
 fn mixed_gens(n: usize, per: u64) -> Vec<Box<dyn OpGen>> {
     (0..n)
@@ -88,97 +86,106 @@ fn mixed_gens(n: usize, per: u64) -> Vec<Box<dyn OpGen>> {
         .collect()
 }
 
+/// The paths of a [`namespace_dump`], for directories whose size and
+/// link count are their leader's business.
+fn paths(client: &Arc<dyn SimClient>) -> Vec<String> {
+    namespace_dump(client)
+        .iter()
+        .map(|line| line.split(' ').next().unwrap().to_string())
+        .collect()
+}
+
+/// `dir` and, under it, one `Regular <size> 1` line per name.
+fn reference(dir: &str, files: impl IntoIterator<Item = String>, size: u64) -> Vec<String> {
+    let mut ns = vec![format!("{dir} Directory 0 2")];
+    ns.extend(files.into_iter().map(|f| format!("{f} Regular {size} 1")));
+    ns.sort();
+    ns
+}
+
 #[test]
-fn engine_and_threads_agree_on_mixed_ops_both_profiles() {
+fn engine_matches_reference_on_mixed_ops_both_profiles() {
     for profile in ["rados", "s3"] {
-        let run = |drive: Drive| {
-            let clients = ark_fleet(profile, 4);
-            clients[0]
-                .mkdir(&Credentials::root(), "/mix", 0o755)
-                .unwrap();
-            let report = run_ops(&clients, mixed_gens(4, 8), drive, None);
-            (report.outcomes, namespace_dump(&clients[0]))
-        };
-        let (eng_out, eng_ns) = run(Drive::Engine);
-        let (thr_out, thr_ns) = run(Drive::Threads);
-        assert_eq!(eng_out, thr_out, "per-client outcomes diverge on {profile}");
-        assert_eq!(eng_ns, thr_ns, "final namespace diverges on {profile}");
-        assert!(!eng_ns.is_empty());
+        let clients = ark_fleet(profile, 4);
+        clients[0]
+            .mkdir(&Credentials::root(), "/mix", 0o755)
+            .unwrap();
+        let report = run_ops(&clients, mixed_gens(4, 8), None);
+        // create ok, duplicate fails, stat ok, unlink of absent fails.
+        let per_client: Vec<bool> = (0..8).flat_map(|_| [true, false, true, false]).collect();
+        assert_eq!(
+            report.outcomes,
+            vec![per_client; 4],
+            "outcomes on {profile}"
+        );
+        let files = (0..4).flat_map(|i| (0..8).map(move |j| format!("/mix/p{i}-f{j}")));
+        assert_eq!(
+            namespace_dump(&clients[0]),
+            reference("/mix", files, 0),
+            "final namespace on {profile}"
+        );
     }
 }
 
 #[test]
-fn engine_and_threads_agree_on_mdtest_easy_both_profiles() {
+fn engine_matches_reference_on_mdtest_easy_both_profiles() {
     for profile in ["rados", "s3"] {
-        let run = |drive: Drive| {
-            let clients = ark_fleet(profile, 3);
-            let cfg = MdtestEasyConfig {
-                files_total: 24,
-                create_only: true,
-                drive,
-            };
-            let result = mdtest_easy(&clients, &cfg).unwrap();
-            (result.errors, namespace_dump(&clients[0]))
+        let clients = ark_fleet(profile, 3);
+        let cfg = MdtestEasyConfig {
+            files_total: 24,
+            create_only: true,
         };
-        let (eng_err, eng_ns) = run(Drive::Engine);
-        let (thr_err, thr_ns) = run(Drive::Threads);
-        assert_eq!(eng_err, thr_err, "errors diverge on {profile}");
-        assert_eq!(eng_ns, thr_ns, "namespace diverges on {profile}");
+        let result = mdtest_easy(&clients, &cfg).unwrap();
+        assert_eq!(result.errors, vec![0], "errors on {profile}");
         // 24 files + parent + 3 per-proc dirs.
-        assert_eq!(eng_ns.len(), 28);
+        let mut want: Vec<String> = (0..3)
+            .flat_map(|i| (0..8).map(move |j| format!("/mdtest-easy/p{i}/f{j}")))
+            .chain((0..3).map(|i| format!("/mdtest-easy/p{i}")))
+            .chain(["/mdtest-easy".to_string()])
+            .collect();
+        want.sort();
+        assert_eq!(paths(&clients[0]), want, "namespace on {profile}");
     }
 }
 
 #[test]
-fn engine_and_threads_agree_on_mdtest_hard() {
-    let run = |drive: Drive| {
-        let clients = ark_fleet("rados", 4);
-        let cfg = MdtestHardConfig {
-            files_total: 32,
-            dirs: 4,
-            file_size: 96,
-            seed: 9,
-            drive,
-        };
-        // WRITE/STAT/READ run; DELETE too — final namespace is the
-        // empty directory pool, so also compare per-phase error counts.
-        let result = mdtest_hard(&clients, &cfg).unwrap();
-        (result.errors, namespace_dump(&clients[0]))
+fn engine_matches_reference_on_mdtest_hard() {
+    let clients = ark_fleet("rados", 4);
+    let cfg = MdtestHardConfig {
+        files_total: 32,
+        dirs: 4,
+        file_size: 96,
+        seed: 9,
     };
-    let (eng_err, eng_ns) = run(Drive::Engine);
-    let (thr_err, thr_ns) = run(Drive::Threads);
-    assert_eq!(eng_err, thr_err);
-    assert_eq!(eng_ns, thr_ns);
+    // WRITE/STAT/READ/DELETE all run clean, and DELETE leaves the empty
+    // directory pool.
+    let result = mdtest_hard(&clients, &cfg).unwrap();
+    assert_eq!(result.errors, vec![0; 4]);
+    let mut want = vec!["/mdtest-hard".to_string()];
+    want.extend((0..4).map(|k| format!("/mdtest-hard/d{k}")));
+    assert_eq!(paths(&clients[0]), want);
 }
 
 #[test]
-fn engine_and_threads_agree_on_fio() {
-    let run = |drive: Drive| {
-        let clients = ark_fleet("rados", 2);
-        let cfg = FioConfig {
-            file_size: 4096,
-            request_size: 512,
-            drive,
-        };
-        let r = fio(&clients, &cfg).unwrap();
-        (r.bytes, namespace_dump(&clients[0]))
+fn engine_matches_reference_on_fio() {
+    let clients = ark_fleet("rados", 2);
+    let cfg = FioConfig {
+        file_size: 4096,
+        request_size: 512,
     };
-    let (eng_bytes, eng_ns) = run(Drive::Engine);
-    let (thr_bytes, thr_ns) = run(Drive::Threads);
-    assert_eq!(eng_bytes, thr_bytes);
-    assert_eq!(eng_ns, thr_ns);
+    let r = fio(&clients, &cfg).unwrap();
+    assert_eq!(r.bytes, 2 * 4096);
+    let files = (0..2).map(|i| format!("/fio/job{i}.bin"));
+    assert_eq!(namespace_dump(&clients[0]), reference("/fio", files, 4096));
 }
 
 #[test]
 fn engine_runs_are_bit_identical_across_repeats() {
-    // Beyond thread-vs-engine equivalence: the engine alone must be
-    // fully deterministic, including virtual-time phase results.
     let run = || {
         let clients = ark_fleet("rados", 4);
         let cfg = MdtestEasyConfig {
             files_total: 32,
             create_only: false,
-            drive: Drive::Engine,
         };
         let result = mdtest_easy(&clients, &cfg).unwrap();
         (result.phases, namespace_dump(&clients[0]))

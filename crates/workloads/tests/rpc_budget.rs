@@ -17,7 +17,7 @@
 use arkfs::{ArkCluster, ArkConfig};
 use arkfs_objstore::{ClusterConfig, ObjectCluster};
 use arkfs_vfs::{Credentials, Vfs};
-use arkfs_workloads::{gen_iter, run_ops, Drive, Op, OpGen, SimClient, Zipf};
+use arkfs_workloads::{gen_iter, run_ops, Op, OpGen, SimClient, Zipf};
 use std::sync::Arc;
 
 const CLIENTS: usize = 64;
@@ -69,12 +69,7 @@ fn forwarded_create_stays_within_its_rpc_budget() {
     let creates = CLIENTS as u64 * OPS_PER_CLIENT;
     let before = cluster.ops_net().message_count();
 
-    let report = run_ops(
-        &clients,
-        streams(|path| Op::Create { path }),
-        Drive::Engine,
-        None,
-    );
+    let report = run_ops(&clients, streams(|path| Op::Create { path }), None);
     assert_eq!(report.total_errors(), 0, "creates failed");
 
     // Resolution: each ancestor has one leader, which resolves locally;
@@ -93,12 +88,7 @@ fn forwarded_create_stays_within_its_rpc_budget() {
     assert_eq!(forwards(&cluster, "acquire_read_lease"), 0);
     assert_eq!(forwards(&cluster, "release_file_lease"), forwarded);
 
-    let report = run_ops(
-        &clients,
-        streams(|path| Op::Stat { path }),
-        Drive::Engine,
-        None,
-    );
+    let report = run_ops(&clients, streams(|path| Op::Stat { path }), None);
     assert_eq!(report.total_errors(), 0, "stats failed");
     // The stat phase resolves from the views it already has.
     assert_eq!(

@@ -10,7 +10,7 @@ use arkfs::{ArkCluster, ArkConfig};
 use arkfs_objstore::{ClusterConfig, ObjectCluster};
 use arkfs_telemetry::{critpath, SpanEvent};
 use arkfs_vfs::{Credentials, Vfs};
-use arkfs_workloads::{gen_iter, run_ops, Drive, Op, OpGen, SimClient, Zipf};
+use arkfs_workloads::{gen_iter, run_ops, Op, OpGen, SimClient, Zipf};
 use std::sync::Arc;
 
 const CLIENTS: usize = 256;
@@ -48,7 +48,7 @@ fn traced_run() -> Vec<SpanEvent> {
             }))
         })
         .collect();
-    let report = run_ops(&clients, gens, Drive::Engine, None);
+    let report = run_ops(&clients, gens, None);
     assert_eq!(report.total_errors(), 0, "zipf creates failed");
     for c in &clients {
         let _ = c.sync_all(&ctx);

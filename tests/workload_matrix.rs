@@ -23,7 +23,6 @@ fn mdtest_easy_runs_on_every_posix_system() {
     let cfg = MdtestEasyConfig {
         files_total: 64,
         create_only: false,
-        ..Default::default()
     };
     for system in full_posix_systems() {
         let r =
@@ -46,7 +45,6 @@ fn mdtest_hard_error_expectations_per_system() {
         dirs: 4,
         file_size: 512,
         seed: 3,
-        ..Default::default()
     };
     for system in full_posix_systems() {
         let r =
@@ -67,7 +65,6 @@ fn fio_runs_on_every_data_capable_system() {
     let cfg = FioConfig {
         file_size: 256 * 1024,
         request_size: 16 * 1024,
-        ..Default::default()
     };
     let systems = vec![
         ark_fleet(2, ArkConfig::default(), false),
