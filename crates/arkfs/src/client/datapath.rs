@@ -12,6 +12,7 @@
 //!
 //! [`DataCache`]: crate::cache::DataCache
 
+use super::filetable::Held;
 use super::ArkClient;
 use arkfs_objstore::ObjectKey;
 use arkfs_telemetry::PID_CLIENT;
@@ -136,7 +137,7 @@ impl ArkClient {
     /// [`Vfs::read`]: arkfs_vfs::Vfs::read
     pub(crate) fn read_impl(&self, fh: FileHandle, offset: u64, buf: &mut [u8]) -> FsResult<usize> {
         self.fuse_charge(1);
-        let (ino, _parent, flags, size, cached) =
+        let (ino, parent, flags, size, lease) =
             self.state.files.view(fh.0).ok_or(FsError::BadHandle)?;
         if !flags.readable() {
             return Err(FsError::BadAccessMode);
@@ -145,7 +146,13 @@ impl ArkClient {
             return Ok(0);
         }
         let want = (buf.len() as u64).min(size - offset) as usize;
-        if !cached {
+        // The handle's first data access takes the read lease, before
+        // any cache hit or fill.
+        let lease = match lease {
+            Held::None => self.take_file_lease(fh.0, parent, ino, false)?,
+            held => held,
+        };
+        if lease == Held::Direct {
             let n = self
                 .prt()
                 .read_data(&self.port, ino, offset, &mut buf[..want], size)?;
@@ -220,13 +227,14 @@ impl ArkClient {
         Ok(filled)
     }
 
-    /// The body of [`Vfs::write`]: write-back caching with lease upgrade
-    /// on first write, or direct PUTs after a conflict.
+    /// The body of [`Vfs::write`]: write-back caching under the write
+    /// lease the handle's first write takes, or direct PUTs after a
+    /// conflict.
     ///
     /// [`Vfs::write`]: arkfs_vfs::Vfs::write
     pub(crate) fn write_impl(&self, fh: FileHandle, offset: u64, data: &[u8]) -> FsResult<usize> {
         self.fuse_charge(1);
-        let (ino, parent, flags, size, _) =
+        let (ino, parent, flags, size, lease) =
             self.state.files.view(fh.0).ok_or(FsError::BadHandle)?;
         if !flags.writable() {
             return Err(FsError::BadAccessMode);
@@ -236,27 +244,14 @@ impl ArkClient {
         }
         let offset = if flags.is_append() { size } else { offset };
 
-        // First write upgrades the read lease (§III-D).
-        let (cached, first_write) = self
-            .state
-            .files
-            .get(fh.0, |h| (h.cached, !h.wrote))
-            .ok_or(FsError::BadHandle)?;
-        let cached = if first_write {
-            let granted = self.file_lease_write(parent, ino)?;
-            self.state
-                .files
-                .update(fh.0, |h| {
-                    h.cached = h.cached && granted;
-                    h.wrote = true;
-                    h.cached
-                })
-                .ok_or(FsError::BadHandle)?
-        } else {
-            cached
+        // The first write takes the write lease — directly, or as the
+        // upgrade of a read lease earlier reads took (§III-D).
+        let lease = match lease {
+            Held::None | Held::Read => self.take_file_lease(fh.0, parent, ino, true)?,
+            held => held,
         };
 
-        if cached {
+        if lease == Held::Write {
             let chunk_size = self.config().chunk_size;
             // Split the write into per-chunk pieces up front.
             let mut pieces: Vec<(u64, usize, &[u8])> = Vec::new();
@@ -310,6 +305,7 @@ impl ArkClient {
         }
         let _ = self.state.files.update(fh.0, |h| {
             h.size = h.size.max(offset + data.len() as u64);
+            h.wrote = true;
         });
         Ok(data.len())
     }

@@ -213,9 +213,15 @@ impl Service<OpRequest, OpResponse> for ClientService {
             return (OpResponse::NotLeader, arrival);
         }
         let spec = &self.0.cluster.config().spec;
-        let start = self.0.server.reserve(arrival, spec.leader_op_service);
+        let (start, forgot) = self
+            .0
+            .server
+            .reserve_counting(arrival, spec.leader_op_service);
         self.0.leader_served.inc();
         self.0.leader_busy.add(spec.leader_op_service);
+        if forgot > 0 {
+            self.0.leader_forgotten.add(forgot);
+        }
         let port = Port::starting_at(start);
         let resp = self.0.serve(&port, req);
         (resp, port.now())

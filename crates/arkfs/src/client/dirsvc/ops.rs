@@ -53,15 +53,16 @@ impl ClientState {
             return OpResponse::NotLeader;
         }
         let pkey = t.pkey();
-        // Create-and-open is a create whose reply may carry a lease.
-        let (body, opener) = match body {
-            OpBody::CreateOpen {
-                dir,
-                name,
-                rec,
-                client,
-            } => (OpBody::Create { dir, name, rec }, Some(client)),
-            body => (body, None),
+        // A close message is a size push that also hands back the
+        // closer's file lease. It is routed by name; a sender whose map
+        // is stale may find this partition is not the lease shard, and
+        // is told so before anything is done.
+        let closer = match body {
+            OpBody::CloseFile { ino, .. } if !t.leases_file(ino) => {
+                return OpResponse::Err(FsError::Stale);
+            }
+            OpBody::CloseFile { client, .. } => Some(client),
+            _ => None,
         };
 
         // Seal the running compound transaction when its buffering window
@@ -191,28 +192,17 @@ impl ClientState {
                 dir: t.dir.clone(),
                 subdirs: t.subdir_view(),
             },
-            OpBody::Create { name, rec, .. } => {
+            // Create-and-open records nothing the plain create does not:
+            // the open handle takes its lease at its first data access.
+            OpBody::Create { name, rec, .. } | OpBody::CreateOpen { name, rec, .. } => {
                 if let Err(e) = dir_perm(&t, AM_WRITE | AM_EXEC) {
                     return OpResponse::Err(e);
                 }
-                let file = rec.ino;
                 match t
                     .create_child(rec, &name, now)
                     .and_then(|()| stamp_commit(&mut t, "op.create", false))
                 {
-                    // Create-and-open: the creator's read lease rides on
-                    // the reply when this partition is also the file's
-                    // lease shard (the client steers the ino so that it
-                    // is); otherwise plain `Ok`, and the client asks the
-                    // lease shard itself.
-                    Ok(()) => match opener {
-                        Some(client) if t.leases_file(file) => {
-                            let decision = t.file_leases.acquire_read(client, file, port.now());
-                            self.broadcast_flushes(port, &mut t, file, &decision);
-                            OpResponse::Lease(decision)
-                        }
-                        _ => OpResponse::Ok,
-                    },
+                    Ok(()) => OpResponse::Ok,
                     Err(e) => OpResponse::Err(e),
                 }
             }
@@ -282,7 +272,7 @@ impl ClientState {
                     partitions: t.pcount(),
                 }
             }
-            OpBody::SetSize { ino, size, .. } => {
+            OpBody::SetSize { ino, size, .. } | OpBody::CloseFile { ino, size, .. } => {
                 if let Some(rec) = t.child_inode(ino) {
                     if let Err(e) =
                         perm::check_access(&creds, rec.uid, rec.gid, rec.mode, &rec.acl, AM_WRITE)
@@ -299,7 +289,12 @@ impl ClientState {
                     .set_child_size(ino, size, now)
                     .and_then(|()| stamp_commit(&mut t, "op.setsize", force))
                 {
-                    Ok(()) => OpResponse::Ok,
+                    Ok(()) => {
+                        if let Some(client) = closer {
+                            t.file_leases.release(client, ino, now);
+                        }
+                        OpResponse::Ok
+                    }
                     Err(e) => OpResponse::Err(e),
                 }
             }
@@ -361,11 +356,17 @@ impl ClientState {
                 ) {
                     return OpResponse::Err(e);
                 }
-                match t
-                    .rename_local(&from, &to, now)
-                    .and_then(|()| stamp_commit(&mut t, "op.rename", false))
-                {
-                    Ok(()) => OpResponse::Ok,
+                // The reply names what moved, so the renamer can cache
+                // the new name positively.
+                match t.rename_local(&from, &to, now).and_then(|moved| {
+                    stamp_commit(&mut t, "op.rename", false)?;
+                    Ok(moved)
+                }) {
+                    Ok((ino, ftype)) => OpResponse::Entry {
+                        ino,
+                        ftype,
+                        rec: None,
+                    },
                     Err(e) => OpResponse::Err(e),
                 }
             }
@@ -513,7 +514,6 @@ impl ClientState {
             OpBody::FlushCache { .. } | OpBody::RelinquishPartition { .. } => {
                 unreachable!("handled in serve()")
             }
-            OpBody::CreateOpen { .. } => unreachable!("rewritten to Create above"),
         }
     }
 

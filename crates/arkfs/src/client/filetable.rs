@@ -12,10 +12,13 @@
 //! (sync-all size pushes, crash clear) lock shards one at a time,
 //! sequentially.
 //!
-//! Client-side file-lease calls live here too: read/write lease
-//! acquisition against the parent's leader, the write-upgrade
-//! flush-on-conflict, and lease release (failed releases are counted on
-//! `lease.release_failed.count`, not silently dropped).
+//! Client-side file-lease calls live here too. A handle holds nothing
+//! of its file's lease when it is opened; its first data access asks the
+//! parent's leader for the read or the write lease ([`Held`]), before
+//! any cached chunk is looked at, and its close hands back only what was
+//! taken (failed releases are counted on `lease.release_failed.count`,
+//! not silently dropped). A handle that moves no data costs the leader
+//! no lease message and no lease-table entry.
 
 use super::lockorder::{self, Rank, RankGuard};
 use super::ArkClient;
@@ -26,6 +29,21 @@ use arkfs_vfs::{Credentials, FsError, FsResult, Ino, OpenFlags};
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// What a handle holds of its file's lease (§III-D).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Held {
+    /// Nothing yet: no data access so far, so nothing cached under it.
+    None,
+    /// The shared read lease: reads go through the cache.
+    Read,
+    /// The exclusive write lease: reads and writes go through the cache.
+    Write,
+    /// A lease conflict, found when asking or by the leader's flush
+    /// broadcast: direct object-store I/O, and nothing to hand back (the
+    /// leader's conflict state replaced this client's entry).
+    Direct,
+}
 
 /// Per-open-file state, including the read-ahead window (§III-D).
 #[derive(Debug)]
@@ -39,9 +57,7 @@ pub(crate) struct OpenFile {
     /// Local view of the file size (updated by writes; pushed to the
     /// leader on fsync/close).
     pub(crate) size: u64,
-    /// True while data goes through the cache (valid file lease); false
-    /// in direct-I/O mode after a lease conflict.
-    pub(crate) cached: bool,
+    pub(crate) lease: Held,
     pub(crate) wrote: bool,
     /// Current read-ahead window in bytes (0 = no prefetch).
     pub(crate) ra_window: u64,
@@ -111,10 +127,10 @@ impl FileTable {
     }
 
     /// Snapshot of an open handle's fields used by read/write.
-    pub(crate) fn view(&self, id: u64) -> Option<(Ino, Ino, OpenFlags, u64, bool)> {
+    pub(crate) fn view(&self, id: u64) -> Option<(Ino, Ino, OpenFlags, u64, Held)> {
         let s = self.shard(id);
         let h = s.guard.handles.get(&id)?;
-        Some((h.ino, h.parent, h.flags, h.size, h.cached))
+        Some((h.ino, h.parent, h.flags, h.size, h.lease))
     }
 
     /// Read fields of one handle under its shard lock.
@@ -127,15 +143,18 @@ impl FileTable {
         self.shard(id).guard.handles.get_mut(&id).map(f)
     }
 
-    /// Flip every handle on `file` to direct-I/O mode (leader-initiated
-    /// flush); returns the largest locally-known size, if any matched.
-    /// Only `file`'s home shard can hold matching handles.
+    /// Flip every lease-holding handle on `file` to direct-I/O mode
+    /// (leader-initiated flush; a handle holding nothing asks for itself
+    /// at its first access); returns the largest locally-known size, if
+    /// any handle matched. Only `file`'s home shard can hold them.
     pub(crate) fn flip_to_direct(&self, file: Ino) -> Option<u64> {
         let mut size = None;
         let mut s = self.shard_at(self.home_shard(file));
         for h in s.guard.handles.values_mut() {
             if h.ino == file {
-                h.cached = false;
+                if h.lease != Held::None {
+                    h.lease = Held::Direct;
+                }
                 size = Some(size.unwrap_or(0).max(h.size));
             }
         }
@@ -207,64 +226,49 @@ impl FileTable {
 }
 
 impl ArkClient {
-    /// Acquire a read lease on `file` from the leader of `parent`.
-    /// Returns whether caching is allowed.
-    pub(crate) fn file_lease_read(&self, parent: Ino, file: Ino) -> FsResult<bool> {
-        let body = OpBody::AcquireReadLease {
-            dir: parent,
-            file,
-            client: self.state.id,
+    /// Handle `fh`'s first data access (or its first write after reads):
+    /// ask `parent`'s leader for `file`'s read or write lease and record
+    /// the outcome on the handle. Runs before the access touches the
+    /// cache, so no chunk is ever served or dirtied without a lease.
+    pub(crate) fn take_file_lease(
+        &self,
+        fh: u64,
+        parent: Ino,
+        file: Ino,
+        write: bool,
+    ) -> FsResult<Held> {
+        let (dir, client) = (parent, self.state.id);
+        let (body, granted) = if write {
+            (OpBody::AcquireWriteLease { dir, file, client }, Held::Write)
+        } else {
+            (OpBody::AcquireReadLease { dir, file, client }, Held::Read)
         };
-        match self.on_dir(&Credentials::root(), parent, body)? {
-            OpResponse::Lease(FileLeaseDecision::Granted { .. }) => Ok(true),
-            OpResponse::Lease(FileLeaseDecision::Direct { .. }) => Ok(false),
-            OpResponse::Err(e) => Err(e),
-            _ => Err(FsError::Io("unexpected lease response".into())),
-        }
-    }
-
-    pub(crate) fn file_lease_write(&self, parent: Ino, file: Ino) -> FsResult<bool> {
-        let body = OpBody::AcquireWriteLease {
-            dir: parent,
-            file,
-            client: self.state.id,
-        };
-        match self.on_dir(&Credentials::root(), parent, body)? {
-            OpResponse::Lease(FileLeaseDecision::Granted { .. }) => Ok(true),
+        let held = match self.on_dir(&Credentials::root(), parent, body)? {
+            OpResponse::Lease(FileLeaseDecision::Granted { .. }) => granted,
             OpResponse::Lease(FileLeaseDecision::Direct { .. }) => {
                 // Our own cached data must go to the store before direct
                 // mode.
                 self.flush_file_data(file)?;
                 self.state.lock_cache().invalidate_file(file);
-                Ok(false)
+                Held::Direct
             }
-            OpResponse::Err(e) => Err(e),
-            _ => Err(FsError::Io("unexpected lease response".into())),
-        }
-    }
-
-    /// Hand a file lease back to the parent's leader. A rejected or
-    /// undeliverable release is not an error for the caller (the lease
-    /// drains by expiry), but it is *counted* so operators can see
-    /// leaders serving stale lease tables.
-    pub(crate) fn release_file_lease(&self, parent: Ino, file: Ino) {
-        let body = OpBody::ReleaseFileLease {
-            dir: parent,
-            file,
-            client: self.state.id,
+            OpResponse::Err(e) => return Err(e),
+            _ => return Err(FsError::Io("unexpected lease response".into())),
         };
-        match self.on_dir(&Credentials::root(), parent, body) {
-            Ok(OpResponse::Ok) => {}
-            Ok(_) | Err(_) => self.state.lease_release_failed.inc(),
-        }
+        self.state
+            .files
+            .update(fh, |h| h.lease = held)
+            .ok_or(FsError::BadHandle)?;
+        Ok(held)
     }
 
-    /// [`Self::release_file_lease`] on a background timeline (async
-    /// close): the release still executes — and still counts failures —
-    /// but the caller's clock does not wait for it. A single delivery
-    /// attempt suffices; an undelivered release drains by expiry.
-    pub(crate) fn release_file_lease_background(&self, parent: Ino, file: Ino) {
-        let fork = Port::starting_at(self.port.now());
+    /// Hand a file lease back to the parent's leader, on `port`: the
+    /// caller's own timeline, or a forked one when the close does not
+    /// wait for it (the release still executes and still counts
+    /// failures). A rejected or undeliverable release is not an error
+    /// for the caller (the lease drains by expiry), but it is *counted*
+    /// so operators can see leaders serving stale lease tables.
+    pub(crate) fn release_file_lease(&self, port: &Port, parent: Ino, file: Ino) {
         let body = OpBody::ReleaseFileLease {
             dir: parent,
             file,
@@ -272,14 +276,17 @@ impl ArkClient {
         };
         // Routed like the acquire (lease service shards by file ino),
         // so the release reaches the partition holding the lease entry.
-        match self.on_dir_port(&fork, &Credentials::root(), parent, body) {
+        match self.on_dir_port(port, &Credentials::root(), parent, body) {
             Ok(OpResponse::Ok) => {}
             Ok(_) | Err(_) => self.state.lease_release_failed.inc(),
         }
     }
 
-    /// Push size/mtime to the parent leader and make the journal durable
-    /// (fsync semantics).
+    /// Push size/mtime to the parent leader (fsync semantics: durable
+    /// before the ack in sync mode, sealed into the pipeline in async
+    /// mode). With `release` the same message hands back our lease on
+    /// `file` — the close of a written handle; the caller has checked
+    /// that `name`'s partition is the file's lease shard.
     pub(crate) fn push_size(
         &self,
         ctx: &Credentials,
@@ -287,17 +294,27 @@ impl ArkClient {
         name: &str,
         file: Ino,
         size: u64,
+        release: bool,
     ) -> FsResult<()> {
-        match self.on_dir(
-            ctx,
-            parent,
-            OpBody::SetSize {
-                dir: parent,
-                name: name.to_string(),
-                ino: file,
+        let (dir, name, ino) = (parent, name.to_string(), file);
+        let body = if release {
+            let client = self.state.id;
+            OpBody::CloseFile {
+                dir,
+                name,
+                ino,
                 size,
-            },
-        )? {
+                client,
+            }
+        } else {
+            OpBody::SetSize {
+                dir,
+                name,
+                ino,
+                size,
+            }
+        };
+        match self.on_dir(ctx, parent, body)? {
             OpResponse::Ok => Ok(()),
             OpResponse::Err(e) => Err(e),
             _ => Err(FsError::Io("unexpected setsize response".into())),

@@ -372,6 +372,10 @@ pub(crate) struct ClientState {
     /// this client's share).
     pub(crate) leader_served: Arc<Counter>,
     pub(crate) leader_busy: Arc<Counter>,
+    /// `leader.forgotten_ns`: busy time the RPC services' timelines
+    /// dropped past their interval bound (deployment-wide sum; see
+    /// [`SharedResource::forgotten`]).
+    pub(crate) leader_forgotten: Arc<Counter>,
     /// Repartition requests raised by the load trigger inside
     /// `serve_local` (which holds the metatable and cannot run the split
     /// protocol itself): `(dir, target partition count)` pairs drained at
@@ -423,6 +427,7 @@ impl ArkClient {
         let partition_handoffs = telemetry.registry.counter("meta.partition.handoff.count");
         let leader_served = telemetry.registry.counter("leader.served.count");
         let leader_busy = telemetry.registry.counter("leader.busy_ns");
+        let leader_forgotten = telemetry.registry.counter("leader.forgotten_ns");
         let state = Arc::new(ClientState {
             id,
             cluster: Arc::clone(&cluster),
@@ -447,6 +452,7 @@ impl ArkClient {
             partition_handoffs,
             leader_served,
             leader_busy,
+            leader_forgotten,
             pending_splits: Mutex::new(Vec::new()),
             dirty_dirs: Mutex::new(HashSet::new()),
             flush_epoch: AtomicU64::new(0),
@@ -480,6 +486,19 @@ impl ArkClient {
     /// Number of currently open file handles.
     pub fn open_handles(&self) -> usize {
         self.state.files.len()
+    }
+
+    /// Child files with live lease state at the directories this client
+    /// leads (expired entries swept at its clock). Handles that moved no
+    /// data hold no lease, so they do not show here.
+    pub fn active_file_leases(&self) -> usize {
+        let now = self.port.now();
+        self.state
+            .dirs
+            .led_tables()
+            .iter()
+            .map(|(_, table)| self.state.lock_table(table).file_leases.active_files(now))
+            .sum()
     }
 
     /// Data-cache hit/miss counters.

@@ -8,7 +8,7 @@
 //! lands in the preregistered `op.<name>.latency_ns` histogram.
 
 use super::dirsvc::DirRef;
-use super::filetable::OpenFile;
+use super::filetable::{Held, OpenFile};
 use super::{ArkClient, MAX_LEASE_RETRIES};
 use crate::cluster::manager_node;
 use crate::config::CommitMode;
@@ -16,7 +16,7 @@ use crate::meta::InodeRecord;
 use crate::metatable::Metatable;
 use crate::partition::steer_ino;
 use crate::rpc::{OpBody, OpResponse};
-use arkfs_lease::{FileLeaseDecision, LeaseRequest};
+use arkfs_lease::LeaseRequest;
 use arkfs_simkit::Port;
 use arkfs_vfs::{
     path as vpath, perm, Acl, Credentials, DirEntry, FileHandle, FileType, FsError, FsResult,
@@ -59,19 +59,18 @@ impl ArkClient {
         perm::check_access(ctx, rec.uid, rec.gid, rec.mode, &rec.acl, want)?;
         let mut size = rec.size;
         if flags.is_trunc() && flags.writable() && size > 0 {
-            self.push_size(ctx, parent, name, ino, 0)?;
+            self.push_size(ctx, parent, name, ino, 0, false)?;
             self.prt().truncate_data(&self.port, ino, size, 0)?;
             self.state.lock_cache().truncate_file(ino, 0);
             size = 0;
         }
-        let cached = self.file_lease_read(parent, ino)?;
         let id = self.state.files.insert(OpenFile {
             ino,
             parent,
             name: name.to_string(),
             flags,
             size,
-            cached,
+            lease: Held::None,
             wrote: false,
             ra_window: 0,
             last_pos: 0,
@@ -306,13 +305,12 @@ impl Vfs for ArkClient {
         self.traced("op.create", || {
             let (parent, name) = self.resolve_parent(ctx, path)?;
             vpath::validate_name(name)?;
-            // Create-and-open: one op at the leader creates the file and
-            // grants our read lease on it. File leases shard by ino, so
-            // the ino is steered to make the name's partition the file's
-            // lease shard too. The cached map is only a hint: steered
-            // under a stale one, the create still lands at the right
-            // partition (`on_dir` re-routes by name), which then replies
-            // plain `Ok` and the lease shard is asked separately.
+            // The ino is steered so that the name's partition is also the
+            // file's lease shard (file leases shard by ino): the close of
+            // the written file is then one message to one leader. The
+            // cached map is only a hint: steered under a stale one, the
+            // create still lands at the right partition (`on_dir`
+            // re-routes by name) and the close sends two messages.
             let pmap = self.state.cached_pmap(parent);
             let ino = steer_ino(
                 self.fresh_ino(),
@@ -327,7 +325,7 @@ impl Vfs for ArkClient {
                 ctx.gid,
                 self.port.now(),
             );
-            let cached = match self.on_dir(
+            match self.on_dir(
                 ctx,
                 parent,
                 OpBody::CreateOpen {
@@ -337,13 +335,10 @@ impl Vfs for ArkClient {
                     client: self.state.id,
                 },
             )? {
-                OpResponse::Lease(decision) => {
-                    matches!(decision, FileLeaseDecision::Granted { .. })
-                }
-                OpResponse::Ok => self.file_lease_read(parent, ino)?,
+                OpResponse::Ok => {}
                 OpResponse::Err(e) => return Err(e),
                 _ => return Err(FsError::Io("unexpected create response".into())),
-            };
+            }
             if self.config().permission_cache {
                 self.pcache_note(parent, name, Some((ino, FileType::Regular)));
             }
@@ -353,7 +348,7 @@ impl Vfs for ArkClient {
                 name: name.to_string(),
                 flags: OpenFlags::RDWR,
                 size: 0,
-                cached,
+                lease: Held::None,
                 wrote: false,
                 ra_window: 0,
                 last_pos: 0,
@@ -368,28 +363,53 @@ impl Vfs for ArkClient {
 
     fn close(&self, ctx: &Credentials, fh: FileHandle) -> FsResult<()> {
         self.traced("op.close", || {
-            if self.config().commit_mode == CommitMode::Sync {
+            // The pre-pipeline mode keeps close-implies-fsync and waits
+            // for its lease release. In the async pipeline the kernel's
+            // FLUSH on close is suppressed (FOPEN_NOFLUSH semantics), so
+            // close pays no FUSE round trip and no durability wait.
+            // Dirty data and the size update still reach the leader —
+            // acked, not yet durable; an explicit `fsync`/`sync_all` is
+            // the durability barrier.
+            let sync = self.config().commit_mode == CommitMode::Sync;
+            if sync {
                 self.fsync(ctx, fh)?;
-                let h = self.state.files.remove(fh.0).ok_or(FsError::BadHandle)?;
-                self.release_file_lease(h.parent, h.ino);
-                return Ok(());
             }
-            // Async pipeline: the kernel's FLUSH on close is suppressed
-            // (FOPEN_NOFLUSH semantics), so close pays no FUSE round
-            // trip and no durability wait. Dirty data and the size
-            // update still reach the leader — acked, not yet durable;
-            // an explicit `fsync`/`sync_all` is the durability barrier.
-            let (ino, parent, name, size, wrote) = self
+            let (ino, parent, name, size, wrote, lease) = self
                 .state
                 .files
-                .get(fh.0, |h| (h.ino, h.parent, h.name.clone(), h.size, h.wrote))
+                .get(fh.0, |h| {
+                    (h.ino, h.parent, h.name.clone(), h.size, h.wrote, h.lease)
+                })
                 .ok_or(FsError::BadHandle)?;
             self.flush_file_data(ino)?;
+            // Hand back only what was taken. A written handle's release
+            // rides on its size push when one leader serves both.
+            let mut release = matches!(lease, Held::Read | Held::Write);
             if wrote {
-                self.push_size(ctx, parent, &name, ino, size)?;
+                let buckets = self.config().dentry_buckets;
+                let fold = release
+                    && self
+                        .state
+                        .cached_pmap(parent)
+                        .colocated(&name, ino, buckets);
+                match self.push_size(ctx, parent, &name, ino, size, fold) {
+                    // Our map was stale: the name's leader is not the
+                    // lease shard after all. Learn the map, send both.
+                    Err(FsError::Stale) if fold => {
+                        self.state.refresh_pmap(&self.port, parent)?;
+                        self.push_size(ctx, parent, &name, ino, size, false)?;
+                    }
+                    pushed => {
+                        pushed?;
+                        release &= !fold;
+                    }
+                }
             }
             self.state.files.remove(fh.0);
-            self.release_file_lease_background(parent, ino);
+            if release {
+                let fork = Port::starting_at(self.port.now());
+                self.release_file_lease(if sync { &self.port } else { &fork }, parent, ino);
+            }
             Ok(())
         })
     }
@@ -430,7 +450,7 @@ impl Vfs for ArkClient {
                 .ok_or(FsError::BadHandle)?;
             self.flush_file_data(ino)?;
             if wrote {
-                self.push_size(ctx, parent, &name, ino, size)?;
+                self.push_size(ctx, parent, &name, ino, size, false)?;
                 let _ = self.state.files.update(fh.0, |h| {
                     h.wrote = false;
                 });
@@ -558,9 +578,12 @@ impl Vfs for ArkClient {
                     },
                 );
                 match local {
-                    Ok(OpResponse::Ok) => {
+                    Ok(OpResponse::Entry { ino, ftype, .. }) => {
                         if self.config().permission_cache {
+                            // Both names: the target lookup above may have
+                            // cached the destination as absent.
                             self.pcache_note(src_dir, src_name, None);
+                            self.pcache_note(src_dir, dst_name, Some((ino, ftype)));
                         }
                         return Ok(());
                     }
@@ -888,7 +911,7 @@ impl Vfs for ArkClient {
             for (parent, name, ino, size) in pending {
                 // Routed through `on_dir`, so the parent lands in
                 // `dirty_dirs` and gets its barrier in step 5.
-                self.push_size(ctx, parent, &name, ino, size)?;
+                self.push_size(ctx, parent, &name, ino, size, false)?;
             }
             // 3. Commit + checkpoint every led directory, overlapped: each
             // directory's flush runs on a port forked at the same instant,

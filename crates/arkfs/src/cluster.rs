@@ -17,6 +17,7 @@ use arkfs_objstore::ObjectStore;
 use arkfs_simkit::{Nanos, Port};
 use arkfs_telemetry::Counter;
 use arkfs_vfs::{FileType, FsError, Ino, ROOT_INO};
+use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -43,6 +44,9 @@ pub struct ArkCluster {
     /// ops by kind, counted where they are sent.
     forward_counts: Vec<Arc<Counter>>,
     next_node: AtomicU32,
+    /// The lease managers this endpoint hosts, in manager order (empty
+    /// on an endpoint attached to a deployment hosted elsewhere).
+    managers: Mutex<Vec<Arc<LeaseManager>>>,
 }
 
 impl ArkCluster {
@@ -73,18 +77,6 @@ impl ArkCluster {
     ) -> Arc<Self> {
         let prt = Arc::new(Prt::new(store, config.chunk_size));
         if host {
-            let lease_cfg = LeaseConfig {
-                period: config.lease_period,
-                grace: config.lease_grace,
-                op_service: config.spec.lease_op_service,
-            };
-            for k in 0..config.lease_managers.max(1) {
-                lease_net.register(
-                    NodeId(MANAGER_BASE - k as u32),
-                    Arc::new(LeaseManager::new(lease_cfg).with_telemetry(prt.telemetry())),
-                );
-            }
-
             // Bootstrap "/" if this is a fresh store.
             let boot = Port::new();
             if prt.load_inode(&boot, ROOT_INO) == Err(FsError::NotFound) {
@@ -102,7 +94,7 @@ impl ArkCluster {
                     .counter(&format!("rpc.forward.{op}.count"))
             })
             .collect();
-        Arc::new(ArkCluster {
+        let cluster = Arc::new(ArkCluster {
             config,
             prt,
             lease_net,
@@ -110,7 +102,41 @@ impl ArkCluster {
             net_counters,
             forward_counts,
             next_node: AtomicU32::new(1),
-        })
+            managers: Mutex::new(Vec::new()),
+        });
+        if host {
+            cluster.host_managers(0);
+        }
+        cluster
+    }
+
+    /// Start this endpoint's lease managers, booted at virtual time
+    /// `boot_at` with empty state, replacing any it hosted before.
+    fn host_managers(&self, boot_at: Nanos) {
+        let lease_cfg = LeaseConfig {
+            period: self.config.lease_period,
+            grace: self.config.lease_grace,
+            op_service: self.config.spec.lease_op_service,
+        };
+        let managers = (0..self.config.lease_managers.max(1))
+            .map(|k| {
+                let manager = Arc::new(
+                    LeaseManager::restarted_at(lease_cfg, boot_at).with_telemetry(self.telemetry()),
+                );
+                self.lease_net
+                    .register(NodeId(MANAGER_BASE - k as u32), Arc::clone(&manager) as _);
+                manager
+            })
+            .collect();
+        *self.managers.lock() = managers;
+    }
+
+    /// [`LeaseManager::stats`] of every manager this endpoint hosts, in
+    /// manager order: `(requests served, busy ns, forgotten ns)`. The
+    /// largest busy time over a run's makespan says whether first
+    /// touches still queue at one manager.
+    pub fn manager_stats(&self) -> Vec<(u64, Nanos, Nanos)> {
+        self.managers.lock().iter().map(|m| m.stats()).collect()
     }
 
     pub fn config(&self) -> &ArkConfig {
@@ -197,19 +223,7 @@ impl ArkCluster {
     /// Restart the lease manager(s) at virtual time `at`: they come back
     /// with empty state and refuse grants for one lease period.
     pub fn restart_lease_manager(&self, at: Nanos) {
-        let lease_cfg = LeaseConfig {
-            period: self.config.lease_period,
-            grace: self.config.lease_grace,
-            op_service: self.config.spec.lease_op_service,
-        };
-        for k in 0..self.config.lease_managers.max(1) {
-            self.lease_net.register(
-                NodeId(MANAGER_BASE - k as u32),
-                Arc::new(
-                    LeaseManager::restarted_at(lease_cfg, at).with_telemetry(self.telemetry()),
-                ),
-            );
-        }
+        self.host_managers(at);
     }
 
     /// Root inode number (constant, for tests).

@@ -83,9 +83,11 @@ pub struct ArkConfig {
     /// Model per-request FUSE user↔kernel overhead and the per-component
     /// LOOKUP storm (§IV-C)?
     pub fuse_model: bool,
-    /// Number of lease managers. The paper uses one and leaves "a cluster
-    /// of lease managers" as future work (§III-B); values > 1 partition
-    /// directories across managers by inode number.
+    /// Number of lease managers; directories (and directory partitions)
+    /// shard across them by inode number, so a fleet's first touches
+    /// queue at this many servers. The paper deploys one and leaves "a
+    /// cluster of lease managers" as future work (§III-B): `1` is that
+    /// configuration, the default of 16 is this repo's deviation from it.
     pub lease_managers: usize,
     /// Lock stripes for the client's hot shared state (led-directory
     /// table, permission cache, open-handle table, ino RNG pool).
@@ -124,7 +126,7 @@ impl Default for ArkConfig {
             group_commit: true,
             permission_cache: true,
             fuse_model: true,
-            lease_managers: 1,
+            lease_managers: 16,
             client_lock_stripes: 16,
             net_retry: arkfs_netsim::RetryPolicy::default(),
             spec: ClusterSpec::aws_paper(),
@@ -207,6 +209,8 @@ impl ArkConfig {
         self
     }
 
+    /// `1` is the paper's single lease manager (tests pin it where they
+    /// count or crash "the" manager; `ablate` has a row for it).
     pub fn with_lease_managers(mut self, n: usize) -> Self {
         self.lease_managers = n.max(1);
         self

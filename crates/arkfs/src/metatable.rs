@@ -527,8 +527,9 @@ impl Metatable {
         Ok(())
     }
 
-    /// Same-directory rename (no 2PC needed: one journal).
-    pub fn rename_local(&mut self, from: &str, to: &str, now: Nanos) -> FsResult<()> {
+    /// Same-directory rename (no 2PC needed: one journal). Returns what
+    /// moved.
+    pub fn rename_local(&mut self, from: &str, to: &str, now: Nanos) -> FsResult<(Ino, FileType)> {
         let entry = self.dentries.get(from).ok_or(FsError::NotFound)?.clone();
         if let Some(existing) = self.dentries.get(to) {
             // POSIX: replace only a matching type; non-empty dir targets
@@ -575,7 +576,7 @@ impl Metatable {
             self.subdir_view = None;
         }
         self.touch_dir(now);
-        Ok(())
+        Ok((entry.ino, entry.ftype))
     }
 
     /// Detach a child (source half of a cross-directory rename). Returns
@@ -1010,7 +1011,7 @@ mod tests {
         let mut mt = fresh_table();
         mt.create_child(file_inode(1), "a", 0).unwrap();
         mt.create_child(file_inode(2), "b", 0).unwrap();
-        mt.rename_local("a", "c", 1).unwrap();
+        assert_eq!(mt.rename_local("a", "c", 1), Ok((1, FileType::Regular)));
         assert!(mt.lookup("a").is_none());
         assert_eq!(mt.lookup("c").unwrap().ino, 1);
         // Rename over an existing file replaces it and drops the victim.

@@ -153,6 +153,15 @@ impl PartitionMap {
         }
     }
 
+    /// Is the partition owning `name` also `file`'s lease shard? Then
+    /// one leader holds both the dentry and the lease, and a message
+    /// routed by `name` may carry lease work for `file`. Always true of
+    /// an unpartitioned directory; [`steer_ino`] makes it true of a file
+    /// created under this map.
+    pub fn colocated(&self, name: &str, file: Ino, buckets: u64) -> bool {
+        self.partition_of_name(name, buckets) == lease_partition(file, self.partitions)
+    }
+
     /// The owned bucket range `[lo, hi)` of partition `p`.
     pub fn range(&self, p: u32, buckets: u64) -> (u64, u64) {
         (
@@ -241,6 +250,23 @@ mod tests {
                     assert!(ino.abs_diff(raw) < partitions as u128);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn steered_inos_are_colocated_with_their_name() {
+        let map = PartitionMap {
+            dir: 7,
+            epoch: 1,
+            partitions: 4,
+        };
+        let raw: Ino = 1 << 70;
+        for i in 0..32 {
+            let name = format!("f{i}");
+            let p = map.partition_of_name(&name, 16);
+            assert!(map.colocated(&name, steer_ino(raw, 4, p), 16));
+            assert!(!map.colocated(&name, steer_ino(raw, 4, (p + 1) % 4), 16));
+            assert!(PartitionMap::singleton(7).colocated(&name, raw + i, 16));
         }
     }
 

@@ -221,13 +221,21 @@ op_table! {
     /// `DirInode`.
     21 => DirView "dir_view" { dir: Ino }
         mutates: false, route: on(dir, Dir);
-    /// `Create` of a regular file fused with the creator's read lease on
-    /// it (create-and-open). The reply is [`OpResponse::Lease`] when the
-    /// serving partition is also the file's lease shard
-    /// (`rec.ino % partitions`), else plain [`OpResponse::Ok`]: the file
-    /// exists and the caller asks the lease shard with
-    /// `AcquireReadLease`.
+    /// `Create` of a regular file that leaves a handle open at `client`
+    /// (create-and-open). Served exactly as `Create`: a file lease is
+    /// taken by a handle's first data access, never by its open, so the
+    /// reply is plain [`OpResponse::Ok`]. `client` stays on the wire so
+    /// the frame is unchanged; the leader does not read it.
     22 => CreateOpen "create_open" { dir: Ino, name: String, rec: InodeRecord, client: NodeId }
+        mutates: true, route: on(dir, Name(name));
+    /// Close of a written handle that holds a file lease: `SetSize` and
+    /// `ReleaseFileLease` in one message. Routed by `name`, so the caller
+    /// sends it only when that partition is also the file's lease shard
+    /// ([`PartitionMap::colocated`](crate::partition::PartitionMap::colocated);
+    /// create steers inos so that it is) and the two separate messages
+    /// otherwise. A leader that is not the lease shard (the caller's map
+    /// was stale) does nothing and replies `Err(Stale)`.
+    23 => CloseFile "close_file" { dir: Ino, name: String, ino: Ino, size: u64, client: NodeId }
         mutates: true, route: on(dir, Name(name));
 }
 

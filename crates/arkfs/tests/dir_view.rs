@@ -114,7 +114,14 @@ fn own_mutations_override_the_view() {
     // The view still lists `x`; the overlay's negative entry wins.
     viewer.rename(&ctx, "/p/x", "/p/w").unwrap();
     assert_eq!(viewer.stat(&ctx, "/p/x/f"), Err(FsError::NotFound));
-    owner.stat(&ctx, "/p/w/f").unwrap();
+    // The rename's target check cached `w` as absent; the reply named
+    // what moved, so the renamer resolves the new name at once — as
+    // does the leader after a rename of its own.
+    viewer.stat(&ctx, "/p/w/f").unwrap();
+    assert_eq!(viewer.readdir(&ctx, "/p/w").unwrap().len(), 1);
+    owner.rename(&ctx, "/p/w", "/p/v").unwrap();
+    owner.stat(&ctx, "/p/v/f").unwrap();
+    owner.rename(&ctx, "/p/v", "/p/w").unwrap();
 
     // Likewise after rmdir, and the answer is local: no message on
     // either network.

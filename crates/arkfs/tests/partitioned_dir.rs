@@ -167,7 +167,7 @@ fn cross_partition_rename_is_atomic_and_survives_crash() {
     assert_eq!(c2.stat(&ctx, &format!("/d/{src}")), Err(FsError::NotFound));
 }
 
-// ---- create-and-open: lease shard = name shard --------------------------------
+// ---- steered inos: one close message when name shard = lease shard -------------
 
 /// Forwarded ops of one kind so far (`rpc.forward.<op>.count`).
 fn forwards(cl: &Arc<ArkCluster>, op: &str) -> u64 {
@@ -177,32 +177,40 @@ fn forwards(cl: &Arc<ArkCluster>, op: &str) -> u64 {
         .get()
 }
 
-/// Does `holder`'s read lease on `path` live at the file's lease shard?
-/// A second client's first write asks that shard for the write lease; it
-/// answers with a flush broadcast to the reader only if it knows the
-/// reader — a lease granted at any other partition would go unnoticed.
-fn lease_conflicts_at_shard(cl: &Arc<ArkCluster>, writer: &arkfs::ArkClient, path: &str) -> bool {
+/// `(close_file, set_size, release_file_lease)` forwarded so far.
+fn close_traffic(cl: &Arc<ArkCluster>) -> (u64, u64, u64) {
+    (
+        forwards(cl, "close_file"),
+        forwards(cl, "set_size"),
+        forwards(cl, "release_file_lease"),
+    )
+}
+
+/// Write one byte through a fresh handle on `path` and close it;
+/// returns the close's `(close_file, set_size, release_file_lease)`.
+fn written_close(cl: &Arc<ArkCluster>, c: &arkfs::ArkClient, path: &str) -> (u64, u64, u64) {
     let ctx = root();
-    let flushes = forwards(cl, "flush_cache");
-    let fh = writer.open(&ctx, path, OpenFlags::RDWR).unwrap();
-    writer.write(&ctx, fh, 0, b"w").unwrap();
-    writer.close(&ctx, fh).unwrap();
-    forwards(cl, "flush_cache") > flushes
+    let fh = c.open(&ctx, path, OpenFlags::RDWR).unwrap();
+    c.write(&ctx, fh, 0, b"w").unwrap();
+    let before = close_traffic(cl);
+    c.close(&ctx, fh).unwrap();
+    let after = close_traffic(cl);
+    (after.0 - before.0, after.1 - before.1, after.2 - before.2)
 }
 
 #[test]
-fn create_and_open_grants_at_the_names_partition() {
+fn steered_inos_close_in_one_message_unsteered_in_two() {
     const BUCKETS16: u64 = 16;
     let mut config = async_wide_window().with_dir_partitions(8, 0, 0);
     config.dentry_buckets = BUCKETS16;
     let cl = cluster_on(config, false);
-    let (leader, creator, writer) = (cl.client(), cl.client(), cl.client());
+    let (leader, creator) = (cl.client(), cl.client());
     let ctx = root();
     leader.mkdir(&ctx, "/d", 0o755).unwrap();
     let dir = leader.stat(&ctx, "/d").unwrap().ino;
     // The creator installs the map (and so has it cached); the readdir
     // then makes one other client the leader of all eight partitions, so
-    // every create below is forwarded.
+    // every op below is forwarded.
     creator.set_dir_partitions(&ctx, "/d", 8).unwrap();
     assert!(names(&leader, &ctx, "/d").is_empty());
     let map8 = PartitionMap {
@@ -211,35 +219,52 @@ fn create_and_open_grants_at_the_names_partition() {
         partitions: 8,
     };
 
-    // Steered under the right map: one RPC creates the file and grants
-    // the lease, at the partition the name hashes to.
-    let mut held = Vec::new();
+    // Steered under the right map: one RPC creates the file, no lease is
+    // asked for or recorded, and the ino's lease shard is the partition
+    // the name hashes to. Closing the untouched handle sends nothing.
     for i in 0..32 {
         let name = format!("f{i:02}");
-        let (creates, leases) = (
-            forwards(&cl, "create_open"),
-            forwards(&cl, "acquire_read_lease"),
-        );
+        let creates = forwards(&cl, "create_open");
+        let quiet = (forwards(&cl, "acquire_read_lease"), close_traffic(&cl));
         let fh = creator.create(&ctx, &format!("/d/{name}"), 0o644).unwrap();
+        creator.close(&ctx, fh).unwrap();
         assert_eq!(forwards(&cl, "create_open"), creates + 1, "{name}");
-        assert_eq!(forwards(&cl, "acquire_read_lease"), leases, "{name}");
+        assert_eq!(
+            (forwards(&cl, "acquire_read_lease"), close_traffic(&cl)),
+            quiet,
+            "{name}: a handle without I/O costs no lease message"
+        );
         let ino = creator.stat(&ctx, &format!("/d/{name}")).unwrap().ino;
+        assert!(map8.colocated(&name, ino, BUCKETS16), "{name}");
         assert_eq!(
             lease_partition(ino, 8),
-            map8.partition_of_name(&name, BUCKETS16),
-            "{name}: lease shard is the name's partition"
+            map8.partition_of_name(&name, BUCKETS16)
         );
-        held.push(fh);
     }
-    assert!(lease_conflicts_at_shard(&cl, &writer, "/d/f07"));
-    for fh in held {
-        creator.close(&ctx, fh).unwrap();
-    }
+    assert_eq!(leader.active_file_leases(), 0);
+    // A written handle's size push and lease release are one message.
+    assert_eq!(written_close(&cl, &creator, "/d/f07"), (1, 0, 0));
+    assert_eq!(leader.active_file_leases(), 0, "the close released it");
+
+    // Renamed into another partition: the ino stays, its lease shard no
+    // longer is the name's partition, and the close is two messages.
+    let moved = (0..200)
+        .map(|i| format!("m{i}"))
+        .find(|n| map8.partition_of_name(n, BUCKETS16) != map8.partition_of_name("f03", BUCKETS16))
+        .unwrap();
+    creator
+        .rename(&ctx, "/d/f03", &format!("/d/{moved}"))
+        .unwrap();
+    assert_eq!(
+        written_close(&cl, &creator, &format!("/d/{moved}")),
+        (0, 1, 1)
+    );
+    assert_eq!(leader.active_file_leases(), 0);
 
     // A repartition the creator has not heard of: its next create is
-    // steered for eight partitions but lands in a directory of four. A
-    // name whose two shards now disagree must come back `Ok` without a
-    // lease, and the fallback must find the file's real lease shard.
+    // steered for eight partitions but lands in a directory of four
+    // (whose one leader routes by its own map, so the creator does not
+    // learn). Pick a name whose two shards now disagree.
     leader.set_dir_partitions(&ctx, "/d", 4).unwrap();
     assert_eq!(names(&leader, &ctx, "/d").len(), 32);
     let map4 = PartitionMap {
@@ -248,22 +273,33 @@ fn create_and_open_grants_at_the_names_partition() {
         partitions: 4,
     };
     let raced = (0..200)
-        .map(|i| format!("g{i}"))
-        .find(|n| map8.partition_of_name(n, BUCKETS16) % 4 != map4.partition_of_name(n, BUCKETS16))
+        .map(|i| format!("/d/g{i}"))
+        .find(|p| {
+            map8.partition_of_name(&p[3..], BUCKETS16) % 4
+                != map4.partition_of_name(&p[3..], BUCKETS16)
+        })
         .unwrap();
-    let leases = forwards(&cl, "acquire_read_lease");
-    let fh = creator.create(&ctx, &format!("/d/{raced}"), 0o644).unwrap();
-    assert_eq!(
-        forwards(&cl, "acquire_read_lease"),
-        leases + 1,
-        "the leader declined the lease and the creator asked the lease shard"
-    );
-    assert!(lease_conflicts_at_shard(
-        &cl,
-        &writer,
-        &format!("/d/{raced}")
-    ));
-    creator.close(&ctx, fh).unwrap();
+    // Closed under the stale map, the folded close is refused by the
+    // name's partition, which is not the lease shard: the closer learns
+    // the map and sends the size push and the release separately.
+    let close_of = |c: &arkfs::ArkClient, fh| {
+        assert_eq!(leader.active_file_leases(), 1, "write lease at its shard");
+        let before = close_traffic(&cl);
+        c.close(&ctx, fh).unwrap();
+        assert_eq!(leader.active_file_leases(), 0, "nothing left behind");
+        let after = close_traffic(&cl);
+        (after.0 - before.0, after.1 - before.1, after.2 - before.2)
+    };
+    let fh = creator.create(&ctx, &raced, 0o644).unwrap();
+    creator.write(&ctx, fh, 0, b"raced").unwrap();
+    assert_eq!(close_of(&creator, fh), (1, 1, 1), "refused, then two");
+    assert_eq!(creator.stat(&ctx, &raced).unwrap().size, 5);
+    // Closed under the fresh map, the unsteered ino is seen up front.
+    let fh = creator.open(&ctx, &raced, OpenFlags::RDWR).unwrap();
+    creator.write(&ctx, fh, 0, b"again!").unwrap();
+    assert_eq!(close_of(&creator, fh), (0, 1, 1), "unsteered: two messages");
+    assert_eq!(creator.stat(&ctx, &raced).unwrap().size, 6);
+    assert_eq!(creator.lease_release_failures(), 0);
     assert_eq!(names(&creator, &ctx, "/d").len(), 33);
 }
 

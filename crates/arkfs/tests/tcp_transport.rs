@@ -16,7 +16,7 @@ use arkfs::remote::{lease_wire, ops_wire, store_wire, RemoteStore, StoreService,
 use arkfs::{ArkClient, ArkCluster, ArkConfig};
 use arkfs_netsim::{NodeId, TcpTransport, Transport};
 use arkfs_objstore::{ClusterConfig, ObjectCluster, ObjectStore};
-use arkfs_vfs::{read_file, write_file, Credentials, SetAttr, Vfs};
+use arkfs_vfs::{read_file, write_file, Credentials, OpenFlags, SetAttr, Vfs};
 use std::net::SocketAddr;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
@@ -118,6 +118,40 @@ fn run_script(c1: &ArkClient, c2: &ArkClient) -> Vec<String> {
     ));
     log.push(outcome(c1.stat(&ctx, "/shared/from_c2.txt"), stat_line));
     log.push(outcome(c2.stat(&ctx, "/shared/sub/from_c1.bin"), stat_line));
+
+    // Leases on demand across the boundary (whichever client leads
+    // /shared, one side of each step is remote). A handle c2 closes
+    // untouched leaves nothing at the leader; a handle it wrote through
+    // holds the write lease until c1's first read meets it (Direct, and
+    // c2 flushes); a written handle with no conflict closes in one
+    // message.
+    let leases = |log: &mut Vec<String>| {
+        let live = c1.active_file_leases() + c2.active_file_leases();
+        log.push(format!("leases:{live}"));
+    };
+    let untouched = c2.create(&ctx, "/shared/untouched.bin", 0o644);
+    log.push(outcome(untouched.clone(), |_| "ok".into()));
+    leases(&mut log);
+    if let Ok(fh) = untouched {
+        log.push(outcome(c2.close(&ctx, fh), |()| "ok".into()));
+    }
+    leases(&mut log);
+    let held = c2.open(&ctx, "/shared/from_c2.txt", OpenFlags::RDWR);
+    if let Ok(fh) = held {
+        log.push(outcome(c2.write(&ctx, fh, 0, b"TWO"), |n| {
+            format!("wrote:{n}")
+        }));
+        leases(&mut log);
+        log.push(outcome(read_file(c1, &ctx, "/shared/from_c2.txt"), |b| {
+            format!("read:{}", String::from_utf8_lossy(&b))
+        }));
+        log.push(outcome(c2.close(&ctx, fh), |()| "ok".into()));
+    }
+    log.push(outcome(
+        write_file(c2, &ctx, "/shared/untouched.bin", b"touched"),
+        |()| "ok".into(),
+    ));
+    leases(&mut log);
 
     // Rename within the c1-led directory, observed by c2.
     log.push(outcome(
@@ -249,13 +283,20 @@ fn tcp_run(config: ArkConfig) -> (Vec<String>, Vec<String>) {
     assert!(b_lease.message_count() > 0, "no lease frames over TCP");
     assert!(b_ops.message_count() > 0, "no forwarded ops over TCP");
     // Each endpoint hosts one client, so a forwarded op is a frame on a
-    // socket: both new messages were carried by the codecs.
-    for op in ["dir_view", "create_open"] {
+    // socket: every message of the create, lease and close paths was
+    // carried by the codecs.
+    let sent = |op: &str| {
         let name = format!("rpc.forward.{op}.count");
-        let sent = cluster_a.telemetry().registry.counter(&name).get()
-            + cluster_b.telemetry().registry.counter(&name).get();
-        assert!(sent > 0, "no {op} frame crossed a socket");
+        cluster_a.telemetry().registry.counter(&name).get()
+            + cluster_b.telemetry().registry.counter(&name).get()
+    };
+    for op in ["dir_view", "create_open", "close_file"] {
+        assert!(sent(op) > 0, "no {op} frame crossed a socket");
     }
+    assert!(
+        sent("acquire_read_lease") + sent("acquire_write_lease") > 0,
+        "no first-access lease request crossed a socket"
+    );
 
     a_lease.shutdown();
     a_ops.shutdown();
@@ -279,6 +320,16 @@ fn loopback_tcp_matches_the_virtual_bus() {
         bus_ns, tcp_ns,
         "final namespace diverged between bus and loopback TCP"
     );
+    // The lease steps said what they should, on both transports: no
+    // lease without I/O, one while c2's written handle is open, c1's
+    // read sees c2's cached bytes; what is left at the end is that
+    // conflict's direct-I/O window, not the written-and-closed file.
+    let leases: Vec<&str> = bus_log
+        .iter()
+        .filter_map(|l| l.strip_prefix("leases:"))
+        .collect();
+    assert_eq!(leases, ["0", "0", "1", "1"]);
+    assert!(bus_log.contains(&"read:TWO".to_string()), "{bus_log:?}");
     // The script actually built something worth comparing.
     assert!(bus_ns.len() >= 4, "walk unexpectedly small: {bus_ns:?}");
 

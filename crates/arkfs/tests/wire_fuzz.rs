@@ -4,7 +4,8 @@
 //! One representative value per message variant feeds four checks:
 //! (a) every frame equals its committed golden vector byte for byte
 //! (`golden_frames.hex`, generated before the codecs were table-driven:
-//! a symmetric layout change passes any round-trip test but not this);
+//! a symmetric layout change passes any round-trip test but not this;
+//! an appended op adds its row, the old rows never change);
 //! (b) the unmodified frame round-trips exactly; (c) any truncation and
 //! any single bit-flip decodes to a `WireError` — never a panic, never a
 //! silently different value (CRC32 detects all single-bit errors and the
@@ -162,6 +163,13 @@ fn request_pool() -> Vec<OpRequest> {
             dir: 2,
             name: "opened.bin".into(),
             rec: rec(0x78),
+            client,
+        },
+        OpBody::CloseFile {
+            dir: 2,
+            name: "written.bin".into(),
+            ino: 0x78,
+            size: 3901,
             client,
         },
     ];

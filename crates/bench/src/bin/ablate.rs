@@ -7,14 +7,16 @@
 //! * read-ahead policy (none / doubling / immediate-max-at-zero),
 //! * permission caching (also Figure 7, measured here at small scale),
 //! * dentry bucket count (dirty-bucket write amplification),
-//! * lease period (extension traffic vs takeover latency).
+//! * lease period (extension traffic vs takeover latency),
+//! * lease managers (the paper's one vs the sharded default).
 
-use arkfs::ArkConfig;
-use arkfs_bench::{ark_fleet, bench_files, print_table, save_results};
+use arkfs::{ArkCluster, ArkConfig};
+use arkfs_bench::{ark_fleet, bench_files, print_table, save_results, zipf_create_fleet};
+use arkfs_objstore::{ClusterConfig, ObjectCluster};
 use arkfs_simkit::{MSEC, SEC};
-use arkfs_vfs::OpenFlags;
+use arkfs_vfs::{Credentials, OpenFlags};
 use arkfs_workloads::mdtest::{fanned_dir_create, mdtest_easy, MdtestEasyConfig};
-use arkfs_workloads::SimClient;
+use arkfs_workloads::{run_ops, SimClient};
 use std::sync::Arc;
 
 fn create_throughput(config: ArkConfig, procs: usize, files: u64) -> f64 {
@@ -60,6 +62,37 @@ fn read_bandwidth(max_readahead: u64, full_at_zero: bool) -> f64 {
     c.close(&ctx, fh).unwrap();
     let dt = (c.port().now() - t0) as f64 / 1e9;
     size as f64 / (1024.0 * 1024.0) / dt
+}
+
+/// Create throughput (kops/s, closing barrier included) of 4096 engine
+/// clients making 16 files each in a Zipf-drawn pool of 256 shared
+/// directories, and the busiest lease manager's busy share of it.
+fn zipf_create(config: ArkConfig) -> (f64, f64) {
+    let store_cfg = ClusterConfig::rados(config.spec.clone()).with_discard_payload(true);
+    let cluster = ArkCluster::new(config, Arc::new(ObjectCluster::new(store_cfg)));
+    let (n, per_client) = (4096, 16);
+    let (clients, gens) = zipf_create_fleet(&cluster, 256, 0.9, 0xF19, n, per_client);
+    let clients: Vec<Arc<dyn SimClient>> = clients
+        .into_iter()
+        .map(|c| c as Arc<dyn SimClient>)
+        .collect();
+    let start = clients[0].port().now();
+    let report = run_ops(&clients, gens, None);
+    assert_eq!(report.total_errors(), 0, "zipf creates failed");
+    for c in &clients {
+        c.sync_all(&Credentials::root()).expect("sync_all");
+    }
+    let span = clients.iter().map(|c| c.port().now()).max().unwrap_or(0) - start;
+    let busy = cluster
+        .manager_stats()
+        .iter()
+        .map(|m| m.1)
+        .max()
+        .unwrap_or(0);
+    (
+        (n as u64 * per_client) as f64 / (span as f64 / 1e9) / 1000.0,
+        100.0 * busy as f64 / span as f64,
+    )
 }
 
 #[allow(clippy::field_reassign_with_default)]
@@ -259,6 +292,23 @@ fn main() {
         &rows,
     ));
 
+    // 5b. Lease managers: the paper's single manager against the
+    //     sharded default, where a fleet's first touches are the load
+    //     (the benchmark's `zipf_create`: 4096 clients, 65536 creates
+    //     over 256 shared directories, Zipf 0.9).
+    let rows: Vec<Vec<String>> = [(1, "1 (paper)"), (16, "16 (default)")]
+        .into_iter()
+        .map(|(managers, name)| {
+            let (kops, busy) = zipf_create(ArkConfig::default().with_lease_managers(managers));
+            vec![name.to_string(), format!("{kops:.1}"), format!("{busy:.1}")]
+        })
+        .collect();
+    lines.extend(print_table(
+        "Ablation: lease managers (Zipf create over shared dirs, 4096 clients)",
+        &["managers", "kops/s", "busiest mgr busy %"],
+        &rows,
+    ));
+
     // 6. Unified telemetry: one deployment runs the cached data path
     //    (16 MiB write + cold read), then 64 creates, a clean lease
     //    hand-back, and a leader takeover by a second client. Every
@@ -266,8 +316,6 @@ fn main() {
     //    store, meta, journal, lease, and per-op — comes out of a
     //    single sorted `Registry::snapshot()`.
     {
-        use arkfs::ArkCluster;
-        use arkfs_objstore::{ClusterConfig, ObjectCluster};
         use arkfs_telemetry::MetricValue;
         use arkfs_vfs::Vfs;
         let mut config = ArkConfig::default();
@@ -513,9 +561,7 @@ const SHARED_STATS_PER_FILE: usize = 8;
 /// stripe count, so deeper paths shift lock traffic onto the per-worker
 /// stripes where striping can actually spread it.
 fn shared_client_setup(stripes: usize) -> Arc<arkfs::ArkClient> {
-    use arkfs::ArkCluster;
-    use arkfs_objstore::{ClusterConfig, ObjectCluster};
-    use arkfs_vfs::{Credentials, Vfs};
+    use arkfs_vfs::Vfs;
 
     let config = ArkConfig::default().with_client_lock_stripes(stripes);
     let store_cfg = ClusterConfig::rados(config.spec.clone());

@@ -10,8 +10,9 @@
 //! a throughput plateau and/or an ack-p99 inflection — as the hot
 //! directories' leaders saturate. The per-point lease and commit-lane
 //! telemetry (redirects, retries, journal flights, partition splits),
-//! the leader RPCs each create cost and the busiest leader's share of
-//! the makespan identify which resource saturates at the knee.
+//! the leader RPCs each create cost and the busiest leader's and the
+//! busiest lease manager's share of the makespan identify which
+//! resource saturates at the knee.
 //!
 //! Scale knobs: `ARKFS_BENCH_FILES` (total creates per point),
 //! `ARKFS_BENCH_CLIENTS` (cap on the largest client count; CI uses
@@ -19,13 +20,15 @@
 //! curve to 16384).
 
 use arkfs::{ArkCluster, ArkConfig};
-use arkfs_bench::{bench_files, kops, print_table, save_bench_json, save_results, BenchRecord};
+use arkfs_bench::{
+    bench_files, kops, print_table, save_bench_json, save_results, zipf_create_fleet, BenchRecord,
+};
 use arkfs_objstore::{ClusterConfig, ObjectCluster};
 use arkfs_simkit::ThroughputMeter;
 use arkfs_telemetry::critpath;
-use arkfs_vfs::{Credentials, Vfs};
+use arkfs_vfs::Credentials;
 use arkfs_workloads::client::barrier;
-use arkfs_workloads::{gen_iter, run_ops, Op, OpGen, SimClient, Zipf};
+use arkfs_workloads::{run_ops, SimClient};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -59,6 +62,11 @@ struct Point {
     /// virtual makespan its RPC service was busy.
     hot_leader_served: u64,
     hot_leader_busy: f64,
+    /// The busiest lease manager's busy share of the same makespan, and
+    /// the busy nanoseconds the managers' timelines forgot (nonzero: the
+    /// model served more first touches than the managers could).
+    manager_busy: f64,
+    manager_forgotten_ns: u64,
     /// Mean critical-path nanoseconds per segment of the sampled
     /// create traces, indexed by [`critpath::SEGMENTS`].
     cp_segs: [f64; critpath::SEGMENTS.len()],
@@ -77,29 +85,12 @@ fn run_point(n_clients: usize, files_total: u64) -> Point {
     cluster.telemetry().tracer.set_sample_every(SAMPLE_EVERY);
     cluster.telemetry().tracer.set_enabled(true);
 
-    // Admin creates the directory pool, then hands every lease back so
-    // leadership lands on the writers that first touch each directory.
-    let admin = cluster.client();
-    admin.mkdir(&ctx, "/zipf", 0o755).unwrap();
-    for d in 0..DIRS {
-        admin.mkdir(&ctx, &format!("/zipf/d{d}"), 0o755).unwrap();
-    }
-    admin.sync_all(&ctx).unwrap();
-    admin.release_all(&ctx).unwrap();
-
-    let ark_clients: Vec<_> = (0..n_clients).map(|_| cluster.client()).collect();
+    let per_client = (files_total / n_clients as u64).max(1);
+    let (ark_clients, gens) =
+        zipf_create_fleet(&cluster, DIRS, ZIPF_S, SEED, n_clients, per_client);
     let clients: Vec<Arc<dyn SimClient>> = ark_clients
         .iter()
         .map(|c| Arc::clone(c) as Arc<dyn SimClient>)
-        .collect();
-    let per_client = (files_total / n_clients as u64).max(1);
-    let gens: Vec<Box<dyn OpGen>> = (0..n_clients)
-        .map(|i| {
-            let mut zipf = Zipf::new(DIRS, ZIPF_S, SEED ^ (i as u64).wrapping_mul(0x9E37));
-            gen_iter((0..per_client).map(move |j| Op::Create {
-                path: format!("/zipf/d{}/c{i}-f{j}", zipf.sample()),
-            }))
-        })
         .collect();
 
     let meter = ThroughputMeter::new();
@@ -119,6 +110,9 @@ fn run_point(n_clients: usize, files_total: u64) -> Point {
         .map(|c| c.leader_stats())
         .max()
         .unwrap_or((0, 0));
+    let manager_stats = cluster.manager_stats();
+    let manager_busy_ns = manager_stats.iter().map(|m| m.1).max().unwrap_or(0);
+    let manager_forgotten_ns = manager_stats.iter().map(|m| m.2).sum();
     for (i, c) in clients.iter().enumerate() {
         let _ = c.sync_all(&ctx);
         meter.record_span(per_client, starts[i], c.port().now());
@@ -163,6 +157,8 @@ fn run_point(n_clients: usize, files_total: u64) -> Point {
         leader_rpcs_per_create: leader_rpcs as f64 / phase.ops.max(1) as f64,
         hot_leader_served,
         hot_leader_busy: hot_leader_busy_ns as f64 / makespan.max(1) as f64,
+        manager_busy: manager_busy_ns as f64 / makespan.max(1) as f64,
+        manager_forgotten_ns,
         cp_segs,
         cp_total,
     }
@@ -226,6 +222,7 @@ fn main() {
             p.durable_p99.to_string(),
             p.lease_redirects.to_string(),
             format!("{:.2}", p.leader_rpcs_per_create),
+            format!("{:.1}", 100.0 * p.manager_busy),
             p.journal_flights.to_string(),
             p.partition_splits.to_string(),
         ]);
@@ -247,6 +244,11 @@ fn main() {
             (
                 "leader_rpcs_per_create".to_string(),
                 p.leader_rpcs_per_create,
+            ),
+            ("lease_manager_busy".to_string(), p.manager_busy),
+            (
+                "lease_manager_forgotten_ns".to_string(),
+                p.manager_forgotten_ns as f64,
             ),
         ];
         for (i, seg) in critpath::SEGMENTS.iter().enumerate() {
@@ -271,6 +273,7 @@ fn main() {
             "durable p99 ns",
             "lease redirects",
             "leader rpcs/create",
+            "busiest mgr busy %",
             "journal flights",
             "partition splits",
         ],

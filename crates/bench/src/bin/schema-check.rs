@@ -29,7 +29,10 @@
 //!
 //! Schema v4 adds `leader_rpcs_per_create` to every fig9 record: the
 //! forwarded ops all leaders served per create (resolution, the create,
-//! its close), non-negative.
+//! its close), non-negative. Additive since (no version bump):
+//! `lease_manager_busy`, the busiest lease manager's busy share of the
+//! create phase, and `lease_manager_forgotten_ns`, the busy time the
+//! managers' timelines dropped past their interval bound.
 
 use arkfs_bench::BENCH_SCHEMA_VERSION;
 use std::collections::BTreeSet;
@@ -329,6 +332,8 @@ fn expected_metrics(bench: &str) -> Option<Vec<String>> {
             keys.push("journal_flights".to_string());
             keys.push("partition_splits".to_string());
             keys.push("leader_rpcs_per_create".to_string());
+            keys.push("lease_manager_busy".to_string());
+            keys.push("lease_manager_forgotten_ns".to_string());
         }
         _ => return None,
     }

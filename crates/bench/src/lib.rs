@@ -11,13 +11,14 @@
 //! * `ARKFS_BENCH_PROCS` — mdtest/fio process count.
 //! * `ARKFS_BENCH_FULL=1` — paper-scale parameters (slow, memory-heavy).
 
-use arkfs::{ArkCluster, ArkConfig};
+use arkfs::{ArkClient, ArkCluster, ArkConfig};
 use arkfs_baselines::pathfs::Bucket;
 use arkfs_baselines::{CephFs, GoofysFs, MarFs, MountType, S3Fs};
 use arkfs_objstore::{ClusterConfig, ObjectCluster};
 use arkfs_simkit::{ClusterSpec, PhaseResult};
 use arkfs_telemetry::{critpath, merged_chrome_trace, Telemetry, Tracer};
-use arkfs_workloads::SimClient;
+use arkfs_vfs::{Credentials, Vfs};
+use arkfs_workloads::{gen_iter, Op, OpGen, SimClient, Zipf};
 use std::sync::Arc;
 
 /// Version of the `BENCH_*.json` document layout. Consumers should
@@ -70,6 +71,41 @@ pub fn ark_fleet(n: usize, config: ArkConfig, discard_payload: bool) -> System {
             .map(|_| cluster.client() as Arc<dyn SimClient>)
             .collect(),
     }
+}
+
+/// The fig9 workload on `cluster`: an admin makes the pool `/zipf/d*` of
+/// `dirs` directories and hands every lease back, so leadership lands on
+/// whichever writer touches a directory first; then `n` clients, and for
+/// client `i` a stream of `per_client` creates whose directory is drawn
+/// Zipf(`s`) from the pool.
+pub fn zipf_create_fleet(
+    cluster: &Arc<ArkCluster>,
+    dirs: usize,
+    s: f64,
+    seed: u64,
+    n: usize,
+    per_client: u64,
+) -> (Vec<Arc<ArkClient>>, Vec<Box<dyn OpGen>>) {
+    let ctx = Credentials::root();
+    let admin = cluster.client();
+    admin.mkdir(&ctx, "/zipf", 0o755).expect("mkdir /zipf");
+    for d in 0..dirs {
+        admin
+            .mkdir(&ctx, &format!("/zipf/d{d}"), 0o755)
+            .expect("mkdir pool dir");
+    }
+    admin.sync_all(&ctx).expect("admin sync_all");
+    admin.release_all(&ctx).expect("admin release_all");
+    let clients = (0..n).map(|_| cluster.client()).collect();
+    let gens = (0..n)
+        .map(|i| {
+            let mut zipf = Zipf::new(dirs, s, seed ^ (i as u64).wrapping_mul(0x9E37));
+            gen_iter((0..per_client).map(move |j| Op::Create {
+                path: format!("/zipf/d{}/c{i}-f{j}", zipf.sample()),
+            }))
+        })
+        .collect();
+    (clients, gens)
 }
 
 /// ArkFS on an S3-profile store (Figure 6b), with a configurable

@@ -104,6 +104,12 @@ struct LeaseTelemetry {
     redirects: Arc<Counter>,
     retries: Arc<Counter>,
     releases: Arc<Counter>,
+    /// `lease.manager.busy_ns` / `lease.manager.forgotten_ns`: service
+    /// time booked at any manager, and how much of it the managers'
+    /// timelines dropped past their interval bound (sums over the
+    /// manager set; [`LeaseManager::stats`] has one manager's share).
+    busy: Arc<Counter>,
+    forgotten: Arc<Counter>,
 }
 
 impl LeaseManager {
@@ -137,12 +143,27 @@ impl LeaseManager {
             redirects: reg.counter("lease.redirect.count"),
             retries: reg.counter("lease.retry.count"),
             releases: reg.counter("lease.release.count"),
+            busy: reg.counter("lease.manager.busy_ns"),
+            forgotten: reg.counter("lease.manager.forgotten_ns"),
         });
         self
     }
 
     pub fn config(&self) -> &LeaseConfig {
         &self.config
+    }
+
+    /// Requests this manager served, the virtual nanoseconds its server
+    /// was busy with them, and the busy nanoseconds its timeline forgot
+    /// ([`SharedResource::forgotten`]). Busy time over a run's makespan
+    /// is the manager's utilisation; a nonzero third number means the
+    /// model let it serve more than that.
+    pub fn stats(&self) -> (u64, Nanos, Nanos) {
+        (
+            self.server.served(),
+            self.server.busy_time(),
+            self.server.forgotten().1,
+        )
     }
 
     /// Number of directories with a currently tracked lease record.
@@ -241,14 +262,20 @@ impl LeaseManager {
 impl Service<LeaseRequest, LeaseResponse> for LeaseManager {
     fn handle(&self, arrival: Nanos, req: LeaseRequest) -> (LeaseResponse, Nanos) {
         // "Acquiring/extending a lease is a very lightweight operation"
-        // (§III-B) — but it is still serialized at the single manager.
-        let done = self.server.reserve(arrival, self.config.op_service);
+        // (§III-B) — but it is still serialized at its manager.
+        let (done, forgot) = self
+            .server
+            .reserve_counting(arrival, self.config.op_service);
         let is_acquire = matches!(req, LeaseRequest::Acquire { .. });
         let resp = match req {
             LeaseRequest::Acquire { client, ino } => self.acquire(done, client, ino),
             LeaseRequest::Release { client, ino } => self.release(done, client, ino),
         };
         if let Some(tel) = &self.tel {
+            tel.busy.add(self.config.op_service);
+            if forgot > 0 {
+                tel.forgotten.add(forgot);
+            }
             if is_acquire {
                 tel.acquires.inc();
             }

@@ -144,6 +144,8 @@ struct ResourceInner {
     in_flight: VecDeque<Nanos>,
     served: u64,
     busy: Nanos,
+    /// Busy intervals dropped past `MAX_INTERVALS`, and their length.
+    forgotten: (u64, Nanos),
 }
 
 /// Bound on tracked intervals; beyond it the oldest are forgotten.
@@ -192,6 +194,14 @@ impl SharedResource {
     /// should wait until. The request occupies the first idle gap at or
     /// after `arrival` that fits the (contention-inflated) service time.
     pub fn reserve(&self, arrival: Nanos, service: Nanos) -> Nanos {
+        self.reserve_counting(arrival, service).0
+    }
+
+    /// [`Self::reserve`], also returning the busy nanoseconds this
+    /// reservation pushed past the interval bound (see
+    /// [`Self::forgotten`]; almost always 0), for servers that publish
+    /// what they forget as a running counter.
+    pub fn reserve_counting(&self, arrival: Nanos, service: Nanos) -> (Nanos, Nanos) {
         let mut inner = self.inner.lock();
         // Contention depth: reservations still unfinished at `arrival`.
         let depth = inner.in_flight.iter().filter(|&&c| c > arrival).count();
@@ -201,14 +211,14 @@ impl SharedResource {
         let eff = (service as f64 * self.contention.factor(depth)).round() as Nanos;
         inner.served += 1;
         if eff == 0 {
-            return arrival;
+            return (arrival, 0);
         }
         inner.busy = inner.busy.saturating_add(eff);
         // Tiny reservations are charged but not tracked as busy
         // intervals: tracking them would flood the map without ever
         // influencing placement at the modelled service-time scales.
         if eff < self.min_track {
-            return arrival.saturating_add(eff);
+            return (arrival.saturating_add(eff), 0);
         }
 
         // First-fit gap search: push the candidate start past every busy
@@ -246,13 +256,16 @@ impl SharedResource {
         // merging) is mildly optimistic for extreme laggards, but merging
         // would solidify the head of the timeline into one giant busy
         // block that starves every late-arriving request.
+        let mut forgot = 0;
         while inner.busy_intervals.len() > MAX_INTERVALS {
-            let &oldest = inner.busy_intervals.keys().next().expect("nonempty");
-            inner.busy_intervals.remove(&oldest);
+            let (start, end) = inner.busy_intervals.pop_first().expect("nonempty");
+            inner.forgotten.0 += 1;
+            forgot += end - start;
         }
+        inner.forgotten.1 += forgot;
 
         inner.in_flight.push_back(completion);
-        completion
+        (completion, forgot)
     }
 
     /// Total requests served so far.
@@ -263,6 +276,15 @@ impl SharedResource {
     /// Total busy time accumulated (virtual).
     pub fn busy_time(&self) -> Nanos {
         self.inner.lock().busy
+    }
+
+    /// What the interval bound made this server forget: `(intervals,
+    /// nanoseconds)` of busy time dropped from the head of its timeline.
+    /// A late arrival may be placed over forgotten time, so a server
+    /// that forgot `ns` may have been booked up to `ns` beyond its
+    /// capacity; a server that forgot nothing was modelled exactly.
+    pub fn forgotten(&self) -> (u64, Nanos) {
+        self.inner.lock().forgotten
     }
 
     /// Reset between benchmark phases.
@@ -418,6 +440,24 @@ mod tests {
         assert_eq!(r.reserve(10, 10), 20);
         // Next arrival at 0 must queue after the merged [0,30).
         assert_eq!(r.reserve(0, 5), 35);
+    }
+
+    #[test]
+    fn forgotten_counts_what_the_interval_bound_drops() {
+        let r = SharedResource::ideal("x");
+        // Disjoint 10 ns intervals never coalesce: one past the bound
+        // drops the oldest.
+        for i in 0..MAX_INTERVALS as u64 {
+            r.reserve(i * 100, 10);
+        }
+        assert_eq!(r.forgotten(), (0, 0));
+        r.reserve(MAX_INTERVALS as u64 * 100, 10);
+        let (done, forgot) = r.reserve_counting((MAX_INTERVALS as u64 + 1) * 100, 10);
+        assert_eq!((done, forgot), ((MAX_INTERVALS as u64 + 1) * 100 + 10, 10));
+        assert_eq!(r.forgotten(), (2, 20));
+        // The forgotten head is free again: an arrival at 0 lands on it.
+        assert_eq!(r.reserve(0, 10), 10);
+        assert_eq!(r.busy_time(), (MAX_INTERVALS as u64 + 3) * 10);
     }
 
     #[test]
