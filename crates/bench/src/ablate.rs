@@ -10,22 +10,65 @@
 //! * lease period (extension traffic vs takeover latency),
 //! * lease managers (the paper's one vs the sharded default).
 
-use arkfs::{ArkCluster, ArkConfig};
-use arkfs_bench::{ark_fleet, bench_files, print_table, save_results, zipf_create_fleet};
-use arkfs_objstore::{ClusterConfig, ObjectCluster};
+use crate::figures::easy_create_rate;
+use crate::fleet::{ark_cluster, ark_fleet, zipf_create_fleet};
+use crate::registry::{format_table, Figure, Run, Scale};
+use arkfs::ArkConfig;
 use arkfs_simkit::{MSEC, SEC};
-use arkfs_vfs::{Credentials, OpenFlags};
+use arkfs_vfs::{Credentials, FileHandle, OpenFlags, Vfs};
 use arkfs_workloads::mdtest::{fanned_dir_create, mdtest_easy, MdtestEasyConfig};
 use arkfs_workloads::{run_ops, SimClient};
 use std::sync::Arc;
 
+const SCALE: Scale = Scale {
+    files: 20_000,
+    procs: 16,
+    clients: 4096,
+    mib: 0,
+    full: false,
+};
+
+pub const FIGURE: Figure = Figure {
+    name: "ablate",
+    claim: "Ablations of the design choices of §III, in virtual time: each mechanism the paper \
+            argues for (compound transactions, permission caching, read-ahead, leases) pays for \
+            itself against the same system with it turned off.",
+    // `files` is the create count of the 16-process tables; the wider
+    // fleets' per-client counts scale with it.
+    scale: SCALE,
+    full: Scale {
+        files: 1_000_000,
+        full: true,
+        ..SCALE
+    },
+    tables: &["ablations"],
+    metrics: &[],
+    run: ablate,
+    shape: |_| Ok(()),
+};
+
 fn create_throughput(config: ArkConfig, procs: usize, files: u64) -> f64 {
-    let system = ark_fleet(procs, config, true);
-    let cfg = MdtestEasyConfig {
-        files_total: files,
-        create_only: true,
-    };
-    mdtest_easy(&system.clients, &cfg).expect("mdtest").phases[0].ops_per_sec()
+    easy_create_rate(&ark_fleet(procs, config, true).clients, files)
+}
+
+/// Write `size` bytes to a fresh `path` in 1 MiB blocks and fsync.
+fn write_seq(c: &dyn Vfs, ctx: &Credentials, path: &str, size: u64) -> FileHandle {
+    let fh = c.create(ctx, path, 0o644).unwrap();
+    let block = vec![0u8; 1024 * 1024];
+    for off in (0..size).step_by(block.len()) {
+        c.write(ctx, fh, off, &block).unwrap();
+    }
+    c.fsync(ctx, fh).unwrap();
+    fh
+}
+
+/// Read `size` bytes back in 128 KiB requests.
+fn read_seq(c: &dyn Vfs, ctx: &Credentials, fh: FileHandle, size: u64) {
+    let mut buf = vec![0u8; 128 * 1024];
+    let mut off = 0;
+    while off < size {
+        off += c.read(ctx, fh, off, &mut buf).unwrap() as u64;
+    }
 }
 
 /// Sequential read bandwidth (MiB/s) for a given read-ahead policy.
@@ -37,40 +80,26 @@ fn read_bandwidth(max_readahead: u64, full_at_zero: bool) -> f64 {
     config.max_readahead = max_readahead;
     config.readahead_full_at_zero = full_at_zero;
     let system = ark_fleet(4, config, true);
-    let ctx = arkfs_vfs::Credentials::root();
+    let ctx = Credentials::root();
     let c: &Arc<dyn SimClient> = &system.clients[0];
     let size: u64 = 64 * 1024 * 1024;
     c.mkdir(&ctx, "/d", 0o755).unwrap();
-    let fh = c.create(&ctx, "/d/f", 0o644).unwrap();
-    let block = vec![0u8; 1024 * 1024];
-    let mut off = 0;
-    while off < size {
-        c.write(&ctx, fh, off, &block).unwrap();
-        off += block.len() as u64;
-    }
-    c.fsync(&ctx, fh).unwrap();
+    let fh = write_seq(c.as_ref(), &ctx, "/d/f", size);
     c.close(&ctx, fh).unwrap();
     c.drop_caches();
     let t0 = c.port().now();
     let fh = c.open(&ctx, "/d/f", OpenFlags::RDONLY).unwrap();
-    let mut buf = vec![0u8; 128 * 1024];
-    let mut off = 0;
-    while off < size {
-        let n = c.read(&ctx, fh, off, &mut buf).unwrap();
-        off += n as u64;
-    }
+    read_seq(c.as_ref(), &ctx, fh, size);
     c.close(&ctx, fh).unwrap();
     let dt = (c.port().now() - t0) as f64 / 1e9;
     size as f64 / (1024.0 * 1024.0) / dt
 }
 
-/// Create throughput (kops/s, closing barrier included) of 4096 engine
-/// clients making 16 files each in a Zipf-drawn pool of 256 shared
-/// directories, and the busiest lease manager's busy share of it.
-fn zipf_create(config: ArkConfig) -> (f64, f64) {
-    let store_cfg = ClusterConfig::rados(config.spec.clone()).with_discard_payload(true);
-    let cluster = ArkCluster::new(config, Arc::new(ObjectCluster::new(store_cfg)));
-    let (n, per_client) = (4096, 16);
+/// Create throughput (kops/s, closing barrier included) of `n` engine
+/// clients making `per_client` files each in a Zipf-drawn pool of 256
+/// shared directories, and the busiest lease manager's busy share of it.
+fn zipf_create(config: ArkConfig, n: usize, per_client: u64) -> (f64, f64) {
+    let cluster = ark_cluster(config, true);
     let (clients, gens) = zipf_create_fleet(&cluster, 256, 0.9, 0xF19, n, per_client);
     let clients: Vec<Arc<dyn SimClient>> = clients
         .into_iter()
@@ -96,10 +125,13 @@ fn zipf_create(config: ArkConfig) -> (f64, f64) {
 }
 
 #[allow(clippy::field_reassign_with_default)]
-fn main() {
-    let procs = 16;
-    let files = bench_files(20_000);
-    let mut lines = Vec::new();
+fn ablate(run: &mut Run) -> Result<(), String> {
+    let Scale { files, procs, .. } = run.scale;
+    let zipf_clients = run.scale.clients;
+    // The wide-fleet tables: 64 clients × 500 files at the default scale.
+    let wide = 4 * procs;
+    let wide_files = wide as u64 * (files / 40).max(1);
+    const OUT: &str = "ablations";
 
     // 1. Compound-transaction buffering (§III-E: "buffering journal
     //    entries in an in-memory transaction for 1 second").
@@ -119,11 +151,12 @@ fn main() {
         ]
     })
     .collect();
-    lines.extend(print_table(
+    run.table(
+        OUT,
         "Ablation: compound-transaction window (create kops/s)",
         &["window", "kops/s"],
         &rows,
-    ));
+    );
 
     // 1b. Commit pipeline: async acks at seal, sync acks at durable.
     //     Same create workload; the async rows also split latency into
@@ -159,11 +192,12 @@ fn main() {
         ]
     })
     .collect();
-    lines.extend(print_table(
+    run.table(
+        OUT,
         "Ablation: commit pipeline (create kops/s, ack vs durable p50 ns)",
         &["mode", "kops/s", "ack p50", "durable p50"],
         &rows,
-    ));
+    );
 
     // 1c. Group commit across co-laned directories: 64 clients create
     //     round-robin into 8 directories each, so every client's 8 led
@@ -191,8 +225,8 @@ fn main() {
     ]
     .into_iter()
     .map(|(name, cfg)| {
-        let system = ark_fleet(64, cfg, true);
-        let result = fanned_dir_create(&system.clients, 8, 64 * 500).expect("fanned create");
+        let system = ark_fleet(wide, cfg, true);
+        let result = fanned_dir_create(&system.clients, 8, wide_files).expect("fanned create");
         let phase = &result.phases[0];
         let tel = system.clients[0].telemetry().expect("telemetry");
         let durable = tel.registry.histogram("op.create.durable_ns").snapshot();
@@ -207,8 +241,9 @@ fn main() {
         ]
     })
     .collect();
-    lines.extend(print_table(
-        "Ablation: group commit across co-laned dirs at 64 clients",
+    run.table(
+        OUT,
+        &format!("Ablation: group commit across co-laned dirs at {wide} clients"),
         &[
             "mode",
             "kops/s",
@@ -217,7 +252,7 @@ fn main() {
             "txns/flight",
         ],
         &rows,
-    ));
+    );
 
     // 2. Permission cache (§III-C, near-root hotspot) at 64 clients.
     let rows: Vec<Vec<String>> = [
@@ -231,15 +266,16 @@ fn main() {
     .map(|(name, cfg)| {
         vec![
             name.to_string(),
-            format!("{:.1}", create_throughput(cfg, 64, 64 * 500) / 1000.0),
+            format!("{:.1}", create_throughput(cfg, wide, wide_files) / 1000.0),
         ]
     })
     .collect();
-    lines.extend(print_table(
-        "Ablation: permission caching at 64 clients (create kops/s)",
+    run.table(
+        OUT,
+        &format!("Ablation: permission caching at {wide} clients (create kops/s)"),
         &["mode", "kops/s"],
         &rows,
-    ));
+    );
 
     // 3. Dentry bucket count (dirty-bucket write amplification on
     //    checkpoint; more buckets = smaller rewrites).
@@ -254,11 +290,12 @@ fn main() {
             ]
         })
         .collect();
-    lines.extend(print_table(
+    run.table(
+        OUT,
         "Ablation: dentry buckets per directory (create kops/s)",
         &["buckets", "kops/s"],
         &rows,
-    ));
+    );
 
     // 4. Read-ahead policy (§III-D).
     let rows: Vec<Vec<String>> = [
@@ -269,11 +306,12 @@ fn main() {
     .into_iter()
     .map(|(name, ra, fz)| vec![name.to_string(), format!("{:.0}", read_bandwidth(ra, fz))])
     .collect();
-    lines.extend(print_table(
+    run.table(
+        OUT,
         "Ablation: read-ahead policy (sequential read MiB/s, 1 client)",
         &["policy", "MiB/s"],
         &rows,
-    ));
+    );
 
     // 5. Lease period: shorter periods mean more manager traffic.
     let rows: Vec<Vec<String>> = [SEC / 2, SEC, 5 * SEC, 30 * SEC]
@@ -286,11 +324,12 @@ fn main() {
             ]
         })
         .collect();
-    lines.extend(print_table(
+    run.table(
+        OUT,
         "Ablation: lease period (create kops/s)",
         &["period", "kops/s"],
         &rows,
-    ));
+    );
 
     // 5b. Lease managers: the paper's single manager against the
     //     sharded default, where a fleet's first touches are the load
@@ -299,15 +338,17 @@ fn main() {
     let rows: Vec<Vec<String>> = [(1, "1 (paper)"), (16, "16 (default)")]
         .into_iter()
         .map(|(managers, name)| {
-            let (kops, busy) = zipf_create(ArkConfig::default().with_lease_managers(managers));
+            let config = ArkConfig::default().with_lease_managers(managers);
+            let (kops, busy) = zipf_create(config, zipf_clients, (files / 1250).max(1));
             vec![name.to_string(), format!("{kops:.1}"), format!("{busy:.1}")]
         })
         .collect();
-    lines.extend(print_table(
-        "Ablation: lease managers (Zipf create over shared dirs, 4096 clients)",
+    run.table(
+        OUT,
+        &format!("Ablation: lease managers (Zipf create over shared dirs, {zipf_clients} clients)"),
         &["managers", "kops/s", "busiest mgr busy %"],
         &rows,
-    ));
+    );
 
     // 6. Unified telemetry: one deployment runs the cached data path
     //    (16 MiB write + cold read), then 64 creates, a clean lease
@@ -317,39 +358,21 @@ fn main() {
     //    single sorted `Registry::snapshot()`.
     {
         use arkfs_telemetry::MetricValue;
-        use arkfs_vfs::Vfs;
         let mut config = ArkConfig::default();
         config.chunk_size = 512 * 1024;
         config.cache_entries = 256;
-        let store_cfg = ClusterConfig::rados(config.spec.clone());
-        let store = Arc::new(ObjectCluster::new(store_cfg));
-        let cluster = ArkCluster::new(config, store);
-        let trace = arkfs_bench::trace_path();
-        if trace.is_some() {
-            cluster.telemetry().tracer.set_enabled(true);
-        }
+        let cluster = ark_cluster(config, false);
+        run.trace_on("ArkFS", cluster.telemetry(), None);
         let writer = cluster.client();
         let reader = cluster.client();
-        let ctx = arkfs_vfs::Credentials::root();
+        let ctx = Credentials::root();
 
         // Data path: write 16 MiB, drop the cache, read it back cold.
         let size: u64 = 16 * 1024 * 1024;
         writer.mkdir(&ctx, "/d", 0o755).unwrap();
-        let fh = writer.create(&ctx, "/d/f", 0o644).unwrap();
-        let block = vec![0u8; 1024 * 1024];
-        let mut off = 0;
-        while off < size {
-            writer.write(&ctx, fh, off, &block).unwrap();
-            off += block.len() as u64;
-        }
-        writer.fsync(&ctx, fh).unwrap();
+        let fh = write_seq(writer.as_ref(), &ctx, "/d/f", size);
         writer.drop_data_cache().unwrap();
-        let mut buf = vec![0u8; 128 * 1024];
-        let mut off = 0;
-        while off < size {
-            let n = writer.read(&ctx, fh, off, &mut buf).unwrap();
-            off += n as u64;
-        }
+        read_seq(writer.as_ref(), &ctx, fh, size);
         writer.close(&ctx, fh).unwrap();
 
         // Metadata path: 64 creates, then hand the lease back so the
@@ -373,9 +396,10 @@ fn main() {
         // Fold the observability-layer loss counters and the client's
         // lock-contention counters into the registry so the snapshot
         // below is the one uniform view of everything the stack
-        // recorded. Lock contended/blocked_ns are host wall-clock
-        // (nondeterministic), which is fine here: the ablation report
-        // is exempt from the byte-identical drift check.
+        // recorded. Lock contended/blocked_ns are host wall-clock, but
+        // this workload runs on one thread and a lock nobody else holds
+        // is never contended: both are 0 on every run, so the table
+        // stays under the byte-identical drift check.
         cluster.telemetry().publish_ring_losses();
         writer.publish_lock_stats();
         // `leader.served.count` / `leader.busy_ns` are sums over all
@@ -409,12 +433,13 @@ fn main() {
                 vec![name, rendered]
             })
             .collect();
-        lines.extend(print_table(
+        run.table(
+            OUT,
             "Telemetry registry snapshot (data path + takeover workload)",
             &["metric", "value"],
             &rows,
-        ));
-        if let Some(path) = trace {
+        );
+        if run.trace.is_some() {
             // Critical-path attribution from the causal spans: for each
             // op family, how the mean ack latency splits across the
             // pipeline segments.
@@ -434,23 +459,17 @@ fn main() {
             if !cp_rows.is_empty() {
                 let mut headers = vec!["op", "mean ns"];
                 headers.extend(critpath::SEGMENTS);
-                lines.extend(print_table(
+                run.table(
+                    OUT,
                     "Critical-path attribution (mean ack latency by segment)",
                     &headers,
                     &cp_rows,
-                ));
-            }
-            match cluster
-                .telemetry()
-                .tracer
-                .write_chrome_trace(std::path::Path::new(&path))
-            {
-                Ok(()) => eprintln!("wrote {path}"),
-                Err(e) => eprintln!("failed to write {path}: {e}"),
+                );
             }
         }
     }
 
+    let shared_files = (files as usize / 20).max(1);
     // 7a. Shared-client op/lock-acquisition counts, measured
     //     deterministically: the same 8-worker op mix multiplexed onto
     //     the ONE client by the discrete-event engine on one host
@@ -463,15 +482,16 @@ fn main() {
         let rows: Vec<Vec<String>> = [("striped (16)", 16usize), ("global lock (1)", 1)]
             .into_iter()
             .map(|(name, stripes)| {
-                let (ops, acquisitions) = shared_client_engine_counts(stripes);
+                let (ops, acquisitions) = shared_client_engine_counts(stripes, shared_files);
                 vec![name.to_string(), ops.to_string(), acquisitions.to_string()]
             })
             .collect();
-        lines.extend(print_table(
+        run.table(
+            OUT,
             "Ablation: shared-client op/lock counts (event engine, deterministic)",
             &["mode", "ops", "striped lock acquisitions"],
             &rows,
-        ));
+        );
     }
 
     // 7. Shared-client lock striping: 8 real OS threads hammer ONE
@@ -493,8 +513,8 @@ fn main() {
         // three lock-striped families (dir table, pcache, handle shards);
         // the data-cache lock is a single lock in both configs and is
         // reported separately so it does not mask the striping effect.
-        let _ = shared_client_run(16);
-        let _ = shared_client_run(1);
+        let _ = shared_client_run(16, shared_files);
+        let _ = shared_client_run(1, shared_files);
         #[derive(Default)]
         struct Tally {
             rates: Vec<f64>,
@@ -509,7 +529,7 @@ fn main() {
         // hits both configs equally.
         for _ in 0..5 {
             for (t, &(_, stripes)) in tallies.iter_mut().zip(&configs) {
-                let (ops_per_sec, s) = shared_client_run(stripes);
+                let (ops_per_sec, s) = shared_client_run(stripes, shared_files);
                 let striped = s.striped();
                 t.rates.push(ops_per_sec);
                 t.locks = striped.acquisitions;
@@ -534,25 +554,25 @@ fn main() {
                 ]
             })
             .collect();
-        lines.extend(print_table(
-            "Ablation: shared-client lock striping (8 threads, wall-clock)",
-            &[
-                "mode",
-                "kops/s",
-                "striped locks",
-                "striped contended",
-                "striped wait µs",
-                "cache contended",
-            ],
-            &rows,
-        ));
+        // Wall-clock rows differ run to run: stdout only, so
+        // `results/ablations.txt` stays deterministic.
+        let header = [
+            "mode",
+            "kops/s",
+            "striped locks",
+            "striped contended",
+            "striped wait µs",
+            "cache contended",
+        ];
+        let title = "Ablation: shared-client lock striping (8 threads, wall-clock)";
+        for line in format_table(title, &header, &rows) {
+            println!("{line}");
+        }
     }
-
-    save_results("ablations", &lines);
+    Ok(())
 }
 
 const SHARED_THREADS: usize = 8;
-const SHARED_FILES: usize = 1000;
 const SHARED_STATS_PER_FILE: usize = 8;
 
 /// Build the one-client deployment and its per-worker directory tree
@@ -564,10 +584,7 @@ fn shared_client_setup(stripes: usize) -> Arc<arkfs::ArkClient> {
     use arkfs_vfs::Vfs;
 
     let config = ArkConfig::default().with_client_lock_stripes(stripes);
-    let store_cfg = ClusterConfig::rados(config.spec.clone());
-    let store = Arc::new(ObjectCluster::new(store_cfg));
-    let cluster = ArkCluster::new(config, store);
-    let client = cluster.client();
+    let client = ark_cluster(config, false).client();
     let ctx = Credentials::root();
     for i in 0..SHARED_THREADS {
         client.mkdir(&ctx, &format!("/d{i}"), 0o755).unwrap();
@@ -581,7 +598,7 @@ fn shared_client_setup(stripes: usize) -> Arc<arkfs::ArkClient> {
 /// The shared-client op mix as engine-driven generators: 8 per-worker
 /// op streams multiplexed onto ONE client. Returns (ops executed,
 /// striped lock acquisitions) — both deterministic.
-fn shared_client_engine_counts(stripes: usize) -> (u64, u64) {
+fn shared_client_engine_counts(stripes: usize, files: usize) -> (u64, u64) {
     use arkfs_workloads::{gen_iter, run_ops, Op, OpGen};
 
     let client = shared_client_setup(stripes);
@@ -590,7 +607,7 @@ fn shared_client_engine_counts(stripes: usize) -> (u64, u64) {
         .collect();
     let gens: Vec<Box<dyn OpGen>> = (0..SHARED_THREADS)
         .map(|i| {
-            gen_iter((0..SHARED_FILES).flat_map(move |k| {
+            gen_iter((0..files).flat_map(move |k| {
                 let path = format!("/d{i}/s{}/f{k}", k % 4);
                 let mut ops = vec![
                     Op::OpenCreate { path: path.clone() },
@@ -616,13 +633,12 @@ fn shared_client_engine_counts(stripes: usize) -> (u64, u64) {
 
 /// One `ArkClient`, 8 real worker threads, mixed ops across 8 directories.
 /// Returns wall-clock ops/s and the client's lock-acquisition counters.
-fn shared_client_run(stripes: usize) -> (f64, arkfs::LockStats) {
+fn shared_client_run(stripes: usize, files: usize) -> (f64, arkfs::LockStats) {
     use arkfs_vfs::{Credentials, Vfs};
     use std::thread;
     use std::time::Instant;
 
     const THREADS: usize = SHARED_THREADS;
-    const FILES: usize = SHARED_FILES;
     const STATS_PER_FILE: usize = SHARED_STATS_PER_FILE;
     const OPS_PER_FILE: u64 = 3 + STATS_PER_FILE as u64; // create, write, close, stats
 
@@ -635,7 +651,7 @@ fn shared_client_run(stripes: usize) -> (f64, arkfs::LockStats) {
             thread::spawn(move || {
                 let ctx = Credentials::root();
                 let payload = vec![i as u8; 4096];
-                for k in 0..FILES {
+                for k in 0..files {
                     let path = format!("/d{i}/s{}/f{k}", k % 4);
                     let fh = c.create(&ctx, &path, 0o644).unwrap();
                     c.write(&ctx, fh, 0, &payload).unwrap();
@@ -654,6 +670,6 @@ fn shared_client_run(stripes: usize) -> (f64, arkfs::LockStats) {
     }
     let dt = t0.elapsed().as_secs_f64();
 
-    let ops = (THREADS * FILES) as f64 * OPS_PER_FILE as f64;
+    let ops = (THREADS * files) as f64 * OPS_PER_FILE as f64;
     (ops / dt, client.lock_stats())
 }

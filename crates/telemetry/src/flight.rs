@@ -134,16 +134,7 @@ impl FlightRecorder {
                 "{{\"track\":{track},\"t\":{},\"kind\":\"{}\",\"code\":{},\"detail\":\"",
                 ev.t, ev.kind, ev.code
             );
-            for c in ev.detail.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    c if (c as u32) < 0x20 => {
-                        let _ = write!(out, "\\u{:04x}", c as u32);
-                    }
-                    c => out.push(c),
-                }
-            }
+            crate::json::escape(&mut out, &ev.detail);
             let _ = write!(out, "\",\"trace\":{}}}", ev.trace_id);
         }
         let _ = write!(out, "],\"truncated\":{}}}", self.truncated());

@@ -21,6 +21,7 @@ pub mod critpath;
 pub mod ctx;
 pub mod flight;
 pub mod hist;
+pub mod json;
 pub mod registry;
 pub mod trace;
 

@@ -22,6 +22,7 @@
 //! per-client sequence number, never on wall clock or RNG state.
 
 use crate::ctx::{self, TraceCtx};
+use crate::json;
 use parking_lot::Mutex;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -249,11 +250,6 @@ impl Tracer {
         out.push_str("]}");
         out
     }
-
-    /// Write [`Tracer::chrome_trace`] to `path`.
-    pub fn write_chrome_trace(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.chrome_trace())
-    }
 }
 
 impl Default for Tracer {
@@ -295,20 +291,6 @@ fn push_micros(out: &mut String, ns: u64) {
     let _ = write!(out, "{}.{:03}", ns / 1000, ns % 1000);
 }
 
-fn push_escaped(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// Append one group's `process_name` metadata and span events to the
 /// shared `traceEvents` array body (everything between `[` and `]`).
 fn render_group(
@@ -329,7 +311,7 @@ fn render_group(
             "{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{},\"tid\":0,\"args\":{{\"name\":\"",
             pid_base + pid
         );
-        push_escaped(out, name);
+        json::escape(out, name);
         out.push_str("\"}}");
     }
     for ev in events {
@@ -338,9 +320,9 @@ fn render_group(
         }
         *first = false;
         out.push_str("{\"ph\":\"X\",\"name\":\"");
-        push_escaped(out, &ev.name);
+        json::escape(out, &ev.name);
         out.push_str("\",\"cat\":\"");
-        push_escaped(out, ev.cat);
+        json::escape(out, ev.cat);
         out.push_str("\",\"ts\":");
         push_micros(out, ev.start);
         out.push_str(",\"dur\":");

@@ -88,10 +88,6 @@ impl SimClient for GoofysFs {
     }
 }
 
-/// A fleet of clients of one file system under test, one per simulated
-/// process.
-pub type Fleet = Vec<Arc<dyn SimClient>>;
-
 /// MPI-style barrier on virtual time: every client's timeline advances to
 /// the fleet-wide maximum. mdtest/fio phases are separated by barriers so
 /// one straggler does not stagger the next phase's start times.
@@ -100,28 +96,4 @@ pub fn barrier(clients: &[Arc<dyn SimClient>]) {
     for c in clients {
         c.port().wait_until(max);
     }
-}
-
-/// Run one closure per client on its own OS thread, returning the
-/// per-client results. The closures drive real concurrency; time is
-/// virtual per client.
-pub fn run_fleet<R, F>(clients: &[Arc<dyn SimClient>], f: F) -> Vec<R>
-where
-    R: Send + 'static,
-    F: Fn(usize, Arc<dyn SimClient>) -> R + Send + Sync + 'static,
-{
-    let f = Arc::new(f);
-    let handles: Vec<_> = clients
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            let c = Arc::clone(c);
-            let f = Arc::clone(&f);
-            std::thread::spawn(move || f(i, c))
-        })
-        .collect();
-    handles
-        .into_iter()
-        .map(|h| h.join().expect("workload thread panicked"))
-        .collect()
 }

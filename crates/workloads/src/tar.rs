@@ -7,10 +7,10 @@
 //! 2. **Unarchiving** — the extracted dataset is re-packed into a tar
 //!    file and moved back toward the burst buffer.
 
-use crate::client::{barrier, run_fleet, SimClient};
+use crate::client::{barrier, SimClient};
 use crate::dataset::DatasetSpec;
-use arkfs_simkit::{BandwidthResource, Nanos, ThroughputMeter, SEC};
-use arkfs_vfs::{Credentials, FileHandle, FsError, FsResult, OpenFlags, Vfs};
+use arkfs_simkit::{Actor, BandwidthResource, Engine, Nanos, ThroughputMeter, SEC};
+use arkfs_vfs::{Credentials, DirEntry, FileHandle, FsError, FsResult, OpenFlags, Vfs};
 use std::sync::Arc;
 
 const BLOCK: usize = 512;
@@ -220,8 +220,160 @@ impl ArchiveResult {
     }
 }
 
-fn ctx() -> Credentials {
-    Credentials::root()
+/// Where one process stands in the two scenarios. One engine step
+/// moves one member file, or one 1 MiB read towards the burst buffer.
+enum Stage<'a> {
+    /// About to start scenario 1.
+    Archive,
+    /// Scenario 1: the dataset goes from the burst-buffer tier into the
+    /// tar on campaign storage, starting at this member.
+    Pack(TarWriter<'a>, usize),
+    /// Scenario 1: the tar is extracted and categorized.
+    Extract(TarReader<'a>),
+    /// Scenario 1 done; about to start scenario 2.
+    Unarchive,
+    /// Scenario 2: the extracted files are re-packed into a tar,
+    /// starting at this entry.
+    Repack(TarWriter<'a>, Vec<DirEntry>, usize),
+    /// Scenario 2: the tar (handle, size) is streamed back to the burst
+    /// buffer, starting at this offset.
+    Stream(FileHandle, u64, u64),
+    Done,
+}
+
+/// One archiving process: the engine's actor.
+struct Process<'a> {
+    index: usize,
+    client: &'a dyn SimClient,
+    creds: &'a Credentials,
+    spec: &'a DatasetSpec,
+    sizes: &'a [u64],
+    ebs: &'a BandwidthResource,
+    meter: &'a ThroughputMeter,
+    start: Nanos,
+    stage: Stage<'a>,
+    error: Option<FsError>,
+}
+
+impl<'a> Process<'a> {
+    fn out_dir(&self) -> String {
+        format!("/campaign/extracted-p{}", self.index)
+    }
+
+    /// The scenario-1 tar, or the scenario-2 tar headed back.
+    fn tar_path(&self, back: bool) -> String {
+        let prefix = if back { "back-" } else { "" };
+        format!("/campaign/{prefix}p{}.tar", self.index)
+    }
+
+    /// Pull `bytes` through the shared burst-buffer tier.
+    fn ebs_transfer(&self, bytes: u64) {
+        let port = self.client.port();
+        port.wait_until(self.ebs.transfer(port.now(), bytes));
+    }
+
+    /// Close a scenario: its span goes on the meter and the engine run
+    /// ends for this process.
+    fn end_scenario(&mut self, next: Stage<'a>) -> bool {
+        self.meter
+            .record_span(1, self.start, self.client.port().now());
+        self.stage = next;
+        false
+    }
+
+    /// One step. `Ok(false)` at the end of a scenario.
+    fn advance(&mut self) -> FsResult<bool> {
+        let (fs, creds): (&'a dyn Vfs, _) = (self.client, self.creds);
+        match std::mem::replace(&mut self.stage, Stage::Done) {
+            Stage::Archive => {
+                self.start = self.client.port().now();
+                let tar = TarWriter::create(fs, creds, &self.tar_path(false))?;
+                self.stage = Stage::Pack(tar, 0);
+            }
+            Stage::Pack(mut tar, next) if next < self.sizes.len() => {
+                let size = self.sizes[next];
+                self.ebs_transfer(size);
+                tar.add_file(&self.spec.name(next), &self.spec.content(next, size))?;
+                self.stage = Stage::Pack(tar, next + 1);
+            }
+            Stage::Pack(tar, _) => {
+                tar.finish()?;
+                fs.mkdir(creds, &self.out_dir(), 0o755)?;
+                let reader = TarReader::open(fs, creds, &self.tar_path(false))?;
+                self.stage = Stage::Extract(reader);
+            }
+            Stage::Extract(mut reader) => match reader.next_entry()? {
+                Some((name, data)) => {
+                    let path = format!("{}/{name}", self.out_dir());
+                    arkfs_vfs::write_file(fs, creds, &path, &data)?;
+                    self.stage = Stage::Extract(reader);
+                }
+                None => {
+                    reader.close()?;
+                    fs.sync_all(creds)?;
+                    return Ok(self.end_scenario(Stage::Unarchive));
+                }
+            },
+            Stage::Unarchive => {
+                self.start = self.client.port().now();
+                let entries = fs.readdir(creds, &self.out_dir())?;
+                let tar = TarWriter::create(fs, creds, &self.tar_path(true))?;
+                self.stage = Stage::Repack(tar, entries, 0);
+            }
+            Stage::Repack(mut tar, entries, next) if next < entries.len() => {
+                let name = &entries[next].name;
+                let data = arkfs_vfs::read_file(fs, creds, &format!("{}/{name}", self.out_dir()))?;
+                tar.add_file(name, &data)?;
+                self.stage = Stage::Repack(tar, entries, next + 1);
+            }
+            Stage::Repack(tar, ..) => {
+                tar.finish()?;
+                let size = fs.stat(creds, &self.tar_path(true))?.size;
+                let fh = fs.open(creds, &self.tar_path(true), OpenFlags::RDONLY)?;
+                self.stage = Stage::Stream(fh, size, 0);
+            }
+            Stage::Stream(fh, size, off) => {
+                let mut buf = vec![0u8; 1 << 20];
+                let n = if off < size {
+                    fs.read(creds, fh, off, &mut buf)?
+                } else {
+                    0
+                };
+                if n == 0 {
+                    fs.close(creds, fh)?;
+                    return Ok(self.end_scenario(Stage::Done));
+                }
+                self.ebs_transfer(n as u64);
+                self.stage = Stage::Stream(fh, size, off + n as u64);
+            }
+            Stage::Done => return Ok(false),
+        }
+        Ok(true)
+    }
+}
+
+impl Actor for Process<'_> {
+    fn now(&self) -> Nanos {
+        self.client.port().now()
+    }
+
+    fn step(&mut self) -> bool {
+        self.advance().unwrap_or_else(|e| {
+            self.error = Some(e);
+            self.stage = Stage::Done;
+            false
+        })
+    }
+}
+
+/// Drive every process through one scenario on the engine; returns the
+/// scenario's virtual makespan.
+fn run_scenario(procs: &mut [Process<'_>], meter: &ThroughputMeter, name: &str) -> FsResult<Nanos> {
+    Engine::run(procs);
+    match procs.iter_mut().find_map(|p| p.error.take()) {
+        Some(e) => Err(e),
+        None => Ok(meter.finish(name).makespan),
+    }
 }
 
 /// Run both scenarios over the fleet; each process handles its own copy
@@ -231,98 +383,37 @@ pub fn archive_scenario(
     cfg: &ArchiveConfig,
 ) -> FsResult<ArchiveResult> {
     assert!(!clients.is_empty());
-    clients[0].mkdir(&ctx(), "/campaign", 0o755)?;
-    let ebs = Arc::new(BandwidthResource::new("ebs", cfg.ebs_bw));
-    let spec = cfg.dataset.clone();
-    let dataset_bytes = spec.total_bytes() * clients.len() as u64;
-
-    // ---- Scenario 1: archiving --------------------------------------------
-    // Read dataset from EBS → write tar to campaign FS → extract +
-    // categorize on campaign FS.
-    let meter = Arc::new(ThroughputMeter::new());
-    let m = Arc::clone(&meter);
-    let ebs2 = Arc::clone(&ebs);
-    let spec2 = spec.clone();
-    let results = run_fleet(clients, move |i, c| -> FsResult<()> {
-        let creds = ctx();
-        let start = c.port().now();
-        let tar_path = format!("/campaign/p{i}.tar");
-        let sizes = spec2.sizes();
-        {
-            let mut tar = TarWriter::create(&*c, &creds, &tar_path)?;
-            for (idx, &size) in sizes.iter().enumerate() {
-                // Pull the source file from the burst-buffer tier.
-                let done = ebs2.transfer(c.port().now(), size);
-                c.port().wait_until(done);
-                let data = spec2.content(idx, size);
-                tar.add_file(&spec2.name(idx), &data)?;
-            }
-            tar.finish()?;
-        }
-        // Extract and categorize.
-        let out_dir = format!("/campaign/extracted-p{i}");
-        c.mkdir(&ctx(), &out_dir, 0o755)?;
-        let mut reader = TarReader::open(&*c, &creds, &tar_path)?;
-        while let Some((name, data)) = reader.next_entry()? {
-            arkfs_vfs::write_file(&*c, &ctx(), &format!("{out_dir}/{name}"), &data)?;
-        }
-        reader.close()?;
-        c.sync_all(&ctx())?;
-        m.record_span(1, start, c.port().now());
-        Ok(())
-    });
-    for r in results {
-        r?;
-    }
+    let creds = Credentials::root();
+    clients[0].mkdir(&creds, "/campaign", 0o755)?;
+    let ebs = BandwidthResource::new("ebs", cfg.ebs_bw);
+    let sizes = cfg.dataset.sizes();
+    let (archive, unarchive) = (ThroughputMeter::new(), ThroughputMeter::new());
+    let mut procs: Vec<Process> = clients
+        .iter()
+        .enumerate()
+        .map(|(index, client)| Process {
+            index,
+            client: client.as_ref(),
+            creds: &creds,
+            spec: &cfg.dataset,
+            sizes: &sizes,
+            ebs: &ebs,
+            meter: &archive,
+            start: 0,
+            stage: Stage::Archive,
+            error: None,
+        })
+        .collect();
+    let archive_ns = run_scenario(&mut procs, &archive, "archive")?;
     barrier(clients);
-    let archive_ns = meter.finish("archive").makespan;
-
-    // ---- Scenario 2: unarchiving -------------------------------------------
-    // Re-pack the extracted dataset into a tar and stream it back to the
-    // burst buffer.
-    let meter = Arc::new(ThroughputMeter::new());
-    let m = Arc::clone(&meter);
-    let results = run_fleet(clients, move |i, c| -> FsResult<()> {
-        let creds = ctx();
-        let start = c.port().now();
-        let out_dir = format!("/campaign/extracted-p{i}");
-        let back_path = format!("/campaign/back-p{i}.tar");
-        let entries = c.readdir(&ctx(), &out_dir)?;
-        {
-            let mut tar = TarWriter::create(&*c, &creds, &back_path)?;
-            for entry in &entries {
-                let data = arkfs_vfs::read_file(&*c, &ctx(), &format!("{out_dir}/{}", entry.name))?;
-                tar.add_file(&entry.name, &data)?;
-            }
-            tar.finish()?;
-        }
-        // Stream the tar to the burst buffer.
-        let st = c.stat(&ctx(), &back_path)?;
-        let fh = c.open(&ctx(), &back_path, OpenFlags::RDONLY)?;
-        let mut buf = vec![0u8; 1 << 20];
-        let mut off = 0u64;
-        while off < st.size {
-            let n = c.read(&ctx(), fh, off, &mut buf)?;
-            if n == 0 {
-                break;
-            }
-            let done = ebs.transfer(c.port().now(), n as u64);
-            c.port().wait_until(done);
-            off += n as u64;
-        }
-        c.close(&ctx(), fh)?;
-        m.record_span(1, start, c.port().now());
-        Ok(())
-    });
-    for r in results {
-        r?;
+    for p in &mut procs {
+        p.meter = &unarchive;
     }
-    let unarchive_ns = meter.finish("unarchive").makespan;
-
+    let unarchive_ns = run_scenario(&mut procs, &unarchive, "unarchive")?;
     Ok(ArchiveResult {
         archive_ns,
         unarchive_ns,
-        dataset_bytes,
+        dataset_bytes: cfg.dataset.total_bytes() * clients.len() as u64,
     })
 }
 
