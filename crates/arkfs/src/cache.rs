@@ -11,24 +11,102 @@
 //! per-file [`RadixTree`] keyed on chunk index. Eviction is LRU; evicting
 //! a dirty entry hands it back to the caller for write-back.
 
+use crate::prt::{chunk_spans, map_os_err};
 use crate::radix::RadixTree;
+use arkfs_objstore::{ObjectKey, ObjectStore, OsError, OsResult};
+use arkfs_simkit::Port;
 use arkfs_telemetry::Counter;
-use arkfs_vfs::Ino;
-use std::collections::HashMap;
+use arkfs_vfs::{FsResult, Ino};
+use bytes::Bytes;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-/// A dirty entry displaced by eviction; the caller must write it back.
+/// A dirty chunk on its way to the store: displaced by eviction, or
+/// taken by a flush (the cache then keeps a clean handle on the same
+/// allocation). `data` is the frozen chunk itself, not a copy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Evicted {
     pub ino: Ino,
     pub chunk: u64,
-    pub data: Vec<u8>,
+    pub data: Bytes,
+}
+
+/// Write dirty chunks back as one pipelined multi-PUT.
+pub fn write_back(store: &dyn ObjectStore, port: &Port, chunks: Vec<Evicted>) -> FsResult<()> {
+    if chunks.is_empty() {
+        return Ok(());
+    }
+    let items = chunks
+        .into_iter()
+        .map(|e| (ObjectKey::data_chunk(e.ino, e.chunk), e.data))
+        .collect();
+    for r in store.put_many(port, items) {
+        r.map_err(map_os_err)?;
+    }
+    Ok(())
+}
+
+/// Read the store contents of `chunks` (see [`DataCache::rmw_chunks`]) in
+/// one pipelined multi-GET; a chunk the store does not have is left out.
+pub fn fetch_fills(
+    store: &dyn ObjectStore,
+    port: &Port,
+    ino: Ino,
+    chunks: &[u64],
+) -> FsResult<HashMap<u64, Bytes>> {
+    let mut fills = HashMap::new();
+    if chunks.is_empty() {
+        return Ok(fills);
+    }
+    let keys: Vec<ObjectKey> = chunks
+        .iter()
+        .map(|&c| ObjectKey::data_chunk(ino, c))
+        .collect();
+    for (&chunk, result) in chunks.iter().zip(store.get_many(port, &keys)) {
+        match result {
+            Ok(bytes) => {
+                fills.insert(chunk, bytes);
+            }
+            Err(OsError::NotFound) => {}
+            Err(e) => return Err(map_os_err(e)),
+        }
+    }
+    Ok(fills)
+}
+
+/// A chunk's bytes. Clean, it is the store's own buffer (what a GET
+/// returned, or what a flush handed to the PUT) and immutable; the
+/// first write turns it into an owned vector (one copy if anyone else
+/// still holds the buffer), and a flush freezes that vector back into a
+/// shared buffer without copying.
+#[derive(Debug)]
+enum Chunk {
+    Clean(Bytes),
+    Dirty(Vec<u8>),
+}
+
+impl Chunk {
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Chunk::Clean(b) => b,
+            Chunk::Dirty(v) => v,
+        }
+    }
+
+    fn make_mut(&mut self) -> &mut Vec<u8> {
+        if let Chunk::Clean(b) = self {
+            *self = Chunk::Dirty(Vec::from(std::mem::take(b)));
+        }
+        match self {
+            Chunk::Dirty(v) => v,
+            Chunk::Clean(_) => unreachable!("made dirty above"),
+        }
+    }
 }
 
 #[derive(Debug)]
 struct CacheEntry {
-    data: Vec<u8>,
-    dirty: bool,
+    data: Chunk,
     tick: u64,
     /// Virtual time at which an asynchronously prefetched chunk becomes
     /// usable. A reader touching it earlier must wait (§III-D: the window
@@ -40,8 +118,10 @@ struct CacheEntry {
 #[derive(Debug)]
 pub struct DataCache {
     files: HashMap<Ino, RadixTree<CacheEntry>>,
+    /// Every resident entry by its (unique) last-use tick: the first is
+    /// the eviction victim.
+    lru: BTreeMap<u64, (Ino, u64)>,
     capacity: usize,
-    len: usize,
     clock: u64,
     hits: u64,
     misses: u64,
@@ -56,8 +136,8 @@ impl DataCache {
         assert!(capacity > 0);
         DataCache {
             files: HashMap::new(),
+            lru: BTreeMap::new(),
             capacity,
-            len: 0,
             clock: 0,
             hits: 0,
             misses: 0,
@@ -71,11 +151,11 @@ impl DataCache {
     }
 
     pub fn len(&self) -> usize {
-        self.len
+        self.lru.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.lru.is_empty()
     }
 
     pub fn hits(&self) -> u64 {
@@ -86,9 +166,22 @@ impl DataCache {
         self.misses
     }
 
-    fn tick(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
+    /// Advance the clock and look the entry up; if it is resident, it
+    /// becomes the most recently used. Takes the fields it needs, not
+    /// `self`, so a caller can count the hit while it holds the entry.
+    fn touch<'a>(
+        files: &'a mut HashMap<Ino, RadixTree<CacheEntry>>,
+        lru: &mut BTreeMap<u64, (Ino, u64)>,
+        clock: &mut u64,
+        ino: Ino,
+        chunk: u64,
+    ) -> Option<&'a mut CacheEntry> {
+        *clock += 1;
+        let entry = files.get_mut(&ino)?.get_mut(chunk)?;
+        lru.remove(&entry.tick);
+        lru.insert(*clock, (ino, chunk));
+        entry.tick = *clock;
+        Some(entry)
     }
 
     /// Read from a cached chunk. Returns the chunk bytes if present.
@@ -100,24 +193,35 @@ impl DataCache {
     /// (prefetched chunks carry their asynchronous completion time; the
     /// caller's timeline must wait until then).
     pub fn get_ready(&mut self, ino: Ino, chunk: u64) -> Option<(&[u8], u64)> {
-        let tick = self.tick();
-        match self.files.get_mut(&ino).and_then(|t| t.get_mut(chunk)) {
-            Some(entry) => {
-                entry.tick = tick;
-                self.hits += 1;
-                if let Some((hit, _)) = &self.counters {
-                    hit.inc();
-                }
-                Some((&entry.data, entry.ready_at))
+        let (files, lru, clock) = (&mut self.files, &mut self.lru, &mut self.clock);
+        let Some(entry) = Self::touch(files, lru, clock, ino, chunk) else {
+            self.misses += 1;
+            if let Some((_, miss)) = &self.counters {
+                miss.inc();
             }
-            None => {
-                self.misses += 1;
-                if let Some((_, miss)) = &self.counters {
-                    miss.inc();
-                }
-                None
-            }
+            return None;
+        };
+        self.hits += 1;
+        if let Some((hit, _)) = &self.counters {
+            hit.inc();
         }
+        Some((entry.data.bytes(), entry.ready_at))
+    }
+
+    /// Copy a cached chunk's bytes from `within` on into `out`, zeros
+    /// past the chunk's end. `None` on a miss, else when it is ready.
+    pub fn read_into(
+        &mut self,
+        ino: Ino,
+        chunk: u64,
+        within: usize,
+        out: &mut [u8],
+    ) -> Option<u64> {
+        let (data, ready_at) = self.get_ready(ino, chunk)?;
+        let take = data.len().saturating_sub(within).min(out.len());
+        out[..take].copy_from_slice(&data[within..within + take]);
+        out[take..].fill(0);
+        Some(ready_at)
     }
 
     /// True without touching LRU/ hit accounting (used by tests).
@@ -125,165 +229,173 @@ impl DataCache {
         self.files.get(&ino).is_some_and(|t| t.contains(chunk))
     }
 
-    /// Insert a chunk read from the store (clean). Returns dirty entries
+    /// Insert a chunk read from the store (clean): the cache holds the
+    /// buffer it is given, it does not copy it. Returns dirty entries
     /// evicted to make room.
-    pub fn insert_clean(&mut self, ino: Ino, chunk: u64, data: Vec<u8>) -> Vec<Evicted> {
-        self.insert(ino, chunk, data, false, 0)
-    }
-
-    /// Insert an asynchronously prefetched chunk that becomes usable at
-    /// `ready_at` on the virtual clock.
-    pub fn insert_prefetched(
-        &mut self,
-        ino: Ino,
-        chunk: u64,
-        data: Vec<u8>,
-        ready_at: u64,
-    ) -> Vec<Evicted> {
-        self.insert(ino, chunk, data, false, ready_at)
-    }
-
-    /// Bulk variant of [`DataCache::insert_clean`]: install many chunks of
-    /// one file under a single call, running the LRU eviction scan once at
-    /// the end instead of per entry. Entries are ticked in order, so the
-    /// eviction outcome matches the serial insert loop.
-    pub fn insert_clean_many(&mut self, ino: Ino, entries: Vec<(u64, Vec<u8>)>) -> Vec<Evicted> {
-        for (chunk, data) in entries {
-            self.install(ino, chunk, data, false, 0);
-        }
+    pub fn insert_clean(&mut self, ino: Ino, chunk: u64, data: impl Into<Bytes>) -> Vec<Evicted> {
+        self.install(ino, chunk, Chunk::Clean(data.into()), 0);
         self.evict_to_capacity()
     }
 
-    fn insert(
+    /// Install what a read path's multi-GET returned — `(chunk, result)`
+    /// pairs of a file of `size` bytes, walked in reverse so the chunk
+    /// about to be read carries the freshest LRU tick and is not
+    /// displaced by its own read-ahead companions. A chunk the store
+    /// does not have is a hole (shared zeros), a short one gets its
+    /// sparse tail padded (the one copy here); chunks up to
+    /// `last_needed` are usable at once and the rest are prefetched,
+    /// usable at their own completion. Returns when the needed chunks
+    /// are all there, and the dirty entries evicted to make room.
+    pub fn fill(
         &mut self,
         ino: Ino,
-        chunk: u64,
-        data: Vec<u8>,
-        dirty: bool,
-        ready_at: u64,
-    ) -> Vec<Evicted> {
-        self.install(ino, chunk, data, dirty, ready_at);
-        self.evict_to_capacity()
+        results: impl DoubleEndedIterator<Item = (u64, OsResult<(Bytes, u64)>)>,
+        chunk_size: u64,
+        size: u64,
+        last_needed: u64,
+        depart: u64,
+    ) -> FsResult<(u64, Vec<Evicted>)> {
+        let (mut needed_done, mut evicted) = (0, Vec::new());
+        for (chunk, result) in results.rev() {
+            let logical_len = (size - chunk * chunk_size).min(chunk_size) as usize;
+            let (data, completion) = match result {
+                Ok((bytes, completion)) if bytes.len() < logical_len => {
+                    let mut v = Vec::with_capacity(logical_len);
+                    v.extend_from_slice(&bytes);
+                    v.resize(logical_len, 0);
+                    (Bytes::from(v), completion)
+                }
+                Ok(whole) => whole,
+                Err(OsError::NotFound) => (arkfs_objstore::zeros(logical_len), depart),
+                Err(e) => return Err(map_os_err(e)),
+            };
+            let needed = chunk <= last_needed;
+            if needed {
+                needed_done = needed_done.max(completion);
+            }
+            let ready_at = if needed { 0 } else { completion };
+            self.install(ino, chunk, Chunk::Clean(data), ready_at);
+            evicted.extend(self.evict_to_capacity());
+        }
+        Ok((needed_done, evicted))
     }
 
-    /// Place an entry without running eviction (bulk callers evict once).
-    fn install(&mut self, ino: Ino, chunk: u64, data: Vec<u8>, dirty: bool, ready_at: u64) {
-        let tick = self.tick();
-        let tree = self.files.entry(ino).or_default();
-        if tree
-            .insert(
-                chunk,
-                CacheEntry {
-                    data,
-                    dirty,
-                    tick,
-                    ready_at,
-                },
-            )
-            .is_none()
-        {
-            self.len += 1;
+    /// Place an entry without running eviction.
+    fn install(&mut self, ino: Ino, chunk: u64, data: Chunk, ready_at: u64) {
+        self.clock += 1;
+        let entry = CacheEntry {
+            data,
+            tick: self.clock,
+            ready_at,
+        };
+        if let Some(old) = self.files.entry(ino).or_default().insert(chunk, entry) {
+            self.lru.remove(&old.tick);
         }
+        self.lru.insert(self.clock, (ino, chunk));
     }
 
     /// Write into a chunk at `offset`, extending it as needed, marking it
-    /// dirty. The chunk must already be resident (callers install it with
-    /// `insert_clean` first when doing a partial overwrite of store
-    /// data). Returns evictions.
+    /// dirty. A partial overwrite of store data needs the chunk resident
+    /// first (callers install it with `insert_clean`). Returns evictions.
     pub fn write(&mut self, ino: Ino, chunk: u64, offset: usize, data: &[u8]) -> Vec<Evicted> {
-        let tick = self.tick();
-        let tree = self.files.entry(ino).or_default();
-        match tree.get_mut(chunk) {
+        let end = offset + data.len();
+        let (files, lru, clock) = (&mut self.files, &mut self.lru, &mut self.clock);
+        match Self::touch(files, lru, clock, ino, chunk) {
             Some(entry) => {
-                let end = offset + data.len();
-                if entry.data.len() < end {
-                    entry.data.resize(end, 0);
+                let buf = entry.data.make_mut();
+                if buf.len() < end {
+                    buf.resize(end, 0);
                 }
-                entry.data[offset..end].copy_from_slice(data);
-                entry.dirty = true;
-                entry.tick = tick;
+                buf[offset..end].copy_from_slice(data);
                 entry.ready_at = 0;
                 Vec::new()
             }
             None => {
-                let mut buf = vec![0u8; offset + data.len()];
+                let mut buf = vec![0u8; end];
                 buf[offset..].copy_from_slice(data);
-                self.insert(ino, chunk, buf, true, 0)
+                self.install(ino, chunk, Chunk::Dirty(buf), 0);
+                self.evict_to_capacity()
             }
         }
     }
 
-    /// Apply a multi-chunk write as one operation. `pieces` are
-    /// `(chunk, offset_within_chunk, bytes)` spans of one contiguous
-    /// write; `fills` carries store-resident chunk contents to install
-    /// (clean) right before the first write lands on that chunk — the
-    /// read-modify step of a partial overwrite. Each chunk's fill is
-    /// installed immediately before its write so eviction pressure can
-    /// never displace a fill before its write applies; dirty evictions
-    /// from the whole span accumulate into the returned batch.
+    /// The chunks a write of `len` bytes at `offset` of a file of `size`
+    /// bytes must read before it modifies them: covered only in part,
+    /// resident in the store, and not cached.
+    pub fn rmw_chunks(
+        &self,
+        ino: Ino,
+        chunk_size: u64,
+        size: u64,
+        offset: u64,
+        len: usize,
+    ) -> Vec<u64> {
+        chunk_spans(chunk_size, offset, len)
+            .filter(|(chunk, _, span)| {
+                let partial = span.len() < chunk_size as usize;
+                partial && chunk * chunk_size < size && !self.contains(ino, *chunk)
+            })
+            .map(|(chunk, ..)| chunk)
+            .collect()
+    }
+
+    /// Apply a write that may span chunks as one operation. `fills`
+    /// carries the store contents of [`DataCache::rmw_chunks`], each
+    /// installed (clean, the store's own buffer) immediately before the
+    /// write lands on its chunk — the read-modify step of a partial
+    /// overwrite — so eviction pressure can never displace a fill before
+    /// its write applies; dirty evictions from the whole span accumulate
+    /// into the returned batch.
     pub fn write_many(
         &mut self,
         ino: Ino,
-        mut fills: HashMap<u64, Vec<u8>>,
-        pieces: &[(u64, usize, &[u8])],
+        chunk_size: u64,
+        offset: u64,
+        data: &[u8],
+        mut fills: HashMap<u64, Bytes>,
     ) -> Vec<Evicted> {
         let mut out = Vec::new();
-        for &(chunk, offset, data) in pieces {
+        for (chunk, within, span) in chunk_spans(chunk_size, offset, data.len()) {
             if let Some(fill) = fills.remove(&chunk) {
-                out.extend(self.insert(ino, chunk, fill, false, 0));
+                out.extend(self.insert_clean(ino, chunk, fill));
             }
-            out.extend(self.write(ino, chunk, offset, data));
+            out.extend(self.write(ino, chunk, within, &data[span]));
         }
         out
     }
 
     fn evict_to_capacity(&mut self) -> Vec<Evicted> {
         let mut out = Vec::new();
-        while self.len > self.capacity {
-            // Find the globally least-recently-used entry.
-            let mut victim: Option<(Ino, u64, u64)> = None;
-            for (&ino, tree) in &self.files {
-                for (chunk, entry) in tree.iter() {
-                    match victim {
-                        Some((_, _, best)) if entry.tick >= best => {}
-                        _ => victim = Some((ino, chunk, entry.tick)),
-                    }
-                }
-            }
-            let Some((ino, chunk, _)) = victim else { break };
-            let entry = self
-                .files
-                .get_mut(&ino)
-                .and_then(|t| t.remove(chunk))
-                .expect("victim must exist");
-            self.len -= 1;
-            if self.files.get(&ino).is_some_and(|t| t.is_empty()) {
+        while self.lru.len() > self.capacity {
+            let (_, (ino, chunk)) = self.lru.pop_first().expect("over capacity");
+            let tree = self.files.get_mut(&ino).expect("lru names a cached file");
+            let entry = tree.remove(chunk).expect("lru names a cached chunk");
+            if tree.is_empty() {
                 self.files.remove(&ino);
             }
-            if entry.dirty {
-                out.push(Evicted {
-                    ino,
-                    chunk,
-                    data: entry.data,
-                });
+            if let Chunk::Dirty(v) = entry.data {
+                let data = Bytes::from(v);
+                out.push(Evicted { ino, chunk, data });
             }
         }
         out
     }
 
-    /// Take the dirty chunks of one file for write-back; they remain
-    /// cached but clean afterwards.
-    pub fn take_dirty(&mut self, ino: Ino) -> Vec<(u64, Vec<u8>)> {
+    /// Take the dirty chunks of one file for write-back, in chunk order.
+    /// Each is frozen, not copied: the write-back and the entry, which
+    /// stays cached and is clean afterwards, share one allocation.
+    pub fn take_dirty(&mut self, ino: Ino) -> Vec<Evicted> {
+        let Some(tree) = self.files.get_mut(&ino) else {
+            return Vec::new();
+        };
+        let chunks: Vec<u64> = tree.iter().map(|(k, _)| k).collect();
         let mut out = Vec::new();
-        if let Some(tree) = self.files.get_mut(&ino) {
-            let chunks: Vec<u64> = tree.iter().map(|(k, _)| k).collect();
-            for chunk in chunks {
-                if let Some(entry) = tree.get_mut(chunk) {
-                    if entry.dirty {
-                        entry.dirty = false;
-                        out.push((chunk, entry.data.clone()));
-                    }
-                }
+        for chunk in chunks {
+            let entry = tree.get_mut(chunk).expect("listed above");
+            if let Chunk::Dirty(v) = &mut entry.data {
+                let data = Bytes::from(std::mem::take(v));
+                entry.data = Chunk::Clean(data.clone());
+                out.push(Evicted { ino, chunk, data });
             }
         }
         out
@@ -292,29 +404,24 @@ impl DataCache {
     /// Take every dirty chunk (global sync).
     pub fn take_all_dirty(&mut self) -> Vec<Evicted> {
         let inos: Vec<Ino> = self.files.keys().copied().collect();
-        let mut out = Vec::new();
-        for ino in inos {
-            for (chunk, data) in self.take_dirty(ino) {
-                out.push(Evicted { ino, chunk, data });
-            }
-        }
-        out
+        inos.into_iter()
+            .flat_map(|ino| self.take_dirty(ino))
+            .collect()
     }
 
     /// Drop every cached chunk of a file (lease revocation, delete,
     /// or the fio benchmark's cache-drop step). Dirty data is DISCARDED —
     /// flush first if it matters.
     pub fn invalidate_file(&mut self, ino: Ino) {
-        if let Some(tree) = self.files.remove(&ino) {
-            self.len -= tree.len();
-        }
+        self.truncate_file(ino, 0);
     }
 
     /// Drop cached chunks at and beyond `first_chunk` (truncate).
     pub fn truncate_file(&mut self, ino: Ino, first_chunk: u64) {
         if let Some(tree) = self.files.get_mut(&ino) {
-            let removed = tree.split_off(first_chunk);
-            self.len -= removed.len();
+            for (_, entry) in tree.split_off(first_chunk) {
+                self.lru.remove(&entry.tick);
+            }
             if tree.is_empty() {
                 self.files.remove(&ino);
             }
@@ -325,14 +432,16 @@ impl DataCache {
     pub fn dirty_count(&self) -> usize {
         self.files
             .values()
-            .map(|t| t.iter().filter(|(_, e)| e.dirty).count())
-            .sum()
+            .flat_map(|t| t.iter())
+            .filter(|(_, e)| matches!(e.data, Chunk::Dirty(_)))
+            .count()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use arkfs_objstore::{ClusterConfig, ObjectCluster};
 
     #[test]
     fn read_write_roundtrip() {
@@ -388,7 +497,7 @@ mod tests {
             vec![Evicted {
                 ino: 1,
                 chunk: 0,
-                data: b"dirty".to_vec()
+                data: Bytes::from_static(b"dirty")
             }]
         );
         assert_eq!(c.len(), 1);
@@ -402,7 +511,11 @@ mod tests {
         c.insert_clean(1, 5, b"c".to_vec());
         c.write(2, 0, 0, b"other");
         let dirty = c.take_dirty(1);
-        assert_eq!(dirty, vec![(0, b"a".to_vec()), (3, b"b".to_vec())]);
+        let dirty: Vec<_> = dirty.into_iter().map(|e| (e.chunk, e.data)).collect();
+        assert_eq!(
+            dirty,
+            vec![(0, Bytes::from_static(b"a")), (3, Bytes::from_static(b"b"))]
+        );
         assert_eq!(c.dirty_count(), 1); // file 2 still dirty
         assert_eq!(c.get(1, 0).unwrap(), b"a"); // data still cached
         assert!(c.take_dirty(1).is_empty(), "second take is empty");
@@ -443,36 +556,74 @@ mod tests {
         assert!(!c.contains(1, 2));
     }
 
+    fn store() -> (ObjectCluster, Port, ObjectKey) {
+        let cfg = ClusterConfig::test_tiny().with_replication(2);
+        (
+            ObjectCluster::new(cfg),
+            Port::new(),
+            ObjectKey::data_chunk(1, 0),
+        )
+    }
+
     #[test]
-    fn insert_clean_many_matches_serial_eviction() {
-        let mut serial = DataCache::new(2);
-        let mut bulk = DataCache::new(2);
-        serial.write(1, 0, 0, b"dirty");
-        bulk.write(1, 0, 0, b"dirty");
-        let entries: Vec<(u64, Vec<u8>)> = (1..4).map(|c| (c, vec![c as u8])).collect();
-        let mut ev_serial = Vec::new();
-        for (chunk, data) in entries.clone() {
-            ev_serial.extend(serial.insert_clean(1, chunk, data));
-        }
-        let ev_bulk = bulk.insert_clean_many(1, entries);
-        assert_eq!(ev_bulk, ev_serial, "dirty chunk handed back either way");
-        assert_eq!(bulk.len(), serial.len());
-        for chunk in 0..4 {
-            assert_eq!(bulk.contains(1, chunk), serial.contains(1, chunk));
-        }
+    fn flush_freezes_and_a_later_write_stays_out_of_the_store() {
+        let (store, port, key) = store();
+        let mut c = DataCache::new(4);
+        c.write(1, 0, 0, b"first");
+        let dirty = c.get(1, 0).unwrap().as_ptr();
+        write_back(&store, &port, c.take_dirty(1)).unwrap();
+        // One allocation from write() to replica to the clean entry.
+        let stored = store.get(&port, key).unwrap();
+        assert_eq!(stored.as_ptr(), dirty);
+        assert_eq!(c.get(1, 0).unwrap().as_ptr(), dirty);
+        // Writing again copies on write: the store and every GET result
+        // keep the flushed bytes until the next flush.
+        c.write(1, 0, 0, b"again");
+        assert_eq!(c.get(1, 0).unwrap(), b"again");
+        assert_eq!(store.get(&port, key).unwrap(), stored);
+        write_back(&store, &port, c.take_dirty(1)).unwrap();
+        assert_eq!(&store.get(&port, key).unwrap()[..], b"again");
+        assert_eq!(&stored[..], b"first");
+    }
+
+    #[test]
+    fn fill_holds_the_stores_buffer_as_a_snapshot() {
+        let (store, port, key) = store();
+        store.put(&port, key, Bytes::from_static(b"abcd")).unwrap();
+        let mut reader = DataCache::new(4);
+        // Chunks of 4 bytes, file of 10: chunk 0 whole, chunk 1 a hole,
+        // chunk 2 a 2-byte tail the store has only one byte of.
+        let tail = Bytes::from_static(b"t");
+        let results = vec![
+            (0, store.get(&port, key).map(|b| (b, 70))),
+            (1, Err(OsError::NotFound)),
+            (2, Ok((tail, 90))),
+        ];
+        let (needed, evicted) = reader.fill(1, results.into_iter(), 4, 10, 0, 50).unwrap();
+        assert_eq!((needed, evicted.len()), (70, 0));
+        let stored = store.get(&port, key).unwrap();
+        assert_eq!(reader.get(1, 0).unwrap().as_ptr(), stored.as_ptr());
+        assert_eq!(reader.get_ready(1, 1).unwrap(), (&[0u8; 4][..], 50));
+        assert_eq!(reader.get_ready(1, 2).unwrap(), (&b"t\0"[..], 90));
+        // Another client overwrites the object, in place and whole: the
+        // reader's clean chunk is what it read, not an alias.
+        store
+            .put_range(&port, key, 0, Bytes::from_static(b"XY"))
+            .unwrap();
+        store.put(&port, key, Bytes::from_static(b"other")).unwrap();
+        assert_eq!(reader.get(1, 0).unwrap(), b"abcd");
     }
 
     #[test]
     fn write_many_installs_fills_before_writes() {
         let mut c = DataCache::new(8);
         let mut fills = HashMap::new();
-        fills.insert(0u64, b"abcdefgh".to_vec());
+        fills.insert(0u64, Bytes::from_static(b"abcd"));
         // Partial overwrite of chunk 0 merges with the fill; chunk 1 is a
         // fresh write with no fill.
-        let pieces: [(u64, usize, &[u8]); 2] = [(0, 2, b"XY"), (1, 0, b"new")];
-        let ev = c.write_many(1, fills, &pieces);
+        let ev = c.write_many(1, 4, 2, b"XYnew", fills);
         assert!(ev.is_empty());
-        assert_eq!(c.get(1, 0).unwrap(), b"abXYefgh");
+        assert_eq!(c.get(1, 0).unwrap(), b"abXY");
         assert_eq!(c.get(1, 1).unwrap(), b"new");
         assert_eq!(c.dirty_count(), 2);
     }
@@ -482,15 +633,14 @@ mod tests {
         // Capacity 1: every chunk of the span displaces the previous one;
         // all dirty evictions must come back from the single call.
         let mut c = DataCache::new(1);
-        let pieces: [(u64, usize, &[u8]); 3] = [(0, 0, b"a"), (1, 0, b"b"), (2, 0, b"c")];
-        let ev = c.write_many(1, HashMap::new(), &pieces);
+        let ev = c.write_many(1, 1, 0, b"abc", HashMap::new());
         assert_eq!(ev.len(), 2);
         assert_eq!(
             ev[0],
             Evicted {
                 ino: 1,
                 chunk: 0,
-                data: b"a".to_vec()
+                data: Bytes::from_static(b"a")
             }
         );
         assert_eq!(
@@ -498,22 +648,21 @@ mod tests {
             Evicted {
                 ino: 1,
                 chunk: 1,
-                data: b"b".to_vec()
+                data: Bytes::from_static(b"b")
             }
         );
         assert_eq!(c.get(1, 2).unwrap(), b"c");
         // A fill is never displaced before its own write applies, even at
         // capacity 1.
         let mut fills = HashMap::new();
-        fills.insert(5u64, b"stored".to_vec());
-        let pieces: [(u64, usize, &[u8]); 1] = [(5, 0, b"W")];
-        let ev = c.write_many(1, fills, &pieces);
+        fills.insert(5u64, Bytes::from_static(b"stored"));
+        let ev = c.write_many(1, 6, 30, b"W", fills);
         assert_eq!(
             ev,
             vec![Evicted {
                 ino: 1,
                 chunk: 2,
-                data: b"c".to_vec()
+                data: Bytes::from_static(b"c")
             }]
         );
         assert_eq!(c.get(1, 5).unwrap(), b"Wtored");

@@ -14,42 +14,22 @@
 
 use super::filetable::Held;
 use super::ArkClient;
+use crate::cache::{fetch_fills, write_back, Evicted};
+use crate::prt::chunk_spans;
 use arkfs_objstore::ObjectKey;
 use arkfs_telemetry::PID_CLIENT;
 use arkfs_vfs::{FileHandle, FsError, FsResult, Ino};
-use bytes::Bytes;
-use std::collections::HashMap;
 
 impl ArkClient {
     /// Write back this client's dirty chunks of one file.
     pub(crate) fn flush_file_data(&self, file: Ino) -> FsResult<()> {
         let dirty = self.state.lock_cache().take_dirty(file);
-        if dirty.is_empty() {
-            return Ok(());
-        }
-        let items: Vec<(ObjectKey, Bytes)> = dirty
-            .into_iter()
-            .map(|(chunk, data)| (ObjectKey::data_chunk(file, chunk), Bytes::from(data)))
-            .collect();
-        for r in self.prt().store().put_many(&self.port, items) {
-            r.map_err(crate::prt::map_os_err)?;
-        }
-        Ok(())
+        self.write_back(dirty)
     }
 
-    /// Write back evicted dirty chunks returned by the cache.
-    pub(crate) fn write_back(&self, evicted: Vec<crate::cache::Evicted>) -> FsResult<()> {
-        if evicted.is_empty() {
-            return Ok(());
-        }
-        let items: Vec<(ObjectKey, Bytes)> = evicted
-            .into_iter()
-            .map(|e| (ObjectKey::data_chunk(e.ino, e.chunk), Bytes::from(e.data)))
-            .collect();
-        for r in self.prt().store().put_many(&self.port, items) {
-            r.map_err(crate::prt::map_os_err)?;
-        }
-        Ok(())
+    /// Write back dirty chunks the cache evicted or a flush took.
+    pub(crate) fn write_back(&self, chunks: Vec<Evicted>) -> FsResult<()> {
+        write_back(&**self.prt().store(), &self.port, chunks)
     }
 
     /// Fetch the chunks needed for a cached read, including the
@@ -88,35 +68,14 @@ impl ArkClient {
             .collect();
         let depart = self.port.now() + self.config().spec.net_half_rtt;
         let results = self.prt().store().get_each(depart, &keys);
-        let mut evicted = Vec::new();
-        let mut needed_done = self.port.now();
-        {
-            // Insert in reverse so the chunk about to be read carries the
-            // freshest LRU tick and is not displaced by its own
-            // read-ahead companions.
-            let mut cache = self.state.lock_cache();
-            for (&chunk, result) in missing.iter().zip(results).rev() {
-                let chunk_start = chunk * chunk_size;
-                let logical_len = (size - chunk_start).min(chunk_size) as usize;
-                let (data, ready_at) = match result {
-                    Ok((bytes, completion)) => {
-                        let mut v = bytes.to_vec();
-                        if v.len() < logical_len {
-                            v.resize(logical_len, 0); // sparse tail
-                        }
-                        (v, completion)
-                    }
-                    Err(arkfs_objstore::OsError::NotFound) => (vec![0u8; logical_len], depart),
-                    Err(e) => return Err(crate::prt::map_os_err(e)),
-                };
-                if chunk <= last_needed {
-                    needed_done = needed_done.max(ready_at);
-                    evicted.extend(cache.insert_clean(ino, chunk, data));
-                } else {
-                    evicted.extend(cache.insert_prefetched(ino, chunk, data, ready_at));
-                }
-            }
-        }
+        let (needed_done, evicted) = self.state.lock_cache().fill(
+            ino,
+            missing.iter().copied().zip(results),
+            chunk_size,
+            size,
+            last_needed,
+            depart,
+        )?;
         self.port.wait_until(needed_done);
         let tracer = &self.state.telemetry.tracer;
         if tracer.enabled() {
@@ -184,47 +143,25 @@ impl ArkClient {
 
         // Copy out of the cache; a chunk evicted between fill and copy is
         // re-read straight from the store.
-        let chunk_size = config.chunk_size;
-        let mut filled = 0usize;
-        while filled < want {
-            let pos = offset + filled as u64;
-            let chunk = pos / chunk_size;
-            let within = (pos % chunk_size) as usize;
-            let n = ((chunk_size as usize) - within).min(want - filled);
-            let hit = {
-                let mut cache = self.state.lock_cache();
-                match cache.get_ready(ino, chunk) {
-                    Some((data, ready_at)) => {
-                        let out = &mut buf[filled..filled + n];
-                        let avail = data.len().saturating_sub(within);
-                        let take = avail.min(n);
-                        out[..take].copy_from_slice(&data[within..within + take]);
-                        out[take..].fill(0);
-                        Some(ready_at)
-                    }
-                    None => None,
-                }
-            };
-            let hit = match hit {
+        for (chunk, within, span) in chunk_spans(config.chunk_size, offset, want) {
+            let (pos, out) = (offset + span.start as u64, &mut buf[span]);
+            let hit = self.state.lock_cache().read_into(ino, chunk, within, out);
+            match hit {
+                // A chunk whose asynchronous prefetch has not completed
+                // yet: wait for it.
                 Some(ready_at) => {
-                    // Touched a chunk whose asynchronous prefetch has not
-                    // completed yet: wait for it.
                     self.port.wait_until(ready_at);
-                    true
                 }
-                None => false,
-            };
-            if !hit {
-                self.prt()
-                    .read_data(&self.port, ino, pos, &mut buf[filled..filled + n], size)?;
+                None => {
+                    self.prt().read_data(&self.port, ino, pos, out, size)?;
+                }
             }
-            filled += n;
         }
         self.port.advance(config.spec.local_meta_op);
         let _ = self.state.files.update(fh.0, |h| {
-            h.last_pos = offset + filled as u64;
+            h.last_pos = offset + want as u64;
         });
-        Ok(filled)
+        Ok(want)
     }
 
     /// The body of [`Vfs::write`]: write-back caching under the write
@@ -253,51 +190,19 @@ impl ArkClient {
 
         if lease == Held::Write {
             let chunk_size = self.config().chunk_size;
-            // Split the write into per-chunk pieces up front.
-            let mut pieces: Vec<(u64, usize, &[u8])> = Vec::new();
-            let mut written = 0usize;
-            while written < data.len() {
-                let pos = offset + written as u64;
-                let chunk = pos / chunk_size;
-                let within = (pos % chunk_size) as usize;
-                let n = (chunk_size as usize - within).min(data.len() - written);
-                pieces.push((chunk, within, &data[written..written + n]));
-                written += n;
-            }
             // Partial overwrites of store-resident chunks need the old
-            // bytes in cache first (read-modify in cache); fetch every
-            // missing one in a single pipelined multi-GET.
-            let need_fill: Vec<u64> = {
-                let cache = self.state.lock_cache();
-                pieces
-                    .iter()
-                    .filter(|&&(chunk, within, piece)| {
-                        let covers_whole = within == 0 && piece.len() == chunk_size as usize;
-                        !covers_whole && chunk * chunk_size < size && !cache.contains(ino, chunk)
-                    })
-                    .map(|&(chunk, ..)| chunk)
-                    .collect()
-            };
-            let mut fills = HashMap::new();
-            if !need_fill.is_empty() {
-                let keys: Vec<ObjectKey> = need_fill
-                    .iter()
-                    .map(|&c| ObjectKey::data_chunk(ino, c))
-                    .collect();
-                let results = self.prt().store().get_many(&self.port, &keys);
-                for (&chunk, result) in need_fill.iter().zip(results) {
-                    match result {
-                        Ok(bytes) => {
-                            fills.insert(chunk, bytes.to_vec());
-                        }
-                        Err(arkfs_objstore::OsError::NotFound) => {}
-                        Err(e) => return Err(crate::prt::map_os_err(e)),
-                    }
-                }
-            }
-            // One cache pass for the whole span; dirty evictions from the
-            // entire call flush as a single write-back batch.
-            let evicted = self.state.lock_cache().write_many(ino, fills, &pieces);
+            // bytes in cache first (read-modify in cache): every missing
+            // one comes in a single pipelined multi-GET. Then one cache
+            // pass for the whole span; dirty evictions from the entire
+            // call flush as a single write-back batch.
+            let (state, len) = (&self.state, data.len());
+            let need_fill = state
+                .lock_cache()
+                .rmw_chunks(ino, chunk_size, size, offset, len);
+            let fills = fetch_fills(&**self.prt().store(), &self.port, ino, &need_fill)?;
+            let evicted = state
+                .lock_cache()
+                .write_many(ino, chunk_size, offset, data, fills);
             self.write_back(evicted)?;
             self.port.advance(self.config().spec.local_meta_op);
         } else {

@@ -42,6 +42,7 @@ mod ops;
 
 use super::lockorder::{self, Rank, RankGuard};
 use super::{ArkClient, ClientState, MAX_LEASE_RETRIES};
+use crate::cache::write_back;
 use crate::cluster::manager_node;
 use crate::meta::InodeRecord;
 use crate::metatable::Metatable;
@@ -49,11 +50,9 @@ use crate::partition::{partition_ino, PartitionMap};
 use crate::rpc::{OpBody, OpRequest, OpResponse};
 use arkfs_lease::{LeaseRequest, LeaseResponse};
 use arkfs_netsim::{NodeId, Service};
-use arkfs_objstore::ObjectKey;
 use arkfs_simkit::{Nanos, Port};
 use arkfs_telemetry::PID_CLIENT;
 use arkfs_vfs::{Credentials, DirEntry, FileType, FsError, FsResult, Ino};
-use bytes::Bytes;
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
@@ -570,16 +569,8 @@ impl ClientState {
     /// mode.
     pub(crate) fn serve_flush(&self, port: &Port, file: Ino) -> OpResponse {
         let dirty = self.lock_cache().take_dirty(file);
-        if !dirty.is_empty() {
-            let items: Vec<(ObjectKey, Bytes)> = dirty
-                .into_iter()
-                .map(|(chunk, data)| (ObjectKey::data_chunk(file, chunk), Bytes::from(data)))
-                .collect();
-            for r in self.cluster.prt().store().put_many(port, items) {
-                if let Err(e) = r {
-                    return OpResponse::Err(crate::prt::map_os_err(e));
-                }
-            }
+        if let Err(e) = write_back(&**self.cluster.prt().store(), port, dirty) {
+            return OpResponse::Err(e);
         }
         self.lock_cache().invalidate_file(file);
         let size = self.files.flip_to_direct(file);

@@ -22,7 +22,6 @@ use arkfs_vfs::{
     path as vpath, perm, Acl, Credentials, DirEntry, FileHandle, FileType, FsError, FsResult,
     FsStats, Ino, OpenFlags, SetAttr, Stat, Vfs, AM_READ, AM_WRITE, ROOT_INO,
 };
-use bytes::Bytes;
 use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::sync::atomic::Ordering;
@@ -889,20 +888,7 @@ impl Vfs for ArkClient {
         self.traced("op.sync_all", || {
             // 1. All dirty data chunks, pipelined.
             let dirty = self.state.lock_cache().take_all_dirty();
-            if !dirty.is_empty() {
-                let items: Vec<(arkfs_objstore::ObjectKey, Bytes)> = dirty
-                    .into_iter()
-                    .map(|e| {
-                        (
-                            arkfs_objstore::ObjectKey::data_chunk(e.ino, e.chunk),
-                            Bytes::from(e.data),
-                        )
-                    })
-                    .collect();
-                for r in self.prt().store().put_many(&self.port, items) {
-                    r.map_err(crate::prt::map_os_err)?;
-                }
-            }
+            self.write_back(dirty)?;
             // 2. Size updates for written handles. In async mode a push
             // to a *remote* leader is acked before durability, so each
             // parent is remembered: any not flushed locally below gets

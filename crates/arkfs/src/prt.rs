@@ -105,10 +105,6 @@ impl Prt {
         &self.store
     }
 
-    pub fn chunk_size(&self) -> u64 {
-        self.chunk_size
-    }
-
     /// The deployment-wide telemetry this PRT (and its store) report to.
     pub fn telemetry(&self) -> &Arc<Telemetry> {
         &self.telemetry
@@ -603,21 +599,20 @@ impl Prt {
         // Compute the whole chunk span up front and fan the ranged reads
         // out in one batched call: the caller waits for the slowest chunk,
         // not the sum.
-        let mut reqs = Vec::new();
-        let mut spans = Vec::new();
-        let mut filled = 0usize;
-        while filled < want {
-            let pos = offset + filled as u64;
-            let chunk_idx = pos / self.chunk_size;
-            let within = pos % self.chunk_size;
-            let n = ((self.chunk_size - within) as usize).min(want - filled);
-            reqs.push((ObjectKey::data_chunk(ino, chunk_idx), within, n));
-            spans.push((filled, n));
-            filled += n;
-        }
+        let spans: Vec<_> = chunk_spans(self.chunk_size, offset, want).collect();
+        let reqs: Vec<_> = spans
+            .iter()
+            .map(|(chunk, within, span)| {
+                (
+                    ObjectKey::data_chunk(ino, *chunk),
+                    *within as u64,
+                    span.len(),
+                )
+            })
+            .collect();
         let results = self.store.get_range_many(port, &reqs);
-        for ((start, n), res) in spans.into_iter().zip(results) {
-            let out = &mut buf[start..start + n];
+        for ((_, _, span), res) in spans.into_iter().zip(results) {
+            let out = &mut buf[span];
             match res {
                 Ok(data) => {
                     out[..data.len()].copy_from_slice(&data);
@@ -631,42 +626,17 @@ impl Prt {
         Ok(want)
     }
 
-    /// Read one whole chunk (for the data cache). Missing chunk reads as
-    /// empty.
-    pub fn read_chunk(&self, port: &Port, ino: Ino, chunk_idx: u64) -> FsResult<Bytes> {
-        match self.store.get(port, ObjectKey::data_chunk(ino, chunk_idx)) {
-            Ok(data) => Ok(data),
-            Err(OsError::NotFound) => Ok(Bytes::new()),
-            Err(e) => Err(map_os_err(e)),
-        }
-    }
-
-    /// Write one whole chunk (cache write-back).
-    pub fn write_chunk(&self, port: &Port, ino: Ino, chunk_idx: u64, data: Bytes) -> FsResult<()> {
-        self.store
-            .put(port, ObjectKey::data_chunk(ino, chunk_idx), data)
-            .map_err(map_os_err)
-    }
-
     /// Write `data` at byte `offset`, splitting across chunk objects. The
     /// whole span goes out as one batched ranged multi-PUT; backends
     /// without partial writes (S3) degrade per chunk to whole-object
     /// read-modify-write inside the store.
     pub fn write_data(&self, port: &Port, ino: Ino, offset: u64, data: &[u8]) -> FsResult<()> {
-        let mut items = Vec::new();
-        let mut written = 0usize;
-        while written < data.len() {
-            let pos = offset + written as u64;
-            let chunk_idx = pos / self.chunk_size;
-            let within = pos % self.chunk_size;
-            let n = ((self.chunk_size - within) as usize).min(data.len() - written);
-            items.push((
-                ObjectKey::data_chunk(ino, chunk_idx),
-                within,
-                Bytes::copy_from_slice(&data[written..written + n]),
-            ));
-            written += n;
-        }
+        let items: Vec<_> = chunk_spans(self.chunk_size, offset, data.len())
+            .map(|(chunk, within, span)| {
+                let piece = Bytes::copy_from_slice(&data[span]);
+                (ObjectKey::data_chunk(ino, chunk), within as u64, piece)
+            })
+            .collect();
         if items.is_empty() {
             return Ok(());
         }
@@ -678,64 +648,86 @@ impl Prt {
 
     /// Delete data chunks beyond `new_size` (truncate) given the previous
     /// size.
-    pub fn truncate_data(
-        &self,
-        port: &Port,
-        ino: Ino,
-        old_size: u64,
-        new_size: u64,
-    ) -> FsResult<()> {
-        if new_size >= old_size {
-            return Ok(());
-        }
-        let first_dead = new_size.div_ceil(self.chunk_size);
-        let last = old_size.div_ceil(self.chunk_size);
-        let dead: Vec<ObjectKey> = (first_dead..last)
-            .map(|i| ObjectKey::data_chunk(ino, i))
-            .collect();
-        if !dead.is_empty() {
-            for res in self.store.delete_many(port, &dead) {
-                match res {
-                    Ok(()) | Err(OsError::NotFound) => {}
-                    Err(e) => return Err(map_os_err(e)),
-                }
-            }
-        }
-        // Trim the partial boundary chunk if any bytes survive in it.
-        if !new_size.is_multiple_of(self.chunk_size) && new_size / self.chunk_size < last {
-            let boundary = new_size / self.chunk_size;
-            let keep = (new_size % self.chunk_size) as usize;
-            let key = ObjectKey::data_chunk(ino, boundary);
-            match self.store.get(port, key) {
-                Ok(data) if data.len() > keep => {
-                    self.store
-                        .put(port, key, data.slice(..keep))
-                        .map_err(map_os_err)?;
-                }
-                Ok(_) | Err(OsError::NotFound) => {}
-                Err(e) => return Err(map_os_err(e)),
-            }
-        }
-        Ok(())
+    pub fn truncate_data(&self, port: &Port, ino: Ino, old: u64, new: u64) -> FsResult<()> {
+        truncate_chunks(&*self.store, self.chunk_size, port, ino, old, new)
     }
 
     /// Delete every data chunk of a file of the given size with one
     /// batched multi-DELETE.
     pub fn delete_data(&self, port: &Port, ino: Ino, size: u64) -> FsResult<()> {
-        let keys: Vec<ObjectKey> = (0..size.div_ceil(self.chunk_size))
-            .map(|i| ObjectKey::data_chunk(ino, i))
-            .collect();
-        if keys.is_empty() {
-            return Ok(());
-        }
-        for res in self.store.delete_many(port, &keys) {
-            match res {
-                Ok(()) | Err(OsError::NotFound) => {}
-                Err(e) => return Err(map_os_err(e)),
-            }
-        }
-        Ok(())
+        delete_chunks(&*self.store, port, ino, 0..size.div_ceil(self.chunk_size))
     }
+}
+
+/// Split `len` bytes at byte `offset` of a chunked file at the chunk
+/// boundaries: per chunk touched, its index, the offset within it and
+/// the range of the request's buffer that falls into it.
+pub fn chunk_spans(
+    chunk_size: u64,
+    offset: u64,
+    len: usize,
+) -> impl Iterator<Item = (u64, usize, std::ops::Range<usize>)> {
+    let mut done = 0usize;
+    std::iter::from_fn(move || {
+        let pos = offset + done as u64;
+        let within = (pos % chunk_size) as usize;
+        let n = (chunk_size as usize - within).min(len - done);
+        done += n;
+        (n > 0).then_some((pos / chunk_size, within, done - n..done))
+    })
+}
+
+/// Batched multi-DELETE of a file's chunks `range`; missing ones are fine.
+fn delete_chunks(
+    store: &dyn ObjectStore,
+    port: &Port,
+    ino: Ino,
+    range: std::ops::Range<u64>,
+) -> FsResult<()> {
+    let keys: Vec<ObjectKey> = range.map(|i| ObjectKey::data_chunk(ino, i)).collect();
+    if keys.is_empty() {
+        return Ok(());
+    }
+    for res in store.delete_many(port, &keys) {
+        match res {
+            Ok(()) | Err(OsError::NotFound) => {}
+            Err(e) => return Err(map_os_err(e)),
+        }
+    }
+    Ok(())
+}
+
+/// Shrink a file's data objects from `old_size` to `new_size`: delete the
+/// chunks past the new end and trim the boundary chunk. (Shared with the
+/// baselines' data path, which chunks files the same way.)
+pub fn truncate_chunks(
+    store: &dyn ObjectStore,
+    chunk_size: u64,
+    port: &Port,
+    ino: Ino,
+    old_size: u64,
+    new_size: u64,
+) -> FsResult<()> {
+    if new_size >= old_size {
+        return Ok(());
+    }
+    let last = old_size.div_ceil(chunk_size);
+    delete_chunks(store, port, ino, new_size.div_ceil(chunk_size)..last)?;
+    // Trim the partial boundary chunk if any bytes survive in it.
+    if !new_size.is_multiple_of(chunk_size) && new_size / chunk_size < last {
+        let keep = (new_size % chunk_size) as usize;
+        let key = ObjectKey::data_chunk(ino, new_size / chunk_size);
+        match store.get(port, key) {
+            Ok(data) if data.len() > keep => {
+                store
+                    .put(port, key, data.slice(..keep))
+                    .map_err(map_os_err)?;
+            }
+            Ok(_) | Err(OsError::NotFound) => {}
+            Err(e) => return Err(map_os_err(e)),
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

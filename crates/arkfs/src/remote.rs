@@ -14,7 +14,7 @@
 //! `netsim`, because the codecs are this crate's `WireCodec` impls.
 
 use crate::rpc::{OpRequest, OpResponse};
-use crate::wire::{from_frame, to_frame, wire_enum, wire_struct, WireCodec};
+use crate::wire::{from_frame_owned, to_frame, wire_enum, wire_struct, WireCodec};
 use arkfs_lease::{LeaseRequest, LeaseResponse};
 use arkfs_netsim::{NetError, NodeId, Service, Transport, WireFns};
 use arkfs_objstore::{KeyKind, ObjectKey, ObjectStore, OsError, OsResult, StoreProfile};
@@ -193,6 +193,26 @@ fn bad_shape() -> OsError {
     OsError::Injected("net: store protocol shape mismatch")
 }
 
+/// The result inside the one response variant a request is answered
+/// with (for a batch: one result per item, `$n` of them); any other
+/// shape, or a transport failure, as an error (of every item).
+macro_rules! ask {
+    ($self:ident, $port:ident, $req:expr => $variant:ident) => {
+        match $self.call($port, $req) {
+            Ok(StoreResponse::$variant(r)) => r,
+            Ok(_) => Err(bad_shape()),
+            Err(e) => Err(net_err(e)),
+        }
+    };
+    ($self:ident, $port:ident, $req:expr => $n:expr, $variant:ident) => {
+        match ($n, $self.call($port, $req)) {
+            (n, Ok(StoreResponse::$variant(rs))) if rs.len() == n => rs,
+            (n, Ok(_)) => (0..n).map(|_| Err(bad_shape())).collect(),
+            (n, Err(e)) => (0..n).map(|_| Err(net_err(e))).collect(),
+        }
+    };
+}
+
 impl ObjectStore for RemoteStore {
     fn profile(&self) -> &StoreProfile {
         &self.profile
@@ -211,51 +231,27 @@ impl ObjectStore for RemoteStore {
     }
 
     fn put(&self, port: &Port, key: ObjectKey, data: Bytes) -> OsResult<()> {
-        match self.call(port, StoreRequest::Put(key, data)) {
-            Ok(StoreResponse::Unit(r)) => r,
-            Ok(_) => Err(bad_shape()),
-            Err(e) => Err(net_err(e)),
-        }
+        ask!(self, port, StoreRequest::Put(key, data) => Unit)
     }
 
     fn get(&self, port: &Port, key: ObjectKey) -> OsResult<Bytes> {
-        match self.call(port, StoreRequest::Get(key)) {
-            Ok(StoreResponse::Data(r)) => r,
-            Ok(_) => Err(bad_shape()),
-            Err(e) => Err(net_err(e)),
-        }
+        ask!(self, port, StoreRequest::Get(key) => Data)
     }
 
     fn get_range(&self, port: &Port, key: ObjectKey, offset: u64, len: usize) -> OsResult<Bytes> {
-        match self.call(port, StoreRequest::GetRange(key, offset, len as u64)) {
-            Ok(StoreResponse::Data(r)) => r,
-            Ok(_) => Err(bad_shape()),
-            Err(e) => Err(net_err(e)),
-        }
+        ask!(self, port, StoreRequest::GetRange(key, offset, len as u64) => Data)
     }
 
     fn put_range(&self, port: &Port, key: ObjectKey, offset: u64, data: Bytes) -> OsResult<()> {
-        match self.call(port, StoreRequest::PutRange(key, offset, data)) {
-            Ok(StoreResponse::Unit(r)) => r,
-            Ok(_) => Err(bad_shape()),
-            Err(e) => Err(net_err(e)),
-        }
+        ask!(self, port, StoreRequest::PutRange(key, offset, data) => Unit)
     }
 
     fn delete(&self, port: &Port, key: ObjectKey) -> OsResult<()> {
-        match self.call(port, StoreRequest::Delete(key)) {
-            Ok(StoreResponse::Unit(r)) => r,
-            Ok(_) => Err(bad_shape()),
-            Err(e) => Err(net_err(e)),
-        }
+        ask!(self, port, StoreRequest::Delete(key) => Unit)
     }
 
     fn head(&self, port: &Port, key: ObjectKey) -> OsResult<u64> {
-        match self.call(port, StoreRequest::Head(key)) {
-            Ok(StoreResponse::Size(r)) => r,
-            Ok(_) => Err(bad_shape()),
-            Err(e) => Err(net_err(e)),
-        }
+        ask!(self, port, StoreRequest::Head(key) => Size)
     }
 
     fn list(
@@ -264,30 +260,17 @@ impl ObjectStore for RemoteStore {
         kind: Option<KeyKind>,
         ino: Option<u128>,
     ) -> OsResult<Vec<ObjectKey>> {
-        match self.call(port, StoreRequest::List(kind, ino)) {
-            Ok(StoreResponse::Keys(r)) => r,
-            Ok(_) => Err(bad_shape()),
-            Err(e) => Err(net_err(e)),
-        }
+        ask!(self, port, StoreRequest::List(kind, ino) => Keys)
     }
 
+    // A batch is one frame: the server still pipelines the virtual-time
+    // cost; the socket pays one round trip.
     fn get_many(&self, port: &Port, keys: &[ObjectKey]) -> Vec<OsResult<Bytes>> {
-        // One frame for the whole batch — the server still pipelines the
-        // virtual-time cost; the socket pays one round trip.
-        match self.call(port, StoreRequest::GetMany(keys.to_vec())) {
-            Ok(StoreResponse::Datas(rs)) if rs.len() == keys.len() => rs,
-            Ok(_) => keys.iter().map(|_| Err(bad_shape())).collect(),
-            Err(e) => keys.iter().map(|_| Err(net_err(e))).collect(),
-        }
+        ask!(self, port, StoreRequest::GetMany(keys.to_vec()) => keys.len(), Datas)
     }
 
     fn put_many(&self, port: &Port, items: Vec<(ObjectKey, Bytes)>) -> Vec<OsResult<()>> {
-        let n = items.len();
-        match self.call(port, StoreRequest::PutMany(items)) {
-            Ok(StoreResponse::Units(rs)) if rs.len() == n => rs,
-            Ok(_) => (0..n).map(|_| Err(bad_shape())).collect(),
-            Err(e) => (0..n).map(|_| Err(net_err(e))).collect(),
-        }
+        ask!(self, port, StoreRequest::PutMany(items) => items.len(), Units)
     }
 
     fn get_range_many(
@@ -295,13 +278,8 @@ impl ObjectStore for RemoteStore {
         port: &Port,
         reqs: &[(ObjectKey, u64, usize)],
     ) -> Vec<OsResult<Bytes>> {
-        let wire_reqs: Vec<(ObjectKey, u64, u64)> =
-            reqs.iter().map(|&(k, o, l)| (k, o, l as u64)).collect();
-        match self.call(port, StoreRequest::GetRangeMany(wire_reqs)) {
-            Ok(StoreResponse::Datas(rs)) if rs.len() == reqs.len() => rs,
-            Ok(_) => reqs.iter().map(|_| Err(bad_shape())).collect(),
-            Err(e) => reqs.iter().map(|_| Err(net_err(e))).collect(),
-        }
+        let wire_reqs = reqs.iter().map(|&(k, o, l)| (k, o, l as u64)).collect();
+        ask!(self, port, StoreRequest::GetRangeMany(wire_reqs) => reqs.len(), Datas)
     }
 
     fn put_range_many(
@@ -309,31 +287,22 @@ impl ObjectStore for RemoteStore {
         port: &Port,
         items: Vec<(ObjectKey, u64, Bytes)>,
     ) -> Vec<OsResult<()>> {
-        let n = items.len();
-        match self.call(port, StoreRequest::PutRangeMany(items)) {
-            Ok(StoreResponse::Units(rs)) if rs.len() == n => rs,
-            Ok(_) => (0..n).map(|_| Err(bad_shape())).collect(),
-            Err(e) => (0..n).map(|_| Err(net_err(e))).collect(),
-        }
+        ask!(self, port, StoreRequest::PutRangeMany(items) => items.len(), Units)
     }
 
     fn delete_many(&self, port: &Port, keys: &[ObjectKey]) -> Vec<OsResult<()>> {
-        match self.call(port, StoreRequest::DeleteMany(keys.to_vec())) {
-            Ok(StoreResponse::Units(rs)) if rs.len() == keys.len() => rs,
-            Ok(_) => keys.iter().map(|_| Err(bad_shape())).collect(),
-            Err(e) => keys.iter().map(|_| Err(net_err(e))).collect(),
-        }
+        ask!(self, port, StoreRequest::DeleteMany(keys.to_vec()) => keys.len(), Units)
     }
 }
 
 /// A protocol's [`WireFns`]: each message is its CRC-trailed
-/// [`to_frame`], and a frame that fails [`from_frame`] is dropped.
+/// [`to_frame`], and a frame that fails [`from_frame_owned`] is dropped.
 fn frame_fns<Req: WireCodec, Resp: WireCodec>() -> WireFns<Req, Resp> {
     WireFns {
         enc_req: to_frame::<Req>,
-        dec_req: |buf| from_frame(buf).ok(),
+        dec_req: |buf| from_frame_owned(buf).ok(),
         enc_resp: to_frame::<Resp>,
-        dec_resp: |buf| from_frame(buf).ok(),
+        dec_resp: |buf| from_frame_owned(buf).ok(),
     }
 }
 
@@ -436,8 +405,14 @@ mod tests {
         ];
         for req in &reqs {
             let frame = to_frame(req);
-            let back: StoreRequest = from_frame(&frame).unwrap();
+            let span = frame.as_ptr_range();
+            let back: StoreRequest = from_frame_owned(frame.clone()).unwrap();
             assert_eq!(to_frame(&back), frame, "re-encode must be identical");
+            // An owned frame is not copied again: the blob is a window of it.
+            let owned: StoreRequest = from_frame_owned(frame).unwrap();
+            if let StoreRequest::PutMany(items) = owned {
+                assert!(span.contains(&items[0].1.as_ptr()));
+            }
         }
         let resps = vec![
             StoreResponse::Unit(Err(OsError::Unsupported("ranged put"))),
@@ -447,7 +422,7 @@ mod tests {
         ];
         for resp in &resps {
             let frame = to_frame(resp);
-            let back: StoreResponse = from_frame(&frame).unwrap();
+            let back: StoreResponse = from_frame_owned(frame.clone()).unwrap();
             assert_eq!(to_frame(&back), frame);
         }
     }

@@ -118,11 +118,18 @@ impl Encoder {
 pub struct Decoder<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// The shared buffer `buf` is the head of, when the caller owns one:
+    /// blobs are then decoded as windows of it instead of copies.
+    shared: Option<&'a Bytes>,
 }
 
 impl<'a> Decoder<'a> {
     pub fn new(buf: &'a [u8]) -> Self {
-        Decoder { buf, pos: 0 }
+        Decoder {
+            buf,
+            pos: 0,
+            shared: None,
+        }
     }
 
     pub fn remaining(&self) -> usize {
@@ -175,6 +182,15 @@ impl<'a> Decoder<'a> {
         self.take(len)
     }
 
+    /// A length-prefixed byte string as an owned buffer.
+    pub fn get_blob(&mut self) -> WireResult<Bytes> {
+        let (bytes, end) = (self.get_bytes()?, self.pos);
+        Ok(match self.shared {
+            Some(frame) => frame.slice(end - bytes.len()..end),
+            None => Bytes::copy_from_slice(bytes),
+        })
+    }
+
     pub fn get_str(&mut self) -> WireResult<&'a str> {
         std::str::from_utf8(self.get_bytes()?).map_err(|_| WireError::Invalid("utf8"))
     }
@@ -212,6 +228,18 @@ pub fn to_frame<T: WireCodec>(v: &T) -> Vec<u8> {
 /// Decode a [`to_frame`] payload: verify the trailing CRC32, decode the
 /// body, and require the decoder to consume it exactly.
 pub fn from_frame<T: WireCodec>(buf: &[u8]) -> WireResult<T> {
+    decode_frame(buf, None)
+}
+
+/// [`from_frame`] of a frame the caller owns (a transport's read
+/// buffer): the message's `Bytes` fields are windows of `buf`, not
+/// copies of it.
+pub fn from_frame_owned<T: WireCodec>(buf: Vec<u8>) -> WireResult<T> {
+    let buf = Bytes::from(buf);
+    decode_frame(&buf, Some(&buf))
+}
+
+fn decode_frame<T: WireCodec>(buf: &[u8], shared: Option<&Bytes>) -> WireResult<T> {
     if buf.len() < 4 {
         return Err(WireError::Truncated);
     }
@@ -220,7 +248,10 @@ pub fn from_frame<T: WireCodec>(buf: &[u8]) -> WireResult<T> {
     if crc32(body) != expect {
         return Err(WireError::BadChecksum);
     }
-    let mut dec = Decoder::new(body);
+    let mut dec = Decoder {
+        shared,
+        ..Decoder::new(body)
+    };
     let v = T::decode(&mut dec)?;
     if !dec.is_exhausted() {
         return Err(WireError::Invalid("trailing bytes"));
@@ -382,7 +413,7 @@ impl WireCodec for Bytes {
         enc.put_bytes(self);
     }
     fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        Ok(Bytes::copy_from_slice(dec.get_bytes()?))
+        dec.get_blob()
     }
 }
 

@@ -3,14 +3,12 @@
 //! chunked data objects. (ArkFS has its own variant wired into its file
 //! leases; the baselines share this one.)
 
-use arkfs::cache::DataCache;
-use arkfs::prt::map_os_err;
+use arkfs::cache::{fetch_fills, write_back, DataCache, Evicted};
+use arkfs::prt::{chunk_spans, map_os_err, truncate_chunks};
 use arkfs_objstore::{ObjectKey, ObjectStore, OsError};
 use arkfs_simkit::Port;
 use arkfs_vfs::{FsResult, Ino};
-use bytes::Bytes;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Per-handle read-ahead state.
@@ -59,18 +57,8 @@ pub(crate) fn counted_cache(store: &Arc<dyn ObjectStore>, entries: usize) -> Dat
 }
 
 impl DataPath {
-    fn write_back(&self, port: &Port, evicted: Vec<arkfs::cache::Evicted>) -> FsResult<()> {
-        if evicted.is_empty() {
-            return Ok(());
-        }
-        let items: Vec<(ObjectKey, Bytes)> = evicted
-            .into_iter()
-            .map(|e| (ObjectKey::data_chunk(e.ino, e.chunk), Bytes::from(e.data)))
-            .collect();
-        for r in self.store.put_many(port, items) {
-            r.map_err(map_os_err)?;
-        }
-        Ok(())
+    fn write_back(&self, port: &Port, chunks: Vec<Evicted>) -> FsResult<()> {
+        write_back(&*self.store, port, chunks)
     }
 
     /// Cached read with read-ahead; updates `ra` for sequentiality.
@@ -115,65 +103,25 @@ impl DataPath {
                 .collect();
             let depart = port.now() + 50_000; // one-way network latency
             let results = self.store.get_each(depart, &keys);
-            let mut evicted = Vec::new();
-            let mut needed_done = port.now();
-            {
-                let mut c = cache.lock();
-                for (&chunk, result) in missing.iter().zip(results).rev() {
-                    let chunk_start = chunk * self.chunk_size;
-                    let logical = (size - chunk_start).min(self.chunk_size) as usize;
-                    let (data, ready_at) = match result {
-                        Ok((bytes, completion)) => {
-                            let mut v = bytes.to_vec();
-                            if v.len() < logical {
-                                v.resize(logical, 0);
-                            }
-                            (v, completion)
-                        }
-                        Err(OsError::NotFound) => (vec![0u8; logical], depart),
-                        Err(e) => return Err(map_os_err(e)),
-                    };
-                    if chunk <= last_needed {
-                        needed_done = needed_done.max(ready_at);
-                        evicted.extend(c.insert_clean(ino, chunk, data));
-                    } else {
-                        evicted.extend(c.insert_prefetched(ino, chunk, data, ready_at));
-                    }
-                }
-            }
+            let (needed_done, evicted) = cache.lock().fill(
+                ino,
+                missing.iter().copied().zip(results),
+                self.chunk_size,
+                size,
+                last_needed,
+                depart,
+            )?;
             port.wait_until(needed_done);
             self.write_back(port, evicted)?;
         }
         // Copy out; chunks evicted in between come straight from the
         // store.
-        let mut filled = 0usize;
-        while filled < want {
-            let pos = offset + filled as u64;
-            let chunk = pos / self.chunk_size;
-            let within = (pos % self.chunk_size) as usize;
-            let n = (self.chunk_size as usize - within).min(want - filled);
-            let hit = {
-                let mut c = cache.lock();
-                match c.get_ready(ino, chunk) {
-                    Some((data, ready_at)) => {
-                        let out = &mut buf[filled..filled + n];
-                        let avail = data.len().saturating_sub(within);
-                        let take = avail.min(n);
-                        out[..take].copy_from_slice(&data[within..within + take]);
-                        out[take..].fill(0);
-                        Some(ready_at)
-                    }
-                    None => None,
-                }
-            };
-            let hit = match hit {
-                Some(ready_at) => {
-                    port.wait_until(ready_at);
-                    true
-                }
-                None => false,
-            };
-            if !hit {
+        for (chunk, within, span) in chunk_spans(self.chunk_size, offset, want) {
+            let (n, out) = (span.len(), &mut buf[span]);
+            let hit = cache.lock().read_into(ino, chunk, within, out);
+            if let Some(ready_at) = hit {
+                port.wait_until(ready_at);
+            } else {
                 match self.store.get_range(
                     port,
                     ObjectKey::data_chunk(ino, chunk),
@@ -181,18 +129,16 @@ impl DataPath {
                     n,
                 ) {
                     Ok(data) => {
-                        let out = &mut buf[filled..filled + n];
                         out[..data.len()].copy_from_slice(&data);
                         out[data.len()..].fill(0);
                     }
-                    Err(OsError::NotFound) => buf[filled..filled + n].fill(0),
+                    Err(OsError::NotFound) => out.fill(0),
                     Err(e) => return Err(map_os_err(e)),
                 }
             }
-            filled += n;
         }
-        ra.last_pos = offset + filled as u64;
-        Ok(filled)
+        ra.last_pos = offset + want as u64;
+        Ok(want)
     }
 
     /// Write-back cached write. `size_before` is the pre-write file size
@@ -206,67 +152,22 @@ impl DataPath {
         data: &[u8],
         size_before: u64,
     ) -> FsResult<()> {
-        // Split into per-chunk pieces up front, fetch every
-        // read-modify-write fill in one pipelined multi-GET, apply the
-        // whole span in one cache pass, and flush all evictions as a
-        // single write-back batch.
-        let mut pieces: Vec<(u64, usize, &[u8])> = Vec::new();
-        let mut written = 0usize;
-        while written < data.len() {
-            let pos = offset + written as u64;
-            let chunk = pos / self.chunk_size;
-            let within = (pos % self.chunk_size) as usize;
-            let n = (self.chunk_size as usize - within).min(data.len() - written);
-            pieces.push((chunk, within, &data[written..written + n]));
-            written += n;
-        }
-        let need_fill: Vec<u64> = {
-            let c = cache.lock();
-            pieces
-                .iter()
-                .filter(|&&(chunk, within, piece)| {
-                    let covers_whole = within == 0 && piece.len() == self.chunk_size as usize;
-                    !covers_whole
-                        && chunk * self.chunk_size < size_before
-                        && !c.contains(ino, chunk)
-                })
-                .map(|&(chunk, ..)| chunk)
-                .collect()
-        };
-        let mut fills = HashMap::new();
-        if !need_fill.is_empty() {
-            let keys: Vec<ObjectKey> = need_fill
-                .iter()
-                .map(|&ch| ObjectKey::data_chunk(ino, ch))
-                .collect();
-            for (&chunk, result) in need_fill.iter().zip(self.store.get_many(port, &keys)) {
-                match result {
-                    Ok(bytes) => {
-                        fills.insert(chunk, bytes.to_vec());
-                    }
-                    Err(OsError::NotFound) => {}
-                    Err(e) => return Err(map_os_err(e)),
-                }
-            }
-        }
-        let evicted = cache.lock().write_many(ino, fills, &pieces);
+        // Fetch every read-modify-write fill in one pipelined multi-GET,
+        // apply the whole span in one cache pass, and flush all evictions
+        // as a single write-back batch.
+        let cs = self.chunk_size;
+        let need_fill = cache
+            .lock()
+            .rmw_chunks(ino, cs, size_before, offset, data.len());
+        let fills = fetch_fills(&*self.store, port, ino, &need_fill)?;
+        let evicted = cache.lock().write_many(ino, cs, offset, data, fills);
         self.write_back(port, evicted)
     }
 
     /// Flush one file's dirty chunks to the store.
     pub fn flush(&self, port: &Port, cache: &Mutex<DataCache>, ino: Ino) -> FsResult<()> {
         let dirty = cache.lock().take_dirty(ino);
-        if dirty.is_empty() {
-            return Ok(());
-        }
-        let items: Vec<(ObjectKey, Bytes)> = dirty
-            .into_iter()
-            .map(|(chunk, data)| (ObjectKey::data_chunk(ino, chunk), Bytes::from(data)))
-            .collect();
-        for r in self.store.put_many(port, items) {
-            r.map_err(map_os_err)?;
-        }
-        Ok(())
+        self.write_back(port, dirty)
     }
 
     /// Flush everything (global sync).
@@ -290,34 +191,7 @@ impl DataPath {
         }
         self.flush(port, cache, ino)?;
         cache.lock().invalidate_file(ino);
-        let first_dead = new_size.div_ceil(self.chunk_size);
-        let last = old_size.div_ceil(self.chunk_size);
-        let dead: Vec<ObjectKey> = (first_dead..last)
-            .map(|ch| ObjectKey::data_chunk(ino, ch))
-            .collect();
-        if !dead.is_empty() {
-            for r in self.store.delete_many(port, &dead) {
-                match r {
-                    Ok(()) | Err(OsError::NotFound) => {}
-                    Err(e) => return Err(map_os_err(e)),
-                }
-            }
-        }
-        if !new_size.is_multiple_of(self.chunk_size) && new_size / self.chunk_size < last {
-            let boundary = new_size / self.chunk_size;
-            let keep = (new_size % self.chunk_size) as usize;
-            let key = ObjectKey::data_chunk(ino, boundary);
-            match self.store.get(port, key) {
-                Ok(data) if data.len() > keep => {
-                    self.store
-                        .put(port, key, data.slice(..keep))
-                        .map_err(map_os_err)?;
-                }
-                Ok(_) | Err(OsError::NotFound) => {}
-                Err(e) => return Err(map_os_err(e)),
-            }
-        }
-        Ok(())
+        truncate_chunks(&*self.store, self.chunk_size, port, ino, old_size, new_size)
     }
 
     /// Drop cached chunks and delete the data objects of a file.
@@ -329,19 +203,7 @@ impl DataPath {
         size: u64,
     ) -> FsResult<()> {
         cache.lock().invalidate_file(ino);
-        let keys: Vec<ObjectKey> = (0..size.div_ceil(self.chunk_size))
-            .map(|ch| ObjectKey::data_chunk(ino, ch))
-            .collect();
-        if keys.is_empty() {
-            return Ok(());
-        }
-        for r in self.store.delete_many(port, &keys) {
-            match r {
-                Ok(()) | Err(OsError::NotFound) => {}
-                Err(e) => return Err(map_os_err(e)),
-            }
-        }
-        Ok(())
+        truncate_chunks(&*self.store, self.chunk_size, port, ino, size, 0)
     }
 }
 

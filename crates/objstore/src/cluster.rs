@@ -52,12 +52,8 @@ impl ClusterConfig {
     /// partitioned service; model the same shard parallelism as RADOS.
     pub fn s3(spec: ClusterSpec) -> Self {
         ClusterConfig {
-            shards: spec.storage_nodes * 4,
-            replication: 2,
             profile: StoreProfile::s3(&spec),
-            spec,
-            discard_payload: false,
-            ec: None,
+            ..Self::rados(spec)
         }
     }
 
@@ -94,12 +90,25 @@ impl ClusterConfig {
 }
 
 /// Stored payload: real bytes, a synthetic length, or one erasure-coded
-/// fragment of an object.
+/// fragment of an object. A `Real` buffer is the one the PUT carried,
+/// shared by every replica and by every GET that returns it: shared
+/// means immutable (see [`ObjectCluster::apply_range_write`]).
 #[derive(Debug, Clone)]
 enum Payload {
-    Real(Vec<u8>),
+    Real(Bytes),
     Synthetic(u64),
-    Fragment { total_len: u64, bytes: Vec<u8> },
+    Fragment { total_len: u64, bytes: Bytes },
+}
+
+/// `len` zero bytes (synthetic payloads, holes): a window of one shared
+/// buffer that only ever grows, so such a read allocates nothing.
+pub fn zeros(len: usize) -> Bytes {
+    static ZEROS: std::sync::Mutex<Bytes> = std::sync::Mutex::new(Bytes::new());
+    let mut z = ZEROS.lock().expect("zeros lock poisoned");
+    if z.len() < len {
+        *z = Bytes::from(vec![0u8; len.next_power_of_two()]);
+    }
+    z.slice(..len)
 }
 
 impl Payload {
@@ -261,7 +270,7 @@ impl ObjectCluster {
     /// reconstructs from any k of k+1 fragments. Returns (bytes — `None`
     /// for synthetic payloads —, logical length, per-shard bytes read).
     #[allow(clippy::type_complexity)]
-    fn load_logical(&self, key: ObjectKey) -> OsResult<(Option<Vec<u8>>, u64, Vec<(usize, u64)>)> {
+    fn load_logical(&self, key: ObjectKey) -> OsResult<(Option<Bytes>, u64, Vec<(usize, u64)>)> {
         if self.faults.is_lost(key) {
             return Err(OsError::NotFound);
         }
@@ -292,7 +301,7 @@ impl ObjectCluster {
                 Err(OsError::NotFound)
             }
             Some(ec) => {
-                let mut frags: Vec<Option<Vec<u8>>> = vec![None; ec.width()];
+                let mut frags: Vec<Option<Bytes>> = vec![None; ec.width()];
                 let mut total_len = None;
                 let mut synthetic = false;
                 let mut sources = Vec::new();
@@ -333,9 +342,9 @@ impl ObjectCluster {
                     return Err(OsError::InsufficientFragments);
                 }
                 let bytes = ec
-                    .reconstruct(total_len as usize, frags)
+                    .reconstruct(total_len as usize, &frags)
                     .ok_or(OsError::InsufficientFragments)?;
-                Ok((Some(bytes), total_len, sources))
+                Ok((Some(Bytes::from(bytes)), total_len, sources))
             }
         }
     }
@@ -457,8 +466,9 @@ impl ObjectCluster {
         self.config.profile.partial_writes && (self.config.ec.is_none() || discard_data)
     }
 
-    /// Apply a ranged write to every replica's in-memory object (discard
-    /// mode only tracks the resulting length).
+    /// Apply a ranged write to every replica's in-memory object, each
+    /// under its own shard lock (discard mode only tracks the resulting
+    /// length).
     fn apply_range_write(&self, key: ObjectKey, offset: u64, data: &Bytes) {
         if self.config.discard_payload && key.kind == KeyKind::Data {
             let new_len = offset + data.len() as u64;
@@ -470,63 +480,98 @@ impl ObjectCluster {
             }
             return;
         }
+        let end = offset as usize + data.len();
         for idx in self.replica_shards(&key) {
             let mut map = self.shards[idx].objects.write();
-            let entry = map.entry(key).or_insert_with(|| Payload::Real(Vec::new()));
-            let v = match entry {
-                Payload::Real(v) => v,
-                Payload::Synthetic(n) => {
-                    *entry = Payload::Real(vec![0u8; *n as usize]);
-                    match entry {
-                        Payload::Real(v) => v,
-                        _ => unreachable!(),
-                    }
-                }
+            let entry = map.entry(key).or_insert(Payload::Synthetic(0));
+            // A buffer some other replica, a GET result or a client cache
+            // also holds must never change under them (and a torn write
+            // must leave the old object): `Vec::from` hands back this
+            // replica's allocation as is when it is the only holder, and
+            // one private copy otherwise.
+            let mut v = match std::mem::replace(entry, Payload::Synthetic(0)) {
+                Payload::Real(b) => Vec::from(b),
+                Payload::Synthetic(n) => vec![0u8; n as usize],
                 // Ranged writes on EC objects are rejected by the callers.
                 Payload::Fragment { .. } => unreachable!("fragment without EC config"),
             };
-            let end = offset as usize + data.len();
             if v.len() < end {
                 v.resize(end, 0);
             }
             v[offset as usize..end].copy_from_slice(data);
+            *entry = Payload::Real(Bytes::from(v));
         }
     }
 
     /// Store an object: full copies under replication, fragments under
     /// erasure coding, synthetic lengths in discard mode.
     fn store_object(&self, key: ObjectKey, data: Bytes) {
-        if self.config.discard_payload && key.kind == KeyKind::Data {
-            let payload = Payload::Synthetic(data.len() as u64);
-            for idx in self.replica_shards(&key) {
-                self.shards[idx]
-                    .objects
-                    .write()
-                    .insert(key, payload.clone());
+        let total_len = data.len() as u64;
+        let payload = match self.config.ec {
+            _ if self.config.discard_payload && key.kind == KeyKind::Data => {
+                Payload::Synthetic(total_len)
             }
-            return;
-        }
-        match self.config.ec {
-            None => {
-                let payload = Payload::Real(data.to_vec());
-                for idx in self.replica_shards(&key) {
-                    self.shards[idx]
-                        .objects
-                        .write()
-                        .insert(key, payload.clone());
-                }
-            }
+            // Every replica holds the caller's buffer: no copy.
+            None => Payload::Real(data),
             Some(ec) => {
-                let total_len = data.len() as u64;
-                let frags = ec.encode(&data);
-                for (idx, bytes) in self.placement_shards(&key).into_iter().zip(frags) {
-                    self.shards[idx]
-                        .objects
-                        .write()
-                        .insert(key, Payload::Fragment { total_len, bytes });
+                let frags = ec.encode(&data).into_iter().map(Bytes::from);
+                for (idx, bytes) in self.replica_shards(&key).zip(frags) {
+                    let fragment = Payload::Fragment { total_len, bytes };
+                    self.shards[idx].objects.write().insert(key, fragment);
                 }
+                return;
+            }
+        };
+        for idx in self.replica_shards(&key) {
+            let copy = payload.clone();
+            self.shards[idx].objects.write().insert(key, copy);
+        }
+    }
+
+    /// Count a DELETE and drop every copy or fragment of the object.
+    fn remove_object(&self, key: ObjectKey) -> OsResult<()> {
+        self.stats.deletes.inc();
+        let mut found = false;
+        for idx in self.replica_shards(&key) {
+            found |= self.shards[idx].objects.write().remove(&key).is_some();
+        }
+        found.then_some(()).ok_or(OsError::NotFound)
+    }
+
+    /// The read half of a GET: count it, load the object (zeros for a
+    /// synthetic one) and name the (shard, bytes) sources to charge.
+    fn load_whole(&self, key: ObjectKey) -> OsResult<(Bytes, Vec<(usize, u64)>)> {
+        self.stats.gets.inc();
+        let (bytes, total_len, sources) = self.load_logical(key)?;
+        self.stats.bytes_out.add(total_len);
+        Ok((bytes.unwrap_or_else(|| zeros(total_len as usize)), sources))
+    }
+
+    /// The read half of a ranged GET: a window of the stored buffer.
+    /// Under erasure coding the whole object is assembled (fragments are
+    /// striped, so a range still touches every data fragment); under
+    /// replication only the requested range moves.
+    fn load_range(
+        &self,
+        key: ObjectKey,
+        offset: u64,
+        len: usize,
+    ) -> OsResult<(Bytes, Vec<(usize, u64)>)> {
+        self.stats.gets.inc();
+        let (bytes, total_len, mut sources) = self.load_logical(key)?;
+        let start = offset.min(total_len) as usize;
+        let end = offset.saturating_add(len as u64).min(total_len) as usize;
+        let slice = match bytes {
+            Some(b) => b.slice(start..end),
+            None => zeros(end - start),
+        };
+        self.stats.bytes_out.add(slice.len() as u64);
+        if self.config.ec.is_none() {
+            for source in &mut sources {
+                source.1 = slice.len() as u64;
             }
         }
+        Ok((slice, sources))
     }
 }
 
@@ -557,46 +602,19 @@ impl ObjectStore for ObjectCluster {
     }
 
     fn get(&self, port: &Port, key: ObjectKey) -> OsResult<Bytes> {
-        self.stats.gets.inc();
-        let (bytes, total_len, sources) = self.load_logical(key)?;
-        self.stats.bytes_out.add(total_len);
+        let (bytes, sources) = self.load_whole(key)?;
         let arrival = port.advance(self.config.spec.net_half_rtt);
         let done = self.charge_read_sources(arrival, &sources);
         port.wait_until(done);
-        Ok(match bytes {
-            Some(v) => Bytes::from(v),
-            None => Bytes::from(vec![0u8; total_len as usize]),
-        })
+        Ok(bytes)
     }
 
     fn get_range(&self, port: &Port, key: ObjectKey, offset: u64, len: usize) -> OsResult<Bytes> {
         if !self.config.profile.ranged_reads {
             return Err(OsError::Unsupported("ranged read"));
         }
-        self.stats.gets.inc();
-        if self.faults.is_lost(key) {
-            return Err(OsError::NotFound);
-        }
-        // Under erasure coding the whole object is assembled (fragments
-        // are striped, so a range still touches every data fragment);
-        // under replication only the requested range moves.
-        let (bytes, total_len, sources) = self.load_logical(key)?;
-        let start = offset.min(total_len);
-        let end = offset.saturating_add(len as u64).min(total_len);
-        let slice = match bytes {
-            Some(v) => Bytes::copy_from_slice(&v[start as usize..end as usize]),
-            None => Bytes::from(vec![0u8; (end - start) as usize]),
-        };
-        self.stats.bytes_out.add(slice.len() as u64);
+        let (slice, sources) = self.load_range(key, offset, len)?;
         let arrival = port.advance(self.config.spec.net_half_rtt);
-        let sources: Vec<(usize, u64)> = if self.config.ec.is_some() {
-            sources
-        } else {
-            sources
-                .into_iter()
-                .map(|(idx, _)| (idx, slice.len() as u64))
-                .collect()
-        };
         let done = self.charge_read_sources(arrival, &sources);
         port.wait_until(done);
         Ok(slice)
@@ -623,17 +641,8 @@ impl ObjectStore for ObjectCluster {
     }
 
     fn delete(&self, port: &Port, key: ObjectKey) -> OsResult<()> {
-        self.stats.deletes.inc();
         self.charge_write(port, &key, 0);
-        let mut found = false;
-        for idx in self.replica_shards(&key) {
-            found |= self.shards[idx].objects.write().remove(&key).is_some();
-        }
-        if found {
-            Ok(())
-        } else {
-            Err(OsError::NotFound)
-        }
+        self.remove_object(key)
     }
 
     fn head(&self, port: &Port, key: ObjectKey) -> OsResult<u64> {
@@ -680,23 +689,10 @@ impl ObjectStore for ObjectCluster {
         self.stats.count_batch(keys.len());
         let mut out = Vec::with_capacity(keys.len());
         for &key in keys {
-            self.stats.gets.inc();
-            let (bytes, total_len, sources) = match self.load_logical(key) {
-                Ok(v) => v,
-                Err(e) => {
-                    out.push(Err(e));
-                    continue;
-                }
-            };
-            self.stats.bytes_out.add(total_len);
-            let completion = self.charge_read_sources(arrival, &sources);
-            out.push(Ok((
-                match bytes {
-                    Some(v) => Bytes::from(v),
-                    None => Bytes::from(vec![0u8; total_len as usize]),
-                },
-                completion,
-            )));
+            out.push(
+                self.load_whole(key)
+                    .map(|(bytes, sources)| (bytes, self.charge_read_sources(arrival, &sources))),
+            );
         }
         out
     }
@@ -746,28 +742,7 @@ impl ObjectStore for ObjectCluster {
         let out = reqs
             .iter()
             .map(|&(key, offset, len)| {
-                self.stats.gets.inc();
-                if self.faults.is_lost(key) {
-                    return Err(OsError::NotFound);
-                }
-                let (bytes, total_len, sources) = self.load_logical(key)?;
-                let start = offset.min(total_len);
-                let end = offset.saturating_add(len as u64).min(total_len);
-                let slice = match bytes {
-                    Some(v) => Bytes::copy_from_slice(&v[start as usize..end as usize]),
-                    None => Bytes::from(vec![0u8; (end - start) as usize]),
-                };
-                self.stats.bytes_out.add(slice.len() as u64);
-                // Replication moves only the requested range; EC assembles
-                // whole fragments (same rule as get_range).
-                let sources: Vec<(usize, u64)> = if self.config.ec.is_some() {
-                    sources
-                } else {
-                    sources
-                        .into_iter()
-                        .map(|(idx, _)| (idx, slice.len() as u64))
-                        .collect()
-                };
+                let (slice, sources) = self.load_range(key, offset, len)?;
                 done = done.max(self.charge_read_sources(t0, &sources));
                 Ok(slice)
             })
@@ -808,7 +783,7 @@ impl ObjectStore for ObjectCluster {
             self.stats.gets.inc();
             let (bytes, total_len, sources) = match self.load_logical(key) {
                 Ok(v) => v,
-                Err(OsError::NotFound) => (Some(Vec::new()), 0, Vec::new()),
+                Err(OsError::NotFound) => (Some(Bytes::new()), 0, Vec::new()),
                 Err(e) => {
                     out.push(Err(e));
                     continue;
@@ -820,7 +795,7 @@ impl ObjectStore for ObjectCluster {
             } else {
                 self.charge_read_sources(t0, &sources)
             };
-            let mut whole = bytes.unwrap_or_else(|| vec![0u8; total_len as usize]);
+            let mut whole = bytes.map_or_else(|| vec![0u8; total_len as usize], Vec::from);
             let end = offset as usize + data.len();
             if whole.len() < end {
                 whole.resize(end, 0);
@@ -847,17 +822,8 @@ impl ObjectStore for ObjectCluster {
         let out = keys
             .iter()
             .map(|&key| {
-                self.stats.deletes.inc();
                 done = done.max(self.charge_write_at(t0, &key, 0));
-                let mut found = false;
-                for idx in self.replica_shards(&key) {
-                    found |= self.shards[idx].objects.write().remove(&key).is_some();
-                }
-                if found {
-                    Ok(())
-                } else {
-                    Err(OsError::NotFound)
-                }
+                self.remove_object(key)
             })
             .collect();
         self.batch_span("store.delete_many", t0, done);
@@ -896,9 +862,159 @@ impl ObjectStore for ObjectCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn cluster() -> ObjectCluster {
         ObjectCluster::new(ClusterConfig::test_tiny())
+    }
+
+    /// RADOS r = 2, S3 r = 2 and EC 4+1: the deployments the ownership
+    /// rule (shared => immutable) must hold on.
+    fn aliasing_clusters() -> [ObjectCluster; 3] {
+        let tiny = |shards, s3: bool| {
+            let mut cfg = ClusterConfig::test_tiny();
+            cfg.shards = shards;
+            if s3 {
+                cfg.profile = StoreProfile::s3(&cfg.spec);
+            }
+            cfg
+        };
+        [
+            ObjectCluster::new(tiny(3, false).with_replication(2)),
+            ObjectCluster::new(tiny(3, true).with_replication(2)),
+            ObjectCluster::new(tiny(6, false).with_erasure_coding(4)),
+        ]
+    }
+
+    /// The object reads as the model says, from every copy: each replica
+    /// holds the model's bytes, or (EC) a degraded read rebuilds them.
+    fn assert_matches_model(c: &ObjectCluster, key: ObjectKey, model: Option<&Vec<u8>>) {
+        let port = Port::new();
+        let want = model
+            .map(|m| Bytes::from(m.clone()))
+            .ok_or(OsError::NotFound);
+        assert_eq!(c.get(&port, key), want);
+        let placement = c.placement_shards(&key);
+        if c.config.ec.is_some() {
+            c.faults.fail_shard(placement[0]);
+            assert_eq!(c.get(&port, key), want, "degraded read");
+            c.faults.restore_shard(placement[0]);
+            return;
+        }
+        for idx in placement {
+            match (c.shards[idx].objects.read().get(&key), model) {
+                (Some(Payload::Real(b)), Some(m)) => assert_eq!(b, m, "replica on shard {idx}"),
+                (None, None) => {}
+                (got, _) => panic!("shard {idx} holds {got:?}, model {model:?}"),
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// Model-based aliasing test: whatever is written later, every
+        /// buffer a GET handed out still equals its snapshot, replicas
+        /// agree with a plain `Vec<u8>` model, and a failed PUT leaves
+        /// the old bytes.
+        #[test]
+        fn handed_out_buffers_never_change(
+            ops in prop::collection::vec(
+                (0u8..8, 0u64..3, 0usize..300, 1usize..200, any::<u8>()),
+                1..60,
+            ),
+        ) {
+            for c in aliasing_clusters() {
+                let port = Port::new();
+                let mut model: HashMap<ObjectKey, Vec<u8>> = HashMap::new();
+                let mut handed_out: Vec<(Bytes, Vec<u8>)> = Vec::new();
+                for &(op, k, off, len, fill) in &ops {
+                    let key = ObjectKey::data_chunk(1, k);
+                    let data = Bytes::from(vec![fill; len]);
+                    // Ops 5..8 are 0..3 again with the PUT made to fail.
+                    let failing = op >= 5;
+                    if failing {
+                        c.faults.fail_next_puts(1, None);
+                    }
+                    let wrote = match op % 5 {
+                        0 => Some((c.put(&port, key, data.clone()), 0)),
+                        1 => Some((c.put_range(&port, key, off as u64, data.clone()), off)),
+                        2 => {
+                            let items = vec![(key, off as u64, data.clone())];
+                            Some((c.put_range_many(&port, items).remove(0), off))
+                        }
+                        3 => {
+                            if let Ok(got) = c.get_range(&port, key, off as u64, len) {
+                                let m = &model[&key];
+                                let want = &m[off.min(m.len())..(off + len).min(m.len())];
+                                prop_assert_eq!(&got[..], want);
+                                handed_out.push((got, want.to_vec()));
+                            }
+                            None
+                        }
+                        _ => {
+                            prop_assert_eq!(c.delete(&port, key).is_ok(), model.remove(&key).is_some());
+                            None
+                        }
+                    };
+                    match wrote {
+                        Some((Ok(()), at)) => {
+                            prop_assert!(!failing, "an injected failure must surface");
+                            let m = model.entry(key).or_default();
+                            if op % 5 == 0 {
+                                m.clear();
+                            }
+                            m.resize(m.len().max(at + len), 0);
+                            m[at..at + len].copy_from_slice(&data);
+                        }
+                        // S3 and EC objects take whole-object PUTs only.
+                        Some((Err(OsError::Unsupported(_)), _)) => c.faults.clear(),
+                        Some((Err(e), _)) => prop_assert!(failing, "unexpected {e:?}"),
+                        None => c.faults.clear(),
+                    }
+                    assert_matches_model(&c, key, model.get(&key));
+                    if let Ok(got) = c.get(&port, key) {
+                        handed_out.push((got.clone(), got.to_vec()));
+                    }
+                    for (got, snapshot) in &handed_out {
+                        prop_assert_eq!(&got[..], &snapshot[..]);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gets_and_replicas_share_the_put_buffer() {
+        let c = ObjectCluster::new(ClusterConfig::test_tiny().with_replication(2));
+        let port = Port::new();
+        let key = ObjectKey::data_chunk(1, 0);
+        let data = Bytes::from(vec![7u8; 4096]);
+        c.put(&port, key, data.clone()).unwrap();
+        // One allocation: the caller's, both replicas', every GET's.
+        let (a, b) = (c.get(&port, key).unwrap(), c.get(&port, key).unwrap());
+        assert_eq!((a.as_ptr(), b.as_ptr()), (data.as_ptr(), data.as_ptr()));
+        let window = c.get_range(&port, key, 100, 50).unwrap();
+        assert_eq!(window.as_ptr(), data[100..].as_ptr());
+        for shard in &c.shards {
+            match shard.objects.read().get(&key) {
+                Some(Payload::Real(held)) => assert_eq!(held.as_ptr(), data.as_ptr()),
+                other => panic!("replica holds {other:?}"),
+            }
+        }
+        // A ranged write never lands in the shared buffer...
+        c.put_range(&port, key, 0, Bytes::from_static(b"new"))
+            .unwrap();
+        assert!(a.iter().all(|&x| x == 7));
+        // ...but with every handle dropped, the next one is in place.
+        drop((a, b, window, data));
+        let before = c.get(&port, key).unwrap().as_ptr();
+        c.put_range(&port, key, 8, Bytes::from_static(b"again"))
+            .unwrap();
+        assert_eq!(c.get(&port, key).unwrap().as_ptr(), before);
+        // Synthetic and hole reads come from the one zero buffer.
+        let big = zeros(1024);
+        assert_eq!(zeros(64).as_ptr(), big.as_ptr());
     }
 
     #[test]
@@ -1103,11 +1219,7 @@ mod tests {
             for &k in &keys {
                 c.put(&setup, k, Bytes::from(vec![0u8; 1024])).unwrap();
             }
-            for shard in &c.shards {
-                shard.op_server.reset();
-                shard.disk.reset();
-            }
-            c.net.reset();
+            c.reset_timelines();
             c
         };
         // Sequential baseline.
@@ -1244,11 +1356,7 @@ mod tests {
             for &(k, ..) in &reqs {
                 c.put(&setup, k, Bytes::from(vec![9u8; 1024])).unwrap();
             }
-            for shard in &c.shards {
-                shard.op_server.reset();
-                shard.disk.reset();
-            }
-            c.net.reset();
+            c.reset_timelines();
             c
         };
         let c_seq = mk();

@@ -61,43 +61,32 @@ impl EcScheme {
     /// Reassemble the object from fragments; index `data` is the parity.
     /// At most one fragment may be `None`. `total_len` is the object's
     /// original length (each stored fragment carries it).
-    pub fn reconstruct(
+    pub fn reconstruct<F: AsRef<[u8]>>(
         &self,
         total_len: usize,
-        mut frags: Vec<Option<Vec<u8>>>,
+        frags: &[Option<F>],
     ) -> Option<Vec<u8>> {
-        if frags.len() != self.width() {
+        if frags.len() != self.width() || frags.iter().filter(|f| f.is_none()).count() > 1 {
             return None;
         }
-        let missing: Vec<usize> = (0..self.width()).filter(|&i| frags[i].is_none()).collect();
-        if missing.len() > 1 {
-            return None;
-        }
-        let fs = self.stripe(total_len);
-        if let Some(&lost) = missing.first() {
-            if lost < self.data {
+        let mut out = Vec::with_capacity(total_len);
+        for (lost, frag) in frags.iter().enumerate().take(self.data) {
+            let Some(frag) = frag else {
                 // XOR of parity and the surviving data fragments
                 // (zero-padded), trimmed to the lost fragment's length.
-                let mut rec = frags[self.data].clone()?;
-                rec.resize(fs, 0);
-                for (j, frag) in frags.iter().enumerate().take(self.data) {
-                    if j == lost {
-                        continue;
-                    }
-                    let frag = frag.as_ref()?;
-                    for (r, &b) in rec.iter_mut().zip(frag) {
+                let mut rec = frags[self.data].as_ref()?.as_ref().to_vec();
+                rec.resize(self.stripe(total_len), 0);
+                for other in frags[..self.data].iter().flatten() {
+                    for (r, &b) in rec.iter_mut().zip(other.as_ref()) {
                         *r ^= b;
                     }
                 }
-                rec.truncate(self.frag_len(total_len, lost));
-                frags[lost] = Some(rec);
-            }
-            // A lost parity needs no action for reads.
+                out.extend_from_slice(&rec[..self.frag_len(total_len, lost)]);
+                continue;
+            };
+            out.extend_from_slice(frag.as_ref());
         }
-        let mut out = Vec::with_capacity(total_len);
-        for frag in frags.into_iter().take(self.data) {
-            out.extend_from_slice(&frag?);
-        }
+        // A lost parity needs no action for reads.
         out.truncate(total_len);
         (out.len() == total_len).then_some(out)
     }
@@ -125,7 +114,7 @@ mod tests {
         let ec = EcScheme::new(3);
         let data: Vec<u8> = (0..100u8).collect();
         let frags: Vec<Option<Vec<u8>>> = ec.encode(&data).into_iter().map(Some).collect();
-        assert_eq!(ec.reconstruct(100, frags).unwrap(), data);
+        assert_eq!(ec.reconstruct(100, &frags).unwrap(), data);
     }
 
     #[test]
@@ -137,7 +126,7 @@ mod tests {
             let mut frags: Vec<Option<Vec<u8>>> = encoded.iter().cloned().map(Some).collect();
             frags[lost] = None;
             assert_eq!(
-                ec.reconstruct(data.len(), frags).unwrap(),
+                ec.reconstruct(data.len(), &frags).unwrap(),
                 data,
                 "lost fragment {lost}"
             );
@@ -151,16 +140,16 @@ mod tests {
         let mut frags: Vec<Option<Vec<u8>>> = ec.encode(&data).into_iter().map(Some).collect();
         frags[0] = None;
         frags[2] = None;
-        assert!(ec.reconstruct(50, frags).is_none());
+        assert!(ec.reconstruct(50, &frags).is_none());
     }
 
     #[test]
     fn empty_and_tiny_objects() {
         let ec = EcScheme::new(4);
         let frags: Vec<Option<Vec<u8>>> = ec.encode(&[]).into_iter().map(Some).collect();
-        assert_eq!(ec.reconstruct(0, frags).unwrap(), Vec::<u8>::new());
+        assert_eq!(ec.reconstruct(0, &frags).unwrap(), Vec::<u8>::new());
         let frags: Vec<Option<Vec<u8>>> = ec.encode(&[7]).into_iter().map(Some).collect();
-        assert_eq!(ec.reconstruct(1, frags).unwrap(), vec![7]);
+        assert_eq!(ec.reconstruct(1, &frags).unwrap(), vec![7]);
     }
 
     proptest! {
@@ -177,7 +166,7 @@ mod tests {
             let mut frags: Vec<Option<Vec<u8>>> =
                 encoded.into_iter().map(Some).collect();
             frags[lost] = None;
-            prop_assert_eq!(ec.reconstruct(data.len(), frags), Some(data));
+            prop_assert_eq!(ec.reconstruct(data.len(), &frags), Some(data));
         }
     }
 }

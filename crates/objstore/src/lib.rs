@@ -23,7 +23,7 @@ pub mod profile;
 pub mod rest;
 pub mod store;
 
-pub use cluster::{ClusterConfig, ObjectCluster};
+pub use cluster::{zeros, ClusterConfig, ObjectCluster};
 pub use ec::EcScheme;
 pub use error::{OsError, OsResult};
 pub use fault::FaultPlan;

@@ -127,7 +127,7 @@ pub trait ObjectStore: Send + Sync {
                 |(key, offset, data)| match self.put_range(port, key, offset, data.clone()) {
                     Err(OsError::Unsupported(_)) => {
                         let mut whole = match self.get(port, key) {
-                            Ok(existing) => existing.to_vec(),
+                            Ok(existing) => Vec::from(existing),
                             Err(OsError::NotFound) => Vec::new(),
                             Err(e) => return Err(e),
                         };
