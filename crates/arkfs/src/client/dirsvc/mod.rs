@@ -45,14 +45,14 @@ use super::{ArkClient, ClientState, MAX_LEASE_RETRIES};
 use crate::cache::write_back;
 use crate::cluster::manager_node;
 use crate::meta::InodeRecord;
-use crate::metatable::Metatable;
+use crate::metatable::{Deposit, Metatable};
 use crate::partition::{partition_ino, PartitionMap};
-use crate::rpc::{OpBody, OpRequest, OpResponse};
+use crate::rpc::{DirView, OpBody, OpRequest, OpResponse};
 use arkfs_lease::{LeaseRequest, LeaseResponse};
-use arkfs_netsim::{NodeId, Service};
+use arkfs_netsim::{NetError, NodeId, Service};
 use arkfs_simkit::{Nanos, Port};
 use arkfs_telemetry::PID_CLIENT;
-use arkfs_vfs::{Credentials, DirEntry, FileType, FsError, FsResult, Ino};
+use arkfs_vfs::{Credentials, FileType, FsError, FsResult, Ino};
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
@@ -275,6 +275,63 @@ impl ClientState {
         }
     }
 
+    /// Send `req` to the lease manager of partition key `pkey`.
+    fn ask_manager(
+        &self,
+        port: &Port,
+        pkey: Ino,
+        req: LeaseRequest,
+    ) -> Result<LeaseResponse, NetError> {
+        let manager = manager_node(pkey, self.cluster.config().lease_managers);
+        self.cluster.call_lease(port, manager, req)
+    }
+
+    /// Extend the lease of `pkey` with a deposit of `t`'s view
+    /// ([`Metatable::lease_view`]; `None` when there is none to leave),
+    /// marked live once the manager has it. `t` stays locked across the
+    /// exchange, so no change slips between building the view and its
+    /// arrival.
+    fn deposit_view(
+        &self,
+        port: &Port,
+        pkey: Ino,
+        t: &mut Metatable,
+    ) -> Option<Result<LeaseResponse, NetError>> {
+        let (client, ino) = (self.id, pkey);
+        // Without permission caches nobody would take it.
+        if !self.cluster.config().permission_cache {
+            return None;
+        }
+        let view = t.lease_view(port.now())?;
+        let resp = self.ask_manager(port, pkey, LeaseRequest::Deposit { client, ino, view });
+        if let Ok(LeaseResponse::Granted {
+            must_load: false, ..
+        }) = resp
+        {
+            t.deposit = Deposit::Live;
+        }
+        Some(resp)
+    }
+
+    /// Acquire or extend the lease of `pkey`; a renewal deposits the led
+    /// table's view along the way.
+    fn acquire_lease(
+        &self,
+        port: &Port,
+        pkey: Ino,
+        led: Option<&mut Metatable>,
+    ) -> Result<LeaseResponse, NetError> {
+        let (client, ino) = (self.id, pkey);
+        led.and_then(|t| self.deposit_view(port, pkey, t))
+            .unwrap_or_else(|| self.ask_manager(port, pkey, LeaseRequest::Acquire { client, ino }))
+    }
+
+    /// Hand the lease of `pkey` back.
+    pub(crate) fn release_lease(&self, port: &Port, pkey: Ino) {
+        let (client, ino) = (self.id, pkey);
+        let _ = self.ask_manager(port, pkey, LeaseRequest::Release { client, ino });
+    }
+
     /// Resolve partition 0 of a directory (== the whole directory when
     /// unpartitioned), refreshing the cached partition map on `Stale`.
     /// Partition 0's key is the directory ino itself, so callers that
@@ -312,8 +369,6 @@ impl ClientState {
     ) -> FsResult<DirRef> {
         let config = self.cluster.config();
         let pkey = partition_ino(dir, pidx);
-        let manager = manager_node(pkey, config.lease_managers);
-        let client = self.id;
         for _ in 0..MAX_LEASE_RETRIES {
             let mut s = self.dirs.stripe(pkey);
             let now = port.now();
@@ -331,11 +386,10 @@ impl ClientState {
                     }
                 }
             }
-            match self.cluster.call_lease(
-                port,
-                manager,
-                LeaseRequest::Acquire { client, ino: pkey },
-            ) {
+            let mut led = held.as_ref().map(|t| self.lock_table(t));
+            let resp = self.acquire_lease(port, pkey, led.as_deref_mut());
+            drop(led);
+            let (leader, view) = match resp {
                 Ok(LeaseResponse::Granted {
                     expires_at,
                     must_load,
@@ -358,7 +412,10 @@ impl ClientState {
                             config.dentry_buckets,
                             config.lease_period,
                         ) {
-                            Ok(t) => {
+                            Ok(mut t) => {
+                                // One more manager message per load, if
+                                // there is a view to leave there.
+                                let _ = self.deposit_view(port, pkey, &mut t);
                                 let t = Arc::new(Mutex::new(t));
                                 s.tables.insert(pkey, Arc::clone(&t));
                                 self.lane(pkey).register(pkey, &t);
@@ -369,11 +426,7 @@ impl ClientState {
                                 // built under a superseded partition map.
                                 s.tables.remove(&pkey);
                                 s.leases.remove(&pkey);
-                                let _ = self.cluster.call_lease(
-                                    port,
-                                    manager,
-                                    LeaseRequest::Release { client, ino: pkey },
-                                );
+                                self.release_lease(port, pkey);
                                 return Err(e);
                             }
                         },
@@ -381,25 +434,8 @@ impl ClientState {
                     s.leases.insert(pkey, expires_at);
                     return Ok(DirRef::Local(table));
                 }
-                Ok(LeaseResponse::Redirect { leader }) => {
-                    // If we led the partition we lost it; discard stale
-                    // state.
-                    s.tables.remove(&pkey);
-                    s.leases.remove(&pkey);
-                    s.remote_hints.insert(pkey, leader);
-                    self.telemetry.flight.record(
-                        self.id.0,
-                        port.now(),
-                        "lease.redirect",
-                        leader.0 as i64,
-                        if held.is_some() {
-                            "lost partition lease; redirected to leader"
-                        } else {
-                            "partition led elsewhere"
-                        },
-                    );
-                    return Ok(DirRef::Remote(leader));
-                }
+                Ok(LeaseResponse::Redirect { leader }) => (leader, None),
+                Ok(LeaseResponse::RedirectView { leader, view }) => (leader, Some(view)),
                 Ok(LeaseResponse::Retry { until }) => {
                     drop(s);
                     self.telemetry.flight.record(
@@ -412,6 +448,7 @@ impl ClientState {
                     let wait_start = port.now();
                     port.wait_until(until);
                     self.trace_span("lease.wait", "lease", wait_start, port.now());
+                    continue;
                 }
                 Ok(LeaseResponse::Released) => unreachable!("release response to acquire"),
                 // Manager unreachable (crash, or exhausted retries on a
@@ -422,7 +459,34 @@ impl ClientState {
                         _ => Err(FsError::TimedOut),
                     };
                 }
+            };
+            // Redirected. If we led the partition we lost it; discard
+            // stale state.
+            s.tables.remove(&pkey);
+            s.leases.remove(&pkey);
+            s.remote_hints.insert(pkey, leader);
+            // The pcache stripe has the dir stripe's rank: let go first.
+            drop(s);
+            self.telemetry.flight.record(
+                self.id.0,
+                port.now(),
+                "lease.redirect",
+                leader.0 as i64,
+                if held.is_some() {
+                    "lost partition lease; redirected to leader"
+                } else {
+                    "partition led elsewhere"
+                },
+            );
+            // The manager's reply carried the leader's view: path
+            // resolution through `dir` needs no `DirView` from the leader.
+            if let Some(view) = view.filter(|_| config.permission_cache) {
+                if let Ok(body) = view.body.downcast::<DirView>() {
+                    let expires_at = view.stamp.saturating_add(config.lease_period);
+                    self.pcache_install(port.now(), dir, body, expires_at);
+                }
             }
+            return Ok(DirRef::Remote(leader));
         }
         Err(FsError::TimedOut)
     }
@@ -464,14 +528,8 @@ impl ClientState {
             if !valid {
                 // Try a same-holder extension before turning the caller
                 // away.
-                match self.cluster.call_lease(
-                    port,
-                    manager_node(pkey, self.cluster.config().lease_managers),
-                    LeaseRequest::Acquire {
-                        client: self.id,
-                        ino: pkey,
-                    },
-                ) {
+                let extended = self.acquire_lease(port, pkey, Some(&mut self.lock_table(&table)));
+                match extended {
                     Ok(LeaseResponse::Granted {
                         expires_at,
                         must_load: false,
@@ -502,7 +560,6 @@ impl ClientState {
     /// leader may have left).
     pub(crate) fn serve_relinquish(&self, port: &Port, dir: Ino, partition: u32) -> OpResponse {
         let pkey = partition_ino(dir, partition);
-        let config = self.cluster.config();
         let table = {
             let s = self.dirs.stripe(pkey);
             match s.tables.get(&pkey).cloned() {
@@ -518,14 +575,7 @@ impl ClientState {
             return OpResponse::Err(e);
         }
         self.dirs.forget(pkey);
-        let _ = self.cluster.call_lease(
-            port,
-            manager_node(pkey, config.lease_managers),
-            LeaseRequest::Release {
-                client: self.id,
-                ino: pkey,
-            },
-        );
+        self.release_lease(port, pkey);
         self.partition_handoffs.inc();
         self.telemetry.flight.record(
             self.id.0,
@@ -624,33 +674,11 @@ impl ArkClient {
             }
             DirRef::Remote(leader) => {
                 let resp =
-                    self.remote_call(&Credentials::root(), dir, leader, OpBody::DirInode { dir })?;
+                    self.remote_call(&Credentials::root(), leader, OpBody::DirInode { dir })?;
                 match resp {
                     OpResponse::Inode(rec) => Ok(rec),
                     OpResponse::Err(e) => Err(e),
                     _ => Err(FsError::Io("unexpected dir-inode response".into())),
-                }
-            }
-        }
-    }
-
-    /// A directory's view, local or remote: its inode record plus the
-    /// subdirectory dentries partition 0 holds (the body of a
-    /// permission-cache fill). One RPC when remote.
-    pub(crate) fn dir_view(&self, dir: Ino) -> FsResult<(InodeRecord, Arc<[DirEntry]>)> {
-        match self.dir_ref(dir)? {
-            DirRef::Local(table) => {
-                self.port.advance(self.config().spec.local_meta_op);
-                let mut t = self.state.lock_table(&table);
-                Ok((t.dir.clone(), t.subdir_view()))
-            }
-            DirRef::Remote(leader) => {
-                let resp =
-                    self.remote_call(&Credentials::root(), dir, leader, OpBody::DirView { dir })?;
-                match resp {
-                    OpResponse::View { dir, subdirs } => Ok((dir, subdirs)),
-                    OpResponse::Err(e) => Err(e),
-                    _ => Err(FsError::Io("unexpected dir-view response".into())),
                 }
             }
         }
@@ -661,7 +689,6 @@ impl ArkClient {
     pub(crate) fn remote_call(
         &self,
         ctx: &Credentials,
-        dir: Ino,
         leader: NodeId,
         body: OpBody,
     ) -> FsResult<OpResponse> {
@@ -671,16 +698,27 @@ impl ArkClient {
                 if let Some(pkey) = self.state.route_pkey(&body) {
                     self.state.dirs.forget_hint(pkey);
                 }
-                self.on_dir_port(&self.port, ctx, dir, body)
+                self.on_dir(ctx, body)
             }
             Ok(resp) => Ok(resp),
         }
     }
 
-    /// Run an operation against a directory: locally when we lead the
-    /// partition it routes to, else forwarded to that partition's leader.
-    pub(crate) fn on_dir(&self, ctx: &Credentials, dir: Ino, body: OpBody) -> FsResult<OpResponse> {
-        self.on_dir_port(&self.port, ctx, dir, body)
+    /// Run an operation against the directory it is addressed to
+    /// ([`OpBody::route`]): locally when we lead the partition it routes
+    /// to, else forwarded to that partition's leader.
+    pub(crate) fn on_dir(&self, ctx: &Credentials, body: OpBody) -> FsResult<OpResponse> {
+        self.on_dir_port(&self.port, ctx, body)
+    }
+
+    /// [`Self::on_dir`] of an op whose one good answer is `Ok`.
+    pub(crate) fn on_dir_ok(&self, ctx: &Credentials, body: OpBody) -> FsResult<()> {
+        let kind = OpBody::KINDS[body.tag() as usize];
+        match self.on_dir(ctx, body)? {
+            OpResponse::Ok => Ok(()),
+            OpResponse::Err(e) => Err(e),
+            _ => Err(FsError::Io(format!("unexpected {kind} response"))),
+        }
     }
 
     /// [`Self::on_dir`] on an explicit timeline — fan-out paths (readdir
@@ -690,19 +728,18 @@ impl ArkClient {
         &self,
         port: &Port,
         ctx: &Credentials,
-        dir: Ino,
         body: OpBody,
     ) -> FsResult<OpResponse> {
         let config = self.config();
+        let Some((dir, key)) = body.route() else {
+            return Err(FsError::InvalidArgument);
+        };
         if body.mutates() && config.commit_mode == crate::config::CommitMode::Async {
             // Whoever serves this (us or a remote partition leader) may
             // ack before durability: remember the directory so this
             // client's next `sync_all` barriers every partition of it.
             self.state.dirty_dirs.lock().insert(dir);
         }
-        let Some((_, key)) = body.route() else {
-            return Err(FsError::InvalidArgument);
-        };
         for _ in 0..MAX_LEASE_RETRIES {
             let pmap = self.state.cached_pmap(dir);
             let pidx = pmap.partition_of(key, config.dentry_buckets);
@@ -879,14 +916,7 @@ impl ArkClient {
         // Step 4: hand off our frozen leaderships.
         for pkey in frozen {
             self.state.dirs.forget(pkey);
-            let _ = self.state.cluster.call_lease(
-                &self.port,
-                manager_node(pkey, config.lease_managers),
-                LeaseRequest::Release {
-                    client: self.state.id,
-                    ino: pkey,
-                },
-            );
+            self.state.release_lease(&self.port, pkey);
             self.state.partition_handoffs.inc();
         }
         self.state.cache_pmap(map);

@@ -10,10 +10,10 @@
 use super::super::{ClientState, TableGuard};
 use crate::config::CommitMode;
 use crate::journal::{OpStamps, Transaction};
-use crate::metatable::Metatable;
+use crate::metatable::{Deposit, Metatable};
 use crate::prt::Prt;
 use crate::rpc::{OpBody, OpRequest, OpResponse};
-use arkfs_lease::FileLeaseDecision;
+use arkfs_lease::{FileLeaseDecision, LeaseRequest};
 use arkfs_simkit::Port;
 use arkfs_telemetry::CtxGuard;
 use arkfs_vfs::{perm, Credentials, FileType, FsError, FsResult, Ino, AM_EXEC, AM_READ, AM_WRITE};
@@ -30,6 +30,23 @@ impl ClientState {
         table: &Arc<Mutex<Metatable>>,
         req: OpRequest,
     ) -> OpResponse {
+        let mut t: TableGuard<'_> = self.lock_table(table);
+        let resp = self.serve_locked(port, &mut t, req);
+        // The op changed what the view left with the lease manager
+        // shows (a subdirectory dentry, the directory's permissions):
+        // withdraw the view before the change is acked, so that a client
+        // holding none is never handed one older than an acked change.
+        // One round trip per deposit, not per change: the next renewal
+        // deposits again.
+        if t.deposit == Deposit::Outdated {
+            t.deposit = Deposit::None;
+            let (client, ino) = (self.id, t.pkey());
+            let _ = self.ask_manager(port, ino, LeaseRequest::Revoke { client, ino });
+        }
+        resp
+    }
+
+    fn serve_locked(&self, port: &Port, t: &mut Metatable, req: OpRequest) -> OpResponse {
         let OpRequest { creds, trace, body } = req;
         // Serve under the originating op's trace context: spans recorded
         // below (journal commits, store I/O, meta churn) link back to the
@@ -39,7 +56,6 @@ impl ClientState {
         let config = self.cluster.config();
         let prt = self.cluster.prt();
         let now = port.now();
-        let mut t: TableGuard<'_> = self.lock_table(table);
         // A frozen table is mid-handoff (split/merge drain): its journal
         // is being sealed under the *old* map, so no new work may enter.
         if t.frozen {
@@ -175,7 +191,7 @@ impl ClientState {
 
         match body {
             OpBody::Lookup { name, .. } => {
-                if let Err(e) = dir_perm(&t, AM_EXEC) {
+                if let Err(e) = dir_perm(t, AM_EXEC) {
                     return OpResponse::Err(e);
                 }
                 match t.lookup(&name) {
@@ -188,31 +204,28 @@ impl ClientState {
                 }
             }
             OpBody::DirInode { .. } => OpResponse::Inode(t.dir.clone()),
-            OpBody::DirView { .. } => OpResponse::View {
-                dir: t.dir.clone(),
-                subdirs: t.subdir_view(),
-            },
+            OpBody::DirView { .. } => OpResponse::View(t.dir_view()),
             // Create-and-open records nothing the plain create does not:
             // the open handle takes its lease at its first data access.
             OpBody::Create { name, rec, .. } | OpBody::CreateOpen { name, rec, .. } => {
-                if let Err(e) = dir_perm(&t, AM_WRITE | AM_EXEC) {
+                if let Err(e) = dir_perm(t, AM_WRITE | AM_EXEC) {
                     return OpResponse::Err(e);
                 }
                 match t
                     .create_child(rec, &name, now)
-                    .and_then(|()| stamp_commit(&mut t, "op.create", false))
+                    .and_then(|()| stamp_commit(t, "op.create", false))
                 {
                     Ok(()) => OpResponse::Ok,
                     Err(e) => OpResponse::Err(e),
                 }
             }
             OpBody::AddSubdir { name, child, .. } => {
-                if let Err(e) = dir_perm(&t, AM_WRITE | AM_EXEC) {
+                if let Err(e) = dir_perm(t, AM_WRITE | AM_EXEC) {
                     return OpResponse::Err(e);
                 }
                 match t
                     .add_subdir(&name, child, now)
-                    .and_then(|()| stamp_commit(&mut t, "op.mkdir", false))
+                    .and_then(|()| stamp_commit(t, "op.mkdir", false))
                 {
                     Ok(()) => OpResponse::Ok,
                     Err(e) => OpResponse::Err(e),
@@ -229,7 +242,7 @@ impl ClientState {
                     return OpResponse::Err(e);
                 }
                 match t.unlink_child(&name, now) {
-                    Ok(rec) => match stamp_commit(&mut t, "op.unlink", false) {
+                    Ok(rec) => match stamp_commit(t, "op.unlink", false) {
                         Ok(()) => OpResponse::Inode(rec),
                         Err(e) => OpResponse::Err(e),
                     },
@@ -253,14 +266,14 @@ impl ClientState {
                 }
                 match t
                     .remove_subdir(&name, now)
-                    .and_then(|_| stamp_commit(&mut t, "op.rmdir", false))
+                    .and_then(|_| stamp_commit(t, "op.rmdir", false))
                 {
                     Ok(()) => OpResponse::Ok,
                     Err(e) => OpResponse::Err(e),
                 }
             }
             OpBody::Readdir { .. } => {
-                if let Err(e) = dir_perm(&t, AM_READ) {
+                if let Err(e) = dir_perm(t, AM_READ) {
                     return OpResponse::Err(e);
                 }
                 // The partition count rides along as the staleness guard:
@@ -287,7 +300,7 @@ impl ClientState {
                 let force = config.commit_mode == CommitMode::Sync;
                 match t
                     .set_child_size(ino, size, now)
-                    .and_then(|()| stamp_commit(&mut t, "op.setsize", force))
+                    .and_then(|()| stamp_commit(t, "op.setsize", force))
                 {
                     Ok(()) => {
                         if let Some(client) = closer {
@@ -308,7 +321,7 @@ impl ClientState {
                     return OpResponse::Err(e);
                 }
                 match t.set_child_attr(ino, &attr, now) {
-                    Ok(rec) => match stamp_commit(&mut t, "op.setattr", false) {
+                    Ok(rec) => match stamp_commit(t, "op.setattr", false) {
                         Ok(()) => OpResponse::Inode(rec),
                         Err(e) => OpResponse::Err(e),
                     },
@@ -321,7 +334,7 @@ impl ClientState {
                     return OpResponse::Err(e);
                 }
                 let rec = t.set_dir_attr(&attr, now);
-                match stamp_commit(&mut t, "op.setattr", false) {
+                match stamp_commit(t, "op.setattr", false) {
                     Ok(()) => OpResponse::Inode(rec),
                     Err(e) => OpResponse::Err(e),
                 }
@@ -340,7 +353,7 @@ impl ClientState {
                 }
                 match t
                     .set_acl(target, acl, now)
-                    .and_then(|()| stamp_commit(&mut t, "op.set_acl", false))
+                    .and_then(|()| stamp_commit(t, "op.set_acl", false))
                 {
                     Ok(()) => OpResponse::Ok,
                     Err(e) => OpResponse::Err(e),
@@ -359,7 +372,7 @@ impl ClientState {
                 // The reply names what moved, so the renamer can cache
                 // the new name positively.
                 match t.rename_local(&from, &to, now).and_then(|moved| {
-                    stamp_commit(&mut t, "op.rename", false)?;
+                    stamp_commit(t, "op.rename", false)?;
                     Ok(moved)
                 }) {
                     Ok((ino, ftype)) => OpResponse::Entry {
@@ -396,7 +409,7 @@ impl ClientState {
                 };
                 // 2PC prepares stay forced-durable in both modes: the
                 // decision protocol presumes the prepare record survives.
-                match stamp_commit(&mut t, "op.rename", true) {
+                match stamp_commit(t, "op.rename", true) {
                     Ok(()) => OpResponse::Detached {
                         ino: entry.ino,
                         ftype: entry.ftype,
@@ -414,7 +427,7 @@ impl ClientState {
                 rec,
                 ..
             } => {
-                if let Err(e) = dir_perm(&t, AM_WRITE | AM_EXEC) {
+                if let Err(e) = dir_perm(t, AM_WRITE | AM_EXEC) {
                     return OpResponse::Err(e);
                 }
                 // POSIX rename replaces an existing file target; the
@@ -451,7 +464,7 @@ impl ClientState {
                 if let Err(e) = t.attach_child(&name, ino, ftype, rec, now) {
                     return OpResponse::Err(e);
                 }
-                match stamp_commit(&mut t, "op.rename", true) {
+                match stamp_commit(t, "op.rename", true) {
                     Ok(()) => match victim {
                         Some(rec) => OpResponse::Inode(rec),
                         None => OpResponse::Ok,
@@ -474,7 +487,7 @@ impl ClientState {
                         }
                     }
                 }
-                match stamp_commit(&mut t, "op.rename", true) {
+                match stamp_commit(t, "op.rename", true) {
                     Ok(()) => OpResponse::Ok,
                     Err(e) => OpResponse::Err(e),
                 }
@@ -499,12 +512,12 @@ impl ClientState {
             }
             OpBody::AcquireReadLease { file, client, .. } => {
                 let decision = t.file_leases.acquire_read(client, file, now);
-                self.broadcast_flushes(port, &mut t, file, &decision);
+                self.broadcast_flushes(port, t, file, &decision);
                 OpResponse::Lease(decision)
             }
             OpBody::AcquireWriteLease { file, client, .. } => {
                 let decision = t.file_leases.acquire_write(client, file, now);
-                self.broadcast_flushes(port, &mut t, file, &decision);
+                self.broadcast_flushes(port, t, file, &decision);
                 OpResponse::Lease(decision)
             }
             OpBody::ReleaseFileLease { file, client, .. } => {

@@ -243,7 +243,7 @@ impl ArkClient {
         } else {
             (OpBody::AcquireReadLease { dir, file, client }, Held::Read)
         };
-        let held = match self.on_dir(&Credentials::root(), parent, body)? {
+        let held = match self.on_dir(&Credentials::root(), body)? {
             OpResponse::Lease(FileLeaseDecision::Granted { .. }) => granted,
             OpResponse::Lease(FileLeaseDecision::Direct { .. }) => {
                 // Our own cached data must go to the store before direct
@@ -276,7 +276,7 @@ impl ArkClient {
         };
         // Routed like the acquire (lease service shards by file ino),
         // so the release reaches the partition holding the lease entry.
-        match self.on_dir_port(port, &Credentials::root(), parent, body) {
+        match self.on_dir_port(port, &Credentials::root(), body) {
             Ok(OpResponse::Ok) => {}
             Ok(_) | Err(_) => self.state.lease_release_failed.inc(),
         }
@@ -314,10 +314,6 @@ impl ArkClient {
                 size,
             }
         };
-        match self.on_dir(ctx, parent, body)? {
-            OpResponse::Ok => Ok(()),
-            OpResponse::Err(e) => Err(e),
-            _ => Err(FsError::Io("unexpected setsize response".into())),
-        }
+        self.on_dir_ok(ctx, body)
     }
 }

@@ -35,11 +35,10 @@ pub(crate) mod namei;
 pub(crate) mod vfs_impl;
 
 use crate::cache::DataCache;
-use crate::cluster::{manager_node, ArkCluster};
+use crate::cluster::ArkCluster;
 use crate::config::ArkConfig;
 use crate::metatable::Metatable;
 use crate::prt::Prt;
-use arkfs_lease::LeaseRequest;
 use arkfs_netsim::NodeId;
 use arkfs_simkit::{Nanos, Port, SharedResource};
 use arkfs_telemetry::{Counter, CtxGuard, Gauge, HistogramSet, Telemetry, TraceCtx, PID_CLIENT};
@@ -620,14 +619,7 @@ impl ArkClient {
         dirs.sort_unstable();
         for dir in dirs {
             self.state.dirs.forget(dir);
-            let _ = self.state.cluster.call_lease(
-                &self.port,
-                manager_node(dir, self.config().lease_managers),
-                LeaseRequest::Release {
-                    client: self.state.id,
-                    ino: dir,
-                },
-            );
+            self.state.release_lease(&self.port, dir);
         }
         Ok(())
     }

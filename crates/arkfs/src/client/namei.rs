@@ -4,10 +4,14 @@
 //! every step checks exec permission on the containing directory. For
 //! *remote* directories, permission-cache mode (§III-C) caches a
 //! *directory view* — the directory's inode (permissions + stat) and its
-//! subdirectory dentries, fetched in one RPC — plus recent per-name
-//! lookup results for one lease period in the [`Pcache`], trading a
-//! little consistency for local-speed resolution: `/a/b/c` costs one
-//! leader RPC per ancestor per lease period.
+//! subdirectory dentries, handed over by the lease manager with the
+//! redirect that names the leader, or fetched from the leader in one
+//! RPC — plus recent per-name lookup results in the [`Pcache`], trading
+//! a little consistency for local-speed resolution: `/a/b/c` costs at
+//! most one leader RPC per ancestor per lease period. One expiry rule,
+//! whoever served the view: it is valid for one lease period from its
+//! stamp — the leader's clock when it built a deposited view, this
+//! client's clock when it asked for a leader-served one.
 //!
 //! The pcache is lock-striped by directory ino (rank *Stripe*, see
 //! [`super::lockorder`]); a stripe is never held across an RPC or a
@@ -15,12 +19,12 @@
 
 use super::dirsvc::DirRef;
 use super::lockorder::{self, Rank, RankGuard};
-use super::ArkClient;
+use super::{ArkClient, ClientState};
 use crate::meta::InodeRecord;
-use crate::rpc::{OpBody, OpResponse};
+use crate::rpc::{DirView, OpBody, OpResponse};
 use arkfs_simkit::Nanos;
 use arkfs_vfs::{
-    path as vpath, perm, Credentials, DirEntry, FileType, FsError, FsResult, Ino, AM_EXEC, ROOT_INO,
+    path as vpath, perm, Credentials, FileType, FsError, FsResult, Ino, AM_EXEC, ROOT_INO,
 };
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
@@ -28,21 +32,26 @@ use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 /// A cached view of a remote directory used in permission-cache mode
-/// (§III-C), valid for one lease period from its fill: the directory's
-/// inode (permissions + stat), the subdirectory dentries its leader
-/// held at fill time, and per-name results learned since.
+/// (§III-C), valid for one lease period from its stamp, and per-name
+/// results learned since.
 #[derive(Debug, Clone)]
 pub(crate) struct PermCacheEntry {
-    pub(crate) dir: InodeRecord,
-    /// The leader's subdirectory dentries, sorted by name; shared with
-    /// every other client filled from the same build. Positive only: a
-    /// name absent here proves nothing.
-    subdirs: Arc<[DirEntry]>,
-    /// Per-name overlay, consulted before `subdirs`: results of this
+    /// The directory's inode (permissions + stat) and the subdirectory
+    /// dentries its leader held, sorted by name; a deposited view is
+    /// shared with every other client the manager handed it to.
+    /// Positive only: a name absent here proves nothing.
+    view: Arc<DirView>,
+    /// Per-name overlay, consulted before the view: results of this
     /// client's own lookups and mutations (`None` = known absent), so a
     /// local `rmdir`/`rename` overrides the view.
-    pub(crate) lookups: HashMap<String, Option<(Ino, FileType)>>,
-    pub(crate) expires_at: Nanos,
+    lookups: HashMap<String, Option<(Ino, FileType)>>,
+    expires_at: Nanos,
+}
+
+impl PermCacheEntry {
+    fn live(&self, now: Nanos) -> bool {
+        self.expires_at > now
+    }
 }
 
 #[derive(Debug, Default)]
@@ -124,6 +133,29 @@ impl Pcache {
     }
 }
 
+impl ClientState {
+    /// Install `view` of `dir`, valid until `expires_at` — unless a live
+    /// entry is held already: its overlay carries this client's own
+    /// mutations.
+    pub(crate) fn pcache_install(
+        &self,
+        now: Nanos,
+        dir: Ino,
+        view: Arc<DirView>,
+        expires_at: Nanos,
+    ) {
+        let mut pc = self.pcache.stripe(dir);
+        let entry = PermCacheEntry {
+            view,
+            lookups: HashMap::new(),
+            expires_at,
+        };
+        if entry.live(now) && !pc.get(&dir).is_some_and(|held| held.live(now)) {
+            pc.insert(dir, entry);
+        }
+    }
+}
+
 impl ArkClient {
     /// One path-resolution step: find `name` in `dir`, checking exec
     /// permission on `dir` for `ctx`.
@@ -149,7 +181,6 @@ impl ArkClient {
                 }
                 let resp = self.remote_call(
                     ctx,
-                    dir,
                     leader,
                     OpBody::Lookup {
                         dir,
@@ -188,7 +219,7 @@ impl ArkClient {
     ) -> FsResult<Option<FsResult<(Ino, FileType)>>> {
         let now = self.port.now();
         let mut pc = self.state.pcache.stripe(dir);
-        if pc.get(&dir).is_none_or(|e| e.expires_at <= now) {
+        if !pc.get(&dir).is_some_and(|e| e.live(now)) {
             drop(pc);
             self.pcache_fill(dir)?;
             pc = self.state.pcache.stripe(dir);
@@ -197,38 +228,44 @@ impl ArkClient {
         let Some(entry) = pc.get(&dir) else {
             return Ok(None);
         };
-        perm::check_access(
-            ctx,
-            entry.dir.uid,
-            entry.dir.gid,
-            entry.dir.mode,
-            &entry.dir.acl,
-            AM_EXEC,
-        )?;
+        let DirView { dir: rec, subdirs } = &*entry.view;
+        perm::check_access(ctx, rec.uid, rec.gid, rec.mode, &rec.acl, AM_EXEC)?;
         self.port.advance(self.config().spec.local_meta_op);
         if let Some(cached) = entry.lookups.get(name) {
             return Ok(Some(cached.ok_or(FsError::NotFound)));
         }
-        Ok(entry
-            .subdirs
+        Ok(subdirs
             .binary_search_by(|e| e.name.as_str().cmp(name))
             .ok()
-            .map(|i| Ok((entry.subdirs[i].ino, entry.subdirs[i].ftype))))
+            .map(|i| Ok((subdirs[i].ino, subdirs[i].ftype))))
     }
 
-    /// Fetch and cache a remote directory's view (one RPC).
+    /// Fetch and cache a directory's view from its leader (one RPC when
+    /// remote), stamped with this client's clock at the request.
     fn pcache_fill(&self, dir: Ino) -> FsResult<()> {
-        let (rec, subdirs) = self.dir_view(dir)?;
-        let expires_at = self.port.now() + self.config().lease_period;
-        self.state.pcache.stripe(dir).insert(
-            dir,
-            PermCacheEntry {
-                dir: rec,
-                subdirs,
-                lookups: HashMap::new(),
-                expires_at,
-            },
-        );
+        let sent = self.port.now();
+        let view = match self.dir_ref(dir)? {
+            DirRef::Local(table) => {
+                self.port.advance(self.config().spec.local_meta_op);
+                self.state.lock_table(&table).dir_view()
+            }
+            DirRef::Remote(leader) => {
+                // Asked just now, the manager may have sent the view
+                // along with the leader's name.
+                if (self.state.pcache.stripe(dir).get(&dir)).is_some_and(|e| e.live(sent)) {
+                    return Ok(());
+                }
+                let root = Credentials::root();
+                match self.remote_call(&root, leader, OpBody::DirView { dir })? {
+                    OpResponse::View(view) => view,
+                    OpResponse::Err(e) => return Err(e),
+                    _ => return Err(FsError::Io("unexpected dir-view response".into())),
+                }
+            }
+        };
+        let expires_at = sent + self.config().lease_period;
+        self.state
+            .pcache_install(self.port.now(), dir, Arc::new(view), expires_at);
         Ok(())
     }
 
@@ -310,7 +347,6 @@ impl ArkClient {
             DirRef::Remote(leader) => {
                 let resp = self.remote_call(
                     ctx,
-                    dir,
                     leader,
                     OpBody::Lookup {
                         dir,
@@ -367,7 +403,6 @@ impl ArkClient {
             DirRef::Remote(leader) => {
                 let resp = self.remote_call(
                     ctx,
-                    dir,
                     leader,
                     OpBody::Lookup {
                         dir,

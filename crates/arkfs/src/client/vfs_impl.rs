@@ -10,13 +10,11 @@
 use super::dirsvc::DirRef;
 use super::filetable::{Held, OpenFile};
 use super::{ArkClient, MAX_LEASE_RETRIES};
-use crate::cluster::manager_node;
 use crate::config::CommitMode;
 use crate::meta::InodeRecord;
 use crate::metatable::Metatable;
 use crate::partition::steer_ino;
 use crate::rpc::{OpBody, OpResponse};
-use arkfs_lease::LeaseRequest;
 use arkfs_simkit::Port;
 use arkfs_vfs::{
     path as vpath, perm, Acl, Credentials, DirEntry, FileHandle, FileType, FsError, FsResult,
@@ -100,7 +98,7 @@ impl ArkClient {
                 continue; // committed + drained locally by the caller
             }
             let fork = Port::starting_at(start);
-            match self.on_dir_port(&fork, ctx, dir, OpBody::FsyncDir { dir, partition: p }) {
+            match self.on_dir_port(&fork, ctx, OpBody::FsyncDir { dir, partition: p }) {
                 Ok(OpResponse::Ok) => {}
                 Ok(OpResponse::Err(e)) => return Err(e),
                 Ok(_) => return Err(FsError::Io("unexpected fsync-dir response".into())),
@@ -119,6 +117,24 @@ impl ArkClient {
         Ok(())
     }
 
+    /// What `setattr` / `set_acl` of `path` address: the directory that
+    /// serves the change and, when `path` is a file or symlink, its
+    /// `(name, ino)` there. For a directory — served by its own leader —
+    /// our cached view of it goes first.
+    fn attr_target(&self, ctx: &Credentials, path: &str) -> FsResult<(Ino, Option<(String, Ino)>)> {
+        if vpath::components(path)?.is_empty() {
+            self.fuse_charge(1);
+            return Ok((ROOT_INO, None));
+        }
+        let (parent, name) = self.resolve_parent(ctx, path)?;
+        let (ino, ftype) = self.lookup_step(ctx, parent, name)?;
+        if ftype == FileType::Directory {
+            self.pcache_forget(ino);
+            return Ok((ino, None));
+        }
+        Ok((parent, Some((name.to_string(), ino))))
+    }
+
     /// Merge-scan of a (possibly partitioned) directory.
     ///
     /// Partition 0 is queried first — the partition count its table
@@ -133,7 +149,6 @@ impl ArkClient {
             let mut merged: Vec<DirEntry>;
             let parts = match self.on_dir(
                 ctx,
-                ino,
                 OpBody::Readdir {
                     dir: ino,
                     partition: 0,
@@ -157,7 +172,7 @@ impl ArkClient {
                     dir: ino,
                     partition: p,
                 };
-                match self.on_dir_port(&fork, ctx, ino, body) {
+                match self.on_dir_port(&fork, ctx, body) {
                     Ok(OpResponse::Entries {
                         entries,
                         partitions,
@@ -202,7 +217,6 @@ impl Vfs for ArkClient {
             self.prt().store_inode(&self.port, &rec)?;
             match self.on_dir(
                 ctx,
-                parent,
                 OpBody::AddSubdir {
                     dir: parent,
                     name: name.to_string(),
@@ -268,28 +282,16 @@ impl Vfs for ArkClient {
             if !checked {
                 return Err(FsError::Busy);
             }
-            match self.on_dir(
+            self.on_dir_ok(
                 ctx,
-                parent,
                 OpBody::RemoveSubdir {
                     dir: parent,
                     name: name.to_string(),
                 },
-            )? {
-                OpResponse::Ok => {}
-                OpResponse::Err(e) => return Err(e),
-                _ => return Err(FsError::Io("unexpected rmdir response".into())),
-            }
+            )?;
             // Drop leadership and delete the directory's objects.
             self.state.dirs.forget(child);
-            let _ = self.state.cluster.call_lease(
-                &self.port,
-                manager_node(child, self.config().lease_managers),
-                LeaseRequest::Release {
-                    client: self.state.id,
-                    ino: child,
-                },
-            );
+            self.state.release_lease(&self.port, child);
             self.prt().delete_buckets(&self.port, child)?;
             self.prt().delete_inode(&self.port, child)?;
             self.pcache_forget(child);
@@ -324,20 +326,15 @@ impl Vfs for ArkClient {
                 ctx.gid,
                 self.port.now(),
             );
-            match self.on_dir(
+            self.on_dir_ok(
                 ctx,
-                parent,
                 OpBody::CreateOpen {
                     dir: parent,
                     name: name.to_string(),
                     rec,
                     client: self.state.id,
                 },
-            )? {
-                OpResponse::Ok => {}
-                OpResponse::Err(e) => return Err(e),
-                _ => return Err(FsError::Io("unexpected create response".into())),
-            }
+            )?;
             if self.config().permission_cache {
                 self.pcache_note(parent, name, Some((ino, FileType::Regular)));
             }
@@ -494,7 +491,6 @@ impl Vfs for ArkClient {
             let (parent, name) = self.resolve_parent(ctx, path)?;
             match self.on_dir(
                 ctx,
-                parent,
                 OpBody::Unlink {
                     dir: parent,
                     name: name.to_string(),
@@ -569,7 +565,6 @@ impl Vfs for ArkClient {
             if src_dir == dst_dir && same_partition(self.state.cached_pmap(src_dir)) {
                 let local = self.on_dir(
                     ctx,
-                    src_dir,
                     OpBody::RenameLocal {
                         dir: src_dir,
                         from: src_name.to_string(),
@@ -611,7 +606,6 @@ impl Vfs for ArkClient {
             let dst_peer = dst_pmap.pkey(dst_pmap.partition_of_name(dst_name, buckets));
             let (ino, ftype, rec) = match self.on_dir(
                 ctx,
-                src_dir,
                 OpBody::RenameSrcPrepare {
                     dir: src_dir,
                     name: src_name.to_string(),
@@ -625,7 +619,6 @@ impl Vfs for ArkClient {
             };
             let dst_result = self.on_dir(
                 ctx,
-                dst_dir,
                 OpBody::RenameDstPrepare {
                     dir: dst_dir,
                     name: dst_name.to_string(),
@@ -649,7 +642,6 @@ impl Vfs for ArkClient {
                     // Abort: undo the source detach.
                     let _ = self.on_dir(
                         ctx,
-                        src_dir,
                         OpBody::RenameDecide {
                             dir: src_dir,
                             name: src_name.to_string(),
@@ -663,9 +655,8 @@ impl Vfs for ArkClient {
                 _ => return Err(FsError::Io("unexpected rename-dst response".into())),
             }
             for (dir, name) in [(src_dir, src_name), (dst_dir, dst_name)] {
-                match self.on_dir(
+                self.on_dir_ok(
                     ctx,
-                    dir,
                     OpBody::RenameDecide {
                         dir,
                         name: name.to_string(),
@@ -673,11 +664,7 @@ impl Vfs for ArkClient {
                         commit: true,
                         undo: None,
                     },
-                )? {
-                    OpResponse::Ok => {}
-                    OpResponse::Err(e) => return Err(e),
-                    _ => return Err(FsError::Io("unexpected rename-decide response".into())),
-                }
+                )?;
             }
             if self.config().permission_cache {
                 self.pcache_note(src_dir, src_name, None);
@@ -698,20 +685,15 @@ impl Vfs for ArkClient {
                 return Err(FsError::IsADirectory);
             }
             perm::check_access(ctx, rec.uid, rec.gid, rec.mode, &rec.acl, AM_WRITE)?;
-            match self.on_dir(
+            self.on_dir_ok(
                 ctx,
-                parent,
                 OpBody::SetSize {
                     dir: parent,
                     name: name.to_string(),
                     ino,
                     size,
                 },
-            )? {
-                OpResponse::Ok => {}
-                OpResponse::Err(e) => return Err(e),
-                _ => return Err(FsError::Io("unexpected truncate response".into())),
-            }
+            )?;
             if size < rec.size {
                 // Flush surviving dirty data, then drop all cached chunks:
                 // the boundary chunk's cached copy is stale after the store
@@ -727,44 +709,17 @@ impl Vfs for ArkClient {
 
     fn setattr(&self, ctx: &Credentials, path: &str, attr: &SetAttr) -> FsResult<Stat> {
         self.traced("op.setattr", || {
-            let comps = vpath::components(path)?;
-            let resp = if comps.is_empty() {
-                self.fuse_charge(1);
-                self.on_dir(
-                    ctx,
-                    ROOT_INO,
-                    OpBody::SetAttrDir {
-                        dir: ROOT_INO,
-                        attr: attr.clone(),
-                    },
-                )?
-            } else {
-                let (parent, name) = self.resolve_parent(ctx, path)?;
-                let (ino, ftype) = self.lookup_step(ctx, parent, name)?;
-                if ftype == FileType::Directory {
-                    self.pcache_forget(ino);
-                    self.on_dir(
-                        ctx,
-                        ino,
-                        OpBody::SetAttrDir {
-                            dir: ino,
-                            attr: attr.clone(),
-                        },
-                    )?
-                } else {
-                    self.on_dir(
-                        ctx,
-                        parent,
-                        OpBody::SetAttrChild {
-                            dir: parent,
-                            name: name.to_string(),
-                            ino,
-                            attr: attr.clone(),
-                        },
-                    )?
-                }
+            let attr = attr.clone();
+            let body = match self.attr_target(ctx, path)? {
+                (dir, None) => OpBody::SetAttrDir { dir, attr },
+                (dir, Some((name, ino))) => OpBody::SetAttrChild {
+                    dir,
+                    name,
+                    ino,
+                    attr,
+                },
             };
-            match resp {
+            match self.on_dir(ctx, body)? {
                 OpResponse::Inode(rec) => Ok(rec.to_stat()),
                 OpResponse::Err(e) => Err(e),
                 _ => Err(FsError::Io("unexpected setattr response".into())),
@@ -790,7 +745,6 @@ impl Vfs for ArkClient {
             let stat = rec.to_stat();
             match self.on_dir(
                 ctx,
-                parent,
                 OpBody::Create {
                     dir: parent,
                     name: name.to_string(),
@@ -821,52 +775,18 @@ impl Vfs for ArkClient {
 
     fn set_acl(&self, ctx: &Credentials, path: &str, acl: &Acl) -> FsResult<()> {
         self.traced("op.set_acl", || {
-            let comps = vpath::components(path)?;
-            let resp = if comps.is_empty() {
-                self.fuse_charge(1);
-                self.on_dir(
-                    ctx,
-                    ROOT_INO,
-                    OpBody::SetAcl {
-                        dir: ROOT_INO,
-                        name: String::new(),
-                        target: ROOT_INO,
-                        acl: acl.clone(),
-                    },
-                )?
-            } else {
-                let (parent, name) = self.resolve_parent(ctx, path)?;
-                let (ino, ftype) = self.lookup_step(ctx, parent, name)?;
-                if ftype == FileType::Directory {
-                    self.pcache_forget(ino);
-                    self.on_dir(
-                        ctx,
-                        ino,
-                        OpBody::SetAcl {
-                            dir: ino,
-                            name: String::new(),
-                            target: ino,
-                            acl: acl.clone(),
-                        },
-                    )?
-                } else {
-                    self.on_dir(
-                        ctx,
-                        parent,
-                        OpBody::SetAcl {
-                            dir: parent,
-                            name: name.to_string(),
-                            target: ino,
-                            acl: acl.clone(),
-                        },
-                    )?
-                }
-            };
-            match resp {
-                OpResponse::Ok => Ok(()),
-                OpResponse::Err(e) => Err(e),
-                _ => Err(FsError::Io("unexpected set_acl response".into())),
-            }
+            let acl = acl.clone();
+            let (dir, child) = self.attr_target(ctx, path)?;
+            let (name, target) = child.unwrap_or((String::new(), dir));
+            self.on_dir_ok(
+                ctx,
+                OpBody::SetAcl {
+                    dir,
+                    name,
+                    target,
+                    acl,
+                },
+            )
         })
     }
 

@@ -18,7 +18,8 @@ use crate::journal::{resolve_renames, scan_journal_stream, DirJournal, JournalOp
 use crate::meta::{dentry_bucket, DentryBlock, DentryEntry, InodeRecord};
 use crate::partition::{lease_partition, partition_hi, partition_ino, partition_lo, RouteKey};
 use crate::prt::Prt;
-use arkfs_lease::FileLeaseTable;
+use crate::rpc::DirView;
+use arkfs_lease::{FileLeaseTable, LeaseView};
 use arkfs_simkit::{Nanos, Port, MSEC, SEC};
 use arkfs_telemetry::Gauge;
 use arkfs_vfs::{DirEntry, FileType, FsError, FsResult, Ino, SetAttr};
@@ -76,6 +77,21 @@ pub struct Metatable {
     /// on first request and dropped whenever a subdirectory dentry
     /// changes, so every fill between two changes shares one allocation.
     subdir_view: Option<Arc<[DirEntry]>>,
+    /// Where this table's view stands with the lease manager.
+    pub(crate) deposit: Deposit,
+}
+
+/// A leader's record of the view it left with its lease manager
+/// ([`Metatable::lease_view`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Deposit {
+    /// The manager holds no view of ours.
+    None,
+    /// It holds one, and nothing it shows has changed since.
+    Live,
+    /// It holds one that a change has outdated: to be revoked before
+    /// that change is acked.
+    Outdated,
 }
 
 impl Metatable {
@@ -179,6 +195,7 @@ impl Metatable {
             deleted_children: HashSet::new(),
             dirty_buckets: HashSet::new(),
             subdir_view: None,
+            deposit: Deposit::None,
         })
     }
 
@@ -207,6 +224,7 @@ impl Metatable {
             deleted_children: HashSet::new(),
             dirty_buckets: HashSet::new(),
             subdir_view: None,
+            deposit: Deposit::None,
         }
     }
 
@@ -331,6 +349,38 @@ impl Metatable {
         view
     }
 
+    /// The directory's view: its inode and [`Self::subdir_view`].
+    pub fn dir_view(&mut self) -> DirView {
+        DirView {
+            dir: self.dir.clone(),
+            subdirs: self.subdir_view(),
+        }
+    }
+
+    /// The view to deposit with the lease manager, stamped `now`. Only
+    /// partition 0 of a directory with subdirectories has one — nobody
+    /// walks through a leaf, and over [`MAX_VIEW_ENTRIES`] clients ask
+    /// by name.
+    pub fn lease_view(&mut self, now: Nanos) -> Option<LeaseView> {
+        (self.partition == 0 && !self.subdir_view().is_empty()).then(|| LeaseView {
+            stamp: now,
+            body: Arc::new(self.dir_view()),
+        })
+    }
+
+    /// A subdirectory dentry or the directory's permissions changed:
+    /// what the manager holds no longer shows the directory.
+    fn outdate_deposit(&mut self) {
+        if self.deposit == Deposit::Live {
+            self.deposit = Deposit::Outdated;
+        }
+    }
+
+    fn subdirs_changed(&mut self) {
+        self.subdir_view = None;
+        self.outdate_deposit();
+    }
+
     // ---- mutations (memory + journal) -------------------------------------
 
     fn mark_dentry(&mut self, name: &str) {
@@ -409,7 +459,7 @@ impl Metatable {
             },
         );
         self.mark_dentry(name);
-        self.subdir_view = None;
+        self.subdirs_changed();
         if self.partition == 0 {
             self.dir.nlink += 1;
         }
@@ -461,7 +511,7 @@ impl Metatable {
         );
         self.journal.append(JournalOp::DeleteInode(ino), now);
         self.mark_dentry(name);
-        self.subdir_view = None;
+        self.subdirs_changed();
         if self.partition == 0 {
             self.dir.nlink = self.dir.nlink.saturating_sub(1);
         }
@@ -502,6 +552,7 @@ impl Metatable {
     /// Apply a `setattr` to the directory itself.
     pub fn set_dir_attr(&mut self, attr: &SetAttr, now: Nanos) -> InodeRecord {
         apply_setattr(&mut self.dir, attr, now);
+        self.outdate_deposit();
         self.dirty_dir = true;
         self.journal
             .append(JournalOp::PutInode(self.dir.clone()), now);
@@ -512,6 +563,7 @@ impl Metatable {
     pub fn set_acl(&mut self, target: Ino, acl: arkfs_vfs::Acl, now: Nanos) -> FsResult<()> {
         if target == self.dir.ino {
             self.dir.acl = acl;
+            self.outdate_deposit();
             self.dir.ctime = now;
             self.dirty_dir = true;
             self.journal
@@ -573,7 +625,7 @@ impl Metatable {
         self.mark_dentry(from);
         self.mark_dentry(to);
         if entry.ftype == FileType::Directory {
-            self.subdir_view = None;
+            self.subdirs_changed();
         }
         self.touch_dir(now);
         Ok((entry.ino, entry.ftype))
@@ -592,7 +644,7 @@ impl Metatable {
             self.dirty_children.remove(&entry.ino);
             rec
         } else {
-            self.subdir_view = None;
+            self.subdirs_changed();
             if self.partition == 0 {
                 self.dir.nlink = self.dir.nlink.saturating_sub(1);
             }
@@ -625,7 +677,7 @@ impl Metatable {
             },
         );
         if ftype == FileType::Directory {
-            self.subdir_view = None;
+            self.subdirs_changed();
             if self.partition == 0 {
                 self.dir.nlink += 1;
             }

@@ -273,9 +273,21 @@ wire_enum! {
         /// name absent from the view proves nothing (it may be a file,
         /// live in another partition, or the directory may exceed the
         /// view cap).
-        9 => View { dir: InodeRecord, subdirs: Arc<[DirEntry]> },
+        9 => View(view: DirView),
     }
 }
+
+/// A directory as path resolution needs it — the body of
+/// [`OpResponse::View`], and what a leader deposits with its lease
+/// manager (`arkfs_lease::LeaseView::body`), where it is one allocation
+/// shared by every permission cache it is installed in.
+#[derive(Debug, Clone)]
+pub struct DirView {
+    pub dir: InodeRecord,
+    pub subdirs: Arc<[DirEntry]>,
+}
+
+wire_struct!(DirView { dir, subdirs });
 
 impl OpResponse {
     /// Fold an `FsResult` into a response.

@@ -7,7 +7,9 @@
 //! tell valid transactions from torn ones.
 
 use crate::meta::{decode_acl, encode_acl};
-use arkfs_lease::{FileLeaseDecision, LeaseRequest, LeaseResponse};
+use crate::metatable::MAX_VIEW_ENTRIES;
+use crate::rpc::DirView;
+use arkfs_lease::{FileLeaseDecision, LeaseRequest, LeaseResponse, LeaseView};
 use arkfs_netsim::NodeId;
 use arkfs_simkit::Nanos;
 use arkfs_telemetry::TraceCtx;
@@ -643,10 +645,34 @@ wire_enum! {
     }
 }
 
+/// The stamp, then the [`DirView`] behind the manager's opaque handle:
+/// every deposit in this deployment is one. Decoded once per frame; on
+/// the bus the handle is shared, never encoded.
+impl WireCodec for LeaseView {
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_u64(self.stamp);
+        let view = self.body.downcast_ref::<DirView>();
+        view.expect("a lease view is a DirView").encode(enc);
+    }
+    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
+        let stamp = dec.get_u64()?;
+        let view = DirView::decode(dec)?;
+        if view.subdirs.len() > MAX_VIEW_ENTRIES {
+            return Err(WireError::Invalid("directory view over the entry cap"));
+        }
+        Ok(LeaseView {
+            stamp,
+            body: Arc::new(view),
+        })
+    }
+}
+
 wire_enum! {
     impl LeaseRequest, "lease request tag" {
         0 => Acquire { client: NodeId, ino: Ino },
         1 => Release { client: NodeId, ino: Ino },
+        2 => Deposit { client: NodeId, ino: Ino, view: LeaseView },
+        3 => Revoke { client: NodeId, ino: Ino },
     }
 }
 
@@ -656,6 +682,7 @@ wire_enum! {
         1 => Redirect { leader: NodeId },
         2 => Retry { until: Nanos },
         3 => Released,
+        4 => RedirectView { leader: NodeId, view: LeaseView },
     }
 }
 

@@ -49,8 +49,10 @@ fn outcome<T>(r: Result<T, arkfs_vfs::FsError>, render: impl FnOnce(T) -> String
 /// the TCP and bus runs can be compared step by step, not just at the
 /// end. The script deliberately crosses the client boundary both ways:
 /// c2 writes a file c1 created (flush broadcast c2→c1), and c1 reads a
-/// directory c2 leads (forwarded readdir c1→c2).
-fn run_script(c1: &ArkClient, c2: &ArkClient) -> Vec<String> {
+/// directory c2 leads (forwarded readdir c1→c2). `late` joins at the
+/// end, after c1 has led `/` and `/shared` afresh: it resolves through
+/// views the lease manager hands it, not through c1.
+fn run_script(c1: &ArkClient, c2: &ArkClient, late: &ArkClient) -> Vec<String> {
     let ctx = Credentials::root();
     let mut log = Vec::new();
     let stat_line = |s: arkfs_vfs::Stat| {
@@ -182,6 +184,25 @@ fn run_script(c1: &ArkClient, c2: &ArkClient) -> Vec<String> {
     log.push(outcome(c2.sync_all(&ctx), |()| "ok".into()));
     log.push(outcome(c1.release_all(&ctx), |()| "ok".into()));
     log.push(outcome(c2.release_all(&ctx), |()| "ok".into()));
+
+    // c1 takes `/` and `/shared`; loading each leaves its view
+    // with the lease manager (c1's endpoint hosts it and counts). The
+    // late client's redirects carry them: no `dir_view` is sent.
+    let count = |c: &ArkClient, name: &str| c.telemetry().registry.counter(name).get();
+    log.push(outcome(c1.readdir(&ctx, "/shared"), |es| {
+        format!("entries:{}", es.len())
+    }));
+    log.push(format!(
+        "deposits:{}",
+        count(c1, "lease.view.deposit.count")
+    ));
+    late.port().wait_until(c1.port().now());
+    let fills = count(late, "rpc.forward.dir_view.count");
+    log.push(outcome(late.stat(&ctx, "/shared/sub/inner.bin"), stat_line));
+    log.push(outcome(late.stat(&ctx, "/shared/b.txt"), stat_line));
+    let fills = count(late, "rpc.forward.dir_view.count") - fills;
+    let views = count(c1, "lease.redirect.view.count");
+    log.push(format!("late: fills:{fills} views:{views}"));
     log
 }
 
@@ -219,7 +240,8 @@ fn bus_run(config: ArkConfig) -> (Vec<String>, Vec<String>) {
     let cluster = ArkCluster::new(config, store);
     let c1 = cluster.client(); // NodeId(1)
     let c2 = cluster.client(); // NodeId(2)
-    let log = run_script(&c1, &c2);
+    let late = cluster.client(); // NodeId(3)
+    let log = run_script(&c1, &c2, &late);
     let ns = walk(&c1);
     (log, ns)
 }
@@ -252,8 +274,10 @@ fn tcp_run(config: ArkConfig) -> (Vec<String>, Vec<String>) {
     let b_ops = Arc::new(TcpTransport::new(ops_wire()));
     let b_ops_addr = b_ops.listen(any).unwrap();
     b_ops.register_addr(NodeId(1), a_ops_addr);
-    // A must be able to forward ops to c2's directories in return.
+    // A must be able to forward ops to c2's directories in return (and
+    // to the late client's, were it to lead any).
     a_ops.register_addr(NodeId(2), b_ops_addr);
+    a_ops.register_addr(NodeId(3), b_ops_addr);
     let b_store = Arc::new(TcpTransport::new(store_wire()));
     b_store.register_addr(STORE_NODE, a_store_addr);
     let remote = RemoteStore::connect(b_store).expect("store connect");
@@ -272,11 +296,12 @@ fn tcp_run(config: ArkConfig) -> (Vec<String>, Vec<String>) {
         b_ops.clone() as Arc<dyn Transport<_, _>>,
         false,
     );
-    cluster_b.set_first_node(2); // A mints NodeId(1), B mints NodeId(2)
+    cluster_b.set_first_node(2); // A mints NodeId(1), B mints 2 and 3
 
     let c1 = cluster_a.client();
     let c2 = cluster_b.client();
-    let log = run_script(&c1, &c2);
+    let late = cluster_b.client();
+    let log = run_script(&c1, &c2, &late);
     let ns = walk(&c1);
 
     // Frames really crossed sockets: every B-side protocol was used.
@@ -330,6 +355,11 @@ fn loopback_tcp_matches_the_virtual_bus() {
         .collect();
     assert_eq!(leases, ["0", "0", "1", "1"]);
     assert!(bus_log.contains(&"read:TWO".to_string()), "{bus_log:?}");
+    // The late client was handed `/` and `/shared` by the lease manager
+    // (as frames, on TCP) and asked no leader for a view.
+    assert!(bus_log.contains(&"deposits:2".to_string()), "{bus_log:?}");
+    let late = "late: fills:0 views:2".to_string();
+    assert!(bus_log.contains(&late), "{bus_log:?}");
     // The script actually built something worth comparing.
     assert!(bus_ns.len() >= 4, "walk unexpectedly small: {bus_ns:?}");
 

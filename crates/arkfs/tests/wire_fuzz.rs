@@ -13,16 +13,19 @@
 //! never panic a decoder.
 
 use arkfs::meta::InodeRecord;
+use arkfs::metatable::MAX_VIEW_ENTRIES;
 use arkfs::remote::{StoreRequest, StoreResponse};
-use arkfs::rpc::{OpBody, OpRequest, OpResponse};
+use arkfs::rpc::{DirView, OpBody, OpRequest, OpResponse};
 use arkfs::wire::{from_frame, to_frame, WireCodec, WireError, WireResult};
-use arkfs_lease::{FileLeaseDecision, LeaseRequest, LeaseResponse};
+use arkfs_lease::{FileLeaseDecision, LeaseRequest, LeaseResponse, LeaseView};
+use arkfs_netsim::tcp::MAX_FRAME;
 use arkfs_netsim::NodeId;
 use arkfs_objstore::{KeyKind, ObjectKey, OsError, StoreProfile};
 use arkfs_telemetry::TraceCtx;
 use arkfs_vfs::{Acl, AclEntry, Credentials, DirEntry, FileType, FsError, SetAttr};
 use bytes::Bytes;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn creds() -> Credentials {
     Credentials {
@@ -218,14 +221,14 @@ fn response_pool() -> Vec<OpResponse> {
         OpResponse::Ok,
         OpResponse::NotLeader,
         OpResponse::Err(FsError::Io("disk on fire".into())),
-        OpResponse::View {
+        OpResponse::View(DirView {
             dir: rec(2),
             subdirs: vec![
                 entry("d0", 0x100, FileType::Directory),
                 entry("d1", 0x101, FileType::Directory),
             ]
             .into(),
-        },
+        }),
         OpResponse::Lease(FileLeaseDecision::Direct {
             flush: vec![NodeId(3), NodeId(9)],
             direct_until: 7_000_000,
@@ -256,11 +259,34 @@ fn fs_error_pool() -> Vec<FsError> {
     ]
 }
 
+/// A deposited view of `n` subdirectories with `name_len`-byte names.
+fn lease_view(n: usize, name_len: usize) -> LeaseView {
+    let subdirs: Vec<DirEntry> = (0..n)
+        .map(|i| {
+            let name = format!("{i:0name_len$}");
+            entry(&name, 0x100 + i as u128, FileType::Directory)
+        })
+        .collect();
+    LeaseView {
+        stamp: 4_000_000,
+        body: Arc::new(DirView {
+            dir: rec(2),
+            subdirs: subdirs.into(),
+        }),
+    }
+}
+
 fn lease_request_pool() -> Vec<LeaseRequest> {
     let (client, ino) = (NodeId(6), 0xABCD);
     vec![
         LeaseRequest::Acquire { client, ino },
         LeaseRequest::Release { client, ino },
+        LeaseRequest::Deposit {
+            client,
+            ino,
+            view: lease_view(2, 2),
+        },
+        LeaseRequest::Revoke { client, ino },
     ]
 }
 
@@ -274,6 +300,10 @@ fn lease_response_pool() -> Vec<LeaseResponse> {
         LeaseResponse::Redirect { leader: NodeId(11) },
         LeaseResponse::Retry { until: 123_456 },
         LeaseResponse::Released,
+        LeaseResponse::RedirectView {
+            leader: NodeId(11),
+            view: lease_view(2, 2),
+        },
     ]
 }
 
@@ -439,6 +469,35 @@ fn hostile_length_prefix_is_truncated_not_allocated() {
         from_frame::<OpResponse>(&body).err(),
         Some(WireError::Truncated)
     );
+}
+
+/// The largest view a leader deposits — the entry cap at the longest
+/// name — is one frame with room to spare; one entry more is refused by
+/// the decoder, as any other malformed frame is.
+#[test]
+fn a_full_view_fits_a_frame_and_an_oversized_one_is_refused() {
+    let redirect = |n| LeaseResponse::RedirectView {
+        leader: NodeId(11),
+        view: lease_view(n, 255),
+    };
+    let frame = to_frame(&redirect(MAX_VIEW_ENTRIES));
+    assert!(frame.len() < MAX_FRAME as usize / 32, "{}", frame.len());
+    match from_frame::<LeaseResponse>(&frame).expect("a full view decodes") {
+        LeaseResponse::RedirectView { view, .. } => {
+            let body = view.body.downcast_ref::<DirView>().unwrap();
+            assert_eq!(body.subdirs.len(), MAX_VIEW_ENTRIES);
+            assert_eq!(view.stamp, 4_000_000);
+        }
+        other => panic!("unexpected {other:?}"),
+    }
+    for cut in [frame.len() / 2, frame.len() - 1] {
+        assert!(from_frame::<LeaseResponse>(&frame[..cut]).is_err());
+    }
+    let over = to_frame(&redirect(MAX_VIEW_ENTRIES + 1));
+    assert!(matches!(
+        from_frame::<LeaseResponse>(&over),
+        Err(WireError::Invalid(_))
+    ));
 }
 
 proptest! {

@@ -97,8 +97,10 @@ fn read_bandwidth(max_readahead: u64, full_at_zero: bool) -> f64 {
 
 /// Create throughput (kops/s, closing barrier included) of `n` engine
 /// clients making `per_client` files each in a Zipf-drawn pool of 256
-/// shared directories, and the busiest lease manager's busy share of it.
-fn zipf_create(config: ArkConfig, n: usize, per_client: u64) -> (f64, f64) {
+/// shared directories, the busiest lease manager's busy share of it, and
+/// where path resolution got its directory views: `dir_view` RPCs to
+/// leaders, and views the managers handed over with a redirect.
+fn zipf_create(config: ArkConfig, n: usize, per_client: u64) -> (f64, f64, u64, u64) {
     let cluster = ark_cluster(config, true);
     let (clients, gens) = zipf_create_fleet(&cluster, 256, 0.9, 0xF19, n, per_client);
     let clients: Vec<Arc<dyn SimClient>> = clients
@@ -118,9 +120,12 @@ fn zipf_create(config: ArkConfig, n: usize, per_client: u64) -> (f64, f64) {
         .map(|m| m.1)
         .max()
         .unwrap_or(0);
+    let count = |name: &str| cluster.telemetry().registry.counter(name).get();
     (
         (n as u64 * per_client) as f64 / (span as f64 / 1e9) / 1000.0,
         100.0 * busy as f64 / span as f64,
+        count("rpc.forward.dir_view.count"),
+        count("lease.redirect.view.count"),
     )
 }
 
@@ -339,14 +344,23 @@ fn ablate(run: &mut Run) -> Result<(), String> {
         .into_iter()
         .map(|(managers, name)| {
             let config = ArkConfig::default().with_lease_managers(managers);
-            let (kops, busy) = zipf_create(config, zipf_clients, (files / 1250).max(1));
-            vec![name.to_string(), format!("{kops:.1}"), format!("{busy:.1}")]
+            let (kops, busy, fills, views) =
+                zipf_create(config, zipf_clients, (files / 1250).max(1));
+            let mut row = vec![name.to_string(), format!("{kops:.1}"), format!("{busy:.1}")];
+            row.extend([fills.to_string(), views.to_string()]);
+            row
         })
         .collect();
     run.table(
         OUT,
         &format!("Ablation: lease managers (Zipf create over shared dirs, {zipf_clients} clients)"),
-        &["managers", "kops/s", "busiest mgr busy %"],
+        &[
+            "managers",
+            "kops/s",
+            "busiest mgr busy %",
+            "dir_view rpcs",
+            "views from manager",
+        ],
         &rows,
     );
 

@@ -222,6 +222,8 @@ pub const FIGURES: &[Figure] = &[
             Counter(LEASE_REDIRECTS, "lease.redirect.count"),
             Counter(JOURNAL_FLIGHTS, "journal.flight.count"),
             Counter(PARTITION_SPLITS, "meta.partition.split.count"),
+            Counter(DIR_VIEW_RPCS, "rpc.forward.dir_view.count"),
+            Counter(MANAGER_VIEWS, "lease.redirect.view.count"),
             Given(LEADER_RPCS),
             Given(MANAGER_BUSY),
             Given(MANAGER_FORGOTTEN),
@@ -273,6 +275,10 @@ const PARTITION_SPLITS: &str = "partition_splits";
 const CLIENTS: &str = "clients";
 const LEASE_REDIRECTS: &str = "lease_redirects";
 const JOURNAL_FLIGHTS: &str = "journal_flights";
+/// Path resolution's two sources of a directory view: fills asked of a
+/// leader, and views a lease manager handed over with its redirect.
+const DIR_VIEW_RPCS: &str = "dir_view_rpcs";
+const MANAGER_VIEWS: &str = "views_from_manager";
 /// Forwarded ops served by all leaders (`leader.served.count`) per
 /// create: resolution, the create itself and its close.
 const LEADER_RPCS: &str = "leader_rpcs_per_create";
@@ -719,6 +725,8 @@ fn fig9(run: &mut Run) -> Result<(), String> {
                 p.p99("create", "").to_string(),
                 p.p99("create", "durable_").to_string(),
                 given(p, LEASE_REDIRECTS).to_string(),
+                given(p, DIR_VIEW_RPCS).to_string(),
+                given(p, MANAGER_VIEWS).to_string(),
                 format!("{:.2}", given(p, LEADER_RPCS)),
                 format!("{:.1}", 100.0 * given(p, MANAGER_BUSY)),
                 given(p, JOURNAL_FLIGHTS).to_string(),
@@ -738,6 +746,8 @@ fn fig9(run: &mut Run) -> Result<(), String> {
             "ack p99 ns",
             "durable p99 ns",
             "lease redirects",
+            "dir_view rpcs",
+            "views from manager",
             "leader rpcs/create",
             "busiest mgr busy %",
             "journal flights",
@@ -812,7 +822,9 @@ fn fig9(run: &mut Run) -> Result<(), String> {
 }
 
 /// The full curve must show a measurable knee (a sweep capped below
-/// 4096 clients, as in CI, is too short to have one).
+/// 4096 clients, as in CI, is too short to have one) and keep what
+/// manager-served views bought the points past it (floors measured at
+/// the committed file count: 619 and 449 kops/s).
 fn fig9_shape(records: &[Record]) -> Result<(), String> {
     let largest = records.last().and_then(|r| r.get(CLIENTS)).unwrap_or(0.0);
     if largest >= 4096.0 && knee_index(records).is_none() {
@@ -821,6 +833,16 @@ fn fig9_shape(records: &[Record]) -> Result<(), String> {
                     plateau (<1.10x growth) between consecutive scales"
                 .to_string(),
         );
+    }
+    for (clients, floor) in [(4096.0, 560.0), (16_384.0, 400.0)] {
+        let point = records.iter().find(|r| r.get(CLIENTS) == Some(clients));
+        if let Some(kops) = point.map(|p| p.rate("create") / 1000.0) {
+            if kops < floor {
+                return Err(format!(
+                    "{kops:.1} kops/s at {clients} clients, below the floor of {floor}"
+                ));
+            }
+        }
     }
     Ok(())
 }
@@ -1070,5 +1092,14 @@ mod tests {
         let flat = doc.replace("\"clients\": 256", "\"clients\": 4096");
         let err = check_bench(FIGURES, &flat).unwrap_err();
         assert!(err.starts_with("shape: no knee found"), "{err}");
+        // With a knee (a plateau at 64 -> 65 kops/s) it must also hold
+        // the floor manager-served views reached at 4096 clients.
+        assert!(flat.contains("\"create_ops_s\": 256000"), "{flat}");
+        let slow = flat.replace("\"create_ops_s\": 256000", "\"create_ops_s\": 65000");
+        let err = check_bench(FIGURES, &slow).unwrap_err();
+        assert!(
+            err.starts_with("shape: 65.0 kops/s at 4096 clients"),
+            "{err}"
+        );
     }
 }

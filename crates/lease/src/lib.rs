@@ -17,7 +17,7 @@
 pub mod dir;
 pub mod file;
 
-pub use dir::{LeaseConfig, LeaseManager, LeaseRequest, LeaseResponse};
+pub use dir::{LeaseConfig, LeaseManager, LeaseRequest, LeaseResponse, LeaseView};
 pub use file::{FileLeaseDecision, FileLeaseTable};
 
 /// Inode number (mirrors `arkfs_vfs::Ino` without the dependency).

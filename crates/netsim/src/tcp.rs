@@ -51,7 +51,7 @@ const STATUS_DECODE: u8 = 2;
 
 /// Reject frames larger than this before allocating — a garbage or
 /// hostile length prefix must not take the process down.
-const MAX_FRAME: u32 = 64 << 20;
+pub const MAX_FRAME: u32 = 64 << 20;
 
 /// Request header bytes after the length prefix: kind + dest + arrival.
 const REQ_HEADER: usize = 1 + 4 + 8;

@@ -135,6 +135,12 @@ impl Payload {
 struct Shard {
     objects: RwLock<HashMap<ObjectKey, Payload>>,
     op_server: SharedResource,
+    /// Journal writes are what an `fsync` waits for; the op queue serves
+    /// them ahead of queued home-object writes (a strict-priority class).
+    /// They queue here, behind each other only, and still book their
+    /// service time on `op_server`, so the shard's capacity is unchanged
+    /// and every other op sees exactly the load it saw without the class.
+    journal_lane: SharedResource,
     disk: BandwidthResource,
 }
 
@@ -202,6 +208,7 @@ impl ObjectCluster {
             .map(|_| Shard {
                 objects: RwLock::new(HashMap::new()),
                 op_server: SharedResource::ideal("osd-op"),
+                journal_lane: SharedResource::ideal("osd-op-journal"),
                 disk: BandwidthResource::new("osd-disk", config.spec.disk_bw),
             })
             .collect();
@@ -233,6 +240,7 @@ impl ObjectCluster {
     pub fn reset_timelines(&self) {
         for shard in &self.shards {
             shard.op_server.reset();
+            shard.journal_lane.reset();
             shard.disk.reset();
         }
         self.net.reset();
@@ -413,8 +421,14 @@ impl ObjectCluster {
         let traced = self.telemetry.tracer.enabled();
         for idx in self.replica_shards(key) {
             let shard = &self.shards[idx];
-            let t2 = shard.op_server.reserve(t1, self.config.profile.op_service)
-                + self.config.profile.op_latency;
+            let service = self.config.profile.op_service;
+            let queued = shard.op_server.reserve(t1, service);
+            let served = if key.kind == KeyKind::Journal && bytes > 0 {
+                queued.min(shard.journal_lane.reserve(t1, service))
+            } else {
+                queued
+            };
+            let t2 = served + self.config.profile.op_latency;
             let t3 = if per_shard > 0 {
                 shard.disk.transfer(t2, per_shard)
             } else {
@@ -862,6 +876,7 @@ impl ObjectStore for ObjectCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use arkfs_simkit::USEC;
     use proptest::prelude::*;
 
     fn cluster() -> ObjectCluster {
@@ -1444,6 +1459,73 @@ mod tests {
         assert!(results[..4].iter().all(Result::is_ok));
         assert_eq!(results[4], Err(OsError::NotFound));
         assert_eq!(c.object_count(), 0);
+    }
+
+    /// One shard, so every key meets the same op queue; a checkpoint's
+    /// worth of inode writes booked at time 0.
+    fn one_shard_with_backlog(inodes: u128) -> (ObjectCluster, Nanos) {
+        let mut cfg = ClusterConfig::test_tiny();
+        cfg.shards = 1;
+        let c = ObjectCluster::new(cfg);
+        let checkpoint = Port::new();
+        let items = (0..inodes)
+            .map(|i| (ObjectKey::inode(i), Bytes::from_static(b"i")))
+            .collect();
+        assert!(c.put_many(&checkpoint, items).iter().all(Result::is_ok));
+        (c, checkpoint.now())
+    }
+
+    #[test]
+    fn a_journal_write_is_served_ahead_of_queued_home_object_writes() {
+        let idle = ObjectCluster::new(ClusterConfig::test_tiny());
+        let alone = Port::new();
+        idle.put(&alone, ObjectKey::journal(1, 0), Bytes::from_static(b"txn"))
+            .unwrap();
+
+        let (c, backlog_done) = one_shard_with_backlog(1000);
+        assert!(backlog_done > 1000 * USEC);
+        let fsync = Port::new();
+        c.put(&fsync, ObjectKey::journal(1, 0), Bytes::from_static(b"txn"))
+            .unwrap();
+        assert_eq!(fsync.now(), alone.now(), "as fast as on an idle store");
+
+        // Journal writes queue behind each other.
+        let second = Port::new();
+        c.put(
+            &second,
+            ObjectKey::journal(2, 0),
+            Bytes::from_static(b"txn"),
+        )
+        .unwrap();
+        assert_eq!(second.now(), fsync.now() + USEC);
+
+        // Their service time is still the shard's: the next home-object
+        // write finds the queue two services longer.
+        let late = Port::new();
+        c.put(&late, ObjectKey::inode(5000), Bytes::from_static(b"i"))
+            .unwrap();
+        assert_eq!(late.now(), backlog_done + 3 * USEC);
+    }
+
+    #[test]
+    fn only_journal_writes_jump_the_queue() {
+        let (c, backlog_done) = one_shard_with_backlog(1000);
+        // Truncating the journal after a checkpoint is bulk work too.
+        let truncate = Port::new();
+        c.put(
+            &truncate,
+            ObjectKey::journal(1, 0),
+            Bytes::from_static(b"t"),
+        )
+        .unwrap();
+        let t0 = truncate.now();
+        c.delete(&truncate, ObjectKey::journal(1, 0)).unwrap();
+        assert!(truncate.now() > backlog_done, "{t0} -> {}", truncate.now());
+        for key in [ObjectKey::dentry_bucket(1, 0), ObjectKey::data_chunk(1, 0)] {
+            let p = Port::new();
+            c.put(&p, key, Bytes::from_static(b"x")).unwrap();
+            assert!(p.now() > backlog_done, "{key:?}");
+        }
     }
 
     #[test]

@@ -203,12 +203,19 @@ impl SharedResource {
     /// what they forget as a running counter.
     pub fn reserve_counting(&self, arrival: Nanos, service: Nanos) -> (Nanos, Nanos) {
         let mut inner = self.inner.lock();
-        // Contention depth: reservations still unfinished at `arrival`.
-        let depth = inner.in_flight.iter().filter(|&&c| c > arrival).count();
-        while inner.in_flight.len() > 256 {
-            inner.in_flight.pop_front();
-        }
-        let eff = (service as f64 * self.contention.factor(depth)).round() as Nanos;
+        // An ideal server (alpha 0) multiplies the contention depth by
+        // zero: it neither counts nor records completions.
+        let degrading = self.contention.alpha != 0.0;
+        let eff = if degrading {
+            // Contention depth: reservations still unfinished at `arrival`.
+            let depth = inner.in_flight.iter().filter(|&&c| c > arrival).count();
+            while inner.in_flight.len() > 256 {
+                inner.in_flight.pop_front();
+            }
+            (service as f64 * self.contention.factor(depth)).round() as Nanos
+        } else {
+            service
+        };
         inner.served += 1;
         if eff == 0 {
             return (arrival, 0);
@@ -264,7 +271,9 @@ impl SharedResource {
         }
         inner.forgotten.1 += forgot;
 
-        inner.in_flight.push_back(completion);
+        if degrading {
+            inner.in_flight.push_back(completion);
+        }
         (completion, forgot)
     }
 
@@ -405,6 +414,45 @@ mod tests {
             last = capped.reserve(0, 100);
         }
         assert!(last <= 100 * 100 * 4 + 100);
+    }
+
+    proptest::proptest! {
+        /// An ideal server skips the in-flight recount. It must answer
+        /// exactly as one that recounts and multiplies the depth by an
+        /// alpha too small to move the factor off 1.0; and a degrading
+        /// server must still inflate each service by the depth counted
+        /// over its last reservations — checked against an ideal server
+        /// fed the inflated services.
+        #[test]
+        fn skipping_the_recount_changes_no_completion(
+            reqs in proptest::collection::vec((0u64..50_000, 0u64..2_000), 1..600),
+            alpha_pct in 1u32..200,
+        ) {
+            let skips = SharedResource::ideal("skips");
+            let counts = SharedResource::new("counts", ContentionModel::degrading(f64::MIN_POSITIVE));
+            let degrading = SharedResource::new("degrading", ContentionModel::degrading(alpha_pct as f64 / 100.0));
+            let inflated = SharedResource::ideal("inflated");
+            let mut window: VecDeque<Nanos> = VecDeque::new();
+            for (arrival, service) in reqs {
+                let done = skips.reserve_counting(arrival, service);
+                proptest::prop_assert_eq!(done, counts.reserve_counting(arrival, service));
+
+                let depth = window.iter().filter(|&&c| c > arrival).count();
+                while window.len() > 256 {
+                    window.pop_front();
+                }
+                let eff = (service as f64 * degrading.contention.factor(depth)).round() as Nanos;
+                let done = degrading.reserve_counting(arrival, service);
+                proptest::prop_assert_eq!(done, inflated.reserve_counting(arrival, eff));
+                if eff > 0 {
+                    window.push_back(done.0);
+                }
+            }
+            proptest::prop_assert!(skips.inner.lock().in_flight.is_empty());
+            proptest::prop_assert_eq!(skips.busy_time(), counts.busy_time());
+            proptest::prop_assert_eq!(skips.forgotten(), counts.forgotten());
+            proptest::prop_assert_eq!(degrading.busy_time(), inflated.busy_time());
+        }
     }
 
     #[test]
