@@ -8,17 +8,20 @@
 //! in a write-back manner."
 //!
 //! One cache per client. Entries are whole data chunks, indexed by a
-//! per-file [`RadixTree`] keyed on chunk index. Eviction is LRU; evicting
-//! a dirty entry hands it back to the caller for write-back.
+//! per-file [`RadixTree`] keyed on chunk index. Eviction is LRU, with a
+//! stream's read-ahead window counting as in use
+//! ([`DataCache::claim_window`]); evicting a dirty entry hands it back to
+//! the caller for write-back. [`cached_read`] is the read path over it.
 
-use crate::prt::{chunk_spans, map_os_err};
+use crate::prt::{chunk_spans, map_os_err, read_spans};
 use crate::radix::RadixTree;
 use arkfs_objstore::{ObjectKey, ObjectStore, OsError, OsResult};
-use arkfs_simkit::Port;
-use arkfs_telemetry::Counter;
+use arkfs_simkit::{Nanos, Port};
+use arkfs_telemetry::{Counter, Registry};
 use arkfs_vfs::{FsResult, Ino};
 use bytes::Bytes;
 use std::collections::{BTreeMap, HashMap};
+use std::ops::DerefMut;
 use std::sync::Arc;
 
 /// A dirty chunk on its way to the store: displaced by eviction, or
@@ -74,6 +77,153 @@ pub fn fetch_fills(
     Ok(fills)
 }
 
+/// A handle's read-ahead state (§III-D).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct RaState {
+    /// Current read-ahead window in bytes (0 = no prefetch).
+    pub window: u64,
+    /// End offset of the previous read (sequentiality detection).
+    pub last_pos: u64,
+}
+
+/// What [`cached_read`] needs to know of its deployment.
+#[derive(Debug, Clone, Copy)]
+pub struct ReadPolicy {
+    pub chunk_size: u64,
+    pub max_readahead: u64,
+    /// A read at offset 0 opens the whole window at once.
+    pub full_at_zero: bool,
+    /// One-way network latency: when a fill's GETs reach the store.
+    pub net_half_rtt: Nanos,
+}
+
+/// A store round trip a [`cached_read`] waited for, as the span its
+/// caller's tracer records: `cache.miss` (chunks fetched whole into the
+/// cache) or `cache.bypass` (a random read's ranges fetched past it).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FetchSpan {
+    pub name: &'static str,
+    pub start: Nanos,
+    pub end: Nanos,
+}
+
+/// The cached read path of ArkFS clients and the baselines: read up to
+/// `buf.len()` bytes at `offset` of a file of `size` bytes through the
+/// cache `lock` hands out (held for one cache pass at a time, never
+/// across a store round trip).
+///
+/// The access pattern decides what is fetched (§III-D). A read that
+/// continues the previous one, or starts at offset 0, is a *stream*: its
+/// window doubles (or opens fully at 0), the missing chunks of the window
+/// come whole in one pipelined multi-GET — the ones the request touches
+/// synchronously, the rest asynchronously, so the reader only waits if it
+/// reaches a chunk before its completion — and are installed in the
+/// cache. A read that breaks the sequence closes the window and installs
+/// nothing: resident chunks, clean or dirty, still serve it, and what is
+/// missing goes out as one batched ranged GET straight into `buf` (dirty
+/// bytes only ever live in resident chunks, so the answer is coherent).
+#[allow(clippy::too_many_arguments)]
+pub fn cached_read<G: DerefMut<Target = DataCache>>(
+    store: &dyn ObjectStore,
+    port: &Port,
+    lock: impl Fn() -> G,
+    ino: Ino,
+    offset: u64,
+    buf: &mut [u8],
+    size: u64,
+    ra: &mut RaState,
+    policy: &ReadPolicy,
+) -> FsResult<(usize, Option<FetchSpan>)> {
+    if buf.is_empty() || offset >= size {
+        return Ok((0, None));
+    }
+    let want = (buf.len() as u64).min(size - offset) as usize;
+    let chunk_size = policy.chunk_size;
+    // Window update: jump to the maximum when the read starts at offset
+    // 0, double on sequential access, close on anything else.
+    let streaming = if offset == 0 && policy.full_at_zero {
+        ra.window = policy.max_readahead;
+        true
+    } else if offset != ra.last_pos {
+        ra.window = 0;
+        false
+    } else {
+        if offset != 0 {
+            ra.window = (ra.window.max(chunk_size) * 2).min(policy.max_readahead);
+        }
+        true
+    };
+    ra.last_pos = offset + want as u64;
+
+    let start = port.now();
+    let mut fetched = None;
+    // Chunks below `claimed` are the cache's to serve after the fill.
+    let mut claimed = 0;
+    if streaming {
+        let first = offset / chunk_size;
+        let ra_end = ra.last_pos.saturating_add(ra.window).min(size);
+        let last = ra_end.div_ceil(chunk_size).max(first + 1);
+        let (last, missing) = lock().claim_window(ino, first, last);
+        claimed = last;
+        if !missing.is_empty() {
+            let keys: Vec<ObjectKey> = missing
+                .iter()
+                .map(|&c| ObjectKey::data_chunk(ino, c))
+                .collect();
+            let depart = start + policy.net_half_rtt;
+            let results = store.get_each(depart, &keys);
+            let last_needed = (ra.last_pos - 1) / chunk_size;
+            let (needed_done, evicted) = lock().fill(
+                ino,
+                missing.iter().copied().zip(results),
+                chunk_size,
+                size,
+                last_needed,
+                depart,
+            )?;
+            port.wait_until(needed_done);
+            let end = port.now();
+            write_back(store, port, evicted)?;
+            fetched = Some(FetchSpan {
+                name: "cache.miss",
+                start,
+                end,
+            });
+        }
+    }
+
+    // Copy out in one cache pass; a prefetched chunk whose asynchronous
+    // GET has not completed yet is waited for.
+    let mut absent = Vec::new();
+    let mut ready = 0;
+    {
+        let mut cache = lock();
+        for (chunk, within, span) in chunk_spans(chunk_size, offset, want) {
+            match cache.read_into(ino, chunk, within, &mut buf[span.clone()]) {
+                Some(ready_at) => ready = ready.max(ready_at),
+                None => absent.push((chunk, within, span)),
+            }
+        }
+        if !absent.is_empty() {
+            // A claimed chunk gone between fill and copy-out is fetched a
+            // second time: inside a stream that must not happen.
+            let lost = absent.iter().filter(|(c, ..)| *c < claimed).count() as u64;
+            cache.count(Stat::FillLost, lost);
+            cache.count(Stat::ReadRanged, absent.len() as u64 - lost);
+        }
+    }
+    port.wait_until(ready);
+    if !absent.is_empty() {
+        read_spans(store, port, ino, &absent, buf)?;
+        fetched = fetched.or(Some(FetchSpan {
+            name: "cache.bypass",
+            start,
+            end: port.now(),
+        }));
+    }
+    Ok((want, fetched))
+}
+
 /// A chunk's bytes. Clean, it is the store's own buffer (what a GET
 /// returned, or what a flush handed to the PUT) and immutable; the
 /// first write turns it into an owned vector (one copy if anyone else
@@ -110,8 +260,45 @@ struct CacheEntry {
     tick: u64,
     /// Virtual time at which an asynchronously prefetched chunk becomes
     /// usable. A reader touching it earlier must wait (§III-D: the window
-    /// "is asynchronously read in advance").
+    /// "is asynchronously read in advance"). Zero once something has read
+    /// or written the chunk, so non-zero also means "prefetched, unread".
     ready_at: u64,
+}
+
+/// What a cache counts about itself and the read path over it, in the
+/// order of [`STAT_NAMES`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stat {
+    Hit,
+    Miss,
+    /// Chunks fetched ahead of the request that asked for them.
+    PrefetchIssued,
+    /// Prefetched chunks evicted before anything read them: the cache
+    /// fetched them for nothing, and a stream will fetch them again.
+    PrefetchEvictedUnread,
+    /// Spans a read that broke the sequence fetched by range, past the
+    /// cache.
+    ReadRanged,
+    /// Chunks a fill installed and the same read no longer found.
+    FillLost,
+}
+
+/// Registry names of the [`Stat`]s.
+pub const STAT_NAMES: [&str; 6] = [
+    "cache.hit.count",
+    "cache.miss.count",
+    "cache.prefetch.issued.count",
+    "cache.prefetch.evicted_unread.count",
+    "cache.read.ranged.count",
+    "cache.fill.lost.count",
+];
+
+/// Registry handles for the [`Stat`]s, shared by every cache of a
+/// deployment.
+pub type CacheCounters = [Arc<Counter>; 6];
+
+pub fn registry_counters(registry: &Registry) -> CacheCounters {
+    STAT_NAMES.map(|name| registry.counter(name))
 }
 
 /// Write-back data chunk cache with LRU eviction.
@@ -123,11 +310,9 @@ pub struct DataCache {
     lru: BTreeMap<u64, (Ino, u64)>,
     capacity: usize,
     clock: u64,
-    hits: u64,
-    misses: u64,
-    /// Registry counters mirrored on hit/miss when attached
-    /// (`cache.hit.count` / `cache.miss.count`).
-    counters: Option<(Arc<Counter>, Arc<Counter>)>,
+    stats: [u64; 6],
+    /// Registry counters mirroring `stats` when attached.
+    counters: Option<CacheCounters>,
 }
 
 impl DataCache {
@@ -139,15 +324,14 @@ impl DataCache {
             lru: BTreeMap::new(),
             capacity,
             clock: 0,
-            hits: 0,
-            misses: 0,
+            stats: [0; 6],
             counters: None,
         }
     }
 
-    /// Mirror hit/miss accounting into registry counters.
-    pub fn attach_counters(&mut self, hit: Arc<Counter>, miss: Arc<Counter>) {
-        self.counters = Some((hit, miss));
+    /// Mirror this cache's accounting into registry counters.
+    pub fn attach_counters(&mut self, counters: CacheCounters) {
+        self.counters = Some(counters);
     }
 
     pub fn len(&self) -> usize {
@@ -158,12 +342,32 @@ impl DataCache {
         self.lru.is_empty()
     }
 
+    pub fn stat(&self, stat: Stat) -> u64 {
+        self.stats[stat as usize]
+    }
+
     pub fn hits(&self) -> u64 {
-        self.hits
+        self.stat(Stat::Hit)
     }
 
     pub fn misses(&self) -> u64 {
-        self.misses
+        self.stat(Stat::Miss)
+    }
+
+    fn count(&mut self, stat: Stat, n: u64) {
+        Self::bump(&mut self.stats, &self.counters, stat, n);
+    }
+
+    /// [`DataCache::count`] over the fields it needs, for a caller that
+    /// still holds an entry.
+    fn bump(stats: &mut [u64; 6], counters: &Option<CacheCounters>, stat: Stat, n: u64) {
+        if n == 0 {
+            return;
+        }
+        stats[stat as usize] += n;
+        if let Some(counters) = counters {
+            counters[stat as usize].add(n);
+        }
     }
 
     /// Advance the clock and look the entry up; if it is resident, it
@@ -194,18 +398,18 @@ impl DataCache {
     /// caller's timeline must wait until then).
     pub fn get_ready(&mut self, ino: Ino, chunk: u64) -> Option<(&[u8], u64)> {
         let (files, lru, clock) = (&mut self.files, &mut self.lru, &mut self.clock);
-        let Some(entry) = Self::touch(files, lru, clock, ino, chunk) else {
-            self.misses += 1;
-            if let Some((_, miss)) = &self.counters {
-                miss.inc();
-            }
-            return None;
+        let found = Self::touch(files, lru, clock, ino, chunk).map(|entry| {
+            // Its first reader waits for a prefetched chunk and moves the
+            // client's clock past the completion: nobody waits again.
+            (entry.data.bytes(), std::mem::take(&mut entry.ready_at))
+        });
+        let stat = if found.is_some() {
+            Stat::Hit
+        } else {
+            Stat::Miss
         };
-        self.hits += 1;
-        if let Some((hit, _)) = &self.counters {
-            hit.inc();
-        }
-        Some((entry.data.bytes(), entry.ready_at))
+        Self::bump(&mut self.stats, &self.counters, stat, 1);
+        found
     }
 
     /// Copy a cached chunk's bytes from `within` on into `out`, zeros
@@ -218,15 +422,39 @@ impl DataCache {
         out: &mut [u8],
     ) -> Option<u64> {
         let (data, ready_at) = self.get_ready(ino, chunk)?;
-        let take = data.len().saturating_sub(within).min(out.len());
-        out[..take].copy_from_slice(&data[within..within + take]);
+        let rest = data.get(within..).unwrap_or(&[]);
+        let take = rest.len().min(out.len());
+        out[..take].copy_from_slice(&rest[..take]);
         out[take..].fill(0);
         Some(ready_at)
     }
 
-    /// True without touching LRU/ hit accounting (used by tests).
-    pub fn contains(&self, ino: Ino, chunk: u64) -> bool {
+    /// True without touching LRU/ hit accounting.
+    fn contains(&self, ino: Ino, chunk: u64) -> bool {
         self.files.get(&ino).is_some_and(|t| t.contains(chunk))
+    }
+
+    /// A stream announces its window, chunks `[first, last)`: returns the
+    /// window's end, clamped to `capacity - 1` chunks — a cache smaller
+    /// than the window reads less far ahead, it never displaces what it
+    /// has just fetched — and the chunks of it a fill must fetch.
+    ///
+    /// The resident ones become the most recently used, farthest first.
+    /// Reads only ever refresh the chunk the stream is consuming, so
+    /// without this the read-ahead keeps its install tick, ages behind
+    /// what the stream has already left, and is evicted before it is
+    /// read. With it every stream re-asserts its window on each read:
+    /// whatever the next install evicts lies outside every stream's
+    /// current window as long as such a chunk is resident.
+    pub fn claim_window(&mut self, ino: Ino, first: u64, last: u64) -> (u64, Vec<u64>) {
+        let last = last.min(first + (self.capacity as u64 - 1).max(1));
+        let (files, lru, clock) = (&mut self.files, &mut self.lru, &mut self.clock);
+        let mut missing: Vec<u64> = (first..last)
+            .rev()
+            .filter(|&chunk| Self::touch(files, lru, clock, ino, chunk).is_none())
+            .collect();
+        missing.reverse();
+        (last, missing)
     }
 
     /// Insert a chunk read from the store (clean): the cache holds the
@@ -274,6 +502,7 @@ impl DataCache {
                 needed_done = needed_done.max(completion);
             }
             let ready_at = if needed { 0 } else { completion };
+            self.count(Stat::PrefetchIssued, u64::from(!needed));
             self.install(ino, chunk, Chunk::Clean(data), ready_at);
             evicted.extend(self.evict_to_capacity());
         }
@@ -343,9 +572,9 @@ impl DataCache {
     /// carries the store contents of [`DataCache::rmw_chunks`], each
     /// installed (clean, the store's own buffer) immediately before the
     /// write lands on its chunk — the read-modify step of a partial
-    /// overwrite — so eviction pressure can never displace a fill before
-    /// its write applies; dirty evictions from the whole span accumulate
-    /// into the returned batch.
+    /// overwrite — so eviction pressure can never displace a fill, or a
+    /// resident chunk that needed none, before its write applies; dirty
+    /// evictions from the whole span accumulate into the returned batch.
     pub fn write_many(
         &mut self,
         ino: Ino,
@@ -355,7 +584,12 @@ impl DataCache {
         mut fills: HashMap<u64, Bytes>,
     ) -> Vec<Evicted> {
         let mut out = Vec::new();
-        for (chunk, within, span) in chunk_spans(chunk_size, offset, data.len()) {
+        // Resident chunks first: written in place they displace nothing,
+        // so none of them (no fill was fetched for it) can be evicted by
+        // the installs of the others before its own write has applied.
+        let (resident, absent): (Vec<_>, Vec<_>) = chunk_spans(chunk_size, offset, data.len())
+            .partition(|(chunk, ..)| self.contains(ino, *chunk));
+        for (chunk, within, span) in resident.into_iter().chain(absent) {
             if let Some(fill) = fills.remove(&chunk) {
                 out.extend(self.insert_clean(ino, chunk, fill));
             }
@@ -373,6 +607,7 @@ impl DataCache {
             if tree.is_empty() {
                 self.files.remove(&ino);
             }
+            self.count(Stat::PrefetchEvictedUnread, u64::from(entry.ready_at != 0));
             if let Chunk::Dirty(v) = entry.data {
                 let data = Bytes::from(v);
                 out.push(Evicted { ino, chunk, data });
@@ -666,6 +901,97 @@ mod tests {
             }]
         );
         assert_eq!(c.get(1, 5).unwrap(), b"Wtored");
+    }
+
+    /// `files` 16-chunk files of 64-byte chunks, streamed in lock-step in
+    /// 16-byte requests through one cache of `entries` chunks with a
+    /// read-ahead of `window` chunks: the cache afterwards, and the GETs
+    /// and bytes the streams cost the store.
+    fn stream(files: u128, entries: usize, window: u64) -> (DataCache, (u64, u64)) {
+        let store = ObjectCluster::new(ClusterConfig::test_tiny());
+        let data: Vec<u8> = (0..16 * 64).map(|i| (i / 64 * 7 + i) as u8).collect();
+        let items = (1..=files).flat_map(|ino| {
+            let chunk = move |(i, piece)| {
+                (
+                    ObjectKey::data_chunk(ino, i as u64),
+                    Bytes::copy_from_slice(piece),
+                )
+            };
+            data.chunks(64).enumerate().map(chunk)
+        });
+        for r in store.put_many(&Port::new(), items.collect()) {
+            r.unwrap();
+        }
+        let moved = || {
+            let reg = &store.telemetry().unwrap().registry;
+            let count = |name| reg.counter(name).get();
+            (count("store.get.count"), count("store.read.bytes"))
+        };
+        let before = moved();
+        let (cache, port) = (
+            parking_lot::Mutex::new(DataCache::new(entries)),
+            Port::new(),
+        );
+        let policy = ReadPolicy {
+            chunk_size: 64,
+            max_readahead: window * 64,
+            full_at_zero: true,
+            net_half_rtt: 1_000,
+        };
+        let mut ras = vec![RaState::default(); files as usize];
+        let mut buf = [0u8; 16];
+        for offset in (0..1024).step_by(16) {
+            for (ino, ra) in (1..=files).zip(&mut ras) {
+                let lock = || cache.lock();
+                cached_read(
+                    &store, &port, lock, ino, offset, &mut buf, 1024, ra, &policy,
+                )
+                .unwrap();
+                assert_eq!(
+                    buf[..],
+                    data[offset as usize..][..16],
+                    "file {ino} at {offset}"
+                );
+            }
+        }
+        let after = moved();
+        (cache.into_inner(), (after.0 - before.0, after.1 - before.1))
+    }
+
+    #[test]
+    fn readahead_outlives_what_the_stream_has_left_behind() {
+        // Six entries, a four-chunk window: the fifth fill must displace
+        // a chunk the stream has consumed, never one it has yet to read.
+        let (cache, moved) = stream(1, 6, 4);
+        assert_eq!(moved, (16, 1024), "every chunk fetched once");
+        assert_eq!(cache.stat(Stat::PrefetchIssued), 15);
+        assert_eq!(cache.stat(Stat::PrefetchEvictedUnread), 0);
+        assert_eq!(cache.stat(Stat::FillLost), 0);
+        assert_eq!(cache.stat(Stat::ReadRanged), 0);
+        assert_eq!(cache.misses(), 0, "every request found its chunk");
+    }
+
+    #[test]
+    fn a_cache_smaller_than_the_window_reads_less_far_ahead() {
+        for entries in [1, 2, 3] {
+            let (cache, moved) = stream(1, entries, 4);
+            assert_eq!(
+                moved,
+                (16, 1024),
+                "{entries} entries: a chunk fetched twice"
+            );
+            assert_eq!(cache.stat(Stat::PrefetchEvictedUnread), 0);
+            assert_eq!(cache.stat(Stat::FillLost), 0);
+        }
+    }
+
+    #[test]
+    fn two_streams_never_evict_each_others_readahead() {
+        // Two-chunk windows in eight entries: each fill finds a chunk
+        // one of the streams has consumed to displace.
+        let (cache, moved) = stream(2, 8, 2);
+        assert_eq!(moved, (32, 2048));
+        assert_eq!(cache.stat(Stat::PrefetchEvictedUnread), 0);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Data-cache interaction: read-ahead policy, write-back, and the
 //! cached read/write paths (§III-D).
 //!
-//! All data I/O funnels through here: reads fill the [`DataCache`]
-//! (including the asynchronous read-ahead window) with pipelined
-//! multi-GETs, writes land dirty in the cache (or go direct after a
+//! All data I/O funnels through here: reads go through
+//! [`cached_read`] (streams fill the [`DataCache`], read-ahead window
+//! included, with pipelined multi-GETs; random reads fetch their range
+//! past it), writes land dirty in the cache (or go direct after a
 //! lease conflict) and dirty evictions flush as batched multi-PUTs.
 //!
 //! The data cache is a rank-*Leaf* lock (see [`super::lockorder`]):
@@ -14,9 +15,7 @@
 
 use super::filetable::Held;
 use super::ArkClient;
-use crate::cache::{fetch_fills, write_back, Evicted};
-use crate::prt::chunk_spans;
-use arkfs_objstore::ObjectKey;
+use crate::cache::{cached_read, fetch_fills, write_back, Evicted, ReadPolicy};
 use arkfs_telemetry::PID_CLIENT;
 use arkfs_vfs::{FileHandle, FsError, FsResult, Ino};
 
@@ -32,136 +31,61 @@ impl ArkClient {
         write_back(&**self.prt().store(), &self.port, chunks)
     }
 
-    /// Fetch the chunks needed for a cached read, including the
-    /// read-ahead window, in one pipelined multi-GET.
-    fn fill_cache_for_read(
-        &self,
-        ino: Ino,
-        offset: u64,
-        want: usize,
-        ra_window: u64,
-        size: u64,
-    ) -> FsResult<()> {
-        let chunk_size = self.config().chunk_size;
-        let first = offset / chunk_size;
-        let read_end = (offset + want as u64).min(size);
-        let ra_end = read_end.saturating_add(ra_window).min(size);
-        let last = ra_end.div_ceil(chunk_size).max(first + 1);
-        let missing: Vec<u64> = {
-            let cache = self.state.lock_cache();
-            (first..last).filter(|&c| !cache.contains(ino, c)).collect()
-        };
-        if missing.is_empty() {
-            return Ok(());
-        }
-        let miss_start = self.port.now();
-        // Chunks the request itself touches are fetched synchronously;
-        // everything further out is the read-ahead window, fetched
-        // *asynchronously* ("the file data belonging to the window is
-        // asynchronously read in advance", §III-D): it still loads the
-        // store, but the application only waits if it touches a chunk
-        // before its completion.
-        let last_needed = (offset + want as u64 - 1) / chunk_size;
-        let keys: Vec<ObjectKey> = missing
-            .iter()
-            .map(|&c| ObjectKey::data_chunk(ino, c))
-            .collect();
-        let depart = self.port.now() + self.config().spec.net_half_rtt;
-        let results = self.prt().store().get_each(depart, &keys);
-        let (needed_done, evicted) = self.state.lock_cache().fill(
-            ino,
-            missing.iter().copied().zip(results),
-            chunk_size,
-            size,
-            last_needed,
-            depart,
-        )?;
-        self.port.wait_until(needed_done);
-        let tracer = &self.state.telemetry.tracer;
-        if tracer.enabled() {
-            tracer.record(
-                PID_CLIENT,
-                self.state.id.0,
-                "cache.miss",
-                "cache",
-                miss_start,
-                self.port.now(),
-            );
-        }
-        self.write_back(evicted)
-    }
-
-    /// The body of [`Vfs::read`]: direct mode or cache-with-read-ahead.
+    /// The body of [`Vfs::read`]: direct mode, or [`cached_read`] under
+    /// the read lease the handle's first read takes.
     ///
     /// [`Vfs::read`]: arkfs_vfs::Vfs::read
     pub(crate) fn read_impl(&self, fh: FileHandle, offset: u64, buf: &mut [u8]) -> FsResult<usize> {
         self.fuse_charge(1);
-        let (ino, parent, flags, size, lease) =
-            self.state.files.view(fh.0).ok_or(FsError::BadHandle)?;
+        let (ino, parent, flags, size, lease, mut ra) = self
+            .state
+            .files
+            .get(fh.0, |h| (h.ino, h.parent, h.flags, h.size, h.lease, h.ra))
+            .ok_or(FsError::BadHandle)?;
         if !flags.readable() {
             return Err(FsError::BadAccessMode);
         }
         if buf.is_empty() || offset >= size {
             return Ok(0);
         }
-        let want = (buf.len() as u64).min(size - offset) as usize;
         // The handle's first data access takes the read lease, before
         // any cache hit or fill.
         let lease = match lease {
             Held::None => self.take_file_lease(fh.0, parent, ino, false)?,
             held => held,
         };
-        if lease == Held::Direct {
-            let n = self
-                .prt()
-                .read_data(&self.port, ino, offset, &mut buf[..want], size)?;
-            let _ = self.state.files.update(fh.0, |h| {
-                h.last_pos = offset + n as u64;
-            });
-            return Ok(n);
-        }
-
-        // Read-ahead window update (§III-D): double on sequential access,
-        // jump to max when the read starts at offset 0.
-        let config = self.config();
-        let ra_window = self
-            .state
-            .files
-            .update(fh.0, |h| {
-                if offset == 0 && config.readahead_full_at_zero {
-                    h.ra_window = config.max_readahead;
-                } else if offset == h.last_pos && offset != 0 {
-                    h.ra_window =
-                        (h.ra_window.max(config.chunk_size) * 2).min(config.max_readahead);
-                } else if offset != h.last_pos {
-                    h.ra_window = 0;
-                }
-                h.ra_window
-            })
-            .ok_or(FsError::BadHandle)?;
-        self.fill_cache_for_read(ino, offset, want, ra_window, size)?;
-
-        // Copy out of the cache; a chunk evicted between fill and copy is
-        // re-read straight from the store.
-        for (chunk, within, span) in chunk_spans(config.chunk_size, offset, want) {
-            let (pos, out) = (offset + span.start as u64, &mut buf[span]);
-            let hit = self.state.lock_cache().read_into(ino, chunk, within, out);
-            match hit {
-                // A chunk whose asynchronous prefetch has not completed
-                // yet: wait for it.
-                Some(ready_at) => {
-                    self.port.wait_until(ready_at);
-                }
-                None => {
-                    self.prt().read_data(&self.port, ino, pos, out, size)?;
-                }
+        let n = if lease == Held::Direct {
+            let n = self.prt().read_data(&self.port, ino, offset, buf, size)?;
+            ra.last_pos = offset + n as u64;
+            n
+        } else {
+            let config = self.config();
+            let policy = ReadPolicy {
+                chunk_size: config.chunk_size,
+                max_readahead: config.max_readahead,
+                full_at_zero: config.readahead_full_at_zero,
+                net_half_rtt: config.spec.net_half_rtt,
+            };
+            let (n, fetch) = cached_read(
+                &**self.prt().store(),
+                &self.port,
+                || self.state.lock_cache(),
+                ino,
+                offset,
+                buf,
+                size,
+                &mut ra,
+                &policy,
+            )?;
+            let tracer = &self.state.telemetry.tracer;
+            if let (Some(f), true) = (fetch, tracer.enabled()) {
+                tracer.record(PID_CLIENT, self.state.id.0, f.name, "cache", f.start, f.end);
             }
-        }
-        self.port.advance(config.spec.local_meta_op);
-        let _ = self.state.files.update(fh.0, |h| {
-            h.last_pos = offset + want as u64;
-        });
-        Ok(want)
+            self.port.advance(config.spec.local_meta_op);
+            n
+        };
+        let _ = self.state.files.update(fh.0, |h| h.ra = ra);
+        Ok(n)
     }
 
     /// The body of [`Vfs::write`]: write-back caching under the write
@@ -171,8 +95,11 @@ impl ArkClient {
     /// [`Vfs::write`]: arkfs_vfs::Vfs::write
     pub(crate) fn write_impl(&self, fh: FileHandle, offset: u64, data: &[u8]) -> FsResult<usize> {
         self.fuse_charge(1);
-        let (ino, parent, flags, size, lease) =
-            self.state.files.view(fh.0).ok_or(FsError::BadHandle)?;
+        let (ino, parent, flags, size, lease) = self
+            .state
+            .files
+            .get(fh.0, |h| (h.ino, h.parent, h.flags, h.size, h.lease))
+            .ok_or(FsError::BadHandle)?;
         if !flags.writable() {
             return Err(FsError::BadAccessMode);
         }

@@ -22,6 +22,7 @@
 
 use super::lockorder::{self, Rank, RankGuard};
 use super::ArkClient;
+use crate::cache::RaState;
 use crate::rpc::{OpBody, OpResponse};
 use arkfs_lease::FileLeaseDecision;
 use arkfs_simkit::Port;
@@ -59,10 +60,8 @@ pub(crate) struct OpenFile {
     pub(crate) size: u64,
     pub(crate) lease: Held,
     pub(crate) wrote: bool,
-    /// Current read-ahead window in bytes (0 = no prefetch).
-    pub(crate) ra_window: u64,
-    /// End offset of the previous read (sequentiality detection).
-    pub(crate) last_pos: u64,
+    /// Read-ahead window and sequentiality detection.
+    pub(crate) ra: RaState,
 }
 
 #[derive(Debug, Default)]
@@ -124,13 +123,6 @@ impl FileTable {
 
     pub(crate) fn remove(&self, id: u64) -> Option<OpenFile> {
         self.shard(id).guard.handles.remove(&id)
-    }
-
-    /// Snapshot of an open handle's fields used by read/write.
-    pub(crate) fn view(&self, id: u64) -> Option<(Ino, Ino, OpenFlags, u64, Held)> {
-        let s = self.shard(id);
-        let h = s.guard.handles.get(&id)?;
-        Some((h.ino, h.parent, h.flags, h.size, h.lease))
     }
 
     /// Read fields of one handle under its shard lock.

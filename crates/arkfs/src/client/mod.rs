@@ -34,7 +34,7 @@ pub(crate) mod lockorder;
 pub(crate) mod namei;
 pub(crate) mod vfs_impl;
 
-use crate::cache::DataCache;
+use crate::cache::{registry_counters, CacheCounters, DataCache, Stat};
 use crate::cluster::ArkCluster;
 use crate::config::ArkConfig;
 use crate::metatable::Metatable;
@@ -342,9 +342,9 @@ pub(crate) struct ClientState {
     /// Deployment-wide telemetry (shared with the object store and
     /// lease managers).
     pub(crate) telemetry: Arc<Telemetry>,
-    /// Registry handles for the data-cache hit/miss counters, cloned
-    /// into every [`DataCache`] this client creates.
-    pub(crate) cache_counters: (Arc<Counter>, Arc<Counter>),
+    /// Registry handles for the data-cache counters, cloned into every
+    /// [`DataCache`] this client creates.
+    pub(crate) cache_counters: CacheCounters,
     /// Per-op latency histograms, preregistered at construction
     /// (`op.<name>.latency_ns`).
     pub(crate) op_hists: HistogramSet,
@@ -411,12 +411,9 @@ impl ArkClient {
         let lanes = (0..config.journal_lanes.max(1))
             .map(|_| CommitLane::new(Arc::clone(&sealed_depth)))
             .collect();
-        let cache_counters = (
-            telemetry.registry.counter("cache.hit.count"),
-            telemetry.registry.counter("cache.miss.count"),
-        );
+        let cache_counters = registry_counters(&telemetry.registry);
         let mut cache = DataCache::new(config.cache_entries);
-        cache.attach_counters(Arc::clone(&cache_counters.0), Arc::clone(&cache_counters.1));
+        cache.attach_counters(cache_counters.clone());
         let op_hists = telemetry.registry.histogram_set(OP_NAMES, ".latency_ns");
         let op_ack_hists = telemetry.registry.histogram_set(OP_NAMES, ".ack_ns");
         let lease_release_failed = telemetry.registry.counter("lease.release_failed.count");
@@ -504,6 +501,12 @@ impl ArkClient {
     pub fn cache_stats(&self) -> (u64, u64) {
         let c = self.state.lock_cache();
         (c.hits(), c.misses())
+    }
+
+    /// One of this client's data-cache counters (since the cache was
+    /// last dropped).
+    pub fn cache_stat(&self, stat: Stat) -> u64 {
+        self.state.lock_cache().stat(stat)
     }
 
     /// File-lease releases the leader rejected or that never reached it
@@ -712,10 +715,7 @@ impl ClientState {
     /// A new [`DataCache`] wired to the shared hit/miss counters.
     pub(crate) fn fresh_cache(&self, entries: usize) -> DataCache {
         let mut cache = DataCache::new(entries);
-        cache.attach_counters(
-            Arc::clone(&self.cache_counters.0),
-            Arc::clone(&self.cache_counters.1),
-        );
+        cache.attach_counters(self.cache_counters.clone());
         cache
     }
 

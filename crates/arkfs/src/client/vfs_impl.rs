@@ -69,8 +69,7 @@ impl ArkClient {
             size,
             lease: Held::None,
             wrote: false,
-            ra_window: 0,
-            last_pos: 0,
+            ra: Default::default(),
         });
         Ok(FileHandle(id))
     }
@@ -346,8 +345,7 @@ impl Vfs for ArkClient {
                 size: 0,
                 lease: Held::None,
                 wrote: false,
-                ra_window: 0,
-                last_pos: 0,
+                ra: Default::default(),
             });
             Ok(FileHandle(id))
         })

@@ -596,33 +596,8 @@ impl Prt {
             return Ok(0);
         }
         let want = (buf.len() as u64).min(size - offset) as usize;
-        // Compute the whole chunk span up front and fan the ranged reads
-        // out in one batched call: the caller waits for the slowest chunk,
-        // not the sum.
         let spans: Vec<_> = chunk_spans(self.chunk_size, offset, want).collect();
-        let reqs: Vec<_> = spans
-            .iter()
-            .map(|(chunk, within, span)| {
-                (
-                    ObjectKey::data_chunk(ino, *chunk),
-                    *within as u64,
-                    span.len(),
-                )
-            })
-            .collect();
-        let results = self.store.get_range_many(port, &reqs);
-        for ((_, _, span), res) in spans.into_iter().zip(results) {
-            let out = &mut buf[span];
-            match res {
-                Ok(data) => {
-                    out[..data.len()].copy_from_slice(&data);
-                    // Anything past the stored chunk tail is sparse zero.
-                    out[data.len()..].fill(0);
-                }
-                Err(OsError::NotFound) => out.fill(0),
-                Err(e) => return Err(map_os_err(e)),
-            }
-        }
+        read_spans(&*self.store, port, ino, &spans, buf)?;
         Ok(want)
     }
 
@@ -662,11 +637,7 @@ impl Prt {
 /// Split `len` bytes at byte `offset` of a chunked file at the chunk
 /// boundaries: per chunk touched, its index, the offset within it and
 /// the range of the request's buffer that falls into it.
-pub fn chunk_spans(
-    chunk_size: u64,
-    offset: u64,
-    len: usize,
-) -> impl Iterator<Item = (u64, usize, std::ops::Range<usize>)> {
+pub fn chunk_spans(chunk_size: u64, offset: u64, len: usize) -> impl Iterator<Item = ChunkSpan> {
     let mut done = 0usize;
     std::iter::from_fn(move || {
         let pos = offset + done as u64;
@@ -675,6 +646,46 @@ pub fn chunk_spans(
         done += n;
         (n > 0).then_some((pos / chunk_size, within, done - n..done))
     })
+}
+
+/// One of [`chunk_spans`]' items.
+pub type ChunkSpan = (u64, usize, std::ops::Range<usize>);
+
+/// Fill the `spans` of `buf` from the chunks of `ino` with ranged reads
+/// fanned out in one batched call: the caller waits for the slowest
+/// chunk, not the sum. Whatever the store does not have reads as zeros
+/// (sparse files).
+pub fn read_spans(
+    store: &dyn ObjectStore,
+    port: &Port,
+    ino: Ino,
+    spans: &[ChunkSpan],
+    buf: &mut [u8],
+) -> FsResult<()> {
+    let reqs: Vec<_> = spans
+        .iter()
+        .map(|(chunk, within, span)| {
+            (
+                ObjectKey::data_chunk(ino, *chunk),
+                *within as u64,
+                span.len(),
+            )
+        })
+        .collect();
+    let results = store.get_range_many(port, &reqs);
+    for ((_, _, span), res) in spans.iter().zip(results) {
+        let out = &mut buf[span.clone()];
+        match res {
+            Ok(data) => {
+                out[..data.len()].copy_from_slice(&data);
+                // Anything past the stored chunk tail is sparse zero.
+                out[data.len()..].fill(0);
+            }
+            Err(OsError::NotFound) => out.fill(0),
+            Err(e) => return Err(map_os_err(e)),
+        }
+    }
+    Ok(())
 }
 
 /// Batched multi-DELETE of a file's chunks `range`; missing ones are fine.

@@ -516,6 +516,90 @@ proptest! {
     }
 }
 
+// ---- cached read path vs a byte-vector model -----------------------------------
+
+#[derive(Debug, Clone)]
+enum FileOp {
+    /// Read on from where the previous read ended (a stream).
+    Next(usize),
+    /// Read somewhere else.
+    Seek(u64, usize),
+    Write(u64, usize, u8),
+    Truncate(u64),
+    DropCache,
+}
+
+fn arb_file_op() -> impl Strategy<Value = FileOp> {
+    prop_oneof![
+        (1usize..40).prop_map(FileOp::Next),
+        (40usize..200).prop_map(FileOp::Next),
+        (0u64..1200, 1usize..200).prop_map(|(offset, len)| FileOp::Seek(offset, len)),
+        (0u64..1200, 1usize..200, any::<u8>())
+            .prop_map(|(offset, len, seed)| FileOp::Write(offset, len, seed)),
+        (0u64..1200).prop_map(FileOp::Truncate),
+        Just(FileOp::DropCache),
+    ]
+}
+
+proptest! {
+    /// One handle on one file of 64-byte chunks (256-byte read-ahead)
+    /// through caches from one entry up: whatever mix of streaming and
+    /// random reads, writes, truncates and cache drops, a read returns
+    /// the model's bytes, and no fill loses a chunk it installed.
+    #[test]
+    fn cached_reads_agree_with_a_byte_vector_model(
+        entries in prop_oneof![Just(1usize), Just(2usize), Just(3usize), Just(6usize)],
+        ops in prop::collection::vec(arb_file_op(), 1..60),
+    ) {
+        use arkfs::{cache::Stat, ArkCluster, ArkConfig};
+        use arkfs_vfs::{Credentials, OpenFlags, Vfs};
+
+        let config = ArkConfig { cache_entries: entries, ..ArkConfig::test_tiny() };
+        let store = Arc::new(ObjectCluster::new(ClusterConfig::test_tiny()));
+        let c = ArkCluster::new(config, store).client();
+        let ctx = Credentials::root();
+        let created = c.create(&ctx, "/f", 0o644).unwrap();
+        c.close(&ctx, created).unwrap();
+        let fh = c.open(&ctx, "/f", OpenFlags::RDWR).unwrap();
+        let mut model: Vec<u8> = Vec::new();
+        let mut pos = 0u64;
+        for op in ops {
+            let (offset, len) = match op {
+                FileOp::Next(len) => (pos, len),
+                FileOp::Seek(offset, len) => (offset, len),
+                FileOp::Write(offset, len, seed) => {
+                    let data: Vec<u8> = (0..len).map(|i| seed.wrapping_add(i as u8).max(1)).collect();
+                    c.write(&ctx, fh, offset, &data).unwrap();
+                    let end = offset as usize + len;
+                    model.resize(model.len().max(end), 0);
+                    model[offset as usize..end].copy_from_slice(&data);
+                    continue;
+                }
+                FileOp::Truncate(size) => {
+                    // The leader learns the handle's size first.
+                    c.fsync(&ctx, fh).unwrap();
+                    c.truncate(&ctx, "/f", size).unwrap();
+                    model.resize(size as usize, 0);
+                    continue;
+                }
+                FileOp::DropCache => {
+                    c.drop_data_cache().unwrap();
+                    continue;
+                }
+            };
+            let mut got = vec![0xAAu8; len];
+            let n = c.read(&ctx, fh, offset, &mut got).unwrap();
+            let start = (offset as usize).min(model.len());
+            let want = &model[start..model.len().min(start + len)];
+            prop_assert_eq!(&got[..n], want, "{} bytes at {}, {} entries", len, offset, entries);
+            prop_assert_eq!(c.cache_stat(Stat::FillLost), 0);
+            pos = offset + n as u64;
+        }
+        c.close(&ctx, fh).unwrap();
+        prop_assert_eq!(arkfs_vfs::read_file(&*c, &ctx, "/f").unwrap(), model);
+    }
+}
+
 // ---- cache LRU invariants -----------------------------------------------------
 
 proptest! {

@@ -79,7 +79,12 @@ impl CephFs {
             shared: Arc::clone(self),
             mount,
             port: Port::new(),
-            data: DataPath::new(Arc::clone(&self.store), self.chunk_size, max_ra),
+            data: DataPath::new(
+                Arc::clone(&self.store),
+                self.chunk_size,
+                max_ra,
+                self.spec.net_half_rtt,
+            ),
             cache: Mutex::new(crate::datapath::counted_cache(&self.store, 256)),
             handles: Mutex::new(HashMap::new()),
             next_handle: AtomicU64::new(1),

@@ -3,38 +3,39 @@
 //! chunked data objects. (ArkFS has its own variant wired into its file
 //! leases; the baselines share this one.)
 
-use arkfs::cache::{fetch_fills, write_back, DataCache, Evicted};
-use arkfs::prt::{chunk_spans, map_os_err, truncate_chunks};
-use arkfs_objstore::{ObjectKey, ObjectStore, OsError};
-use arkfs_simkit::Port;
+use arkfs::cache::{
+    cached_read, fetch_fills, registry_counters, write_back, DataCache, Evicted, ReadPolicy,
+};
+use arkfs::prt::truncate_chunks;
+use arkfs_objstore::ObjectStore;
+use arkfs_simkit::{Nanos, Port};
 use arkfs_vfs::{FsResult, Ino};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
-/// Per-handle read-ahead state.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct RaState {
-    pub window: u64,
-    pub last_pos: u64,
-}
+pub use arkfs::cache::RaState;
 
 /// Chunked cached file I/O over an object store.
 pub struct DataPath {
     store: Arc<dyn ObjectStore>,
-    pub chunk_size: u64,
-    pub max_readahead: u64,
-    pub full_at_zero: bool,
+    pub policy: ReadPolicy,
 }
 
 impl DataPath {
-    pub fn new(store: Arc<dyn ObjectStore>, chunk_size: u64, max_readahead: u64) -> Self {
+    pub fn new(
+        store: Arc<dyn ObjectStore>,
+        chunk_size: u64,
+        max_readahead: u64,
+        net_half_rtt: Nanos,
+    ) -> Self {
         assert!(chunk_size > 0);
-        DataPath {
-            store,
+        let policy = ReadPolicy {
             chunk_size,
             max_readahead,
             full_at_zero: true,
-        }
+            net_half_rtt,
+        };
+        DataPath { store, policy }
     }
 
     pub fn store(&self) -> &Arc<dyn ObjectStore> {
@@ -42,16 +43,13 @@ impl DataPath {
     }
 }
 
-/// A [`DataCache`] wired to the store's `cache.hit.count` /
-/// `cache.miss.count` registry counters, so baselines report cache
-/// behaviour through the same telemetry names as ArkFS clients.
+/// A [`DataCache`] wired to the store's `cache.*.count` registry
+/// counters, so baselines report cache behaviour through the same
+/// telemetry names as ArkFS clients.
 pub(crate) fn counted_cache(store: &Arc<dyn ObjectStore>, entries: usize) -> DataCache {
     let mut cache = DataCache::new(entries);
     if let Some(t) = store.telemetry() {
-        cache.attach_counters(
-            t.registry.counter("cache.hit.count"),
-            t.registry.counter("cache.miss.count"),
-        );
+        cache.attach_counters(registry_counters(&t.registry));
     }
     cache
 }
@@ -73,72 +71,8 @@ impl DataPath {
         size: u64,
         ra: &mut RaState,
     ) -> FsResult<usize> {
-        if offset >= size || buf.is_empty() {
-            return Ok(0);
-        }
-        let want = (buf.len() as u64).min(size - offset) as usize;
-        if offset == 0 && self.full_at_zero {
-            ra.window = self.max_readahead;
-        } else if offset == ra.last_pos && offset != 0 {
-            ra.window = (ra.window.max(self.chunk_size) * 2).min(self.max_readahead);
-        } else if offset != ra.last_pos {
-            ra.window = 0;
-        }
-        // Fill missing chunks (read range + read-ahead) pipelined.
-        let first = offset / self.chunk_size;
-        let ra_end = (offset + want as u64).saturating_add(ra.window).min(size);
-        let last = ra_end.div_ceil(self.chunk_size).max(first + 1);
-        let missing: Vec<u64> = {
-            let c = cache.lock();
-            (first..last).filter(|&ch| !c.contains(ino, ch)).collect()
-        };
-        if !missing.is_empty() {
-            // Request-relevant chunks are synchronous; the rest of the
-            // window is asynchronous read-ahead — the reader only waits
-            // when it touches a chunk before its completion.
-            let last_needed = (offset + want as u64 - 1) / self.chunk_size;
-            let keys: Vec<ObjectKey> = missing
-                .iter()
-                .map(|&ch| ObjectKey::data_chunk(ino, ch))
-                .collect();
-            let depart = port.now() + 50_000; // one-way network latency
-            let results = self.store.get_each(depart, &keys);
-            let (needed_done, evicted) = cache.lock().fill(
-                ino,
-                missing.iter().copied().zip(results),
-                self.chunk_size,
-                size,
-                last_needed,
-                depart,
-            )?;
-            port.wait_until(needed_done);
-            self.write_back(port, evicted)?;
-        }
-        // Copy out; chunks evicted in between come straight from the
-        // store.
-        for (chunk, within, span) in chunk_spans(self.chunk_size, offset, want) {
-            let (n, out) = (span.len(), &mut buf[span]);
-            let hit = cache.lock().read_into(ino, chunk, within, out);
-            if let Some(ready_at) = hit {
-                port.wait_until(ready_at);
-            } else {
-                match self.store.get_range(
-                    port,
-                    ObjectKey::data_chunk(ino, chunk),
-                    within as u64,
-                    n,
-                ) {
-                    Ok(data) => {
-                        out[..data.len()].copy_from_slice(&data);
-                        out[data.len()..].fill(0);
-                    }
-                    Err(OsError::NotFound) => out.fill(0),
-                    Err(e) => return Err(map_os_err(e)),
-                }
-            }
-        }
-        ra.last_pos = offset + want as u64;
-        Ok(want)
+        let (store, lock) = (&*self.store, || cache.lock());
+        cached_read(store, port, lock, ino, offset, buf, size, ra, &self.policy).map(|(n, _)| n)
     }
 
     /// Write-back cached write. `size_before` is the pre-write file size
@@ -155,7 +89,7 @@ impl DataPath {
         // Fetch every read-modify-write fill in one pipelined multi-GET,
         // apply the whole span in one cache pass, and flush all evictions
         // as a single write-back batch.
-        let cs = self.chunk_size;
+        let cs = self.policy.chunk_size;
         let need_fill = cache
             .lock()
             .rmw_chunks(ino, cs, size_before, offset, data.len());
@@ -191,7 +125,14 @@ impl DataPath {
         }
         self.flush(port, cache, ino)?;
         cache.lock().invalidate_file(ino);
-        truncate_chunks(&*self.store, self.chunk_size, port, ino, old_size, new_size)
+        truncate_chunks(
+            &*self.store,
+            self.policy.chunk_size,
+            port,
+            ino,
+            old_size,
+            new_size,
+        )
     }
 
     /// Drop cached chunks and delete the data objects of a file.
@@ -203,19 +144,19 @@ impl DataPath {
         size: u64,
     ) -> FsResult<()> {
         cache.lock().invalidate_file(ino);
-        truncate_chunks(&*self.store, self.chunk_size, port, ino, size, 0)
+        truncate_chunks(&*self.store, self.policy.chunk_size, port, ino, size, 0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use arkfs_objstore::{ClusterConfig, ObjectCluster};
+    use arkfs_objstore::{ClusterConfig, ObjectCluster, ObjectKey};
 
     fn setup() -> (DataPath, Mutex<DataCache>, Port) {
         let store: Arc<dyn ObjectStore> = Arc::new(ObjectCluster::new(ClusterConfig::test_tiny()));
         (
-            DataPath::new(store, 64, 256),
+            DataPath::new(store, 64, 256, 1_000),
             Mutex::new(DataCache::new(8)),
             Port::new(),
         )

@@ -53,7 +53,12 @@ impl GoofysFs {
     pub fn with_readahead(bucket: Arc<Bucket>, spec: ClusterSpec, readahead: u64) -> Arc<Self> {
         let part = bucket.part_size;
         let readahead = readahead.min(part * 1024);
-        let data = DataPath::new(Arc::clone(bucket.store()), part, readahead);
+        let data = DataPath::new(
+            Arc::clone(bucket.store()),
+            part,
+            readahead,
+            spec.net_half_rtt,
+        );
         // Enough cache entries to hold a full read-ahead window.
         let entries = ((readahead / part) as usize + 8).max(16);
         let cache = crate::datapath::counted_cache(bucket.store(), entries);
@@ -78,7 +83,7 @@ impl GoofysFs {
         let entries = {
             let c = self.cache.lock();
             let _ = &*c;
-            ((self.data.max_readahead / self.bucket.part_size) as usize + 8).max(16)
+            ((self.data.policy.max_readahead / self.bucket.part_size) as usize + 8).max(16)
         };
         *self.cache.lock() = crate::datapath::counted_cache(self.bucket.store(), entries);
     }

@@ -11,22 +11,35 @@
 //! * lease managers (the paper's one vs the sharded default).
 
 use crate::figures::easy_create_rate;
-use crate::fleet::{ark_cluster, ark_fleet, zipf_create_fleet};
-use crate::registry::{format_table, Figure, Run, Scale};
+use crate::fleet::{ark_cluster, ark_fleet, zipf_create_fleet, System};
+use crate::registry::{format_table, Figure, Metric, Record, Run, Sample, Scale};
 use arkfs::ArkConfig;
 use arkfs_simkit::{MSEC, SEC};
 use arkfs_vfs::{Credentials, FileHandle, OpenFlags, Vfs};
+use arkfs_workloads::client::barrier;
+use arkfs_workloads::fio::{fio, FioConfig};
 use arkfs_workloads::mdtest::{fanned_dir_create, mdtest_easy, MdtestEasyConfig};
-use arkfs_workloads::{run_ops, SimClient};
+use arkfs_workloads::{gen_iter, run_ops, Op, SimClient};
 use std::sync::Arc;
 
 const SCALE: Scale = Scale {
     files: 20_000,
     procs: 16,
     clients: 4096,
-    mib: 0,
+    // Per-client file of the small-cache read rows.
+    mib: 32,
     full: false,
 };
+
+// Keys of the small-cache read records (`BENCH_ablate.json`).
+const CACHE_ENTRIES: &str = "cache_entries";
+const READERS: &str = "clients";
+const SEQ_MIB_S: &str = "seqread_mib_s";
+const SEQ_AMP: &str = "seqread_store_bytes_per_byte";
+const RAND_MIB_S: &str = "randread_mib_s";
+const RAND_AMP: &str = "randread_store_bytes_per_byte";
+const FILLS_LOST: &str = "fills_lost";
+const EVICTED_UNREAD: &str = "prefetch_evicted_unread";
 
 pub const FIGURE: Figure = Figure {
     name: "ablate",
@@ -42,10 +55,54 @@ pub const FIGURE: Figure = Figure {
         ..SCALE
     },
     tables: &["ablations"],
-    metrics: &[],
+    // One record per small-cache read row (§4b); the other tables are
+    // text only.
+    metrics: &[
+        Metric::Given(READERS),
+        Metric::Given(CACHE_ENTRIES),
+        Metric::Given(SEQ_MIB_S),
+        Metric::Given(SEQ_AMP),
+        Metric::Given(RAND_MIB_S),
+        Metric::Given(RAND_AMP),
+        Metric::Counter(FILLS_LOST, "cache.fill.lost.count"),
+        Metric::Counter(EVICTED_UNREAD, "cache.prefetch.evicted_unread.count"),
+    ],
     run: ablate,
-    shape: |_| Ok(()),
+    shape: small_cache_shape,
 };
+
+/// A cache smaller than the file must cost a stream next to nothing and
+/// nobody a second fetch: per client count, sequential bandwidth at 6
+/// entries is at least 0.8x that at 256, and no row reads more than
+/// 1.1 store bytes per user byte, evicts read-ahead unread or loses a
+/// fill.
+fn small_cache_shape(records: &[Record]) -> Result<(), String> {
+    // (The schema check has already refused a record without a key.)
+    let get = |r: &Record, key| r.get(key).unwrap_or(f64::INFINITY);
+    for r in records {
+        for key in [SEQ_AMP, RAND_AMP] {
+            if get(r, key) > 1.1 {
+                return Err(format!("{}: {key} = {:.2} > 1.1", r.system, get(r, key)));
+            }
+        }
+        for key in [FILLS_LOST, EVICTED_UNREAD] {
+            if get(r, key) != 0.0 {
+                return Err(format!("{}: {key} = {}", r.system, get(r, key)));
+            }
+        }
+        let big = records.iter().find(|b| {
+            get(b, READERS) == get(r, READERS) && get(b, CACHE_ENTRIES) > get(r, CACHE_ENTRIES)
+        });
+        let (small, big) = (get(r, SEQ_MIB_S), big.map_or(0.0, |b| get(b, SEQ_MIB_S)));
+        if small < 0.8 * big {
+            return Err(format!(
+                "{}: sequential {small:.0} MiB/s < 0.8 x {big:.0} MiB/s with the whole file cached",
+                r.system
+            ));
+        }
+    }
+    Ok(())
+}
 
 fn create_throughput(config: ArkConfig, procs: usize, files: u64) -> f64 {
     easy_create_rate(&ark_fleet(procs, config, true).clients, files)
@@ -93,6 +150,62 @@ fn read_bandwidth(max_readahead: u64, full_at_zero: bool) -> f64 {
     c.close(&ctx, fh).unwrap();
     let dt = (c.port().now() - t0) as f64 / 1e9;
     size as f64 / (1024.0 * 1024.0) / dt
+}
+
+/// The benchmark's `fio_seq` shape — `n` clients, a private file of `mib`
+/// MiB each, 128 KiB requests, default 2 MiB chunks and 8 MiB read-ahead
+/// — through caches of `entries` chunks: [`fio`]'s write and sequential
+/// read, then a quarter of the file read at random on a dropped cache.
+/// Returns the fleet and, per read phase, MiB/s and store bytes read per
+/// user byte.
+fn small_cache_reads(entries: usize, n: usize, mib: u64) -> (System, [f64; 4]) {
+    let config = ArkConfig {
+        cache_entries: entries,
+        ..ArkConfig::default()
+    };
+    let system = ark_fleet(n, config, true);
+    let clients = &system.clients;
+    let read_bytes = || {
+        let telemetry = system.telemetry().expect("ArkFS telemetry");
+        telemetry.registry.counter("store.read.bytes").get() as f64
+    };
+    let cfg = FioConfig {
+        file_size: mib << 20,
+        request_size: 128 * 1024,
+    };
+    // Whole-chunk writes read nothing: every store byte is the read's.
+    let seq = fio(clients, &cfg).expect("fio");
+    let seq_bytes = read_bytes();
+    clients.iter().for_each(|c| c.drop_caches());
+
+    // Never block 0 (a read there is a stream's first), never where the
+    // previous request ended.
+    let requests = cfg.file_size / cfg.request_size as u64;
+    let quarter = (requests / 4).max(1);
+    let gens = (0..n as u64).map(|i| {
+        let open = Op::Open {
+            path: format!("/fio/job{i}.bin"),
+        };
+        let reads = (0..quarter).map(move |k| Op::Read {
+            off: (1 + (k * 37 + i * 11) % (requests - 1).max(1)) * cfg.request_size as u64,
+            len: cfg.request_size,
+            eof: cfg.file_size,
+        });
+        gen_iter(std::iter::once(open).chain(reads).chain([Op::Close]))
+    });
+    let start = clients[0].port().now();
+    let report = run_ops(clients, gens.collect(), None);
+    assert_eq!(report.total_errors(), 0, "random reads failed");
+    barrier(clients);
+    let rand_s = (clients[0].port().now() - start) as f64 / 1e9;
+    let rand_user = (n as u64 * quarter * cfg.request_size as u64) as f64;
+    let measured = [
+        seq.read_mib_s(),
+        seq_bytes / seq.bytes as f64,
+        rand_user / (1 << 20) as f64 / rand_s,
+        (read_bytes() - seq_bytes) / rand_user,
+    ];
+    (system, measured)
 }
 
 /// Create throughput (kops/s, closing barrier included) of `n` engine
@@ -315,6 +428,54 @@ fn ablate(run: &mut Run) -> Result<(), String> {
         OUT,
         "Ablation: read-ahead policy (sequential read MiB/s, 1 client)",
         &["policy", "MiB/s"],
+        &rows,
+    );
+
+    // 4b. The same path when the cache is smaller than the file: 6
+    //     entries (12 MiB) against 256, streaming and random, 1 and 8
+    //     clients. Read-ahead that is evicted before it is read shows as
+    //     a sequential column far below the 256-entry one and more than
+    //     one store byte per user byte; whole chunks fetched for random
+    //     requests as 16 store bytes per user byte.
+    let mut rows = Vec::new();
+    for (n, entries) in [(1, 6), (1, 256), (8, 6), (8, 256)] {
+        let (system, measured) = small_cache_reads(entries, n, run.scale.mib);
+        system.no_lost_fills()?;
+        let [seq, seq_amp, rand, rand_amp] = measured;
+        let telemetry = system.telemetry();
+        let sample = Sample {
+            telemetry: telemetry.as_deref(),
+            given: &[
+                (READERS, n as f64),
+                (CACHE_ENTRIES, entries as f64),
+                (SEQ_MIB_S, seq),
+                (SEQ_AMP, seq_amp),
+                (RAND_MIB_S, rand),
+                (RAND_AMP, rand_amp),
+            ],
+            ..Sample::default()
+        };
+        run.record("small-cache", &format!("ArkFS-C{n}-E{entries}"), &sample);
+        let mut row = vec![n.to_string(), entries.to_string()];
+        row.extend([format!("{seq:.0}"), format!("{seq_amp:.2}")]);
+        row.extend([format!("{rand:.0}"), format!("{rand_amp:.2}")]);
+        rows.push(row);
+    }
+    run.table(
+        OUT,
+        &format!(
+            "Ablation: cache smaller than the file ({} MiB per client, 2 MiB chunks, 128 KiB \
+             requests)",
+            run.scale.mib
+        ),
+        &[
+            "clients",
+            "cache entries",
+            "seq MiB/s",
+            "store B/B",
+            "random MiB/s",
+            "store B/B",
+        ],
         &rows,
     );
 
@@ -686,4 +847,41 @@ fn shared_client_run(stripes: usize, files: usize) -> (f64, arkfs::LockStats) {
 
     let ops = (THREADS * files) as f64 * OPS_PER_FILE as f64;
     (ops / dt, client.lock_stats())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_shape_check_refuses_the_readahead_thrash() {
+        // The parent's `fio_seq` numbers as 8-client rows.
+        let row = |entries: f64, seq: f64, seq_amp: f64, rand_amp: f64, unread: f64| Record {
+            group: "small-cache".to_string(),
+            system: format!("ArkFS-C8-E{entries}"),
+            metrics: [
+                (READERS, 8.0),
+                (CACHE_ENTRIES, entries),
+                (SEQ_MIB_S, seq),
+                (SEQ_AMP, seq_amp),
+                (RAND_MIB_S, 300.0),
+                (RAND_AMP, rand_amp),
+                (FILLS_LOST, 0.0),
+                (EVICTED_UNREAD, unread),
+            ]
+            .map(|(k, v)| (k.to_string(), v))
+            .to_vec(),
+        };
+        let big = row(256.0, 6400.0, 1.0, 1.0, 0.0);
+        let check = |small: Record| small_cache_shape(&[small, big.clone()]);
+        assert_eq!(check(row(6.0, 6400.0, 1.0, 1.0, 0.0)), Ok(()));
+        for thrash in [
+            row(6.0, 3300.0, 1.0, 1.0, 0.0),
+            row(6.0, 6400.0, 1.7, 1.0, 0.0),
+            row(6.0, 6400.0, 1.0, 16.0, 0.0),
+            row(6.0, 6400.0, 1.0, 1.0, 40.0),
+        ] {
+            assert!(check(thrash.clone()).is_err(), "{thrash:?}");
+        }
+    }
 }

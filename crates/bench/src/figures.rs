@@ -455,6 +455,7 @@ fn fig6(run: &mut Run) -> Result<(), String> {
                 ..Sample::default()
             };
             run.record(stem, &system.name, &sample);
+            system.no_lost_fills()?;
             eprintln!("fig6: {} done", system.name);
         }
         let mib = run.scale.mib;
@@ -905,6 +906,7 @@ fn table2(run: &mut Run) -> Result<(), String> {
     let mut results = Vec::new();
     for system in &systems {
         let r = archive_scenario(&system.clients, &cfg).expect("archive scenario");
+        system.no_lost_fills()?;
         eprintln!(
             "table2: {}: archive {:.1}s unarchive {:.1}s",
             system.name,

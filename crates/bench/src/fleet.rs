@@ -29,6 +29,19 @@ impl System {
     pub fn telemetry(&self) -> Option<Arc<Telemetry>> {
         self.clients.first().and_then(|c| c.telemetry())
     }
+
+    /// Fails if a cached read of this system ever fetched a chunk, lost
+    /// it to eviction before copying it out and fetched it again
+    /// (`cache.fill.lost.count`): the read-ahead thrash, in the small.
+    pub fn no_lost_fills(&self) -> Result<(), String> {
+        let lost = self
+            .telemetry()
+            .map_or(0, |t| t.registry.counter("cache.fill.lost.count").get());
+        match lost {
+            0 => Ok(()),
+            n => Err(format!("{}: {n} cache fills lost their chunk", self.name)),
+        }
+    }
 }
 
 fn store(config: ClusterConfig, discard_payload: bool) -> Arc<ObjectCluster> {

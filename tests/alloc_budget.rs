@@ -1,12 +1,13 @@
 //! Allocation budget of the data path, counted rather than timed: the
 //! bytes the process allocates while 8 clients each write and fsync an
-//! 8 MiB file, and while they read it back with cold caches, against
-//! the bytes the user moved.
+//! 8 MiB file, while they read it back with cold caches, and while they
+//! read it at random, against the bytes the user moved.
 //!
 //! One buffer serves a chunk from `write()` to both replicas to the
 //! clean cache entry, and from the store through the cache to `read()`,
 //! so writing costs 1.00x the user bytes (the dirty chunks, grown once)
-//! and reading 0.00x. Before the data path shared its buffers the same
+//! and reading 0.00x; a random read's range is a window of the store's
+//! buffer copied straight into the caller's, 0.00x as well. Before the data path shared its buffers the same
 //! run measured 5.00x (growth, the flush's clone, the PUT's `to_vec`,
 //! one clone per replica) and 2.00x (the GET's clone and the fill's
 //! `to_vec`). The test has its own process, and is the only test in
@@ -102,7 +103,31 @@ fn the_data_path_allocates_one_buffer_per_chunk() {
             fs.close(&ctx, fh).unwrap();
         }
     });
-    eprintln!("allocated per user byte: write + fsync {written:.3}, cold read {read:.3}");
+    for fs in &fleet {
+        fs.drop_data_cache().unwrap();
+    }
+    // Every block but the first, none where the previous one ended: each
+    // read fetches its range past the cache, into `buf`.
+    let blocks = FILE / REQUEST;
+    let ranged = measured(&mut || {
+        for (i, fs) in fleet.iter().enumerate() {
+            let fh = fs.open(&ctx, &format!("/f{i}"), OpenFlags::RDONLY).unwrap();
+            for k in 0..blocks - 1 {
+                let block = 1 + k * 37 % (blocks - 1);
+                let n = fs.read(&ctx, fh, (block * REQUEST) as u64, &mut buf);
+                assert_eq!(n, Ok(REQUEST));
+                assert!(
+                    buf.iter().all(|&b| b == fill(i, block)),
+                    "file {i} block {block}"
+                );
+            }
+            fs.close(&ctx, fh).unwrap();
+        }
+    });
+    eprintln!(
+        "allocated per user byte: write + fsync {written:.3}, cold read {read:.3}, \
+         random read {ranged:.3}"
+    );
     assert!(
         written <= 1.5,
         "write + fsync allocated {written:.2}x the user bytes"
@@ -110,5 +135,9 @@ fn the_data_path_allocates_one_buffer_per_chunk() {
     assert!(
         read <= 0.25,
         "cold sequential read allocated {read:.2}x the user bytes"
+    );
+    assert!(
+        ranged <= 0.25,
+        "random reads allocated {ranged:.2}x the user bytes"
     );
 }
