@@ -10,18 +10,20 @@
 //! One cache per client. Entries are whole data chunks, indexed by a
 //! per-file [`RadixTree`] keyed on chunk index. Eviction is LRU, with a
 //! stream's read-ahead window counting as in use
-//! ([`DataCache::claim_window`]); evicting a dirty entry hands it back to
-//! the caller for write-back. [`cached_read`] is the read path over it.
+//! ([`DataCache::claim_window`]); a dirty entry it evicts goes *behind*
+//! the caller — its PUT departs at once and keeps the entry's slot until
+//! the ack ([`DataCache::went_behind`]). [`cached_read`] and
+//! [`cached_write`] are the data paths over it, [`flush`] the one drain.
 
 use crate::prt::{chunk_spans, map_os_err, read_spans};
 use crate::radix::RadixTree;
 use arkfs_objstore::{ObjectKey, ObjectStore, OsError, OsResult};
 use arkfs_simkit::{Nanos, Port};
-use arkfs_telemetry::{Counter, Registry};
+use arkfs_telemetry::{Counter, Gauge, Registry};
 use arkfs_vfs::{FsResult, Ino};
 use bytes::Bytes;
 use std::collections::{BTreeMap, HashMap};
-use std::ops::DerefMut;
+use std::ops::{DerefMut, Range};
 use std::sync::Arc;
 
 /// A dirty chunk on its way to the store: displaced by eviction, or
@@ -34,16 +36,37 @@ pub struct Evicted {
     pub data: Bytes,
 }
 
-/// Write dirty chunks back as one pipelined multi-PUT.
-pub fn write_back(store: &dyn ObjectStore, port: &Port, chunks: Vec<Evicted>) -> FsResult<()> {
-    if chunks.is_empty() {
-        return Ok(());
-    }
-    let items = chunks
+/// The PUTs that write `chunks` back.
+fn put_items(chunks: Vec<Evicted>) -> Vec<(ObjectKey, Bytes)> {
+    chunks
         .into_iter()
         .map(|e| (ObjectKey::data_chunk(e.ino, e.chunk), e.data))
-        .collect();
-    for r in store.put_many(port, items) {
+        .collect()
+}
+
+/// The one drain of the cached data path: write back `file`'s dirty
+/// chunks (every file's for `None`) as one pipelined multi-PUT, after
+/// the PUTs already behind the writer have been acked. fsync, close,
+/// truncate, a lease flip to direct I/O, a leader's flush request and
+/// `sync_all` hand a file's bytes on through here, so what they hand on
+/// is never older than the store's acks. One cache pass, in `cache`.
+pub fn flush(
+    store: &dyn ObjectStore,
+    port: &Port,
+    mut cache: impl DerefMut<Target = DataCache>,
+    file: Option<Ino>,
+) -> FsResult<()> {
+    let dirty = match file {
+        Some(ino) => cache.take_dirty(ino),
+        None => cache.take_all_dirty(),
+    };
+    let acked = cache.drain(file);
+    drop(cache);
+    port.wait_until(acked);
+    if dirty.is_empty() {
+        return Ok(());
+    }
+    for r in store.put_many(port, put_items(dirty)) {
         r.map_err(map_os_err)?;
     }
     Ok(())
@@ -51,7 +74,7 @@ pub fn write_back(store: &dyn ObjectStore, port: &Port, chunks: Vec<Evicted>) ->
 
 /// Read the store contents of `chunks` (see [`DataCache::rmw_chunks`]) in
 /// one pipelined multi-GET; a chunk the store does not have is left out.
-pub fn fetch_fills(
+fn fetch_fills(
     store: &dyn ObjectStore,
     port: &Port,
     ino: Ino,
@@ -86,25 +109,105 @@ pub struct RaState {
     pub last_pos: u64,
 }
 
-/// What [`cached_read`] needs to know of its deployment.
+/// What [`cached_read`] and [`cached_write`] need to know of their
+/// deployment.
 #[derive(Debug, Clone, Copy)]
-pub struct ReadPolicy {
+pub struct CachePolicy {
     pub chunk_size: u64,
     pub max_readahead: u64,
     /// A read at offset 0 opens the whole window at once.
     pub full_at_zero: bool,
-    /// One-way network latency: when a fill's GETs reach the store.
+    /// One-way network latency: when a fill's GETs, or the PUTs of the
+    /// chunks that go behind the caller, reach the store.
     pub net_half_rtt: Nanos,
 }
 
-/// A store round trip a [`cached_read`] waited for, as the span its
+/// A store round trip the cached data path waited for, as the span its
 /// caller's tracer records: `cache.miss` (chunks fetched whole into the
-/// cache) or `cache.bypass` (a random read's ranges fetched past it).
+/// cache), `cache.bypass` (a random read's ranges fetched past it) or
+/// `cache.writebehind.wait` (a writer waiting for the ack that frees a
+/// slot).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FetchSpan {
     pub name: &'static str,
     pub start: Nanos,
     pub end: Nanos,
+}
+
+/// Issue the PUTs of a cache pass's dirty `victims` behind a caller whose
+/// clock reads `now` — they depart at once and are recorded in flight —
+/// and return when the caller may go on ([`DataCache::went_behind`]),
+/// with the first PUT the store refused at issue as the caller's error.
+fn go_behind(
+    cache: &mut DataCache,
+    store: &dyn ObjectStore,
+    now: Nanos,
+    net_half_rtt: Nanos,
+    victims: Vec<Evicted>,
+) -> (Nanos, FsResult<()>) {
+    let (mut issued, mut refused) = (Vec::new(), Ok(()));
+    if !victims.is_empty() {
+        let chunks: Vec<(Ino, u64)> = victims.iter().map(|e| (e.ino, e.chunk)).collect();
+        let acks = store.put_each(now + net_half_rtt, put_items(victims));
+        for ((ino, chunk), r) in chunks.into_iter().zip(acks) {
+            match r {
+                Ok(ack) => issued.push((ino, chunk, ack)),
+                Err(e) if refused.is_ok() => refused = Err(map_os_err(e)),
+                Err(_) => {}
+            }
+        }
+    }
+    (cache.went_behind(issued, now), refused)
+}
+
+/// The cached write path of ArkFS clients and the baselines: write
+/// `data` at `offset` of a file of `size` bytes (before the write)
+/// through the cache `lock` hands out (held for one cache pass at a
+/// time, never across a store round trip).
+///
+/// Partial overwrites of store-resident chunks need the old bytes in the
+/// cache first (read-modify in cache): every missing one comes in one
+/// pipelined multi-GET, which departs no earlier than the ack of a PUT
+/// still in flight for it. Then one cache pass applies the whole span,
+/// and the dirty chunks it evicts go *behind* the writer (§III-D: the
+/// cache "works in a write-back manner"): their PUTs depart at once, each
+/// keeps its slot until its ack, and the writer waits only while the
+/// cache is over capacity, for as few of the oldest acks as that takes.
+/// A PUT the store refuses at issue is this write's error. Returns the
+/// wait, if there was one, as a `cache.writebehind.wait` span.
+#[allow(clippy::too_many_arguments)]
+pub fn cached_write<G: DerefMut<Target = DataCache>>(
+    store: &dyn ObjectStore,
+    port: &Port,
+    lock: impl Fn() -> G,
+    ino: Ino,
+    offset: u64,
+    data: &[u8],
+    size: u64,
+    policy: &CachePolicy,
+) -> FsResult<Option<FetchSpan>> {
+    let chunk_size = policy.chunk_size;
+    let (need_fill, behind) = {
+        let cache = lock();
+        let need = cache.rmw_chunks(ino, chunk_size, size, offset, data.len());
+        let behind = cache.in_flight_until(ino, need.iter().copied());
+        (need, behind)
+    };
+    port.wait_until(behind);
+    let fills = fetch_fills(store, port, ino, &need_fill)?;
+    let start = port.now();
+    let (until, refused) = {
+        let mut cache = lock();
+        let victims = cache.write_many(ino, chunk_size, offset, data, fills, start);
+        go_behind(&mut cache, store, start, policy.net_half_rtt, victims)
+    };
+    port.wait_until(until);
+    refused?;
+    Ok((until > start).then_some(FetchSpan {
+        name: "cache.writebehind.wait",
+        start,
+        end: until,
+    }))
 }
 
 /// The cached read path of ArkFS clients and the baselines: read up to
@@ -122,6 +225,9 @@ pub struct FetchSpan {
 /// nothing: resident chunks, clean or dirty, still serve it, and what is
 /// missing goes out as one batched ranged GET straight into `buf` (dirty
 /// bytes only ever live in resident chunks, so the answer is coherent).
+/// A GET for a chunk whose PUT is still in flight departs no earlier
+/// than its ack, and the dirty chunks a fill evicts go behind the reader
+/// as they go behind a writer ([`cached_write`]).
 #[allow(clippy::too_many_arguments)]
 pub fn cached_read<G: DerefMut<Target = DataCache>>(
     store: &dyn ObjectStore,
@@ -132,7 +238,7 @@ pub fn cached_read<G: DerefMut<Target = DataCache>>(
     buf: &mut [u8],
     size: u64,
     ra: &mut RaState,
-    policy: &ReadPolicy,
+    policy: &CachePolicy,
 ) -> FsResult<(usize, Option<FetchSpan>)> {
     if buf.is_empty() || offset >= size {
         return Ok((0, None));
@@ -163,37 +269,48 @@ pub fn cached_read<G: DerefMut<Target = DataCache>>(
         let first = offset / chunk_size;
         let ra_end = ra.last_pos.saturating_add(ra.window).min(size);
         let last = ra_end.div_ceil(chunk_size).max(first + 1);
-        let (last, missing) = lock().claim_window(ino, first, last);
+        let (last, missing, behind) = {
+            let mut cache = lock();
+            let (last, missing) = cache.claim_window(ino, first, last, start);
+            let behind = cache.in_flight_until(ino, missing.iter().copied());
+            (last, missing, behind)
+        };
         claimed = last;
         if !missing.is_empty() {
             let keys: Vec<ObjectKey> = missing
                 .iter()
                 .map(|&c| ObjectKey::data_chunk(ino, c))
                 .collect();
-            let depart = start + policy.net_half_rtt;
+            let depart = start.max(behind) + policy.net_half_rtt;
             let results = store.get_each(depart, &keys);
             let last_needed = (ra.last_pos - 1) / chunk_size;
-            let (needed_done, evicted) = lock().fill(
-                ino,
-                missing.iter().copied().zip(results),
-                chunk_size,
-                size,
-                last_needed,
-                depart,
-            )?;
-            port.wait_until(needed_done);
-            let end = port.now();
-            write_back(store, port, evicted)?;
+            let (needed_done, (until, refused)) = {
+                let mut cache = lock();
+                let (needed_done, victims) = cache.fill(
+                    ino,
+                    first..last,
+                    missing.iter().copied().zip(results),
+                    chunk_size,
+                    size,
+                    last_needed,
+                    depart,
+                )?;
+                let behind = go_behind(&mut cache, store, start, policy.net_half_rtt, victims);
+                (needed_done, behind)
+            };
+            port.wait_until(needed_done.max(until));
+            refused?;
             fetched = Some(FetchSpan {
                 name: "cache.miss",
                 start,
-                end,
+                end: port.now(),
             });
         }
     }
 
     // Copy out in one cache pass; a prefetched chunk whose asynchronous
-    // GET has not completed yet is waited for.
+    // GET has not completed yet is waited for, and so is the ack of a
+    // PUT in flight for a chunk fetched by range.
     let mut absent = Vec::new();
     let mut ready = 0;
     {
@@ -210,6 +327,7 @@ pub fn cached_read<G: DerefMut<Target = DataCache>>(
             let lost = absent.iter().filter(|(c, ..)| *c < claimed).count() as u64;
             cache.count(Stat::FillLost, lost);
             cache.count(Stat::ReadRanged, absent.len() as u64 - lost);
+            ready = ready.max(cache.in_flight_until(ino, absent.iter().map(|(c, ..)| *c)));
         }
     }
     port.wait_until(ready);
@@ -281,24 +399,38 @@ pub enum Stat {
     ReadRanged,
     /// Chunks a fill installed and the same read no longer found.
     FillLost,
+    /// Dirty chunks whose PUT went out behind the caller.
+    WriteBehind,
+    /// Calls that waited for a write-behind ack to free a slot.
+    WriteBehindWait,
 }
 
 /// Registry names of the [`Stat`]s.
-pub const STAT_NAMES: [&str; 6] = [
+pub const STAT_NAMES: [&str; 8] = [
     "cache.hit.count",
     "cache.miss.count",
     "cache.prefetch.issued.count",
     "cache.prefetch.evicted_unread.count",
     "cache.read.ranged.count",
     "cache.fill.lost.count",
+    "cache.writebehind.issued.count",
+    "cache.writebehind.waited.count",
 ];
 
-/// Registry handles for the [`Stat`]s, shared by every cache of a
-/// deployment.
-pub type CacheCounters = [Arc<Counter>; 6];
+/// Registry handles for the [`Stat`]s and for `cache.buffers.peak`, the
+/// most chunk buffers (resident or in flight) any cache held at the end
+/// of a pass; shared by every cache of a deployment.
+#[derive(Debug, Clone)]
+pub struct CacheCounters {
+    stats: [Arc<Counter>; STAT_NAMES.len()],
+    peak: Arc<Gauge>,
+}
 
 pub fn registry_counters(registry: &Registry) -> CacheCounters {
-    STAT_NAMES.map(|name| registry.counter(name))
+    CacheCounters {
+        stats: STAT_NAMES.map(|name| registry.counter(name)),
+        peak: registry.gauge("cache.buffers.peak"),
+    }
 }
 
 /// Write-back data chunk cache with LRU eviction.
@@ -308,23 +440,28 @@ pub struct DataCache {
     /// Every resident entry by its (unique) last-use tick: the first is
     /// the eviction victim.
     lru: BTreeMap<u64, (Ino, u64)>,
+    /// `(ino, chunk, ack)` of every evicted dirty chunk whose PUT has not
+    /// been acked yet: each holds a slot of `capacity` until its ack.
+    in_flight: Vec<(Ino, u64, Nanos)>,
     capacity: usize,
     clock: u64,
-    stats: [u64; 6],
+    stats: [u64; STAT_NAMES.len()],
     /// Registry counters mirroring `stats` when attached.
     counters: Option<CacheCounters>,
 }
 
 impl DataCache {
-    /// `capacity` is the maximum number of chunk entries held.
+    /// `capacity` is the maximum number of chunk buffers held, resident
+    /// or in flight.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0);
         DataCache {
             files: HashMap::new(),
             lru: BTreeMap::new(),
+            in_flight: Vec::new(),
             capacity,
             clock: 0,
-            stats: [0; 6],
+            stats: [0; STAT_NAMES.len()],
             counters: None,
         }
     }
@@ -340,6 +477,11 @@ impl DataCache {
 
     pub fn is_empty(&self) -> bool {
         self.lru.is_empty()
+    }
+
+    /// PUTs behind the writer not yet known to be acked.
+    pub fn in_flight(&self) -> usize {
+        self.in_flight.len()
     }
 
     pub fn stat(&self, stat: Stat) -> u64 {
@@ -360,14 +502,83 @@ impl DataCache {
 
     /// [`DataCache::count`] over the fields it needs, for a caller that
     /// still holds an entry.
-    fn bump(stats: &mut [u64; 6], counters: &Option<CacheCounters>, stat: Stat, n: u64) {
+    fn bump(stats: &mut [u64], counters: &Option<CacheCounters>, stat: Stat, n: u64) {
         if n == 0 {
             return;
         }
         stats[stat as usize] += n;
         if let Some(counters) = counters {
-            counters[stat as usize].add(n);
+            counters.stats[stat as usize].add(n);
         }
+    }
+
+    /// Forget the PUTs acked by `now`: their slots are free again.
+    fn forget_acked(&mut self, now: Nanos) {
+        self.in_flight.retain(|&(.., ack)| ack > now);
+    }
+
+    /// When the last PUT in flight for any of `chunks` of `ino` is acked
+    /// (0 if none is): a GET of one of them departs no earlier.
+    pub(crate) fn in_flight_until(&self, ino: Ino, chunks: impl IntoIterator<Item = u64>) -> Nanos {
+        let mut until = 0;
+        if !self.in_flight.is_empty() {
+            for chunk in chunks {
+                for &(i, c, ack) in &self.in_flight {
+                    if (i, c) == (ino, chunk) {
+                        until = until.max(ack);
+                    }
+                }
+            }
+        }
+        until
+    }
+
+    /// Record the PUTs a pass's dirty victims went out with — `(ino,
+    /// chunk, ack)`, oldest first — as in flight, then make the cache fit
+    /// again: the caller, whose clock reads `now`, may go on at once
+    /// unless resident entries and PUTs in flight exceed capacity; then
+    /// it waits for the oldest PUT's ack, and the next oldest while still
+    /// over, and the returned time is the last ack it waited for. Every
+    /// PUT acked by then is forgotten here.
+    pub fn went_behind(
+        &mut self,
+        issued: impl IntoIterator<Item = (Ino, u64, Nanos)>,
+        now: Nanos,
+    ) -> Nanos {
+        let before = self.in_flight.len();
+        self.in_flight.extend(issued);
+        self.count(Stat::WriteBehind, (self.in_flight.len() - before) as u64);
+        self.forget_acked(now);
+        let mut until = now;
+        while self.lru.len() + self.in_flight.len() > self.capacity {
+            let Some(&(.., oldest)) = self.in_flight.first() else {
+                break;
+            };
+            until = until.max(oldest);
+            self.forget_acked(until);
+        }
+        self.count(Stat::WriteBehindWait, u64::from(until > now));
+        if let Some(counters) = &self.counters {
+            counters
+                .peak
+                .raise((self.lru.len() + self.in_flight.len()) as i64);
+        }
+        until
+    }
+
+    /// Forget the PUTs in flight for `file` (for every file with `None`)
+    /// and return when the last of them is acked: the caller waits for
+    /// that before it hands the file's bytes on.
+    fn drain(&mut self, file: Option<Ino>) -> Nanos {
+        let mut acked = 0;
+        self.in_flight.retain(|&(ino, _, ack)| {
+            let drained = file.is_none_or(|f| f == ino);
+            if drained {
+                acked = acked.max(ack);
+            }
+            !drained
+        });
+        acked
     }
 
     /// Advance the clock and look the entry up; if it is resident, it
@@ -434,10 +645,11 @@ impl DataCache {
         self.files.get(&ino).is_some_and(|t| t.contains(chunk))
     }
 
-    /// A stream announces its window, chunks `[first, last)`: returns the
-    /// window's end, clamped to `capacity - 1` chunks — a cache smaller
-    /// than the window reads less far ahead, it never displaces what it
-    /// has just fetched — and the chunks of it a fill must fetch.
+    /// A stream announces its window, chunks `[first, last)`, at `now`:
+    /// returns the window's end, clamped to one chunk less than the slots
+    /// PUTs in flight do not hold — a cache smaller than the window reads
+    /// less far ahead, it never displaces what it has just fetched — and
+    /// the chunks of it a fill must fetch.
     ///
     /// The resident ones become the most recently used, farthest first.
     /// Reads only ever refresh the chunk the stream is consuming, so
@@ -446,8 +658,10 @@ impl DataCache {
     /// read. With it every stream re-asserts its window on each read:
     /// whatever the next install evicts lies outside every stream's
     /// current window as long as such a chunk is resident.
-    pub fn claim_window(&mut self, ino: Ino, first: u64, last: u64) -> (u64, Vec<u64>) {
-        let last = last.min(first + (self.capacity as u64 - 1).max(1));
+    pub fn claim_window(&mut self, ino: Ino, first: u64, last: u64, now: Nanos) -> (u64, Vec<u64>) {
+        self.forget_acked(now);
+        let free = self.capacity.saturating_sub(self.in_flight.len()) as u64;
+        let last = last.min(first + free.saturating_sub(1).max(1));
         let (files, lru, clock) = (&mut self.files, &mut self.lru, &mut self.clock);
         let mut missing: Vec<u64> = (first..last)
             .rev()
@@ -462,21 +676,26 @@ impl DataCache {
     /// evicted to make room.
     pub fn insert_clean(&mut self, ino: Ino, chunk: u64, data: impl Into<Bytes>) -> Vec<Evicted> {
         self.install(ino, chunk, Chunk::Clean(data.into()), 0);
-        self.evict_to_capacity()
+        let mut out = Vec::new();
+        self.make_room((ino, chunk..chunk + 1), &mut out);
+        out
     }
 
-    /// Install what a read path's multi-GET returned — `(chunk, result)`
-    /// pairs of a file of `size` bytes, walked in reverse so the chunk
-    /// about to be read carries the freshest LRU tick and is not
-    /// displaced by its own read-ahead companions. A chunk the store
-    /// does not have is a hole (shared zeros), a short one gets its
-    /// sparse tail padded (the one copy here); chunks up to
-    /// `last_needed` are usable at once and the rest are prefetched,
-    /// usable at their own completion. Returns when the needed chunks
-    /// are all there, and the dirty entries evicted to make room.
+    /// Install what a read path's multi-GET returned for a stream's
+    /// `window` — `(chunk, result)` pairs of a file of `size` bytes,
+    /// walked in reverse so the chunk about to be read carries the
+    /// freshest LRU tick. Nothing of the window is displaced to make room
+    /// for the rest of it. A chunk the store does not have is a hole
+    /// (shared zeros), a short one gets its sparse tail padded (the one
+    /// copy here); chunks up to `last_needed` are usable at once and the
+    /// rest are prefetched, usable at their own completion. Returns when
+    /// the needed chunks are all there, and the dirty entries evicted to
+    /// make room.
+    #[allow(clippy::too_many_arguments)]
     pub fn fill(
         &mut self,
         ino: Ino,
+        window: Range<u64>,
         results: impl DoubleEndedIterator<Item = (u64, OsResult<(Bytes, u64)>)>,
         chunk_size: u64,
         size: u64,
@@ -504,7 +723,7 @@ impl DataCache {
             let ready_at = if needed { 0 } else { completion };
             self.count(Stat::PrefetchIssued, u64::from(!needed));
             self.install(ino, chunk, Chunk::Clean(data), ready_at);
-            evicted.extend(self.evict_to_capacity());
+            self.make_room((ino, window.clone()), &mut evicted);
         }
         Ok((needed_done, evicted))
     }
@@ -527,6 +746,14 @@ impl DataCache {
     /// dirty. A partial overwrite of store data needs the chunk resident
     /// first (callers install it with `insert_clean`). Returns evictions.
     pub fn write(&mut self, ino: Ino, chunk: u64, offset: usize, data: &[u8]) -> Vec<Evicted> {
+        let mut out = Vec::new();
+        self.write_chunk(ino, chunk, offset, data);
+        self.make_room((ino, chunk..chunk + 1), &mut out);
+        out
+    }
+
+    /// [`DataCache::write`] without making room.
+    fn write_chunk(&mut self, ino: Ino, chunk: u64, offset: usize, data: &[u8]) {
         let end = offset + data.len();
         let (files, lru, clock) = (&mut self.files, &mut self.lru, &mut self.clock);
         match Self::touch(files, lru, clock, ino, chunk) {
@@ -537,13 +764,11 @@ impl DataCache {
                 }
                 buf[offset..end].copy_from_slice(data);
                 entry.ready_at = 0;
-                Vec::new()
             }
             None => {
                 let mut buf = vec![0u8; end];
                 buf[offset..].copy_from_slice(data);
                 self.install(ino, chunk, Chunk::Dirty(buf), 0);
-                self.evict_to_capacity()
             }
         }
     }
@@ -568,10 +793,10 @@ impl DataCache {
             .collect()
     }
 
-    /// Apply a write that may span chunks as one operation. `fills`
-    /// carries the store contents of [`DataCache::rmw_chunks`], each
-    /// installed (clean, the store's own buffer) immediately before the
-    /// write lands on its chunk — the read-modify step of a partial
+    /// Apply a write that may span chunks as one operation, at `now`.
+    /// `fills` carries the store contents of [`DataCache::rmw_chunks`],
+    /// each installed (clean, the store's own buffer) immediately before
+    /// the write lands on its chunk — the read-modify step of a partial
     /// overwrite — so eviction pressure can never displace a fill, or a
     /// resident chunk that needed none, before its write applies; dirty
     /// evictions from the whole span accumulate into the returned batch.
@@ -582,7 +807,9 @@ impl DataCache {
         offset: u64,
         data: &[u8],
         mut fills: HashMap<u64, Bytes>,
+        now: Nanos,
     ) -> Vec<Evicted> {
+        self.forget_acked(now);
         let mut out = Vec::new();
         // Resident chunks first: written in place they displace nothing,
         // so none of them (no fill was fetched for it) can be evicted by
@@ -591,17 +818,29 @@ impl DataCache {
             .partition(|(chunk, ..)| self.contains(ino, *chunk));
         for (chunk, within, span) in resident.into_iter().chain(absent) {
             if let Some(fill) = fills.remove(&chunk) {
-                out.extend(self.insert_clean(ino, chunk, fill));
+                self.install(ino, chunk, Chunk::Clean(fill), 0);
             }
-            out.extend(self.write(ino, chunk, within, &data[span]));
+            self.write_chunk(ino, chunk, within, &data[span]);
+            self.make_room((ino, chunk..chunk + 1), &mut out);
         }
         out
     }
 
-    fn evict_to_capacity(&mut self) -> Vec<Evicted> {
-        let mut out = Vec::new();
-        while self.lru.len() > self.capacity {
-            let (_, (ino, chunk)) = self.lru.pop_first().expect("over capacity");
+    /// Evict in LRU order while resident entries, PUTs in flight and the
+    /// pass's own dirty victims so far (`out`: in flight as soon as the
+    /// caller issues them) exceed capacity — never a chunk of `ino` in
+    /// `keep` (the chunk being written, a fill's window). A clean victim
+    /// is dropped, a dirty one handed back in `out`: a dirty victim frees
+    /// no slot before its ack, so while the LRU end is dirty every dirty
+    /// entry goes behind before the caller waits for anything.
+    fn make_room(&mut self, keep: (Ino, Range<u64>), out: &mut Vec<Evicted>) {
+        let kept =
+            |&(_, &(ino, chunk)): &(&u64, &(Ino, u64))| ino == keep.0 && keep.1.contains(&chunk);
+        while self.lru.len() + self.in_flight.len() + out.len() > self.capacity {
+            let Some((&tick, &(ino, chunk))) = self.lru.iter().find(|e| !kept(e)) else {
+                break;
+            };
+            self.lru.remove(&tick);
             let tree = self.files.get_mut(&ino).expect("lru names a cached file");
             let entry = tree.remove(chunk).expect("lru names a cached chunk");
             if tree.is_empty() {
@@ -613,7 +852,6 @@ impl DataCache {
                 out.push(Evicted { ino, chunk, data });
             }
         }
-        out
     }
 
     /// Take the dirty chunks of one file for write-back, in chunk order.
@@ -677,6 +915,7 @@ impl DataCache {
 mod tests {
     use super::*;
     use arkfs_objstore::{ClusterConfig, ObjectCluster};
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
     #[test]
     fn read_write_roundtrip() {
@@ -806,7 +1045,7 @@ mod tests {
         let mut c = DataCache::new(4);
         c.write(1, 0, 0, b"first");
         let dirty = c.get(1, 0).unwrap().as_ptr();
-        write_back(&store, &port, c.take_dirty(1)).unwrap();
+        flush(&store, &port, &mut c, Some(1)).unwrap();
         // One allocation from write() to replica to the clean entry.
         let stored = store.get(&port, key).unwrap();
         assert_eq!(stored.as_ptr(), dirty);
@@ -816,7 +1055,7 @@ mod tests {
         c.write(1, 0, 0, b"again");
         assert_eq!(c.get(1, 0).unwrap(), b"again");
         assert_eq!(store.get(&port, key).unwrap(), stored);
-        write_back(&store, &port, c.take_dirty(1)).unwrap();
+        flush(&store, &port, &mut c, Some(1)).unwrap();
         assert_eq!(&store.get(&port, key).unwrap()[..], b"again");
         assert_eq!(&stored[..], b"first");
     }
@@ -834,7 +1073,9 @@ mod tests {
             (1, Err(OsError::NotFound)),
             (2, Ok((tail, 90))),
         ];
-        let (needed, evicted) = reader.fill(1, results.into_iter(), 4, 10, 0, 50).unwrap();
+        let (needed, evicted) = reader
+            .fill(1, 0..3, results.into_iter(), 4, 10, 0, 50)
+            .unwrap();
         assert_eq!((needed, evicted.len()), (70, 0));
         let stored = store.get(&port, key).unwrap();
         assert_eq!(reader.get(1, 0).unwrap().as_ptr(), stored.as_ptr());
@@ -856,7 +1097,7 @@ mod tests {
         fills.insert(0u64, Bytes::from_static(b"abcd"));
         // Partial overwrite of chunk 0 merges with the fill; chunk 1 is a
         // fresh write with no fill.
-        let ev = c.write_many(1, 4, 2, b"XYnew", fills);
+        let ev = c.write_many(1, 4, 2, b"XYnew", fills, 0);
         assert!(ev.is_empty());
         assert_eq!(c.get(1, 0).unwrap(), b"abXY");
         assert_eq!(c.get(1, 1).unwrap(), b"new");
@@ -868,7 +1109,7 @@ mod tests {
         // Capacity 1: every chunk of the span displaces the previous one;
         // all dirty evictions must come back from the single call.
         let mut c = DataCache::new(1);
-        let ev = c.write_many(1, 1, 0, b"abc", HashMap::new());
+        let ev = c.write_many(1, 1, 0, b"abc", HashMap::new(), 0);
         assert_eq!(ev.len(), 2);
         assert_eq!(
             ev[0],
@@ -891,7 +1132,7 @@ mod tests {
         // capacity 1.
         let mut fills = HashMap::new();
         fills.insert(5u64, Bytes::from_static(b"stored"));
-        let ev = c.write_many(1, 6, 30, b"W", fills);
+        let ev = c.write_many(1, 6, 30, b"W", fills, 0);
         assert_eq!(
             ev,
             vec![Evicted {
@@ -932,7 +1173,7 @@ mod tests {
             parking_lot::Mutex::new(DataCache::new(entries)),
             Port::new(),
         );
-        let policy = ReadPolicy {
+        let policy = CachePolicy {
             chunk_size: 64,
             max_readahead: window * 64,
             full_at_zero: true,
@@ -1002,5 +1243,166 @@ mod tests {
         }
         assert_eq!(c.len(), 1);
         assert_eq!(c.get(1, 9).unwrap(), &[9]);
+    }
+
+    #[test]
+    fn a_writer_streams_through_a_small_cache_behind_its_puts() {
+        // 16 full 64-byte chunks through 6 entries: the dirty evictions
+        // go behind the writer, five in flight while it fills the sixth.
+        let store = ObjectCluster::new(ClusterConfig::test_tiny());
+        let put_latency = {
+            let lone = ObjectCluster::new(ClusterConfig::test_tiny());
+            let port = Port::new();
+            lone.put(&port, ObjectKey::data_chunk(9, 0), Bytes::from(vec![0; 64]))
+                .unwrap();
+            port.now()
+        };
+        let policy = CachePolicy {
+            chunk_size: 64,
+            max_readahead: 0,
+            full_at_zero: false,
+            net_half_rtt: ClusterConfig::test_tiny().spec.net_half_rtt,
+        };
+        let (cache, port) = (parking_lot::Mutex::new(DataCache::new(6)), Port::new());
+        for chunk in 0..16u64 {
+            let data = [chunk as u8; 64];
+            let lock = || cache.lock();
+            let size = chunk * 64;
+            cached_write(&store, &port, lock, 1, size, &data, size, &policy).unwrap();
+            let c = cache.lock();
+            assert!(c.len() + c.in_flight() <= 6, "chunk {chunk}");
+        }
+        flush(&store, &port, cache.lock(), None).unwrap();
+        let reg = &store.telemetry().unwrap().registry;
+        let count = |name| reg.counter(name).get();
+        assert_eq!(count("store.put.count"), 16, "nothing PUT twice");
+        assert_eq!(count("store.write.bytes"), 16 * 64);
+        for chunk in 0..16u64 {
+            let key = ObjectKey::data_chunk(1, chunk);
+            assert_eq!(store.get(&Port::new(), key).unwrap()[..], [chunk as u8; 64]);
+        }
+        let c = cache.lock();
+        assert_eq!(c.in_flight(), 0);
+        assert!(c.stat(Stat::WriteBehind) >= 10, "the rest were flushed");
+        // The writer waits for one PUT in five, and the flush for the
+        // last: not for every eviction.
+        assert!(
+            port.now() <= (16u64.div_ceil(5) + 2) * put_latency,
+            "16 chunks took {} ns at {put_latency} ns per PUT",
+            port.now()
+        );
+    }
+
+    /// A store that counts the GETs of a key made before the ack of its
+    /// last PUT reached the caller.
+    struct AckChecked {
+        inner: ObjectCluster,
+        acks: parking_lot::Mutex<HashMap<ObjectKey, Nanos>>,
+        early: AtomicU64,
+    }
+
+    impl AckChecked {
+        fn check(&self, port: &Port, key: ObjectKey) {
+            let ack = self.acks.lock().get(&key).copied().unwrap_or(0);
+            self.early.fetch_add(u64::from(port.now() < ack), Relaxed);
+        }
+    }
+
+    impl ObjectStore for AckChecked {
+        fn profile(&self) -> &arkfs_objstore::StoreProfile {
+            self.inner.profile()
+        }
+        fn put(&self, port: &Port, key: ObjectKey, data: Bytes) -> OsResult<()> {
+            self.inner.put(port, key, data)?;
+            self.acks.lock().insert(key, port.now());
+            Ok(())
+        }
+        fn get(&self, port: &Port, key: ObjectKey) -> OsResult<Bytes> {
+            self.check(port, key);
+            self.inner.get(port, key)
+        }
+        fn get_range(&self, port: &Port, key: ObjectKey, at: u64, len: usize) -> OsResult<Bytes> {
+            self.check(port, key);
+            self.inner.get_range(port, key, at, len)
+        }
+        fn put_range(&self, port: &Port, key: ObjectKey, at: u64, data: Bytes) -> OsResult<()> {
+            self.inner.put_range(port, key, at, data)
+        }
+        fn delete(&self, port: &Port, key: ObjectKey) -> OsResult<()> {
+            self.inner.delete(port, key)
+        }
+        fn head(&self, port: &Port, key: ObjectKey) -> OsResult<u64> {
+            self.inner.head(port, key)
+        }
+        fn list(
+            &self,
+            port: &Port,
+            kind: Option<arkfs_objstore::KeyKind>,
+            ino: Option<u128>,
+        ) -> OsResult<Vec<ObjectKey>> {
+            self.inner.list(port, kind, ino)
+        }
+    }
+
+    #[test]
+    fn no_read_fetches_a_chunk_before_its_put_is_acked() {
+        let store = AckChecked {
+            inner: ObjectCluster::new(ClusterConfig::test_tiny()),
+            acks: Default::default(),
+            early: Default::default(),
+        };
+        let policy = CachePolicy {
+            chunk_size: 64,
+            max_readahead: 256,
+            full_at_zero: true,
+            net_half_rtt: 1_000,
+        };
+        let (cache, port) = (parking_lot::Mutex::new(DataCache::new(4)), Port::new());
+        let lock = || cache.lock();
+        for chunk in 0..5u64 {
+            let at = chunk * 64;
+            cached_write(&store, &port, lock, 1, at, &[chunk as u8; 64], at, &policy).unwrap();
+        }
+        // The fifth write sent four chunks behind and waited for the
+        // first ack only.
+        let in_flight = (1..4).find(|&k| cache.lock().in_flight_until(1, [k]) > port.now());
+        let chunk = in_flight.expect("a chunk in flight");
+        // A random read of it fetches its range; a stream from 0 fills
+        // windows over the rest.
+        let (mut ra, mut buf) = (RaState::default(), [0u8; 32]);
+        let offsets = std::iter::once(chunk * 64 + 32).chain((0..320).step_by(32));
+        for at in offsets {
+            cached_read(&store, &port, lock, 1, at, &mut buf, 320, &mut ra, &policy).unwrap();
+            assert_eq!(buf, [(at / 64) as u8; 32], "at {at}");
+        }
+        assert_eq!(store.early.into_inner(), 0);
+    }
+
+    #[test]
+    fn in_flight_puts_hold_slots_until_their_acks() {
+        let mut c = DataCache::new(3);
+        for chunk in 0..3 {
+            c.write(1, chunk, 0, b"a");
+        }
+        let behind = c.write_many(1, 1, 3, b"b", HashMap::new(), 0);
+        // Every dirty chunk went behind, in LRU order; over capacity by
+        // one, the writer waits for the oldest PUT's ack, and whatever
+        // was acked by then frees its slot too.
+        let chunks: Vec<u64> = behind.iter().map(|e| e.chunk).collect();
+        assert_eq!(chunks, [0, 1, 2]);
+        let issued = [(1, 0, 500), (1, 1, 300), (1, 2, 900)];
+        assert_eq!(c.went_behind(issued, 100), 500);
+        assert_eq!((c.len(), c.in_flight()), (1, 1));
+        // A read of chunk 2 departs after its ack, a window leaves the
+        // slot it holds alone, and a write that fits does not wait.
+        assert_eq!(c.in_flight_until(1, [2, 3]), 900);
+        assert_eq!(c.claim_window(1, 3, 10, 700), (4, vec![]));
+        assert!(c.write_many(1, 1, 4, b"c", HashMap::new(), 700).is_empty());
+        assert_eq!(c.went_behind([], 700), 700);
+        // A drain forgets the file's PUTs and returns the last ack.
+        assert_eq!(c.drain(Some(2)), 0, "another file's PUTs stay");
+        assert_eq!((c.drain(None), c.in_flight()), (900, 0));
+        assert_eq!(c.stat(Stat::WriteBehind), 3);
+        assert_eq!(c.stat(Stat::WriteBehindWait), 1);
     }
 }

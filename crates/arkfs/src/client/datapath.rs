@@ -1,11 +1,12 @@
-//! Data-cache interaction: read-ahead policy, write-back, and the
+//! Data-cache interaction: read-ahead policy, write-behind, and the
 //! cached read/write paths (§III-D).
 //!
 //! All data I/O funnels through here: reads go through
 //! [`cached_read`] (streams fill the [`DataCache`], read-ahead window
 //! included, with pipelined multi-GETs; random reads fetch their range
-//! past it), writes land dirty in the cache (or go direct after a
-//! lease conflict) and dirty evictions flush as batched multi-PUTs.
+//! past it), writes through [`cached_write`] (dirty in the cache, or
+//! direct after a lease conflict; dirty evictions go behind the writer),
+//! and every hand-off of a file's bytes through [`flush`].
 //!
 //! The data cache is a rank-*Leaf* lock (see [`super::lockorder`]):
 //! every acquisition here is scoped to one cache pass and released
@@ -15,20 +16,39 @@
 
 use super::filetable::Held;
 use super::ArkClient;
-use crate::cache::{cached_read, fetch_fills, write_back, Evicted, ReadPolicy};
+use crate::cache::{cached_read, cached_write, flush, CachePolicy, FetchSpan};
 use arkfs_telemetry::PID_CLIENT;
 use arkfs_vfs::{FileHandle, FsError, FsResult, Ino};
 
 impl ArkClient {
-    /// Write back this client's dirty chunks of one file.
-    pub(crate) fn flush_file_data(&self, file: Ino) -> FsResult<()> {
-        let dirty = self.state.lock_cache().take_dirty(file);
-        self.write_back(dirty)
+    /// Write back this client's dirty chunks of one file (of every file
+    /// with `None`), once the PUTs behind its writes are acked.
+    pub(crate) fn flush_file_data(&self, file: Option<Ino>) -> FsResult<()> {
+        flush(
+            &**self.prt().store(),
+            &self.port,
+            self.state.lock_cache(),
+            file,
+        )
     }
 
-    /// Write back dirty chunks the cache evicted or a flush took.
-    pub(crate) fn write_back(&self, chunks: Vec<Evicted>) -> FsResult<()> {
-        write_back(&**self.prt().store(), &self.port, chunks)
+    fn cache_policy(&self) -> CachePolicy {
+        let config = self.config();
+        CachePolicy {
+            chunk_size: config.chunk_size,
+            max_readahead: config.max_readahead,
+            full_at_zero: config.readahead_full_at_zero,
+            net_half_rtt: config.spec.net_half_rtt,
+        }
+    }
+
+    /// Record a store wait of the cached data path on this client's
+    /// track when tracing.
+    fn trace_fetch(&self, fetch: Option<FetchSpan>) {
+        let tracer = &self.state.telemetry.tracer;
+        if let (Some(f), true) = (fetch, tracer.enabled()) {
+            tracer.record(PID_CLIENT, self.state.id.0, f.name, "cache", f.start, f.end);
+        }
     }
 
     /// The body of [`Vfs::read`]: direct mode, or [`cached_read`] under
@@ -59,13 +79,6 @@ impl ArkClient {
             ra.last_pos = offset + n as u64;
             n
         } else {
-            let config = self.config();
-            let policy = ReadPolicy {
-                chunk_size: config.chunk_size,
-                max_readahead: config.max_readahead,
-                full_at_zero: config.readahead_full_at_zero,
-                net_half_rtt: config.spec.net_half_rtt,
-            };
             let (n, fetch) = cached_read(
                 &**self.prt().store(),
                 &self.port,
@@ -75,22 +88,18 @@ impl ArkClient {
                 buf,
                 size,
                 &mut ra,
-                &policy,
+                &self.cache_policy(),
             )?;
-            let tracer = &self.state.telemetry.tracer;
-            if let (Some(f), true) = (fetch, tracer.enabled()) {
-                tracer.record(PID_CLIENT, self.state.id.0, f.name, "cache", f.start, f.end);
-            }
-            self.port.advance(config.spec.local_meta_op);
+            self.trace_fetch(fetch);
+            self.port.advance(self.config().spec.local_meta_op);
             n
         };
         let _ = self.state.files.update(fh.0, |h| h.ra = ra);
         Ok(n)
     }
 
-    /// The body of [`Vfs::write`]: write-back caching under the write
-    /// lease the handle's first write takes, or direct PUTs after a
-    /// conflict.
+    /// The body of [`Vfs::write`]: [`cached_write`] under the write lease
+    /// the handle's first write takes, or direct PUTs after a conflict.
     ///
     /// [`Vfs::write`]: arkfs_vfs::Vfs::write
     pub(crate) fn write_impl(&self, fh: FileHandle, offset: u64, data: &[u8]) -> FsResult<usize> {
@@ -116,21 +125,17 @@ impl ArkClient {
         };
 
         if lease == Held::Write {
-            let chunk_size = self.config().chunk_size;
-            // Partial overwrites of store-resident chunks need the old
-            // bytes in cache first (read-modify in cache): every missing
-            // one comes in a single pipelined multi-GET. Then one cache
-            // pass for the whole span; dirty evictions from the entire
-            // call flush as a single write-back batch.
-            let (state, len) = (&self.state, data.len());
-            let need_fill = state
-                .lock_cache()
-                .rmw_chunks(ino, chunk_size, size, offset, len);
-            let fills = fetch_fills(&**self.prt().store(), &self.port, ino, &need_fill)?;
-            let evicted = state
-                .lock_cache()
-                .write_many(ino, chunk_size, offset, data, fills);
-            self.write_back(evicted)?;
+            let fetch = cached_write(
+                &**self.prt().store(),
+                &self.port,
+                || self.state.lock_cache(),
+                ino,
+                offset,
+                data,
+                size,
+                &self.cache_policy(),
+            )?;
+            self.trace_fetch(fetch);
             self.port.advance(self.config().spec.local_meta_op);
         } else {
             self.prt().write_data(&self.port, ino, offset, data)?;

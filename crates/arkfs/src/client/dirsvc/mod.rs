@@ -42,7 +42,7 @@ mod ops;
 
 use super::lockorder::{self, Rank, RankGuard};
 use super::{ArkClient, ClientState, MAX_LEASE_RETRIES};
-use crate::cache::write_back;
+use crate::cache::flush;
 use crate::cluster::manager_node;
 use crate::meta::InodeRecord;
 use crate::metatable::{Deposit, Metatable};
@@ -615,11 +615,12 @@ impl ClientState {
     }
 
     /// Write back and drop our cached chunks of `file` (leader-initiated
-    /// cache flush, §III-D). Also flips matching open handles to direct
-    /// mode.
+    /// cache flush, §III-D), answering only once every PUT of it is
+    /// acked, those behind our writes included. Also flips matching open
+    /// handles to direct mode.
     pub(crate) fn serve_flush(&self, port: &Port, file: Ino) -> OpResponse {
-        let dirty = self.lock_cache().take_dirty(file);
-        if let Err(e) = write_back(&**self.cluster.prt().store(), port, dirty) {
+        let store = &**self.cluster.prt().store();
+        if let Err(e) = flush(store, port, self.lock_cache(), Some(file)) {
             return OpResponse::Err(e);
         }
         self.lock_cache().invalidate_file(file);

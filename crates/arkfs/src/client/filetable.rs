@@ -240,7 +240,7 @@ impl ArkClient {
             OpResponse::Lease(FileLeaseDecision::Direct { .. }) => {
                 // Our own cached data must go to the store before direct
                 // mode.
-                self.flush_file_data(file)?;
+                self.flush_file_data(Some(file))?;
                 self.state.lock_cache().invalidate_file(file);
                 Held::Direct
             }

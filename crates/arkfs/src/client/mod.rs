@@ -509,6 +509,14 @@ impl ArkClient {
         self.state.lock_cache().stat(stat)
     }
 
+    /// When the PUT of `chunk` of `file` that went behind this client's
+    /// writes is acked, if it is still in flight (else 0): no read of the
+    /// chunk, here or after the file's bytes are handed on, returns
+    /// earlier.
+    pub fn write_behind_until(&self, file: Ino, chunk: u64) -> Nanos {
+        self.state.lock_cache().in_flight_until(file, [chunk])
+    }
+
     /// File-lease releases the leader rejected or that never reached it
     /// (`lease.release_failed.count`).
     pub fn lease_release_failures(&self) -> u64 {
@@ -595,8 +603,7 @@ impl ArkClient {
     /// entries of written files" step, §IV-B). Dirty chunks are flushed
     /// first.
     pub fn drop_data_cache(&self) -> FsResult<()> {
-        let dirty = self.state.lock_cache().take_all_dirty();
-        self.write_back(dirty)?;
+        self.flush_file_data(None)?;
         *self.state.lock_cache() = self.state.fresh_cache(self.config().cache_entries);
         Ok(())
     }

@@ -375,7 +375,7 @@ impl Vfs for ArkClient {
                     (h.ino, h.parent, h.name.clone(), h.size, h.wrote, h.lease)
                 })
                 .ok_or(FsError::BadHandle)?;
-            self.flush_file_data(ino)?;
+            self.flush_file_data(Some(ino))?;
             // Hand back only what was taken. A written handle's release
             // rides on its size push when one leader serves both.
             let mut release = matches!(lease, Held::Read | Held::Write);
@@ -442,7 +442,7 @@ impl Vfs for ArkClient {
                 .files
                 .get(fh.0, |h| (h.ino, h.parent, h.name.clone(), h.size, h.wrote))
                 .ok_or(FsError::BadHandle)?;
-            self.flush_file_data(ino)?;
+            self.flush_file_data(Some(ino))?;
             if wrote {
                 self.push_size(ctx, parent, &name, ino, size, false)?;
                 let _ = self.state.files.update(fh.0, |h| {
@@ -692,13 +692,19 @@ impl Vfs for ArkClient {
                     size,
                 },
             )?;
-            if size < rec.size {
+            // The leader's size is stale while a handle of ours has not
+            // pushed its own: what that handle wrote past `size` must go
+            // too.
+            let old = rec
+                .size
+                .max(self.state.files.max_open_size(ino).unwrap_or(0));
+            if size < old {
                 // Flush surviving dirty data, then drop all cached chunks:
                 // the boundary chunk's cached copy is stale after the store
                 // trims it.
-                self.flush_file_data(ino)?;
+                self.flush_file_data(Some(ino))?;
                 self.state.lock_cache().invalidate_file(ino);
-                self.prt().truncate_data(&self.port, ino, rec.size, size)?;
+                self.prt().truncate_data(&self.port, ino, old, size)?;
             }
             self.state.files.set_size_for(ino, size);
             Ok(())
@@ -804,9 +810,9 @@ impl Vfs for ArkClient {
 
     fn sync_all(&self, ctx: &Credentials) -> FsResult<()> {
         self.traced("op.sync_all", || {
-            // 1. All dirty data chunks, pipelined.
-            let dirty = self.state.lock_cache().take_all_dirty();
-            self.write_back(dirty)?;
+            // 1. All dirty data chunks, pipelined, once every PUT behind
+            // the writers is acked.
+            self.flush_file_data(None)?;
             // 2. Size updates for written handles. In async mode a push
             // to a *remote* leader is acked before durability, so each
             // parent is remembered: any not flushed locally below gets

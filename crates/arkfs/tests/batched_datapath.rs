@@ -347,3 +347,167 @@ fn mixed_reads_on_s3() {
 fn mixed_reads_on_erasure_coding() {
     mixed_reads_return_what_was_written(rados().with_erasure_coding(4));
 }
+
+// ---- the cached write path, cache smaller than the file ------------------
+
+const MIB_CHUNK: u64 = 2 * MIB;
+
+/// A store over `config` and one client of a deployment on it with a
+/// 6-entry (12 MiB) cache, writing the 32 MiB file `/w` in 128 KiB
+/// requests without syncing: ten of its 16 chunks have gone behind the
+/// writer, the last few of them still in flight. Returns the handle and
+/// the file's ino too.
+fn written_behind(
+    config: ClusterConfig,
+) -> (
+    Arc<ObjectCluster>,
+    Arc<ArkCluster>,
+    Arc<ArkClient>,
+    FileHandle,
+    u128,
+) {
+    let store = Arc::new(ObjectCluster::new(config));
+    let cluster = ArkCluster::new(
+        ArkConfig {
+            cache_entries: 6,
+            ..ArkConfig::default()
+        },
+        Arc::clone(&store) as Arc<dyn ObjectStore>,
+    );
+    let c = cluster.client();
+    let ctx = Credentials::root();
+    let fh = c.create(&ctx, "/w", 0o644).unwrap();
+    for offset in (0..FILE).step_by(REQUEST) {
+        let block: Vec<u8> = (offset..offset + REQUEST as u64).map(file_byte).collect();
+        c.write(&ctx, fh, offset, &block).unwrap();
+    }
+    assert!(c.cache_stat(Stat::WriteBehind) >= 10);
+    let ino = c.stat(&ctx, "/w").unwrap().ino;
+    (store, cluster, c, fh, ino)
+}
+
+/// The last ack of the PUTs still in flight behind `c`'s writes of `ino`.
+fn last_ack(c: &ArkClient, ino: u128) -> u64 {
+    (0..FILE / MIB_CHUNK)
+        .map(|chunk| c.write_behind_until(ino, chunk))
+        .max()
+        .unwrap()
+}
+
+/// The file round-trips byte-exact, and `fsync` returns no earlier than
+/// the last PUT that went behind the writer is acked.
+fn a_file_larger_than_the_cache_round_trips(config: ClusterConfig) {
+    let (_, _, c, fh, ino) = written_behind(config);
+    let ctx = Credentials::root();
+    let acked = last_ack(&c, ino);
+    c.fsync(&ctx, fh).unwrap();
+    assert!(c.port().now() >= acked);
+    assert_eq!(last_ack(&c, ino), 0);
+    c.close(&ctx, fh).unwrap();
+    c.drop_data_cache().unwrap();
+    let fh = c.open(&ctx, "/w", OpenFlags::RDONLY).unwrap();
+    for offset in (0..FILE).step_by(REQUEST) {
+        read_checked(&c, fh, offset, REQUEST, file_byte);
+    }
+}
+
+#[test]
+fn write_behind_round_trips_on_rados() {
+    a_file_larger_than_the_cache_round_trips(rados());
+}
+
+#[test]
+fn write_behind_round_trips_on_s3() {
+    let mut store = rados();
+    store.profile = StoreProfile::s3(&store.spec);
+    a_file_larger_than_the_cache_round_trips(store);
+}
+
+#[test]
+fn write_behind_round_trips_on_erasure_coding() {
+    a_file_larger_than_the_cache_round_trips(rados().with_erasure_coding(4));
+}
+
+#[test]
+fn fsync_returns_after_the_puts_behind_the_writer_are_acked() {
+    let (_, _, c, fh, ino) = written_behind(rados());
+    let ctx = Credentials::root();
+    // Two whole chunks of a second file send the last dirty chunk of
+    // `/w` behind too: its fsync has nothing left to PUT, only acks to
+    // wait for.
+    let g = c.create(&ctx, "/g", 0o644).unwrap();
+    let chunk = vec![7u8; MIB_CHUNK as usize];
+    for offset in [0, MIB_CHUNK] {
+        c.write(&ctx, g, offset, &chunk).unwrap();
+    }
+    let acked = last_ack(&c, ino);
+    assert!(acked > c.port().now(), "nothing in flight");
+    c.fsync(&ctx, fh).unwrap();
+    assert!(c.port().now() >= acked);
+}
+
+#[test]
+fn a_read_of_a_chunk_in_flight_waits_for_its_ack() {
+    let (_, _, c, fh, ino) = written_behind(rados());
+    // The chunk that went behind last: its ack is a whole PUT away.
+    let chunk = (0..FILE / MIB_CHUNK)
+        .max_by_key(|&k| c.write_behind_until(ino, k))
+        .unwrap();
+    let acked = c.write_behind_until(ino, chunk);
+    assert!(acked > c.port().now(), "nothing in flight");
+    // A read that breaks the sequence fetches its range, after the ack.
+    let at = chunk * MIB_CHUNK + REQUEST as u64;
+    read_checked(&c, fh, at, REQUEST, file_byte);
+    assert!(c.port().now() >= acked);
+    // From there on a stream, over dirty, flushed and resident chunks.
+    for offset in (at + REQUEST as u64..FILE).step_by(REQUEST) {
+        read_checked(&c, fh, offset, REQUEST, file_byte);
+    }
+    assert_eq!(c.cache_stat(Stat::FillLost), 0);
+}
+
+#[test]
+fn a_put_refused_behind_the_writer_fails_the_write_that_issued_it() {
+    let (store, _, c, fh, _) = written_behind(rados());
+    let ctx = Credentials::root();
+    c.fsync(&ctx, fh).unwrap();
+    // Six chunks of a second file fill the cache; the seventh sends them
+    // behind, and the store refuses the first of their PUTs.
+    let g = c.create(&ctx, "/g", 0o644).unwrap();
+    let block = vec![7u8; REQUEST];
+    for offset in (0..6 * MIB_CHUNK).step_by(REQUEST) {
+        c.write(&ctx, g, offset, &block).unwrap();
+    }
+    store
+        .faults
+        .fail_next_puts(1, Some(arkfs_objstore::KeyKind::Data));
+    assert!(c.write(&ctx, g, 6 * MIB_CHUNK, &block).is_err());
+    assert!(c
+        .write(&ctx, g, 6 * MIB_CHUNK + REQUEST as u64, &block)
+        .is_ok());
+}
+
+#[test]
+fn a_second_client_reads_what_went_behind_after_its_ack() {
+    // The file's size is known, and the writer overwrites it in whole
+    // chunks (nothing to read first): its PUTs go behind again.
+    let (_, cluster, c, fh, ino) = written_behind(rados());
+    let ctx = Credentials::root();
+    c.fsync(&ctx, fh).unwrap();
+    let new = |offset: u64| !file_byte(offset);
+    for offset in (0..FILE).step_by(MIB_CHUNK as usize) {
+        let block: Vec<u8> = (offset..offset + MIB_CHUNK).map(new).collect();
+        c.write(&ctx, fh, offset, &block).unwrap();
+    }
+    let acked = last_ack(&c, ino);
+    assert!(acked > c.port().now(), "nothing in flight");
+    // A second client's read lease conflicts with the writer's write
+    // lease: the leader's flush request makes the writer drain its PUTs
+    // and go direct, and only then is the read served.
+    let reader = cluster.client();
+    let rfh = reader.open(&ctx, "/w", OpenFlags::RDONLY).unwrap();
+    read_checked(&reader, rfh, FILE - REQUEST as u64, REQUEST, new);
+    assert!(reader.port().now() >= acked);
+    assert_eq!(last_ack(&c, ino), 0, "the writer drained");
+    read_checked(&reader, rfh, 0, REQUEST, new);
+}

@@ -178,6 +178,26 @@ fn truncate_shrinks_and_extends() {
 }
 
 #[test]
+fn truncate_drops_what_an_open_handle_has_not_pushed() {
+    // Three 64-byte chunks written, not synced: the leader still thinks
+    // the file is empty. Truncating to half a chunk must drop the
+    // handle's cached tail, or it is flushed and reappears once the file
+    // grows past it again.
+    let c = cluster().client();
+    let ctx = root();
+    let fh = c.create(&ctx, "/t.bin", 0o644).unwrap();
+    c.write(&ctx, fh, 0, &[7u8; 192]).unwrap();
+    c.truncate(&ctx, "/t.bin", 32).unwrap();
+    c.write(&ctx, fh, 192, &[9]).unwrap();
+    c.close(&ctx, fh).unwrap();
+    let data = read_file(&*c, &ctx, "/t.bin").unwrap();
+    assert_eq!(data.len(), 193);
+    assert!(data[..32].iter().all(|&b| b == 7));
+    assert!(data[32..192].iter().all(|&b| b == 0), "stale bytes");
+    assert_eq!(data[192], 9);
+}
+
+#[test]
 fn open_flags_are_enforced() {
     let c = cluster().client();
     let ctx = root();

@@ -527,6 +527,9 @@ enum FileOp {
     Write(u64, usize, u8),
     Truncate(u64),
     DropCache,
+    /// A second client opens the file and reads all of it: its read
+    /// lease drains the first client's cache, PUTs in flight included.
+    ReadElsewhere,
 }
 
 fn arb_file_op() -> impl Strategy<Value = FileOp> {
@@ -538,14 +541,16 @@ fn arb_file_op() -> impl Strategy<Value = FileOp> {
             .prop_map(|(offset, len, seed)| FileOp::Write(offset, len, seed)),
         (0u64..1200).prop_map(FileOp::Truncate),
         Just(FileOp::DropCache),
+        Just(FileOp::ReadElsewhere),
     ]
 }
 
 proptest! {
     /// One handle on one file of 64-byte chunks (256-byte read-ahead)
     /// through caches from one entry up: whatever mix of streaming and
-    /// random reads, writes, truncates and cache drops, a read returns
-    /// the model's bytes, and no fill loses a chunk it installed.
+    /// random reads, writes (whose dirty evictions go behind the writer),
+    /// truncates, cache drops and reads by a second client, a read
+    /// returns the model's bytes, and no fill loses a chunk it installed.
     #[test]
     fn cached_reads_agree_with_a_byte_vector_model(
         entries in prop_oneof![Just(1usize), Just(2usize), Just(3usize), Just(6usize)],
@@ -556,7 +561,8 @@ proptest! {
 
         let config = ArkConfig { cache_entries: entries, ..ArkConfig::test_tiny() };
         let store = Arc::new(ObjectCluster::new(ClusterConfig::test_tiny()));
-        let c = ArkCluster::new(config, store).client();
+        let cluster = ArkCluster::new(config, store);
+        let (c, other) = (cluster.client(), cluster.client());
         let ctx = Credentials::root();
         let created = c.create(&ctx, "/f", 0o644).unwrap();
         c.close(&ctx, created).unwrap();
@@ -576,14 +582,20 @@ proptest! {
                     continue;
                 }
                 FileOp::Truncate(size) => {
-                    // The leader learns the handle's size first.
-                    c.fsync(&ctx, fh).unwrap();
                     c.truncate(&ctx, "/f", size).unwrap();
                     model.resize(size as usize, 0);
                     continue;
                 }
                 FileOp::DropCache => {
                     c.drop_data_cache().unwrap();
+                    continue;
+                }
+                FileOp::ReadElsewhere => {
+                    // It sees the size the leader knows: what the handle
+                    // has pushed, never more than the model.
+                    let got = arkfs_vfs::read_file(&*other, &ctx, "/f").unwrap();
+                    prop_assert!(got.len() <= model.len());
+                    prop_assert_eq!(&got[..], &model[..got.len()]);
                     continue;
                 }
             };
@@ -603,6 +615,10 @@ proptest! {
 // ---- cache LRU invariants -----------------------------------------------------
 
 proptest! {
+    /// Dirty evictions go behind the writer with acks out of order (a
+    /// latency drawn from the written byte): resident entries plus PUTs
+    /// in flight never exceed capacity once a write returns, and no write
+    /// is lost.
     #[test]
     fn cache_never_exceeds_capacity_and_never_loses_dirty_data(
         capacity in 1usize..16,
@@ -610,21 +626,28 @@ proptest! {
     ) {
         let mut cache = DataCache::new(capacity);
         // Ground truth of every chunk ever written, and where flushed
-        // bytes went.
+        // bytes went (the store applies a PUT's bytes at issue).
         let mut truth: HashMap<(u128, u64), u8> = HashMap::new();
         let mut store: HashMap<(u128, u64), u8> = HashMap::new();
+        let mut now = 0;
         for (ino, chunk, val, is_write) in ops {
+            now += 10;
             if is_write {
-                let evicted = cache.write(ino, chunk, 0, &[val]);
+                let behind = cache.write_many(ino, 1, chunk, &[val], HashMap::new(), now);
                 truth.insert((ino, chunk), val);
-                for e in evicted {
+                let ack = now + 1 + u64::from(val % 64);
+                for e in &behind {
                     store.insert((e.ino, e.chunk), e.data[0]);
                 }
+                let issued = behind.iter().map(|e| (e.ino, e.chunk, ack + e.chunk));
+                let until = cache.went_behind(issued.collect::<Vec<_>>(), now);
+                prop_assert!(until >= now);
+                now = until;
             } else if let Some(data) = cache.get(ino, chunk) {
                 // A cached chunk always reflects the latest write.
                 prop_assert_eq!(data[0], truth[&(ino, chunk)]);
             }
-            prop_assert!(cache.len() <= capacity);
+            prop_assert!(cache.len() + cache.in_flight() <= capacity);
         }
         // Flush everything left; store + flush must cover every write
         // with the LATEST value (no dirty data lost or reordered stale).

@@ -1,11 +1,9 @@
 //! Shared chunked, cached data path for the baseline file systems: a
 //! page-cache-like write-back cache with CephFS-style read-ahead over
-//! chunked data objects. (ArkFS has its own variant wired into its file
-//! leases; the baselines share this one.)
+//! chunked data objects: the cached read and write paths of ArkFS
+//! clients (`arkfs::cache`), without ArkFS's file leases.
 
-use arkfs::cache::{
-    cached_read, fetch_fills, registry_counters, write_back, DataCache, Evicted, ReadPolicy,
-};
+use arkfs::cache::{cached_read, cached_write, flush, registry_counters, CachePolicy, DataCache};
 use arkfs::prt::truncate_chunks;
 use arkfs_objstore::ObjectStore;
 use arkfs_simkit::{Nanos, Port};
@@ -18,7 +16,7 @@ pub use arkfs::cache::RaState;
 /// Chunked cached file I/O over an object store.
 pub struct DataPath {
     store: Arc<dyn ObjectStore>,
-    pub policy: ReadPolicy,
+    pub policy: CachePolicy,
 }
 
 impl DataPath {
@@ -29,7 +27,7 @@ impl DataPath {
         net_half_rtt: Nanos,
     ) -> Self {
         assert!(chunk_size > 0);
-        let policy = ReadPolicy {
+        let policy = CachePolicy {
             chunk_size,
             max_readahead,
             full_at_zero: true,
@@ -55,10 +53,6 @@ pub(crate) fn counted_cache(store: &Arc<dyn ObjectStore>, entries: usize) -> Dat
 }
 
 impl DataPath {
-    fn write_back(&self, port: &Port, chunks: Vec<Evicted>) -> FsResult<()> {
-        write_back(&*self.store, port, chunks)
-    }
-
     /// Cached read with read-ahead; updates `ra` for sequentiality.
     #[allow(clippy::too_many_arguments)]
     pub fn read(
@@ -86,28 +80,28 @@ impl DataPath {
         data: &[u8],
         size_before: u64,
     ) -> FsResult<()> {
-        // Fetch every read-modify-write fill in one pipelined multi-GET,
-        // apply the whole span in one cache pass, and flush all evictions
-        // as a single write-back batch.
-        let cs = self.policy.chunk_size;
-        let need_fill = cache
-            .lock()
-            .rmw_chunks(ino, cs, size_before, offset, data.len());
-        let fills = fetch_fills(&*self.store, port, ino, &need_fill)?;
-        let evicted = cache.lock().write_many(ino, cs, offset, data, fills);
-        self.write_back(port, evicted)
+        let (store, lock) = (&*self.store, || cache.lock());
+        cached_write(
+            store,
+            port,
+            lock,
+            ino,
+            offset,
+            data,
+            size_before,
+            &self.policy,
+        )
+        .map(|_| ())
     }
 
     /// Flush one file's dirty chunks to the store.
     pub fn flush(&self, port: &Port, cache: &Mutex<DataCache>, ino: Ino) -> FsResult<()> {
-        let dirty = cache.lock().take_dirty(ino);
-        self.write_back(port, dirty)
+        flush(&*self.store, port, cache.lock(), Some(ino))
     }
 
     /// Flush everything (global sync).
     pub fn flush_all(&self, port: &Port, cache: &Mutex<DataCache>) -> FsResult<()> {
-        let dirty = cache.lock().take_all_dirty();
-        self.write_back(port, dirty)
+        flush(&*self.store, port, cache.lock(), None)
     }
 
     /// Truncate the data objects of a file from `old_size` down to

@@ -5,6 +5,8 @@
 //! * group commit across co-laned directories (grouped vs per-dir
 //!   sealing, journal flights and txns-per-flight),
 //! * read-ahead policy (none / doubling / immediate-max-at-zero),
+//! * a cache smaller than the file (read-ahead that outlives what is
+//!   behind it, ranged random reads, dirty evictions behind the writer),
 //! * permission caching (also Figure 7, measured here at small scale),
 //! * dentry bucket count (dirty-bucket write amplification),
 //! * lease period (extension traffic vs takeover latency),
@@ -26,20 +28,25 @@ const SCALE: Scale = Scale {
     files: 20_000,
     procs: 16,
     clients: 4096,
-    // Per-client file of the small-cache read rows.
+    // Per-client file of the small-cache rows.
     mib: 32,
     full: false,
 };
 
-// Keys of the small-cache read records (`BENCH_ablate.json`).
+// Keys of the small-cache records (`BENCH_ablate.json`).
 const CACHE_ENTRIES: &str = "cache_entries";
 const READERS: &str = "clients";
+const WRITE_MIB_S: &str = "write_mib_s";
+const WRITE_AMP: &str = "write_store_bytes_per_byte";
+const PEAK_BUFFERS: &str = "peak_buffers";
 const SEQ_MIB_S: &str = "seqread_mib_s";
 const SEQ_AMP: &str = "seqread_store_bytes_per_byte";
 const RAND_MIB_S: &str = "randread_mib_s";
 const RAND_AMP: &str = "randread_store_bytes_per_byte";
 const FILLS_LOST: &str = "fills_lost";
 const EVICTED_UNREAD: &str = "prefetch_evicted_unread";
+/// Write + fsync bandwidth a 6-entry cache must keep of a 256-entry one.
+const WRITE_FLOOR: f64 = 0.45;
 
 pub const FIGURE: Figure = Figure {
     name: "ablate",
@@ -55,11 +62,14 @@ pub const FIGURE: Figure = Figure {
         ..SCALE
     },
     tables: &["ablations"],
-    // One record per small-cache read row (§4b); the other tables are
+    // One record per small-cache row (§4b, §4c); the other tables are
     // text only.
     metrics: &[
         Metric::Given(READERS),
         Metric::Given(CACHE_ENTRIES),
+        Metric::Given(WRITE_MIB_S),
+        Metric::Given(WRITE_AMP),
+        Metric::Given(PEAK_BUFFERS),
         Metric::Given(SEQ_MIB_S),
         Metric::Given(SEQ_AMP),
         Metric::Given(RAND_MIB_S),
@@ -72,18 +82,32 @@ pub const FIGURE: Figure = Figure {
 };
 
 /// A cache smaller than the file must cost a stream next to nothing and
-/// nobody a second fetch: per client count, sequential bandwidth at 6
-/// entries is at least 0.8x that at 256, and no row reads more than
-/// 1.1 store bytes per user byte, evicts read-ahead unread or loses a
-/// fill.
+/// nobody a second fetch or a second buffer: per client count,
+/// sequential read bandwidth at 6 entries is at least 0.8x that at 256
+/// and write + fsync bandwidth at least WRITE_FLOOR x; no row reads more
+/// than 1.1 or writes more than 1.01 store bytes per user byte, holds
+/// more chunk buffers than it has entries, evicts read-ahead unread or
+/// loses a fill.
 fn small_cache_shape(records: &[Record]) -> Result<(), String> {
     // (The schema check has already refused a record without a key.)
     let get = |r: &Record, key| r.get(key).unwrap_or(f64::INFINITY);
     for r in records {
-        for key in [SEQ_AMP, RAND_AMP] {
-            if get(r, key) > 1.1 {
-                return Err(format!("{}: {key} = {:.2} > 1.1", r.system, get(r, key)));
+        for (key, bound) in [(SEQ_AMP, 1.1), (RAND_AMP, 1.1), (WRITE_AMP, 1.01)] {
+            if get(r, key) > bound {
+                return Err(format!(
+                    "{}: {key} = {:.2} > {bound}",
+                    r.system,
+                    get(r, key)
+                ));
             }
+        }
+        if get(r, PEAK_BUFFERS) > get(r, CACHE_ENTRIES) {
+            return Err(format!(
+                "{}: {} chunk buffers held in {} entries",
+                r.system,
+                get(r, PEAK_BUFFERS),
+                get(r, CACHE_ENTRIES)
+            ));
         }
         for key in [FILLS_LOST, EVICTED_UNREAD] {
             if get(r, key) != 0.0 {
@@ -93,12 +117,18 @@ fn small_cache_shape(records: &[Record]) -> Result<(), String> {
         let big = records.iter().find(|b| {
             get(b, READERS) == get(r, READERS) && get(b, CACHE_ENTRIES) > get(r, CACHE_ENTRIES)
         });
-        let (small, big) = (get(r, SEQ_MIB_S), big.map_or(0.0, |b| get(b, SEQ_MIB_S)));
-        if small < 0.8 * big {
-            return Err(format!(
-                "{}: sequential {small:.0} MiB/s < 0.8 x {big:.0} MiB/s with the whole file cached",
-                r.system
-            ));
+        for (what, key, floor) in [
+            ("sequential read", SEQ_MIB_S, 0.8),
+            ("write + fsync", WRITE_MIB_S, WRITE_FLOOR),
+        ] {
+            let (small, big) = (get(r, key), big.map_or(0.0, |b| get(b, key)));
+            if small < floor * big {
+                return Err(format!(
+                    "{}: {what} {small:.0} MiB/s < {floor} x {big:.0} MiB/s with the whole file \
+                     cached",
+                    r.system
+                ));
+            }
         }
     }
     Ok(())
@@ -154,28 +184,32 @@ fn read_bandwidth(max_readahead: u64, full_at_zero: bool) -> f64 {
 
 /// The benchmark's `fio_seq` shape — `n` clients, a private file of `mib`
 /// MiB each, 128 KiB requests, default 2 MiB chunks and 8 MiB read-ahead
-/// — through caches of `entries` chunks: [`fio`]'s write and sequential
-/// read, then a quarter of the file read at random on a dropped cache.
-/// Returns the fleet and, per read phase, MiB/s and store bytes read per
-/// user byte.
-fn small_cache_reads(entries: usize, n: usize, mib: u64) -> (System, [f64; 4]) {
+/// — through caches of `entries` chunks: [`fio`]'s write + fsync and
+/// sequential read, then a quarter of the file read at random on a
+/// dropped cache. Returns the fleet and the record's measured keys: per
+/// phase MiB/s and store bytes moved per user byte, and the most chunk
+/// buffers a client cache held.
+fn small_cache_fio(entries: usize, n: usize, mib: u64) -> (System, Vec<(&'static str, f64)>) {
     let config = ArkConfig {
         cache_entries: entries,
         ..ArkConfig::default()
     };
     let system = ark_fleet(n, config, true);
     let clients = &system.clients;
-    let read_bytes = || {
-        let telemetry = system.telemetry().expect("ArkFS telemetry");
-        telemetry.registry.counter("store.read.bytes").get() as f64
-    };
+    let telemetry = system.telemetry().expect("ArkFS telemetry");
+    let moved = |name| telemetry.registry.counter(name).get() as f64;
     let cfg = FioConfig {
         file_size: mib << 20,
         request_size: 128 * 1024,
     };
-    // Whole-chunk writes read nothing: every store byte is the read's.
+    // Whole-chunk writes read nothing: every store byte read is the
+    // reads'; the reads write nothing but metadata.
+    let written = moved("store.write.bytes");
     let seq = fio(clients, &cfg).expect("fio");
-    let seq_bytes = read_bytes();
+    let (written, seq_bytes) = (
+        moved("store.write.bytes") - written,
+        moved("store.read.bytes"),
+    );
     clients.iter().for_each(|c| c.drop_caches());
 
     // Never block 0 (a read there is a stream's first), never where the
@@ -199,11 +233,18 @@ fn small_cache_reads(entries: usize, n: usize, mib: u64) -> (System, [f64; 4]) {
     barrier(clients);
     let rand_s = (clients[0].port().now() - start) as f64 / 1e9;
     let rand_user = (n as u64 * quarter * cfg.request_size as u64) as f64;
-    let measured = [
-        seq.read_mib_s(),
-        seq_bytes / seq.bytes as f64,
-        rand_user / (1 << 20) as f64 / rand_s,
-        (read_bytes() - seq_bytes) / rand_user,
+    let peak = telemetry.registry.gauge("cache.buffers.peak").get() as f64;
+    let measured = vec![
+        (WRITE_MIB_S, seq.write_mib_s()),
+        (WRITE_AMP, written / seq.bytes as f64),
+        (PEAK_BUFFERS, peak),
+        (SEQ_MIB_S, seq.read_mib_s()),
+        (SEQ_AMP, seq_bytes / seq.bytes as f64),
+        (RAND_MIB_S, rand_user / (1 << 20) as f64 / rand_s),
+        (
+            RAND_AMP,
+            (moved("store.read.bytes") - seq_bytes) / rand_user,
+        ),
     ];
     (system, measured)
 }
@@ -437,37 +478,46 @@ fn ablate(run: &mut Run) -> Result<(), String> {
     //     a sequential column far below the 256-entry one and more than
     //     one store byte per user byte; whole chunks fetched for random
     //     requests as 16 store bytes per user byte.
-    let mut rows = Vec::new();
+    // 4c. The writes of the same runs: a writer waiting for the PUT of
+    //     every dirty chunk it evicts shows as a 6-entry write column far
+    //     below the 256-entry one; dirty chunks queued for the store on
+    //     top of the cache as more buffers held than entries.
+    let (mut reads, mut writes) = (Vec::new(), Vec::new());
     for (n, entries) in [(1, 6), (1, 256), (8, 6), (8, 256)] {
-        let (system, measured) = small_cache_reads(entries, n, run.scale.mib);
+        let (system, mut given) = small_cache_fio(entries, n, run.scale.mib);
         system.no_lost_fills()?;
-        let [seq, seq_amp, rand, rand_amp] = measured;
+        given.extend([(READERS, n as f64), (CACHE_ENTRIES, entries as f64)]);
         let telemetry = system.telemetry();
         let sample = Sample {
             telemetry: telemetry.as_deref(),
-            given: &[
-                (READERS, n as f64),
-                (CACHE_ENTRIES, entries as f64),
-                (SEQ_MIB_S, seq),
-                (SEQ_AMP, seq_amp),
-                (RAND_MIB_S, rand),
-                (RAND_AMP, rand_amp),
-            ],
+            given: &given,
             ..Sample::default()
         };
         run.record("small-cache", &format!("ArkFS-C{n}-E{entries}"), &sample);
-        let mut row = vec![n.to_string(), entries.to_string()];
-        row.extend([format!("{seq:.0}"), format!("{seq_amp:.2}")]);
-        row.extend([format!("{rand:.0}"), format!("{rand_amp:.2}")]);
-        rows.push(row);
+        let cell = |key, digits| {
+            let (_, v) = given.iter().find(|(k, _)| *k == key).expect("measured");
+            format!("{v:.digits$}")
+        };
+        let row = |cells: Vec<String>| [vec![n.to_string(), entries.to_string()], cells].concat();
+        reads.push(row(vec![
+            cell(SEQ_MIB_S, 0),
+            cell(SEQ_AMP, 2),
+            cell(RAND_MIB_S, 0),
+            cell(RAND_AMP, 2),
+        ]));
+        writes.push(row(vec![
+            cell(WRITE_MIB_S, 0),
+            cell(PEAK_BUFFERS, 0),
+            cell(WRITE_AMP, 2),
+        ]));
     }
+    let sizes = format!(
+        "{} MiB per client, 2 MiB chunks, 128 KiB requests",
+        run.scale.mib
+    );
     run.table(
         OUT,
-        &format!(
-            "Ablation: cache smaller than the file ({} MiB per client, 2 MiB chunks, 128 KiB \
-             requests)",
-            run.scale.mib
-        ),
+        &format!("Ablation: cache smaller than the file ({sizes})"),
         &[
             "clients",
             "cache entries",
@@ -476,7 +526,19 @@ fn ablate(run: &mut Run) -> Result<(), String> {
             "random MiB/s",
             "store B/B",
         ],
-        &rows,
+        &reads,
+    );
+    run.table(
+        OUT,
+        &format!("Ablation: cache smaller than the file, writes ({sizes})"),
+        &[
+            "clients",
+            "cache entries",
+            "write + fsync MiB/s",
+            "peak buffers",
+            "store B/B",
+        ],
+        &writes,
     );
 
     // 5. Lease period: shorter periods mean more manager traffic.
@@ -853,35 +915,72 @@ fn shared_client_run(stripes: usize, files: usize) -> (f64, arkfs::LockStats) {
 mod tests {
     use super::*;
 
+    /// A row at `entries` that passes every check, but for `set`.
+    fn row(entries: f64, set: &[(&str, f64)]) -> Record {
+        let mut metrics = [
+            (READERS, 8.0),
+            (CACHE_ENTRIES, entries),
+            (WRITE_MIB_S, 6700.0),
+            (WRITE_AMP, 1.0),
+            (PEAK_BUFFERS, entries.min(16.0)),
+            (SEQ_MIB_S, 6400.0),
+            (SEQ_AMP, 1.0),
+            (RAND_MIB_S, 300.0),
+            (RAND_AMP, 1.0),
+            (FILLS_LOST, 0.0),
+            (EVICTED_UNREAD, 0.0),
+        ]
+        .map(|(k, v)| (k.to_string(), v))
+        .to_vec();
+        for &(key, v) in set {
+            metrics.iter_mut().find(|(k, _)| k == key).expect("a key").1 = v;
+        }
+        Record {
+            group: "small-cache".to_string(),
+            system: format!("ArkFS-E{entries}"),
+            metrics,
+        }
+    }
+
     #[test]
     fn the_shape_check_refuses_the_readahead_thrash() {
-        // The parent's `fio_seq` numbers as 8-client rows.
-        let row = |entries: f64, seq: f64, seq_amp: f64, rand_amp: f64, unread: f64| Record {
-            group: "small-cache".to_string(),
-            system: format!("ArkFS-C8-E{entries}"),
-            metrics: [
-                (READERS, 8.0),
-                (CACHE_ENTRIES, entries),
-                (SEQ_MIB_S, seq),
-                (SEQ_AMP, seq_amp),
-                (RAND_MIB_S, 300.0),
-                (RAND_AMP, rand_amp),
-                (FILLS_LOST, 0.0),
-                (EVICTED_UNREAD, unread),
-            ]
-            .map(|(k, v)| (k.to_string(), v))
-            .to_vec(),
-        };
-        let big = row(256.0, 6400.0, 1.0, 1.0, 0.0);
+        // The `fio_seq` read numbers before read-ahead outlived what was
+        // behind it, as 8-client rows.
+        let big = row(256.0, &[]);
         let check = |small: Record| small_cache_shape(&[small, big.clone()]);
-        assert_eq!(check(row(6.0, 6400.0, 1.0, 1.0, 0.0)), Ok(()));
+        assert_eq!(check(row(6.0, &[])), Ok(()));
         for thrash in [
-            row(6.0, 3300.0, 1.0, 1.0, 0.0),
-            row(6.0, 6400.0, 1.7, 1.0, 0.0),
-            row(6.0, 6400.0, 1.0, 16.0, 0.0),
-            row(6.0, 6400.0, 1.0, 1.0, 40.0),
+            row(6.0, &[(SEQ_MIB_S, 3300.0)]),
+            row(6.0, &[(SEQ_AMP, 1.7)]),
+            row(6.0, &[(RAND_AMP, 16.0)]),
+            row(6.0, &[(EVICTED_UNREAD, 40.0)]),
         ] {
             assert!(check(thrash.clone()).is_err(), "{thrash:?}");
+        }
+    }
+
+    #[test]
+    fn the_shape_check_refuses_a_writer_waiting_for_its_evictions() {
+        // Write + fsync MiB/s at 6 and 256 entries, 1 and 8 clients: a
+        // writer that waits for the PUT of every dirty chunk it evicts,
+        // then one whose dirty evictions go behind it.
+        let rows = |clients: f64, small: f64, big: f64| {
+            let at = |entries, mib_s| row(entries, &[(READERS, clients), (WRITE_MIB_S, mib_s)]);
+            [at(6.0, small), at(256.0, big)]
+        };
+        for (clients, small, big) in [(1.0, 588.0, 3066.0), (8.0, 2468.0, 6729.0)] {
+            assert!(small_cache_shape(&rows(clients, small, big)).is_err());
+        }
+        for (clients, small, big) in [(1.0, 1549.0, 3066.0), (8.0, 4548.0, 6729.0)] {
+            assert_eq!(small_cache_shape(&rows(clients, small, big)), Ok(()));
+        }
+        // Dirty chunks queued on top of the cache, or written twice.
+        for bad in [
+            row(6.0, &[(PEAK_BUFFERS, 10.0)]),
+            row(6.0, &[(WRITE_AMP, 2.0)]),
+        ] {
+            let big = row(256.0, &[]);
+            assert!(small_cache_shape(&[bad.clone(), big]).is_err(), "{bad:?}");
         }
     }
 }

@@ -711,27 +711,38 @@ impl ObjectStore for ObjectCluster {
         out
     }
 
+    fn put_each(&self, depart: u64, items: Vec<(ObjectKey, Bytes)>) -> Vec<OsResult<u64>> {
+        self.stats.count_batch(items.len());
+        let half_rtt = self.config.spec.net_half_rtt;
+        items
+            .into_iter()
+            .map(|(key, data)| {
+                self.faults.check_put(key)?;
+                self.stats.puts.inc();
+                self.stats.bytes_in.add(data.len() as u64);
+                let done = self.charge_write_at(depart, &key, data.len() as u64);
+                self.store_object(key, data);
+                Ok(done + half_rtt)
+            })
+            .collect()
+    }
+
     fn put_many(&self, port: &Port, items: Vec<(ObjectKey, Bytes)>) -> Vec<OsResult<()>> {
         if items.is_empty() {
             return Vec::new();
         }
-        self.stats.count_batch(items.len());
-        let t0 = port.advance(self.config.spec.net_half_rtt);
-        let mut done = t0;
-        let mut out = Vec::with_capacity(items.len());
-        for (key, data) in items {
-            if let Err(e) = self.faults.check_put(key) {
-                out.push(Err(e));
-                continue;
-            }
-            self.stats.puts.inc();
-            self.stats.bytes_in.add(data.len() as u64);
-            done = done.max(self.charge_write_at(t0, &key, data.len() as u64));
-            self.store_object(key, data);
-            out.push(Ok(()));
-        }
-        self.batch_span("store.put_many", t0, done);
-        port.wait_until(done + self.config.spec.net_half_rtt);
+        // Pipelined: all requests depart together; the caller's port
+        // waits for the slowest ack.
+        let half_rtt = self.config.spec.net_half_rtt;
+        let t0 = port.advance(half_rtt);
+        let mut acked = t0 + half_rtt;
+        let out = self
+            .put_each(t0, items)
+            .into_iter()
+            .map(|r| r.map(|ack| acked = acked.max(ack)))
+            .collect();
+        self.batch_span("store.put_many", t0, acked - half_rtt);
+        port.wait_until(acked);
         out
     }
 
@@ -1265,6 +1276,37 @@ mod tests {
         assert!(results.iter().all(Result::is_ok));
         assert_eq!(c.object_count(), 5);
         assert_eq!(c.get(&port, ObjectKey::data_chunk(2, 3)).unwrap()[0], 3);
+    }
+
+    #[test]
+    fn put_each_reports_acks_instead_of_waiting() {
+        // The same batch as one put_many: each item's ack is when that
+        // PUT would have returned alone, and the slowest is put_many's.
+        let items = || -> Vec<(ObjectKey, Bytes)> {
+            (0..5)
+                .map(|i| {
+                    (
+                        ObjectKey::data_chunk(2, i),
+                        Bytes::from(vec![i as u8; 4096]),
+                    )
+                })
+                .collect()
+        };
+        let (each, many) = (cluster(), cluster());
+        let half_rtt = each.config.spec.net_half_rtt;
+        let acks: Vec<u64> = each
+            .put_each(1_000 + half_rtt, items())
+            .into_iter()
+            .map(Result::unwrap)
+            .collect();
+        let port = Port::starting_at(1_000);
+        assert!(many.put_many(&port, items()).iter().all(Result::is_ok));
+        assert_eq!(acks.iter().max(), Some(&port.now()));
+        assert!(acks.iter().all(|&ack| ack > 1_000 + 2 * half_rtt));
+        assert_eq!(each.object_count(), 5);
+        each.faults.fail_next_puts(1, None);
+        let refused = each.put_each(0, items());
+        assert!(refused[0].is_err() && refused[1..].iter().all(Result::is_ok));
     }
 
     #[test]

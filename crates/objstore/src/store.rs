@@ -88,6 +88,22 @@ pub trait ObjectStore: Send + Sync {
             .collect()
     }
 
+    /// Asynchronous multi-PUT, the write twin of
+    /// [`ObjectStore::get_each`]: every item departs at `depart` and
+    /// reports when its ack reaches the caller instead of advancing a
+    /// port. This is the substrate for *write-behind* of dirty cache
+    /// evictions: the writer goes on and only waits for an ack when it
+    /// needs the slot the PUT holds.
+    fn put_each(&self, depart: u64, items: Vec<(ObjectKey, Bytes)>) -> Vec<OsResult<u64>> {
+        items
+            .into_iter()
+            .map(|(k, d)| {
+                let port = Port::starting_at(depart);
+                self.put(&port, k, d).map(|()| port.now())
+            })
+            .collect()
+    }
+
     /// Pipelined multi-PUT (cache write-back flushes).
     fn put_many(&self, port: &Port, items: Vec<(ObjectKey, Bytes)>) -> Vec<OsResult<()>> {
         items

@@ -46,6 +46,11 @@ impl Gauge {
         self.0.fetch_add(d, Ordering::Relaxed);
     }
 
+    /// Keep the larger of the current value and `v` (a high-water mark).
+    pub fn raise(&self, v: i64) {
+        self.0.fetch_max(v, Ordering::Relaxed);
+    }
+
     pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
     }

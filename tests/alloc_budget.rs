@@ -1,7 +1,8 @@
 //! Allocation budget of the data path, counted rather than timed: the
 //! bytes the process allocates while 8 clients each write and fsync an
-//! 8 MiB file, while they read it back with cold caches, and while they
-//! read it at random, against the bytes the user moved.
+//! 8 MiB file through a 2-entry cache (so half of each file's chunks go
+//! behind the writer), while they read it back with cold caches, and
+//! while they read it at random, against the bytes the user moved.
 //!
 //! One buffer serves a chunk from `write()` to both replicas to the
 //! clean cache entry, and from the store through the cache to `read()`,
@@ -61,7 +62,11 @@ const REQUEST: usize = 128 << 10;
 #[test]
 fn the_data_path_allocates_one_buffer_per_chunk() {
     let store = ObjectCluster::new(ClusterConfig::rados(ClusterSpec::aws_paper()));
-    let cluster = ArkCluster::new(ArkConfig::default(), Arc::new(store));
+    let config = ArkConfig {
+        cache_entries: 2,
+        ..ArkConfig::default()
+    };
+    let cluster = ArkCluster::new(config, Arc::new(store));
     let fleet: Vec<_> = (0..CLIENTS).map(|_| cluster.client()).collect();
     let ctx = Credentials::root();
     let user_bytes = (CLIENTS * FILE) as f64;
