@@ -52,7 +52,7 @@ impl ArkClient {
     }
 
     /// The body of [`Vfs::read`]: direct mode, or [`cached_read`] under
-    /// the read lease the handle's first read takes.
+    /// the read lease the handle's open or first read took.
     ///
     /// [`Vfs::read`]: arkfs_vfs::Vfs::read
     pub(crate) fn read_impl(&self, fh: FileHandle, offset: u64, buf: &mut [u8]) -> FsResult<usize> {
@@ -68,8 +68,8 @@ impl ArkClient {
         if buf.is_empty() || offset >= size {
             return Ok(0);
         }
-        // The handle's first data access takes the read lease, before
-        // any cache hit or fill.
+        // A handle whose open brought no read lease takes it at its
+        // first read, before any cache hit or fill.
         let lease = match lease {
             Held::None => self.take_file_lease(fh.0, parent, ino, false)?,
             held => held,

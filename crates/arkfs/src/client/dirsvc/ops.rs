@@ -524,6 +524,41 @@ impl ClientState {
                 t.file_leases.release(client, file, now);
                 OpResponse::Ok
             }
+            // The lookup, then the read lease of what it found: a denied
+            // open takes none, and neither does a name this partition
+            // resolves but does not hold the lease of.
+            OpBody::OpenRead {
+                name,
+                client,
+                access,
+                ..
+            } => {
+                if let Err(e) = dir_perm(t, AM_EXEC) {
+                    return OpResponse::Err(e);
+                }
+                let ino = match t.lookup(&name) {
+                    Some(e) if e.ftype == FileType::Directory => {
+                        return OpResponse::Err(FsError::IsADirectory)
+                    }
+                    Some(e) => e.ino,
+                    None => return OpResponse::Err(FsError::NotFound),
+                };
+                let Some(rec) = t.child_inode(ino).cloned() else {
+                    return OpResponse::Err(FsError::Io("dangling dentry".into()));
+                };
+                let lease = (rec.ftype == FileType::Regular
+                    && t.leases_file(ino)
+                    && perm::check_access(&creds, rec.uid, rec.gid, rec.mode, &rec.acl, access)
+                        .is_ok())
+                .then(|| {
+                    let decision = t.file_leases.acquire_read(client, ino, now);
+                    self.broadcast_flushes(port, t, ino, &decision);
+                    decision
+                });
+                // Read again after a flush: it fed back the holder's size.
+                let rec = t.child_inode(ino).cloned().unwrap_or(rec);
+                OpResponse::Opened { rec, lease }
+            }
             OpBody::FlushCache { .. } | OpBody::RelinquishPartition { .. } => {
                 unreachable!("handled in serve()")
             }
@@ -632,7 +667,8 @@ impl ClientState {
 
     /// On a lease conflict the leader "broadcasts cache flushing requests
     /// to prevent stale cache entries on other clients' object cache"
-    /// (§III-D). Flushed sizes feed back into the child's inode.
+    /// (§III-D). A flushed holder's unpushed writes can only extend the
+    /// child's size; shrinking it is a truncate's, which the leader saw.
     fn broadcast_flushes(
         &self,
         port: &Port,
@@ -645,21 +681,16 @@ impl ClientState {
         };
         let now = port.now();
         for &target in flush {
-            if target == self.id {
+            let flushed = if target == self.id {
                 // Flush our own cache inline.
-                if let OpResponse::Flushed { size: Some(size) } = self.serve_flush(port, file) {
-                    let _ = t.set_child_size(file, size, now);
-                }
-                continue;
-            }
-            // Crashed holders simply drain via lease expiry.
-            if let Ok(OpResponse::Flushed { size: Some(size) }) = self.cluster.call_ops(
-                port,
-                target,
-                OpRequest::new(Credentials::root(), OpBody::FlushCache { file }),
-            ) {
-                let current = t.child_inode(file).map(|r| r.size).unwrap_or(0);
-                if size > current {
+                Ok(self.serve_flush(port, file))
+            } else {
+                // Crashed holders simply drain via lease expiry.
+                let req = OpRequest::new(Credentials::root(), OpBody::FlushCache { file });
+                self.cluster.call_ops(port, target, req)
+            };
+            if let Ok(OpResponse::Flushed { size: Some(size) }) = flushed {
+                if t.child_inode(file).is_some_and(|r| size > r.size) {
                     let _ = t.set_child_size(file, size, now);
                 }
             }

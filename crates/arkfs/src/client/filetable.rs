@@ -12,20 +12,21 @@
 //! (sync-all size pushes, crash clear) lock shards one at a time,
 //! sequentially.
 //!
-//! Client-side file-lease calls live here too. A handle holds nothing
-//! of its file's lease when it is opened; its first data access asks the
-//! parent's leader for the read or the write lease ([`Held`]), before
-//! any cached chunk is looked at, and its close hands back only what was
-//! taken (failed releases are counted on `lease.release_failed.count`,
-//! not silently dropped). A handle that moves no data costs the leader
-//! no lease message and no lease-table entry.
+//! Client-side file-lease calls live here too (§III-D; DESIGN.md §5,
+//! "When a file lease is asked for"): a readable `open` brings the read
+//! lease back with its lookup, any other handle asks at its first data
+//! access ([`Held`]) before it looks at the cache, a granted write lease
+//! is not waited for, and the client's lease goes back — with the file's
+//! clean chunks — when its last holding handle closes (failed releases
+//! are counted on `lease.release_failed.count`, not silently dropped).
 
 use super::lockorder::{self, Rank, RankGuard};
 use super::ArkClient;
 use crate::cache::RaState;
+use crate::meta::InodeRecord;
 use crate::rpc::{OpBody, OpResponse};
 use arkfs_lease::FileLeaseDecision;
-use arkfs_simkit::Port;
+use arkfs_simkit::{Nanos, Port};
 use arkfs_vfs::{Credentials, FsError, FsResult, Ino, OpenFlags};
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
@@ -59,9 +60,31 @@ pub(crate) struct OpenFile {
     /// leader on fsync/close).
     pub(crate) size: u64,
     pub(crate) lease: Held,
+    /// When the reply to this handle's last lease request arrives: a
+    /// write-lease grant is not waited for, and no message handing the
+    /// lease back departs before it.
+    pub(crate) acked: Nanos,
     pub(crate) wrote: bool,
     /// Read-ahead window and sequentiality detection.
     pub(crate) ra: RaState,
+}
+
+impl OpenFile {
+    /// A handle on `ino` (dentry `name` of `parent`) that holds nothing
+    /// of its lease yet.
+    pub(crate) fn new(ino: Ino, parent: Ino, name: &str, flags: OpenFlags, size: u64) -> Self {
+        OpenFile {
+            ino,
+            parent,
+            name: name.to_string(),
+            flags,
+            size,
+            lease: Held::None,
+            acked: 0,
+            wrote: false,
+            ra: RaState::default(),
+        }
+    }
 }
 
 #[derive(Debug, Default)]
@@ -137,8 +160,10 @@ impl FileTable {
 
     /// Flip every lease-holding handle on `file` to direct-I/O mode
     /// (leader-initiated flush; a handle holding nothing asks for itself
-    /// at its first access); returns the largest locally-known size, if
-    /// any handle matched. Only `file`'s home shard can hold them.
+    /// at its first access); returns the largest size a handle wrote and
+    /// has not pushed, if any: a handle that only read knows the size of
+    /// its open, which a truncate may have made stale. Only `file`'s home
+    /// shard can hold them.
     pub(crate) fn flip_to_direct(&self, file: Ino) -> Option<u64> {
         let mut size = None;
         let mut s = self.shard_at(self.home_shard(file));
@@ -147,10 +172,21 @@ impl FileTable {
                 if h.lease != Held::None {
                     h.lease = Held::Direct;
                 }
-                size = Some(size.unwrap_or(0).max(h.size));
+                if h.wrote {
+                    size = Some(size.unwrap_or(0).max(h.size));
+                }
             }
         }
         size
+    }
+
+    /// How many open handles on `file` hold this client's lease on it:
+    /// the lease goes back with the last of them.
+    pub(crate) fn lease_holders(&self, file: Ino) -> usize {
+        let s = self.shard_at(self.home_shard(file));
+        (s.guard.handles.values())
+            .filter(|h| h.ino == file && matches!(h.lease, Held::Read | Held::Write))
+            .count()
     }
 
     /// Largest size any open handle knows for `file` (reads-own-writes).
@@ -176,19 +212,21 @@ impl FileTable {
     }
 
     /// Clear every written handle's dirty flag and collect its
-    /// `(parent, name, ino, size)` for a size push (sync_all).
+    /// `(parent, name, ino, size)` for a size push (sync_all), in handle
+    /// order: the pushes go out in it.
     pub(crate) fn take_pending_sizes(&self) -> Vec<(Ino, String, Ino, u64)> {
         let mut pending = Vec::new();
         for i in 0..self.shards.len() {
             let mut s = self.shard_at(i);
-            for h in s.guard.handles.values_mut() {
+            for (&id, h) in s.guard.handles.iter_mut() {
                 if h.wrote {
                     h.wrote = false;
-                    pending.push((h.parent, h.name.clone(), h.ino, h.size));
+                    pending.push((id, (h.parent, h.name.clone(), h.ino, h.size)));
                 }
             }
         }
-        pending
+        pending.sort_unstable_by_key(|&(id, _)| id);
+        pending.into_iter().map(|(_, push)| push).collect()
     }
 
     /// Number of currently open handles.
@@ -218,10 +256,43 @@ impl FileTable {
 }
 
 impl ArkClient {
-    /// Handle `fh`'s first data access (or its first write after reads):
-    /// ask `parent`'s leader for `file`'s read or write lease and record
-    /// the outcome on the handle. Runs before the access touches the
-    /// cache, so no chunk is ever served or dirtied without a lease.
+    /// The lookup of a readable open, which brings the read lease back
+    /// with it when the leader grants one: `(ino, record, what the new
+    /// handle holds)`. `access` is the open's `AM_*` bits; the leader
+    /// grants nothing the caller's own check of them would refuse.
+    pub(crate) fn open_lookup(
+        &self,
+        ctx: &Credentials,
+        parent: Ino,
+        name: &str,
+        access: u8,
+    ) -> FsResult<(Ino, InodeRecord, Held)> {
+        let (dir, name, client) = (parent, name.to_string(), self.state.id);
+        let body = OpBody::OpenRead {
+            dir,
+            name,
+            client,
+            access,
+        };
+        let (rec, lease) = match self.on_dir(ctx, body)? {
+            OpResponse::Opened { rec, lease } => (rec, lease),
+            OpResponse::Err(e) => return Err(e),
+            _ => return Err(FsError::Io("unexpected open response".into())),
+        };
+        let held = match lease {
+            Some(decision) => {
+                self.state.lease_at_open.inc();
+                self.adopt_lease(rec.ino, decision, Held::Read)?
+            }
+            None => Held::None,
+        };
+        Ok((rec.ino, rec, held))
+    }
+
+    /// Handle `fh`'s first data access without a lease (or its first
+    /// write after reads): ask for `file`'s read or write lease and
+    /// record the outcome on the handle. Runs before the access touches
+    /// the cache, so no chunk is ever served or dirtied without a lease.
     pub(crate) fn take_file_lease(
         &self,
         fh: u64,
@@ -229,29 +300,63 @@ impl ArkClient {
         file: Ino,
         write: bool,
     ) -> FsResult<Held> {
+        let (held, acked) = self.ask_file_lease(parent, file, write)?;
+        if held == Held::Write {
+            self.state.lease_write_unwaited.inc();
+        }
+        self.state
+            .files
+            .update(fh, |h| {
+                h.lease = held;
+                h.acked = acked;
+            })
+            .ok_or(FsError::BadHandle)?;
+        Ok(held)
+    }
+
+    /// Ask `parent`'s leader for `file`'s read or write lease, departing
+    /// now: what the asker holds, and when the answer arrives. Only a
+    /// granted write is not waited for: the chunks it dirties stay in
+    /// this cache, and nothing hands the lease back before the answer.
+    pub(crate) fn ask_file_lease(
+        &self,
+        parent: Ino,
+        file: Ino,
+        write: bool,
+    ) -> FsResult<(Held, Nanos)> {
         let (dir, client) = (parent, self.state.id);
         let (body, granted) = if write {
             (OpBody::AcquireWriteLease { dir, file, client }, Held::Write)
         } else {
             (OpBody::AcquireReadLease { dir, file, client }, Held::Read)
         };
-        let held = match self.on_dir(&Credentials::root(), body)? {
-            OpResponse::Lease(FileLeaseDecision::Granted { .. }) => granted,
-            OpResponse::Lease(FileLeaseDecision::Direct { .. }) => {
-                // Our own cached data must go to the store before direct
-                // mode.
+        let reply = Port::starting_at(self.port.now());
+        let decision = match self.on_dir_port(&reply, &Credentials::root(), body) {
+            Ok(OpResponse::Lease(decision)) => Ok(decision),
+            Ok(OpResponse::Err(e)) | Err(e) => Err(e),
+            Ok(_) => Err(FsError::Io("unexpected lease response".into())),
+        };
+        let acked = reply.now();
+        if !(write && matches!(decision, Ok(FileLeaseDecision::Granted { .. }))) {
+            self.port.wait_until(acked);
+        }
+        Ok((self.adopt_lease(file, decision?, granted)?, acked))
+    }
+
+    /// What a handle holds after the leader's `decision` on its request
+    /// for `granted`. On a conflict this client's cached chunks of `file`
+    /// go to the store first, and every handle of ours on it turns to
+    /// direct I/O: the leader's conflict state replaced our entry.
+    fn adopt_lease(&self, file: Ino, decision: FileLeaseDecision, granted: Held) -> FsResult<Held> {
+        match decision {
+            FileLeaseDecision::Granted { .. } => Ok(granted),
+            FileLeaseDecision::Direct { .. } => {
                 self.flush_file_data(Some(file))?;
                 self.state.lock_cache().invalidate_file(file);
-                Held::Direct
+                self.state.files.flip_to_direct(file);
+                Ok(Held::Direct)
             }
-            OpResponse::Err(e) => return Err(e),
-            _ => return Err(FsError::Io("unexpected lease response".into())),
-        };
-        self.state
-            .files
-            .update(fh, |h| h.lease = held)
-            .ok_or(FsError::BadHandle)?;
-        Ok(held)
+        }
     }
 
     /// Hand a file lease back to the parent's leader, on `port`: the

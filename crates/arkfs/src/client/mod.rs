@@ -50,7 +50,7 @@ use namei::Pcache;
 use parking_lot::{Mutex, MutexGuard};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -100,8 +100,10 @@ pub(crate) struct CommitLane {
     /// the same multi-PUT. Weak so a forgotten table (lease loss,
     /// handoff) drops out on its own; entries are pruned on snapshot.
     /// Guarded by a plain mutex outside the rank order — it is only ever
-    /// held for map access, never while taking a ranked lock.
-    members: Mutex<HashMap<Ino, Weak<Mutex<crate::metatable::Metatable>>>>,
+    /// held for map access, never while taking a ranked lock. Ordered by
+    /// partition key: the donors' order is their order in the flight's
+    /// multi-PUT, which sets when each PUT reaches its shard.
+    members: Mutex<BTreeMap<Ino, Weak<Mutex<crate::metatable::Metatable>>>>,
     /// `journal.sealed_depth`: deployment-wide count of tracked
     /// in-flight sealed batches (shared by all lanes of all clients).
     depth: Arc<Gauge>,
@@ -112,7 +114,7 @@ impl CommitLane {
         CommitLane {
             res: SharedResource::ideal("commit-lane"),
             flights: Mutex::new(Vec::new()),
-            members: Mutex::new(HashMap::new()),
+            members: Mutex::new(BTreeMap::new()),
             depth,
         }
     }
@@ -356,6 +358,11 @@ pub(crate) struct ClientState {
     /// `lease.release_failed.count`: file-lease releases the leader
     /// rejected or that never reached it.
     pub(crate) lease_release_failed: Arc<Counter>,
+    /// `lease.file.at_open.count`: file leases that came back with a
+    /// readable open's lookup, and `lease.file.write_unwaited.count`:
+    /// write-lease grants the writer went on without waiting for.
+    pub(crate) lease_at_open: Arc<Counter>,
+    pub(crate) lease_write_unwaited: Arc<Counter>,
     /// `lease.handoff_failed.count`: partition-lease handoffs
     /// (RelinquishPartition) the old leader rejected or that never
     /// reached it — the repartitioner falls back to takeover recovery.
@@ -417,6 +424,10 @@ impl ArkClient {
         let op_hists = telemetry.registry.histogram_set(OP_NAMES, ".latency_ns");
         let op_ack_hists = telemetry.registry.histogram_set(OP_NAMES, ".ack_ns");
         let lease_release_failed = telemetry.registry.counter("lease.release_failed.count");
+        let lease_at_open = telemetry.registry.counter("lease.file.at_open.count");
+        let lease_write_unwaited = telemetry
+            .registry
+            .counter("lease.file.write_unwaited.count");
         let lease_handoff_failed = telemetry.registry.counter("lease.handoff_failed.count");
         let partition_splits = telemetry.registry.counter("meta.partition.split.count");
         let partition_merges = telemetry.registry.counter("meta.partition.merge.count");
@@ -442,6 +453,8 @@ impl ArkClient {
             op_hists,
             op_ack_hists,
             lease_release_failed,
+            lease_at_open,
+            lease_write_unwaited,
             lease_handoff_failed,
             partition_splits,
             partition_merges,
@@ -485,8 +498,9 @@ impl ArkClient {
     }
 
     /// Child files with live lease state at the directories this client
-    /// leads (expired entries swept at its clock). Handles that moved no
-    /// data hold no lease, so they do not show here.
+    /// leads (expired entries swept at its clock). A created or
+    /// write-only handle that moved no data holds no lease, so it does not
+    /// show here.
     pub fn active_file_leases(&self) -> usize {
         let now = self.port.now();
         self.state

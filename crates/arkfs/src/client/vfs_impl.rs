@@ -36,8 +36,26 @@ impl ArkClient {
         if depth > 8 {
             return Err(FsError::InvalidArgument); // ELOOP
         }
+        let mut want = 0u8;
+        if flags.readable() {
+            want |= AM_READ;
+        }
+        if flags.writable() {
+            want |= AM_WRITE;
+        }
         let (parent, name) = self.resolve_parent(ctx, path)?;
-        let (ino, rec) = self.lookup_record(ctx, parent, name)?;
+        // A readable open brings the read lease back with its lookup. It
+        // comes only for a regular file `want` is granted on, so the
+        // error returns below hold none. A truncating open's cut takes
+        // the write lease and hands it back; its handle asks at its first
+        // access.
+        let trunc = flags.is_trunc() && flags.writable();
+        let (ino, rec, lease) = if flags.readable() && !trunc {
+            self.open_lookup(ctx, parent, name, want)?
+        } else {
+            let (ino, rec) = self.lookup_record(ctx, parent, name)?;
+            (ino, rec, Held::None)
+        };
         match rec.ftype {
             FileType::Directory => return Err(FsError::IsADirectory),
             FileType::Symlink => {
@@ -46,32 +64,62 @@ impl ArkClient {
             }
             FileType::Regular => {}
         }
-        let mut want = 0u8;
-        if flags.readable() {
-            want |= AM_READ;
-        }
-        if flags.writable() {
-            want |= AM_WRITE;
-        }
         perm::check_access(ctx, rec.uid, rec.gid, rec.mode, &rec.acl, want)?;
         let mut size = rec.size;
-        if flags.is_trunc() && flags.writable() && size > 0 {
-            self.push_size(ctx, parent, name, ino, 0, false)?;
-            self.prt().truncate_data(&self.port, ino, size, 0)?;
-            self.state.lock_cache().truncate_file(ino, 0);
+        if trunc && size > 0 {
+            self.cut(ctx, parent, name, ino, size, 0)?;
             size = 0;
         }
-        let id = self.state.files.insert(OpenFile {
-            ino,
-            parent,
+        let file = OpenFile {
+            lease,
+            ..OpenFile::new(ino, parent, name, flags, size)
+        };
+        Ok(FileHandle(self.state.files.insert(file)))
+    }
+
+    /// Cut `ino` (dentry `name` of `parent`, `old` bytes long as the
+    /// leader knows it) to `size`. Other clients may cache the bytes it
+    /// removes, so it holds the write lease while it works, as a write
+    /// would: a holder is flushed and turns direct. The lease goes back
+    /// afterwards unless a handle of ours holds it.
+    fn cut(
+        &self,
+        ctx: &Credentials,
+        parent: Ino,
+        name: &str,
+        ino: Ino,
+        old: u64,
+        size: u64,
+    ) -> FsResult<()> {
+        let (held, acked) = self.ask_file_lease(parent, ino, true)?;
+        self.port.wait_until(acked);
+        let body = OpBody::SetSize {
+            dir: parent,
             name: name.to_string(),
-            flags,
+            ino,
             size,
-            lease: Held::None,
-            wrote: false,
-            ra: Default::default(),
+        };
+        let cut = self.on_dir_ok(ctx, body).and_then(|()| {
+            // The leader's size is stale while a handle of ours has not
+            // pushed its own: what that handle wrote past `size` must go
+            // too.
+            let old = old.max(self.state.files.max_open_size(ino).unwrap_or(0));
+            if size < old {
+                // Flush surviving dirty data, then drop all cached chunks:
+                // the boundary chunk's cached copy is stale after the
+                // store trims it.
+                self.flush_file_data(Some(ino))?;
+                self.state.lock_cache().invalidate_file(ino);
+                self.prt().truncate_data(&self.port, ino, old, size)?;
+            }
+            self.state.files.set_size_for(ino, size);
+            Ok(())
         });
-        Ok(FileHandle(id))
+        if held == Held::Write && self.state.files.lease_holders(ino) == 0 {
+            let fork = Port::starting_at(self.port.now());
+            self.release_file_lease(&fork, parent, ino);
+        }
+        cut
     }
 
     /// Durability barrier across *every* partition commit lane of `dir`.
@@ -337,17 +385,8 @@ impl Vfs for ArkClient {
             if self.config().permission_cache {
                 self.pcache_note(parent, name, Some((ino, FileType::Regular)));
             }
-            let id = self.state.files.insert(OpenFile {
-                ino,
-                parent,
-                name: name.to_string(),
-                flags: OpenFlags::RDWR,
-                size: 0,
-                lease: Held::None,
-                wrote: false,
-                ra: Default::default(),
-            });
-            Ok(FileHandle(id))
+            let file = OpenFile::new(ino, parent, name, OpenFlags::RDWR, 0);
+            Ok(FileHandle(self.state.files.insert(file)))
         })
     }
 
@@ -368,17 +407,22 @@ impl Vfs for ArkClient {
             if sync {
                 self.fsync(ctx, fh)?;
             }
-            let (ino, parent, name, size, wrote, lease) = self
+            let (ino, parent, name, size, wrote, lease, acked) = self
                 .state
                 .files
                 .get(fh.0, |h| {
-                    (h.ino, h.parent, h.name.clone(), h.size, h.wrote, h.lease)
+                    let name = h.name.clone();
+                    (h.ino, h.parent, name, h.size, h.wrote, h.lease, h.acked)
                 })
                 .ok_or(FsError::BadHandle)?;
             self.flush_file_data(Some(ino))?;
-            // Hand back only what was taken. A written handle's release
-            // rides on its size push when one leader serves both.
-            let mut release = matches!(lease, Held::Read | Held::Write);
+            // Hand back only what was taken, and only with the last of
+            // our handles holding it. A written handle's release rides on
+            // its size push when one leader serves both. Neither departs
+            // before the grant it hands back was acked.
+            let last = matches!(lease, Held::Read | Held::Write)
+                && self.state.files.lease_holders(ino) == 1;
+            let mut release = last;
             if wrote {
                 let buckets = self.config().dentry_buckets;
                 let fold = release
@@ -386,6 +430,9 @@ impl Vfs for ArkClient {
                         .state
                         .cached_pmap(parent)
                         .colocated(&name, ino, buckets);
+                if fold {
+                    self.port.wait_until(acked);
+                }
                 match self.push_size(ctx, parent, &name, ino, size, fold) {
                     // Our map was stale: the name's leader is not the
                     // lease shard after all. Learn the map, send both.
@@ -400,8 +447,16 @@ impl Vfs for ArkClient {
                 }
             }
             self.state.files.remove(fh.0);
+            if last {
+                // What the lease kept valid goes with it: a later handle
+                // asks again before it reads the cache.
+                self.state.lock_cache().invalidate_file(ino);
+            }
             if release {
-                let fork = Port::starting_at(self.port.now());
+                let fork = Port::starting_at(self.port.now().max(acked));
+                if sync {
+                    self.port.wait_until(fork.now());
+                }
                 self.release_file_lease(if sync { &self.port } else { &fork }, parent, ino);
             }
             Ok(())
@@ -683,31 +738,7 @@ impl Vfs for ArkClient {
                 return Err(FsError::IsADirectory);
             }
             perm::check_access(ctx, rec.uid, rec.gid, rec.mode, &rec.acl, AM_WRITE)?;
-            self.on_dir_ok(
-                ctx,
-                OpBody::SetSize {
-                    dir: parent,
-                    name: name.to_string(),
-                    ino,
-                    size,
-                },
-            )?;
-            // The leader's size is stale while a handle of ours has not
-            // pushed its own: what that handle wrote past `size` must go
-            // too.
-            let old = rec
-                .size
-                .max(self.state.files.max_open_size(ino).unwrap_or(0));
-            if size < old {
-                // Flush surviving dirty data, then drop all cached chunks:
-                // the boundary chunk's cached copy is stale after the store
-                // trims it.
-                self.flush_file_data(Some(ino))?;
-                self.state.lock_cache().invalidate_file(ino);
-                self.prt().truncate_data(&self.port, ino, old, size)?;
-            }
-            self.state.files.set_size_for(ino, size);
-            Ok(())
+            self.cut(ctx, parent, name, ino, rec.size, size)
         })
     }
 

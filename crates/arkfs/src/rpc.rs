@@ -222,9 +222,9 @@ op_table! {
     21 => DirView "dir_view" { dir: Ino }
         mutates: false, route: on(dir, Dir);
     /// `Create` of a regular file that leaves a handle open at `client`
-    /// (create-and-open). Served exactly as `Create`: a file lease is
-    /// taken by a handle's first data access, never by its open, so the
-    /// reply is plain [`OpResponse::Ok`]. `client` stays on the wire so
+    /// (create-and-open). Served exactly as `Create`: a created handle
+    /// takes its file lease at its first data access, so the reply is
+    /// plain [`OpResponse::Ok`]. `client` stays on the wire so
     /// the frame is unchanged; the leader does not read it.
     22 => CreateOpen "create_open" { dir: Ino, name: String, rec: InodeRecord, client: NodeId }
         mutates: true, route: on(dir, Name(name));
@@ -237,6 +237,14 @@ op_table! {
     /// was stale) does nothing and replies `Err(Stale)`.
     23 => CloseFile "close_file" { dir: Ino, name: String, ino: Ino, size: u64, client: NodeId }
         mutates: true, route: on(dir, Name(name));
+    /// A readable open: `Lookup` of `name` and `AcquireReadLease` of what
+    /// it finds in one message ([`OpResponse::Opened`]; a directory is
+    /// `Err(IsADirectory)`). The lease comes only for a regular file that
+    /// `access` (the open's `AM_*` bits) is granted on, and only from a
+    /// partition that is the file's lease shard; without one the handle
+    /// asks at its first read.
+    24 => OpenRead "open_read" { dir: Ino, name: String, client: NodeId, access: u8 }
+        mutates: false, route: on(dir, Name(name));
 }
 
 wire_enum! {
@@ -274,6 +282,9 @@ wire_enum! {
         /// live in another partition, or the directory may exceed the
         /// view cap).
         9 => View(view: DirView),
+        /// OpenRead result: the file's (or symlink's) inode record, and
+        /// the read-lease decision when the leader took one with it.
+        10 => Opened { rec: InodeRecord, lease: Option<FileLeaseDecision> },
     }
 }
 

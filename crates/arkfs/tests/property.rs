@@ -527,9 +527,17 @@ enum FileOp {
     Write(u64, usize, u8),
     Truncate(u64),
     DropCache,
-    /// A second client opens the file and reads all of it: its read
-    /// lease drains the first client's cache, PUTs in flight included.
-    ReadElsewhere,
+    /// A second client reads the file: through the handle it kept from
+    /// its last read, if any, then all of it through a new handle, which
+    /// it keeps in place of the old one or closes with it. Its lease
+    /// drains the first client's cache, PUTs in flight included, and no
+    /// handle of its own reads chunks a write has since replaced.
+    ReadElsewhere {
+        keep: bool,
+    },
+    /// The first client closes its handle and opens another: its lease
+    /// goes back, and the second client's may be granted.
+    Reopen,
 }
 
 fn arb_file_op() -> impl Strategy<Value = FileOp> {
@@ -541,7 +549,8 @@ fn arb_file_op() -> impl Strategy<Value = FileOp> {
             .prop_map(|(offset, len, seed)| FileOp::Write(offset, len, seed)),
         (0u64..1200).prop_map(FileOp::Truncate),
         Just(FileOp::DropCache),
-        Just(FileOp::ReadElsewhere),
+        any::<bool>().prop_map(|keep| FileOp::ReadElsewhere { keep }),
+        Just(FileOp::Reopen),
     ]
 }
 
@@ -549,8 +558,9 @@ proptest! {
     /// One handle on one file of 64-byte chunks (256-byte read-ahead)
     /// through caches from one entry up: whatever mix of streaming and
     /// random reads, writes (whose dirty evictions go behind the writer),
-    /// truncates, cache drops and reads by a second client, a read
-    /// returns the model's bytes, and no fill loses a chunk it installed.
+    /// truncates, cache drops, reopens and reads by a second client that
+    /// keeps handles open, a read returns the model's bytes, and no fill
+    /// loses a chunk it installed.
     #[test]
     fn cached_reads_agree_with_a_byte_vector_model(
         entries in prop_oneof![Just(1usize), Just(2usize), Just(3usize), Just(6usize)],
@@ -566,7 +576,21 @@ proptest! {
         let ctx = Credentials::root();
         let created = c.create(&ctx, "/f", 0o644).unwrap();
         c.close(&ctx, created).unwrap();
-        let fh = c.open(&ctx, "/f", OpenFlags::RDWR).unwrap();
+        let mut fh = c.open(&ctx, "/f", OpenFlags::RDWR).unwrap();
+        // Everything `other` reads through `h`, up to `limit` bytes.
+        let read_all = |h, limit: usize| {
+            let mut got = vec![0u8; limit];
+            let mut n = 0;
+            while n < limit {
+                match other.read(&ctx, h, n as u64, &mut got[n..]).unwrap() {
+                    0 => break,
+                    k => n += k,
+                }
+            }
+            got.truncate(n);
+            got
+        };
+        let mut kept = None;
         let mut model: Vec<u8> = Vec::new();
         let mut pos = 0u64;
         for op in ops {
@@ -590,12 +614,30 @@ proptest! {
                     c.drop_data_cache().unwrap();
                     continue;
                 }
-                FileOp::ReadElsewhere => {
-                    // It sees the size the leader knows: what the handle
-                    // has pushed, never more than the model.
-                    let got = arkfs_vfs::read_file(&*other, &ctx, "/f").unwrap();
+                FileOp::ReadElsewhere { keep } => {
+                    // A kept handle knows the size of its open: what it
+                    // reads of the model's bytes must be theirs.
+                    if let Some(old) = kept {
+                        let got = read_all(old, model.len());
+                        prop_assert_eq!(&got[..], &model[..got.len()], "kept handle");
+                    }
+                    // A new one sees the size the leader knows: what the
+                    // first client has pushed, never more than the model.
+                    let h = other.open(&ctx, "/f", OpenFlags::RDONLY).unwrap();
+                    let got = read_all(h, model.len() + 1);
                     prop_assert!(got.len() <= model.len());
                     prop_assert_eq!(&got[..], &model[..got.len()]);
+                    if let Some(old) = std::mem::replace(&mut kept, keep.then_some(h)) {
+                        other.close(&ctx, old).unwrap();
+                    }
+                    if !keep {
+                        other.close(&ctx, h).unwrap();
+                    }
+                    continue;
+                }
+                FileOp::Reopen => {
+                    c.close(&ctx, fh).unwrap();
+                    fh = c.open(&ctx, "/f", OpenFlags::RDWR).unwrap();
                     continue;
                 }
             };
@@ -608,6 +650,9 @@ proptest! {
             pos = offset + n as u64;
         }
         c.close(&ctx, fh).unwrap();
+        if let Some(h) = kept {
+            other.close(&ctx, h).unwrap();
+        }
         prop_assert_eq!(arkfs_vfs::read_file(&*c, &ctx, "/f").unwrap(), model);
     }
 }

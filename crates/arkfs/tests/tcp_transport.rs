@@ -155,6 +155,32 @@ fn run_script(c1: &ArkClient, c2: &ArkClient, late: &ArkClient) -> Vec<String> {
     ));
     leases(&mut log);
 
+    // A readable open carries the read lease: granted when nobody writes
+    // the file; Direct when someone does, whose bytes are flushed and
+    // whose size is known before the open returns.
+    let opened = |log: &mut Vec<String>, c: &ArkClient, path: &str| {
+        let at_open = c.telemetry().registry.counter("lease.file.at_open.count");
+        let before = at_open.get();
+        let fh = c.open(&ctx, path, OpenFlags::RDONLY);
+        log.push(format!("open {path}: at_open:{}", at_open.get() - before));
+        let mut buf = [0u8; 64];
+        if let Ok(fh) = fh {
+            log.push(outcome(c.read(&ctx, fh, 0, &mut buf), |n| {
+                format!("read:{}", String::from_utf8_lossy(&buf[..n]))
+            }));
+            leases(log);
+            log.push(outcome(c.close(&ctx, fh), |()| "ok".into()));
+        }
+    };
+    opened(&mut log, c2, "/shared/a.txt");
+    if let Ok(fh) = c2.open(&ctx, "/shared/untouched.bin", OpenFlags::WRONLY) {
+        log.push(outcome(c2.write(&ctx, fh, 0, b"TOUCHED"), |n| {
+            format!("wrote:{n}")
+        }));
+        opened(&mut log, c1, "/shared/untouched.bin");
+        log.push(outcome(c2.close(&ctx, fh), |()| "ok".into()));
+    }
+
     // Rename within the c1-led directory, observed by c2.
     log.push(outcome(
         c1.rename(&ctx, "/shared/a.txt", "/shared/b.txt"),
@@ -315,7 +341,7 @@ fn tcp_run(config: ArkConfig) -> (Vec<String>, Vec<String>) {
         cluster_a.telemetry().registry.counter(&name).get()
             + cluster_b.telemetry().registry.counter(&name).get()
     };
-    for op in ["dir_view", "create_open", "close_file"] {
+    for op in ["dir_view", "create_open", "close_file", "open_read"] {
         assert!(sent(op) > 0, "no {op} frame crossed a socket");
     }
     assert!(
@@ -347,14 +373,20 @@ fn loopback_tcp_matches_the_virtual_bus() {
     );
     // The lease steps said what they should, on both transports: no
     // lease without I/O, one while c2's written handle is open, c1's
-    // read sees c2's cached bytes; what is left at the end is that
-    // conflict's direct-I/O window, not the written-and-closed file.
+    // read sees c2's cached bytes; what is left after is that conflict's
+    // direct-I/O window, not the written-and-closed file. Beside it, a
+    // granted open's read lease, then the direct-I/O window of the open
+    // that met c2's write lease and read c2's bytes.
     let leases: Vec<&str> = bus_log
         .iter()
         .filter_map(|l| l.strip_prefix("leases:"))
         .collect();
-    assert_eq!(leases, ["0", "0", "1", "1"]);
-    assert!(bus_log.contains(&"read:TWO".to_string()), "{bus_log:?}");
+    assert_eq!(leases, ["0", "0", "1", "1", "2", "2"]);
+    for line in ["read:TWO", "read:TOUCHED"] {
+        assert!(bus_log.contains(&line.to_string()), "{bus_log:?}");
+    }
+    let opens = bus_log.iter().filter(|l| l.ends_with("at_open:1")).count();
+    assert_eq!(opens, 2, "{bus_log:?}");
     // The late client was handed `/` and `/shared` by the lease manager
     // (as frames, on TCP) and asked no leader for a view.
     assert!(bus_log.contains(&"deposits:2".to_string()), "{bus_log:?}");

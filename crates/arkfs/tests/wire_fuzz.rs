@@ -175,6 +175,12 @@ fn request_pool() -> Vec<OpRequest> {
             size: 3901,
             client,
         },
+        OpBody::OpenRead {
+            dir: 2,
+            name: "read.bin".into(),
+            client,
+            access: 0o6,
+        },
     ];
     assert_eq!(bodies.len(), OpBody::KINDS.len(), "a variant is missing");
     bodies
@@ -192,8 +198,10 @@ fn request_pool() -> Vec<OpRequest> {
         .collect()
 }
 
-/// One representative response per `OpResponse` variant (in tag order),
-/// then the second `FileLeaseDecision` variant.
+/// One representative response per `OpResponse` variant up to `View` (in
+/// tag order), then the second `FileLeaseDecision` variant, then the
+/// variants appended after it: an open that took the lease, and one that
+/// took none.
 fn response_pool() -> Vec<OpResponse> {
     vec![
         OpResponse::Entry {
@@ -233,6 +241,16 @@ fn response_pool() -> Vec<OpResponse> {
             flush: vec![NodeId(3), NodeId(9)],
             direct_until: 7_000_000,
         }),
+        OpResponse::Opened {
+            rec: rec(0x78),
+            lease: Some(FileLeaseDecision::Granted {
+                expires_at: 5_000_000,
+            }),
+        },
+        OpResponse::Opened {
+            rec: rec(0x79),
+            lease: None,
+        },
     ]
 }
 

@@ -125,7 +125,7 @@ pub const FIGURES: &[Figure] = &[
             Latency("delete"),
         ],
         run: fig5,
-        shape: no_shape,
+        shape: fig5_shape,
     },
     Figure {
         name: "fig6",
@@ -405,6 +405,33 @@ fn fig5(run: &mut Run) -> Result<(), String> {
     })?;
     run.config.push(("file_size", cfg.file_size as f64));
     Ok(())
+}
+
+/// §IV-B on mdtest-hard: ArkFS ahead of CephFS-F and CephFS-K in every
+/// phase, READ at most 4.65× CephFS-K's, and MarFS erring out of READ.
+fn fig5_shape(records: &[Record]) -> Result<(), String> {
+    let system = |name: &str| {
+        (records.iter().find(|r| r.system == name)).ok_or_else(|| format!("no {name} record"))
+    };
+    let ark = system("ArkFS")?;
+    for other in ["CephFS-F", "CephFS-K"] {
+        for phase in ["write", "stat", "read", "delete"] {
+            let (ours, theirs) = (ark.rate(phase), system(other)?.rate(phase));
+            if ours <= theirs {
+                return Err(format!(
+                    "ArkFS {phase} at {ours:.0} ops/s is not ahead of {other} ({theirs:.0})"
+                ));
+            }
+        }
+    }
+    let read = ark.rate("read") / system("CephFS-K")?.rate("read");
+    if read > 4.65 {
+        return Err(format!("ArkFS READ is {read:.2}x CephFS-K, above 4.65x"));
+    }
+    match system("MarFS")?.get(READ_ERRORS) {
+        Some(errors) if errors > 0.0 => Ok(()),
+        _ => Err("MarFS READ must fail".to_string()),
+    }
 }
 
 #[allow(clippy::field_reassign_with_default)]
@@ -996,6 +1023,39 @@ mod tests {
         assert_eq!(check_bench(&[extended], &doc), Ok(()));
         let err = check_bench(&[fig8], &doc).unwrap_err();
         assert_eq!(err, "results[0] (ArkFS-P1): unknown key lease_acquires");
+    }
+
+    #[test]
+    fn fig5_shape_refuses_each_broken_claim() {
+        let rec = |system: &str, rates: [f64; 4], errors: f64| Record {
+            group: "mdtest-hard".to_string(),
+            system: system.to_string(),
+            metrics: (["write", "stat", "read", "delete"].iter().zip(rates))
+                .map(|(phase, rate)| (format!("{phase}_ops_s"), rate))
+                .chain([(READ_ERRORS.to_string(), errors)])
+                .collect(),
+        };
+        let rows = |ark: [f64; 4], marfs_errors: f64| {
+            vec![
+                rec("ArkFS", ark, 0.0),
+                rec("CephFS-F", [4.0, 10.0, 5.0, 10.0], 0.0),
+                rec("CephFS-K", [5.0, 13.0, 14.0, 14.0], 0.0),
+                rec("MarFS", [1.0, 5.0, 5.0, 5.0], marfs_errors),
+            ]
+        };
+        let ark = [27.0, 109.0, 42.0, 45.0];
+        assert_eq!(fig5_shape(&rows(ark, 1.0)), Ok(()));
+        let refused = |rows: Vec<Record>, want: &str| {
+            let err = fig5_shape(&rows).unwrap_err();
+            assert!(err.contains(want), "{err}");
+        };
+        refused(rows([4.0, 109.0, 42.0, 45.0], 1.0), "write at 4 ops/s");
+        refused(
+            rows([27.0, 109.0, 14.0, 45.0], 1.0),
+            "not ahead of CephFS-K",
+        );
+        refused(rows([27.0, 109.0, 70.0, 45.0], 1.0), "READ is 5.00x");
+        refused(rows(ark, 0.0), "MarFS READ must fail");
     }
 
     /// A valid two-point fig9 document from synthetic measurements.
