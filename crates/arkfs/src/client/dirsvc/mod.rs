@@ -85,8 +85,6 @@ pub(crate) struct DirStripe {
     /// treated as unpartitioned until a `Stale`/`NotLeader` forces a
     /// refresh from the store.
     pub(crate) pmaps: HashMap<Ino, PartitionMap>,
-    /// Acquisitions of this stripe's lock (maintained under the lock).
-    locks: u64,
 }
 
 /// A locked [`DirStripe`] plus its rank guard.
@@ -115,15 +113,13 @@ impl DerefMut for StripeGuard<'_> {
 pub(crate) struct DirService {
     stripes: Vec<Mutex<DirStripe>>,
     node: u32,
-    pub(crate) contention: super::Contention,
 }
 
 impl DirService {
-    pub(crate) fn new(stripes: usize, node: u32) -> Self {
+    pub(crate) fn new(node: u32) -> Self {
         DirService {
-            stripes: (0..stripes.max(1)).map(|_| Mutex::default()).collect(),
+            stripes: (0..super::LOCK_STRIPES).map(|_| Mutex::default()).collect(),
             node,
-            contention: super::Contention::default(),
         }
     }
 
@@ -183,22 +179,12 @@ impl DirService {
         }
     }
 
-    /// Total stripe-lock acquisitions so far.
-    pub(crate) fn lock_count(&self) -> u64 {
-        (0..self.stripes.len())
-            .map(|i| {
-                let s = self.stripe_at(i);
-                // Don't count this read itself.
-                s.locks - 1
-            })
-            .sum()
-    }
-
     fn stripe_at(&self, i: usize) -> StripeGuard<'_> {
         let rank = lockorder::acquire(self.node, Rank::Stripe);
-        let mut guard = self.contention.lock(&self.stripes[i]);
-        guard.locks += 1;
-        StripeGuard { guard, _rank: rank }
+        StripeGuard {
+            guard: self.stripes[i].lock(),
+            _rank: rank,
+        }
     }
 }
 
@@ -735,7 +721,7 @@ impl ArkClient {
         let Some((dir, key)) = body.route() else {
             return Err(FsError::InvalidArgument);
         };
-        if body.mutates() && config.commit_mode == crate::config::CommitMode::Async {
+        if body.mutates() {
             // Whoever serves this (us or a remote partition leader) may
             // ack before durability: remember the directory so this
             // client's next `sync_all` barriers every partition of it.

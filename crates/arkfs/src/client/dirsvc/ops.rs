@@ -8,7 +8,6 @@
 //! / handle shards (rank *Leaf*) via lease-conflict flush broadcasts.
 
 use super::super::{ClientState, TableGuard};
-use crate::config::CommitMode;
 use crate::journal::{OpStamps, Transaction};
 use crate::metatable::{Deposit, Metatable};
 use crate::prt::Prt;
@@ -82,69 +81,42 @@ impl ClientState {
         };
 
         // Seal the running compound transaction when its buffering window
-        // elapsed (§III-E). Forced commits (2PC prepares/decisions, sync-
-        // mode fsync semantics) are charged to the caller; window-
-        // triggered commits are the commit threads' work and run on a
-        // background timeline that does not stall the application (the
-        // store still sees their load). Every background flush is tracked
-        // on the directory's commit lane so fsync/sync_all barriers can
-        // drain it; in async mode the lane's in-flight bound pushes back
-        // on the caller when the pipeline runs ahead of the store.
+        // elapsed (§III-E). Forced commits (2PC prepares/decisions) are
+        // charged to the caller; window-triggered commits are the commit
+        // threads' work and run on a background timeline that does not
+        // stall the application (the store still sees their load). Every
+        // background flush is tracked on the directory's commit lane so
+        // fsync/sync_all barriers can drain it, and the lane's in-flight
+        // bound pushes back on the caller when the pipeline runs ahead of
+        // the store.
         let maybe_commit = |t: &mut Metatable, force: bool| -> FsResult<()> {
             let lane = self.lane(pkey);
             if force {
-                t.journal
-                    .commit(prt, port, &lane.res, config.spec.local_meta_op)?;
+                return t
+                    .journal
+                    .commit(prt, port, &lane.res, config.spec.local_meta_op);
+            }
+            if !t.journal.commit_due(
+                port.now(),
+                config.journal_window,
+                config.journal_max_entries,
+            ) {
                 return Ok(());
             }
-            match config.commit_mode {
-                CommitMode::Sync => {
-                    if t.journal.commit_due(
-                        port.now(),
-                        config.journal_window,
-                        config.journal_max_entries,
-                    ) {
-                        let background = Port::starting_at(port.now());
-                        // Spans on the background timeline follow from
-                        // (rather than nest under) the op that tripped
-                        // the window: the ack does not wait for them.
-                        let _bg = CtxGuard::install(trace.as_background());
-                        t.journal
-                            .commit(prt, &background, &lane.res, config.spec.local_meta_op)?;
-                        lane.record_flight(background.now());
-                    }
-                }
-                CommitMode::Async => {
-                    if t.journal.commit_due(
-                        port.now(),
-                        config.async_commit_window,
-                        config.journal_max_entries,
-                    ) {
-                        // Backpressure: a full in-flight window stalls the
-                        // caller until the lane's oldest flight lands.
-                        let wait_start = port.now();
-                        let admitted = lane.admit(wait_start, config.async_commit_max_inflight);
-                        port.wait_until(admitted);
-                        self.trace_span("lane.wait", "lane", wait_start, port.now());
-                        if t.journal.seal().is_some() {
-                            let background = Port::starting_at(port.now());
-                            // Background flush: follow-from, not child
-                            // (see the Sync arm above).
-                            let _bg = CtxGuard::install(trace.as_background());
-                            if config.group_commit {
-                                self.flush_group(prt, &background, pkey, t)?;
-                            } else {
-                                t.journal.flush_sealed(
-                                    prt,
-                                    &background,
-                                    &lane.res,
-                                    config.spec.local_meta_op,
-                                )?;
-                            }
-                            lane.record_flight(background.now());
-                        }
-                    }
-                }
+            // Backpressure: a full in-flight window stalls the caller
+            // until the lane's oldest flight lands.
+            let wait_start = port.now();
+            let admitted = lane.admit(wait_start, config.async_commit_max_inflight);
+            port.wait_until(admitted);
+            self.trace_span("lane.wait", "lane", wait_start, port.now());
+            if t.journal.seal().is_some() {
+                let background = Port::starting_at(port.now());
+                // Spans on the background timeline follow from (rather
+                // than nest under) the op that tripped the window: the
+                // ack does not wait for them.
+                let _bg = CtxGuard::install(trace.as_background());
+                self.flush_group(prt, &background, pkey, t)?;
+                lane.record_flight(background.now());
             }
             Ok(())
         };
@@ -293,14 +265,11 @@ impl ClientState {
                         return OpResponse::Err(e);
                     }
                 }
-                // fsync semantics: in sync mode the size update must be
-                // durable before the ack; in async mode it seals into the
-                // pipeline and the explicit fsync/sync_all barrier
-                // (FsyncDir) provides durability.
-                let force = config.commit_mode == CommitMode::Sync;
+                // The size update seals into the pipeline; the explicit
+                // fsync/sync_all barrier (FsyncDir) makes it durable.
                 match t
                     .set_child_size(ino, size, now)
-                    .and_then(|()| stamp_commit(t, "op.setsize", force))
+                    .and_then(|()| stamp_commit(t, "op.setsize", false))
                 {
                     Ok(()) => {
                         if let Some(client) = closer {
@@ -407,8 +376,8 @@ impl ClientState {
                     Ok(v) => v,
                     Err(e) => return OpResponse::Err(e),
                 };
-                // 2PC prepares stay forced-durable in both modes: the
-                // decision protocol presumes the prepare record survives.
+                // 2PC prepares are forced durable: the decision protocol
+                // presumes the prepare record survives.
                 match stamp_commit(t, "op.rename", true) {
                     Ok(()) => OpResponse::Detached {
                         ino: entry.ino,
@@ -596,7 +565,7 @@ impl ClientState {
                 if !g.frozen
                     && g.journal.commit_due(
                         port.now(),
-                        config.async_commit_window / 2,
+                        config.journal_window / 2,
                         config.journal_max_entries,
                     )
                 {

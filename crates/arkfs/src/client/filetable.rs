@@ -87,11 +87,7 @@ impl OpenFile {
     }
 }
 
-#[derive(Debug, Default)]
-struct Shard {
-    handles: HashMap<u64, OpenFile>,
-    locks: u64,
-}
+type Shard = HashMap<u64, OpenFile>;
 
 struct ShardGuard<'a> {
     guard: MutexGuard<'a, Shard>,
@@ -104,24 +100,23 @@ pub(crate) struct FileTable {
     shards: Vec<Mutex<Shard>>,
     next_handle: AtomicU64,
     node: u32,
-    pub(crate) contention: super::Contention,
 }
 
 impl FileTable {
-    pub(crate) fn new(shards: usize, node: u32) -> Self {
+    pub(crate) fn new(node: u32) -> Self {
         FileTable {
-            shards: (0..shards.max(1)).map(|_| Mutex::default()).collect(),
+            shards: (0..super::LOCK_STRIPES).map(|_| Mutex::default()).collect(),
             next_handle: AtomicU64::new(1),
             node,
-            contention: super::Contention::default(),
         }
     }
 
     fn shard_at(&self, i: usize) -> ShardGuard<'_> {
         let rank = lockorder::acquire(self.node, Rank::Leaf);
-        let mut guard = self.contention.lock(&self.shards[i]);
-        guard.locks += 1;
-        ShardGuard { guard, _rank: rank }
+        ShardGuard {
+            guard: self.shards[i].lock(),
+            _rank: rank,
+        }
     }
 
     fn shard(&self, id: u64) -> ShardGuard<'_> {
@@ -140,22 +135,22 @@ impl FileTable {
         let n = self.shards.len() as u64;
         let seq = self.next_handle.fetch_add(1, Ordering::Relaxed);
         let id = seq * n + self.home_shard(file.ino) as u64;
-        self.shard(id).guard.handles.insert(id, file);
+        self.shard(id).guard.insert(id, file);
         id
     }
 
     pub(crate) fn remove(&self, id: u64) -> Option<OpenFile> {
-        self.shard(id).guard.handles.remove(&id)
+        self.shard(id).guard.remove(&id)
     }
 
     /// Read fields of one handle under its shard lock.
     pub(crate) fn get<R>(&self, id: u64, f: impl FnOnce(&OpenFile) -> R) -> Option<R> {
-        self.shard(id).guard.handles.get(&id).map(f)
+        self.shard(id).guard.get(&id).map(f)
     }
 
     /// Mutate one handle under its shard lock.
     pub(crate) fn update<R>(&self, id: u64, f: impl FnOnce(&mut OpenFile) -> R) -> Option<R> {
-        self.shard(id).guard.handles.get_mut(&id).map(f)
+        self.shard(id).guard.get_mut(&id).map(f)
     }
 
     /// Flip every lease-holding handle on `file` to direct-I/O mode
@@ -167,7 +162,7 @@ impl FileTable {
     pub(crate) fn flip_to_direct(&self, file: Ino) -> Option<u64> {
         let mut size = None;
         let mut s = self.shard_at(self.home_shard(file));
-        for h in s.guard.handles.values_mut() {
+        for h in s.guard.values_mut() {
             if h.ino == file {
                 if h.lease != Held::None {
                     h.lease = Held::Direct;
@@ -184,7 +179,7 @@ impl FileTable {
     /// the lease goes back with the last of them.
     pub(crate) fn lease_holders(&self, file: Ino) -> usize {
         let s = self.shard_at(self.home_shard(file));
-        (s.guard.handles.values())
+        (s.guard.values())
             .filter(|h| h.ino == file && matches!(h.lease, Held::Read | Held::Write))
             .count()
     }
@@ -193,7 +188,7 @@ impl FileTable {
     pub(crate) fn max_open_size(&self, file: Ino) -> Option<u64> {
         let mut size = None;
         let s = self.shard_at(self.home_shard(file));
-        for h in s.guard.handles.values() {
+        for h in s.guard.values() {
             if h.ino == file {
                 size = Some(size.unwrap_or(0).max(h.size));
             }
@@ -204,7 +199,7 @@ impl FileTable {
     /// Force every handle on `file` to `size` (truncate).
     pub(crate) fn set_size_for(&self, file: Ino, size: u64) {
         let mut s = self.shard_at(self.home_shard(file));
-        for h in s.guard.handles.values_mut() {
+        for h in s.guard.values_mut() {
             if h.ino == file {
                 h.size = size;
             }
@@ -218,7 +213,7 @@ impl FileTable {
         let mut pending = Vec::new();
         for i in 0..self.shards.len() {
             let mut s = self.shard_at(i);
-            for (&id, h) in s.guard.handles.iter_mut() {
+            for (&id, h) in s.guard.iter_mut() {
                 if h.wrote {
                     h.wrote = false;
                     pending.push((id, (h.parent, h.name.clone(), h.ino, h.size)));
@@ -232,26 +227,15 @@ impl FileTable {
     /// Number of currently open handles.
     pub(crate) fn len(&self) -> usize {
         (0..self.shards.len())
-            .map(|i| self.shard_at(i).guard.handles.len())
+            .map(|i| self.shard_at(i).guard.len())
             .sum()
     }
 
     /// Drop every handle (crash).
     pub(crate) fn clear(&self) {
         for i in 0..self.shards.len() {
-            self.shard_at(i).guard.handles.clear();
+            self.shard_at(i).guard.clear();
         }
-    }
-
-    /// Total shard-lock acquisitions so far.
-    pub(crate) fn lock_count(&self) -> u64 {
-        (0..self.shards.len())
-            .map(|i| {
-                let s = self.shard_at(i);
-                // Don't count this read itself.
-                s.guard.locks - 1
-            })
-            .sum()
     }
 }
 
@@ -379,11 +363,11 @@ impl ArkClient {
         }
     }
 
-    /// Push size/mtime to the parent leader (fsync semantics: durable
-    /// before the ack in sync mode, sealed into the pipeline in async
-    /// mode). With `release` the same message hands back our lease on
-    /// `file` — the close of a written handle; the caller has checked
-    /// that `name`'s partition is the file's lease shard.
+    /// Push size/mtime to the parent leader, sealed into the pipeline
+    /// (the caller's fsync barrier makes it durable). With `release` the
+    /// same message hands back our lease on `file` — the close of a
+    /// written handle; the caller has checked that `name`'s partition is
+    /// the file's lease shard.
     pub(crate) fn push_size(
         &self,
         ctx: &Credentials,

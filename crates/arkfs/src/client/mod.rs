@@ -23,9 +23,9 @@
 //!
 //! Hot shared state is lock-striped so threads operating on distinct
 //! directories/files proceed without contending on a single client
-//! lock; the stripe count is [`ArkConfig::client_lock_stripes`]. The
-//! lock-ordering rule (**stripe → metatable → cache**) is documented
-//! and enforced (in debug builds) by [`lockorder`].
+//! lock; the stripe count is [`LOCK_STRIPES`]. The lock-ordering rule
+//! (**stripe → metatable → cache**) is documented and enforced (in
+//! debug builds) by [`lockorder`].
 
 pub(crate) mod datapath;
 pub(crate) mod dirsvc;
@@ -57,6 +57,11 @@ use std::sync::{Arc, Weak};
 
 /// How often a non-leader retries lease acquisition before giving up.
 pub(crate) const MAX_LEASE_RETRIES: usize = 16;
+
+/// Lock stripes of each striped table (led directories, permission
+/// cache, open handles): threads on distinct directories or files only
+/// contend when they hash to the same stripe.
+const LOCK_STRIPES: usize = 16;
 
 /// Every `op.<name>` latency histogram the client records, preregistered
 /// at construction so no Vfs op ever takes a registry lock.
@@ -205,81 +210,6 @@ impl ClientRng {
     }
 }
 
-/// Acquisition and contention counts for one family of client locks.
-/// Acquisition counts are exact (maintained under the respective locks,
-/// adding no cross-stripe contention); `contended`/`wait_ns` measure
-/// *real* blocking on the host machine, never the virtual timeline.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LockFamilyStats {
-    /// Total lock acquisitions.
-    pub acquisitions: u64,
-    /// Acquisitions that found the lock held and had to block.
-    pub contended: u64,
-    /// Total wall-clock time spent blocked, in nanoseconds.
-    pub wait_ns: u64,
-}
-
-/// Lock statistics of the client's hot state, per lock family (for the
-/// `shared-client` ablation).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LockStats {
-    /// Directory-table stripes ([`dirsvc::DirService`]), striped by ino.
-    pub dir_stripe: LockFamilyStats,
-    /// Permission-cache stripes ([`namei::Pcache`]), striped by ino.
-    pub pcache: LockFamilyStats,
-    /// Open-handle shards ([`filetable::FileTable`]), sharded by id.
-    pub handle_shard: LockFamilyStats,
-    /// The data-cache lock (a single lock regardless of stripe count).
-    pub data_cache: LockFamilyStats,
-}
-
-impl LockStats {
-    /// Combined stats of the three *striped* families (the state this
-    /// refactor striped; excludes the always-single data-cache lock).
-    pub fn striped(&self) -> LockFamilyStats {
-        let mut total = LockFamilyStats::default();
-        for f in [&self.dir_stripe, &self.pcache, &self.handle_shard] {
-            total.acquisitions += f.acquisitions;
-            total.contended += f.contended;
-            total.wait_ns += f.wait_ns;
-        }
-        total
-    }
-}
-
-/// Contention diagnostics for one lock family: how many acquisitions
-/// blocked, and for how long (real time — this is *observability of the
-/// host machine*, never fed back into the virtual timeline).
-#[derive(Debug, Default)]
-pub(crate) struct Contention {
-    contended: AtomicU64,
-    wait_ns: AtomicU64,
-}
-
-impl Contention {
-    /// Lock `m`, recording whether (and how long) the caller blocked.
-    /// The fast path is a single uncontended `try_lock`.
-    pub(crate) fn lock<'a, T>(&self, m: &'a Mutex<T>) -> MutexGuard<'a, T> {
-        if let Some(guard) = m.try_lock() {
-            return guard;
-        }
-        self.contended.fetch_add(1, Ordering::Relaxed);
-        let t0 = std::time::Instant::now();
-        let guard = m.lock();
-        self.wait_ns
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        guard
-    }
-
-    pub(crate) fn contended(&self) -> u64 {
-        self.contended.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn wait_ns(&self) -> u64 {
-        self.wait_ns.load(Ordering::Relaxed)
-    }
-}
-
 /// The data cache plus its rank guard; derefs to [`DataCache`].
 pub(crate) struct CacheGuard<'a> {
     guard: MutexGuard<'a, DataCache>,
@@ -330,11 +260,6 @@ pub(crate) struct ClientState {
     /// Open-file handles, sharded by handle id.
     pub(crate) files: FileTable,
     pub(crate) cache: Mutex<DataCache>,
-    /// Exact count of data-cache lock acquisitions, bumped while the
-    /// lock is held (zero cross-thread contention).
-    cache_locks: AtomicU64,
-    /// Contention diagnostics for the data-cache lock.
-    cache_contention: Contention,
     /// Serializes operations this client serves as a leader (its "CPU").
     pub(crate) server: SharedResource,
     /// Commit lanes; directories map statically by inode number.
@@ -351,9 +276,8 @@ pub(crate) struct ClientState {
     /// (`op.<name>.latency_ns`).
     pub(crate) op_hists: HistogramSet,
     /// Per-op ack-latency histograms (`op.<name>.ack_ns`): time until
-    /// the op returned to the caller. In sync mode ack equals
-    /// durability wherever the op implies it; in async mode the gap to
-    /// `op.<name>.durable_ns` is the pipeline's win.
+    /// the op returned to the caller; the gap to `op.<name>.durable_ns`
+    /// is the commit pipeline's win.
     pub(crate) op_ack_hists: HistogramSet,
     /// `lease.release_failed.count`: file-lease releases the leader
     /// rejected or that never reached it.
@@ -387,7 +311,7 @@ pub(crate) struct ClientState {
     /// protocol itself): `(dir, target partition count)` pairs drained at
     /// the top of the next client-facing op.
     pub(crate) pending_splits: Mutex<Vec<(Ino, u32)>>,
-    /// Directories this client has acked async-mode mutations against
+    /// Directories this client has acked mutations against
     /// (local or remote leader) since the last `sync_all`: each owes a
     /// partition-barrier fan-out before that barrier may return.
     pub(crate) dirty_dirs: Mutex<HashSet<Ino>>,
@@ -412,7 +336,6 @@ pub struct ArkClient {
 impl ArkClient {
     pub(crate) fn new(cluster: Arc<ArkCluster>, id: NodeId) -> Arc<Self> {
         let config = cluster.config().clone();
-        let stripes = config.client_lock_stripes.max(1);
         let telemetry = Arc::clone(cluster.telemetry());
         let sealed_depth = telemetry.registry.gauge("journal.sealed_depth");
         let lanes = (0..config.journal_lanes.max(1))
@@ -438,12 +361,10 @@ impl ArkClient {
         let state = Arc::new(ClientState {
             id,
             cluster: Arc::clone(&cluster),
-            dirs: DirService::new(stripes, id.0),
-            pcache: Pcache::new(stripes, id.0),
-            files: FileTable::new(stripes, id.0),
+            dirs: DirService::new(id.0),
+            pcache: Pcache::new(id.0),
+            files: FileTable::new(id.0),
             cache: Mutex::new(cache),
-            cache_locks: AtomicU64::new(0),
-            cache_contention: Contention::default(),
             server: SharedResource::ideal("leader-server"),
             lanes,
             rngs: ClientRng::new(id.0),
@@ -557,60 +478,12 @@ impl ArkClient {
         (self.state.server.served(), self.state.server.busy_time())
     }
 
-    /// Per-family lock acquisition and contention statistics of the
-    /// client's hot state.
-    pub fn lock_stats(&self) -> LockStats {
-        let family = |acquisitions: u64, c: &Contention| LockFamilyStats {
-            acquisitions,
-            contended: c.contended(),
-            wait_ns: c.wait_ns(),
-        };
-        LockStats {
-            dir_stripe: family(self.state.dirs.lock_count(), &self.state.dirs.contention),
-            pcache: family(
-                self.state.pcache.lock_count(),
-                &self.state.pcache.contention,
-            ),
-            handle_shard: family(self.state.files.lock_count(), &self.state.files.contention),
-            data_cache: family(
-                self.state.cache_locks.load(Ordering::Relaxed),
-                &self.state.cache_contention,
-            ),
-        }
-    }
-
     /// Deployment-wide telemetry: the metrics registry (counters,
     /// gauges, latency histograms) and span tracer shared by this
     /// client, the object store, the metadata path, and the lease
     /// managers.
     pub fn telemetry(&self) -> &Arc<Telemetry> {
         &self.state.telemetry
-    }
-
-    /// Publish [`ArkClient::lock_stats`] into the registry as
-    /// `lock.<family>.{acquisitions,contended,blocked_ns}` gauges so
-    /// registry consumers (the `ablate` table, `cli obs dump`) print
-    /// lock diagnostics uniformly with every other metric. Contended /
-    /// blocked_ns measure *host* wall-clock blocking and are therefore
-    /// nondeterministic — callers that diff committed output must not
-    /// snapshot them (the ablation table is exempt from the drift
-    /// check for exactly this reason).
-    pub fn publish_lock_stats(&self) {
-        let stats = self.lock_stats();
-        let reg = &self.state.telemetry.registry;
-        for (family, s) in [
-            ("dir_stripe", stats.dir_stripe),
-            ("pcache", stats.pcache),
-            ("handle_shard", stats.handle_shard),
-            ("data_cache", stats.data_cache),
-        ] {
-            reg.gauge(&format!("lock.{family}.acquisitions"))
-                .set(s.acquisitions as i64);
-            reg.gauge(&format!("lock.{family}.contended"))
-                .set(s.contended as i64);
-            reg.gauge(&format!("lock.{family}.blocked_ns"))
-                .set(s.wait_ns as i64);
-        }
     }
 
     /// Drop all CLEAN cached data (the fio benchmark's "drop the cache
@@ -743,9 +616,10 @@ impl ClientState {
     /// Acquire the data-cache lock (rank: Leaf).
     pub(crate) fn lock_cache(&self) -> CacheGuard<'_> {
         let rank = lockorder::acquire(self.id.0, Rank::Leaf);
-        let guard = self.cache_contention.lock(&self.cache);
-        self.cache_locks.fetch_add(1, Ordering::Relaxed);
-        CacheGuard { guard, _rank: rank }
+        CacheGuard {
+            guard: self.cache.lock(),
+            _rank: rank,
+        }
     }
 
     /// Acquire a led directory's metatable (rank: Metatable).

@@ -54,11 +54,7 @@ impl PermCacheEntry {
     }
 }
 
-#[derive(Debug, Default)]
-struct PcacheStripe {
-    entries: HashMap<Ino, PermCacheEntry>,
-    locks: u64,
-}
+type PcacheStripe = HashMap<Ino, PermCacheEntry>;
 
 /// A locked pcache stripe; derefs to its entry map.
 pub(crate) struct PcacheGuard<'a> {
@@ -67,15 +63,15 @@ pub(crate) struct PcacheGuard<'a> {
 }
 
 impl Deref for PcacheGuard<'_> {
-    type Target = HashMap<Ino, PermCacheEntry>;
+    type Target = PcacheStripe;
     fn deref(&self) -> &Self::Target {
-        &self.guard.entries
+        &self.guard
     }
 }
 
 impl DerefMut for PcacheGuard<'_> {
     fn deref_mut(&mut self) -> &mut Self::Target {
-        &mut self.guard.entries
+        &mut self.guard
     }
 }
 
@@ -84,24 +80,23 @@ impl DerefMut for PcacheGuard<'_> {
 pub(crate) struct Pcache {
     stripes: Vec<Mutex<PcacheStripe>>,
     node: u32,
-    pub(crate) contention: super::Contention,
 }
 
 impl Pcache {
-    pub(crate) fn new(stripes: usize, node: u32) -> Self {
+    pub(crate) fn new(node: u32) -> Self {
         Pcache {
-            stripes: (0..stripes.max(1)).map(|_| Mutex::default()).collect(),
+            stripes: (0..super::LOCK_STRIPES).map(|_| Mutex::default()).collect(),
             node,
-            contention: super::Contention::default(),
         }
     }
 
     /// Lock stripe `i` (rank: Stripe).
     fn stripe_at(&self, i: usize) -> PcacheGuard<'_> {
         let rank = lockorder::acquire(self.node, Rank::Stripe);
-        let mut guard = self.contention.lock(&self.stripes[i]);
-        guard.locks += 1;
-        PcacheGuard { guard, _rank: rank }
+        PcacheGuard {
+            guard: self.stripes[i].lock(),
+            _rank: rank,
+        }
     }
 
     /// Lock the stripe owning `dir` (rank: Stripe).
@@ -119,17 +114,6 @@ impl Pcache {
         for i in 0..self.stripes.len() {
             self.stripe_at(i).clear();
         }
-    }
-
-    /// Total stripe-lock acquisitions so far.
-    pub(crate) fn lock_count(&self) -> u64 {
-        (0..self.stripes.len())
-            .map(|i| {
-                let s = self.stripe_at(i);
-                // Don't count this read itself.
-                s.guard.locks - 1
-            })
-            .sum()
     }
 }
 

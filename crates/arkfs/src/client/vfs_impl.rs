@@ -10,7 +10,6 @@
 use super::dirsvc::DirRef;
 use super::filetable::{Held, OpenFile};
 use super::{ArkClient, MAX_LEASE_RETRIES};
-use crate::config::CommitMode;
 use crate::meta::InodeRecord;
 use crate::metatable::Metatable;
 use crate::partition::steer_ino;
@@ -396,17 +395,11 @@ impl Vfs for ArkClient {
 
     fn close(&self, ctx: &Credentials, fh: FileHandle) -> FsResult<()> {
         self.traced("op.close", || {
-            // The pre-pipeline mode keeps close-implies-fsync and waits
-            // for its lease release. In the async pipeline the kernel's
-            // FLUSH on close is suppressed (FOPEN_NOFLUSH semantics), so
-            // close pays no FUSE round trip and no durability wait.
-            // Dirty data and the size update still reach the leader —
-            // acked, not yet durable; an explicit `fsync`/`sync_all` is
-            // the durability barrier.
-            let sync = self.config().commit_mode == CommitMode::Sync;
-            if sync {
-                self.fsync(ctx, fh)?;
-            }
+            // The kernel's FLUSH on close is suppressed (FOPEN_NOFLUSH
+            // semantics), so close pays no FUSE round trip and no
+            // durability wait. Dirty data and the size update still reach
+            // the leader — acked, not yet durable; an explicit
+            // `fsync`/`sync_all` is the durability barrier.
             let (ino, parent, name, size, wrote, lease, acked) = self
                 .state
                 .files
@@ -454,10 +447,7 @@ impl Vfs for ArkClient {
             }
             if release {
                 let fork = Port::starting_at(self.port.now().max(acked));
-                if sync {
-                    self.port.wait_until(fork.now());
-                }
-                self.release_file_lease(if sync { &self.port } else { &fork }, parent, ino);
+                self.release_file_lease(&fork, parent, ino);
             }
             Ok(())
         })
@@ -504,16 +494,12 @@ impl Vfs for ArkClient {
                     h.wrote = false;
                 });
             }
-            if self.config().commit_mode == CommitMode::Async {
-                // Durability barrier: the size push (and any earlier
-                // metadata on this file) was acked before durability, so
-                // seal + flush the parent's running transaction and
-                // drain its commit lane before fsync returns — on every
-                // partition of the parent, not just the one the name
-                // hashes to.
-                self.fsync_dir_barrier(ctx, parent, &HashSet::new())?;
-            }
-            Ok(())
+            // Durability barrier: the size push (and any earlier metadata
+            // on this file) was acked before durability, so seal + flush
+            // the parent's running transaction and drain its commit lane
+            // before fsync returns — on every partition of the parent,
+            // not just the one the name hashes to.
+            self.fsync_dir_barrier(ctx, parent, &HashSet::new())
         })
     }
 
@@ -844,10 +830,10 @@ impl Vfs for ArkClient {
             // 1. All dirty data chunks, pipelined, once every PUT behind
             // the writers is acked.
             self.flush_file_data(None)?;
-            // 2. Size updates for written handles. In async mode a push
-            // to a *remote* leader is acked before durability, so each
-            // parent is remembered: any not flushed locally below gets
-            // an explicit FsyncDir barrier.
+            // 2. Size updates for written handles. A push to a *remote*
+            // leader is acked before durability, so each parent is
+            // remembered: any not flushed locally below gets an explicit
+            // FsyncDir barrier.
             let pending = self.state.files.take_pending_sizes();
             for (parent, name, ino, size) in pending {
                 // Routed through `on_dir`, so the parent lands in
@@ -891,23 +877,21 @@ impl Vfs for ArkClient {
                 done = done.max(lane.drain_until(start));
             }
             self.port.wait_until(done);
-            // 5. Async mode: any mutation this client acked against a
-            // *remote* partition leader (creates, size pushes, rename
-            // halves — `dirty_dirs` collects their directories at the
-            // `on_dir` layer) lives in that leader's running transaction,
-            // not ours; a FsyncDir barrier per remote-led partition of
-            // each dirty directory makes those journals durable too
+            // 5. Any mutation this client acked against a *remote*
+            // partition leader (creates, size pushes, rename halves —
+            // `dirty_dirs` collects their directories at the `on_dir`
+            // layer) lives in that leader's running transaction, not
+            // ours; a FsyncDir barrier per remote-led partition of each
+            // dirty directory makes those journals durable too
             // (partitions flushed locally in step 3 are skipped by pkey).
-            if self.config().commit_mode == CommitMode::Async {
-                let mut dirty: Vec<Ino> = self.state.dirty_dirs.lock().drain().collect();
-                dirty.sort_unstable();
-                for dir in dirty {
-                    match self.fsync_dir_barrier(ctx, dir, &led) {
-                        // The directory may have been removed since it
-                        // was dirtied; rmdir already flushed it.
-                        Ok(()) | Err(FsError::NotFound) => {}
-                        Err(e) => return Err(e),
-                    }
+            let mut dirty: Vec<Ino> = self.state.dirty_dirs.lock().drain().collect();
+            dirty.sort_unstable();
+            for dir in dirty {
+                match self.fsync_dir_barrier(ctx, dir, &led) {
+                    // The directory may have been removed since it was
+                    // dirtied; rmdir already flushed it.
+                    Ok(()) | Err(FsError::NotFound) => {}
+                    Err(e) => return Err(e),
                 }
             }
             self.state.flush_epoch.fetch_add(1, Ordering::Relaxed);

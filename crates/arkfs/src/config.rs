@@ -2,21 +2,6 @@
 
 use arkfs_simkit::{ClusterSpec, Nanos, MSEC, SEC};
 
-/// How metadata mutations reach the journal object stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CommitMode {
-    /// Commits run on the mutating operation's own timeline wherever
-    /// durability is implied (`fsync` semantics on size pushes, every
-    /// forced commit): the pre-pipeline behavior, kept as the ablation
-    /// baseline.
-    Sync,
-    /// Ack as soon as the mutation is sealed into an in-flight journal
-    /// append; per-lane commit drivers flush sealed batches on
-    /// background timelines. `fsync`/`sync_all` become durability
-    /// barriers that drain the caller's lanes.
-    Async,
-}
-
 /// Tunable parameters of an ArkFS deployment. Defaults follow §III and
 /// §IV of the paper.
 #[derive(Debug, Clone)]
@@ -40,7 +25,10 @@ pub struct ArkConfig {
     /// Start the window at maximum when a read begins at offset 0
     /// (§III-D optimization).
     pub readahead_full_at_zero: bool,
-    /// Compound-transaction buffering window (paper: 1 s).
+    /// Compound-transaction buffering window (§III-E): the running
+    /// transaction seals once it has buffered this long, bounding how
+    /// much acked-but-unsealed work a crash can lose. The paper uses 1 s;
+    /// the default here is 100 ms.
     pub journal_window: Nanos,
     /// Seal the running transaction after this many entries even inside
     /// the window (bounds journal object size).
@@ -49,15 +37,11 @@ pub struct ArkConfig {
     /// lanes by directory inode (§III-E: "statically mapped ... depending
     /// on the directory inode numbers").
     pub journal_lanes: usize,
-    /// Sync vs async commit pipeline (see [`CommitMode`]).
-    pub commit_mode: CommitMode,
-    /// Async mode: seal the running transaction once it has buffered
-    /// this long (instead of waiting out the full `journal_window`),
-    /// bounding how much acked-but-unsealed work a crash can lose.
-    pub async_commit_window: Nanos,
-    /// Async mode: per-lane bound on in-flight sealed batches. A
-    /// mutation that would seal past this bound stalls (backpressure)
-    /// until the lane's oldest flight lands.
+    /// Per-lane bound on in-flight sealed batches. Mutations are acked
+    /// once sealed into the pipeline; `fsync`/`sync_all` are the
+    /// durability barriers that drain it. A mutation that would seal past
+    /// this bound stalls (backpressure) until the lane's oldest flight
+    /// lands.
     pub async_commit_max_inflight: usize,
     /// Dentry hash buckets per directory.
     pub dentry_buckets: u64,
@@ -73,10 +57,6 @@ pub struct ArkConfig {
     /// Append rate below which a multi-partition directory's partition-0
     /// leader requests a merge step (halving). `0` disables auto-merge.
     pub partition_merge_rate: u64,
-    /// Group commit: one sealed journal flight may carry the sealed
-    /// transactions of *other* locally-led directories mapped to the
-    /// same commit lane, amortizing the per-flight store round trip.
-    pub group_commit: bool,
     /// Permission caching mode (§III-C): cache remote directories'
     /// permissions + lookups until lease expiry, relaxing ACL consistency.
     pub permission_cache: bool,
@@ -89,12 +69,6 @@ pub struct ArkConfig {
     /// cluster of lease managers" as future work (§III-B): `1` is that
     /// configuration, the default of 16 is this repo's deviation from it.
     pub lease_managers: usize,
-    /// Lock stripes for the client's hot shared state (led-directory
-    /// table, permission cache, open-handle table, ino RNG pool).
-    /// Threads operating on distinct directories/files only contend
-    /// when they hash to the same stripe; `1` restores a single global
-    /// lock per table (the pre-striping behavior, kept for ablation).
-    pub client_lock_stripes: usize,
     /// Retry/backoff policy for transient RPC failures (timeouts and
     /// resets on a real transport; the virtual bus never produces them,
     /// so the policy is inert in simulation).
@@ -113,21 +87,17 @@ impl Default for ArkConfig {
             cache_entries: 256,
             max_readahead: 8 * 1024 * 1024,
             readahead_full_at_zero: true,
-            journal_window: SEC,
+            journal_window: 100 * MSEC,
             journal_max_entries: 4096,
             journal_lanes: 4,
-            commit_mode: CommitMode::Async,
-            async_commit_window: 100 * MSEC,
             async_commit_max_inflight: 8,
             dentry_buckets: 16,
             dir_partition_max: 8,
             partition_split_rate: 0,
             partition_merge_rate: 0,
-            group_commit: true,
             permission_cache: true,
             fuse_model: true,
             lease_managers: 16,
-            client_lock_stripes: 16,
             net_retry: arkfs_netsim::RetryPolicy::default(),
             spec: ClusterSpec::aws_paper(),
         }
@@ -147,23 +117,18 @@ impl ArkConfig {
             cache_entries: 8,
             max_readahead: 256,
             readahead_full_at_zero: true,
-            journal_window: MSEC,
+            journal_window: MSEC / 10,
             journal_max_entries: 64,
             journal_lanes: 2,
-            commit_mode: CommitMode::Async,
             // Tiny in-flight bound so unit tests exercise backpressure.
-            async_commit_window: MSEC / 10,
             async_commit_max_inflight: 2,
             dentry_buckets: 4,
             dir_partition_max: 4,
             partition_split_rate: 0,
             partition_merge_rate: 0,
-            group_commit: true,
             permission_cache: true,
             fuse_model: false,
             lease_managers: 1,
-            // Few stripes so unit tests exercise stripe collisions.
-            client_lock_stripes: 4,
             net_retry: arkfs_netsim::RetryPolicy::default(),
             spec: ClusterSpec::test_tiny(),
         }
@@ -181,25 +146,13 @@ impl ArkConfig {
 
     /// Zero makes every operation seal its own journal transaction —
     /// useful for crash tests that need mutations durable immediately.
-    /// Sets the async seal window too (it is a tighter bound on the same
-    /// trigger).
     pub fn with_journal_window(mut self, window: Nanos) -> Self {
         self.journal_window = window;
-        self.async_commit_window = self.async_commit_window.min(window);
         self
     }
 
-    /// Select the commit pipeline ([`CommitMode::Sync`] is the ablation
-    /// baseline).
-    pub fn with_commit_mode(mut self, mode: CommitMode) -> Self {
-        self.commit_mode = mode;
-        self
-    }
-
-    /// Tune the async pipeline: seal window and per-lane in-flight bound
-    /// (clamped to at least 1).
-    pub fn with_async_commit(mut self, window: Nanos, max_inflight: usize) -> Self {
-        self.async_commit_window = window;
+    /// Per-lane bound on in-flight sealed batches (clamped to at least 1).
+    pub fn with_commit_inflight(mut self, max_inflight: usize) -> Self {
         self.async_commit_max_inflight = max_inflight.max(1);
         self
     }
@@ -216,13 +169,6 @@ impl ArkConfig {
         self
     }
 
-    /// `1` collapses every client-side table to one global lock (the
-    /// ablation baseline); the default is 16.
-    pub fn with_client_lock_stripes(mut self, n: usize) -> Self {
-        self.client_lock_stripes = n.max(1);
-        self
-    }
-
     /// Configure hot-directory partitioning: the split ceiling and the
     /// load-trigger thresholds (appends per virtual second; `0` leaves a
     /// trigger disabled). The ceiling clamps to at least 1.
@@ -230,13 +176,6 @@ impl ArkConfig {
         self.dir_partition_max = max.max(1);
         self.partition_split_rate = split_rate;
         self.partition_merge_rate = merge_rate;
-        self
-    }
-
-    /// Toggle cross-directory group commit on shared lanes (`true` is the
-    /// default; `false` is the per-directory-flight ablation baseline).
-    pub fn with_group_commit(mut self, on: bool) -> Self {
-        self.group_commit = on;
         self
     }
 
@@ -268,7 +207,7 @@ mod tests {
         assert_eq!(c.lease_period, 5 * SEC);
         assert_eq!(c.chunk_size, 2 * 1024 * 1024);
         assert_eq!(c.max_readahead, 8 * 1024 * 1024);
-        assert_eq!(c.journal_window, SEC);
+        assert_eq!(c.journal_window, 100 * MSEC, "the paper's is 1 s");
         assert!(c.permission_cache);
     }
 
@@ -295,19 +234,15 @@ mod tests {
     }
 
     #[test]
-    fn commit_mode_builders() {
-        let c = ArkConfig::default();
-        assert_eq!(c.commit_mode, CommitMode::Async);
-        let c = c.with_commit_mode(CommitMode::Sync).with_async_commit(7, 0);
-        assert_eq!(c.commit_mode, CommitMode::Sync);
-        assert_eq!(c.async_commit_window, 7);
+    fn commit_builders() {
+        let c = ArkConfig::default()
+            .with_journal_window(7)
+            .with_commit_inflight(0);
+        assert_eq!(c.journal_window, 7);
         assert_eq!(
             c.async_commit_max_inflight, 1,
             "in-flight bound clamps to 1"
         );
-        // A zero journal window drags the async seal window down with it.
-        let c = ArkConfig::default().with_journal_window(0);
-        assert_eq!(c.async_commit_window, 0);
     }
 
     #[test]
@@ -315,13 +250,9 @@ mod tests {
         let c = ArkConfig::default();
         assert_eq!(c.dir_partition_max, 8);
         assert_eq!(c.partition_split_rate, 0);
-        assert!(c.group_commit);
-        let c = c
-            .with_dir_partitions(0, 50_000, 1_000)
-            .with_group_commit(false);
+        let c = c.with_dir_partitions(0, 50_000, 1_000);
         assert_eq!(c.dir_partition_max, 1, "ceiling clamps to 1");
         assert_eq!(c.partition_split_rate, 50_000);
         assert_eq!(c.partition_merge_rate, 1_000);
-        assert!(!c.group_commit);
     }
 }

@@ -369,8 +369,8 @@ impl DirJournal {
         Ok(())
     }
 
-    /// Drain the sealed queue for a *group* flight (see
-    /// `ArkConfig::group_commit`): the caller batches the returned
+    /// Drain the sealed queue for a *group* flight (the leader's
+    /// `flush_group`): the caller batches the returned
     /// transactions — possibly together with other directories' — into
     /// one multi-PUT, then reports back per transaction with
     /// [`DirJournal::push_committed`], or gives everything back with

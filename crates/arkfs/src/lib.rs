@@ -48,6 +48,6 @@ pub mod remote;
 pub mod rpc;
 pub mod wire;
 
-pub use client::{ArkClient, LockStats};
+pub use client::ArkClient;
 pub use cluster::ArkCluster;
-pub use config::{ArkConfig, CommitMode};
+pub use config::ArkConfig;

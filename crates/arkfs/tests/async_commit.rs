@@ -1,34 +1,24 @@
 //! End-to-end tests for the asynchronous metadata commit pipeline:
 //! speculative dependent operations against acked-but-not-durable
-//! entries, `fsync`/`sync_all` durability-barrier semantics, the
-//! sync-mode ablation contrast, and per-lane in-flight backpressure.
+//! entries, `fsync`/`sync_all` durability-barrier semantics, the seal
+//! window, and per-lane in-flight backpressure.
 
-use arkfs::{ArkCluster, ArkConfig, CommitMode};
+mod common;
+
+use arkfs::{ArkCluster, ArkConfig};
 use arkfs_objstore::{ClusterConfig, ObjectCluster};
-use arkfs_simkit::{ClusterSpec, Port, MSEC, SEC};
-use arkfs_vfs::{Credentials, FsError, Vfs};
+use arkfs_simkit::{ClusterSpec, MSEC, SEC};
+use arkfs_vfs::{FsError, Vfs, ROOT_INO};
+use common::{cluster_with, counter, journal_len, root};
 use std::sync::Arc;
 
-fn cluster_with(config: ArkConfig) -> Arc<ArkCluster> {
-    let store = Arc::new(ObjectCluster::new(ClusterConfig::test_tiny()));
-    ArkCluster::new(config, store)
-}
-
-/// Async config whose seal window never fires on its own: everything
-/// acked stays in the running (unsealed) transaction until a barrier.
+/// Config whose seal window never fires on its own: everything acked
+/// stays in the running (unsealed) transaction until a barrier.
 fn async_wide_window() -> ArkConfig {
     ArkConfig::test_tiny()
         .with_lease_period(MSEC, MSEC)
-        .with_async_commit(10 * SEC, 8)
-}
-
-fn root() -> Credentials {
-    Credentials::root()
-}
-
-/// Journal object count for one directory (0 = nothing durable there).
-fn journal_len(cl: &Arc<ArkCluster>, dir: u128) -> usize {
-    cl.prt().list_journal(&Port::new(), dir).unwrap().len()
+        .with_journal_window(10 * SEC)
+        .with_commit_inflight(8)
 }
 
 #[test]
@@ -102,16 +92,12 @@ fn sync_all_is_a_durability_barrier() {
 }
 
 #[test]
-fn ack_without_barrier_can_lose_ops_that_sync_mode_keeps() {
+fn close_without_fsync_can_lose_what_fsync_before_close_keeps() {
     let payload = b"payload";
-    // Identical workload on both pipelines: mkdir (made durable), then
-    // create + write + close, then a hard crash with no barrier.
-    let run = |mode: CommitMode| -> Result<u64, FsError> {
-        let cl = cluster_with(
-            async_wide_window()
-                .with_commit_mode(mode)
-                .with_journal_window(10 * SEC),
-        );
+    // mkdir (made durable), then create + write (+ fsync) + close, then
+    // a hard crash with no further barrier.
+    let run = |fsync: bool| -> Result<u64, FsError> {
+        let cl = cluster_with(async_wide_window());
         let c1 = cl.client();
         let c2 = cl.client();
         let ctx = root();
@@ -119,17 +105,44 @@ fn ack_without_barrier_can_lose_ops_that_sync_mode_keeps() {
         c1.sync_all(&ctx).unwrap();
         let fh = c1.create(&ctx, "/d/f", 0o644).unwrap();
         c1.write(&ctx, fh, 0, payload).unwrap();
+        if fsync {
+            c1.fsync(&ctx, fh).unwrap();
+        }
         c1.close(&ctx, fh).unwrap();
         c1.crash();
         c2.port().advance(10 * MSEC);
         c2.stat(&ctx, "/d/f").map(|st| st.size)
     };
-    // Sync mode (the seed's pipeline): close implies fsync, whose size
-    // push forces the whole running transaction durable before the ack.
-    assert_eq!(run(CommitMode::Sync), Ok(payload.len() as u64));
-    // Async mode: create/write/close were acked before durability; the
-    // crash erases the file. This is the window the barriers close.
-    assert_eq!(run(CommitMode::Async), Err(FsError::NotFound));
+    // fsync's size push and barrier make the running transaction durable
+    // before it returns.
+    assert_eq!(run(true), Ok(payload.len() as u64));
+    // Without it create/write/close were acked before durability, and
+    // close is no barrier: the crash erases the file.
+    assert_eq!(run(false), Err(FsError::NotFound));
+}
+
+#[test]
+fn a_window_longer_than_the_run_seals_nothing_before_sync_all() {
+    // Fewer creates than `journal_max_entries` (64), spread over half
+    // the 1 s window: no window trips, so nothing seals, no journal
+    // flight leaves, and nothing is durable until the barrier.
+    let cl = cluster_with(ArkConfig::test_tiny().with_journal_window(SEC));
+    let (c, c2) = (cl.client(), cl.client());
+    let ctx = root();
+    c.mkdir(&ctx, "/d", 0o755).unwrap();
+    let dir = c.stat(&ctx, "/d").unwrap().ino;
+    for i in 0..20 {
+        c.port().advance(25 * MSEC);
+        let fh = c.create(&ctx, &format!("/d/f{i}"), 0o644).unwrap();
+        c.close(&ctx, fh).unwrap();
+    }
+    assert_eq!(counter(&cl, "journal.flight.count"), 0);
+    assert_eq!(journal_len(&cl, ROOT_INO), 0, "mkdir acked, not durable");
+    assert_eq!(journal_len(&cl, dir), 0, "creates acked, not durable");
+    c.sync_all(&ctx).unwrap();
+    c.crash();
+    c2.port().advance(c.port().now() + 50 * MSEC);
+    assert_eq!(c2.readdir(&ctx, "/d").unwrap().len(), 20);
 }
 
 #[test]
@@ -225,7 +238,8 @@ fn group_commit_carries_colaned_directories_in_one_flight() {
     let cl = cluster_with(
         ArkConfig::test_tiny()
             .with_lease_period(SEC, SEC)
-            .with_async_commit(window, 8),
+            .with_journal_window(window)
+            .with_commit_inflight(8),
     );
     let c = cl.client();
     let ctx = root();
@@ -275,7 +289,7 @@ fn backpressure_stalls_seals_past_the_inflight_window() {
         )));
         let config = ArkConfig::test_tiny()
             .with_journal_window(0)
-            .with_async_commit(0, max_inflight);
+            .with_commit_inflight(max_inflight);
         let cl = ArkCluster::new(config, store);
         let c = cl.client();
         let ctx = root();

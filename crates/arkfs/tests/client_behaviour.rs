@@ -1,27 +1,17 @@
 //! End-to-end behaviour tests for the ArkFS client: POSIX surface,
 //! permissions, multi-client leases, cache coherence, crash recovery.
 
+mod common;
+
 use arkfs::{ArkCluster, ArkConfig};
-use arkfs_objstore::{ClusterConfig, ObjectCluster, StoreProfile};
+use arkfs_objstore::{ClusterConfig, ObjectCluster};
 use arkfs_simkit::MSEC;
 use arkfs_vfs::{
     read_file, write_file, Acl, AclEntry, Credentials, FileType, FsError, OpenFlags, SetAttr, Vfs,
     AM_READ, AM_WRITE,
 };
+use common::{cluster, cluster_on, cluster_with, root};
 use std::sync::Arc;
-
-fn cluster_with(config: ArkConfig) -> Arc<ArkCluster> {
-    let store = Arc::new(ObjectCluster::new(ClusterConfig::test_tiny()));
-    ArkCluster::new(config, store)
-}
-
-fn cluster() -> Arc<ArkCluster> {
-    cluster_with(ArkConfig::test_tiny())
-}
-
-fn root() -> Credentials {
-    Credentials::root()
-}
 
 // ---- single-client POSIX surface -------------------------------------------
 
@@ -575,10 +565,7 @@ fn readahead_turns_sequential_reads_into_cache_hits() {
 fn s3_backend_full_stack() {
     // The whole stack also runs on the S3 profile (PRT falls back to
     // read-modify-write for sub-chunk writes).
-    let mut store_cfg = ClusterConfig::test_tiny();
-    store_cfg.profile = StoreProfile::s3(&store_cfg.spec);
-    let store = Arc::new(ObjectCluster::new(store_cfg));
-    let cl = ArkCluster::new(ArkConfig::test_tiny(), store);
+    let cl = cluster_on(ArkConfig::test_tiny(), true);
     let c = cl.client();
     let ctx = root();
     c.mkdir(&ctx, "/s3dir", 0o755).unwrap();

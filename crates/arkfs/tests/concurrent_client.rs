@@ -9,25 +9,23 @@
 //! asserts check that the namespace, handle table, and leadership
 //! bookkeeping stay consistent under interleaving.
 
-use arkfs::{ArkCluster, ArkConfig};
-use arkfs_objstore::{ClusterConfig, ObjectCluster};
+mod common;
+
 use arkfs_vfs::{read_file, write_file, Credentials, Vfs};
+use common::{cluster, root};
 use std::sync::Arc;
 use std::thread;
 
 const THREADS: usize = 8;
 const FILES_PER_THREAD: usize = 10;
 
-fn cluster_with(config: ArkConfig) -> Arc<ArkCluster> {
-    let store = Arc::new(ObjectCluster::new(ClusterConfig::test_tiny()));
-    ArkCluster::new(config, store)
-}
-
-/// Drive `THREADS` real threads through one shared client and check the
-/// end state. Returns the client for config-specific asserts.
-fn hammer(config: ArkConfig) -> Arc<arkfs::ArkClient> {
-    let client = cluster_with(config).client();
-    let ctx = Credentials::root();
+#[test]
+fn eight_threads_share_one_client() {
+    // Drive `THREADS` real threads through one shared client and check
+    // the end state. `/shared` puts every thread on one stripe and one
+    // metatable.
+    let client = cluster().client();
+    let ctx = root();
     client.mkdir(&ctx, "/shared", 0o755).unwrap();
     for i in 0..THREADS {
         client.mkdir(&ctx, &format!("/t{i}"), 0o755).unwrap();
@@ -87,38 +85,8 @@ fn hammer(config: ArkConfig) -> Arc<arkfs::ArkClient> {
     }
     // Leadership bookkeeping: root + the 8 private dirs + /shared.
     assert_eq!(client.led_directories(), THREADS + 2);
-    client
-}
-
-#[test]
-fn eight_threads_share_one_client() {
-    // test_tiny uses 4 stripes, so 8 directories force stripe collisions.
-    let client = hammer(ArkConfig::test_tiny());
-    let stats = client.lock_stats();
-    assert!(
-        stats.dir_stripe.acquisitions > 0,
-        "dir stripes were never locked?"
-    );
-    assert!(
-        stats.handle_shard.acquisitions > 0,
-        "handle shards were never locked?"
-    );
-    assert!(
-        stats.data_cache.acquisitions > 0,
-        "data cache was never locked?"
-    );
     // Clean shutdown releases every lease.
-    client.release_all(&Credentials::root()).unwrap();
+    client.release_all(&ctx).unwrap();
     assert_eq!(client.led_directories(), 0);
     assert_eq!(client.lease_release_failures(), 0);
-}
-
-#[test]
-fn single_stripe_ablation_config_is_still_correct() {
-    // `client_lock_stripes = 1` collapses every table to one global lock
-    // (the pre-striping behavior, kept as the ablation baseline); it must
-    // stay correct, just slower under contention.
-    let client = hammer(ArkConfig::test_tiny().with_client_lock_stripes(1));
-    client.release_all(&Credentials::root()).unwrap();
-    assert_eq!(client.led_directories(), 0);
 }

@@ -19,33 +19,18 @@
 //! handed a view older than an acked change, every view dies one lease
 //! period after its stamp, and none outlives its leader.
 
+mod common;
+
 use arkfs::{ArkClient, ArkCluster, ArkConfig};
-use arkfs_objstore::{ClusterConfig, ObjectCluster};
 use arkfs_simkit::MSEC;
 use arkfs_vfs::{write_file, Credentials, FsError, SetAttr, Vfs};
+use common::{cluster_with, forwards, root};
 use std::sync::Arc;
 
 const LEASE: u64 = 100 * MSEC;
 
-fn cluster_with(config: ArkConfig) -> Arc<ArkCluster> {
-    let store = Arc::new(ObjectCluster::new(ClusterConfig::test_tiny()));
-    ArkCluster::new(config, store)
-}
-
 fn config() -> ArkConfig {
     ArkConfig::test_tiny().with_lease_period(LEASE, LEASE)
-}
-
-fn root() -> Credentials {
-    Credentials::root()
-}
-
-/// Forwarded ops of one kind so far (`rpc.forward.<op>.count`).
-fn forwards(cl: &ArkCluster, op: &str) -> u64 {
-    cl.telemetry()
-        .registry
-        .counter(&format!("rpc.forward.{op}.count"))
-        .get()
 }
 
 #[test]

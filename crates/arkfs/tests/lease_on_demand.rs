@@ -9,25 +9,14 @@
 //! I/O with a cache-flush broadcast to the holders that lands before the
 //! conflicting access does.
 
+mod common;
+
 use arkfs::partition::PartitionMap;
 use arkfs::{ArkCluster, ArkConfig};
 use arkfs_objstore::{ClusterConfig, ObjectCluster};
 use arkfs_vfs::{read_file, write_file, Credentials, OpenFlags, Vfs};
+use common::{cluster, counter, forwards};
 use std::sync::Arc;
-
-fn cluster() -> Arc<ArkCluster> {
-    let store = Arc::new(ObjectCluster::new(ClusterConfig::test_tiny()));
-    ArkCluster::new(ArkConfig::test_tiny(), store)
-}
-
-/// Forwarded ops of one kind so far (`rpc.forward.<op>.count`).
-fn forwards(cl: &ArkCluster, op: &str) -> u64 {
-    counter(cl, &format!("rpc.forward.{op}.count"))
-}
-
-fn counter(cl: &ArkCluster, name: &str) -> u64 {
-    cl.telemetry().registry.counter(name).get()
-}
 
 /// Every forwarded message that can take or hand back a file lease so
 /// far: acquires, readable opens, releases and the close message that

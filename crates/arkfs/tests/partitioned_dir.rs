@@ -9,11 +9,13 @@
 //! isolation, and across a crash landing at an arbitrary split
 //! boundary.
 
+mod common;
+
 use arkfs::partition::{lease_partition, partition_ino, PartitionMap};
 use arkfs::{ArkCluster, ArkConfig};
-use arkfs_objstore::{ClusterConfig, ObjectCluster, StoreProfile};
-use arkfs_simkit::{Port, MSEC, SEC};
+use arkfs_simkit::{MSEC, SEC};
 use arkfs_vfs::{Credentials, DirEntry, FileType, FsError, OpenFlags, Vfs};
+use common::{cluster_on, forwards, journal_len, root};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -21,30 +23,12 @@ use std::sync::Arc;
 /// name routing in these tests are computed against it).
 const BUCKETS: u64 = 4;
 
-fn cluster_on(config: ArkConfig, s3: bool) -> Arc<ArkCluster> {
-    let mut cfg = ClusterConfig::test_tiny();
-    if s3 {
-        cfg.profile = StoreProfile::s3(&cfg.spec);
-    }
-    ArkCluster::new(config, Arc::new(ObjectCluster::new(cfg)))
-}
-
-/// Async config whose seal window never fires on its own, so durability
-/// is entirely in the hands of the explicit barriers under test.
+/// Config whose seal window never fires on its own, so durability is
+/// entirely in the hands of the explicit barriers under test.
 fn async_wide_window() -> ArkConfig {
-    ArkConfig::test_tiny().with_async_commit(10 * SEC, 8)
-}
-
-fn root() -> Credentials {
-    Credentials::root()
-}
-
-/// Journal object count for one partition stream.
-fn stream_len(cl: &Arc<ArkCluster>, dir: u128, p: u32) -> usize {
-    cl.prt()
-        .list_journal(&Port::new(), partition_ino(dir, p))
-        .unwrap()
-        .len()
+    ArkConfig::test_tiny()
+        .with_journal_window(10 * SEC)
+        .with_commit_inflight(8)
 }
 
 fn names(c: &arkfs::ArkClient, ctx: &Credentials, path: &str) -> Vec<String> {
@@ -168,14 +152,6 @@ fn cross_partition_rename_is_atomic_and_survives_crash() {
 }
 
 // ---- steered inos: one close message when name shard = lease shard -------------
-
-/// Forwarded ops of one kind so far (`rpc.forward.<op>.count`).
-fn forwards(cl: &Arc<ArkCluster>, op: &str) -> u64 {
-    cl.telemetry()
-        .registry
-        .counter(&format!("rpc.forward.{op}.count"))
-        .get()
-}
 
 /// `(close_file, set_size, release_file_lease)` forwarded so far.
 fn close_traffic(cl: &Arc<ArkCluster>) -> (u64, u64, u64) {
@@ -379,7 +355,7 @@ fn split_crash_roundtrip(n_before: usize, n_after: usize, target: u32, s3: bool)
     c1.set_dir_partitions(&ctx, "/d", target).unwrap();
     for p in 0..target {
         assert_eq!(
-            stream_len(&cl, dir, p),
+            journal_len(&cl, partition_ino(dir, p)),
             0,
             "split checkpointed every pre-split stream (partition {p})"
         );

@@ -1,9 +1,6 @@
 //! Ablation studies of ArkFS design choices (§III), in virtual time:
 //!
-//! * compound-transaction buffering window (1 s vs commit-per-op),
-//! * commit pipeline (async ack-at-seal vs sync ack-at-durable),
-//! * group commit across co-laned directories (grouped vs per-dir
-//!   sealing, journal flights and txns-per-flight),
+//! * compound-transaction buffering window (1 s, 100 ms, commit-per-op),
 //! * read-ahead policy (none / doubling / immediate-max-at-zero),
 //! * a cache smaller than the file (read-ahead that outlives what is
 //!   behind it, ranged random reads, dirty evictions behind the writer),
@@ -14,13 +11,12 @@
 
 use crate::figures::easy_create_rate;
 use crate::fleet::{ark_cluster, ark_fleet, zipf_create_fleet, System};
-use crate::registry::{format_table, Figure, Metric, Record, Run, Sample, Scale};
+use crate::registry::{Figure, Metric, Record, Run, Sample, Scale};
 use arkfs::ArkConfig;
-use arkfs_simkit::{MSEC, SEC};
+use arkfs_simkit::{Nanos, MSEC, SEC};
 use arkfs_vfs::{Credentials, FileHandle, OpenFlags, Vfs};
 use arkfs_workloads::client::barrier;
 use arkfs_workloads::fio::{fio, FioConfig};
-use arkfs_workloads::mdtest::{fanned_dir_create, mdtest_easy, MdtestEasyConfig};
 use arkfs_workloads::{gen_iter, run_ops, Op, SimClient};
 use std::sync::Arc;
 
@@ -132,6 +128,16 @@ fn small_cache_shape(records: &[Record]) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// The §1 row label of a journal window: "commit per op" at zero, else
+/// the window, marked where it is the paper's 1 s.
+fn window_label(window: Nanos) -> String {
+    match window {
+        0 => "commit per op".to_string(),
+        SEC => "1s window (paper)".to_string(),
+        w => format!("{}ms window", w / MSEC),
+    }
 }
 
 fn create_throughput(config: ArkConfig, procs: usize, files: u64) -> f64 {
@@ -293,123 +299,22 @@ fn ablate(run: &mut Run) -> Result<(), String> {
     const OUT: &str = "ablations";
 
     // 1. Compound-transaction buffering (§III-E: "buffering journal
-    //    entries in an in-memory transaction for 1 second").
-    let rows: Vec<Vec<String>> = [
-        ("1s window (paper)", ArkConfig::default()),
-        (
-            "100ms window",
-            ArkConfig::default().with_journal_window(100 * MSEC),
-        ),
-        ("commit per op", ArkConfig::default().with_journal_window(0)),
-    ]
-    .into_iter()
-    .map(|(name, cfg)| {
-        vec![
-            name.to_string(),
-            format!("{:.1}", create_throughput(cfg, procs, files) / 1000.0),
-        ]
-    })
-    .collect();
+    //    entries in an in-memory transaction for 1 second"). Each row's
+    //    label is made from the window it runs.
+    let rows: Vec<Vec<String>> = [SEC, 100 * MSEC, 0]
+        .into_iter()
+        .map(|window| {
+            let cfg = ArkConfig::default().with_journal_window(window);
+            vec![
+                window_label(window),
+                format!("{:.1}", create_throughput(cfg, procs, files) / 1000.0),
+            ]
+        })
+        .collect();
     run.table(
         OUT,
         "Ablation: compound-transaction window (create kops/s)",
         &["window", "kops/s"],
-        &rows,
-    );
-
-    // 1b. Commit pipeline: async acks at seal, sync acks at durable.
-    //     Same create workload; the async rows also split latency into
-    //     ack (exact phase percentile — the return to the caller) vs
-    //     durable (`op.create.durable_ns`, stamped when the sealed
-    //     batch lands on the object store). Sync mode has no separate
-    //     ack: the caller waits out the forced commit.
-    let rows: Vec<Vec<String>> = [
-        ("async (pipeline)", ArkConfig::default()),
-        (
-            "sync (ack at durable)",
-            ArkConfig::default().with_commit_mode(arkfs::CommitMode::Sync),
-        ),
-    ]
-    .into_iter()
-    .map(|(name, cfg)| {
-        let system = ark_fleet(procs, cfg, true);
-        let wl = MdtestEasyConfig {
-            files_total: files,
-            create_only: true,
-        };
-        let result = mdtest_easy(&system.clients, &wl).expect("mdtest");
-        let phase = &result.phases[0];
-        let durable = system.clients[0]
-            .telemetry()
-            .map(|t| t.registry.histogram("op.create.durable_ns").snapshot())
-            .filter(|h| h.count() > 0);
-        vec![
-            name.to_string(),
-            format!("{:.1}", phase.ops_per_sec() / 1000.0),
-            phase.latency_p50.to_string(),
-            durable.map_or_else(|| "-".to_string(), |h| h.quantile(0.5).to_string()),
-        ]
-    })
-    .collect();
-    run.table(
-        OUT,
-        "Ablation: commit pipeline (create kops/s, ack vs durable p50 ns)",
-        &["mode", "kops/s", "ack p50", "durable p50"],
-        &rows,
-    );
-
-    // 1c. Group commit across co-laned directories: 64 clients create
-    //     round-robin into 8 directories each, so every client's 8 led
-    //     journals share its 4 commit lanes. Grouped sealing carries
-    //     every co-laned directory's due transactions in one batched
-    //     multi-PUT per lane flight; per-dir sealing pays one store
-    //     round trip per sealed transaction. `journal.flight.count` /
-    //     `journal.flight.txns` count exactly the append flights and
-    //     the transactions they carry (checkpoint batches are excluded
-    //     by construction), so txns-per-flight reads the amortization
-    //     directly. A 10 ms commit window makes window-triggered seals
-    //     the dominant flight source (the default 100 ms fires about
-    //     once per directory in a run this short).
-    let rows: Vec<Vec<String>> = [
-        (
-            "grouped (default)",
-            ArkConfig::default().with_async_commit(10 * MSEC, 8),
-        ),
-        (
-            "per-dir sealing",
-            ArkConfig::default()
-                .with_async_commit(10 * MSEC, 8)
-                .with_group_commit(false),
-        ),
-    ]
-    .into_iter()
-    .map(|(name, cfg)| {
-        let system = ark_fleet(wide, cfg, true);
-        let result = fanned_dir_create(&system.clients, 8, wide_files).expect("fanned create");
-        let phase = &result.phases[0];
-        let tel = system.clients[0].telemetry().expect("telemetry");
-        let durable = tel.registry.histogram("op.create.durable_ns").snapshot();
-        let flights = tel.registry.counter("journal.flight.count").get();
-        let txns = tel.registry.counter("journal.flight.txns").get();
-        vec![
-            name.to_string(),
-            format!("{:.1}", phase.ops_per_sec() / 1000.0),
-            durable.quantile(0.5).to_string(),
-            flights.to_string(),
-            format!("{:.2}", txns as f64 / flights.max(1) as f64),
-        ]
-    })
-    .collect();
-    run.table(
-        OUT,
-        &format!("Ablation: group commit across co-laned dirs at {wide} clients"),
-        &[
-            "mode",
-            "kops/s",
-            "durable p50 ns",
-            "journal flights",
-            "txns/flight",
-        ],
         &rows,
     );
 
@@ -630,15 +535,10 @@ fn ablate(run: &mut Run) -> Result<(), String> {
             reader.stat(&ctx, &format!("/meta/f{i}")).unwrap();
         }
 
-        // Fold the observability-layer loss counters and the client's
-        // lock-contention counters into the registry so the snapshot
-        // below is the one uniform view of everything the stack
-        // recorded. Lock contended/blocked_ns are host wall-clock, but
-        // this workload runs on one thread and a lock nobody else holds
-        // is never contended: both are 0 on every run, so the table
-        // stays under the byte-identical drift check.
+        // Fold the observability-layer loss counters into the registry
+        // so the snapshot below is the one uniform view of everything
+        // the stack recorded.
         cluster.telemetry().publish_ring_losses();
-        writer.publish_lock_stats();
         // `leader.served.count` / `leader.busy_ns` are sums over all
         // leaders; a hotspot is one leader, so publish the busiest.
         let (served, busy) = [&writer, &reader]
@@ -706,209 +606,7 @@ fn ablate(run: &mut Run) -> Result<(), String> {
         }
     }
 
-    let shared_files = (files as usize / 20).max(1);
-    // 7a. Shared-client op/lock-acquisition counts, measured
-    //     deterministically: the same 8-worker op mix multiplexed onto
-    //     the ONE client by the discrete-event engine on one host
-    //     thread. Wall-clock contention cannot show up here — the point
-    //     is that the op count and the striped-lock acquisition count
-    //     are exact, reproducible numbers, so a change in either is a
-    //     code change, not scheduler noise. The wall-clock section below
-    //     keeps measuring the real contention.
-    {
-        let rows: Vec<Vec<String>> = [("striped (16)", 16usize), ("global lock (1)", 1)]
-            .into_iter()
-            .map(|(name, stripes)| {
-                let (ops, acquisitions) = shared_client_engine_counts(stripes, shared_files);
-                vec![name.to_string(), ops.to_string(), acquisitions.to_string()]
-            })
-            .collect();
-        run.table(
-            OUT,
-            "Ablation: shared-client op/lock counts (event engine, deterministic)",
-            &["mode", "ops", "striped lock acquisitions"],
-            &rows,
-        );
-    }
-
-    // 7. Shared-client lock striping: 8 real OS threads hammer ONE
-    //    ArkClient with mixed create/write/stat across 8 directories.
-    //    Virtual time is oblivious to real-thread contention (the
-    //    Timeline just advances), so this scenario is scored in
-    //    *wall-clock* terms: ops/s, plus the contention diagnostics
-    //    from `ArkClient::lock_stats()` — how many lock acquisitions
-    //    found the lock held, and how long they blocked. `stripes = 1`
-    //    collapses every table to one global lock (the pre-striping
-    //    client this refactor replaced): a thread descheduled inside
-    //    any critical section stalls every other thread, instead of
-    //    only the ones needing the same stripe.
-    {
-        // Wall-clock timing is noisy (allocator/page-fault warm-up favors
-        // whichever config runs first), so warm up once, then score each
-        // config by its median ops/s of five runs; contention counters are
-        // summed across the five runs. The "striped" columns cover the
-        // three lock-striped families (dir table, pcache, handle shards);
-        // the data-cache lock is a single lock in both configs and is
-        // reported separately so it does not mask the striping effect.
-        let _ = shared_client_run(16, shared_files);
-        let _ = shared_client_run(1, shared_files);
-        #[derive(Default)]
-        struct Tally {
-            rates: Vec<f64>,
-            locks: u64,
-            contended: u64,
-            wait_ns: u64,
-            cache_contended: u64,
-        }
-        let configs = [("striped (16)", 16usize), ("global lock (1)", 1)];
-        let mut tallies = [Tally::default(), Tally::default()];
-        // Interleave the runs so slow drift (thermal, background load)
-        // hits both configs equally.
-        for _ in 0..5 {
-            for (t, &(_, stripes)) in tallies.iter_mut().zip(&configs) {
-                let (ops_per_sec, s) = shared_client_run(stripes, shared_files);
-                let striped = s.striped();
-                t.rates.push(ops_per_sec);
-                t.locks = striped.acquisitions;
-                t.contended += striped.contended;
-                t.wait_ns += striped.wait_ns;
-                t.cache_contended += s.data_cache.contended;
-            }
-        }
-        let rows: Vec<Vec<String>> = configs
-            .iter()
-            .zip(&mut tallies)
-            .map(|(&(name, _), t)| {
-                t.rates.sort_by(|a, b| a.total_cmp(b));
-                let median = t.rates[t.rates.len() / 2];
-                vec![
-                    name.to_string(),
-                    format!("{:.1}", median / 1000.0),
-                    t.locks.to_string(),
-                    t.contended.to_string(),
-                    format!("{:.0}", t.wait_ns as f64 / 1000.0),
-                    t.cache_contended.to_string(),
-                ]
-            })
-            .collect();
-        // Wall-clock rows differ run to run: stdout only, so
-        // `results/ablations.txt` stays deterministic.
-        let header = [
-            "mode",
-            "kops/s",
-            "striped locks",
-            "striped contended",
-            "striped wait µs",
-            "cache contended",
-        ];
-        let title = "Ablation: shared-client lock striping (8 threads, wall-clock)";
-        for line in format_table(title, &header, &rows) {
-            println!("{line}");
-        }
-    }
     Ok(())
-}
-
-const SHARED_THREADS: usize = 8;
-const SHARED_STATS_PER_FILE: usize = 8;
-
-/// Build the one-client deployment and its per-worker directory tree
-/// for the shared-client scenarios. Two path levels per worker: the
-/// root directory's stripe is shared by every resolution no matter the
-/// stripe count, so deeper paths shift lock traffic onto the per-worker
-/// stripes where striping can actually spread it.
-fn shared_client_setup(stripes: usize) -> Arc<arkfs::ArkClient> {
-    use arkfs_vfs::Vfs;
-
-    let config = ArkConfig::default().with_client_lock_stripes(stripes);
-    let client = ark_cluster(config, false).client();
-    let ctx = Credentials::root();
-    for i in 0..SHARED_THREADS {
-        client.mkdir(&ctx, &format!("/d{i}"), 0o755).unwrap();
-        for j in 0..4 {
-            client.mkdir(&ctx, &format!("/d{i}/s{j}"), 0o755).unwrap();
-        }
-    }
-    client
-}
-
-/// The shared-client op mix as engine-driven generators: 8 per-worker
-/// op streams multiplexed onto ONE client. Returns (ops executed,
-/// striped lock acquisitions) — both deterministic.
-fn shared_client_engine_counts(stripes: usize, files: usize) -> (u64, u64) {
-    use arkfs_workloads::{gen_iter, run_ops, Op, OpGen};
-
-    let client = shared_client_setup(stripes);
-    let clients: Vec<Arc<dyn SimClient>> = (0..SHARED_THREADS)
-        .map(|_| Arc::clone(&client) as Arc<dyn SimClient>)
-        .collect();
-    let gens: Vec<Box<dyn OpGen>> = (0..SHARED_THREADS)
-        .map(|i| {
-            gen_iter((0..files).flat_map(move |k| {
-                let path = format!("/d{i}/s{}/f{k}", k % 4);
-                let mut ops = vec![
-                    Op::OpenCreate { path: path.clone() },
-                    Op::Write {
-                        off: 0,
-                        len: 4096,
-                        fill: i as u8,
-                    },
-                    Op::Close,
-                ];
-                ops.extend((0..SHARED_STATS_PER_FILE).map(|_| Op::Stat { path: path.clone() }));
-                ops.into_iter()
-            }))
-        })
-        .collect();
-    let report = run_ops(&clients, gens, None);
-    assert_eq!(report.total_errors(), 0, "shared-client engine ops failed");
-    (
-        report.ops.iter().sum(),
-        client.lock_stats().striped().acquisitions,
-    )
-}
-
-/// One `ArkClient`, 8 real worker threads, mixed ops across 8 directories.
-/// Returns wall-clock ops/s and the client's lock-acquisition counters.
-fn shared_client_run(stripes: usize, files: usize) -> (f64, arkfs::LockStats) {
-    use arkfs_vfs::{Credentials, Vfs};
-    use std::thread;
-    use std::time::Instant;
-
-    const THREADS: usize = SHARED_THREADS;
-    const STATS_PER_FILE: usize = SHARED_STATS_PER_FILE;
-    const OPS_PER_FILE: u64 = 3 + STATS_PER_FILE as u64; // create, write, close, stats
-
-    let client = shared_client_setup(stripes);
-
-    let t0 = Instant::now();
-    let workers: Vec<_> = (0..THREADS)
-        .map(|i| {
-            let c = Arc::clone(&client);
-            thread::spawn(move || {
-                let ctx = Credentials::root();
-                let payload = vec![i as u8; 4096];
-                for k in 0..files {
-                    let path = format!("/d{i}/s{}/f{k}", k % 4);
-                    let fh = c.create(&ctx, &path, 0o644).unwrap();
-                    c.write(&ctx, fh, 0, &payload).unwrap();
-                    c.close(&ctx, fh).unwrap();
-                    // Metadata-read heavy tail: stats resolve through the
-                    // pcache + dir stripes, where striping matters most.
-                    for _ in 0..STATS_PER_FILE {
-                        assert_eq!(c.stat(&ctx, &path).unwrap().size, 4096);
-                    }
-                }
-            })
-        })
-        .collect();
-    for w in workers {
-        w.join().expect("shared-client worker panicked");
-    }
-    let dt = t0.elapsed().as_secs_f64();
-
-    let ops = (THREADS * files) as f64 * OPS_PER_FILE as f64;
-    (ops / dt, client.lock_stats())
 }
 
 #[cfg(test)]

@@ -268,10 +268,9 @@ impl Shell {
                 let tel = self.cluster.telemetry();
                 match args.first().copied() {
                     Some("dump") => {
-                        // Fold the ring-loss and lock-contention counters
-                        // into the registry so the dump is self-contained.
+                        // Fold the ring-loss counters into the registry so
+                        // the dump is self-contained.
                         tel.publish_ring_losses();
-                        self.client.publish_lock_stats();
                         let json = tel.flight.dump_json();
                         if let Some(path) = args.get(1) {
                             std::fs::write(path, &json).map_err(|e| FsError::Io(e.to_string()))?;

@@ -161,40 +161,6 @@ pub fn mdtest_easy(
     Ok(MdtestResult { phases, errors })
 }
 
-/// CREATE phase with each process spreading its files round-robin over
-/// `dirs_per_proc` directories it leads itself. With more led
-/// directories than commit lanes, async seals of co-laned directories
-/// land on the same lane — the workload where grouped sealing (one
-/// batched flight carrying every co-laned directory's due
-/// transactions) amortizes against per-dir flights. Setup (unmetered)
-/// creates the per-process directories.
-pub fn fanned_dir_create(
-    clients: &[Arc<dyn SimClient>],
-    dirs_per_proc: u64,
-    files_total: u64,
-) -> FsResult<MdtestResult> {
-    assert!(!clients.is_empty() && dirs_per_proc > 0);
-    let per_proc = (files_total / clients.len() as u64).max(1);
-    clients[0].mkdir(&ctx(), "/fan", 0o755)?;
-    run_setup(clients, |i| {
-        gen_iter((0..dirs_per_proc).map(move |d| Op::Mkdir {
-            path: format!("/fan/p{i}-d{d}"),
-        }))
-    });
-    let (create, e) = run_phase(clients, "create", per_proc, |i| {
-        gen_iter((0..per_proc).map(move |j| {
-            let d = j % dirs_per_proc;
-            Op::Create {
-                path: format!("/fan/p{i}-d{d}/f{j}"),
-            }
-        }))
-    });
-    Ok(MdtestResult {
-        phases: vec![create],
-        errors: vec![e],
-    })
-}
-
 /// CREATE phase into ONE shared directory: every process creates empty
 /// files into the same directory — the hot-directory worst case that
 /// partitioned dentry leadership targets (Fig. 8). The caller creates
