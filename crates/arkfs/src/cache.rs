@@ -12,7 +12,8 @@
 //! stream's read-ahead window counting as in use
 //! ([`DataCache::claim_window`]); a dirty entry it evicts goes *behind*
 //! the caller — its PUT departs at once and keeps the entry's slot until
-//! the ack ([`DataCache::went_behind`]). [`cached_read`] and
+//! the ack ([`DataCache::went_behind`]), and so do the DELETEs of a
+//! removed file's chunks ([`purge`]). [`cached_read`] and
 //! [`cached_write`] are the data paths over it, [`flush`] the one drain.
 
 use crate::prt::{chunk_spans, map_os_err, read_spans};
@@ -46,7 +47,7 @@ fn put_items(chunks: Vec<Evicted>) -> Vec<(ObjectKey, Bytes)> {
 
 /// The one drain of the cached data path: write back `file`'s dirty
 /// chunks (every file's for `None`) as one pipelined multi-PUT, after
-/// the PUTs already behind the writer have been acked. fsync, close,
+/// the requests already behind the caller have been acked. fsync, close,
 /// truncate, a lease flip to direct I/O, a leader's flush request and
 /// `sync_all` hand a file's bytes on through here, so what they hand on
 /// is never older than the store's acks. One cache pass, in `cache`.
@@ -117,16 +118,16 @@ pub struct CachePolicy {
     pub max_readahead: u64,
     /// A read at offset 0 opens the whole window at once.
     pub full_at_zero: bool,
-    /// One-way network latency: when a fill's GETs, or the PUTs of the
-    /// chunks that go behind the caller, reach the store.
+    /// One-way network latency: when a fill's GETs, or the PUTs and
+    /// DELETEs that go behind the caller, reach the store.
     pub net_half_rtt: Nanos,
 }
 
 /// A store round trip the cached data path waited for, as the span its
 /// caller's tracer records: `cache.miss` (chunks fetched whole into the
 /// cache), `cache.bypass` (a random read's ranges fetched past it) or
-/// `cache.writebehind.wait` (a writer waiting for the ack that frees a
-/// slot).
+/// `cache.writebehind.wait` (a writer or a purge waiting for the ack
+/// that frees a slot).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FetchSpan {
     pub name: &'static str,
@@ -145,19 +146,86 @@ fn go_behind(
     net_half_rtt: Nanos,
     victims: Vec<Evicted>,
 ) -> (Nanos, FsResult<()>) {
+    let chunks: Vec<(Ino, u64)> = victims.iter().map(|e| (e.ino, e.chunk)).collect();
+    let acks = match victims.is_empty() {
+        true => Vec::new(),
+        false => store.put_each(now + net_half_rtt, put_items(victims)),
+    };
+    record_behind(cache, now, Stat::WriteBehind, chunks.into_iter().zip(acks))
+}
+
+/// Record the requests a pass sent behind the caller — `((ino, chunk),
+/// ack)`, counted as `issued_as` — in flight, and return when the caller
+/// may go on, with the first one the store refused at issue as the
+/// caller's error.
+fn record_behind(
+    cache: &mut DataCache,
+    now: Nanos,
+    issued_as: Stat,
+    acks: impl IntoIterator<Item = ((Ino, u64), OsResult<Nanos>)>,
+) -> (Nanos, FsResult<()>) {
     let (mut issued, mut refused) = (Vec::new(), Ok(()));
-    if !victims.is_empty() {
-        let chunks: Vec<(Ino, u64)> = victims.iter().map(|e| (e.ino, e.chunk)).collect();
-        let acks = store.put_each(now + net_half_rtt, put_items(victims));
-        for ((ino, chunk), r) in chunks.into_iter().zip(acks) {
-            match r {
-                Ok(ack) => issued.push((ino, chunk, ack)),
-                Err(e) if refused.is_ok() => refused = Err(map_os_err(e)),
-                Err(_) => {}
-            }
+    for ((ino, chunk), r) in acks {
+        match r {
+            Ok(ack) => issued.push((ino, chunk, ack)),
+            Err(e) if refused.is_ok() => refused = Err(map_os_err(e)),
+            Err(_) => {}
         }
     }
-    (cache.went_behind(issued, now), refused)
+    (cache.went_behind(issued, issued_as, now), refused)
+}
+
+/// Wait out what [`record_behind`] decided for a caller whose pass began
+/// at `start`: the wait, if there was one, as a `cache.writebehind.wait`
+/// span.
+fn wait_behind(
+    port: &Port,
+    start: Nanos,
+    (until, refused): (Nanos, FsResult<()>),
+) -> FsResult<Option<FetchSpan>> {
+    port.wait_until(until);
+    refused?;
+    Ok((until > start).then_some(FetchSpan {
+        name: "cache.writebehind.wait",
+        start,
+        end: until,
+    }))
+}
+
+/// The one way a client reclaims a removed file's data: drop the cached
+/// chunks of `ino` and DELETE its first `chunks` chunk objects *behind*
+/// the caller, in one cache pass. The DELETEs depart no earlier than the
+/// ack of a PUT still in flight for the file (the rule a GET follows);
+/// each then holds a slot until its own ack, like a PUT that went behind
+/// a writer, and the caller waits by the same rule
+/// ([`DataCache::went_behind`]). [`flush`]'s drain waits for them all,
+/// so `sync_all` still pays for the last. A DELETE the store refuses at
+/// issue is the caller's error; a chunk it never had is not. Returns
+/// the wait, if there was one, as a `cache.writebehind.wait` span.
+pub fn purge(
+    store: &dyn ObjectStore,
+    port: &Port,
+    mut cache: impl DerefMut<Target = DataCache>,
+    ino: Ino,
+    chunks: u64,
+    policy: &CachePolicy,
+) -> FsResult<Option<FetchSpan>> {
+    cache.invalidate_file(ino);
+    if chunks == 0 {
+        return Ok(None);
+    }
+    let start = port.now();
+    let depart = start.max(cache.in_flight_until(ino, 0..chunks)) + policy.net_half_rtt;
+    let keys: Vec<ObjectKey> = (0..chunks).map(|c| ObjectKey::data_chunk(ino, c)).collect();
+    let deleted = store.delete_each(depart, &keys);
+    let acks = deleted.into_iter().map(|(ack, r)| match r {
+        Ok(()) | Err(OsError::NotFound) => Ok(ack),
+        Err(e) => Err(e),
+    });
+    let issued = (0..chunks).map(|chunk| (ino, chunk)).zip(acks);
+    let behind = record_behind(&mut cache, start, Stat::Purge, issued);
+    drop(cache);
+    wait_behind(port, start, behind)
 }
 
 /// The cached write path of ArkFS clients and the baselines: write
@@ -196,18 +264,12 @@ pub fn cached_write<G: DerefMut<Target = DataCache>>(
     port.wait_until(behind);
     let fills = fetch_fills(store, port, ino, &need_fill)?;
     let start = port.now();
-    let (until, refused) = {
+    let behind = {
         let mut cache = lock();
         let victims = cache.write_many(ino, chunk_size, offset, data, fills, start);
         go_behind(&mut cache, store, start, policy.net_half_rtt, victims)
     };
-    port.wait_until(until);
-    refused?;
-    Ok((until > start).then_some(FetchSpan {
-        name: "cache.writebehind.wait",
-        start,
-        end: until,
-    }))
+    wait_behind(port, start, behind)
 }
 
 /// The cached read path of ArkFS clients and the baselines: read up to
@@ -401,12 +463,16 @@ pub enum Stat {
     FillLost,
     /// Dirty chunks whose PUT went out behind the caller.
     WriteBehind,
-    /// Calls that waited for a write-behind ack to free a slot.
+    /// Calls that waited for an ack behind them (a PUT's or a DELETE's)
+    /// to free a slot.
     WriteBehindWait,
+    /// DELETEs of a removed file's chunks that went out behind the
+    /// caller ([`purge`]).
+    Purge,
 }
 
 /// Registry names of the [`Stat`]s.
-pub const STAT_NAMES: [&str; 8] = [
+pub const STAT_NAMES: [&str; 9] = [
     "cache.hit.count",
     "cache.miss.count",
     "cache.prefetch.issued.count",
@@ -415,6 +481,7 @@ pub const STAT_NAMES: [&str; 8] = [
     "cache.fill.lost.count",
     "cache.writebehind.issued.count",
     "cache.writebehind.waited.count",
+    "cache.purge.issued.count",
 ];
 
 /// Registry handles for the [`Stat`]s and for `cache.buffers.peak`, the
@@ -440,8 +507,9 @@ pub struct DataCache {
     /// Every resident entry by its (unique) last-use tick: the first is
     /// the eviction victim.
     lru: BTreeMap<u64, (Ino, u64)>,
-    /// `(ino, chunk, ack)` of every evicted dirty chunk whose PUT has not
-    /// been acked yet: each holds a slot of `capacity` until its ack.
+    /// `(ino, chunk, ack)` of every evicted dirty chunk whose PUT, and
+    /// every purged chunk whose DELETE, has not been acked yet: each
+    /// holds a slot of `capacity` until its ack.
     in_flight: Vec<(Ino, u64, Nanos)>,
     capacity: usize,
     clock: u64,
@@ -479,7 +547,7 @@ impl DataCache {
         self.lru.is_empty()
     }
 
-    /// PUTs behind the writer not yet known to be acked.
+    /// Requests behind the caller not yet known to be acked.
     pub fn in_flight(&self) -> usize {
         self.in_flight.len()
     }
@@ -512,13 +580,13 @@ impl DataCache {
         }
     }
 
-    /// Forget the PUTs acked by `now`: their slots are free again.
+    /// Forget the requests acked by `now`: their slots are free again.
     fn forget_acked(&mut self, now: Nanos) {
         self.in_flight.retain(|&(.., ack)| ack > now);
     }
 
-    /// When the last PUT in flight for any of `chunks` of `ino` is acked
-    /// (0 if none is): a GET of one of them departs no earlier.
+    /// When the last request in flight for any of `chunks` of `ino` is
+    /// acked (0 if none is): a GET of one of them departs no earlier.
     pub(crate) fn in_flight_until(&self, ino: Ino, chunks: impl IntoIterator<Item = u64>) -> Nanos {
         let mut until = 0;
         if !self.in_flight.is_empty() {
@@ -533,21 +601,23 @@ impl DataCache {
         until
     }
 
-    /// Record the PUTs a pass's dirty victims went out with — `(ino,
-    /// chunk, ack)`, oldest first — as in flight, then make the cache fit
-    /// again: the caller, whose clock reads `now`, may go on at once
-    /// unless resident entries and PUTs in flight exceed capacity; then
-    /// it waits for the oldest PUT's ack, and the next oldest while still
-    /// over, and the returned time is the last ack it waited for. Every
-    /// PUT acked by then is forgotten here.
+    /// Record the requests a pass sent behind the caller — the PUTs of
+    /// its dirty victims or a purge's DELETEs, `(ino, chunk, ack)`,
+    /// oldest first, counted as `issued_as` — as in flight, then make
+    /// the cache fit again: the caller, whose clock reads `now`, may go
+    /// on at once unless resident entries and requests in flight exceed
+    /// capacity; then it waits for the oldest ack, and the next oldest
+    /// while still over, and the returned time is the last ack it waited
+    /// for. Every request acked by then is forgotten here.
     pub fn went_behind(
         &mut self,
         issued: impl IntoIterator<Item = (Ino, u64, Nanos)>,
+        issued_as: Stat,
         now: Nanos,
     ) -> Nanos {
         let before = self.in_flight.len();
         self.in_flight.extend(issued);
-        self.count(Stat::WriteBehind, (self.in_flight.len() - before) as u64);
+        self.count(issued_as, (self.in_flight.len() - before) as u64);
         self.forget_acked(now);
         let mut until = now;
         while self.lru.len() + self.in_flight.len() > self.capacity {
@@ -566,9 +636,9 @@ impl DataCache {
         until
     }
 
-    /// Forget the PUTs in flight for `file` (for every file with `None`)
-    /// and return when the last of them is acked: the caller waits for
-    /// that before it hands the file's bytes on.
+    /// Forget the requests in flight for `file` (for every file with
+    /// `None`) and return when the last of them is acked: the caller
+    /// waits for that before it hands the file's bytes on.
     fn drain(&mut self, file: Option<Ino>) -> Nanos {
         let mut acked = 0;
         self.in_flight.retain(|&(ino, _, ack)| {
@@ -1391,14 +1461,14 @@ mod tests {
         let chunks: Vec<u64> = behind.iter().map(|e| e.chunk).collect();
         assert_eq!(chunks, [0, 1, 2]);
         let issued = [(1, 0, 500), (1, 1, 300), (1, 2, 900)];
-        assert_eq!(c.went_behind(issued, 100), 500);
+        assert_eq!(c.went_behind(issued, Stat::WriteBehind, 100), 500);
         assert_eq!((c.len(), c.in_flight()), (1, 1));
         // A read of chunk 2 departs after its ack, a window leaves the
         // slot it holds alone, and a write that fits does not wait.
         assert_eq!(c.in_flight_until(1, [2, 3]), 900);
         assert_eq!(c.claim_window(1, 3, 10, 700), (4, vec![]));
         assert!(c.write_many(1, 1, 4, b"c", HashMap::new(), 700).is_empty());
-        assert_eq!(c.went_behind([], 700), 700);
+        assert_eq!(c.went_behind([], Stat::WriteBehind, 700), 700);
         // A drain forgets the file's PUTs and returns the last ack.
         assert_eq!(c.drain(Some(2)), 0, "another file's PUTs stay");
         assert_eq!((c.drain(None), c.in_flight()), (900, 0));

@@ -6,7 +6,8 @@
 //! included, with pipelined multi-GETs; random reads fetch their range
 //! past it), writes through [`cached_write`] (dirty in the cache, or
 //! direct after a lease conflict; dirty evictions go behind the writer),
-//! and every hand-off of a file's bytes through [`flush`].
+//! every hand-off of a file's bytes through [`flush`], and a removed
+//! file's chunks go through [`purge`].
 //!
 //! The data cache is a rank-*Leaf* lock (see [`super::lockorder`]):
 //! every acquisition here is scoped to one cache pass and released
@@ -16,7 +17,7 @@
 
 use super::filetable::Held;
 use super::ArkClient;
-use crate::cache::{cached_read, cached_write, flush, CachePolicy, FetchSpan};
+use crate::cache::{cached_read, cached_write, flush, purge, CachePolicy, FetchSpan};
 use arkfs_telemetry::PID_CLIENT;
 use arkfs_vfs::{FileHandle, FsError, FsResult, Ino};
 
@@ -30,6 +31,20 @@ impl ArkClient {
             self.state.lock_cache(),
             file,
         )
+    }
+
+    /// Reclaim the data of a removed file of `size` bytes (as its leader
+    /// knew it; a handle of ours may have written further): its cached
+    /// chunks go, and its chunk DELETEs go behind this client
+    /// ([`purge`]); `sync_all` waits for their acks.
+    pub(crate) fn purge_file_data(&self, ino: Ino, size: u64) -> FsResult<()> {
+        let (store, policy) = (&**self.prt().store(), self.cache_policy());
+        let size = size.max(self.state.files.forget_removed(ino));
+        let chunks = size.div_ceil(policy.chunk_size);
+        let cache = self.state.lock_cache();
+        let wait = purge(store, &self.port, cache, ino, chunks, &policy)?;
+        self.trace_fetch(wait);
+        Ok(())
     }
 
     fn cache_policy(&self) -> CachePolicy {

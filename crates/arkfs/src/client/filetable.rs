@@ -206,6 +206,18 @@ impl FileTable {
         }
     }
 
+    /// The largest size a handle on the removed `file` knows, and its
+    /// handles owe no size push from now on: no dentry names the file.
+    pub(crate) fn forget_removed(&self, file: Ino) -> u64 {
+        let mut s = self.shard_at(self.home_shard(file));
+        let mut size = 0;
+        for h in s.guard.values_mut().filter(|h| h.ino == file) {
+            size = size.max(h.size);
+            h.wrote = false;
+        }
+        size
+    }
+
     /// Clear every written handle's dirty flag and collect its
     /// `(parent, name, ino, size)` for a size push (sync_all), in handle
     /// order: the pushes go out in it.

@@ -444,10 +444,10 @@ impl ArkClient {
         self.state.lock_cache().stat(stat)
     }
 
-    /// When the PUT of `chunk` of `file` that went behind this client's
-    /// writes is acked, if it is still in flight (else 0): no read of the
-    /// chunk, here or after the file's bytes are handed on, returns
-    /// earlier.
+    /// When the PUT (or, for a removed file, the DELETE) of `chunk` of
+    /// `file` that went behind this client is acked, if it is still in
+    /// flight (else 0): no read of the chunk, here or after the file's
+    /// bytes are handed on, and no `sync_all` returns earlier.
     pub fn write_behind_until(&self, file: Ino, chunk: u64) -> Nanos {
         self.state.lock_cache().in_flight_until(file, [chunk])
     }

@@ -536,8 +536,7 @@ impl Vfs for ArkClient {
                 },
             )? {
                 OpResponse::Inode(rec) => {
-                    self.state.lock_cache().invalidate_file(rec.ino);
-                    self.prt().delete_data(&self.port, rec.ino, rec.size)?;
+                    self.purge_file_data(rec.ino, rec.size)?;
                     if self.config().permission_cache {
                         self.pcache_note(parent, name, None);
                     }
@@ -673,9 +672,7 @@ impl Vfs for ArkClient {
                 OpResponse::Inode(victim) => {
                     // The destination replaced an existing file; its data
                     // chunks are ours to reclaim.
-                    self.state.lock_cache().invalidate_file(victim.ino);
-                    self.prt()
-                        .delete_data(&self.port, victim.ino, victim.size)?;
+                    self.purge_file_data(victim.ino, victim.size)?;
                 }
                 OpResponse::Err(e) => {
                     // Abort: undo the source detach.
@@ -827,8 +824,8 @@ impl Vfs for ArkClient {
 
     fn sync_all(&self, ctx: &Credentials) -> FsResult<()> {
         self.traced("op.sync_all", || {
-            // 1. All dirty data chunks, pipelined, once every PUT behind
-            // the writers is acked.
+            // 1. All dirty data chunks, pipelined, once every PUT and
+            // chunk DELETE behind the caller is acked.
             self.flush_file_data(None)?;
             // 2. Size updates for written handles. A push to a *remote*
             // leader is acked before durability, so each parent is

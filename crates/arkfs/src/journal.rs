@@ -221,8 +221,10 @@ pub struct DirJournal {
     sealed: VecDeque<Transaction>,
     /// Stamps riding with each sealed transaction (parallel to `sealed`).
     sealed_stamps: VecDeque<OpStamps>,
-    /// Sealed-and-journaled transactions awaiting checkpoint.
-    committed: Vec<Transaction>,
+    /// Sequence numbers of the sealed-and-journaled transactions awaiting
+    /// checkpoint. Their ops go once durable: the checkpoint writes the
+    /// metatable's dirty state, it does not replay them.
+    committed: Vec<u64>,
 }
 
 impl DirJournal {
@@ -345,7 +347,7 @@ impl DirJournal {
                     for (op, start, ctx) in stamps {
                         prt.record_durable(op, self.dir, start, end, ctx);
                     }
-                    self.committed.push(txn);
+                    self.committed.push(txn.seq);
                     prt.meta_span("journal.commit", self.dir, t0, end);
                 }
                 Err(e) => {
@@ -386,7 +388,7 @@ impl DirJournal {
     /// Record a group-flight transaction as durable (its journal object
     /// was written by the caller's batched flight).
     pub fn push_committed(&mut self, txn: Transaction) {
-        self.committed.push(txn);
+        self.committed.push(txn.seq);
     }
 
     /// Give back transactions taken by [`DirJournal::take_sealed`] after
@@ -433,10 +435,10 @@ impl DirJournal {
         self.flush_sealed(prt, port, lane, lane_service)
     }
 
-    /// Take the committed transactions for checkpointing. The caller
-    /// applies them to the home objects, then calls
+    /// Take the sequence numbers of the committed transactions for
+    /// checkpointing. The caller writes the home objects, then calls
     /// [`DirJournal::truncate`] to delete the journal objects.
-    pub fn take_committed(&mut self) -> Vec<Transaction> {
+    pub fn take_committed(&mut self) -> Vec<u64> {
         std::mem::take(&mut self.committed)
     }
 
@@ -655,9 +657,7 @@ mod tests {
         j.commit(&prt, &port, &lane, 10).unwrap();
         assert_eq!(prt.list_journal(&port, 7).unwrap(), vec![0, 1]);
 
-        let committed = j.take_committed();
-        assert_eq!(committed.len(), 2);
-        assert_eq!(committed[0].seq, 0);
+        assert_eq!(j.take_committed(), [0, 1]);
         j.truncate(&prt, &port).unwrap();
         assert!(prt.list_journal(&port, 7).unwrap().is_empty());
         assert!(j.is_quiescent());

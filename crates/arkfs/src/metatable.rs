@@ -702,7 +702,7 @@ impl Metatable {
     /// objects pays a handful of fan-outs, not N round trips.
     pub fn checkpoint(&mut self, prt: &Prt, port: &Port) -> FsResult<()> {
         let t0 = port.now();
-        let _applied = self.journal.take_committed();
+        self.journal.take_committed();
         // Sorted drains: hash-order iteration varies between runs and
         // would jitter the virtual-time arrival order on shard resources.
         let mut dirty_children: Vec<Ino> = self.dirty_children.drain().collect();

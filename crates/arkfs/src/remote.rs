@@ -293,6 +293,14 @@ impl ObjectStore for RemoteStore {
     fn delete_many(&self, port: &Port, keys: &[ObjectKey]) -> Vec<OsResult<()>> {
         ask!(self, port, StoreRequest::DeleteMany(keys.to_vec()) => keys.len(), Units)
     }
+
+    // A purge behind the caller is one frame too: every key is acked
+    // when its reply arrives.
+    fn delete_each(&self, depart: Nanos, keys: &[ObjectKey]) -> Vec<(Nanos, OsResult<()>)> {
+        let port = Port::starting_at(depart);
+        let results = self.delete_many(&port, keys);
+        results.into_iter().map(|r| (port.now(), r)).collect()
+    }
 }
 
 /// A protocol's [`WireFns`]: each message is its CRC-trailed

@@ -9,7 +9,7 @@
 use arkfs::cache::Stat;
 use arkfs::prt::Prt;
 use arkfs::{ArkClient, ArkCluster, ArkConfig};
-use arkfs_objstore::{ClusterConfig, ObjectCluster, ObjectKey, ObjectStore, StoreProfile};
+use arkfs_objstore::{ClusterConfig, KeyKind, ObjectCluster, ObjectKey, ObjectStore, StoreProfile};
 use arkfs_simkit::{ClusterSpec, Port};
 use arkfs_vfs::{Credentials, FileHandle, OpenFlags, Vfs};
 use bytes::Bytes;
@@ -485,6 +485,31 @@ fn a_put_refused_behind_the_writer_fails_the_write_that_issued_it() {
     assert!(c
         .write(&ctx, g, 6 * MIB_CHUNK + REQUEST as u64, &block)
         .is_ok());
+}
+
+#[test]
+fn an_unlink_deletes_a_chunk_no_earlier_than_its_put_in_flight_is_acked() {
+    let (store, _, c, fh, ino) = written_behind(rados());
+    let ctx = Credentials::root();
+    c.fsync(&ctx, fh).unwrap();
+    // Seven chunks rewritten whole through six entries: six go behind,
+    // and the writer waits for the first ack only.
+    for offset in (0..7 * MIB_CHUNK).step_by(MIB_CHUNK as usize) {
+        c.write(&ctx, fh, offset, &vec![9u8; MIB_CHUNK as usize])
+            .unwrap();
+    }
+    let put = last_ack(&c, ino);
+    assert!(put > c.port().now(), "nothing in flight");
+    // Sixteen DELETEs do not fit beside the PUTs in six slots: the
+    // unlink waits for the PUTs, then for DELETE acks. Each DELETE left
+    // no earlier than the last PUT's ack, a half round trip out.
+    c.unlink(&ctx, "/w").unwrap();
+    let half_rtt = ClusterSpec::aws_paper().net_half_rtt;
+    assert!(c.port().now() >= put + 2 * half_rtt);
+    c.close(&ctx, fh).unwrap();
+    c.sync_all(&ctx).unwrap();
+    let chunks = store.list(&Port::new(), Some(KeyKind::Data), Some(ino));
+    assert_eq!(chunks.unwrap(), []);
 }
 
 #[test]

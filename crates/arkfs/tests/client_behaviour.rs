@@ -3,9 +3,10 @@
 
 mod common;
 
+use arkfs::cache::Stat;
 use arkfs::{ArkCluster, ArkConfig};
-use arkfs_objstore::{ClusterConfig, ObjectCluster};
-use arkfs_simkit::MSEC;
+use arkfs_objstore::{ClusterConfig, KeyKind, ObjectCluster};
+use arkfs_simkit::{Port, MSEC};
 use arkfs_vfs::{
     read_file, write_file, Acl, AclEntry, Credentials, FileType, FsError, OpenFlags, SetAttr, Vfs,
     AM_READ, AM_WRITE,
@@ -84,6 +85,71 @@ fn unlink_and_rmdir() {
     c.rmdir(&ctx, "/d").unwrap();
     assert_eq!(c.stat(&ctx, "/d"), Err(FsError::NotFound));
     assert_eq!(c.unlink(&ctx, "/d/f"), Err(FsError::NotFound));
+}
+
+#[test]
+fn an_unlink_leaves_its_chunk_deletes_to_sync_all() {
+    let cl = cluster();
+    let c = cl.client();
+    let ctx = root();
+    // Four 64-byte chunks, durable and no longer cached.
+    write_file(&*c, &ctx, "/f", &[7u8; 200]).unwrap();
+    let ino = c.stat(&ctx, "/f").unwrap().ino;
+    c.sync_all(&ctx).unwrap();
+    c.unlink(&ctx, "/f").unwrap();
+    let acked = (0..4).map(|k| c.write_behind_until(ino, k)).max().unwrap();
+    assert!(acked > c.port().now(), "the unlink waited for its DELETEs");
+    assert_eq!(c.cache_stat(Stat::Purge), 4);
+    c.sync_all(&ctx).unwrap();
+    assert!(c.port().now() >= acked);
+    assert_eq!(c.write_behind_until(ino, 3), 0, "drained");
+    let data = cl
+        .prt()
+        .store()
+        .list(&Port::new(), Some(KeyKind::Data), Some(ino));
+    assert_eq!(data.unwrap(), []);
+}
+
+#[test]
+fn chunk_deletes_behind_unlinks_hold_no_more_slots_than_the_cache_has() {
+    // Every store request takes a millisecond: DELETEs pile up behind
+    // unlinks that take microseconds.
+    let mut store = ClusterConfig::test_tiny();
+    store.profile.op_latency = MSEC;
+    let cl = ArkCluster::new(ArkConfig::test_tiny(), Arc::new(ObjectCluster::new(store)));
+    let (c, ctx) = (cl.client(), root());
+    let files: Vec<(String, u128)> = (0..20)
+        .map(|i| {
+            let path = format!("/f{i}");
+            write_file(&*c, &ctx, &path, &[i as u8; 64]).unwrap();
+            let ino = c.stat(&ctx, &path).unwrap().ino;
+            (path, ino)
+        })
+        .collect();
+    // Three chunks of `/r` stay resident behind an open handle: five of
+    // the cache's eight slots are left.
+    write_file(&*c, &ctx, "/r", &[1u8; 192]).unwrap();
+    let r = c.open(&ctx, "/r", OpenFlags::RDONLY).unwrap();
+    c.read(&ctx, r, 0, &mut [0u8; 192]).unwrap();
+    c.sync_all(&ctx).unwrap();
+    // Each unlink's DELETE ack, as it stood when the unlink returned.
+    let (mut acks, mut waits) = (Vec::new(), 0);
+    for (i, (path, ino)) in files.iter().enumerate() {
+        let waited = c.cache_stat(Stat::WriteBehindWait);
+        c.unlink(&ctx, path).unwrap();
+        let now = c.port().now();
+        acks.push(c.write_behind_until(*ino, 0));
+        let in_flight = acks.iter().filter(|&&ack| ack > now).count();
+        assert!(3 + in_flight <= 8, "unlink {i}: {in_flight} in flight");
+        if c.cache_stat(Stat::WriteBehindWait) > waited {
+            // It waited for an earlier DELETE's ack, and no longer.
+            waits += 1;
+            assert!(acks[..i].contains(&now), "unlink {i} ended at no ack");
+            assert_eq!(3 + in_flight, 8, "unlink {i} waited too long");
+        }
+    }
+    assert!((1..20).contains(&waits), "{waits} of 20 unlinks waited");
+    c.close(&ctx, r).unwrap();
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests of ArkFS's core data structures and invariants.
 
-use arkfs::cache::DataCache;
+use arkfs::cache::{DataCache, Stat};
 use arkfs::journal::{JournalOp, Transaction};
 use arkfs::meta::{DentryBlock, DentryEntry, InodeRecord};
 use arkfs::metatable::Metatable;
@@ -538,6 +538,10 @@ enum FileOp {
     /// The first client closes its handle and opens another: its lease
     /// goes back, and the second client's may be granted.
     Reopen,
+    /// The first client unlinks the file, its chunk DELETEs behind it,
+    /// and creates it again: the new file (a fresh ino) reads only its
+    /// own bytes.
+    Unlink,
 }
 
 fn arb_file_op() -> impl Strategy<Value = FileOp> {
@@ -551,6 +555,7 @@ fn arb_file_op() -> impl Strategy<Value = FileOp> {
         Just(FileOp::DropCache),
         any::<bool>().prop_map(|keep| FileOp::ReadElsewhere { keep }),
         Just(FileOp::Reopen),
+        Just(FileOp::Unlink),
     ]
 }
 
@@ -558,9 +563,9 @@ proptest! {
     /// One handle on one file of 64-byte chunks (256-byte read-ahead)
     /// through caches from one entry up: whatever mix of streaming and
     /// random reads, writes (whose dirty evictions go behind the writer),
-    /// truncates, cache drops, reopens and reads by a second client that
-    /// keeps handles open, a read returns the model's bytes, and no fill
-    /// loses a chunk it installed.
+    /// truncates, cache drops, reopens, unlinks and reads by a second
+    /// client that keeps handles open, a read returns the model's bytes,
+    /// and no fill loses a chunk it installed.
     #[test]
     fn cached_reads_agree_with_a_byte_vector_model(
         entries in prop_oneof![Just(1usize), Just(2usize), Just(3usize), Just(6usize)],
@@ -640,6 +645,17 @@ proptest! {
                     fh = c.open(&ctx, "/f", OpenFlags::RDWR).unwrap();
                     continue;
                 }
+                FileOp::Unlink => {
+                    if let Some(old) = kept.take() {
+                        other.close(&ctx, old).unwrap();
+                    }
+                    c.close(&ctx, fh).unwrap();
+                    c.unlink(&ctx, "/f").unwrap();
+                    prop_assert_eq!(c.stat(&ctx, "/f"), Err(FsError::NotFound));
+                    fh = c.create(&ctx, "/f", 0o644).unwrap();
+                    model.clear();
+                    continue;
+                }
             };
             let mut got = vec![0xAAu8; len];
             let n = c.read(&ctx, fh, offset, &mut got).unwrap();
@@ -685,7 +701,7 @@ proptest! {
                     store.insert((e.ino, e.chunk), e.data[0]);
                 }
                 let issued = behind.iter().map(|e| (e.ino, e.chunk, ack + e.chunk));
-                let until = cache.went_behind(issued.collect::<Vec<_>>(), now);
+                let until = cache.went_behind(issued.collect::<Vec<_>>(), Stat::WriteBehind, now);
                 prop_assert!(until >= now);
                 now = until;
             } else if let Some(data) = cache.get(ino, chunk) {

@@ -357,6 +357,34 @@ fn tcp_run(config: ArkConfig) -> (Vec<String>, Vec<String>) {
 }
 
 #[test]
+fn a_multi_chunk_unlink_sends_one_store_frame() {
+    let done = arm_watchdog();
+    let store = Arc::new(ObjectCluster::new(ClusterConfig::test_tiny()));
+    let server = Arc::new(TcpTransport::new(store_wire()));
+    server.register(STORE_NODE, Arc::new(StoreService::new(store)));
+    let any: SocketAddr = "127.0.0.1:0".parse().unwrap();
+    let addr = server.listen(any).unwrap();
+    let net = Arc::new(TcpTransport::new(store_wire()));
+    net.register_addr(STORE_NODE, addr);
+    let remote = RemoteStore::connect(net.clone()).expect("store connect");
+    let c = ArkCluster::new(ArkConfig::test_tiny(), remote).client();
+    let ctx = Credentials::root();
+    // Four 64-byte chunks, and nothing left to commit.
+    write_file(&*c, &ctx, "/f", &[5u8; 256]).unwrap();
+    c.sync_all(&ctx).unwrap();
+    let before = net.message_count();
+    c.unlink(&ctx, "/f").unwrap();
+    assert_eq!(net.message_count() - before, 1, "one DeleteMany frame");
+    c.sync_all(&ctx).unwrap();
+    assert_eq!(
+        read_file(&*c, &ctx, "/f"),
+        Err(arkfs_vfs::FsError::NotFound)
+    );
+    server.shutdown();
+    let _ = done.send(());
+}
+
+#[test]
 fn loopback_tcp_matches_the_virtual_bus() {
     let done = arm_watchdog();
 

@@ -3,7 +3,9 @@
 //! chunked data objects: the cached read and write paths of ArkFS
 //! clients (`arkfs::cache`), without ArkFS's file leases.
 
-use arkfs::cache::{cached_read, cached_write, flush, registry_counters, CachePolicy, DataCache};
+use arkfs::cache::{
+    cached_read, cached_write, flush, purge, registry_counters, CachePolicy, DataCache,
+};
 use arkfs::prt::truncate_chunks;
 use arkfs_objstore::ObjectStore;
 use arkfs_simkit::{Nanos, Port};
@@ -129,7 +131,8 @@ impl DataPath {
         )
     }
 
-    /// Drop cached chunks and delete the data objects of a file.
+    /// Drop cached chunks and delete the data objects of a file behind
+    /// the caller, as ArkFS clients do ([`purge`]).
     pub fn delete(
         &self,
         port: &Port,
@@ -137,8 +140,8 @@ impl DataPath {
         ino: Ino,
         size: u64,
     ) -> FsResult<()> {
-        cache.lock().invalidate_file(ino);
-        truncate_chunks(&*self.store, self.policy.chunk_size, port, ino, size, 0)
+        let chunks = size.div_ceil(self.policy.chunk_size);
+        purge(&*self.store, port, cache.lock(), ino, chunks, &self.policy).map(|_| ())
     }
 }
 

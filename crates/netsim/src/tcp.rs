@@ -35,10 +35,11 @@ use arkfs_simkit::{Nanos, Port};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::{Condvar, Mutex as StdMutex};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 const KIND_CALL: u8 = 0;
@@ -91,6 +92,8 @@ struct Shared<Req, Resp> {
     shutdown_cv: Condvar,
     /// Where the accept loop listens, once [`TcpTransport::listen`] ran.
     local_addr: Mutex<Option<SocketAddr>>,
+    /// Every accepted connection: a handle that closes it, and its thread.
+    conns: Mutex<Vec<(TcpStream, JoinHandle<()>)>>,
 }
 
 /// A [`Transport`] over real TCP sockets.
@@ -126,6 +129,7 @@ impl<Req: Send + Sync + 'static, Resp: Send + Sync + 'static> TcpTransport<Req, 
                 shutdown: StdMutex::new(false),
                 shutdown_cv: Condvar::new(),
                 local_addr: Mutex::new(None),
+                conns: Mutex::new(Vec::new()),
             }),
             registry: RwLock::new(HashMap::new()),
             pool: Mutex::new(HashMap::new()),
@@ -169,11 +173,20 @@ impl<Req: Send + Sync + 'static, Resp: Send + Sync + 'static> TcpTransport<Req, 
         }
     }
 
-    /// Stop the accept loop and release any [`wait_shutdown`] waiters.
+    /// Stop the accept loop, release any [`wait_shutdown`] waiters, and
+    /// close every accepted connection and wait for its thread. No
+    /// connection thread outlives the call, so none can be the one that
+    /// drops the last reference to a service (and, through it, frees a
+    /// whole deployment) at some later moment, on whatever the process
+    /// is doing then.
     ///
     /// [`wait_shutdown`]: TcpTransport::wait_shutdown
     pub fn shutdown(&self) {
         self.shared.request_stop();
+        for (conn, thread) in std::mem::take(&mut *self.shared.conns.lock()) {
+            let _ = conn.shutdown(Shutdown::Both);
+            let _ = thread.join();
+        }
     }
 
     /// Ask the transport listening at `addr` to shut down cleanly; waits
@@ -344,10 +357,16 @@ fn accept_loop<Req: Send + Sync + 'static, Resp: Send + Sync + 'static>(
         match accepted {
             Ok((stream, _peer)) => {
                 stream.set_nodelay(true).ok();
-                let shared = Arc::clone(&shared);
-                let _ = std::thread::Builder::new()
+                let closer = stream.try_clone();
+                let conn_shared = Arc::clone(&shared);
+                let thread = std::thread::Builder::new()
                     .name("arkfs-conn".into())
-                    .spawn(move || connection_loop(stream, shared));
+                    .spawn(move || connection_loop(stream, conn_shared));
+                if let (Ok(closer), Ok(thread)) = (closer, thread) {
+                    let mut conns = shared.conns.lock();
+                    conns.retain(|(_, thread)| !thread.is_finished());
+                    conns.push((closer, thread));
+                }
             }
             // A connection that died in the backlog is not the listener
             // failing; anything else is.
@@ -496,11 +515,8 @@ mod tests {
     #[test]
     fn remote_call_round_trips_over_loopback() {
         let server = Arc::new(TcpTransport::new(u32_codec()));
-        Transport::register(
-            &*server,
-            NodeId(7),
-            Arc::new(|arrival: Nanos, req: u32| (req + 1, arrival + 25)),
-        );
+        let service = Arc::new(|arrival: Nanos, req: u32| (req + 1, arrival + 25));
+        Transport::register(&*server, NodeId(7), service.clone());
         let addr = server.listen("127.0.0.1:0").unwrap();
 
         let client = TcpTransport::new(u32_codec());
@@ -512,7 +528,12 @@ mod tests {
         assert_eq!(port.now(), 25);
         // Pooled connection is reused for a second call.
         assert_eq!(client.call(&port, NodeId(7), 1), Ok(2));
+        // The client still holds its connection open, yet no server
+        // thread outlives the shutdown: dropping the server drops the
+        // service.
         server.shutdown();
+        drop(server);
+        assert_eq!(Arc::strong_count(&service), 1);
     }
 
     #[test]

@@ -841,19 +841,31 @@ impl ObjectStore for ObjectCluster {
         if keys.is_empty() {
             return Vec::new();
         }
-        self.stats.count_batch(keys.len());
-        let t0 = port.advance(self.config.spec.net_half_rtt);
-        let mut done = t0;
-        let out = keys
-            .iter()
-            .map(|&key| {
-                done = done.max(self.charge_write_at(t0, &key, 0));
-                self.remove_object(key)
+        let half_rtt = self.config.spec.net_half_rtt;
+        let t0 = port.advance(half_rtt);
+        let mut acked = t0 + half_rtt;
+        let out = self
+            .delete_each(t0, keys)
+            .into_iter()
+            .map(|(ack, r)| {
+                acked = acked.max(ack);
+                r
             })
             .collect();
-        self.batch_span("store.delete_many", t0, done);
-        port.wait_until(done + self.config.spec.net_half_rtt);
+        self.batch_span("store.delete_many", t0, acked - half_rtt);
+        port.wait_until(acked);
         out
+    }
+
+    fn delete_each(&self, depart: u64, keys: &[ObjectKey]) -> Vec<(u64, OsResult<()>)> {
+        self.stats.count_batch(keys.len());
+        let half_rtt = self.config.spec.net_half_rtt;
+        keys.iter()
+            .map(|&key| {
+                let done = self.charge_write_at(depart, &key, 0);
+                (done + half_rtt, self.remove_object(key))
+            })
+            .collect()
     }
 
     fn list(
@@ -1501,6 +1513,25 @@ mod tests {
         assert!(results[..4].iter().all(Result::is_ok));
         assert_eq!(results[4], Err(OsError::NotFound));
         assert_eq!(c.object_count(), 0);
+    }
+
+    #[test]
+    fn delete_each_reports_the_acks_delete_many_waits_for() {
+        let (each, many) = (cluster(), cluster());
+        let keys: Vec<ObjectKey> = (0..4).map(|i| ObjectKey::data_chunk(5, i)).collect();
+        for c in [&each, &many] {
+            for &k in &keys[..3] {
+                c.put(&Port::new(), k, Bytes::from_static(b"z")).unwrap();
+            }
+            c.reset_timelines();
+        }
+        let half_rtt = each.config.spec.net_half_rtt;
+        let acks = each.delete_each(1_000 + half_rtt, &keys);
+        let port = Port::starting_at(1_000);
+        many.delete_many(&port, &keys);
+        assert_eq!(acks.iter().map(|a| a.0).max(), Some(port.now()));
+        assert_eq!(acks[3].1, Err(OsError::NotFound));
+        assert_eq!((each.object_count(), each.batch_stats()), (0, (1, 4)));
     }
 
     /// One shard, so every key meets the same op queue; a checkpoint's

@@ -104,6 +104,21 @@ pub trait ObjectStore: Send + Sync {
             .collect()
     }
 
+    /// Asynchronous multi-DELETE, the DELETE twin of
+    /// [`ObjectStore::put_each`]: every key departs at `depart` and
+    /// reports when its ack reaches the caller, with its result. This is
+    /// the substrate for purging a removed file's chunks behind the
+    /// caller.
+    fn delete_each(&self, depart: u64, keys: &[ObjectKey]) -> Vec<(u64, OsResult<()>)> {
+        keys.iter()
+            .map(|&k| {
+                let port = Port::starting_at(depart);
+                let r = self.delete(&port, k);
+                (port.now(), r)
+            })
+            .collect()
+    }
+
     /// Pipelined multi-PUT (cache write-back flushes).
     fn put_many(&self, port: &Port, items: Vec<(ObjectKey, Bytes)>) -> Vec<OsResult<()>> {
         items
