@@ -779,8 +779,8 @@ impl ArkClient {
     }
 
     /// Repartition `path` (a directory) to `partitions` dentry
-    /// partitions. This is the explicit form of the load-triggered
-    /// split/merge; fig8 uses it to pin partition counts.
+    /// partitions, clamped to `[1, dentry_buckets]`. The only way a
+    /// directory's partition count changes; fig8 uses it to pin counts.
     pub fn set_dir_partitions(
         &self,
         ctx: &Credentials,
@@ -814,10 +814,9 @@ impl ArkClient {
     /// map is durable before the new map exists — the invariant fsync's
     /// cached-map fan-out relies on.
     pub(crate) fn repartition(&self, dir: Ino, target: u32) -> FsResult<()> {
-        let config = self.config();
-        let max = config.dir_partition_max.max(1);
-        let buckets32 = u32::try_from(config.dentry_buckets).unwrap_or(u32::MAX);
-        let target = target.clamp(1, max.min(buckets32.max(1)));
+        // A partition owns at least one dentry bucket.
+        let buckets = u32::try_from(self.config().dentry_buckets).unwrap_or(u32::MAX);
+        let target = target.clamp(1, buckets.max(1));
         let old = self.state.refresh_pmap(&self.port, dir)?;
         if old.partitions == target {
             return Ok(());
@@ -926,20 +925,6 @@ impl ArkClient {
             if let Some(table) = table {
                 self.state.lock_table(&table).frozen = false;
             }
-        }
-    }
-
-    /// Apply load-triggered splits/merges queued by `serve_local`'s
-    /// append-rate sampling. Runs at op entry (no locks held); failures
-    /// are dropped — sustained load re-queues on the next rate window.
-    pub(crate) fn drain_pending_splits(&self) {
-        loop {
-            let next = {
-                let mut pending = self.state.pending_splits.lock();
-                pending.pop()
-            };
-            let Some((dir, target)) = next else { return };
-            let _ = self.repartition(dir, target);
         }
     }
 }

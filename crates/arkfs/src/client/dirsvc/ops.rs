@@ -122,37 +122,12 @@ impl ClientState {
         };
 
         // Stamp a mutation for `op.<name>.durable_ns` attribution, run
-        // the commit policy, then sample this partition's sealed depth
-        // and feed the append-rate split/merge trigger.
+        // the commit policy, then sample this partition's sealed depth.
         let stamp_commit = |t: &mut Metatable, op: &'static str, force: bool| -> FsResult<()> {
             t.journal.stamp(op, now, trace);
             let result = maybe_commit(t, force);
             if let Some(depth) = &t.sealed_depth {
                 depth.set(t.journal.sealed_len() as i64);
-            }
-            if config.partition_split_rate > 0 || config.partition_merge_rate > 0 {
-                let rate = t.note_append(now);
-                if rate > 0 {
-                    let max = config
-                        .dir_partition_max
-                        .min(u32::try_from(config.dentry_buckets).unwrap_or(u32::MAX))
-                        .max(1);
-                    let pcount = t.pcount();
-                    if config.partition_split_rate > 0
-                        && rate >= config.partition_split_rate
-                        && pcount < max
-                    {
-                        self.pending_splits
-                            .lock()
-                            .push((t.ino(), (pcount * 2).min(max)));
-                    } else if config.partition_merge_rate > 0
-                        && t.partition() == 0
-                        && pcount > 1
-                        && rate < config.partition_merge_rate
-                    {
-                        self.pending_splits.lock().push((t.ino(), pcount / 2));
-                    }
-                }
             }
             result
         };

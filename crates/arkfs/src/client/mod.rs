@@ -306,11 +306,6 @@ pub(crate) struct ClientState {
     /// dropped past their interval bound (deployment-wide sum; see
     /// [`SharedResource::forgotten`]).
     pub(crate) leader_forgotten: Arc<Counter>,
-    /// Repartition requests raised by the load trigger inside
-    /// `serve_local` (which holds the metatable and cannot run the split
-    /// protocol itself): `(dir, target partition count)` pairs drained at
-    /// the top of the next client-facing op.
-    pub(crate) pending_splits: Mutex<Vec<(Ino, u32)>>,
     /// Directories this client has acked mutations against
     /// (local or remote leader) since the last `sync_all`: each owes a
     /// partition-barrier fan-out before that barrier may return.
@@ -383,7 +378,6 @@ impl ArkClient {
             leader_served,
             leader_busy,
             leader_forgotten,
-            pending_splits: Mutex::new(Vec::new()),
             dirty_dirs: Mutex::new(HashSet::new()),
             flush_epoch: AtomicU64::new(0),
             statfs_cache: Mutex::new(None),
@@ -541,9 +535,6 @@ impl ArkClient {
         name: &'static str,
         f: impl FnOnce() -> FsResult<T>,
     ) -> FsResult<T> {
-        // Load-triggered repartitions requested by serve_local run here,
-        // between ops, where no table or stripe lock is held.
-        self.drain_pending_splits();
         // Deterministic trace identity: a per-client sequence number,
         // never the seeded RNG streams. Head-based sampling decides here
         // — one modulus on the sequence — so two traced runs of the same

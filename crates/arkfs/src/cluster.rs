@@ -225,9 +225,4 @@ impl ArkCluster {
     pub fn restart_lease_manager(&self, at: Nanos) {
         self.host_managers(at);
     }
-
-    /// Root inode number (constant, for tests).
-    pub fn root_ino(&self) -> Ino {
-        ROOT_INO
-    }
 }

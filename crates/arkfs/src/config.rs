@@ -43,20 +43,10 @@ pub struct ArkConfig {
     /// this bound stalls (backpressure) until the lane's oldest flight
     /// lands.
     pub async_commit_max_inflight: usize,
-    /// Dentry hash buckets per directory.
+    /// Dentry hash buckets per directory. Also the ceiling on a
+    /// directory's partition count (`ArkClient::set_dir_partitions`): a
+    /// partition owns at least one bucket.
     pub dentry_buckets: u64,
-    /// Ceiling on partitions a hot directory may split into. Partition
-    /// counts double on each split (1→2→…→max) and never exceed
-    /// `dentry_buckets` (a partition owns at least one bucket).
-    pub dir_partition_max: u32,
-    /// Journal append rate (appends per virtual second, measured over a
-    /// sliding window by the leader) above which a directory partition
-    /// requests a split. `0` disables load-triggered splitting —
-    /// directories still partition via `ArkClient::set_dir_partitions`.
-    pub partition_split_rate: u64,
-    /// Append rate below which a multi-partition directory's partition-0
-    /// leader requests a merge step (halving). `0` disables auto-merge.
-    pub partition_merge_rate: u64,
     /// Permission caching mode (§III-C): cache remote directories'
     /// permissions + lookups until lease expiry, relaxing ACL consistency.
     pub permission_cache: bool,
@@ -92,9 +82,6 @@ impl Default for ArkConfig {
             journal_lanes: 4,
             async_commit_max_inflight: 8,
             dentry_buckets: 16,
-            dir_partition_max: 8,
-            partition_split_rate: 0,
-            partition_merge_rate: 0,
             permission_cache: true,
             fuse_model: true,
             lease_managers: 16,
@@ -123,9 +110,6 @@ impl ArkConfig {
             // Tiny in-flight bound so unit tests exercise backpressure.
             async_commit_max_inflight: 2,
             dentry_buckets: 4,
-            dir_partition_max: 4,
-            partition_split_rate: 0,
-            partition_merge_rate: 0,
             permission_cache: true,
             fuse_model: false,
             lease_managers: 1,
@@ -157,25 +141,10 @@ impl ArkConfig {
         self
     }
 
-    pub fn with_fuse_model(mut self, on: bool) -> Self {
-        self.fuse_model = on;
-        self
-    }
-
     /// `1` is the paper's single lease manager (tests pin it where they
     /// count or crash "the" manager; `ablate` has a row for it).
     pub fn with_lease_managers(mut self, n: usize) -> Self {
         self.lease_managers = n.max(1);
-        self
-    }
-
-    /// Configure hot-directory partitioning: the split ceiling and the
-    /// load-trigger thresholds (appends per virtual second; `0` leaves a
-    /// trigger disabled). The ceiling clamps to at least 1.
-    pub fn with_dir_partitions(mut self, max: u32, split_rate: u64, merge_rate: u64) -> Self {
-        self.dir_partition_max = max.max(1);
-        self.partition_split_rate = split_rate;
-        self.partition_merge_rate = merge_rate;
         self
     }
 
@@ -247,12 +216,8 @@ mod tests {
 
     #[test]
     fn partition_builders() {
-        let c = ArkConfig::default();
-        assert_eq!(c.dir_partition_max, 8);
-        assert_eq!(c.partition_split_rate, 0);
-        let c = c.with_dir_partitions(0, 50_000, 1_000);
-        assert_eq!(c.dir_partition_max, 1, "ceiling clamps to 1");
-        assert_eq!(c.partition_split_rate, 50_000);
-        assert_eq!(c.partition_merge_rate, 1_000);
+        // The bucket count is the partition ceiling: fig8 pins 8
+        // partitions on the default configuration.
+        assert!(ArkConfig::default().dentry_buckets >= 8);
     }
 }

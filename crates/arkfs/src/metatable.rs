@@ -20,7 +20,7 @@ use crate::partition::{lease_partition, partition_hi, partition_ino, partition_l
 use crate::prt::Prt;
 use crate::rpc::DirView;
 use arkfs_lease::{FileLeaseTable, LeaseView};
-use arkfs_simkit::{Nanos, Port, MSEC, SEC};
+use arkfs_simkit::{Nanos, Port};
 use arkfs_telemetry::Gauge;
 use arkfs_vfs::{DirEntry, FileType, FsError, FsResult, Ino, SetAttr};
 use std::collections::{HashMap, HashSet};
@@ -31,10 +31,6 @@ use std::sync::Arc;
 /// empty view: absence from a view proves nothing, so its clients fall
 /// back to per-name lookups.
 pub const MAX_VIEW_ENTRIES: usize = 4096;
-
-/// Window over which a partition leader measures its journal append
-/// rate for load-triggered split/merge decisions.
-const RATE_WINDOW: Nanos = 10 * MSEC;
 
 /// In-memory authoritative state of one directory *partition* at its
 /// leader. An unpartitioned directory is the single partition `0 of 1`,
@@ -67,8 +63,6 @@ pub struct Metatable {
     /// `journal.sealed_depth.p<idx>`: this partition's sealed-but-not-
     /// durable transaction count, sampled after each mutation.
     pub(crate) sealed_depth: Option<Arc<Gauge>>,
-    rate_window_start: Nanos,
-    rate_appends: u64,
     dirty_dir: bool,
     dirty_children: HashSet<Ino>,
     deleted_children: HashSet<Ino>,
@@ -188,8 +182,6 @@ impl Metatable {
                     .registry
                     .gauge(&format!("journal.sealed_depth.p{pidx}")),
             ),
-            rate_window_start: 0,
-            rate_appends: 0,
             dirty_dir: false,
             dirty_children: HashSet::new(),
             deleted_children: HashSet::new(),
@@ -217,8 +209,6 @@ impl Metatable {
             bucket_hi: buckets,
             frozen: false,
             sealed_depth: None,
-            rate_window_start: 0,
-            rate_appends: 0,
             dirty_dir: false,
             dirty_children: HashSet::new(),
             deleted_children: HashSet::new(),
@@ -270,25 +260,6 @@ impl Metatable {
     /// Is this partition `file`'s lease shard?
     pub fn leases_file(&self, file: Ino) -> bool {
         lease_partition(file, self.pcount) == self.partition
-    }
-
-    /// Record one journal append for the load trigger. Returns the
-    /// measured append rate (per virtual second) each time a full rate
-    /// window closes, `0` otherwise — so a caller polling per mutation
-    /// sees at most one non-zero reading per window.
-    pub fn note_append(&mut self, now: Nanos) -> u64 {
-        if self.rate_appends == 0 {
-            self.rate_window_start = now;
-        }
-        self.rate_appends += 1;
-        let elapsed = now.saturating_sub(self.rate_window_start);
-        if elapsed >= RATE_WINDOW {
-            let rate = self.rate_appends.saturating_mul(SEC) / elapsed.max(1);
-            self.rate_appends = 0;
-            rate
-        } else {
-            0
-        }
     }
 
     pub fn len(&self) -> usize {
@@ -1198,19 +1169,6 @@ mod tests {
         // Attach over existing name fails.
         let err = dst.attach_child("moved.txt", 9, FileType::Regular, None, 2);
         assert_eq!(err, Err(FsError::AlreadyExists));
-    }
-
-    #[test]
-    fn note_append_reports_once_per_window() {
-        let mut mt = fresh_table();
-        assert_eq!(mt.note_append(0), 0);
-        for _ in 0..98 {
-            assert_eq!(mt.note_append(MSEC), 0);
-        }
-        // The 100th append closes the window: 100 appends over 10 ms.
-        assert_eq!(mt.note_append(RATE_WINDOW), 100 * SEC / RATE_WINDOW);
-        // Counter reset: the next append opens a fresh window.
-        assert_eq!(mt.note_append(RATE_WINDOW + 1), 0);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //!
 //! A directory starts as a single partition (the directory's own inode
 //! number keys its lease, journal stream, and commit lane, exactly as
-//! before). When its leader's journal append rate crosses
-//! `ArkConfig::partition_split_rate`, the directory splits: each
+//! before). It splits or merges only when
+//! `ArkClient::set_dir_partitions` asks, up to one partition per dentry
+//! bucket (`ArkConfig::dentry_buckets`): each
 //! partition `p` owns a contiguous range of the directory's dentry
 //! buckets and is keyed by a derived *partition inode* so all the
 //! existing per-directory machinery — lease manager entries, journal

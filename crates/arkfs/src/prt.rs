@@ -193,6 +193,64 @@ impl Prt {
     /// next flight departs only when the previous one lands.
     const MAX_META_FLIGHT: usize = 16;
 
+    /// Batched GET in flights of [`Self::MAX_META_FLIGHT`]: each object,
+    /// in flight order, goes through `decode` (a missing one as `None`).
+    /// The first error returns before the next flight departs.
+    fn get_flights<T>(
+        &self,
+        port: &Port,
+        keys: &[ObjectKey],
+        mut decode: impl FnMut(Option<Bytes>) -> FsResult<T>,
+    ) -> FsResult<Vec<T>> {
+        if keys.is_empty() {
+            return Ok(Vec::new());
+        }
+        self.meta.batched_gets.add(keys.len() as u64);
+        let mut out = Vec::with_capacity(keys.len());
+        for flight in keys.chunks(Self::MAX_META_FLIGHT) {
+            for res in self.store.get_many(port, flight) {
+                out.push(decode(match res {
+                    Ok(data) => Some(data),
+                    Err(OsError::NotFound) => None,
+                    Err(e) => return Err(map_os_err(e)),
+                })?);
+            }
+        }
+        Ok(out)
+    }
+
+    /// Batched PUT in flights of [`Self::MAX_META_FLIGHT`].
+    fn put_flights(&self, port: &Port, items: &[(ObjectKey, Bytes)]) -> FsResult<()> {
+        if items.is_empty() {
+            return Ok(());
+        }
+        self.meta.batched_puts.add(items.len() as u64);
+        for flight in items.chunks(Self::MAX_META_FLIGHT) {
+            for res in self.store.put_many(port, flight.to_vec()) {
+                res.map_err(map_os_err)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Batched DELETE in flights of [`Self::MAX_META_FLIGHT`]; missing
+    /// objects are tolerated (idempotent).
+    fn delete_flights(&self, port: &Port, keys: &[ObjectKey]) -> FsResult<()> {
+        if keys.is_empty() {
+            return Ok(());
+        }
+        self.meta.batched_deletes.add(keys.len() as u64);
+        for flight in keys.chunks(Self::MAX_META_FLIGHT) {
+            for res in self.store.delete_many(port, flight) {
+                match res {
+                    Ok(()) | Err(OsError::NotFound) => {}
+                    Err(e) => return Err(map_os_err(e)),
+                }
+            }
+        }
+        Ok(())
+    }
+
     pub fn load_inode(&self, port: &Port, ino: Ino) -> FsResult<InodeRecord> {
         let data = self
             .store
@@ -223,61 +281,27 @@ impl Prt {
         port: &Port,
         inos: &[Ino],
     ) -> FsResult<Vec<Option<InodeRecord>>> {
-        if inos.is_empty() {
-            return Ok(Vec::new());
-        }
-        self.meta.batched_gets.add(inos.len() as u64);
         let keys: Vec<ObjectKey> = inos.iter().map(|&i| ObjectKey::inode(i)).collect();
-        let mut out = Vec::with_capacity(keys.len());
-        for flight in keys.chunks(Self::MAX_META_FLIGHT) {
-            for res in self.store.get_many(port, flight) {
-                out.push(match res {
-                    Ok(data) => InodeRecord::from_bytes(&data)
-                        .map(Some)
-                        .map_err(|e| FsError::Io(e.to_string()))?,
-                    Err(OsError::NotFound) => None,
-                    Err(e) => return Err(map_os_err(e)),
-                });
-            }
-        }
-        Ok(out)
+        self.get_flights(port, &keys, |data| {
+            data.map(|d| InodeRecord::from_bytes(&d).map_err(|e| FsError::Io(e.to_string())))
+                .transpose()
+        })
     }
 
     /// Batched inode write-back: one pipelined multi-PUT.
     pub fn store_inodes_many(&self, port: &Port, recs: &[&InodeRecord]) -> FsResult<()> {
-        if recs.is_empty() {
-            return Ok(());
-        }
-        self.meta.batched_puts.add(recs.len() as u64);
         let items: Vec<(ObjectKey, Bytes)> = recs
             .iter()
             .map(|rec| (ObjectKey::inode(rec.ino), Bytes::from(rec.to_bytes())))
             .collect();
-        for flight in items.chunks(Self::MAX_META_FLIGHT) {
-            for res in self.store.put_many(port, flight.to_vec()) {
-                res.map_err(map_os_err)?;
-            }
-        }
-        Ok(())
+        self.put_flights(port, &items)
     }
 
     /// Batched inode removal: one pipelined multi-DELETE, missing inodes
     /// tolerated (idempotent, like [`Prt::delete_inode`]).
     pub fn delete_inodes_many(&self, port: &Port, inos: &[Ino]) -> FsResult<()> {
-        if inos.is_empty() {
-            return Ok(());
-        }
-        self.meta.batched_deletes.add(inos.len() as u64);
         let keys: Vec<ObjectKey> = inos.iter().map(|&i| ObjectKey::inode(i)).collect();
-        for flight in keys.chunks(Self::MAX_META_FLIGHT) {
-            for res in self.store.delete_many(port, flight) {
-                match res {
-                    Ok(()) | Err(OsError::NotFound) => {}
-                    Err(e) => return Err(map_os_err(e)),
-                }
-            }
-        }
-        Ok(())
+        self.delete_flights(port, &keys)
     }
 
     // ---- dentry buckets ------------------------------------------------
@@ -319,27 +343,14 @@ impl Prt {
         dir: Ino,
         buckets: &[u64],
     ) -> FsResult<Vec<DentryBlock>> {
-        if buckets.is_empty() {
-            return Ok(Vec::new());
-        }
-        self.meta.batched_gets.add(buckets.len() as u64);
         let keys: Vec<ObjectKey> = buckets
             .iter()
             .map(|&b| ObjectKey::dentry_bucket(dir, b))
             .collect();
-        let mut out = Vec::with_capacity(keys.len());
-        for flight in keys.chunks(Self::MAX_META_FLIGHT) {
-            for res in self.store.get_many(port, flight) {
-                out.push(match res {
-                    Ok(data) => {
-                        DentryBlock::from_bytes(&data).map_err(|e| FsError::Io(e.to_string()))?
-                    }
-                    Err(OsError::NotFound) => DentryBlock::default(),
-                    Err(e) => return Err(map_os_err(e)),
-                });
-            }
-        }
-        Ok(out)
+        self.get_flights(port, &keys, |data| match data {
+            Some(d) => DentryBlock::from_bytes(&d).map_err(|e| FsError::Io(e.to_string())),
+            None => Ok(DentryBlock::default()),
+        })
     }
 
     /// Batched dentry-bucket write-back. Empty blocks delete their
@@ -352,9 +363,6 @@ impl Prt {
         dir: Ino,
         blocks: &[(u64, DentryBlock)],
     ) -> FsResult<()> {
-        if blocks.is_empty() {
-            return Ok(());
-        }
         let mut puts = Vec::new();
         let mut dels = Vec::new();
         for (bucket, block) in blocks {
@@ -365,22 +373,8 @@ impl Prt {
                 puts.push((key, Bytes::from(block.to_bytes())));
             }
         }
-        self.meta.batched_puts.add(puts.len() as u64);
-        self.meta.batched_deletes.add(dels.len() as u64);
-        for flight in puts.chunks(Self::MAX_META_FLIGHT) {
-            for res in self.store.put_many(port, flight.to_vec()) {
-                res.map_err(map_os_err)?;
-            }
-        }
-        for flight in dels.chunks(Self::MAX_META_FLIGHT) {
-            for res in self.store.delete_many(port, flight) {
-                match res {
-                    Ok(()) | Err(OsError::NotFound) => {}
-                    Err(e) => return Err(map_os_err(e)),
-                }
-            }
-        }
-        Ok(())
+        self.put_flights(port, &puts)?;
+        self.delete_flights(port, &dels)
     }
 
     /// Delete every dentry bucket of a directory.
@@ -389,19 +383,7 @@ impl Prt {
             .store
             .list(port, Some(arkfs_objstore::KeyKind::Dentry), Some(dir))
             .map_err(map_os_err)?;
-        if keys.is_empty() {
-            return Ok(());
-        }
-        self.meta.batched_deletes.add(keys.len() as u64);
-        for flight in keys.chunks(Self::MAX_META_FLIGHT) {
-            for res in self.store.delete_many(port, flight) {
-                match res {
-                    Ok(()) | Err(OsError::NotFound) => {}
-                    Err(e) => return Err(map_os_err(e)),
-                }
-            }
-        }
-        Ok(())
+        self.delete_flights(port, &keys)
     }
 
     // ---- partition maps --------------------------------------------------
@@ -517,7 +499,6 @@ impl Prt {
         if items.is_empty() {
             return Ok(());
         }
-        self.meta.batched_puts.add(items.len() as u64);
         self.meta.journal_flight_txns.add(items.len() as u64);
         self.meta
             .journal_flights
@@ -526,12 +507,7 @@ impl Prt {
             .iter()
             .map(|(dir, seq, data)| (ObjectKey::journal(*dir, *seq), data.clone()))
             .collect();
-        for flight in puts.chunks(Self::MAX_META_FLIGHT) {
-            for res in self.store.put_many(port, flight.to_vec()) {
-                res.map_err(map_os_err)?;
-            }
-        }
-        Ok(())
+        self.put_flights(port, &puts)
     }
 
     /// Batched journal-object fetch: one pipelined multi-GET over the
@@ -542,41 +518,15 @@ impl Prt {
         dir: Ino,
         seqs: &[u64],
     ) -> FsResult<Vec<Option<Bytes>>> {
-        if seqs.is_empty() {
-            return Ok(Vec::new());
-        }
-        self.meta.batched_gets.add(seqs.len() as u64);
         let keys: Vec<ObjectKey> = seqs.iter().map(|&s| ObjectKey::journal(dir, s)).collect();
-        let mut out = Vec::with_capacity(keys.len());
-        for flight in keys.chunks(Self::MAX_META_FLIGHT) {
-            for res in self.store.get_many(port, flight) {
-                out.push(match res {
-                    Ok(data) => Some(data),
-                    Err(OsError::NotFound) => None,
-                    Err(e) => return Err(map_os_err(e)),
-                });
-            }
-        }
-        Ok(out)
+        self.get_flights(port, &keys, Ok)
     }
 
     /// Batched journal truncation: one pipelined multi-DELETE, missing
     /// objects tolerated (idempotent).
     pub fn delete_journal_many(&self, port: &Port, dir: Ino, seqs: &[u64]) -> FsResult<()> {
-        if seqs.is_empty() {
-            return Ok(());
-        }
-        self.meta.batched_deletes.add(seqs.len() as u64);
         let keys: Vec<ObjectKey> = seqs.iter().map(|&s| ObjectKey::journal(dir, s)).collect();
-        for flight in keys.chunks(Self::MAX_META_FLIGHT) {
-            for res in self.store.delete_many(port, flight) {
-                match res {
-                    Ok(()) | Err(OsError::NotFound) => {}
-                    Err(e) => return Err(map_os_err(e)),
-                }
-            }
-        }
-        Ok(())
+        self.delete_flights(port, &keys)
     }
 
     // ---- file data -------------------------------------------------------

@@ -13,7 +13,7 @@ mod common;
 
 use arkfs::partition::{lease_partition, partition_ino, PartitionMap};
 use arkfs::{ArkCluster, ArkConfig};
-use arkfs_simkit::{MSEC, SEC};
+use arkfs_simkit::{Port, MSEC, SEC};
 use arkfs_vfs::{Credentials, DirEntry, FileType, FsError, OpenFlags, Vfs};
 use common::{cluster_on, forwards, journal_len, root};
 use proptest::prelude::*;
@@ -177,7 +177,7 @@ fn written_close(cl: &Arc<ArkCluster>, c: &arkfs::ArkClient, path: &str) -> (u64
 #[test]
 fn steered_inos_close_in_one_message_unsteered_in_two() {
     const BUCKETS16: u64 = 16;
-    let mut config = async_wide_window().with_dir_partitions(8, 0, 0);
+    let mut config = async_wide_window();
     config.dentry_buckets = BUCKETS16;
     let cl = cluster_on(config, false);
     let (leader, creator) = (cl.client(), cl.client());
@@ -279,57 +279,58 @@ fn steered_inos_close_in_one_message_unsteered_in_two() {
     assert_eq!(names(&creator, &ctx, "/d").len(), 33);
 }
 
-// ---- load-triggered split -----------------------------------------------------
+// ---- the partition ceiling is the bucket count --------------------------------
 
 #[test]
-fn sustained_append_rate_triggers_split() {
-    // Split once the measured append rate exceeds 500/s; merges off.
-    let cl = cluster_on(async_wide_window().with_dir_partitions(4, 500, 0), false);
+fn partition_count_is_capped_by_the_bucket_count() {
+    const BUCKETS8: u64 = 8;
+    let mut config = async_wide_window();
+    config.dentry_buckets = BUCKETS8;
+    let cl = cluster_on(config, false);
     let c = cl.client();
     let ctx = root();
-    c.mkdir(&ctx, "/hot", 0o755).unwrap();
-    // ~1000 appends/s: one create per virtual millisecond. The rate
-    // window is 10 ms, so a reading fires every ~10 creates and the
-    // queued split applies on the next traced op.
-    for i in 0..40 {
-        let fh = c.create(&ctx, &format!("/hot/f{i:03}"), 0o644).unwrap();
+    c.mkdir(&ctx, "/d", 0o755).unwrap();
+    let dir = c.stat(&ctx, "/d").unwrap().ino;
+    let mut expect: Vec<String> = (0..40).map(|i| format!("f{i:02}")).collect();
+    for name in &expect {
+        let fh = c.create(&ctx, &format!("/d/{name}"), 0o644).unwrap();
         c.close(&ctx, fh).unwrap();
-        c.port().advance(MSEC);
     }
-    let (splits, _, _, _) = c.partition_stats();
-    assert!(splits >= 1, "sustained load split the hot directory");
-    assert_eq!(names(&c, &ctx, "/hot").len(), 40, "no entries lost");
-    // The installed map is visible to a fresh client via the store: make
-    // the acked state durable first, then let the leases lapse so the
-    // fresh client takes over from the store alone.
+    let installed = || {
+        cl.prt()
+            .load_pmap(&Port::new(), dir)
+            .unwrap()
+            .map_or(1, |m| m.partitions)
+    };
+    let reachable = |c: &arkfs::ArkClient, expect: &[String]| {
+        assert_eq!(names(c, &ctx, "/d"), expect, "readdir is complete");
+        for name in expect {
+            assert_eq!(c.stat(&ctx, &format!("/d/{name}")).unwrap().size, 0);
+        }
+    };
+    // One bucket per partition: the most a directory of 8 buckets takes.
+    c.set_dir_partitions(&ctx, "/d", 8).unwrap();
+    assert_eq!(installed(), 8);
+    reachable(&c, &expect);
+    c.set_dir_partitions(&ctx, "/d", 1).unwrap();
+    assert_eq!(installed(), 1);
+    // Asked for more partitions than buckets, the split stops at 8.
+    c.set_dir_partitions(&ctx, "/d", 64).unwrap();
+    assert_eq!(installed(), 8);
+    assert_eq!(c.partition_stats().0, 2, "two splits, both to 8");
+    for i in 0..8 {
+        let name = format!("g{i}");
+        let fh = c.create(&ctx, &format!("/d/{name}"), 0o644).unwrap();
+        c.close(&ctx, fh).unwrap();
+        expect.push(name);
+    }
+    reachable(&c, &expect);
+    // A fresh client takes all eight partitions over from the store.
     c.sync_all(&ctx).unwrap();
+    c.crash();
     let c2 = cl.client();
     c2.port().advance(50 * MSEC);
-    assert_eq!(names(&c2, &ctx, "/hot").len(), 40);
-}
-
-#[test]
-fn idle_partitioned_directory_merges_back() {
-    // Merge when a closed window measures under 100 appends/s.
-    let cl = cluster_on(async_wide_window().with_dir_partitions(4, 0, 100), false);
-    let c = cl.client();
-    let ctx = root();
-    c.mkdir(&ctx, "/cool", 0o755).unwrap();
-    c.set_dir_partitions(&ctx, "/cool", 4).unwrap();
-    // Trickle mutations spaced far apart; those landing on partition 0
-    // close low-rate windows and queue a merge.
-    let mut merged = false;
-    for i in 0..200 {
-        let fh = c.create(&ctx, &format!("/cool/f{i:03}"), 0o644).unwrap();
-        c.close(&ctx, fh).unwrap();
-        c.port().advance(20 * MSEC);
-        if c.partition_stats().1 >= 1 {
-            merged = true;
-            break;
-        }
-    }
-    assert!(merged, "idle directory merged back down");
-    assert!(!names(&c, &ctx, "/cool").is_empty());
+    reachable(&c2, &expect);
 }
 
 // ---- crash at a split boundary ------------------------------------------------

@@ -83,10 +83,6 @@ impl MdsCluster {
         }
     }
 
-    pub fn server_count(&self) -> usize {
-        self.servers.len()
-    }
-
     pub fn ops_served(&self) -> u64 {
         self.ops.load(Ordering::Relaxed)
     }

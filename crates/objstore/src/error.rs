@@ -16,7 +16,8 @@ pub enum OsError {
     Injected(&'static str),
     /// Requested range lies outside the object.
     BadRange,
-    /// Malformed key string handed to the REST layer.
+    /// Malformed object key. No in-process store raises it; it keeps its
+    /// tag in the remote store protocol (`arkfs::remote`).
     BadKey,
     /// Too many erasure-coded fragments are unavailable to reconstruct
     /// the object.

@@ -9,7 +9,6 @@
 //!
 //! Dentry buckets and journal sequence numbers reuse the same index slot.
 
-use crate::error::{OsError, OsResult};
 use std::fmt;
 
 /// The pre-defined key prefixes of the PRT module.
@@ -32,16 +31,6 @@ impl KeyKind {
             KeyKind::Dentry => 'e',
             KeyKind::Journal => 'j',
             KeyKind::Data => 'd',
-        }
-    }
-
-    pub fn from_prefix(c: char) -> Option<Self> {
-        match c {
-            'i' => Some(KeyKind::Inode),
-            'e' => Some(KeyKind::Dentry),
-            'j' => Some(KeyKind::Journal),
-            'd' => Some(KeyKind::Data),
-            _ => None,
         }
     }
 }
@@ -91,26 +80,6 @@ impl ObjectKey {
         }
     }
 
-    /// Parse the canonical REST string form, e.g.
-    /// `d000102030405060708090a0b0c0d0e0f.42`.
-    pub fn parse(s: &str) -> OsResult<Self> {
-        let mut chars = s.chars();
-        let kind = chars
-            .next()
-            .and_then(KeyKind::from_prefix)
-            .ok_or(OsError::BadKey)?;
-        let rest = &s[1..];
-        let (hex, index) = match rest.split_once('.') {
-            Some((hex, idx)) => (hex, idx.parse::<u64>().map_err(|_| OsError::BadKey)?),
-            None => (rest, 0),
-        };
-        if hex.len() != 32 {
-            return Err(OsError::BadKey);
-        }
-        let ino = u128::from_str_radix(hex, 16).map_err(|_| OsError::BadKey)?;
-        Ok(ObjectKey { kind, ino, index })
-    }
-
     /// Stable shard selection for this key. Data and journal chunks of the
     /// same inode spread across shards by index; the inode record and its
     /// dentry buckets colocate with bucket spreading.
@@ -154,41 +123,6 @@ mod tests {
         let d = ObjectKey::data_chunk(7, 42);
         assert!(d.to_string().starts_with('d'));
         assert!(d.to_string().ends_with(".42"));
-    }
-
-    #[test]
-    fn parse_roundtrip() {
-        for k in [
-            ObjectKey::inode(u128::MAX),
-            ObjectKey::dentry_bucket(0, 3),
-            ObjectKey::journal(12345, 9999),
-            ObjectKey::data_chunk(1, 0),
-        ] {
-            assert_eq!(ObjectKey::parse(&k.to_string()).unwrap(), k);
-        }
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        for bad in ["", "x00", "i123", "izz", "d0123.xyz", "i0123456789abcdef"] {
-            assert_eq!(ObjectKey::parse(bad), Err(OsError::BadKey), "{bad}");
-        }
-        // 32 hex digits but unknown prefix
-        let bad = format!("q{:032x}", 5u8);
-        assert_eq!(ObjectKey::parse(&bad), Err(OsError::BadKey));
-    }
-
-    #[test]
-    fn prefixes_roundtrip() {
-        for kind in [
-            KeyKind::Inode,
-            KeyKind::Dentry,
-            KeyKind::Journal,
-            KeyKind::Data,
-        ] {
-            assert_eq!(KeyKind::from_prefix(kind.prefix()), Some(kind));
-        }
-        assert_eq!(KeyKind::from_prefix('z'), None);
     }
 
     #[test]

@@ -20,7 +20,6 @@ pub mod error;
 pub mod fault;
 pub mod key;
 pub mod profile;
-pub mod rest;
 pub mod store;
 
 pub use cluster::{zeros, ClusterConfig, ObjectCluster};
@@ -29,5 +28,4 @@ pub use error::{OsError, OsResult};
 pub use fault::FaultPlan;
 pub use key::{KeyKind, ObjectKey};
 pub use profile::StoreProfile;
-pub use rest::{RestRequest, RestResponse};
 pub use store::ObjectStore;

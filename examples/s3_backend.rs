@@ -1,14 +1,13 @@
 //! ArkFS on an S3-compatible backend — the PRT module's backend
 //! portability (§III-F): the same file system runs against a store
-//! without partial writes by falling back to read-modify-write, and the
-//! raw REST facade shows what actually hits the bucket.
+//! without partial writes by falling back to read-modify-write, and a
+//! raw key listing shows what actually hits the bucket.
 //!
 //! ```sh
 //! cargo run --release --example s3_backend
 //! ```
 
 use arkfs::{ArkCluster, ArkConfig};
-use arkfs_objstore::rest::{dispatch, RestRequest, RestResponse};
 use arkfs_objstore::{ClusterConfig, ObjectCluster, ObjectStore};
 use arkfs_simkit::{ClusterSpec, Port};
 use arkfs_vfs::{read_file, write_file, Credentials, OpenFlags, Vfs};
@@ -44,31 +43,20 @@ fn main() {
     );
     client.release_all(&ctx).unwrap();
 
-    // Peek under the hood with the REST facade: list the raw objects the
-    // file system created (i=inode, e=dentry, j=journal, d=data).
-    let port = Port::new();
-    let resp = dispatch(
-        &*store,
-        &port,
-        RestRequest::List {
-            kind: None,
-            ino: None,
-        },
-    )
-    .unwrap();
-    if let RestResponse::Keys(keys) = resp {
-        let mut counts = std::collections::BTreeMap::new();
-        for key in &keys {
-            *counts.entry(key.chars().next().unwrap()).or_insert(0usize) += 1;
-        }
-        println!(
-            "raw bucket contents: {} objects by prefix {:?}",
-            keys.len(),
-            counts
-        );
-        for key in keys.iter().take(5) {
-            println!("  {key}");
-        }
+    // Peek under the hood: list the raw objects the file system created
+    // (i=inode, e=dentry, j=journal, d=data).
+    let keys = store.list(&Port::new(), None, None).unwrap();
+    let mut counts = std::collections::BTreeMap::new();
+    for key in &keys {
+        *counts.entry(key.kind.prefix()).or_insert(0usize) += 1;
+    }
+    println!(
+        "raw bucket contents: {} objects by prefix {:?}",
+        keys.len(),
+        counts
+    );
+    for key in keys.iter().take(5) {
+        println!("  {key}");
     }
 
     // Stats the S3 "bill" would show.
