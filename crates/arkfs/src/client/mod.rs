@@ -589,10 +589,8 @@ impl ArkClient {
     }
 
     pub(crate) fn fuse_charge(&self, requests: usize) {
-        if self.config().fuse_model {
-            self.port
-                .advance(self.config().spec.fuse_op_cost * requests as u64);
-        }
+        self.port
+            .advance(self.config().spec.fuse_op_cost * requests as u64);
     }
 }
 

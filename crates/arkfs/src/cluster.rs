@@ -12,7 +12,7 @@ use crate::meta::InodeRecord;
 use crate::prt::Prt;
 use crate::rpc::{OpBody, OpRequest, OpResponse};
 use arkfs_lease::{LeaseConfig, LeaseManager, LeaseRequest, LeaseResponse};
-use arkfs_netsim::{call_with_retry, Bus, NetError, NodeId, RetryCounters, Transport};
+use arkfs_netsim::{call_with_retry, Bus, NetError, NodeId, RetryCounters, RetryPolicy, Transport};
 use arkfs_objstore::ObjectStore;
 use arkfs_simkit::{Nanos, Port};
 use arkfs_telemetry::Counter;
@@ -175,7 +175,7 @@ impl ArkCluster {
             port,
             to,
             req,
-            self.config.net_retry,
+            RetryPolicy::default(),
             Some(&self.net_counters),
         )
     }
@@ -193,7 +193,7 @@ impl ArkCluster {
             port,
             to,
             req,
-            self.config.net_retry,
+            RetryPolicy::default(),
             Some(&self.net_counters),
         )
     }

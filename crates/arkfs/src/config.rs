@@ -50,20 +50,14 @@ pub struct ArkConfig {
     /// Permission caching mode (§III-C): cache remote directories'
     /// permissions + lookups until lease expiry, relaxing ACL consistency.
     pub permission_cache: bool,
-    /// Model per-request FUSE user↔kernel overhead and the per-component
-    /// LOOKUP storm (§IV-C)?
-    pub fuse_model: bool,
     /// Number of lease managers; directories (and directory partitions)
     /// shard across them by inode number, so a fleet's first touches
     /// queue at this many servers. The paper deploys one and leaves "a
     /// cluster of lease managers" as future work (§III-B): `1` is that
     /// configuration, the default of 16 is this repo's deviation from it.
     pub lease_managers: usize,
-    /// Retry/backoff policy for transient RPC failures (timeouts and
-    /// resets on a real transport; the virtual bus never produces them,
-    /// so the policy is inert in simulation).
-    pub net_retry: arkfs_netsim::RetryPolicy,
-    /// Cost constants for the simulated cluster.
+    /// Cost constants for the simulated cluster. `fuse_op_cost` is the
+    /// per-request FUSE user↔kernel overhead (§IV-C); 0 models none.
     pub spec: ClusterSpec,
 }
 
@@ -83,9 +77,7 @@ impl Default for ArkConfig {
             async_commit_max_inflight: 8,
             dentry_buckets: 16,
             permission_cache: true,
-            fuse_model: true,
             lease_managers: 16,
-            net_retry: arkfs_netsim::RetryPolicy::default(),
             spec: ClusterSpec::aws_paper(),
         }
     }
@@ -111,10 +103,11 @@ impl ArkConfig {
             async_commit_max_inflight: 2,
             dentry_buckets: 4,
             permission_cache: true,
-            fuse_model: false,
             lease_managers: 1,
-            net_retry: arkfs_netsim::RetryPolicy::default(),
-            spec: ClusterSpec::test_tiny(),
+            spec: ClusterSpec {
+                fuse_op_cost: 0,
+                ..ClusterSpec::test_tiny()
+            },
         }
     }
 

@@ -31,9 +31,7 @@ pub fn map_os_err(e: OsError) -> FsError {
         OsError::Injected(what) => FsError::Io(format!("injected fault: {what}")),
         OsError::BadRange => FsError::InvalidArgument,
         OsError::BadKey => FsError::Io("malformed key".into()),
-        OsError::InsufficientFragments => {
-            FsError::Io("too many erasure-coded fragments unavailable".into())
-        }
+        OsError::InsufficientFragments => FsError::Io("too many fragments unavailable".into()),
     }
 }
 

@@ -343,11 +343,6 @@ fn mixed_reads_on_s3() {
     mixed_reads_return_what_was_written(store);
 }
 
-#[test]
-fn mixed_reads_on_erasure_coding() {
-    mixed_reads_return_what_was_written(rados().with_erasure_coding(4));
-}
-
 // ---- the cached write path, cache smaller than the file ------------------
 
 const MIB_CHUNK: u64 = 2 * MIB;
@@ -421,11 +416,6 @@ fn write_behind_round_trips_on_s3() {
     let mut store = rados();
     store.profile = StoreProfile::s3(&store.spec);
     a_file_larger_than_the_cache_round_trips(store);
-}
-
-#[test]
-fn write_behind_round_trips_on_erasure_coding() {
-    a_file_larger_than_the_cache_round_trips(rados().with_erasure_coding(4));
 }
 
 #[test]

@@ -5,7 +5,7 @@ mod common;
 
 use arkfs::cache::Stat;
 use arkfs::{ArkCluster, ArkConfig};
-use arkfs_objstore::{ClusterConfig, KeyKind, ObjectCluster};
+use arkfs_objstore::{ClusterConfig, KeyKind, ObjectCluster, StoreProfile};
 use arkfs_simkit::{Port, MSEC};
 use arkfs_vfs::{
     read_file, write_file, Acl, AclEntry, Credentials, FileType, FsError, OpenFlags, SetAttr, Vfs,
@@ -703,14 +703,14 @@ fn virtual_time_advances_with_work() {
 }
 
 #[test]
-fn full_stack_on_erasure_coded_store() {
-    // The whole file system runs unchanged on an erasure-coded backend
+fn full_stack_on_replicated_s3_store() {
+    // The whole file system runs unchanged on an S3-profile backend
     // (PRT falls back to read-modify-write for sub-chunk writes, since
-    // EC objects take full-stripe writes only), and survives a storage
-    // node failure.
-    let store_cfg = ClusterConfig::test_tiny().with_erasure_coding(2);
-    let mut store_cfg = store_cfg;
+    // S3 objects take whole-object PUTs only), and with two copies of
+    // every object survives a storage node failure.
+    let mut store_cfg = ClusterConfig::test_tiny().with_replication(2);
     store_cfg.shards = 4;
+    store_cfg.profile = StoreProfile::s3(&store_cfg.spec);
     let store = Arc::new(ObjectCluster::new(store_cfg));
     let cl = ArkCluster::new(
         ArkConfig::test_tiny(),
@@ -718,20 +718,20 @@ fn full_stack_on_erasure_coded_store() {
     );
     let c = cl.client();
     let ctx = root();
-    c.mkdir(&ctx, "/ec", 0o755).unwrap();
-    write_file(&*c, &ctx, "/ec/f", &[3u8; 500]).unwrap();
+    c.mkdir(&ctx, "/s3", 0o755).unwrap();
+    write_file(&*c, &ctx, "/s3/f", &[3u8; 500]).unwrap();
     // Sub-chunk overwrite exercises the RMW fallback.
-    let fh = c.open(&ctx, "/ec/f", OpenFlags::RDWR).unwrap();
+    let fh = c.open(&ctx, "/s3/f", OpenFlags::RDWR).unwrap();
     c.write(&ctx, fh, 100, &[9u8; 20]).unwrap();
     c.fsync(&ctx, fh).unwrap();
     c.close(&ctx, fh).unwrap();
     c.release_all(&ctx).unwrap();
 
-    // One storage node dies; everything is still readable via
-    // reconstruction.
+    // One storage node dies; everything is still readable from the
+    // other copy.
     store.faults.fail_shard(0);
     let c2 = cl.client();
-    let data = read_file(&*c2, &ctx, "/ec/f").unwrap();
+    let data = read_file(&*c2, &ctx, "/s3/f").unwrap();
     assert_eq!(data.len(), 500);
     assert!(data[100..120].iter().all(|&b| b == 9));
     assert!(data[..100].iter().all(|&b| b == 3));

@@ -17,7 +17,7 @@ use arkfs_vfs::{
     OpenFlags, SetAttr, Stat, Vfs, AM_READ, AM_WRITE,
 };
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -86,7 +86,7 @@ impl CephFs {
                 self.spec.net_half_rtt,
             ),
             cache: Mutex::new(crate::datapath::counted_cache(&self.store, 256)),
-            handles: Mutex::new(HashMap::new()),
+            handles: Mutex::new(BTreeMap::new()),
             next_handle: AtomicU64::new(1),
         })
     }
@@ -108,7 +108,7 @@ pub struct CephClient {
     port: Port,
     data: DataPath,
     cache: Mutex<DataCache>,
-    handles: Mutex<HashMap<u64, Handle>>,
+    handles: Mutex<BTreeMap<u64, Handle>>,
     next_handle: AtomicU64,
 }
 

@@ -15,7 +15,7 @@ use arkfs_vfs::{
 };
 use bytes::Bytes;
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -41,7 +41,7 @@ pub struct GoofysFs {
     port: Port,
     data: DataPath,
     cache: Mutex<DataCache>,
-    handles: Mutex<HashMap<u64, GoofysHandle>>,
+    handles: Mutex<BTreeMap<u64, GoofysHandle>>,
     next_handle: AtomicU64,
 }
 
@@ -68,7 +68,7 @@ impl GoofysFs {
             port: Port::new(),
             data,
             cache: Mutex::new(cache),
-            handles: Mutex::new(HashMap::new()),
+            handles: Mutex::new(BTreeMap::new()),
             next_handle: AtomicU64::new(1),
         })
     }

@@ -16,7 +16,7 @@ use arkfs_vfs::{
     Stat, Vfs,
 };
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -33,7 +33,7 @@ pub struct MarFs {
     shared: Arc<MarShared>,
     port: Port,
     fuse_lock: SharedResource,
-    handles: Mutex<HashMap<u64, (Ino, u64, bool)>>, // ino, size, wrote
+    handles: Mutex<BTreeMap<u64, (Ino, u64, bool)>>, // ino, size, wrote
     next_handle: AtomicU64,
 }
 
@@ -57,7 +57,7 @@ impl MarFs {
             shared: Arc::clone(shared),
             port: Port::new(),
             fuse_lock: SharedResource::ideal("marfs-fuse"),
-            handles: Mutex::new(HashMap::new()),
+            handles: Mutex::new(BTreeMap::new()),
             next_handle: AtomicU64::new(1),
         })
     }
@@ -111,7 +111,7 @@ impl Vfs for MarFs {
 
     fn open(&self, ctx: &Credentials, path: &str, flags: OpenFlags) -> FsResult<FileHandle> {
         self.charge(path);
-        let (ino, size) = {
+        let (ino, mut size) = {
             let ns = self.shared.ns.lock();
             let ino = ns.resolve(ctx, path)?;
             let node = ns.node(ino)?;
@@ -120,7 +120,11 @@ impl Vfs for MarFs {
             }
             (ino, node.size)
         };
-        let _ = flags;
+        if flags.is_trunc() && flags.writable() && size > 0 {
+            let old = self.shared.ns.lock().set_size(ino, 0, self.port.now())?;
+            self.shared.prt.truncate_data(&self.port, ino, old, 0)?;
+            size = 0;
+        }
         let id = self.next_handle.fetch_add(1, Ordering::Relaxed);
         self.handles.lock().insert(id, (ino, size, false));
         Ok(FileHandle(id))
@@ -288,13 +292,16 @@ impl Vfs for MarFs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use arkfs_objstore::{ClusterConfig, ObjectCluster};
+    use arkfs_objstore::{ClusterConfig, KeyKind, ObjectCluster, ObjectKey};
     use arkfs_vfs::write_file;
 
-    fn client() -> Arc<MarFs> {
-        let store = Arc::new(ObjectCluster::new(ClusterConfig::test_tiny()));
+    fn client_on(store: Arc<ObjectCluster>) -> Arc<MarFs> {
         let shared = MarFs::deployment(store, ClusterSpec::test_tiny(), 64);
         MarFs::client(&shared)
+    }
+
+    fn client() -> Arc<MarFs> {
+        client_on(Arc::new(ObjectCluster::new(ClusterConfig::test_tiny())))
     }
 
     #[test]
@@ -320,5 +327,26 @@ mod tests {
             c.read(&ctx, fh, 0, &mut buf),
             Err(FsError::Unsupported("marfs interactive read"))
         ));
+    }
+
+    #[test]
+    fn open_with_trunc_drops_the_old_size_and_chunks() {
+        let store = Arc::new(ObjectCluster::new(ClusterConfig::test_tiny()));
+        let c = client_on(Arc::clone(&store));
+        let ctx = Credentials::root();
+        write_file(&*c, &ctx, "/f", &[7u8; 100]).unwrap();
+        let ino = c.stat(&ctx, "/f").unwrap().ino;
+        let chunks = || {
+            let port = Port::new();
+            store.list(&port, Some(KeyKind::Data), Some(ino)).unwrap()
+        };
+        assert_eq!(chunks().len(), 2);
+        let fh = c.open(&ctx, "/f", OpenFlags::WRONLY.truncate()).unwrap();
+        c.write(&ctx, fh, 0, &[1u8; 10]).unwrap();
+        c.close(&ctx, fh).unwrap();
+        assert_eq!(c.stat(&ctx, "/f").unwrap().size, 10);
+        assert_eq!(chunks(), vec![ObjectKey::data_chunk(ino, 0)]);
+        let got = store.get(&Port::new(), ObjectKey::data_chunk(ino, 0));
+        assert_eq!(&got.unwrap()[..], &[1u8; 10]);
     }
 }

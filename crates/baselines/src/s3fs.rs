@@ -16,7 +16,7 @@ use arkfs_vfs::{
     SetAttr, Stat, Vfs,
 };
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -40,7 +40,7 @@ pub struct S3Fs {
     spec: ClusterSpec,
     port: Port,
     disk: BandwidthResource,
-    handles: Mutex<HashMap<u64, S3Handle>>,
+    handles: Mutex<BTreeMap<u64, S3Handle>>,
     next_handle: AtomicU64,
 }
 
@@ -55,7 +55,7 @@ impl S3Fs {
             spec,
             port: Port::new(),
             disk: BandwidthResource::new("s3fs-disk", disk_bw),
-            handles: Mutex::new(HashMap::new()),
+            handles: Mutex::new(BTreeMap::new()),
             next_handle: AtomicU64::new(1),
         })
     }

@@ -1,10 +1,9 @@
-//! Deterministic single-threaded lease scenarios scripted with the
-//! simkit event queue: expiry ordering, competing acquirers, recovery
+//! Deterministic single-threaded lease scenarios scripted as a list of
+//! timed events: expiry ordering, competing acquirers, recovery
 //! hold-off, all on one explicit timeline.
 
 use arkfs_lease::{LeaseConfig, LeaseManager, LeaseRequest, LeaseResponse};
 use arkfs_netsim::{NodeId, Service};
-use arkfs_simkit::EventQueue;
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Event {
@@ -14,15 +13,13 @@ enum Event {
 
 const DIR: u128 = 7;
 
-/// Drive the manager from a scripted event queue; returns the responses
+/// Drive the manager from a scripted event list, in time order (events
+/// at the same instant keep their script order); returns the responses
 /// in event order.
-fn run(mgr: &LeaseManager, events: Vec<(u64, Event)>) -> Vec<(u64, LeaseResponse)> {
-    let mut q = EventQueue::new();
-    for (at, e) in events {
-        q.schedule_at(at, e);
-    }
+fn run(mgr: &LeaseManager, mut events: Vec<(u64, Event)>) -> Vec<(u64, LeaseResponse)> {
+    events.sort_by_key(|&(at, _)| at);
     let mut out = Vec::new();
-    while let Some((at, event)) = q.pop() {
+    for (at, event) in events {
         let req = match event {
             Event::Acquire(c) => LeaseRequest::Acquire {
                 client: c,
@@ -107,8 +104,8 @@ fn scripted_contention_timeline() {
 
 #[test]
 fn simultaneous_acquires_are_fcfs_by_queue_order() {
-    // Two acquires scheduled at the same instant: the queue's stable FIFO
-    // order decides; the first scheduled wins, the second is redirected.
+    // Two acquires scripted at the same instant: script order decides;
+    // the first scripted wins, the second is redirected.
     let mgr = LeaseManager::new(LeaseConfig {
         period: 100,
         grace: 0,

@@ -28,9 +28,6 @@ pub struct ClusterConfig {
     /// so stress-scale benchmarks fit in memory. GETs of discarded
     /// payloads return zero bytes.
     pub discard_payload: bool,
-    /// Erasure coding (k data + 1 XOR parity) instead of replication.
-    /// `None` keeps full-copy replication.
-    pub ec: Option<crate::ec::EcScheme>,
 }
 
 impl ClusterConfig {
@@ -44,7 +41,6 @@ impl ClusterConfig {
             profile: StoreProfile::rados(&spec),
             spec,
             discard_payload: false,
-            ec: None,
         }
     }
 
@@ -66,7 +62,6 @@ impl ClusterConfig {
             profile: StoreProfile::rados(&spec),
             spec,
             discard_payload: false,
-            ec: None,
         }
     }
 
@@ -77,27 +72,18 @@ impl ClusterConfig {
 
     pub fn with_replication(mut self, r: usize) -> Self {
         self.replication = r.max(1);
-        self.ec = None;
-        self
-    }
-
-    /// Store objects erasure-coded as `k` data + 1 parity fragments
-    /// instead of replicating full copies.
-    pub fn with_erasure_coding(mut self, k: usize) -> Self {
-        self.ec = Some(crate::ec::EcScheme::new(k));
         self
     }
 }
 
-/// Stored payload: real bytes, a synthetic length, or one erasure-coded
-/// fragment of an object. A `Real` buffer is the one the PUT carried,
-/// shared by every replica and by every GET that returns it: shared
-/// means immutable (see [`ObjectCluster::apply_range_write`]).
+/// Stored payload: real bytes or a synthetic length. A `Real` buffer is
+/// the one the PUT carried, shared by every replica and by every GET that
+/// returns it: shared means immutable (see
+/// [`ObjectCluster::apply_range_write`]).
 #[derive(Debug, Clone)]
 enum Payload {
     Real(Bytes),
     Synthetic(u64),
-    Fragment { total_len: u64, bytes: Bytes },
 }
 
 /// `len` zero bytes (synthetic payloads, holes): a window of one shared
@@ -112,21 +98,11 @@ pub fn zeros(len: usize) -> Bytes {
 }
 
 impl Payload {
-    /// Physical bytes stored on this shard.
+    /// Object size this payload describes.
     fn len(&self) -> u64 {
         match self {
             Payload::Real(v) => v.len() as u64,
             Payload::Synthetic(n) => *n,
-            Payload::Fragment { bytes, .. } => bytes.len() as u64,
-        }
-    }
-
-    /// Logical object size this payload describes.
-    fn logical_len(&self) -> u64 {
-        match self {
-            Payload::Real(v) => v.len() as u64,
-            Payload::Synthetic(n) => *n,
-            Payload::Fragment { total_len, .. } => *total_len,
         }
     }
 }
@@ -198,12 +174,6 @@ impl ObjectCluster {
     pub fn new(config: ClusterConfig) -> Self {
         assert!(config.shards > 0, "cluster needs at least one shard");
         assert!(config.replication >= 1 && config.replication <= config.shards);
-        if let Some(ec) = config.ec {
-            assert!(
-                ec.width() <= config.shards,
-                "erasure width exceeds shard count"
-            );
-        }
         let shards = (0..config.shards)
             .map(|_| Shard {
                 objects: RwLock::new(HashMap::new()),
@@ -254,107 +224,35 @@ impl ObjectCluster {
             .sum()
     }
 
-    /// Shards an object's copies or fragments live on.
-    fn placement_shards(&self, key: &ObjectKey) -> Vec<usize> {
-        let primary = key.shard(self.config.shards);
+    /// Shards an object's copies live on, primary first.
+    fn replica_shards(&self, key: &ObjectKey) -> impl Iterator<Item = usize> {
         let n = self.config.shards;
-        let width = match self.config.ec {
-            Some(ec) => ec.width(),
-            None => self.config.replication,
-        };
-        (0..width).map(|i| (primary + i) % n).collect()
-    }
-
-    fn replica_shards(&self, key: &ObjectKey) -> impl Iterator<Item = usize> + '_ {
-        self.placement_shards(key).into_iter()
+        let primary = key.shard(n);
+        (0..self.config.replication).map(move |i| (primary + i) % n)
     }
 
     fn primary(&self, key: &ObjectKey) -> &Shard {
         &self.shards[key.shard(self.config.shards)]
     }
 
-    /// Read an object's logical contents, tolerating shard failures:
-    /// replication fails over to the next copy; erasure coding
-    /// reconstructs from any k of k+1 fragments. Returns (bytes — `None`
-    /// for synthetic payloads —, logical length, per-shard bytes read).
-    #[allow(clippy::type_complexity)]
-    fn load_logical(&self, key: ObjectKey) -> OsResult<(Option<Bytes>, u64, Vec<(usize, u64)>)> {
+    /// Read an object's contents, tolerating shard failures: a read
+    /// fails over to the next copy. Returns (bytes — `None` for synthetic
+    /// payloads —, length, the shard read from).
+    fn load_logical(&self, key: ObjectKey) -> OsResult<(Option<Bytes>, u64, usize)> {
         if self.faults.is_lost(key) {
             return Err(OsError::NotFound);
         }
-        let shards = self.placement_shards(&key);
-        match self.config.ec {
-            None => {
-                for idx in shards {
-                    if self.faults.is_shard_down(idx) {
-                        continue;
-                    }
-                    match self.shards[idx].objects.read().get(&key) {
-                        Some(Payload::Real(v)) => {
-                            return Ok((
-                                Some(v.clone()),
-                                v.len() as u64,
-                                vec![(idx, v.len() as u64)],
-                            ));
-                        }
-                        Some(Payload::Synthetic(n)) => {
-                            return Ok((None, *n, vec![(idx, *n)]));
-                        }
-                        Some(Payload::Fragment { .. }) => {
-                            unreachable!("fragment stored without EC config")
-                        }
-                        None => {}
-                    }
-                }
-                Err(OsError::NotFound)
+        for idx in self.replica_shards(&key) {
+            if self.faults.is_shard_down(idx) {
+                continue;
             }
-            Some(ec) => {
-                let mut frags: Vec<Option<Bytes>> = vec![None; ec.width()];
-                let mut total_len = None;
-                let mut synthetic = false;
-                let mut sources = Vec::new();
-                let mut present = 0usize;
-                for (j, idx) in shards.into_iter().enumerate() {
-                    if self.faults.is_shard_down(idx) {
-                        continue;
-                    }
-                    match self.shards[idx].objects.read().get(&key) {
-                        Some(Payload::Fragment {
-                            total_len: t,
-                            bytes,
-                        }) => {
-                            total_len = Some(*t);
-                            sources.push((idx, bytes.len() as u64));
-                            frags[j] = Some(bytes.clone());
-                            present += 1;
-                        }
-                        Some(Payload::Synthetic(n)) => {
-                            total_len = Some(*n);
-                            synthetic = true;
-                            sources.push((idx, n.div_ceil(ec.data as u64)));
-                            present += 1;
-                        }
-                        Some(Payload::Real(_)) => {
-                            unreachable!("full copy stored under EC config")
-                        }
-                        None => {}
-                    }
-                }
-                let Some(total_len) = total_len else {
-                    return Err(OsError::NotFound);
-                };
-                if synthetic {
-                    return Ok((None, total_len, sources));
-                }
-                if present < ec.data {
-                    return Err(OsError::InsufficientFragments);
-                }
-                let bytes = ec
-                    .reconstruct(total_len as usize, &frags)
-                    .ok_or(OsError::InsufficientFragments)?;
-                Ok((Some(Bytes::from(bytes)), total_len, sources))
+            match self.shards[idx].objects.read().get(&key) {
+                Some(Payload::Real(v)) => return Ok((Some(v.clone()), v.len() as u64, idx)),
+                Some(Payload::Synthetic(n)) => return Ok((None, *n, idx)),
+                None => {}
             }
         }
+        Err(OsError::NotFound)
     }
 
     /// Record a whole-batch span on the store's synthetic batch track.
@@ -366,52 +264,41 @@ impl ObjectCluster {
         }
     }
 
-    /// Virtual cost of reading from the given (shard, bytes) sources in
-    /// parallel, all departing at `arrival`. Returns the completion time.
-    fn charge_read_sources(&self, arrival: Nanos, sources: &[(usize, u64)]) -> Nanos {
-        let mut done = arrival;
-        let mut total = 0u64;
-        let traced = self.telemetry.tracer.enabled();
-        for &(idx, bytes) in sources {
-            let shard = &self.shards[idx];
-            let t1 = shard
-                .op_server
-                .reserve(arrival, self.config.profile.op_service)
-                + self.config.profile.op_latency;
-            let t2 = if bytes > 0 {
-                shard.disk.transfer(t1, bytes)
-            } else {
-                t1
-            };
-            if traced {
-                self.telemetry.tracer.record(
-                    PID_STORE,
-                    idx as u32,
-                    "shard.read",
-                    "store",
-                    arrival,
-                    t2,
-                );
-            }
-            done = done.max(t2);
-            total += bytes;
+    /// Virtual cost of reading `bytes` from shard `idx`, departing at
+    /// `arrival`. Returns the completion time.
+    fn charge_read_from(&self, arrival: Nanos, idx: usize, bytes: u64) -> Nanos {
+        let shard = &self.shards[idx];
+        let t1 = shard
+            .op_server
+            .reserve(arrival, self.config.profile.op_service)
+            + self.config.profile.op_latency;
+        let mut done = if bytes > 0 {
+            shard.disk.transfer(t1, bytes)
+        } else {
+            t1
+        };
+        if self.telemetry.tracer.enabled() {
+            self.telemetry.tracer.record(
+                PID_STORE,
+                idx as u32,
+                "shard.read",
+                "store",
+                arrival,
+                done,
+            );
         }
-        if total > 0 {
-            done = self.net.transfer(done, total);
+        if bytes > 0 {
+            done = self.net.transfer(done, bytes);
         }
         done + self.config.spec.net_half_rtt
     }
 
     /// Virtual cost of one write departing at `depart`: the network
-    /// carries every copy/fragment, then copies/fragments land on their
-    /// shards in parallel — completion is the max. Returns the completion
-    /// time without advancing any port, so batched writes can overlap.
+    /// carries every copy, then copies land on their shards in parallel —
+    /// completion is the max. Returns the completion time without
+    /// advancing any port, so batched writes can overlap.
     fn charge_write_at(&self, depart: Nanos, key: &ObjectKey, bytes: u64) -> Nanos {
-        let per_shard = match self.config.ec {
-            Some(ec) if bytes > 0 => ec.stripe(bytes as usize) as u64,
-            _ => bytes,
-        };
-        let wire_bytes = per_shard * self.placement_shards(key).len() as u64;
+        let wire_bytes = bytes * self.config.replication as u64;
         let t1 = if bytes > 0 {
             self.net.transfer(depart, wire_bytes)
         } else {
@@ -429,8 +316,8 @@ impl ObjectCluster {
                 queued
             };
             let t2 = served + self.config.profile.op_latency;
-            let t3 = if per_shard > 0 {
-                shard.disk.transfer(t2, per_shard)
+            let t3 = if bytes > 0 {
+                shard.disk.transfer(t2, bytes)
             } else {
                 t2
             };
@@ -445,8 +332,7 @@ impl ObjectCluster {
     }
 
     /// Charge the virtual cost of a write to every replica (full copy
-    /// each) or fragment (1/k of the bytes each) and return the caller's
-    /// completion time.
+    /// each) and return the caller's completion time.
     fn charge_write(&self, port: &Port, key: &ObjectKey, bytes: u64) -> Nanos {
         let t0 = port.advance(self.config.spec.net_half_rtt);
         let done = self.charge_write_at(t0, key, bytes);
@@ -470,14 +356,6 @@ impl ObjectCluster {
             t2
         };
         port.wait_until(t3 + self.config.spec.net_half_rtt)
-    }
-
-    /// Whether a ranged write to `key` can be applied in place (vs the
-    /// whole-object read-modify-write the S3 profile and erasure-coded
-    /// objects require).
-    fn supports_range_write(&self, key: &ObjectKey) -> bool {
-        let discard_data = self.config.discard_payload && key.kind == KeyKind::Data;
-        self.config.profile.partial_writes && (self.config.ec.is_none() || discard_data)
     }
 
     /// Apply a ranged write to every replica's in-memory object, each
@@ -506,8 +384,6 @@ impl ObjectCluster {
             let mut v = match std::mem::replace(entry, Payload::Synthetic(0)) {
                 Payload::Real(b) => Vec::from(b),
                 Payload::Synthetic(n) => vec![0u8; n as usize],
-                // Ranged writes on EC objects are rejected by the callers.
-                Payload::Fragment { .. } => unreachable!("fragment without EC config"),
             };
             if v.len() < end {
                 v.resize(end, 0);
@@ -517,24 +393,13 @@ impl ObjectCluster {
         }
     }
 
-    /// Store an object: full copies under replication, fragments under
-    /// erasure coding, synthetic lengths in discard mode.
+    /// Store an object: full copies, synthetic lengths in discard mode.
     fn store_object(&self, key: ObjectKey, data: Bytes) {
-        let total_len = data.len() as u64;
-        let payload = match self.config.ec {
-            _ if self.config.discard_payload && key.kind == KeyKind::Data => {
-                Payload::Synthetic(total_len)
-            }
+        let payload = if self.config.discard_payload && key.kind == KeyKind::Data {
+            Payload::Synthetic(data.len() as u64)
+        } else {
             // Every replica holds the caller's buffer: no copy.
-            None => Payload::Real(data),
-            Some(ec) => {
-                let frags = ec.encode(&data).into_iter().map(Bytes::from);
-                for (idx, bytes) in self.replica_shards(&key).zip(frags) {
-                    let fragment = Payload::Fragment { total_len, bytes };
-                    self.shards[idx].objects.write().insert(key, fragment);
-                }
-                return;
-            }
+            Payload::Real(data)
         };
         for idx in self.replica_shards(&key) {
             let copy = payload.clone();
@@ -542,7 +407,7 @@ impl ObjectCluster {
         }
     }
 
-    /// Count a DELETE and drop every copy or fragment of the object.
+    /// Count a DELETE and drop every copy of the object.
     fn remove_object(&self, key: ObjectKey) -> OsResult<()> {
         self.stats.deletes.inc();
         let mut found = false;
@@ -553,26 +418,19 @@ impl ObjectCluster {
     }
 
     /// The read half of a GET: count it, load the object (zeros for a
-    /// synthetic one) and name the (shard, bytes) sources to charge.
-    fn load_whole(&self, key: ObjectKey) -> OsResult<(Bytes, Vec<(usize, u64)>)> {
+    /// synthetic one) and name the shard to charge.
+    fn load_whole(&self, key: ObjectKey) -> OsResult<(Bytes, usize)> {
         self.stats.gets.inc();
-        let (bytes, total_len, sources) = self.load_logical(key)?;
+        let (bytes, total_len, idx) = self.load_logical(key)?;
         self.stats.bytes_out.add(total_len);
-        Ok((bytes.unwrap_or_else(|| zeros(total_len as usize)), sources))
+        Ok((bytes.unwrap_or_else(|| zeros(total_len as usize)), idx))
     }
 
-    /// The read half of a ranged GET: a window of the stored buffer.
-    /// Under erasure coding the whole object is assembled (fragments are
-    /// striped, so a range still touches every data fragment); under
-    /// replication only the requested range moves.
-    fn load_range(
-        &self,
-        key: ObjectKey,
-        offset: u64,
-        len: usize,
-    ) -> OsResult<(Bytes, Vec<(usize, u64)>)> {
+    /// The read half of a ranged GET: a window of the stored buffer;
+    /// only the requested range moves.
+    fn load_range(&self, key: ObjectKey, offset: u64, len: usize) -> OsResult<(Bytes, usize)> {
         self.stats.gets.inc();
-        let (bytes, total_len, mut sources) = self.load_logical(key)?;
+        let (bytes, total_len, idx) = self.load_logical(key)?;
         let start = offset.min(total_len) as usize;
         let end = offset.saturating_add(len as u64).min(total_len) as usize;
         let slice = match bytes {
@@ -580,12 +438,7 @@ impl ObjectCluster {
             None => zeros(end - start),
         };
         self.stats.bytes_out.add(slice.len() as u64);
-        if self.config.ec.is_none() {
-            for source in &mut sources {
-                source.1 = slice.len() as u64;
-            }
-        }
-        Ok((slice, sources))
+        Ok((slice, idx))
     }
 }
 
@@ -616,9 +469,9 @@ impl ObjectStore for ObjectCluster {
     }
 
     fn get(&self, port: &Port, key: ObjectKey) -> OsResult<Bytes> {
-        let (bytes, sources) = self.load_whole(key)?;
+        let (bytes, idx) = self.load_whole(key)?;
         let arrival = port.advance(self.config.spec.net_half_rtt);
-        let done = self.charge_read_sources(arrival, &sources);
+        let done = self.charge_read_from(arrival, idx, bytes.len() as u64);
         port.wait_until(done);
         Ok(bytes)
     }
@@ -627,9 +480,9 @@ impl ObjectStore for ObjectCluster {
         if !self.config.profile.ranged_reads {
             return Err(OsError::Unsupported("ranged read"));
         }
-        let (slice, sources) = self.load_range(key, offset, len)?;
+        let (slice, idx) = self.load_range(key, offset, len)?;
         let arrival = port.advance(self.config.spec.net_half_rtt);
-        let done = self.charge_read_sources(arrival, &sources);
+        let done = self.charge_read_from(arrival, idx, slice.len() as u64);
         port.wait_until(done);
         Ok(slice)
     }
@@ -637,13 +490,6 @@ impl ObjectStore for ObjectCluster {
     fn put_range(&self, port: &Port, key: ObjectKey, offset: u64, data: Bytes) -> OsResult<()> {
         if !self.config.profile.partial_writes {
             return Err(OsError::Unsupported("ranged write"));
-        }
-        if self.config.ec.is_some() && !(self.config.discard_payload && key.kind == KeyKind::Data) {
-            // Erasure-coded objects take full-stripe writes only; callers
-            // fall back to read-modify-write of the whole object.
-            return Err(OsError::Unsupported(
-                "partial write on erasure-coded object",
-            ));
         }
         self.faults.check_put(key)?;
         self.stats.puts.inc();
@@ -664,13 +510,13 @@ impl ObjectStore for ObjectCluster {
             return Err(OsError::NotFound);
         }
         self.charge_read(port, &key, 0);
-        // Any reachable copy/fragment knows the logical size.
-        for idx in self.placement_shards(&key) {
+        // Any reachable copy knows the size.
+        for idx in self.replica_shards(&key) {
             if self.faults.is_shard_down(idx) {
                 continue;
             }
             if let Some(p) = self.shards[idx].objects.read().get(&key) {
-                return Ok(p.logical_len());
+                return Ok(p.len());
             }
         }
         Err(OsError::NotFound)
@@ -703,10 +549,10 @@ impl ObjectStore for ObjectCluster {
         self.stats.count_batch(keys.len());
         let mut out = Vec::with_capacity(keys.len());
         for &key in keys {
-            out.push(
-                self.load_whole(key)
-                    .map(|(bytes, sources)| (bytes, self.charge_read_sources(arrival, &sources))),
-            );
+            out.push(self.load_whole(key).map(|(bytes, idx)| {
+                let done = self.charge_read_from(arrival, idx, bytes.len() as u64);
+                (bytes, done)
+            }));
         }
         out
     }
@@ -767,8 +613,8 @@ impl ObjectStore for ObjectCluster {
         let out = reqs
             .iter()
             .map(|&(key, offset, len)| {
-                let (slice, sources) = self.load_range(key, offset, len)?;
-                done = done.max(self.charge_read_sources(t0, &sources));
+                let (slice, idx) = self.load_range(key, offset, len)?;
+                done = done.max(self.charge_read_from(t0, idx, slice.len() as u64));
                 Ok(slice)
             })
             .collect();
@@ -794,7 +640,7 @@ impl ObjectStore for ObjectCluster {
                 out.push(Err(e));
                 continue;
             }
-            if self.supports_range_write(&key) {
+            if self.config.profile.partial_writes {
                 self.stats.puts.inc();
                 self.stats.bytes_in.add(data.len() as u64);
                 done = done.max(self.charge_write_at(t0, &key, data.len() as u64));
@@ -806,20 +652,15 @@ impl ObjectStore for ObjectCluster {
             // batch; the rewrite departs at that item's read completion.
             // Items still overlap each other.
             self.stats.gets.inc();
-            let (bytes, total_len, sources) = match self.load_logical(key) {
-                Ok(v) => v,
-                Err(OsError::NotFound) => (Some(Bytes::new()), 0, Vec::new()),
+            let (bytes, total_len, t_read) = match self.load_logical(key) {
+                Ok((bytes, len, idx)) => (bytes, len, self.charge_read_from(t0, idx, len)),
+                Err(OsError::NotFound) => (Some(Bytes::new()), 0, t0),
                 Err(e) => {
                     out.push(Err(e));
                     continue;
                 }
             };
             self.stats.bytes_out.add(total_len);
-            let t_read = if sources.is_empty() {
-                t0
-            } else {
-                self.charge_read_sources(t0, &sources)
-            };
             let mut whole = bytes.map_or_else(|| vec![0u8; total_len as usize], Vec::from);
             let end = offset as usize + data.len();
             if whole.len() < end {
@@ -906,40 +747,29 @@ mod tests {
         ObjectCluster::new(ClusterConfig::test_tiny())
     }
 
-    /// RADOS r = 2, S3 r = 2 and EC 4+1: the deployments the ownership
-    /// rule (shared => immutable) must hold on.
-    fn aliasing_clusters() -> [ObjectCluster; 3] {
-        let tiny = |shards, s3: bool| {
+    /// RADOS r = 2 and S3 r = 2: the deployments the ownership rule
+    /// (shared => immutable) must hold on.
+    fn aliasing_clusters() -> [ObjectCluster; 2] {
+        let tiny = |s3: bool| {
             let mut cfg = ClusterConfig::test_tiny();
-            cfg.shards = shards;
+            cfg.shards = 3;
             if s3 {
                 cfg.profile = StoreProfile::s3(&cfg.spec);
             }
-            cfg
+            ObjectCluster::new(cfg.with_replication(2))
         };
-        [
-            ObjectCluster::new(tiny(3, false).with_replication(2)),
-            ObjectCluster::new(tiny(3, true).with_replication(2)),
-            ObjectCluster::new(tiny(6, false).with_erasure_coding(4)),
-        ]
+        [tiny(false), tiny(true)]
     }
 
     /// The object reads as the model says, from every copy: each replica
-    /// holds the model's bytes, or (EC) a degraded read rebuilds them.
+    /// holds the model's bytes.
     fn assert_matches_model(c: &ObjectCluster, key: ObjectKey, model: Option<&Vec<u8>>) {
         let port = Port::new();
         let want = model
             .map(|m| Bytes::from(m.clone()))
             .ok_or(OsError::NotFound);
         assert_eq!(c.get(&port, key), want);
-        let placement = c.placement_shards(&key);
-        if c.config.ec.is_some() {
-            c.faults.fail_shard(placement[0]);
-            assert_eq!(c.get(&port, key), want, "degraded read");
-            c.faults.restore_shard(placement[0]);
-            return;
-        }
-        for idx in placement {
+        for idx in c.replica_shards(&key) {
             match (c.shards[idx].objects.read().get(&key), model) {
                 (Some(Payload::Real(b)), Some(m)) => assert_eq!(b, m, "replica on shard {idx}"),
                 (None, None) => {}
@@ -1005,7 +835,7 @@ mod tests {
                             m.resize(m.len().max(at + len), 0);
                             m[at..at + len].copy_from_slice(&data);
                         }
-                        // S3 and EC objects take whole-object PUTs only.
+                        // S3 objects take whole-object PUTs only.
                         Some((Err(OsError::Unsupported(_)), _)) => c.faults.clear(),
                         Some((Err(e), _)) => prop_assert!(failing, "unexpected {e:?}"),
                         None => c.faults.clear(),
@@ -1322,56 +1152,6 @@ mod tests {
     }
 
     #[test]
-    fn erasure_coded_roundtrip_and_reconstruction() {
-        let spec = ClusterSpec::test_tiny();
-        let cfg = ClusterConfig {
-            shards: 6,
-            replication: 1,
-            profile: StoreProfile::rados(&spec),
-            spec,
-            discard_payload: false,
-            ec: None,
-        }
-        .with_erasure_coding(4);
-        let c = ObjectCluster::new(cfg);
-        let port = Port::new();
-        let key = ObjectKey::data_chunk(1, 0);
-        let data: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
-        c.put(&port, key, Bytes::from(data.clone())).unwrap();
-        // 5 fragments stored, each ~250 B — not 5 full copies.
-        assert_eq!(c.object_count(), 5);
-        assert!(c.stored_bytes() < 1500, "stored {} bytes", c.stored_bytes());
-        assert_eq!(c.get(&port, key).unwrap(), Bytes::from(data.clone()));
-        assert_eq!(c.head(&port, key).unwrap(), 1000);
-        // Ranged read assembles correctly.
-        assert_eq!(
-            &c.get_range(&port, key, 300, 10).unwrap()[..],
-            &data[300..310]
-        );
-
-        // Any single shard failure reconstructs.
-        let primary = key.shard(6);
-        c.faults.fail_shard(primary);
-        assert_eq!(c.get(&port, key).unwrap(), Bytes::from(data.clone()));
-        assert_eq!(c.head(&port, key).unwrap(), 1000);
-        // A second failed shard in the placement breaks reconstruction.
-        c.faults.fail_shard((primary + 1) % 6);
-        assert_eq!(c.get(&port, key), Err(OsError::InsufficientFragments));
-        c.faults.clear();
-        assert!(c.get(&port, key).is_ok());
-        // Partial writes are full-stripe only.
-        assert_eq!(
-            c.put_range(&port, key, 0, Bytes::from_static(b"x")),
-            Err(OsError::Unsupported(
-                "partial write on erasure-coded object"
-            ))
-        );
-        // Delete removes every fragment.
-        c.delete(&port, key).unwrap();
-        assert_eq!(c.object_count(), 0);
-    }
-
-    #[test]
     fn replication_fails_over_on_shard_down() {
         let cfg = ClusterConfig::test_tiny().with_replication(2);
         let c = ObjectCluster::new(cfg);
@@ -1382,36 +1162,23 @@ mod tests {
         c.faults.fail_shard(primary);
         assert_eq!(c.get(&port, key).unwrap(), Bytes::from_static(b"meta"));
         assert_eq!(c.head(&port, key).unwrap(), 4);
+        assert_eq!(c.get_range(&port, key, 1, 2).unwrap(), &b"et"[..]);
+        // The batched reads fail over the same way.
+        assert_eq!(
+            c.get_many(&port, &[key]),
+            vec![Ok(Bytes::from_static(b"meta"))]
+        );
+        assert_eq!(
+            c.get_range_many(&port, &[(key, 2, 9)]),
+            vec![Ok(Bytes::from_static(b"ta"))]
+        );
+        let each = c.get_each(port.now(), &[key]);
+        assert_eq!(each[0].as_ref().unwrap().0, Bytes::from_static(b"meta"));
         // Both copies down: gone.
         c.faults.fail_shard((primary + 1) % 2);
         assert_eq!(c.get(&port, key), Err(OsError::NotFound));
         c.faults.restore_shard(primary);
         assert!(c.get(&port, key).is_ok());
-    }
-
-    #[test]
-    fn ec_write_costs_less_than_replication() {
-        // Writing 1 MB with 4+1 EC moves 1.25 MB; with 2x replication it
-        // moves 2 MB — EC completion must be cheaper on a fresh cluster.
-        let spec = ClusterSpec::aws_paper();
-        let data = Bytes::from(vec![7u8; 1024 * 1024]);
-        let ec_cluster =
-            ObjectCluster::new(ClusterConfig::rados(spec.clone()).with_erasure_coding(4));
-        let rep_cluster = ObjectCluster::new(ClusterConfig::rados(spec));
-        let ec_port = Port::new();
-        let rep_port = Port::new();
-        ec_cluster
-            .put(&ec_port, ObjectKey::data_chunk(1, 0), data.clone())
-            .unwrap();
-        rep_cluster
-            .put(&rep_port, ObjectKey::data_chunk(1, 0), data)
-            .unwrap();
-        assert!(
-            ec_port.now() < rep_port.now(),
-            "EC {} vs replication {}",
-            ec_port.now(),
-            rep_port.now()
-        );
     }
 
     #[test]

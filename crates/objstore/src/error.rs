@@ -19,8 +19,8 @@ pub enum OsError {
     /// Malformed object key. No in-process store raises it; it keeps its
     /// tag in the remote store protocol (`arkfs::remote`).
     BadKey,
-    /// Too many erasure-coded fragments are unavailable to reconstruct
-    /// the object.
+    /// No in-process store raises it; it keeps its tag in the remote
+    /// store protocol (`arkfs::remote`).
     InsufficientFragments,
 }
 

@@ -45,7 +45,7 @@ impl FaultPlan {
     }
 
     /// Take a whole storage shard offline (node failure). Reads fail
-    /// over to replicas or reconstruct from erasure-coded fragments.
+    /// over to the next replica.
     pub fn fail_shard(&self, idx: usize) {
         self.state.lock().down_shards.insert(idx);
     }

@@ -15,7 +15,6 @@
 //! the caller's [`arkfs_simkit::Port`]; functional behaviour is real.
 
 pub mod cluster;
-pub mod ec;
 pub mod error;
 pub mod fault;
 pub mod key;
@@ -23,7 +22,6 @@ pub mod profile;
 pub mod store;
 
 pub use cluster::{zeros, ClusterConfig, ObjectCluster};
-pub use ec::EcScheme;
 pub use error::{OsError, OsResult};
 pub use fault::FaultPlan;
 pub use key::{KeyKind, ObjectKey};

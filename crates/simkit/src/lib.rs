@@ -3,31 +3,26 @@
 //! The benchmark harness in this workspace runs *functionally real* file
 //! system code (real metatables, journals, caches, RPC) on real threads,
 //! but accounts for *time* virtually: every simulated client owns a
-//! monotone [`timeline::Timeline`], and every shared component — a
+//! monotone [`timeline::Port`], and every shared component — a
 //! metadata server, a network link, a disk — is a
 //! [`timeline::SharedResource`] whose FIFO next-free-time reservation
 //! discipline reproduces queueing, saturation, and contention collapse
 //! deterministically and at laptop speed.
 //!
-//! The kit also provides a deterministic [`events::EventQueue`] for
-//! single-threaded scenario tests (lease expiry, crash/recovery timing),
-//! the discrete-event [`engine::Engine`] that multiplexes thousands of
-//! simulated clients on one host thread in causal virtual-time order,
-//! and [`stats`] utilities used to emit the paper's tables and figures.
+//! The kit also provides the discrete-event [`engine::Engine`] that
+//! multiplexes thousands of simulated clients on one host thread in
+//! causal virtual-time order, and the [`stats`] phase throughput meter
+//! used to emit the paper's tables and figures.
 
-pub mod clock;
 pub mod costs;
 pub mod engine;
-pub mod events;
 pub mod stats;
 pub mod timeline;
 
-pub use clock::{Clock, ManualClock, SystemClock};
 pub use costs::ClusterSpec;
 pub use engine::{Actor, Engine, EngineStats};
-pub use events::EventQueue;
-pub use stats::{Histogram, PhaseResult, ThroughputMeter};
-pub use timeline::{BandwidthResource, Port, SharedResource, Timeline};
+pub use stats::{PhaseResult, ThroughputMeter};
+pub use timeline::{BandwidthResource, Port, SharedResource};
 
 /// Nanosecond instant/duration on the virtual clock.
 pub type Nanos = u64;

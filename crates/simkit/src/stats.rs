@@ -1,104 +1,7 @@
-//! Statistics used by the benchmark harness: latency histograms and
-//! phase throughput accounting.
+//! Phase throughput accounting for the benchmark harness.
 
 use crate::{Nanos, SEC};
 use parking_lot::Mutex;
-
-/// A log-scaled latency histogram (powers of two from 1 ns to ~18 s).
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u128,
-    min: Nanos,
-    max: Nanos,
-}
-
-const BUCKETS: usize = 64;
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            buckets: vec![0; BUCKETS],
-            count: 0,
-            sum: 0,
-            min: Nanos::MAX,
-            max: 0,
-        }
-    }
-}
-
-impl Histogram {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn bucket_of(v: Nanos) -> usize {
-        (64 - v.leading_zeros() as usize).min(BUCKETS - 1)
-    }
-
-    pub fn record(&mut self, v: Nanos) {
-        self.buckets[Self::bucket_of(v)] += 1;
-        self.count += 1;
-        self.sum += v as u128;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    pub fn min(&self) -> Nanos {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
-    pub fn max(&self) -> Nanos {
-        self.max
-    }
-
-    /// Approximate quantile (upper bound of the bucket containing it).
-    pub fn quantile(&self, q: f64) -> Nanos {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64;
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target.max(1) {
-                return if i >= 63 {
-                    Nanos::MAX
-                } else {
-                    (1u64 << i).saturating_sub(1).max(1)
-                };
-            }
-        }
-        self.max
-    }
-
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
 
 /// Collects per-client completion spans for one benchmark phase and turns
 /// them into an aggregate throughput, the way mdtest reports it: total
@@ -272,42 +175,6 @@ impl PhaseResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn histogram_records_and_summarizes() {
-        let mut h = Histogram::new();
-        for v in [1u64, 2, 4, 8, 1000, 1_000_000] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 6);
-        assert_eq!(h.min(), 1);
-        assert_eq!(h.max(), 1_000_000);
-        let mean = h.mean();
-        assert!((mean - (1.0 + 2.0 + 4.0 + 8.0 + 1000.0 + 1_000_000.0) / 6.0).abs() < 1e-9);
-        assert!(h.quantile(0.5) >= 4);
-        assert!(h.quantile(1.0) >= 1_000_000 / 2);
-    }
-
-    #[test]
-    fn empty_histogram_is_sane() {
-        let h = Histogram::new();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.min(), 0);
-        assert_eq!(h.quantile(0.99), 0);
-    }
-
-    #[test]
-    fn histograms_merge() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record(10);
-        b.record(1000);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.min(), 10);
-        assert_eq!(a.max(), 1000);
-    }
 
     #[test]
     fn meter_computes_makespan_throughput() {

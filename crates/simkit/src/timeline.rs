@@ -1,6 +1,6 @@
-//! Per-actor virtual timelines and shared FIFO-timeline resources.
+//! Per-actor virtual clocks and shared FIFO-timeline resources.
 //!
-//! A [`Timeline`] is one simulated actor's (client process's) private
+//! A [`Port`] is one simulated actor's (client process's) private
 //! clock: it only moves forward as the actor pays operation costs.
 //!
 //! A [`SharedResource`] models a component that serves one request at a
@@ -18,48 +18,15 @@
 use crate::{transfer_time, Nanos};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// One simulated actor's private monotone clock.
-#[derive(Debug, Clone, Default)]
-pub struct Timeline {
-    now: Nanos,
-}
-
-impl Timeline {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn starting_at(t: Nanos) -> Self {
-        Timeline { now: t }
-    }
-
-    /// Current virtual time of this actor.
-    pub fn now(&self) -> Nanos {
-        self.now
-    }
-
-    /// Pay a local cost: CPU time, an uncontended cache hit, etc.
-    pub fn advance(&mut self, cost: Nanos) -> Nanos {
-        self.now = self.now.saturating_add(cost);
-        self.now
-    }
-
-    /// Jump to an absolute completion time returned by a shared resource
-    /// (never moves backwards).
-    pub fn wait_until(&mut self, t: Nanos) -> Nanos {
-        self.now = self.now.max(t);
-        self.now
-    }
-}
-
-/// A shareable handle to one actor's [`Timeline`], so that layered
-/// components (FS client → cache → object store → network) can all charge
-/// costs to the same simulated process without threading `&mut Timeline`
-/// through every call.
+/// One simulated actor's (client process's) private monotone clock: it
+/// only moves forward as the actor pays operation costs. Shared by
+/// reference, so layered components (FS client → cache → object store →
+/// network) can all charge costs to the same simulated process.
 #[derive(Debug, Default)]
 pub struct Port {
-    inner: Mutex<Timeline>,
+    now: AtomicU64,
 }
 
 impl Port {
@@ -69,27 +36,36 @@ impl Port {
 
     pub fn starting_at(t: Nanos) -> Self {
         Port {
-            inner: Mutex::new(Timeline::starting_at(t)),
+            now: AtomicU64::new(t),
         }
     }
 
+    /// Current virtual time of this actor.
     pub fn now(&self) -> Nanos {
-        self.inner.lock().now()
+        self.now.load(Ordering::Acquire)
     }
 
-    /// Pay a local cost; returns the new time.
+    /// Pay a local cost (CPU time, an uncontended cache hit, ...);
+    /// returns the new time.
     pub fn advance(&self, cost: Nanos) -> Nanos {
-        self.inner.lock().advance(cost)
+        let prev = self
+            .now
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |t| {
+                Some(t.saturating_add(cost))
+            })
+            .expect("the update always succeeds");
+        prev.saturating_add(cost)
     }
 
-    /// Wait until an absolute completion time; returns the new time.
+    /// Wait until an absolute completion time returned by a shared
+    /// resource (never moves backwards); returns the new time.
     pub fn wait_until(&self, t: Nanos) -> Nanos {
-        self.inner.lock().wait_until(t)
+        self.now.fetch_max(t, Ordering::AcqRel).max(t)
     }
 
     /// Reset to a given origin (between benchmark phases).
     pub fn reset_to(&self, t: Nanos) {
-        *self.inner.lock() = Timeline::starting_at(t);
+        self.now.store(t, Ordering::Release);
     }
 }
 
@@ -190,7 +166,7 @@ impl SharedResource {
     }
 
     /// Reserve `service` time for a request arriving at `arrival`.
-    /// Returns the absolute completion time the caller's [`Timeline`]
+    /// Returns the absolute completion time the caller's [`Port`]
     /// should wait until. The request occupies the first idle gap at or
     /// after `arrival` that fits the (contention-inflated) service time.
     pub fn reserve(&self, arrival: Nanos, service: Nanos) -> Nanos {
@@ -358,11 +334,14 @@ mod tests {
 
     #[test]
     fn timeline_moves_forward_only() {
-        let mut t = Timeline::new();
-        assert_eq!(t.advance(10), 10);
-        assert_eq!(t.wait_until(5), 10);
-        assert_eq!(t.wait_until(20), 20);
-        assert_eq!(t.now(), 20);
+        let p = Port::new();
+        assert_eq!(p.advance(10), 10);
+        assert_eq!(p.wait_until(5), 10);
+        assert_eq!(p.wait_until(20), 20);
+        assert_eq!(p.now(), 20);
+        // Saturates instead of wrapping.
+        assert_eq!(p.advance(u64::MAX), u64::MAX);
+        assert_eq!(p.now(), u64::MAX);
     }
 
     #[test]
