@@ -12,9 +12,10 @@
 //! stream's read-ahead window counting as in use
 //! ([`DataCache::claim_window`]); a dirty entry it evicts goes *behind*
 //! the caller — its PUT departs at once and keeps the entry's slot until
-//! the ack ([`DataCache::went_behind`]), and so do the DELETEs of a
-//! removed file's chunks ([`purge`]). [`cached_read`] and
-//! [`cached_write`] are the data paths over it, [`flush`] the one drain.
+//! the ack ([`DataCache::went_behind`]), and so do the PUTs of a closed
+//! file's dirty chunks ([`put_behind`]) and the DELETEs of a removed
+//! file's chunks ([`purge`]). [`cached_read`] and [`cached_write`] are
+//! the data paths over it, [`flush`] the one drain.
 
 use crate::prt::{chunk_spans, map_os_err, read_spans};
 use crate::radix::RadixTree;
@@ -47,7 +48,7 @@ fn put_items(chunks: Vec<Evicted>) -> Vec<(ObjectKey, Bytes)> {
 
 /// The one drain of the cached data path: write back `file`'s dirty
 /// chunks (every file's for `None`) as one pipelined multi-PUT, after
-/// the requests already behind the caller have been acked. fsync, close,
+/// the requests already behind the caller have been acked. fsync,
 /// truncate, a lease flip to direct I/O, a leader's flush request and
 /// `sync_all` hand a file's bytes on through here, so what they hand on
 /// is never older than the store's acks. One cache pass, in `cache`.
@@ -126,8 +127,8 @@ pub struct CachePolicy {
 /// A store round trip the cached data path waited for, as the span its
 /// caller's tracer records: `cache.miss` (chunks fetched whole into the
 /// cache), `cache.bypass` (a random read's ranges fetched past it) or
-/// `cache.writebehind.wait` (a writer or a purge waiting for the ack
-/// that frees a slot).
+/// `cache.writebehind.wait` (a writer, a close or a purge waiting for
+/// the ack that frees a slot).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FetchSpan {
     pub name: &'static str,
@@ -190,6 +191,34 @@ fn wait_behind(
         start,
         end: until,
     }))
+}
+
+/// Send `ino`'s dirty chunks *behind* the caller, in one cache pass: their
+/// PUTs depart at once and each holds a slot until its ack, like a PUT
+/// that went behind a writer, and the caller waits by the same rule
+/// ([`DataCache::went_behind`]). `close` hands its file on this way
+/// without waiting for the bytes: what it sends after them departs no
+/// earlier than the returned time, the last ack of any request in flight
+/// for `ino` (0 if none is). [`flush`]'s drain still waits for them all.
+/// A PUT the store refuses at issue is the caller's error. Also returns
+/// the wait, if there was one, as a `cache.writebehind.wait` span.
+pub fn put_behind(
+    store: &dyn ObjectStore,
+    port: &Port,
+    mut cache: impl DerefMut<Target = DataCache>,
+    ino: Ino,
+    policy: &CachePolicy,
+) -> FsResult<(Nanos, Option<FetchSpan>)> {
+    let start = port.now();
+    let dirty = cache.take_dirty(ino);
+    let behind = go_behind(&mut cache, store, start, policy.net_half_rtt, dirty);
+    let acked = (cache.in_flight.iter())
+        .filter(|&&(i, ..)| i == ino)
+        .map(|&(.., ack)| ack)
+        .max()
+        .unwrap_or(0);
+    drop(cache);
+    Ok((acked, wait_behind(port, start, behind)?))
 }
 
 /// The one way a client reclaims a removed file's data: drop the cached
@@ -461,7 +490,8 @@ pub enum Stat {
     ReadRanged,
     /// Chunks a fill installed and the same read no longer found.
     FillLost,
-    /// Dirty chunks whose PUT went out behind the caller.
+    /// Dirty chunks whose PUT went out behind the caller: evicted by a
+    /// read or a write, or left by a close ([`put_behind`]).
     WriteBehind,
     /// Calls that waited for an ack behind them (a PUT's or a DELETE's)
     /// to free a slot.
@@ -507,9 +537,10 @@ pub struct DataCache {
     /// Every resident entry by its (unique) last-use tick: the first is
     /// the eviction victim.
     lru: BTreeMap<u64, (Ino, u64)>,
-    /// `(ino, chunk, ack)` of every evicted dirty chunk whose PUT, and
-    /// every purged chunk whose DELETE, has not been acked yet: each
-    /// holds a slot of `capacity` until its ack.
+    /// `(ino, chunk, ack)` of every dirty chunk whose PUT went behind the
+    /// caller (evicted, or left by a close) and every purged chunk whose
+    /// DELETE has not been acked yet: each holds a slot of `capacity`
+    /// until its ack.
     in_flight: Vec<(Ino, u64, Nanos)>,
     capacity: usize,
     clock: u64,
@@ -944,9 +975,12 @@ impl DataCache {
         out
     }
 
-    /// Take every dirty chunk (global sync).
+    /// Take every dirty chunk (global sync), in `(ino, chunk)` order: the
+    /// order of the multi-PUT, whose items reach the shards one by one,
+    /// must not follow the map's per-process hash order.
     pub fn take_all_dirty(&mut self) -> Vec<Evicted> {
-        let inos: Vec<Ino> = self.files.keys().copied().collect();
+        let mut inos: Vec<Ino> = self.files.keys().copied().collect();
+        inos.sort_unstable();
         inos.into_iter()
             .flat_map(|ino| self.take_dirty(ino))
             .collect()
@@ -1074,6 +1108,22 @@ mod tests {
         all.sort_by_key(|e| e.ino);
         assert_eq!(all.len(), 2);
         assert_eq!(c.dirty_count(), 0);
+    }
+
+    #[test]
+    fn take_all_dirty_is_in_ino_and_chunk_order() {
+        let mut c = DataCache::new(64);
+        for ino in (1..=32u128).rev() {
+            c.write(ino * 7919 % 101, 1, 0, b"b");
+            c.write(ino * 7919 % 101, 0, 0, b"a");
+        }
+        let order: Vec<(Ino, u64)> = (c.take_all_dirty().iter())
+            .map(|e| (e.ino, e.chunk))
+            .collect();
+        let mut sorted = order.clone();
+        sorted.sort_unstable();
+        assert_eq!(order.len(), 64);
+        assert_eq!(order, sorted);
     }
 
     #[test]

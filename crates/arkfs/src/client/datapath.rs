@@ -6,8 +6,9 @@
 //! included, with pipelined multi-GETs; random reads fetch their range
 //! past it), writes through [`cached_write`] (dirty in the cache, or
 //! direct after a lease conflict; dirty evictions go behind the writer),
-//! every hand-off of a file's bytes through [`flush`], and a removed
-//! file's chunks go through [`purge`].
+//! a closed file's dirty chunks go behind the closer through
+//! [`put_behind`], every other hand-off of a file's bytes goes through
+//! [`flush`], and a removed file's chunks go through [`purge`].
 //!
 //! The data cache is a rank-*Leaf* lock (see [`super::lockorder`]):
 //! every acquisition here is scoped to one cache pass and released
@@ -17,7 +18,8 @@
 
 use super::filetable::Held;
 use super::ArkClient;
-use crate::cache::{cached_read, cached_write, flush, purge, CachePolicy, FetchSpan};
+use crate::cache::{cached_read, cached_write, flush, purge, put_behind, CachePolicy, FetchSpan};
+use arkfs_simkit::Nanos;
 use arkfs_telemetry::PID_CLIENT;
 use arkfs_vfs::{FileHandle, FsError, FsResult, Ino};
 
@@ -31,6 +33,17 @@ impl ArkClient {
             self.state.lock_cache(),
             file,
         )
+    }
+
+    /// Send this client's dirty chunks of `ino` behind it ([`put_behind`])
+    /// and return when the last request in flight for the file is acked
+    /// (0 if none is): nothing that hands the file on departs earlier.
+    pub(crate) fn put_file_behind(&self, ino: Ino) -> FsResult<Nanos> {
+        let (store, policy) = (&**self.prt().store(), self.cache_policy());
+        let cache = self.state.lock_cache();
+        let (acked, wait) = put_behind(store, &self.port, cache, ino, &policy)?;
+        self.trace_fetch(wait);
+        Ok(acked)
     }
 
     /// Reclaim the data of a removed file of `size` bytes (as its leader

@@ -700,8 +700,18 @@ impl ArkClient {
 
     /// [`Self::on_dir`] of an op whose one good answer is `Ok`.
     pub(crate) fn on_dir_ok(&self, ctx: &Credentials, body: OpBody) -> FsResult<()> {
+        self.on_dir_port_ok(&self.port, ctx, body)
+    }
+
+    /// [`Self::on_dir_ok`] on an explicit timeline.
+    pub(crate) fn on_dir_port_ok(
+        &self,
+        port: &Port,
+        ctx: &Credentials,
+        body: OpBody,
+    ) -> FsResult<()> {
         let kind = OpBody::KINDS[body.tag() as usize];
-        match self.on_dir(ctx, body)? {
+        match self.on_dir_port(port, ctx, body)? {
             OpResponse::Ok => Ok(()),
             OpResponse::Err(e) => Err(e),
             _ => Err(FsError::Io(format!("unexpected {kind} response"))),

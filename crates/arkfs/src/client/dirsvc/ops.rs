@@ -13,12 +13,24 @@ use crate::metatable::{Deposit, Metatable};
 use crate::prt::Prt;
 use crate::rpc::{OpBody, OpRequest, OpResponse};
 use arkfs_lease::{FileLeaseDecision, LeaseRequest};
-use arkfs_simkit::Port;
+use arkfs_netsim::NodeId;
+use arkfs_simkit::{Nanos, Port};
 use arkfs_telemetry::CtxGuard;
 use arkfs_vfs::{perm, Credentials, FileType, FsError, FsResult, Ino, AM_EXEC, AM_READ, AM_WRITE};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::sync::Arc;
+
+/// The time `client`'s request for `file`'s lease, arrived at `now`, is
+/// decided at: no earlier than another client handed the write lease
+/// back ([`arkfs_lease::FileLeaseTable::handed_back`]). A close sends
+/// the hand-back after its PUTs are acked, so the next holder never
+/// reads ahead of the bytes the lease protected.
+fn lease_time(port: &Port, t: &mut Metatable, client: NodeId, file: Ino, now: Nanos) -> Nanos {
+    let back = t.file_leases.handed_back(client, file);
+    port.wait_until(back);
+    now.max(back)
+}
 
 impl ClientState {
     /// Execute an operation as the leader of its directory. Runs both for
@@ -190,7 +202,10 @@ impl ClientState {
                 }
                 match t.unlink_child(&name, now) {
                     Ok(rec) => match stamp_commit(t, "op.unlink", false) {
-                        Ok(()) => OpResponse::Inode(rec),
+                        Ok(()) => {
+                            t.file_leases.forget(rec.ino);
+                            OpResponse::Inode(rec)
+                        }
                         Err(e) => OpResponse::Err(e),
                     },
                     Err(e) => OpResponse::Err(e),
@@ -455,11 +470,13 @@ impl ClientState {
                 }
             }
             OpBody::AcquireReadLease { file, client, .. } => {
+                let now = lease_time(port, t, client, file, now);
                 let decision = t.file_leases.acquire_read(client, file, now);
                 self.broadcast_flushes(port, t, file, &decision);
                 OpResponse::Lease(decision)
             }
             OpBody::AcquireWriteLease { file, client, .. } => {
+                let now = lease_time(port, t, client, file, now);
                 let decision = t.file_leases.acquire_write(client, file, now);
                 self.broadcast_flushes(port, t, file, &decision);
                 OpResponse::Lease(decision)
@@ -495,6 +512,7 @@ impl ClientState {
                     && perm::check_access(&creds, rec.uid, rec.gid, rec.mode, &rec.acl, access)
                         .is_ok())
                 .then(|| {
+                    let now = lease_time(port, t, client, ino, now);
                     let decision = t.file_leases.acquire_read(client, ino, now);
                     self.broadcast_flushes(port, t, ino, &decision);
                     decision

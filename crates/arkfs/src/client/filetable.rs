@@ -375,13 +375,15 @@ impl ArkClient {
         }
     }
 
-    /// Push size/mtime to the parent leader, sealed into the pipeline
-    /// (the caller's fsync barrier makes it durable). With `release` the
-    /// same message hands back our lease on `file` — the close of a
-    /// written handle; the caller has checked that `name`'s partition is
-    /// the file's lease shard.
+    /// Push size/mtime to the parent leader on `port`, sealed into the
+    /// pipeline (the caller's fsync barrier makes it durable). With
+    /// `release` the same message hands back our lease on `file` — the
+    /// close of a written handle; the caller has checked that `name`'s
+    /// partition is the file's lease shard.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn push_size(
         &self,
+        port: &Port,
         ctx: &Credentials,
         parent: Ino,
         name: &str,
@@ -407,6 +409,6 @@ impl ArkClient {
                 size,
             }
         };
-        self.on_dir_ok(ctx, body)
+        self.on_dir_port_ok(port, ctx, body)
     }
 }

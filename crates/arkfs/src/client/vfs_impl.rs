@@ -396,10 +396,11 @@ impl Vfs for ArkClient {
     fn close(&self, ctx: &Credentials, fh: FileHandle) -> FsResult<()> {
         self.traced("op.close", || {
             // The kernel's FLUSH on close is suppressed (FOPEN_NOFLUSH
-            // semantics), so close pays no FUSE round trip and no
-            // durability wait. Dirty data and the size update still reach
-            // the leader — acked, not yet durable; an explicit
-            // `fsync`/`sync_all` is the durability barrier.
+            // semantics), so close pays no FUSE round trip and waits for
+            // nothing it hands on: the file's dirty chunks go behind it,
+            // and the size update reaches the leader after their acks —
+            // acked, not yet durable; an explicit `fsync`/`sync_all` is
+            // the durability barrier.
             let (ino, parent, name, size, wrote, lease, acked) = self
                 .state
                 .files
@@ -408,11 +409,14 @@ impl Vfs for ArkClient {
                     (h.ino, h.parent, name, h.size, h.wrote, h.lease, h.acked)
                 })
                 .ok_or(FsError::BadHandle)?;
-            self.flush_file_data(Some(ino))?;
+            let put_ack = self.put_file_behind(ino)?;
+            // The size push and the hand-back depart on a forked timeline,
+            // after the grant they hand back and the bytes it protected
+            // were acked; the caller waits only for a push that fails.
+            let fork = || Port::starting_at(self.port.now().max(acked).max(put_ack));
             // Hand back only what was taken, and only with the last of
             // our handles holding it. A written handle's release rides on
-            // its size push when one leader serves both. Neither departs
-            // before the grant it hands back was acked.
+            // its size push when one leader serves both.
             let last = matches!(lease, Held::Read | Held::Write)
                 && self.state.files.lease_holders(ino) == 1;
             let mut release = last;
@@ -423,15 +427,17 @@ impl Vfs for ArkClient {
                         .state
                         .cached_pmap(parent)
                         .colocated(&name, ino, buckets);
-                if fold {
-                    self.port.wait_until(acked);
+                let push = fork();
+                let pushed = self.push_size(&push, ctx, parent, &name, ino, size, fold);
+                if pushed.is_err() {
+                    self.port.wait_until(push.now());
                 }
-                match self.push_size(ctx, parent, &name, ino, size, fold) {
+                match pushed {
                     // Our map was stale: the name's leader is not the
                     // lease shard after all. Learn the map, send both.
                     Err(FsError::Stale) if fold => {
                         self.state.refresh_pmap(&self.port, parent)?;
-                        self.push_size(ctx, parent, &name, ino, size, false)?;
+                        self.push_size(&self.port, ctx, parent, &name, ino, size, false)?;
                     }
                     pushed => {
                         pushed?;
@@ -446,8 +452,7 @@ impl Vfs for ArkClient {
                 self.state.lock_cache().invalidate_file(ino);
             }
             if release {
-                let fork = Port::starting_at(self.port.now().max(acked));
-                self.release_file_lease(&fork, parent, ino);
+                self.release_file_lease(&fork(), parent, ino);
             }
             Ok(())
         })
@@ -489,7 +494,7 @@ impl Vfs for ArkClient {
                 .ok_or(FsError::BadHandle)?;
             self.flush_file_data(Some(ino))?;
             if wrote {
-                self.push_size(ctx, parent, &name, ino, size, false)?;
+                self.push_size(&self.port, ctx, parent, &name, ino, size, false)?;
                 let _ = self.state.files.update(fh.0, |h| {
                     h.wrote = false;
                 });
@@ -835,7 +840,7 @@ impl Vfs for ArkClient {
             for (parent, name, ino, size) in pending {
                 // Routed through `on_dir`, so the parent lands in
                 // `dirty_dirs` and gets its barrier in step 5.
-                self.push_size(ctx, parent, &name, ino, size, false)?;
+                self.push_size(&self.port, ctx, parent, &name, ino, size, false)?;
             }
             // 3. Commit + checkpoint every led directory, overlapped: each
             // directory's flush runs on a port forked at the same instant,

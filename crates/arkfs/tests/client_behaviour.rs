@@ -114,9 +114,7 @@ fn an_unlink_leaves_its_chunk_deletes_to_sync_all() {
 fn chunk_deletes_behind_unlinks_hold_no_more_slots_than_the_cache_has() {
     // Every store request takes a millisecond: DELETEs pile up behind
     // unlinks that take microseconds.
-    let mut store = ClusterConfig::test_tiny();
-    store.profile.op_latency = MSEC;
-    let cl = ArkCluster::new(ArkConfig::test_tiny(), Arc::new(ObjectCluster::new(store)));
+    let cl = slow_store_cluster();
     let (c, ctx) = (cl.client(), root());
     let files: Vec<(String, u128)> = (0..20)
         .map(|i| {
@@ -127,8 +125,10 @@ fn chunk_deletes_behind_unlinks_hold_no_more_slots_than_the_cache_has() {
         })
         .collect();
     // Three chunks of `/r` stay resident behind an open handle: five of
-    // the cache's eight slots are left.
+    // the cache's eight slots are left. Its close left its PUTs in
+    // flight; acked, they no longer clamp the read's window.
     write_file(&*c, &ctx, "/r", &[1u8; 192]).unwrap();
+    c.sync_all(&ctx).unwrap();
     let r = c.open(&ctx, "/r", OpenFlags::RDONLY).unwrap();
     c.read(&ctx, r, 0, &mut [0u8; 192]).unwrap();
     c.sync_all(&ctx).unwrap();
@@ -150,6 +150,110 @@ fn chunk_deletes_behind_unlinks_hold_no_more_slots_than_the_cache_has() {
     }
     assert!((1..20).contains(&waits), "{waits} of 20 unlinks waited");
     c.close(&ctx, r).unwrap();
+}
+
+/// A cluster whose store takes a millisecond per request: PUTs behind
+/// a client stay in flight across many of its metadata ops.
+fn slow_store_cluster() -> Arc<ArkCluster> {
+    let mut store = ClusterConfig::test_tiny();
+    store.profile.op_latency = MSEC;
+    ArkCluster::new(ArkConfig::test_tiny(), Arc::new(ObjectCluster::new(store)))
+}
+
+#[test]
+fn a_close_leaves_its_puts_to_sync_all() {
+    let cl = cluster();
+    let (c, ctx) = (cl.client(), root());
+    let fh = c.create(&ctx, "/f", 0o644).unwrap();
+    let ino = c.stat(&ctx, "/f").unwrap().ino;
+    c.write(&ctx, fh, 0, &[7u8; 100]).unwrap();
+    c.close(&ctx, fh).unwrap();
+    let acked = (0..2).map(|k| c.write_behind_until(ino, k)).max().unwrap();
+    assert!(acked > c.port().now(), "the close waited for its PUTs");
+    assert_eq!(c.cache_stat(Stat::WriteBehind), 2);
+    assert_eq!(c.stat(&ctx, "/f").unwrap().size, 100, "the size was pushed");
+    c.sync_all(&ctx).unwrap();
+    assert!(c.port().now() >= acked);
+    assert_eq!(c.write_behind_until(ino, 1), 0, "drained");
+    assert_eq!(read_file(&*cl.client(), &ctx, "/f").unwrap(), [7u8; 100]);
+}
+
+#[test]
+fn a_second_client_opens_a_closed_file_no_earlier_than_its_puts_ack() {
+    let cl = slow_store_cluster();
+    let (leader, w, r) = (cl.client(), cl.client(), cl.client());
+    let ctx = root();
+    leader.mkdir(&ctx, "/d", 0o755).unwrap();
+    // Both resolve `/d` first, and the writer starts where the reader is.
+    r.stat(&ctx, "/d").unwrap();
+    w.port().wait_until(r.port().now());
+    let fh = w.create(&ctx, "/d/f", 0o644).unwrap();
+    let ino = w.stat(&ctx, "/d/f").unwrap().ino;
+    w.write(&ctx, fh, 0, &[5u8; 100]).unwrap();
+    w.close(&ctx, fh).unwrap();
+    let acked = (0..2).map(|k| w.write_behind_until(ino, k)).max().unwrap();
+    assert!(acked > w.port().now(), "the close waited for its PUTs");
+    // Right after the close, with no sync_all: the read lease comes back
+    // with the open no earlier than the bytes it covers are acked.
+    r.port().wait_until(w.port().now());
+    let h = r.open(&ctx, "/d/f", OpenFlags::RDONLY).unwrap();
+    let opened = r.port().now();
+    assert!(opened >= acked, "opened at {opened}, PUTs acked at {acked}");
+    let mut buf = [0u8; 128];
+    assert_eq!(r.read(&ctx, h, 0, &mut buf).unwrap(), 100);
+    assert_eq!(buf[..100], [5u8; 100]);
+    r.close(&ctx, h).unwrap();
+}
+
+#[test]
+fn puts_behind_closes_hold_no_more_slots_than_the_cache_has() {
+    let cl = slow_store_cluster();
+    let (c, ctx) = (cl.client(), root());
+    // Each close's PUT ack, as it stood when the close returned.
+    let (mut acks, mut waits) = (Vec::new(), 0);
+    for i in 0..20 {
+        let path = format!("/f{i}");
+        let fh = c.create(&ctx, &path, 0o644).unwrap();
+        let ino = c.stat(&ctx, &path).unwrap().ino;
+        c.write(&ctx, fh, 0, &[i as u8; 64]).unwrap();
+        let waited = c.cache_stat(Stat::WriteBehindWait);
+        c.close(&ctx, fh).unwrap();
+        let now = c.port().now();
+        acks.push(c.write_behind_until(ino, 0));
+        // The file's chunk was resident while the close sent it behind:
+        // with the PUTs in flight, it fits in the cache's eight slots.
+        let in_flight = acks.iter().filter(|&&ack| ack > now).count();
+        assert!(in_flight < 8, "close {i}: {in_flight} in flight");
+        if c.cache_stat(Stat::WriteBehindWait) > waited {
+            // It waited for an earlier PUT's ack, and no longer.
+            waits += 1;
+            assert!(acks[..i].contains(&now), "close {i} ended at no ack");
+            assert_eq!(1 + in_flight, 8, "close {i} waited too long");
+        }
+    }
+    assert!((1..20).contains(&waits), "{waits} of 20 closes waited");
+    c.sync_all(&ctx).unwrap();
+    for i in 0..20u8 {
+        assert_eq!(read_file(&*c, &ctx, &format!("/f{i}")).unwrap(), [i; 64]);
+    }
+}
+
+#[test]
+fn a_failed_size_push_is_waited_for_and_returned() {
+    let cl = slow_store_cluster();
+    let (leader, w) = (cl.client(), cl.client());
+    let ctx = root();
+    leader.mkdir(&ctx, "/d", 0o755).unwrap();
+    let fh = w.create(&ctx, "/d/f", 0o644).unwrap();
+    let ino = w.stat(&ctx, "/d/f").unwrap().ino;
+    w.write(&ctx, fh, 0, &[5u8; 64]).unwrap();
+    // The dentry goes before the writer's size push reaches it: the
+    // leader no longer knows the file.
+    leader.unlink(&ctx, "/d/f").unwrap();
+    assert_eq!(w.close(&ctx, fh), Err(FsError::Stale));
+    let acked = w.write_behind_until(ino, 0);
+    assert!(acked > 0, "the PUT went behind the close");
+    assert!(w.port().now() > acked, "returned before the refusal");
 }
 
 #[test]

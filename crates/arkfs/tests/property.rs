@@ -538,6 +538,11 @@ enum FileOp {
     /// The first client closes its handle and opens another: its lease
     /// goes back, and the second client's may be granted.
     Reopen,
+    /// The first client closes its handle, its dirty chunks' PUTs behind
+    /// it, and the second client reads the whole file right away, with
+    /// no `sync_all` between: it gets every byte, and its open comes
+    /// back no earlier than the PUTs' acks.
+    CloseThenReadElsewhere,
     /// The first client unlinks the file, its chunk DELETEs behind it,
     /// and creates it again: the new file (a fresh ino) reads only its
     /// own bytes.
@@ -555,6 +560,7 @@ fn arb_file_op() -> impl Strategy<Value = FileOp> {
         Just(FileOp::DropCache),
         any::<bool>().prop_map(|keep| FileOp::ReadElsewhere { keep }),
         Just(FileOp::Reopen),
+        Just(FileOp::CloseThenReadElsewhere),
         Just(FileOp::Unlink),
     ]
 }
@@ -564,8 +570,9 @@ proptest! {
     /// through caches from one entry up: whatever mix of streaming and
     /// random reads, writes (whose dirty evictions go behind the writer),
     /// truncates, cache drops, reopens, unlinks and reads by a second
-    /// client that keeps handles open, a read returns the model's bytes,
-    /// and no fill loses a chunk it installed.
+    /// client that keeps handles open or reads right after a close, a
+    /// read returns the model's bytes, and no fill loses a chunk it
+    /// installed.
     #[test]
     fn cached_reads_agree_with_a_byte_vector_model(
         entries in prop_oneof![Just(1usize), Just(2usize), Just(3usize), Just(6usize)],
@@ -642,6 +649,19 @@ proptest! {
                 }
                 FileOp::Reopen => {
                     c.close(&ctx, fh).unwrap();
+                    fh = c.open(&ctx, "/f", OpenFlags::RDWR).unwrap();
+                    continue;
+                }
+                FileOp::CloseThenReadElsewhere => {
+                    let ino = c.stat(&ctx, "/f").unwrap().ino;
+                    c.close(&ctx, fh).unwrap();
+                    let chunks = (model.len() as u64).div_ceil(64);
+                    let acked = (0..chunks).map(|k| c.write_behind_until(ino, k)).max();
+                    let h = other.open(&ctx, "/f", OpenFlags::RDONLY).unwrap();
+                    prop_assert!(other.port().now() >= acked.unwrap_or(0), "open before the acks");
+                    let got = read_all(h, model.len() + 1);
+                    prop_assert_eq!(&got[..], &model[..], "read right after the close");
+                    other.close(&ctx, h).unwrap();
                     fh = c.open(&ctx, "/f", OpenFlags::RDWR).unwrap();
                     continue;
                 }

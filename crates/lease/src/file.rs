@@ -45,6 +45,9 @@ enum FileState {
 #[derive(Debug, Default)]
 pub struct FileLeaseTable {
     files: HashMap<Ino, FileState>,
+    /// Who last handed a write lease back, and when, for files nobody
+    /// has asked for since ([`FileLeaseTable::handed_back`]).
+    returned: HashMap<Ino, (NodeId, Nanos)>,
     period: Nanos,
 }
 
@@ -52,8 +55,27 @@ impl FileLeaseTable {
     pub fn new(period: Nanos) -> Self {
         FileLeaseTable {
             files: HashMap::new(),
+            returned: HashMap::new(),
             period,
         }
+    }
+
+    /// When the write lease on `ino` came back, if another client than
+    /// `client` held it last (else 0), and forget it: `client`'s request
+    /// is decided no earlier. The leader serves a hand-back when it is
+    /// sent, possibly before a request that arrives earlier in virtual
+    /// time; a writer sends it only after its bytes are acked, and the
+    /// next grant must not overtake it.
+    pub fn handed_back(&mut self, client: NodeId, ino: Ino) -> Nanos {
+        match self.returned.remove(&ino) {
+            Some((by, at)) if by != client => at,
+            _ => 0,
+        }
+    }
+
+    /// Drop the hand-back of `ino` (its dentry is gone: nobody asks).
+    pub fn forget(&mut self, ino: Ino) {
+        self.returned.remove(&ino);
     }
 
     /// Drop expired state; called lazily from the accessors.
@@ -195,6 +217,7 @@ impl FileLeaseTable {
             }
             Some(FileState::Writer { holder, .. }) if *holder == client => {
                 self.files.remove(&ino);
+                self.returned.insert(ino, (client, now));
             }
             _ => {}
         }
@@ -322,6 +345,28 @@ mod tests {
             t.acquire_write(C1, F, direct_until + 1),
             FileLeaseDecision::Granted { .. }
         ));
+    }
+
+    #[test]
+    fn a_write_lease_handed_back_is_not_granted_before_it_came_back() {
+        let mut t = table();
+        t.acquire_write(C1, F, 0);
+        t.release(C1, F, 50);
+        // The writer's own next request is not held back.
+        assert_eq!(t.handed_back(C1, F), 0);
+        t.acquire_write(C1, F, 60);
+        t.release(C1, F, 90);
+        // Another client's is decided at the hand-back, once.
+        assert_eq!(t.handed_back(C2, F), 90);
+        assert_eq!(t.handed_back(C2, F), 0);
+        // A reader's hand-back orders nothing, and an unlink forgets.
+        t.acquire_read(C1, F, 100);
+        t.release(C1, F, 110);
+        assert_eq!(t.handed_back(C2, F), 0);
+        t.acquire_write(C1, F, 120);
+        t.release(C1, F, 130);
+        t.forget(F);
+        assert_eq!(t.handed_back(C2, F), 0);
     }
 
     #[test]
