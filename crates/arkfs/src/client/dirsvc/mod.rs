@@ -5,7 +5,7 @@
 //! (or learns) the current leader and forwards over RPC (§III-B,
 //! Figure 3). This module owns:
 //!
-//! * the striped leadership state ([`DirService`]): led tables, lease
+//! * the leadership state ([`DirService`]): led tables, lease
 //!   expiries, and remote-leader hints, all keyed by **partition key**
 //!   (== the directory ino for unpartitioned directories), plus cached
 //!   [`PartitionMap`]s keyed by directory ino;
@@ -33,14 +33,17 @@
 //! under an older map is already durable, so `fsync`'s fan-out may trust
 //! a cached (possibly stale) map.
 //!
-//! Lock order (see [`super::lockorder`]): a dir stripe is rank
-//! *Stripe*; it may be held while acquiring a lease or loading a
-//! metatable from the store, but never while locking another ranked
-//! client lock except a [`Metatable`] (rank above it).
+//! Lock order (see [`super::lockorder`]): the dir table is rank *Dir*;
+//! it may be held while acquiring a lease or loading a metatable from
+//! the store, but never while locking another ranked client lock except
+//! a [`Metatable`] (rank above it). It is one lock for all directories,
+//! so threads of one client working on different directories wait for
+//! each other while a lease exchange or a metatable load is in
+//! progress: every workload drives a client from one thread.
 
 mod ops;
 
-use super::lockorder::{self, Rank, RankGuard};
+use super::lockorder::{self, Rank, Ranked};
 use super::{ArkClient, ClientState, MAX_LEASE_RETRIES};
 use crate::cache::flush;
 use crate::cluster::manager_node;
@@ -53,9 +56,8 @@ use arkfs_netsim::{NetError, NodeId, Service};
 use arkfs_simkit::{Nanos, Port};
 use arkfs_telemetry::PID_CLIENT;
 use arkfs_vfs::{Credentials, FileType, FsError, FsResult, Ino};
-use parking_lot::{Mutex, MutexGuard};
-use std::collections::HashMap;
-use std::ops::{Deref, DerefMut};
+use parking_lot::Mutex;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -65,16 +67,16 @@ pub(crate) enum DirRef {
     Remote(NodeId),
 }
 
-/// One stripe of directory-leadership state. The leadership maps are
-/// keyed by **partition key** (== the directory ino for partition 0 and
-/// for unpartitioned directories) and updated atomically under the
-/// stripe lock, so a table entry and its lease expiry can never be
-/// observed out of sync.
+/// A client's directory-leadership state. The leadership maps are keyed
+/// by **partition key** (== the directory ino for partition 0 and for
+/// unpartitioned directories) and updated atomically under one lock, so
+/// a table entry and its lease expiry can never be observed out of sync.
 #[derive(Debug, Default)]
-pub(crate) struct DirStripe {
-    /// Directory partitions this client currently leads (within this
-    /// stripe), keyed by partition key.
-    pub(crate) tables: HashMap<Ino, Arc<Mutex<Metatable>>>,
+pub(crate) struct DirTable {
+    /// Directory partitions this client currently leads, in partition
+    /// key order: the order `sync_all` flushes them and `release_all`
+    /// hands them back.
+    pub(crate) tables: BTreeMap<Ino, Arc<Mutex<Metatable>>>,
     /// Lease expiry per led partition key.
     pub(crate) leases: HashMap<Ino, Nanos>,
     /// Last-known leaders of remote directory partitions, keyed by
@@ -87,104 +89,56 @@ pub(crate) struct DirStripe {
     pub(crate) pmaps: HashMap<Ino, PartitionMap>,
 }
 
-/// A locked [`DirStripe`] plus its rank guard.
-pub(crate) struct StripeGuard<'a> {
-    guard: MutexGuard<'a, DirStripe>,
-    _rank: RankGuard,
-}
-
-impl Deref for StripeGuard<'_> {
-    type Target = DirStripe;
-    fn deref(&self) -> &DirStripe {
-        &self.guard
-    }
-}
-
-impl DerefMut for StripeGuard<'_> {
-    fn deref_mut(&mut self) -> &mut DirStripe {
-        &mut self.guard
-    }
-}
-
-/// Lock-striped directory-leadership state: directory `d` lives in
-/// stripe `d % N`, so threads working on directories in different
-/// stripes never contend on each other's leadership bookkeeping.
+/// The [`DirTable`] behind its lock (rank *Dir*).
 #[derive(Debug)]
 pub(crate) struct DirService {
-    stripes: Vec<Mutex<DirStripe>>,
+    table: Mutex<DirTable>,
     node: u32,
 }
 
 impl DirService {
     pub(crate) fn new(node: u32) -> Self {
         DirService {
-            stripes: (0..super::LOCK_STRIPES).map(|_| Mutex::default()).collect(),
+            table: Mutex::default(),
             node,
         }
     }
 
-    /// Lock the stripe owning `dir` (rank: Stripe).
-    pub(crate) fn stripe(&self, dir: Ino) -> StripeGuard<'_> {
-        self.stripe_at((dir % self.stripes.len() as u128) as usize)
+    /// Lock the dir table (rank: Dir).
+    pub(crate) fn lock(&self) -> Ranked<'_, DirTable> {
+        lockorder::lock(self.node, Rank::Dir, &self.table)
     }
 
     /// Number of directories this client currently leads.
     pub(crate) fn led_directories(&self) -> usize {
-        (0..self.stripes.len())
-            .map(|i| self.stripe_at(i).tables.len())
-            .sum()
+        self.lock().tables.len()
     }
 
-    /// Inos of every led directory.
-    pub(crate) fn led_inos(&self) -> Vec<Ino> {
-        (0..self.stripes.len())
-            .flat_map(|i| self.stripe_at(i).tables.keys().copied().collect::<Vec<_>>())
-            .collect()
-    }
-
-    /// Every led directory with its metatable.
+    /// Every led directory with its metatable, in partition key order.
     pub(crate) fn led_tables(&self) -> Vec<(Ino, Arc<Mutex<Metatable>>)> {
-        (0..self.stripes.len())
-            .flat_map(|i| {
-                self.stripe_at(i)
-                    .tables
-                    .iter()
-                    .map(|(&ino, t)| (ino, Arc::clone(t)))
-                    .collect::<Vec<_>>()
-            })
+        let s = self.lock();
+        s.tables
+            .iter()
+            .map(|(&ino, t)| (ino, Arc::clone(t)))
             .collect()
     }
 
     /// Drop leadership bookkeeping for partition key `pkey` (table +
     /// lease expiry).
     pub(crate) fn forget(&self, pkey: Ino) {
-        let mut s = self.stripe(pkey);
+        let mut s = self.lock();
         s.tables.remove(&pkey);
         s.leases.remove(&pkey);
     }
 
     /// Drop the remote-leader hint for partition key `pkey`.
     pub(crate) fn forget_hint(&self, pkey: Ino) {
-        self.stripe(pkey).remote_hints.remove(&pkey);
+        self.lock().remote_hints.remove(&pkey);
     }
 
     /// Drop everything (crash).
     pub(crate) fn clear(&self) {
-        for i in 0..self.stripes.len() {
-            let mut s = self.stripe_at(i);
-            s.tables.clear();
-            s.leases.clear();
-            s.remote_hints.clear();
-            s.pmaps.clear();
-        }
-    }
-
-    fn stripe_at(&self, i: usize) -> StripeGuard<'_> {
-        let rank = lockorder::acquire(self.node, Rank::Stripe);
-        StripeGuard {
-            guard: self.stripes[i].lock(),
-            _rank: rank,
-        }
+        *self.lock() = DirTable::default();
     }
 }
 
@@ -216,14 +170,14 @@ impl Service<OpRequest, OpResponse> for ClientService {
 impl ClientState {
     /// The cached partition map for `dir` (singleton when none cached).
     pub(crate) fn cached_pmap(&self, dir: Ino) -> PartitionMap {
-        let cached = self.dirs.stripe(dir).pmaps.get(&dir).copied();
+        let cached = self.dirs.lock().pmaps.get(&dir).copied();
         cached.unwrap_or_else(|| PartitionMap::singleton(dir))
     }
 
     /// Install a partition map into the cache. Singleton maps are stored
     /// as absence, matching the store's convention.
     pub(crate) fn cache_pmap(&self, map: PartitionMap) {
-        let mut s = self.dirs.stripe(map.dir);
+        let mut s = self.dirs.lock();
         if map.partitions <= 1 {
             s.pmaps.remove(&map.dir);
         } else {
@@ -342,10 +296,10 @@ impl ClientState {
     /// disagrees with the store's map at load time, the load fails with
     /// [`FsError::Stale`] and the caller refreshes its cached map.
     ///
-    /// The stripe lock is held across the lease-manager exchange and any
-    /// [`Metatable::load_partition`], so concurrent threads racing for
-    /// the same partition converge on one acquisition instead of
-    /// double-loading.
+    /// The dir table's lock is held across the lease-manager exchange
+    /// and any [`Metatable::load_partition`], so concurrent threads
+    /// racing for the same partition converge on one acquisition instead
+    /// of double-loading.
     pub(crate) fn dir_ref_part(
         &self,
         port: &Port,
@@ -356,7 +310,7 @@ impl ClientState {
         let config = self.cluster.config();
         let pkey = partition_ino(dir, pidx);
         for _ in 0..MAX_LEASE_RETRIES {
-            let mut s = self.dirs.stripe(pkey);
+            let mut s = self.dirs.lock();
             let now = port.now();
             // What we hold: a led table with its lease expiry, or nothing.
             let held = s.tables.get(&pkey).cloned();
@@ -451,7 +405,7 @@ impl ClientState {
             s.tables.remove(&pkey);
             s.leases.remove(&pkey);
             s.remote_hints.insert(pkey, leader);
-            // The pcache stripe has the dir stripe's rank: let go first.
+            // The pcache has the dir table's rank: let go first.
             drop(s);
             self.telemetry.flight.record(
                 self.id.0,
@@ -506,7 +460,7 @@ impl ClientState {
             return OpResponse::Err(FsError::InvalidArgument);
         };
         let table = {
-            let mut s = self.dirs.stripe(pkey);
+            let mut s = self.dirs.lock();
             let Some(table) = s.tables.get(&pkey).cloned() else {
                 return OpResponse::NotLeader;
             };
@@ -547,7 +501,7 @@ impl ClientState {
     pub(crate) fn serve_relinquish(&self, port: &Port, dir: Ino, partition: u32) -> OpResponse {
         let pkey = partition_ino(dir, partition);
         let table = {
-            let s = self.dirs.stripe(pkey);
+            let s = self.dirs.lock();
             match s.tables.get(&pkey).cloned() {
                 Some(t) => t,
                 None => return OpResponse::NotLeader,
@@ -929,7 +883,7 @@ impl ArkClient {
     fn unfreeze(&self, pkeys: &[Ino]) {
         for &pkey in pkeys {
             let table = {
-                let s = self.state.dirs.stripe(pkey);
+                let s = self.state.dirs.lock();
                 s.tables.get(&pkey).cloned()
             };
             if let Some(table) = table {

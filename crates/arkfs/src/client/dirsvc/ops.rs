@@ -4,10 +4,11 @@
 //! directory's [`Metatable`] — for forwarded RPCs and for the client's
 //! own local operations alike — journaling every mutation (§III-E) and
 //! enforcing permissions at the leader. Holds the metatable (rank
-//! *Metatable*); the only lower-rank lock it touches is the data cache
-//! / handle shards (rank *Leaf*) via lease-conflict flush broadcasts.
+//! *Metatable*); the only higher-rank locks it touches are the data
+//! cache and the handle table (rank *Leaf*) via lease-conflict flush
+//! broadcasts.
 
-use super::super::{ClientState, TableGuard};
+use super::super::ClientState;
 use crate::journal::{OpStamps, Transaction};
 use crate::metatable::{Deposit, Metatable};
 use crate::prt::Prt;
@@ -41,7 +42,7 @@ impl ClientState {
         table: &Arc<Mutex<Metatable>>,
         req: OpRequest,
     ) -> OpResponse {
-        let mut t: TableGuard<'_> = self.lock_table(table);
+        let mut t = self.lock_table(table);
         let resp = self.serve_locked(port, &mut t, req);
         // The op changed what the view left with the lease manager
         // shows (a subdirectory dentry, the directory's permissions):

@@ -1,16 +1,9 @@
 //! Open-file handles and per-file lease acquisition/release (§III-D).
 //!
-//! The [`FileTable`] shards open handles by handle id (`id % N`), so
-//! threads reading/writing different files never contend on one handle
-//! map. Handle ids are *composed* so that `id % N == ino % N`: every
-//! handle on the same file lives in that file's home shard, which lets
-//! the per-file scans (flush-to-direct, reads-own-writes stat,
-//! truncate) lock exactly one shard instead of walking all N. Shards
-//! are rank-*Leaf* locks (see [`super::lockorder`]): a shard is only
-//! ever held for the duration of one map access, never across an RPC,
-//! a metatable, or the data cache. The remaining whole-table scans
-//! (sync-all size pushes, crash clear) lock shards one at a time,
-//! sequentially.
+//! The [`FileTable`] maps handle ids (a per-client sequence number) to
+//! open handles under one rank-*Leaf* lock (see [`super::lockorder`]):
+//! it is only ever held for the duration of one map access or scan,
+//! never across an RPC, a metatable, or the data cache.
 //!
 //! Client-side file-lease calls live here too (§III-D; DESIGN.md §5,
 //! "When a file lease is asked for"): a readable `open` brings the read
@@ -20,7 +13,7 @@
 //! clean chunks — when its last holding handle closes (failed releases
 //! are counted on `lease.release_failed.count`, not silently dropped).
 
-use super::lockorder::{self, Rank, RankGuard};
+use super::lockorder::{self, Rank, Ranked};
 use super::ArkClient;
 use crate::cache::RaState;
 use crate::meta::InodeRecord;
@@ -28,7 +21,7 @@ use crate::rpc::{OpBody, OpResponse};
 use arkfs_lease::FileLeaseDecision;
 use arkfs_simkit::{Nanos, Port};
 use arkfs_vfs::{Credentials, FsError, FsResult, Ino, OpenFlags};
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -87,17 +80,10 @@ impl OpenFile {
     }
 }
 
-type Shard = HashMap<u64, OpenFile>;
-
-struct ShardGuard<'a> {
-    guard: MutexGuard<'a, Shard>,
-    _rank: RankGuard,
-}
-
-/// Open-file handles, sharded by handle id.
+/// Open-file handles by handle id.
 #[derive(Debug)]
 pub(crate) struct FileTable {
-    shards: Vec<Mutex<Shard>>,
+    handles: Mutex<HashMap<u64, OpenFile>>,
     next_handle: AtomicU64,
     node: u32,
 }
@@ -105,71 +91,50 @@ pub(crate) struct FileTable {
 impl FileTable {
     pub(crate) fn new(node: u32) -> Self {
         FileTable {
-            shards: (0..super::LOCK_STRIPES).map(|_| Mutex::default()).collect(),
+            handles: Mutex::default(),
             next_handle: AtomicU64::new(1),
             node,
         }
     }
 
-    fn shard_at(&self, i: usize) -> ShardGuard<'_> {
-        let rank = lockorder::acquire(self.node, Rank::Leaf);
-        ShardGuard {
-            guard: self.shards[i].lock(),
-            _rank: rank,
-        }
+    fn lock(&self) -> Ranked<'_, HashMap<u64, OpenFile>> {
+        lockorder::lock(self.node, Rank::Leaf, &self.handles)
     }
 
-    fn shard(&self, id: u64) -> ShardGuard<'_> {
-        self.shard_at((id % self.shards.len() as u64) as usize)
-    }
-
-    /// The shard every handle on `file` lives in (`ino % N`).
-    fn home_shard(&self, file: Ino) -> usize {
-        (file % self.shards.len() as u128) as usize
-    }
-
-    /// Register an open file; returns its handle id. Ids are composed
-    /// as `seq * N + (ino % N)` so that `id % N` is the file's home
-    /// shard: lookups by id and scans by ino hit the same shard.
+    /// Register an open file; returns its handle id.
     pub(crate) fn insert(&self, file: OpenFile) -> u64 {
-        let n = self.shards.len() as u64;
-        let seq = self.next_handle.fetch_add(1, Ordering::Relaxed);
-        let id = seq * n + self.home_shard(file.ino) as u64;
-        self.shard(id).guard.insert(id, file);
+        let id = self.next_handle.fetch_add(1, Ordering::Relaxed);
+        self.lock().insert(id, file);
         id
     }
 
     pub(crate) fn remove(&self, id: u64) -> Option<OpenFile> {
-        self.shard(id).guard.remove(&id)
+        self.lock().remove(&id)
     }
 
-    /// Read fields of one handle under its shard lock.
+    /// Read fields of one handle under the table lock.
     pub(crate) fn get<R>(&self, id: u64, f: impl FnOnce(&OpenFile) -> R) -> Option<R> {
-        self.shard(id).guard.get(&id).map(f)
+        self.lock().get(&id).map(f)
     }
 
-    /// Mutate one handle under its shard lock.
+    /// Mutate one handle under the table lock.
     pub(crate) fn update<R>(&self, id: u64, f: impl FnOnce(&mut OpenFile) -> R) -> Option<R> {
-        self.shard(id).guard.get_mut(&id).map(f)
+        self.lock().get_mut(&id).map(f)
     }
 
     /// Flip every lease-holding handle on `file` to direct-I/O mode
     /// (leader-initiated flush; a handle holding nothing asks for itself
     /// at its first access); returns the largest size a handle wrote and
     /// has not pushed, if any: a handle that only read knows the size of
-    /// its open, which a truncate may have made stale. Only `file`'s home
-    /// shard can hold them.
+    /// its open, which a truncate may have made stale.
     pub(crate) fn flip_to_direct(&self, file: Ino) -> Option<u64> {
         let mut size = None;
-        let mut s = self.shard_at(self.home_shard(file));
-        for h in s.guard.values_mut() {
-            if h.ino == file {
-                if h.lease != Held::None {
-                    h.lease = Held::Direct;
-                }
-                if h.wrote {
-                    size = Some(size.unwrap_or(0).max(h.size));
-                }
+        for h in self.lock().values_mut().filter(|h| h.ino == file) {
+            if h.lease != Held::None {
+                h.lease = Held::Direct;
+            }
+            if h.wrote {
+                size = Some(size.unwrap_or(0).max(h.size));
             }
         }
         size
@@ -178,40 +143,33 @@ impl FileTable {
     /// How many open handles on `file` hold this client's lease on it:
     /// the lease goes back with the last of them.
     pub(crate) fn lease_holders(&self, file: Ino) -> usize {
-        let s = self.shard_at(self.home_shard(file));
-        (s.guard.values())
+        (self.lock().values())
             .filter(|h| h.ino == file && matches!(h.lease, Held::Read | Held::Write))
             .count()
     }
 
     /// Largest size any open handle knows for `file` (reads-own-writes).
     pub(crate) fn max_open_size(&self, file: Ino) -> Option<u64> {
-        let mut size = None;
-        let s = self.shard_at(self.home_shard(file));
-        for h in s.guard.values() {
-            if h.ino == file {
-                size = Some(size.unwrap_or(0).max(h.size));
-            }
-        }
-        size
+        let handles = self.lock();
+        handles
+            .values()
+            .filter(|h| h.ino == file)
+            .map(|h| h.size)
+            .max()
     }
 
     /// Force every handle on `file` to `size` (truncate).
     pub(crate) fn set_size_for(&self, file: Ino, size: u64) {
-        let mut s = self.shard_at(self.home_shard(file));
-        for h in s.guard.values_mut() {
-            if h.ino == file {
-                h.size = size;
-            }
+        for h in self.lock().values_mut().filter(|h| h.ino == file) {
+            h.size = size;
         }
     }
 
     /// The largest size a handle on the removed `file` knows, and its
     /// handles owe no size push from now on: no dentry names the file.
     pub(crate) fn forget_removed(&self, file: Ino) -> u64 {
-        let mut s = self.shard_at(self.home_shard(file));
         let mut size = 0;
-        for h in s.guard.values_mut().filter(|h| h.ino == file) {
+        for h in self.lock().values_mut().filter(|h| h.ino == file) {
             size = size.max(h.size);
             h.wrote = false;
         }
@@ -223,14 +181,9 @@ impl FileTable {
     /// order: the pushes go out in it.
     pub(crate) fn take_pending_sizes(&self) -> Vec<(Ino, String, Ino, u64)> {
         let mut pending = Vec::new();
-        for i in 0..self.shards.len() {
-            let mut s = self.shard_at(i);
-            for (&id, h) in s.guard.iter_mut() {
-                if h.wrote {
-                    h.wrote = false;
-                    pending.push((id, (h.parent, h.name.clone(), h.ino, h.size)));
-                }
-            }
+        for (&id, h) in self.lock().iter_mut().filter(|(_, h)| h.wrote) {
+            h.wrote = false;
+            pending.push((id, (h.parent, h.name.clone(), h.ino, h.size)));
         }
         pending.sort_unstable_by_key(|&(id, _)| id);
         pending.into_iter().map(|(_, push)| push).collect()
@@ -238,16 +191,12 @@ impl FileTable {
 
     /// Number of currently open handles.
     pub(crate) fn len(&self) -> usize {
-        (0..self.shards.len())
-            .map(|i| self.shard_at(i).guard.len())
-            .sum()
+        self.lock().len()
     }
 
     /// Drop every handle (crash).
     pub(crate) fn clear(&self) {
-        for i in 0..self.shards.len() {
-            self.shard_at(i).guard.clear();
-        }
+        self.lock().clear();
     }
 }
 

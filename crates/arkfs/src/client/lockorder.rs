@@ -4,19 +4,19 @@
 //! The client's hot state is guarded by three ranks of locks, and every
 //! code path must acquire them in strictly increasing rank order:
 //!
-//! 1. **Stripe** — a dir-table stripe ([`super::dirsvc::DirService`])
-//!    or a permission-cache stripe ([`super::namei::Pcache`]). Keyed by
-//!    directory inode.
+//! 1. **Dir** — the dir table ([`super::dirsvc::DirService`]) or the
+//!    permission cache ([`super::namei::Pcache`]): one lock each, both
+//!    holding per-directory state.
 //! 2. **Metatable** — the per-led-directory
 //!    [`crate::metatable::Metatable`] mutex.
-//! 3. **Leaf** — the [`crate::cache::DataCache`] mutex and the
-//!    open-handle shards ([`super::filetable::FileTable`]). Leaf locks
-//!    are never held while acquiring any other ranked lock.
+//! 3. **Leaf** — the [`crate::cache::DataCache`] mutex and the handle
+//!    table ([`super::filetable::FileTable`]). Leaf locks are never held
+//!    while acquiring any other ranked lock.
 //!
-//! In shorthand: **stripe → metatable → cache**. Same-rank locks are
-//! never nested (sequential acquisition after release is fine — e.g.
-//! `serve_flush` takes the data cache, releases it, then walks the
-//! handle shards one at a time).
+//! In shorthand: **dir → metatable → cache**. Same-rank locks are never
+//! nested (sequential acquisition after release is fine — e.g.
+//! `serve_flush` takes the data cache, releases it, then the handle
+//! table).
 //!
 //! Ranks are tracked per *client* (per [`arkfs_netsim::NodeId`]): a
 //! leader holding its own metatable legitimately calls into another
@@ -24,19 +24,21 @@
 //! synchronous), and that callee starts a fresh ordering context for
 //! its own locks.
 //!
-//! In release builds this module compiles to nothing.
+//! In release builds the check compiles to nothing.
 
+use parking_lot::{Mutex, MutexGuard};
 #[cfg(debug_assertions)]
 use std::cell::RefCell;
+use std::ops::{Deref, DerefMut};
 
 /// Lock ranks, lowest acquired first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum Rank {
-    /// Dir-table or pcache stripe.
-    Stripe = 1,
+    /// The dir table or the permission cache.
+    Dir = 1,
     /// A led directory's metatable.
     Metatable = 2,
-    /// Data cache / handle shard.
+    /// Data cache / handle table.
     Leaf = 3,
 }
 
@@ -46,12 +48,11 @@ thread_local! {
     static HELD: RefCell<Vec<(u32, Rank)>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Marks a ranked lock as held until dropped. Acquire it *immediately
-/// before* taking the lock it guards, and keep it alive for the same
-/// scope as the `MutexGuard`.
+/// Marks a ranked lock as held until dropped: [`lock`] takes it just
+/// before the mutex and keeps it for the `MutexGuard`'s scope.
 #[must_use = "the rank is released when this guard drops"]
 #[derive(Debug)]
-pub(crate) struct RankGuard {
+struct RankGuard {
     #[cfg(debug_assertions)]
     client: u32,
     #[cfg(debug_assertions)]
@@ -59,9 +60,9 @@ pub(crate) struct RankGuard {
 }
 
 /// Assert that acquiring `rank` on behalf of client `client` respects
-/// the stripe → metatable → cache order, and record it as held.
+/// the dir → metatable → cache order, and record it as held.
 #[inline]
-pub(crate) fn acquire(client: u32, rank: Rank) -> RankGuard {
+fn acquire(client: u32, rank: Rank) -> RankGuard {
     #[cfg(debug_assertions)]
     {
         HELD.with(|held| {
@@ -75,7 +76,7 @@ pub(crate) fn acquire(client: u32, rank: Rank) -> RankGuard {
                 assert!(
                     rank > worst,
                     "lock-order violation on client {client}: acquiring {rank:?} \
-                     while already holding {worst:?} (rule: stripe → metatable → cache)"
+                     while already holding {worst:?} (rule: dir → metatable → cache)"
                 );
             }
             held.push((client, rank));
@@ -103,13 +104,41 @@ impl Drop for RankGuard {
     }
 }
 
+/// A locked mutex plus its rank guard; derefs to the data.
+pub(crate) struct Ranked<'a, T> {
+    guard: MutexGuard<'a, T>,
+    _rank: RankGuard,
+}
+
+/// Lock `mutex` as a `rank` lock of client `client` (see [`acquire`]).
+pub(crate) fn lock<T>(client: u32, rank: Rank, mutex: &Mutex<T>) -> Ranked<'_, T> {
+    let rank = acquire(client, rank);
+    Ranked {
+        guard: mutex.lock(),
+        _rank: rank,
+    }
+}
+
+impl<T> Deref for Ranked<'_, T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.guard
+    }
+}
+
+impl<T> DerefMut for Ranked<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.guard
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn increasing_order_is_allowed() {
-        let _s = acquire(1, Rank::Stripe);
+        let _s = acquire(1, Rank::Dir);
         let _m = acquire(1, Rank::Metatable);
         let _l = acquire(1, Rank::Leaf);
     }
@@ -124,9 +153,9 @@ mod tests {
     #[test]
     fn other_clients_start_fresh() {
         // A leader holding its metatable calls into another client,
-        // which takes its own stripe: legal.
+        // which takes its own dir table: legal.
         let _m = acquire(1, Rank::Metatable);
-        let _s = acquire(2, Rank::Stripe);
+        let _s = acquire(2, Rank::Dir);
         let _l = acquire(2, Rank::Leaf);
     }
 
@@ -144,7 +173,7 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "lock-order violation")]
     fn nested_same_rank_panics_in_debug() {
-        let _a = acquire(1, Rank::Stripe);
-        let _b = acquire(1, Rank::Stripe);
+        let _a = acquire(1, Rank::Dir);
+        let _b = acquire(1, Rank::Dir);
     }
 }

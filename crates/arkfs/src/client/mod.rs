@@ -21,11 +21,10 @@
 //!   write-back, and the cached read/write paths.
 //! * [`vfs_impl`] — the thin [`Vfs`] surface composing the layers.
 //!
-//! Hot shared state is lock-striped so threads operating on distinct
-//! directories/files proceed without contending on a single client
-//! lock; the stripe count is [`LOCK_STRIPES`]. The lock-ordering rule
-//! (**stripe → metatable → cache**) is documented and enforced (in
-//! debug builds) by [`lockorder`].
+//! Each table of shared state (led directories, permission cache, open
+//! handles, data cache) has one lock. The lock-ordering rule
+//! (**dir → metatable → cache**) is documented and enforced (in debug
+//! builds) by [`lockorder`].
 
 pub(crate) mod datapath;
 pub(crate) mod dirsvc;
@@ -45,23 +44,17 @@ use arkfs_telemetry::{Counter, CtxGuard, Gauge, HistogramSet, Telemetry, TraceCt
 use arkfs_vfs::{Credentials, FsResult, Ino, Vfs, ROOT_INO};
 use dirsvc::{ClientService, DirService};
 use filetable::FileTable;
-use lockorder::{Rank, RankGuard};
+use lockorder::{Rank, Ranked};
 use namei::Pcache;
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::collections::{BTreeMap, HashSet};
-use std::ops::{Deref, DerefMut};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 /// How often a non-leader retries lease acquisition before giving up.
 pub(crate) const MAX_LEASE_RETRIES: usize = 16;
-
-/// Lock stripes of each striped table (led directories, permission
-/// cache, open handles): threads on distinct directories or files only
-/// contend when they hash to the same stripe.
-const LOCK_STRIPES: usize = 16;
 
 /// Every `op.<name>` latency histogram the client records, preregistered
 /// at construction so no Vfs op ever takes a registry lock.
@@ -188,11 +181,9 @@ impl CommitLane {
     }
 }
 
-/// The client's seeded RNG stream (ino and txid draws). Deliberately a
-/// single stream, not striped: it is drawn from once per create/txid
-/// (never hot), and keeping one deterministic sequence per client keeps
-/// simulated object placement — and thus benchmark figures —
-/// reproducible across refactors.
+/// The client's seeded RNG stream (ino and txid draws). One
+/// deterministic sequence per client keeps simulated object placement —
+/// and thus benchmark figures — reproducible across refactors.
 #[derive(Debug)]
 pub(crate) struct ClientRng {
     rng: Mutex<StdRng>,
@@ -210,54 +201,16 @@ impl ClientRng {
     }
 }
 
-/// The data cache plus its rank guard; derefs to [`DataCache`].
-pub(crate) struct CacheGuard<'a> {
-    guard: MutexGuard<'a, DataCache>,
-    _rank: RankGuard,
-}
-
-impl Deref for CacheGuard<'_> {
-    type Target = DataCache;
-    fn deref(&self) -> &DataCache {
-        &self.guard
-    }
-}
-
-impl DerefMut for CacheGuard<'_> {
-    fn deref_mut(&mut self) -> &mut DataCache {
-        &mut self.guard
-    }
-}
-
-/// A locked [`Metatable`] plus its rank guard; derefs to the table.
-pub(crate) struct TableGuard<'a> {
-    guard: MutexGuard<'a, Metatable>,
-    _rank: RankGuard,
-}
-
-impl Deref for TableGuard<'_> {
-    type Target = Metatable;
-    fn deref(&self) -> &Metatable {
-        &self.guard
-    }
-}
-
-impl DerefMut for TableGuard<'_> {
-    fn deref_mut(&mut self) -> &mut Metatable {
-        &mut self.guard
-    }
-}
-
 /// Everything shared between the client's own thread(s) and its RPC
 /// service handler (which runs on the *caller's* thread).
 pub(crate) struct ClientState {
     pub(crate) id: NodeId,
     pub(crate) cluster: Arc<ArkCluster>,
-    /// Directory-leadership state, striped by directory ino.
+    /// Directory-leadership state.
     pub(crate) dirs: DirService,
-    /// Permission cache (pcache mode), striped by directory ino.
+    /// Permission cache (pcache mode).
     pub(crate) pcache: Pcache,
-    /// Open-file handles, sharded by handle id.
+    /// Open-file handles.
     pub(crate) files: FileTable,
     pub(crate) cache: Mutex<DataCache>,
     /// Serializes operations this client serves as a leader (its "CPU").
@@ -308,8 +261,9 @@ pub(crate) struct ClientState {
     pub(crate) leader_forgotten: Arc<Counter>,
     /// Directories this client has acked mutations against
     /// (local or remote leader) since the last `sync_all`: each owes a
-    /// partition-barrier fan-out before that barrier may return.
-    pub(crate) dirty_dirs: Mutex<HashSet<Ino>>,
+    /// partition-barrier fan-out before that barrier may return, in ino
+    /// order: the order the barriers go out in.
+    pub(crate) dirty_dirs: Mutex<BTreeSet<Ino>>,
     /// Flush epoch: bumped by every `sync_all`. `statfs` memoizes its
     /// inode count per epoch (see [`vfs_impl`]).
     pub(crate) flush_epoch: AtomicU64,
@@ -378,7 +332,7 @@ impl ArkClient {
             leader_served,
             leader_busy,
             leader_forgotten,
-            dirty_dirs: Mutex::new(HashSet::new()),
+            dirty_dirs: Mutex::new(BTreeSet::new()),
             flush_epoch: AtomicU64::new(0),
             statfs_cache: Mutex::new(None),
             op_seq: AtomicU64::new(0),
@@ -506,8 +460,7 @@ impl ArkClient {
     /// Flush everything and hand every directory lease back cleanly.
     pub fn release_all(&self, ctx: &Credentials) -> FsResult<()> {
         self.sync_all(ctx)?;
-        let mut dirs: Vec<Ino> = self.state.dirs.led_inos();
-        dirs.sort_unstable();
+        let dirs: Vec<Ino> = self.state.dirs.lock().tables.keys().copied().collect();
         for dir in dirs {
             self.state.dirs.forget(dir);
             self.state.release_lease(&self.port, dir);
@@ -603,21 +556,13 @@ impl ClientState {
     }
 
     /// Acquire the data-cache lock (rank: Leaf).
-    pub(crate) fn lock_cache(&self) -> CacheGuard<'_> {
-        let rank = lockorder::acquire(self.id.0, Rank::Leaf);
-        CacheGuard {
-            guard: self.cache.lock(),
-            _rank: rank,
-        }
+    pub(crate) fn lock_cache(&self) -> Ranked<'_, DataCache> {
+        lockorder::lock(self.id.0, Rank::Leaf, &self.cache)
     }
 
     /// Acquire a led directory's metatable (rank: Metatable).
-    pub(crate) fn lock_table<'a>(&self, table: &'a Arc<Mutex<Metatable>>) -> TableGuard<'a> {
-        let rank = lockorder::acquire(self.id.0, Rank::Metatable);
-        TableGuard {
-            guard: table.lock(),
-            _rank: rank,
-        }
+    pub(crate) fn lock_table<'a>(&self, table: &'a Mutex<Metatable>) -> Ranked<'a, Metatable> {
+        lockorder::lock(self.id.0, Rank::Metatable, table)
     }
 
     /// The commit lane a directory partition maps to, keyed by its

@@ -13,12 +13,12 @@
 //! stamp — the leader's clock when it built a deposited view, this
 //! client's clock when it asked for a leader-served one.
 //!
-//! The pcache is lock-striped by directory ino (rank *Stripe*, see
-//! [`super::lockorder`]); a stripe is never held across an RPC or a
-//! [`super::dirsvc`] call — cache fills release the stripe first.
+//! The pcache has one lock (rank *Dir*, see [`super::lockorder`]); it
+//! is never held across an RPC or a [`super::dirsvc`] call — cache
+//! fills release it first.
 
 use super::dirsvc::DirRef;
-use super::lockorder::{self, Rank, RankGuard};
+use super::lockorder::{self, Rank, Ranked};
 use super::{ArkClient, ClientState};
 use crate::meta::InodeRecord;
 use crate::rpc::{DirView, OpBody, OpResponse};
@@ -26,9 +26,8 @@ use arkfs_simkit::Nanos;
 use arkfs_vfs::{
     path as vpath, perm, Credentials, FileType, FsError, FsResult, Ino, AM_EXEC, ROOT_INO,
 };
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 /// A cached view of a remote directory used in permission-cache mode
@@ -54,66 +53,34 @@ impl PermCacheEntry {
     }
 }
 
-type PcacheStripe = HashMap<Ino, PermCacheEntry>;
-
-/// A locked pcache stripe; derefs to its entry map.
-pub(crate) struct PcacheGuard<'a> {
-    guard: MutexGuard<'a, PcacheStripe>,
-    _rank: RankGuard,
-}
-
-impl Deref for PcacheGuard<'_> {
-    type Target = PcacheStripe;
-    fn deref(&self) -> &Self::Target {
-        &self.guard
-    }
-}
-
-impl DerefMut for PcacheGuard<'_> {
-    fn deref_mut(&mut self) -> &mut Self::Target {
-        &mut self.guard
-    }
-}
-
-/// The permission cache, lock-striped by directory ino.
+/// The permission cache: a view per remote directory, behind one lock.
 #[derive(Debug)]
 pub(crate) struct Pcache {
-    stripes: Vec<Mutex<PcacheStripe>>,
+    views: Mutex<HashMap<Ino, PermCacheEntry>>,
     node: u32,
 }
 
 impl Pcache {
     pub(crate) fn new(node: u32) -> Self {
         Pcache {
-            stripes: (0..super::LOCK_STRIPES).map(|_| Mutex::default()).collect(),
+            views: Mutex::default(),
             node,
         }
     }
 
-    /// Lock stripe `i` (rank: Stripe).
-    fn stripe_at(&self, i: usize) -> PcacheGuard<'_> {
-        let rank = lockorder::acquire(self.node, Rank::Stripe);
-        PcacheGuard {
-            guard: self.stripes[i].lock(),
-            _rank: rank,
-        }
-    }
-
-    /// Lock the stripe owning `dir` (rank: Stripe).
-    pub(crate) fn stripe(&self, dir: Ino) -> PcacheGuard<'_> {
-        self.stripe_at((dir % self.stripes.len() as u128) as usize)
+    /// Lock the cache (rank: Dir).
+    pub(crate) fn lock(&self) -> Ranked<'_, HashMap<Ino, PermCacheEntry>> {
+        lockorder::lock(self.node, Rank::Dir, &self.views)
     }
 
     /// Drop the cached view of one directory.
     pub(crate) fn forget(&self, dir: Ino) {
-        self.stripe(dir).remove(&dir);
+        self.lock().remove(&dir);
     }
 
     /// Drop everything (crash).
     pub(crate) fn clear(&self) {
-        for i in 0..self.stripes.len() {
-            self.stripe_at(i).clear();
-        }
+        self.lock().clear();
     }
 }
 
@@ -128,7 +95,7 @@ impl ClientState {
         view: Arc<DirView>,
         expires_at: Nanos,
     ) {
-        let mut pc = self.pcache.stripe(dir);
+        let mut pc = self.pcache.lock();
         let entry = PermCacheEntry {
             view,
             lookups: HashMap::new(),
@@ -202,11 +169,11 @@ impl ArkClient {
         name: &str,
     ) -> FsResult<Option<FsResult<(Ino, FileType)>>> {
         let now = self.port.now();
-        let mut pc = self.state.pcache.stripe(dir);
+        let mut pc = self.state.pcache.lock();
         if !pc.get(&dir).is_some_and(|e| e.live(now)) {
             drop(pc);
             self.pcache_fill(dir)?;
-            pc = self.state.pcache.stripe(dir);
+            pc = self.state.pcache.lock();
         }
         // Gone again only if another thread forgot it meanwhile.
         let Some(entry) = pc.get(&dir) else {
@@ -236,7 +203,7 @@ impl ArkClient {
             DirRef::Remote(leader) => {
                 // Asked just now, the manager may have sent the view
                 // along with the leader's name.
-                if (self.state.pcache.stripe(dir).get(&dir)).is_some_and(|e| e.live(sent)) {
+                if (self.state.pcache.lock().get(&dir)).is_some_and(|e| e.live(sent)) {
                     return Ok(());
                 }
                 let root = Credentials::root();
@@ -254,7 +221,7 @@ impl ArkClient {
     }
 
     pub(crate) fn pcache_note(&self, dir: Ino, name: &str, result: Option<(Ino, FileType)>) {
-        if let Some(entry) = self.state.pcache.stripe(dir).get_mut(&dir) {
+        if let Some(entry) = self.state.pcache.lock().get_mut(&dir) {
             entry.lookups.insert(name.to_string(), result);
         }
     }

@@ -11,7 +11,6 @@ use super::dirsvc::DirRef;
 use super::filetable::{Held, OpenFile};
 use super::{ArkClient, MAX_LEASE_RETRIES};
 use crate::meta::InodeRecord;
-use crate::metatable::Metatable;
 use crate::partition::steer_ino;
 use crate::rpc::{OpBody, OpResponse};
 use arkfs_simkit::Port;
@@ -19,10 +18,8 @@ use arkfs_vfs::{
     path as vpath, perm, Acl, Credentials, DirEntry, FileHandle, FileType, FsError, FsResult,
     FsStats, Ino, OpenFlags, SetAttr, Stat, Vfs, AM_READ, AM_WRITE, ROOT_INO,
 };
-use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
 impl ArkClient {
     fn open_inner(
@@ -849,11 +846,9 @@ impl Vfs for ArkClient {
             // same commit lane still serialize on that lane's
             // `SharedResource` (§III-E: multiple commit threads), and
             // checkpoints land on background timelines inside `flush`.
-            let mut tables: Vec<(Ino, Arc<Mutex<Metatable>>)> = self.state.dirs.led_tables();
-            // Deterministic flush order (the map iterates in hash order,
-            // which varies between runs and would jitter the virtual-time
-            // arrival order on shared resources).
-            tables.sort_by_key(|&(ino, _)| ino);
+            // In partition key order, so the flushes reach shared
+            // resources in the same virtual-time order in every run.
+            let tables = self.state.dirs.led_tables();
             // Keyed by *partition key*: a led partition of a remote-led
             // directory is flushed here, and the per-partition barrier
             // below skips exactly those lanes.
@@ -886,8 +881,7 @@ impl Vfs for ArkClient {
             // ours; a FsyncDir barrier per remote-led partition of each
             // dirty directory makes those journals durable too
             // (partitions flushed locally in step 3 are skipped by pkey).
-            let mut dirty: Vec<Ino> = self.state.dirty_dirs.lock().drain().collect();
-            dirty.sort_unstable();
+            let dirty = std::mem::take(&mut *self.state.dirty_dirs.lock());
             for dir in dirty {
                 match self.fsync_dir_barrier(ctx, dir, &led) {
                     // The directory may have been removed since it was

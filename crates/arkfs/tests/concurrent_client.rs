@@ -1,29 +1,29 @@
 //! Threaded stress tests: real OS threads hammering one [`ArkClient`].
 //!
-//! The client's hot state is lock-striped (dir-leadership table and
-//! pcache by directory ino, handle table by handle id) under the
-//! ordering rule **stripe → metatable → cache** (see
+//! The client's tables (dir leadership, pcache, handles) have one lock
+//! each, under the ordering rule **dir → metatable → cache** (see
 //! `client/lockorder.rs`, which enforces it with debug assertions —
 //! these tests run it in anger across 8 threads). Each thread works a
 //! disjoint directory plus one directory shared by all threads; the
 //! asserts check that the namespace, handle table, and leadership
-//! bookkeeping stay consistent under interleaving.
+//! bookkeeping stay consistent under interleaving, and that threads
+//! racing to first-touch one directory take its lease once.
 
 mod common;
 
 use arkfs_vfs::{read_file, write_file, Credentials, Vfs};
-use common::{cluster, root};
-use std::sync::Arc;
+use common::{cluster, counter, root};
+use std::sync::{Arc, Barrier};
 use std::thread;
 
 const THREADS: usize = 8;
 const FILES_PER_THREAD: usize = 10;
+const FRESH_FILES: usize = 2000;
 
 #[test]
 fn eight_threads_share_one_client() {
     // Drive `THREADS` real threads through one shared client and check
-    // the end state. `/shared` puts every thread on one stripe and one
-    // metatable.
+    // the end state. `/shared` puts every thread on one metatable.
     let client = cluster().client();
     let ctx = root();
     client.mkdir(&ctx, "/shared", 0o755).unwrap();
@@ -47,7 +47,7 @@ fn eight_threads_share_one_client() {
                     assert_eq!(c.stat(&ctx, &private).unwrap().size, 96);
 
                     // Shared directory: all threads contend on one
-                    // metatable (and one dir stripe).
+                    // metatable.
                     let shared = format!("/shared/t{i}_f{k}");
                     write_file(&*c, &ctx, &shared, &payload[..32]).unwrap();
                     assert_eq!(c.stat(&ctx, &shared).unwrap().size, 32);
@@ -64,7 +64,7 @@ fn eight_threads_share_one_client() {
             .expect("worker thread panicked (or deadlock abort)");
     }
 
-    // Every open was closed: the sharded handle table drained fully.
+    // Every open was closed: the handle table drained fully.
     assert_eq!(client.open_handles(), 0);
     // Namespace consistency: nothing lost or duplicated under interleaving.
     assert_eq!(
@@ -89,4 +89,42 @@ fn eight_threads_share_one_client() {
     client.release_all(&ctx).unwrap();
     assert_eq!(client.led_directories(), 0);
     assert_eq!(client.lease_release_failures(), 0);
+}
+
+#[test]
+fn racing_first_touches_take_one_lease() {
+    // Another client makes `/fresh` and hands every lease back, so no
+    // one leads it. This client resolves `/` first; then its threads all
+    // touch `/fresh` at once. The dir table stays locked across the
+    // lease exchange and the metatable load, so the race converges on
+    // one acquisition.
+    let cl = cluster();
+    let ctx = root();
+    let admin = cl.client();
+    admin.mkdir(&ctx, "/fresh", 0o755).unwrap();
+    // Entries to load: the first touch's metatable load takes host
+    // time, long enough for the threads to race through it.
+    for k in 0..FRESH_FILES {
+        write_file(&*admin, &ctx, &format!("/fresh/f{k}"), b"").unwrap();
+    }
+    admin.release_all(&ctx).unwrap();
+    let client = cl.client();
+    client.stat(&ctx, "/").unwrap();
+    let before = counter(&cl, "lease.acquire.count");
+    let start = Arc::new(Barrier::new(THREADS));
+    let workers: Vec<_> = (0..THREADS)
+        .map(|_| {
+            let (c, start) = (Arc::clone(&client), Arc::clone(&start));
+            thread::spawn(move || {
+                start.wait();
+                let entries = c.readdir(&Credentials::root(), "/fresh").unwrap();
+                assert_eq!(entries.len(), FRESH_FILES);
+            })
+        })
+        .collect();
+    for w in workers {
+        w.join().expect("worker thread panicked");
+    }
+    assert_eq!(counter(&cl, "lease.acquire.count") - before, 1);
+    assert_eq!(client.led_directories(), 2, "`/` and `/fresh`");
 }

@@ -41,6 +41,8 @@ pub struct GoofysFs {
     port: Port,
     data: DataPath,
     cache: Mutex<DataCache>,
+    /// Entries of `cache`: enough to hold a full read-ahead window.
+    cache_entries: usize,
     handles: Mutex<BTreeMap<u64, GoofysHandle>>,
     next_handle: AtomicU64,
 }
@@ -59,15 +61,15 @@ impl GoofysFs {
             readahead,
             spec.net_half_rtt,
         );
-        // Enough cache entries to hold a full read-ahead window.
-        let entries = ((readahead / part) as usize + 8).max(16);
-        let cache = crate::datapath::counted_cache(bucket.store(), entries);
+        let cache_entries = ((readahead / part) as usize + 8).max(16);
+        let cache = crate::datapath::counted_cache(bucket.store(), cache_entries);
         Arc::new(GoofysFs {
             bucket,
             spec,
             port: Port::new(),
             data,
             cache: Mutex::new(cache),
+            cache_entries,
             handles: Mutex::new(BTreeMap::new()),
             next_handle: AtomicU64::new(1),
         })
@@ -80,12 +82,8 @@ impl GoofysFs {
     /// Drop the read cache (fio drop-caches step). goofys caches are
     /// read-only, so nothing needs flushing.
     pub fn drop_data_cache(&self) {
-        let entries = {
-            let c = self.cache.lock();
-            let _ = &*c;
-            ((self.data.policy.max_readahead / self.bucket.part_size) as usize + 8).max(16)
-        };
-        *self.cache.lock() = crate::datapath::counted_cache(self.bucket.store(), entries);
+        *self.cache.lock() =
+            crate::datapath::counted_cache(self.bucket.store(), self.cache_entries);
     }
 
     /// The bucket store's telemetry, if the backend exposes one.

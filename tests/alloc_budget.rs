@@ -11,49 +11,15 @@
 //! buffer copied straight into the caller's, 0.00x as well. Before the data path shared its buffers the same
 //! run measured 5.00x (growth, the flush's clone, the PUT's `to_vec`,
 //! one clone per replica) and 2.00x (the GET's clone and the fill's
-//! `to_vec`). The test has its own process, and is the only test in
-//! it, because a counting `#[global_allocator]` sees every thread.
+//! `to_vec`). The counting allocator is `common`'s.
+
+mod common;
 
 use arkfs::{ArkCluster, ArkConfig};
 use arkfs_objstore::{ClusterConfig, ObjectCluster};
 use arkfs_simkit::ClusterSpec;
 use arkfs_vfs::{Credentials, OpenFlags, Vfs};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-static ALLOCATED: AtomicU64 = AtomicU64::new(0);
-
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; counting is a side effect.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        // SAFETY: the caller's obligations are `System.alloc`'s.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        // SAFETY: the caller's obligations are `System.alloc_zeroed`'s.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // A `realloc` counts as its growth.
-        let growth = new_size.saturating_sub(layout.size());
-        ALLOCATED.fetch_add(growth as u64, Ordering::Relaxed);
-        // SAFETY: `ptr` came from `System` with `layout`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
 
 const CLIENTS: usize = 8;
 const FILE: usize = 8 << 20;
@@ -74,9 +40,9 @@ fn the_data_path_allocates_one_buffer_per_chunk() {
     // The I/O buffers exist before the measured phases.
     let mut buf = vec![0u8; REQUEST];
     let measured = |phase: &mut dyn FnMut()| {
-        let before = ALLOCATED.load(Ordering::Relaxed);
+        let before = common::allocated();
         phase();
-        (ALLOCATED.load(Ordering::Relaxed) - before) as f64 / user_bytes
+        (common::allocated() - before) as f64 / user_bytes
     };
 
     let written = measured(&mut || {
