@@ -40,7 +40,7 @@ use crate::metatable::Metatable;
 use crate::prt::Prt;
 use arkfs_netsim::NodeId;
 use arkfs_simkit::{Nanos, Port, SharedResource};
-use arkfs_telemetry::{Counter, CtxGuard, Gauge, HistogramSet, Telemetry, TraceCtx, PID_CLIENT};
+use arkfs_telemetry::{Counter, CtxGuard, Gauge, Telemetry, TraceCtx, PID_CLIENT};
 use arkfs_vfs::{Credentials, FsResult, Ino, Vfs, ROOT_INO};
 use dirsvc::{ClientService, DirService};
 use filetable::FileTable;
@@ -56,31 +56,51 @@ use std::sync::{Arc, Weak};
 /// How often a non-leader retries lease acquisition before giving up.
 pub(crate) const MAX_LEASE_RETRIES: usize = 16;
 
-/// Every `op.<name>` latency histogram the client records, preregistered
-/// at construction so no Vfs op ever takes a registry lock.
-const OP_NAMES: &[&str] = &[
-    "op.mkdir",
-    "op.rmdir",
-    "op.create",
-    "op.open",
-    "op.close",
-    "op.read",
-    "op.write",
-    "op.fsync",
-    "op.stat",
-    "op.readdir",
-    "op.unlink",
-    "op.rename",
-    "op.truncate",
-    "op.setattr",
-    "op.symlink",
-    "op.readlink",
-    "op.set_acl",
-    "op.get_acl",
-    "op.access",
-    "op.sync_all",
-    "op.statfs",
-];
+/// Declares [`Op`] and [`OP_NAMES`] from one list, so an op's
+/// discriminant always indexes its own name.
+macro_rules! client_ops {
+    ($($op:ident => $name:literal,)*) => {
+        /// Every client-facing op: its discriminant indexes [`OP_NAMES`]
+        /// and the deployment's op histograms ([`ArkCluster::op_hist`]).
+        #[derive(Clone, Copy, Debug)]
+        pub(crate) enum Op {
+            $($op,)*
+        }
+
+        /// The `op.<name>` of every [`Op`], in declaration order.
+        pub(crate) const OP_NAMES: &[&str] = &[$($name,)*];
+    };
+}
+
+client_ops! {
+    Mkdir => "op.mkdir",
+    Rmdir => "op.rmdir",
+    Create => "op.create",
+    Open => "op.open",
+    Close => "op.close",
+    Read => "op.read",
+    Write => "op.write",
+    Fsync => "op.fsync",
+    Stat => "op.stat",
+    Readdir => "op.readdir",
+    Unlink => "op.unlink",
+    Rename => "op.rename",
+    Truncate => "op.truncate",
+    Setattr => "op.setattr",
+    Symlink => "op.symlink",
+    Readlink => "op.readlink",
+    SetAcl => "op.set_acl",
+    GetAcl => "op.get_acl",
+    Access => "op.access",
+    SyncAll => "op.sync_all",
+    Statfs => "op.statfs",
+}
+
+impl Op {
+    pub(crate) fn name(self) -> &'static str {
+        OP_NAMES[self as usize]
+    }
+}
 
 /// One commit lane: the per-lane "commit thread" of the journal
 /// pipeline (§III-E). The [`SharedResource`] serializes journal appends
@@ -225,13 +245,6 @@ pub(crate) struct ClientState {
     /// Registry handles for the data-cache counters, cloned into every
     /// [`DataCache`] this client creates.
     pub(crate) cache_counters: CacheCounters,
-    /// Per-op latency histograms, preregistered at construction
-    /// (`op.<name>.latency_ns`).
-    pub(crate) op_hists: HistogramSet,
-    /// Per-op ack-latency histograms (`op.<name>.ack_ns`): time until
-    /// the op returned to the caller; the gap to `op.<name>.durable_ns`
-    /// is the commit pipeline's win.
-    pub(crate) op_ack_hists: HistogramSet,
     /// `lease.release_failed.count`: file-lease releases the leader
     /// rejected or that never reached it.
     pub(crate) lease_release_failed: Arc<Counter>,
@@ -293,8 +306,6 @@ impl ArkClient {
         let cache_counters = registry_counters(&telemetry.registry);
         let mut cache = DataCache::new(config.cache_entries);
         cache.attach_counters(cache_counters.clone());
-        let op_hists = telemetry.registry.histogram_set(OP_NAMES, ".latency_ns");
-        let op_ack_hists = telemetry.registry.histogram_set(OP_NAMES, ".ack_ns");
         let lease_release_failed = telemetry.registry.counter("lease.release_failed.count");
         let lease_at_open = telemetry.registry.counter("lease.file.at_open.count");
         let lease_write_unwaited = telemetry
@@ -320,8 +331,6 @@ impl ArkClient {
             crashed: AtomicBool::new(false),
             telemetry,
             cache_counters,
-            op_hists,
-            op_ack_hists,
             lease_release_failed,
             lease_at_open,
             lease_write_unwaited,
@@ -479,15 +488,15 @@ impl ArkClient {
     }
 
     /// Run one client-facing op under telemetry: its virtual duration
-    /// feeds the `op.<name>.latency_ns` histogram, and (when tracing is
+    /// feeds the `op.<name>.latency_ns` histogram (also named
+    /// `op.<name>.ack_ns`: the return to the caller IS the ack;
+    /// `op.*.durable_ns`, stamped when the mutation's transaction lands,
+    /// measures the rest), and (when tracing is
     /// enabled) a root span lands on this client's track with every
     /// span recorded downstream — RPC serving, journal flushes, store
     /// I/O — causally linked to it through the ambient [`TraceCtx`].
-    pub(crate) fn traced<T>(
-        &self,
-        name: &'static str,
-        f: impl FnOnce() -> FsResult<T>,
-    ) -> FsResult<T> {
+    pub(crate) fn traced<T>(&self, op: Op, f: impl FnOnce() -> FsResult<T>) -> FsResult<T> {
+        let name = op.name();
         // Deterministic trace identity: a per-client sequence number,
         // never the seeded RNG streams. Head-based sampling decides here
         // — one modulus on the sequence — so two traced runs of the same
@@ -506,10 +515,7 @@ impl ArkClient {
         let end = self.port.now();
         flight.record(self.state.id.0, end, "op.end", i64::from(r.is_err()), name);
         let elapsed = end.saturating_sub(start);
-        self.state.op_hists.get(name).record(elapsed);
-        // The return to the caller IS the ack; `op.*.durable_ns` (stamped
-        // when the mutation's transaction lands) measures the rest.
-        self.state.op_ack_hists.get(name).record(elapsed);
+        self.state.cluster.op_hist(op).record(elapsed);
         if tracer.enabled() {
             // parent_span 0 marks the trace root; the trace id doubles
             // as the root span id children link to.
@@ -571,5 +577,54 @@ impl ClientState {
     /// lanes and commit in parallel.
     pub(crate) fn lane(&self, pkey: Ino) -> &CommitLane {
         &self.lanes[(pkey % self.lanes.len() as u128) as usize]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use arkfs_objstore::{ClusterConfig, ObjectCluster};
+
+    fn tiny_cluster() -> Arc<ArkCluster> {
+        let store = Arc::new(ObjectCluster::new(ClusterConfig::test_tiny()));
+        ArkCluster::new(ArkConfig::test_tiny(), store)
+    }
+
+    #[test]
+    fn clients_of_one_deployment_share_one_op_histogram_family() {
+        let cluster = tiny_cluster();
+        let (a, b) = (cluster.client(), cluster.client());
+        let registry = &cluster.telemetry().registry;
+        for op in [Op::Mkdir, Op::Create, Op::Statfs] {
+            let hist = a.state.cluster.op_hist(op);
+            assert!(Arc::ptr_eq(hist, b.state.cluster.op_hist(op)));
+            for suffix in [".latency_ns", ".ack_ns"] {
+                let named = registry.histogram(&format!("{}{suffix}", op.name()));
+                assert!(Arc::ptr_eq(hist, &named));
+            }
+        }
+        // Minting a client registers no metric the deployment lacks.
+        let before = registry.snapshot().len();
+        let _c = cluster.client();
+        assert_eq!(registry.snapshot().len(), before);
+    }
+
+    #[test]
+    fn an_op_records_one_sample_under_both_names() {
+        const CREATES: u64 = 12;
+        let cluster = tiny_cluster();
+        let clients = [cluster.client(), cluster.client()];
+        let root = Credentials::root();
+        clients[0].mkdir(&root, "/d", 0o755).unwrap();
+        for i in 0..CREATES {
+            let client = &clients[i as usize % 2];
+            let fh = client.create(&root, &format!("/d/f{i}"), 0o644).unwrap();
+            client.close(&root, fh).unwrap();
+        }
+        let registry = &cluster.telemetry().registry;
+        let latency = registry.histogram("op.create.latency_ns").snapshot();
+        assert_eq!(latency.count(), CREATES);
+        assert_eq!(registry.histogram("op.create.ack_ns").snapshot(), latency);
+        assert_eq!(registry.histogram("op.mkdir.ack_ns").snapshot().count(), 1);
     }
 }

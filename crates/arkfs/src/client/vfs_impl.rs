@@ -5,11 +5,11 @@
 //! [`super::dirsvc`], manages handles and file leases via
 //! [`super::filetable`], and moves bytes via [`super::datapath`]. Every
 //! op runs under [`ArkClient::traced`] so its virtual-time latency
-//! lands in the preregistered `op.<name>.latency_ns` histogram.
+//! lands in the deployment's `op.<name>.latency_ns` histogram.
 
 use super::dirsvc::DirRef;
 use super::filetable::{Held, OpenFile};
-use super::{ArkClient, MAX_LEASE_RETRIES};
+use super::{ArkClient, Op, MAX_LEASE_RETRIES};
 use crate::meta::InodeRecord;
 use crate::partition::steer_ino;
 use crate::rpc::{OpBody, OpResponse};
@@ -243,7 +243,7 @@ impl ArkClient {
 
 impl Vfs for ArkClient {
     fn mkdir(&self, ctx: &Credentials, path: &str, mode: u32) -> FsResult<Stat> {
-        self.traced("op.mkdir", || {
+        self.traced(Op::Mkdir, || {
             let (parent, name) = self.resolve_parent(ctx, path)?;
             vpath::validate_name(name)?;
             let ino = self.fresh_ino();
@@ -282,7 +282,7 @@ impl Vfs for ArkClient {
     }
 
     fn rmdir(&self, ctx: &Credentials, path: &str) -> FsResult<()> {
-        self.traced("op.rmdir", || {
+        self.traced(Op::Rmdir, || {
             let (parent, name) = self.resolve_parent(ctx, path)?;
             let (child, ftype) = self.lookup_step(ctx, parent, name)?;
             if ftype != FileType::Directory {
@@ -346,7 +346,7 @@ impl Vfs for ArkClient {
     }
 
     fn create(&self, ctx: &Credentials, path: &str, mode: u32) -> FsResult<FileHandle> {
-        self.traced("op.create", || {
+        self.traced(Op::Create, || {
             let (parent, name) = self.resolve_parent(ctx, path)?;
             vpath::validate_name(name)?;
             // The ino is steered so that the name's partition is also the
@@ -387,11 +387,11 @@ impl Vfs for ArkClient {
     }
 
     fn open(&self, ctx: &Credentials, path: &str, flags: OpenFlags) -> FsResult<FileHandle> {
-        self.traced("op.open", || self.open_inner(ctx, path, flags, 0))
+        self.traced(Op::Open, || self.open_inner(ctx, path, flags, 0))
     }
 
     fn close(&self, ctx: &Credentials, fh: FileHandle) -> FsResult<()> {
-        self.traced("op.close", || {
+        self.traced(Op::Close, || {
             // The kernel's FLUSH on close is suppressed (FOPEN_NOFLUSH
             // semantics), so close pays no FUSE round trip and waits for
             // nothing it hands on: the file's dirty chunks go behind it,
@@ -462,7 +462,7 @@ impl Vfs for ArkClient {
         offset: u64,
         buf: &mut [u8],
     ) -> FsResult<usize> {
-        self.traced("op.read", || {
+        self.traced(Op::Read, || {
             let _ = ctx;
             self.read_impl(fh, offset, buf)
         })
@@ -475,14 +475,14 @@ impl Vfs for ArkClient {
         offset: u64,
         data: &[u8],
     ) -> FsResult<usize> {
-        self.traced("op.write", || {
+        self.traced(Op::Write, || {
             let _ = ctx;
             self.write_impl(fh, offset, data)
         })
     }
 
     fn fsync(&self, ctx: &Credentials, fh: FileHandle) -> FsResult<()> {
-        self.traced("op.fsync", || {
+        self.traced(Op::Fsync, || {
             self.fuse_charge(1);
             let (ino, parent, name, size, wrote) = self
                 .state
@@ -506,7 +506,7 @@ impl Vfs for ArkClient {
     }
 
     fn stat(&self, ctx: &Credentials, path: &str) -> FsResult<Stat> {
-        self.traced("op.stat", || {
+        self.traced(Op::Stat, || {
             let (ino, rec) = self.resolve_record(ctx, path)?;
             let mut st = rec.to_stat();
             // Reads-own-writes: unflushed writes are visible to this client.
@@ -518,7 +518,7 @@ impl Vfs for ArkClient {
     }
 
     fn readdir(&self, ctx: &Credentials, path: &str) -> FsResult<Vec<DirEntry>> {
-        self.traced("op.readdir", || {
+        self.traced(Op::Readdir, || {
             let (ino, ftype) = self.resolve(ctx, path)?;
             if ftype != FileType::Directory {
                 return Err(FsError::NotADirectory);
@@ -528,7 +528,7 @@ impl Vfs for ArkClient {
     }
 
     fn unlink(&self, ctx: &Credentials, path: &str) -> FsResult<()> {
-        self.traced("op.unlink", || {
+        self.traced(Op::Unlink, || {
             let (parent, name) = self.resolve_parent(ctx, path)?;
             match self.on_dir(
                 ctx,
@@ -551,7 +551,7 @@ impl Vfs for ArkClient {
     }
 
     fn rename(&self, ctx: &Credentials, from: &str, to: &str) -> FsResult<()> {
-        self.traced("op.rename", || {
+        self.traced(Op::Rename, || {
             let from_comps = vpath::components(from)?;
             let to_comps = vpath::components(to)?;
             if from_comps == to_comps {
@@ -713,7 +713,7 @@ impl Vfs for ArkClient {
     }
 
     fn truncate(&self, ctx: &Credentials, path: &str, size: u64) -> FsResult<()> {
-        self.traced("op.truncate", || {
+        self.traced(Op::Truncate, || {
             if vpath::components(path)?.is_empty() {
                 return Err(FsError::IsADirectory);
             }
@@ -728,7 +728,7 @@ impl Vfs for ArkClient {
     }
 
     fn setattr(&self, ctx: &Credentials, path: &str, attr: &SetAttr) -> FsResult<Stat> {
-        self.traced("op.setattr", || {
+        self.traced(Op::Setattr, || {
             let attr = attr.clone();
             let body = match self.attr_target(ctx, path)? {
                 (dir, None) => OpBody::SetAttrDir { dir, attr },
@@ -748,7 +748,7 @@ impl Vfs for ArkClient {
     }
 
     fn symlink(&self, ctx: &Credentials, path: &str, target: &str) -> FsResult<Stat> {
-        self.traced("op.symlink", || {
+        self.traced(Op::Symlink, || {
             let (parent, name) = self.resolve_parent(ctx, path)?;
             vpath::validate_name(name)?;
             let ino = self.fresh_ino();
@@ -784,7 +784,7 @@ impl Vfs for ArkClient {
     }
 
     fn readlink(&self, ctx: &Credentials, path: &str) -> FsResult<String> {
-        self.traced("op.readlink", || {
+        self.traced(Op::Readlink, || {
             let (_, rec) = self.resolve_record(ctx, path)?;
             if rec.ftype != FileType::Symlink {
                 return Err(FsError::InvalidArgument);
@@ -794,7 +794,7 @@ impl Vfs for ArkClient {
     }
 
     fn set_acl(&self, ctx: &Credentials, path: &str, acl: &Acl) -> FsResult<()> {
-        self.traced("op.set_acl", || {
+        self.traced(Op::SetAcl, || {
             let acl = acl.clone();
             let (dir, child) = self.attr_target(ctx, path)?;
             let (name, target) = child.unwrap_or((String::new(), dir));
@@ -811,21 +811,21 @@ impl Vfs for ArkClient {
     }
 
     fn get_acl(&self, ctx: &Credentials, path: &str) -> FsResult<Acl> {
-        self.traced("op.get_acl", || {
+        self.traced(Op::GetAcl, || {
             let (_, rec) = self.resolve_record(ctx, path)?;
             Ok(rec.acl)
         })
     }
 
     fn access(&self, ctx: &Credentials, path: &str, mode: u8) -> FsResult<()> {
-        self.traced("op.access", || {
+        self.traced(Op::Access, || {
             let (_, rec) = self.resolve_record(ctx, path)?;
             perm::check_access(ctx, rec.uid, rec.gid, rec.mode, &rec.acl, mode)
         })
     }
 
     fn sync_all(&self, ctx: &Credentials) -> FsResult<()> {
-        self.traced("op.sync_all", || {
+        self.traced(Op::SyncAll, || {
             // 1. All dirty data chunks, pipelined, once every PUT and
             // chunk DELETE behind the caller is acked.
             self.flush_file_data(None)?;
@@ -896,7 +896,7 @@ impl Vfs for ArkClient {
     }
 
     fn statfs(&self, _ctx: &Credentials) -> FsResult<FsStats> {
-        self.traced("op.statfs", || {
+        self.traced(Op::Statfs, || {
             // Inode count via a flat LIST of `i` objects. The LIST is charged
             // as a single listing op in the cost model, but on S3-like
             // profiles it is still the most expensive metadata call we issue,

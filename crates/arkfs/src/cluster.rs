@@ -6,7 +6,7 @@
 //! [`Transport`] pair, which is how the TCP mode (`cli serve` /
 //! `cli client`) runs the identical stack across processes.
 
-use crate::client::ArkClient;
+use crate::client::{ArkClient, Op, OP_NAMES};
 use crate::config::ArkConfig;
 use crate::meta::InodeRecord;
 use crate::prt::Prt;
@@ -15,7 +15,7 @@ use arkfs_lease::{LeaseConfig, LeaseManager, LeaseRequest, LeaseResponse};
 use arkfs_netsim::{call_with_retry, Bus, NetError, NodeId, RetryCounters, RetryPolicy, Transport};
 use arkfs_objstore::ObjectStore;
 use arkfs_simkit::{Nanos, Port};
-use arkfs_telemetry::Counter;
+use arkfs_telemetry::{Counter, HistogramSet, LatencyHistogram};
 use arkfs_vfs::{FileType, FsError, Ino, ROOT_INO};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -43,6 +43,9 @@ pub struct ArkCluster {
     /// `rpc.forward.<op>.count`, indexed by [`OpBody::tag`]: forwarded
     /// ops by kind, counted where they are sent.
     forward_counts: Vec<Arc<Counter>>,
+    /// `op.<name>.latency_ns` per [`Op`], each also registered as
+    /// `op.<name>.ack_ns`: the client's ack is its return to the caller.
+    op_hists: HistogramSet,
     next_node: AtomicU32,
     /// The lease managers this endpoint hosts, in manager order (empty
     /// on an endpoint attached to a deployment hosted elsewhere).
@@ -94,6 +97,10 @@ impl ArkCluster {
                     .counter(&format!("rpc.forward.{op}.count"))
             })
             .collect();
+        let op_hists = prt
+            .telemetry()
+            .registry
+            .histogram_set(OP_NAMES, &[".latency_ns", ".ack_ns"]);
         let cluster = Arc::new(ArkCluster {
             config,
             prt,
@@ -101,6 +108,7 @@ impl ArkCluster {
             ops_net,
             net_counters,
             forward_counts,
+            op_hists,
             next_node: AtomicU32::new(1),
             managers: Mutex::new(Vec::new()),
         });
@@ -196,6 +204,12 @@ impl ArkCluster {
             RetryPolicy::default(),
             Some(&self.net_counters),
         )
+    }
+
+    /// The histogram every client of this deployment records `op`'s
+    /// latency into.
+    pub(crate) fn op_hist(&self, op: Op) -> &Arc<LatencyHistogram> {
+        self.op_hists.get(op as usize)
     }
 
     /// Mint a new client (one per simulated process). The client

@@ -34,7 +34,7 @@ use crate::{NetError, NodeId, Service, Transport};
 use arkfs_simkit::{Nanos, Port};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -107,8 +107,10 @@ pub struct TcpTransport<Req, Resp> {
     shared: Arc<Shared<Req, Resp>>,
     /// NodeId → socket address of the peer transport serving that node.
     registry: RwLock<HashMap<NodeId, SocketAddr>>,
-    /// Idle connections, keyed by peer address.
-    pool: Mutex<HashMap<SocketAddr, Vec<TcpStream>>>,
+    /// Idle connections, keyed by peer address. Each reads through a
+    /// buffer, so a response frame comes in with one `read` however its
+    /// header and payload arrived.
+    pool: Mutex<HashMap<SocketAddr, Vec<BufReader<TcpStream>>>>,
     read_timeout: Duration,
 }
 
@@ -202,19 +204,24 @@ impl<Req: Send + Sync + 'static, Resp: Send + Sync + 'static> TcpTransport<Req, 
         Ok(())
     }
 
-    fn checkout(&self, addr: SocketAddr) -> Result<TcpStream, NetError> {
+    fn checkout(&self, addr: SocketAddr) -> Result<BufReader<TcpStream>, NetError> {
         if let Some(conn) = self.pool.lock().get_mut(&addr).and_then(Vec::pop) {
             return Ok(conn);
         }
-        let stream = TcpStream::connect(addr).map_err(|_| NetError::Unreachable)?;
+        self.connect(addr, NetError::Unreachable)
+    }
+
+    /// A new connection to `addr`, failing with `err` if none is made.
+    fn connect(&self, addr: SocketAddr, err: NetError) -> Result<BufReader<TcpStream>, NetError> {
+        let stream = TcpStream::connect(addr).map_err(|_| err)?;
         stream.set_nodelay(true).ok();
         stream
             .set_read_timeout(Some(self.read_timeout))
             .map_err(|_| NetError::ConnReset)?;
-        Ok(stream)
+        Ok(BufReader::new(stream))
     }
 
-    fn checkin(&self, addr: SocketAddr, conn: TcpStream) {
+    fn checkin(&self, addr: SocketAddr, conn: BufReader<TcpStream>) {
         self.pool.lock().entry(addr).or_default().push(conn);
     }
 
@@ -271,14 +278,11 @@ impl<Req: Send + Sync + 'static, Resp: Send + Sync + 'static> Transport<Req, Res
             .ok_or(NetError::Unreachable)?;
         let payload = (self.shared.codec.enc_req)(&req);
         let mut conn = self.checkout(addr)?;
-        if write_request(&mut conn, KIND_CALL, to, port.now(), &payload).is_err() {
+        if write_request(conn.get_mut(), KIND_CALL, to, port.now(), &payload).is_err() {
             // The pooled connection may have gone stale; retry once on a
             // fresh socket before reporting a reset.
-            conn = TcpStream::connect(addr).map_err(|_| NetError::ConnReset)?;
-            conn.set_nodelay(true).ok();
-            conn.set_read_timeout(Some(self.read_timeout))
-                .map_err(|_| NetError::ConnReset)?;
-            write_request(&mut conn, KIND_CALL, to, port.now(), &payload)
+            conn = self.connect(addr, NetError::ConnReset)?;
+            write_request(conn.get_mut(), KIND_CALL, to, port.now(), &payload)
                 .map_err(|_| NetError::ConnReset)?;
         }
         let (status, done, resp_payload) = read_response(&mut conn)?;
@@ -310,7 +314,7 @@ impl<Req: Send + Sync + 'static, Resp: Send + Sync + 'static> Transport<Req, Res
             .ok_or(NetError::Unreachable)?;
         let payload = (self.shared.codec.enc_req)(&req);
         let mut conn = self.checkout(addr)?;
-        write_request(&mut conn, KIND_NOTIFY, to, port.now(), &payload)
+        write_request(conn.get_mut(), KIND_NOTIFY, to, port.now(), &payload)
             .map_err(|_| NetError::ConnReset)?;
         self.checkin(addr, conn);
         Ok(())
@@ -380,15 +384,18 @@ fn accept_loop<Req: Send + Sync + 'static, Resp: Send + Sync + 'static>(
     }
 }
 
-fn connection_loop<Req, Resp>(mut stream: TcpStream, shared: Arc<Shared<Req, Resp>>) {
+fn connection_loop<Req, Resp>(stream: TcpStream, shared: Arc<Shared<Req, Resp>>) {
+    // Requests are read through a buffer (one `read` per frame),
+    // responses written straight to the socket.
+    let mut reader = BufReader::new(stream);
     loop {
-        let (kind, dest, arrival, payload) = match read_request(&mut stream) {
+        let (kind, dest, arrival, payload) = match read_request(&mut reader) {
             Ok(frame) => frame,
             Err(_) => return, // peer hung up or sent garbage
         };
         match kind {
             KIND_SHUTDOWN => {
-                let _ = write_response(&mut stream, STATUS_OK, 0, &[]);
+                let _ = write_response(reader.get_mut(), STATUS_OK, 0, &[]);
                 shared.request_stop();
                 return;
             }
@@ -396,20 +403,20 @@ fn connection_loop<Req, Resp>(mut stream: TcpStream, shared: Arc<Shared<Req, Res
                 let service = shared.services.read().get(&dest).cloned();
                 let Some(service) = service else {
                     if kind == KIND_CALL {
-                        let _ = write_response(&mut stream, STATUS_UNREACHABLE, 0, &[]);
+                        let _ = write_response(reader.get_mut(), STATUS_UNREACHABLE, 0, &[]);
                     }
                     continue;
                 };
                 let Some(req) = (shared.codec.dec_req)(payload) else {
                     if kind == KIND_CALL {
-                        let _ = write_response(&mut stream, STATUS_DECODE, 0, &[]);
+                        let _ = write_response(reader.get_mut(), STATUS_DECODE, 0, &[]);
                     }
                     continue;
                 };
                 let (resp, done) = service.handle(arrival, req);
                 if kind == KIND_CALL {
                     let bytes = (shared.codec.enc_resp)(&resp);
-                    if write_response(&mut stream, STATUS_OK, done, &bytes).is_err() {
+                    if write_response(reader.get_mut(), STATUS_OK, done, &bytes).is_err() {
                         return;
                     }
                 }
@@ -466,8 +473,8 @@ fn read_response(r: &mut impl Read) -> Result<(u8, Nanos, Vec<u8>), NetError> {
 }
 
 /// Read one frame: the length prefix and the fixed header (`P` bytes
-/// together) in one read, then the payload straight into the buffer the
-/// codec will own, so nothing is copied after the socket.
+/// together), then the payload into the buffer the codec will own.
+/// Through a [`BufReader`] a frame that fits its buffer is one `read`.
 fn read_frame<const P: usize>(r: &mut impl Read) -> io::Result<([u8; P], Vec<u8>)> {
     let mut head = [0u8; P];
     r.read_exact(&mut head)?;

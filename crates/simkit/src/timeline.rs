@@ -5,11 +5,12 @@
 //!
 //! A [`SharedResource`] models a component that serves one request at a
 //! time (a metadata server, a lease manager, a FUSE daemon lock): a
-//! request arriving at virtual time `a` with service demand `s` starts at
-//! `max(a, next_free)` and completes `s_eff` later, where `s_eff` inflates
-//! with the number of requests still in flight — the lock-contention /
-//! cache-thrash degradation that makes Figure 1's single-MDS throughput
-//! *collapse* (not just saturate) past a handful of clients.
+//! request arriving at virtual time `a` with service demand `s` takes the
+//! first idle gap at or after `a` that fits `s_eff` (first-fit), where
+//! `s_eff` inflates with the number of requests still in flight — the
+//! lock-contention / cache-thrash degradation that makes Figure 1's
+//! single-MDS throughput *collapse* (not just saturate) past a handful of
+//! clients.
 //!
 //! A [`BandwidthResource`] is the same discipline with service demand
 //! computed from a byte count and a capacity — used for shared network
@@ -109,12 +110,14 @@ impl ContentionModel {
 
 #[derive(Debug, Default)]
 struct ResourceInner {
-    /// Busy intervals `start → end`, non-overlapping and coalesced.
-    /// Interval placement (first-fit after arrival) instead of a strict
-    /// next-free-time keeps the model fair when some callers (background
-    /// checkpoint/commit threads) run ahead on virtual time: their future
-    /// reservations must not block earlier arrivals from other actors.
-    busy_intervals: std::collections::BTreeMap<Nanos, Nanos>,
+    /// Busy intervals `(start, end)`, sorted, non-overlapping and
+    /// coalesced. Interval placement (first-fit after arrival) instead of
+    /// a strict next-free-time keeps the model fair when some callers
+    /// (background checkpoint/commit threads) run ahead on virtual time:
+    /// their future reservations must not block earlier arrivals from
+    /// other actors. Arrivals are near-sorted, so a reservation touches
+    /// the few intervals next to the newest.
+    busy_intervals: VecDeque<(Nanos, Nanos)>,
     /// Completion times of recent reservations (for the contention-depth
     /// estimate).
     in_flight: VecDeque<Nanos>,
@@ -178,7 +181,8 @@ impl SharedResource {
     /// [`Self::forgotten`]; almost always 0), for servers that publish
     /// what they forget as a running counter.
     pub fn reserve_counting(&self, arrival: Nanos, service: Nanos) -> (Nanos, Nanos) {
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         // An ideal server (alpha 0) multiplies the contention depth by
         // zero: it neither counts nor records completions.
         let degrading = self.contention.alpha != 0.0;
@@ -204,44 +208,44 @@ impl SharedResource {
             return (arrival.saturating_add(eff), 0);
         }
 
-        // First-fit gap search: push the candidate start past every busy
-        // interval that overlaps [t, t+eff).
+        // First-fit gap search: from the first interval that ends after
+        // the arrival, push the candidate start past every interval that
+        // overlaps [t, t+eff).
+        let intervals = &mut inner.busy_intervals;
         let mut t = arrival;
-        loop {
-            let conflict = inner
-                .busy_intervals
-                .range(..t.saturating_add(eff))
-                .next_back()
-                .and_then(|(_, &end)| (end > t).then_some(end));
-            match conflict {
-                Some(end) => t = end,
-                None => break,
+        let mut i = intervals.partition_point(|&(_, end)| end <= t);
+        while let Some(&(start, end)) = intervals.get(i) {
+            if start >= t.saturating_add(eff) {
+                break;
             }
+            t = end;
+            i += 1;
         }
         let completion = t.saturating_add(eff);
 
-        // Insert [t, completion), coalescing with adjacent intervals.
-        let mut start = t;
-        let mut end = completion;
-        if let Some((&ps, &pe)) = inner.busy_intervals.range(..=t).next_back() {
-            if pe == t {
-                start = ps;
-                inner.busy_intervals.remove(&ps);
+        // Insert [t, completion) before interval `i`, coalescing with the
+        // neighbours it touches.
+        let joins_prev = i > 0 && intervals[i - 1].1 == t;
+        let joins_next = intervals
+            .get(i)
+            .is_some_and(|&(start, _)| start == completion);
+        match (joins_prev, joins_next) {
+            (true, true) => {
+                intervals[i - 1].1 = intervals[i].1;
+                intervals.remove(i);
             }
+            (true, false) => intervals[i - 1].1 = completion,
+            (false, true) => intervals[i].0 = t,
+            (false, false) => intervals.insert(i, (t, completion)),
         }
-        if let Some(&ne) = inner.busy_intervals.get(&completion) {
-            end = ne;
-            inner.busy_intervals.remove(&completion);
-        }
-        inner.busy_intervals.insert(start, end);
 
         // Bound memory by forgetting the OLDEST intervals. Dropping (not
         // merging) is mildly optimistic for extreme laggards, but merging
         // would solidify the head of the timeline into one giant busy
         // block that starves every late-arriving request.
         let mut forgot = 0;
-        while inner.busy_intervals.len() > MAX_INTERVALS {
-            let (start, end) = inner.busy_intervals.pop_first().expect("nonempty");
+        while intervals.len() > MAX_INTERVALS {
+            let (start, end) = intervals.pop_front().expect("nonempty");
             inner.forgotten.0 += 1;
             forgot += end - start;
         }
@@ -431,6 +435,140 @@ mod tests {
             proptest::prop_assert_eq!(skips.busy_time(), counts.busy_time());
             proptest::prop_assert_eq!(skips.forgotten(), counts.forgotten());
             proptest::prop_assert_eq!(degrading.busy_time(), inflated.busy_time());
+        }
+    }
+
+    /// The first-fit timeline as it was kept in a `BTreeMap` keyed by
+    /// interval start: the reference the sorted-`VecDeque` walk must
+    /// match call for call.
+    struct BTreeTimeline {
+        contention: ContentionModel,
+        min_track: Nanos,
+        intervals: std::collections::BTreeMap<Nanos, Nanos>,
+        in_flight: VecDeque<Nanos>,
+        served: u64,
+        busy: Nanos,
+        forgotten: (u64, Nanos),
+    }
+
+    impl BTreeTimeline {
+        fn new(contention: ContentionModel, min_track: Nanos) -> Self {
+            BTreeTimeline {
+                contention,
+                min_track,
+                intervals: Default::default(),
+                in_flight: VecDeque::new(),
+                served: 0,
+                busy: 0,
+                forgotten: (0, 0),
+            }
+        }
+
+        fn reserve_counting(&mut self, arrival: Nanos, service: Nanos) -> (Nanos, Nanos) {
+            let degrading = self.contention.alpha != 0.0;
+            let eff = if degrading {
+                let depth = self.in_flight.iter().filter(|&&c| c > arrival).count();
+                while self.in_flight.len() > 256 {
+                    self.in_flight.pop_front();
+                }
+                (service as f64 * self.contention.factor(depth)).round() as Nanos
+            } else {
+                service
+            };
+            self.served += 1;
+            if eff == 0 {
+                return (arrival, 0);
+            }
+            self.busy = self.busy.saturating_add(eff);
+            if eff < self.min_track {
+                return (arrival.saturating_add(eff), 0);
+            }
+            let mut t = arrival;
+            while let Some(end) = self
+                .intervals
+                .range(..t.saturating_add(eff))
+                .next_back()
+                .and_then(|(_, &end)| (end > t).then_some(end))
+            {
+                t = end;
+            }
+            let completion = t.saturating_add(eff);
+            let (mut start, mut end) = (t, completion);
+            if let Some((&ps, &pe)) = self.intervals.range(..=t).next_back() {
+                if pe == t {
+                    start = ps;
+                    self.intervals.remove(&ps);
+                }
+            }
+            if let Some(ne) = self.intervals.remove(&completion) {
+                end = ne;
+            }
+            self.intervals.insert(start, end);
+            let mut forgot = 0;
+            while self.intervals.len() > MAX_INTERVALS {
+                let (start, end) = self.intervals.pop_first().expect("nonempty");
+                self.forgotten.0 += 1;
+                forgot += end - start;
+            }
+            self.forgotten.1 += forgot;
+            if degrading {
+                self.in_flight.push_back(completion);
+            }
+            (completion, forgot)
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 24,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// The sorted-deque timeline places, coalesces and forgets
+        /// exactly as the `BTreeMap` one did: near-sorted arrivals (the
+        /// common case), far-future background reservations, late
+        /// arrivals into old gaps and zero services, on ideal and
+        /// degrading servers with and without a tracking floor, over
+        /// runs long enough that the oldest intervals are forgotten.
+        #[test]
+        fn sorted_deque_matches_the_btree_timeline(
+            steps in proptest::collection::vec((0u8..16, 0u64..4_000, 0u64..3_000), 7_000..8_000),
+            alpha_pct in proptest::prop_oneof![proptest::strategy::Just(0u32), 1u32..50],
+            min_track in proptest::prop_oneof![proptest::strategy::Just(0u64), 1u64..100],
+        ) {
+            let contention = if alpha_pct == 0 {
+                ContentionModel::ideal()
+            } else {
+                ContentionModel::degrading(alpha_pct as f64 / 1_000.0)
+            };
+            let deque = SharedResource::new("deque", contention).with_min_track(min_track);
+            let mut btree = BTreeTimeline::new(contention, min_track);
+            let mut clock: Nanos = 0;
+            for (kind, a, b) in steps {
+                let (arrival, service) = match kind {
+                    // Near-sorted: the clock moves on, arrivals jitter
+                    // a little behind it.
+                    0..=11 => {
+                        clock += a;
+                        (clock.saturating_sub(b / 8), b / 4)
+                    }
+                    // Background work booked far ahead.
+                    12 => (clock + 1_000_000 + a * 1_000, b),
+                    // A late arrival into an old gap.
+                    13 | 14 => (clock * (a % 1_000) / 1_000, b / 8),
+                    // Zero service.
+                    _ => (clock, 0),
+                };
+                proptest::prop_assert_eq!(
+                    deque.reserve_counting(arrival, service),
+                    btree.reserve_counting(arrival, service)
+                );
+                proptest::prop_assert_eq!(deque.busy_time(), btree.busy);
+                proptest::prop_assert_eq!(deque.served(), btree.served);
+                proptest::prop_assert_eq!(deque.forgotten(), btree.forgotten);
+            }
+            let kept: Vec<(Nanos, Nanos)> = btree.intervals.into_iter().collect();
+            proptest::prop_assert!(deque.inner.lock().busy_intervals.iter().eq(kept.iter()));
         }
     }
 

@@ -7,7 +7,7 @@
 
 use crate::hist::{HistogramSnapshot, LatencyHistogram};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -94,18 +94,26 @@ impl Registry {
         Arc::clone(m.entry(name.to_string()).or_default())
     }
 
-    /// Preregister one histogram per entry in `names` (each registered
-    /// as `{name}{suffix}`) and return a lock-free handle set keyed by
-    /// the bare `name`. Hot paths that record into a fixed family of
-    /// histograms (e.g. one per Vfs op) resolve their handles once at
-    /// construction instead of taking the registry lock per record.
-    pub fn histogram_set(&self, names: &[&'static str], suffix: &str) -> HistogramSet {
-        HistogramSet {
-            map: names
-                .iter()
-                .map(|&name| (name, self.histogram(&format!("{name}{suffix}"))))
-                .collect(),
-        }
+    /// Preregister one histogram per entry in `names`, registered as
+    /// `{name}{suffix}` for every one of `suffixes` (one histogram under
+    /// each of those names), and return a lock-free handle set indexed
+    /// like `names`. Hot paths that record into a fixed family of
+    /// histograms (e.g. one per Vfs op) resolve their handles once
+    /// instead of taking the registry lock per record.
+    pub fn histogram_set(&self, names: &[&str], suffixes: &[&str]) -> HistogramSet {
+        let (suffix, aliases) = suffixes.split_first().expect("at least one suffix");
+        let mut m = self.histograms.lock();
+        let hists = names
+            .iter()
+            .map(|name| {
+                let hist = Arc::clone(m.entry(format!("{name}{suffix}")).or_default());
+                for alias in aliases {
+                    m.insert(format!("{name}{alias}"), Arc::clone(&hist));
+                }
+                hist
+            })
+            .collect();
+        HistogramSet { hists }
     }
 
     /// All metrics, sorted by name.
@@ -129,29 +137,29 @@ impl Registry {
 /// [`Registry`] (see [`Registry::histogram_set`]). Lookups never lock.
 #[derive(Debug)]
 pub struct HistogramSet {
-    map: HashMap<&'static str, Arc<LatencyHistogram>>,
+    hists: Vec<Arc<LatencyHistogram>>,
 }
 
 impl HistogramSet {
-    /// The preregistered histogram for `name`.
+    /// The preregistered histogram at `index` in the set's names.
     ///
     /// # Panics
-    /// Panics when `name` was not in the set passed to
+    /// Panics when `index` is past the names passed to
     /// [`Registry::histogram_set`] — the set is meant for fixed,
-    /// compile-time families of names, so an unknown name is a bug.
-    pub fn get(&self, name: &'static str) -> &Arc<LatencyHistogram> {
-        self.map
-            .get(name)
-            .unwrap_or_else(|| panic!("histogram {name:?} was not preregistered"))
+    /// compile-time families of names, so an unknown index is a bug.
+    pub fn get(&self, index: usize) -> &Arc<LatencyHistogram> {
+        self.hists
+            .get(index)
+            .unwrap_or_else(|| panic!("histogram #{index} was not preregistered"))
     }
 
     /// Number of preregistered histograms.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.hists.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.hists.is_empty()
     }
 }
 
@@ -183,23 +191,31 @@ mod tests {
     #[test]
     fn histogram_set_shares_registry_handles() {
         let r = Registry::new();
-        let set = r.histogram_set(&["op.read", "op.write"], ".latency_ns");
+        let set = r.histogram_set(&["op.read", "op.write"], &[".latency_ns", ".ack_ns"]);
         assert_eq!(set.len(), 2);
         assert!(!set.is_empty());
-        set.get("op.read").record(7);
+        set.get(0).record(7);
         // The set's handle and a later registry resolution are the same
-        // histogram.
+        // histogram, under every suffix.
         assert_eq!(r.histogram("op.read.latency_ns").snapshot().count(), 1);
-        r.histogram("op.write.latency_ns").record(3);
-        assert_eq!(set.get("op.write").snapshot().count(), 1);
+        assert!(Arc::ptr_eq(
+            &r.histogram("op.read.latency_ns"),
+            &r.histogram("op.read.ack_ns")
+        ));
+        r.histogram("op.write.ack_ns").record(3);
+        assert_eq!(set.get(1).snapshot().count(), 1);
+        // A second resolution of the family hands back the same handles.
+        let again = r.histogram_set(&["op.read", "op.write"], &[".latency_ns", ".ack_ns"]);
+        assert!(Arc::ptr_eq(set.get(1), again.get(1)));
+        assert_eq!(r.snapshot().len(), 4);
     }
 
     #[test]
     #[should_panic(expected = "was not preregistered")]
     fn histogram_set_rejects_unknown_names() {
         let r = Registry::new();
-        let set = r.histogram_set(&["op.read"], ".latency_ns");
-        let _ = set.get("op.unknown");
+        let set = r.histogram_set(&["op.read"], &[".latency_ns"]);
+        let _ = set.get(1);
     }
 
     #[test]
