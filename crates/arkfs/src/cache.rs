@@ -19,7 +19,7 @@
 
 use crate::prt::{chunk_spans, map_os_err, read_spans};
 use crate::radix::RadixTree;
-use arkfs_objstore::{ObjectKey, ObjectStore, OsError, OsResult};
+use arkfs_objstore::{wait_last, BatchSpan, ObjectKey, ObjectStore, OsError, OsResult};
 use arkfs_simkit::{Nanos, Port};
 use arkfs_telemetry::{Counter, Gauge, Registry};
 use arkfs_vfs::{FsResult, Ino};
@@ -68,7 +68,8 @@ pub fn flush(
     if dirty.is_empty() {
         return Ok(());
     }
-    for r in store.put_many(port, put_items(dirty)) {
+    let put = |t| store.put_each(t, put_items(dirty));
+    for r in wait_last(store, port, BatchSpan::Put, put) {
         r.map_err(map_os_err)?;
     }
     Ok(())
@@ -90,7 +91,8 @@ fn fetch_fills(
         .iter()
         .map(|&c| ObjectKey::data_chunk(ino, c))
         .collect();
-    for (&chunk, result) in chunks.iter().zip(store.get_many(port, &keys)) {
+    let results = wait_last(store, port, BatchSpan::Get, |t| store.get_each(t, &keys));
+    for (&chunk, result) in chunks.iter().zip(results) {
         match result {
             Ok(bytes) => {
                 fills.insert(chunk, bytes);
@@ -119,9 +121,6 @@ pub struct CachePolicy {
     pub max_readahead: u64,
     /// A read at offset 0 opens the whole window at once.
     pub full_at_zero: bool,
-    /// One-way network latency: when a fill's GETs, or the PUTs and
-    /// DELETEs that go behind the caller, reach the store.
-    pub net_half_rtt: Nanos,
 }
 
 /// A store round trip the cached data path waited for, as the span its
@@ -144,31 +143,30 @@ fn go_behind(
     cache: &mut DataCache,
     store: &dyn ObjectStore,
     now: Nanos,
-    net_half_rtt: Nanos,
     victims: Vec<Evicted>,
 ) -> (Nanos, FsResult<()>) {
     let chunks: Vec<(Ino, u64)> = victims.iter().map(|e| (e.ino, e.chunk)).collect();
     let acks = match victims.is_empty() {
         true => Vec::new(),
-        false => store.put_each(now + net_half_rtt, put_items(victims)),
+        false => store.put_each(now, put_items(victims)),
     };
     record_behind(cache, now, Stat::WriteBehind, chunks.into_iter().zip(acks))
 }
 
 /// Record the requests a pass sent behind the caller — `((ino, chunk),
-/// ack)`, counted as `issued_as` — in flight, and return when the caller
-/// may go on, with the first one the store refused at issue as the
-/// caller's error.
+/// (ack, result))`, counted as `issued_as` — in flight, and return when
+/// the caller may go on, with the first one the store refused at issue
+/// as the caller's error.
 fn record_behind(
     cache: &mut DataCache,
     now: Nanos,
     issued_as: Stat,
-    acks: impl IntoIterator<Item = ((Ino, u64), OsResult<Nanos>)>,
+    acks: impl IntoIterator<Item = ((Ino, u64), (Nanos, OsResult<()>))>,
 ) -> (Nanos, FsResult<()>) {
     let (mut issued, mut refused) = (Vec::new(), Ok(()));
-    for ((ino, chunk), r) in acks {
+    for ((ino, chunk), (ack, r)) in acks {
         match r {
-            Ok(ack) => issued.push((ino, chunk, ack)),
+            Ok(()) => issued.push((ino, chunk, ack)),
             Err(e) if refused.is_ok() => refused = Err(map_os_err(e)),
             Err(_) => {}
         }
@@ -207,11 +205,10 @@ pub fn put_behind(
     port: &Port,
     mut cache: impl DerefMut<Target = DataCache>,
     ino: Ino,
-    policy: &CachePolicy,
 ) -> FsResult<(Nanos, Option<FetchSpan>)> {
     let start = port.now();
     let dirty = cache.take_dirty(ino);
-    let behind = go_behind(&mut cache, store, start, policy.net_half_rtt, dirty);
+    let behind = go_behind(&mut cache, store, start, dirty);
     let acked = (cache.in_flight.iter())
         .filter(|&&(i, ..)| i == ino)
         .map(|&(.., ack)| ack)
@@ -237,19 +234,18 @@ pub fn purge(
     mut cache: impl DerefMut<Target = DataCache>,
     ino: Ino,
     chunks: u64,
-    policy: &CachePolicy,
 ) -> FsResult<Option<FetchSpan>> {
     cache.invalidate_file(ino);
     if chunks == 0 {
         return Ok(None);
     }
     let start = port.now();
-    let depart = start.max(cache.in_flight_until(ino, 0..chunks)) + policy.net_half_rtt;
+    let depart = start.max(cache.in_flight_until(ino, 0..chunks));
     let keys: Vec<ObjectKey> = (0..chunks).map(|c| ObjectKey::data_chunk(ino, c)).collect();
     let deleted = store.delete_each(depart, &keys);
     let acks = deleted.into_iter().map(|(ack, r)| match r {
-        Ok(()) | Err(OsError::NotFound) => Ok(ack),
-        Err(e) => Err(e),
+        Err(OsError::NotFound) => (ack, Ok(())),
+        r => (ack, r),
     });
     let issued = (0..chunks).map(|chunk| (ino, chunk)).zip(acks);
     let behind = record_behind(&mut cache, start, Stat::Purge, issued);
@@ -296,7 +292,7 @@ pub fn cached_write<G: DerefMut<Target = DataCache>>(
     let behind = {
         let mut cache = lock();
         let victims = cache.write_many(ino, chunk_size, offset, data, fills, start);
-        go_behind(&mut cache, store, start, policy.net_half_rtt, victims)
+        go_behind(&mut cache, store, start, victims)
     };
     wait_behind(port, start, behind)
 }
@@ -372,8 +368,7 @@ pub fn cached_read<G: DerefMut<Target = DataCache>>(
                 .iter()
                 .map(|&c| ObjectKey::data_chunk(ino, c))
                 .collect();
-            let depart = start.max(behind) + policy.net_half_rtt;
-            let results = store.get_each(depart, &keys);
+            let results = store.get_each(start.max(behind), &keys);
             let last_needed = (ra.last_pos - 1) / chunk_size;
             let (needed_done, (until, refused)) = {
                 let mut cache = lock();
@@ -384,9 +379,8 @@ pub fn cached_read<G: DerefMut<Target = DataCache>>(
                     chunk_size,
                     size,
                     last_needed,
-                    depart,
                 )?;
-                let behind = go_behind(&mut cache, store, start, policy.net_half_rtt, victims);
+                let behind = go_behind(&mut cache, store, start, victims);
                 (needed_done, behind)
             };
             port.wait_until(needed_done.max(until));
@@ -789,32 +783,30 @@ impl DataCache {
     /// for the rest of it. A chunk the store does not have is a hole
     /// (shared zeros), a short one gets its sparse tail padded (the one
     /// copy here); chunks up to `last_needed` are usable at once and the
-    /// rest are prefetched, usable at their own completion. Returns when
-    /// the needed chunks are all there, and the dirty entries evicted to
-    /// make room.
-    #[allow(clippy::too_many_arguments)]
+    /// rest are prefetched, usable at their own ack (a hole's). Returns
+    /// when the needed chunks are all there, and the dirty entries
+    /// evicted to make room.
     pub fn fill(
         &mut self,
         ino: Ino,
         window: Range<u64>,
-        results: impl DoubleEndedIterator<Item = (u64, OsResult<(Bytes, u64)>)>,
+        results: impl DoubleEndedIterator<Item = (u64, (Nanos, OsResult<Bytes>))>,
         chunk_size: u64,
         size: u64,
         last_needed: u64,
-        depart: u64,
     ) -> FsResult<(u64, Vec<Evicted>)> {
         let (mut needed_done, mut evicted) = (0, Vec::new());
-        for (chunk, result) in results.rev() {
+        for (chunk, (completion, result)) in results.rev() {
             let logical_len = (size - chunk * chunk_size).min(chunk_size) as usize;
-            let (data, completion) = match result {
-                Ok((bytes, completion)) if bytes.len() < logical_len => {
+            let data = match result {
+                Ok(bytes) if bytes.len() < logical_len => {
                     let mut v = Vec::with_capacity(logical_len);
                     v.extend_from_slice(&bytes);
                     v.resize(logical_len, 0);
-                    (Bytes::from(v), completion)
+                    Bytes::from(v)
                 }
                 Ok(whole) => whole,
-                Err(OsError::NotFound) => (arkfs_objstore::zeros(logical_len), depart),
+                Err(OsError::NotFound) => arkfs_objstore::zeros(logical_len),
                 Err(e) => return Err(map_os_err(e)),
             };
             let needed = chunk <= last_needed;
@@ -1018,7 +1010,7 @@ impl DataCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use arkfs_objstore::{ClusterConfig, ObjectCluster};
+    use arkfs_objstore::{Acked, ClusterConfig, ObjectCluster};
     use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
     #[test]
@@ -1189,13 +1181,11 @@ mod tests {
         // chunk 2 a 2-byte tail the store has only one byte of.
         let tail = Bytes::from_static(b"t");
         let results = vec![
-            (0, store.get(&port, key).map(|b| (b, 70))),
-            (1, Err(OsError::NotFound)),
-            (2, Ok((tail, 90))),
+            (0, (70, store.get(&port, key))),
+            (1, (50, Err(OsError::NotFound))),
+            (2, (90, Ok(tail))),
         ];
-        let (needed, evicted) = reader
-            .fill(1, 0..3, results.into_iter(), 4, 10, 0, 50)
-            .unwrap();
+        let (needed, evicted) = reader.fill(1, 0..3, results.into_iter(), 4, 10, 0).unwrap();
         assert_eq!((needed, evicted.len()), (70, 0));
         let stored = store.get(&port, key).unwrap();
         assert_eq!(reader.get(1, 0).unwrap().as_ptr(), stored.as_ptr());
@@ -1280,7 +1270,7 @@ mod tests {
             };
             data.chunks(64).enumerate().map(chunk)
         });
-        for r in store.put_many(&Port::new(), items.collect()) {
+        for (_, r) in store.put_each(0, items.collect()) {
             r.unwrap();
         }
         let moved = || {
@@ -1297,7 +1287,6 @@ mod tests {
             chunk_size: 64,
             max_readahead: window * 64,
             full_at_zero: true,
-            net_half_rtt: 1_000,
         };
         let mut ras = vec![RaState::default(); files as usize];
         let mut buf = [0u8; 16];
@@ -1381,7 +1370,6 @@ mod tests {
             chunk_size: 64,
             max_readahead: 0,
             full_at_zero: false,
-            net_half_rtt: ClusterConfig::test_tiny().spec.net_half_rtt,
         };
         let (cache, port) = (parking_lot::Mutex::new(DataCache::new(6)), Port::new());
         for chunk in 0..16u64 {
@@ -1413,8 +1401,8 @@ mod tests {
         );
     }
 
-    /// A store that counts the GETs of a key made before the ack of its
-    /// last PUT reached the caller.
+    /// A store that counts the GETs of a key that depart before the ack
+    /// of its last PUT reached the caller.
     struct AckChecked {
         inner: ObjectCluster,
         acks: parking_lot::Mutex<HashMap<ObjectKey, Nanos>>,
@@ -1422,9 +1410,9 @@ mod tests {
     }
 
     impl AckChecked {
-        fn check(&self, port: &Port, key: ObjectKey) {
+        fn check(&self, depart: Nanos, key: ObjectKey) {
             let ack = self.acks.lock().get(&key).copied().unwrap_or(0);
-            self.early.fetch_add(u64::from(port.now() < ack), Relaxed);
+            self.early.fetch_add(u64::from(depart < ack), Relaxed);
         }
     }
 
@@ -1438,11 +1426,11 @@ mod tests {
             Ok(())
         }
         fn get(&self, port: &Port, key: ObjectKey) -> OsResult<Bytes> {
-            self.check(port, key);
+            self.check(port.now(), key);
             self.inner.get(port, key)
         }
         fn get_range(&self, port: &Port, key: ObjectKey, at: u64, len: usize) -> OsResult<Bytes> {
-            self.check(port, key);
+            self.check(port.now(), key);
             self.inner.get_range(port, key, at, len)
         }
         fn put_range(&self, port: &Port, key: ObjectKey, at: u64, data: Bytes) -> OsResult<()> {
@@ -1462,6 +1450,31 @@ mod tests {
         ) -> OsResult<Vec<ObjectKey>> {
             self.inner.list(port, kind, ino)
         }
+        fn get_each(&self, depart: Nanos, keys: &[ObjectKey]) -> Acked<Bytes> {
+            keys.iter().for_each(|&key| self.check(depart, key));
+            self.inner.get_each(depart, keys)
+        }
+        fn get_range_each(&self, depart: Nanos, reqs: &[(ObjectKey, u64, usize)]) -> Acked<Bytes> {
+            reqs.iter().for_each(|&(key, ..)| self.check(depart, key));
+            self.inner.get_range_each(depart, reqs)
+        }
+        fn put_each(&self, depart: Nanos, items: Vec<(ObjectKey, Bytes)>) -> Acked<()> {
+            let keys: Vec<ObjectKey> = items.iter().map(|&(key, _)| key).collect();
+            let acked = self.inner.put_each(depart, items);
+            let mut acks = self.acks.lock();
+            for (&key, (ack, r)) in keys.iter().zip(&acked) {
+                if r.is_ok() {
+                    acks.insert(key, *ack);
+                }
+            }
+            acked
+        }
+        fn put_range_each(&self, depart: Nanos, items: Vec<(ObjectKey, u64, Bytes)>) -> Acked<()> {
+            self.inner.put_range_each(depart, items)
+        }
+        fn delete_each(&self, depart: Nanos, keys: &[ObjectKey]) -> Acked<()> {
+            self.inner.delete_each(depart, keys)
+        }
     }
 
     #[test]
@@ -1475,7 +1488,6 @@ mod tests {
             chunk_size: 64,
             max_readahead: 256,
             full_at_zero: true,
-            net_half_rtt: 1_000,
         };
         let (cache, port) = (parking_lot::Mutex::new(DataCache::new(4)), Port::new());
         let lock = || cache.lock();

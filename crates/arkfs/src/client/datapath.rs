@@ -39,9 +39,9 @@ impl ArkClient {
     /// and return when the last request in flight for the file is acked
     /// (0 if none is): nothing that hands the file on departs earlier.
     pub(crate) fn put_file_behind(&self, ino: Ino) -> FsResult<Nanos> {
-        let (store, policy) = (&**self.prt().store(), self.cache_policy());
+        let store = &**self.prt().store();
         let cache = self.state.lock_cache();
-        let (acked, wait) = put_behind(store, &self.port, cache, ino, &policy)?;
+        let (acked, wait) = put_behind(store, &self.port, cache, ino)?;
         self.trace_fetch(wait);
         Ok(acked)
     }
@@ -51,11 +51,11 @@ impl ArkClient {
     /// chunks go, and its chunk DELETEs go behind this client
     /// ([`purge`]); `sync_all` waits for their acks.
     pub(crate) fn purge_file_data(&self, ino: Ino, size: u64) -> FsResult<()> {
-        let (store, policy) = (&**self.prt().store(), self.cache_policy());
+        let store = &**self.prt().store();
         let size = size.max(self.state.files.forget_removed(ino));
-        let chunks = size.div_ceil(policy.chunk_size);
+        let chunks = size.div_ceil(self.config().chunk_size);
         let cache = self.state.lock_cache();
-        let wait = purge(store, &self.port, cache, ino, chunks, &policy)?;
+        let wait = purge(store, &self.port, cache, ino, chunks)?;
         self.trace_fetch(wait);
         Ok(())
     }
@@ -66,7 +66,6 @@ impl ArkClient {
             chunk_size: config.chunk_size,
             max_readahead: config.max_readahead,
             full_at_zero: config.readahead_full_at_zero,
-            net_half_rtt: config.spec.net_half_rtt,
         }
     }
 

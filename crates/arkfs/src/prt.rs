@@ -14,7 +14,7 @@
 use crate::meta::{DentryBlock, InodeRecord};
 use crate::partition::{PartitionMap, PMAP_BUCKET};
 use crate::wire::WireCodec;
-use arkfs_objstore::{ObjectKey, ObjectStore, OsError};
+use arkfs_objstore::{wait_last, BatchSpan, ObjectKey, ObjectStore, OsError};
 use arkfs_simkit::Port;
 use arkfs_telemetry::{Counter, LatencyHistogram, Telemetry, TraceCtx};
 use arkfs_vfs::{FsError, FsResult, Ino};
@@ -29,9 +29,6 @@ pub fn map_os_err(e: OsError) -> FsError {
         OsError::NotFound => FsError::NotFound,
         OsError::Unsupported(what) => FsError::Unsupported(what),
         OsError::Injected(what) => FsError::Io(format!("injected fault: {what}")),
-        OsError::BadRange => FsError::InvalidArgument,
-        OsError::BadKey => FsError::Io("malformed key".into()),
-        OsError::InsufficientFragments => FsError::Io("too many fragments unavailable".into()),
     }
 }
 
@@ -206,7 +203,8 @@ impl Prt {
         self.meta.batched_gets.add(keys.len() as u64);
         let mut out = Vec::with_capacity(keys.len());
         for flight in keys.chunks(Self::MAX_META_FLIGHT) {
-            for res in self.store.get_many(port, flight) {
+            let store = &*self.store;
+            for res in wait_last(store, port, BatchSpan::Get, |t| store.get_each(t, flight)) {
                 out.push(decode(match res {
                     Ok(data) => Some(data),
                     Err(OsError::NotFound) => None,
@@ -224,7 +222,9 @@ impl Prt {
         }
         self.meta.batched_puts.add(items.len() as u64);
         for flight in items.chunks(Self::MAX_META_FLIGHT) {
-            for res in self.store.put_many(port, flight.to_vec()) {
+            let store = &*self.store;
+            let put = |t| store.put_each(t, flight.to_vec());
+            for res in wait_last(store, port, BatchSpan::Put, put) {
                 res.map_err(map_os_err)?;
             }
         }
@@ -239,7 +239,10 @@ impl Prt {
         }
         self.meta.batched_deletes.add(keys.len() as u64);
         for flight in keys.chunks(Self::MAX_META_FLIGHT) {
-            for res in self.store.delete_many(port, flight) {
+            let store = &*self.store;
+            for res in wait_last(store, port, BatchSpan::Delete, |t| {
+                store.delete_each(t, flight)
+            }) {
                 match res {
                     Ok(()) | Err(OsError::NotFound) => {}
                     Err(e) => return Err(map_os_err(e)),
@@ -437,7 +440,9 @@ impl Prt {
             ObjectKey::inode(dir),
             ObjectKey::dentry_bucket(dir, PMAP_BUCKET),
         ];
-        let mut results = self.store.get_many(port, &keys).into_iter();
+        let store = &*self.store;
+        let results = wait_last(store, port, BatchSpan::Get, |t| store.get_each(t, &keys));
+        let mut results = results.into_iter();
         let inode = match results.next().expect("inode slot") {
             Ok(data) => {
                 Some(InodeRecord::from_bytes(&data).map_err(|e| FsError::Io(e.to_string()))?)
@@ -563,7 +568,10 @@ impl Prt {
         if items.is_empty() {
             return Ok(());
         }
-        for res in self.store.put_range_many(port, items) {
+        let store = &*self.store;
+        for res in wait_last(store, port, BatchSpan::PutRange, |t| {
+            store.put_range_each(t, items)
+        }) {
             res.map_err(map_os_err)?;
         }
         Ok(())
@@ -620,7 +628,9 @@ pub fn read_spans(
             )
         })
         .collect();
-    let results = store.get_range_many(port, &reqs);
+    let results = wait_last(store, port, BatchSpan::GetRange, |t| {
+        store.get_range_each(t, &reqs)
+    });
     for ((_, _, span), res) in spans.iter().zip(results) {
         let out = &mut buf[span.clone()];
         match res {
@@ -647,7 +657,9 @@ fn delete_chunks(
     if keys.is_empty() {
         return Ok(());
     }
-    for res in store.delete_many(port, &keys) {
+    for res in wait_last(store, port, BatchSpan::Delete, |t| {
+        store.delete_each(t, &keys)
+    }) {
         match res {
             Ok(()) | Err(OsError::NotFound) => {}
             Err(e) => return Err(map_os_err(e)),

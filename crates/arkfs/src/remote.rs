@@ -17,7 +17,7 @@ use crate::rpc::{OpRequest, OpResponse};
 use crate::wire::{from_frame_owned, to_frame, wire_enum, wire_struct, WireCodec};
 use arkfs_lease::{LeaseRequest, LeaseResponse};
 use arkfs_netsim::{NetError, NodeId, Service, Transport, WireFns};
-use arkfs_objstore::{KeyKind, ObjectKey, ObjectStore, OsError, OsResult, StoreProfile};
+use arkfs_objstore::{Acked, KeyKind, ObjectKey, ObjectStore, OsError, OsResult, StoreProfile};
 use arkfs_simkit::Nanos;
 use arkfs_simkit::Port;
 use arkfs_telemetry::Telemetry;
@@ -42,11 +42,13 @@ wire_enum! {
         6 => Delete(key: ObjectKey),
         7 => Head(key: ObjectKey),
         8 => List(kind: Option<KeyKind>, ino: Option<u128>),
-        9 => GetMany(keys: Vec<ObjectKey>),
-        10 => PutMany(items: Vec<(ObjectKey, Bytes)>),
-        11 => DeleteMany(keys: Vec<ObjectKey>),
-        12 => GetRangeMany(reqs: Vec<(ObjectKey, u64, u64)>),
-        13 => PutRangeMany(items: Vec<(ObjectKey, u64, Bytes)>),
+        // Tags 9-13 carried batches the server made the caller wait for;
+        // they are retired, never reused.
+        14 => GetEach(keys: Vec<ObjectKey>),
+        15 => GetRangeEach(reqs: Vec<(ObjectKey, u64, u64)>),
+        16 => PutEach(items: Vec<(ObjectKey, Bytes)>),
+        17 => PutRangeEach(items: Vec<(ObjectKey, u64, Bytes)>),
+        18 => DeleteEach(keys: Vec<ObjectKey>),
     }
 }
 
@@ -61,8 +63,10 @@ wire_enum! {
         3 => Data(result: Result<Bytes, OsError>),
         4 => Size(result: Result<u64, OsError>),
         5 => Keys(result: Result<Vec<ObjectKey>, OsError>),
-        6 => Units(results: Vec<Result<(), OsError>>),
-        7 => Datas(results: Vec<Result<Bytes, OsError>>),
+        // Tags 6 and 7 carried those batches' results without acks;
+        // retired, never reused.
+        8 => UnitEach(results: Acked<()>),
+        9 => DataEach(results: Acked<Bytes>),
     }
 }
 
@@ -82,9 +86,7 @@ wire_enum! {
         0 => NotFound,
         1 => Unsupported(what: &'static str),
         2 => Injected(what: &'static str),
-        3 => BadRange,
-        4 => BadKey,
-        5 => InsufficientFragments,
+        // Tags 3-5 named errors no store raises; retired, never reused.
     }
 }
 
@@ -93,7 +95,8 @@ wire_struct!(StoreProfile {
     op_service,
     op_latency,
     partial_writes,
-    ranged_reads
+    ranged_reads,
+    net_half_rtt
 });
 
 /// Serves a local [`ObjectStore`] to remote peers. Registered at
@@ -129,26 +132,36 @@ impl Service<StoreRequest, StoreResponse> for StoreService {
             StoreRequest::Delete(key) => StoreResponse::Unit(s.delete(&port, key)),
             StoreRequest::Head(key) => StoreResponse::Size(s.head(&port, key)),
             StoreRequest::List(kind, ino) => StoreResponse::Keys(s.list(&port, kind, ino)),
-            StoreRequest::GetMany(keys) => StoreResponse::Datas(s.get_many(&port, &keys)),
-            StoreRequest::PutMany(items) => StoreResponse::Units(s.put_many(&port, items)),
-            StoreRequest::DeleteMany(keys) => StoreResponse::Units(s.delete_many(&port, &keys)),
-            StoreRequest::GetRangeMany(reqs) => {
-                let reqs: Vec<(ObjectKey, u64, usize)> = reqs
-                    .into_iter()
-                    .map(|(k, o, l)| (k, o, l as usize))
-                    .collect();
-                StoreResponse::Datas(s.get_range_many(&port, &reqs))
+            StoreRequest::GetEach(keys) => StoreResponse::DataEach(s.get_each(arrival, &keys)),
+            StoreRequest::GetRangeEach(reqs) => {
+                let reqs: Vec<_> = reqs.iter().map(|&(k, o, l)| (k, o, l as usize)).collect();
+                StoreResponse::DataEach(s.get_range_each(arrival, &reqs))
             }
-            StoreRequest::PutRangeMany(items) => {
-                StoreResponse::Units(s.put_range_many(&port, items))
+            StoreRequest::PutEach(items) => StoreResponse::UnitEach(s.put_each(arrival, items)),
+            StoreRequest::PutRangeEach(items) => {
+                StoreResponse::UnitEach(s.put_range_each(arrival, items))
+            }
+            StoreRequest::DeleteEach(keys) => {
+                StoreResponse::UnitEach(s.delete_each(arrival, &keys))
             }
         };
         (resp, port.now())
     }
 }
 
+/// The acks a batch's reply carries, as the caller on `port` sees them:
+/// each one the reply's trip back later. The reply leaves the server at
+/// the request's arrival ([`StoreService`] prices the items, not the
+/// reply), and a link takes as long back as out.
+fn returned<T>(depart: Nanos, port: &Port, acked: Acked<T>) -> Acked<T> {
+    let back = (port.now() - depart) / 2;
+    acked.into_iter().map(|(ack, r)| (ack + back, r)).collect()
+}
+
 /// Client-side [`ObjectStore`] stub forwarding every call over a
-/// transport to the [`StoreService`] at [`STORE_NODE`].
+/// transport to the [`StoreService`] at [`STORE_NODE`]. A batch is one
+/// frame each way: the server prices every item as the store it serves
+/// would, and the reply carries each item's ack.
 pub struct RemoteStore {
     net: Arc<dyn Transport<StoreRequest, StoreResponse>>,
     profile: StoreProfile,
@@ -194,8 +207,9 @@ fn bad_shape() -> OsError {
 }
 
 /// The result inside the one response variant a request is answered
-/// with (for a batch: one result per item, `$n` of them); any other
-/// shape, or a transport failure, as an error (of every item).
+/// with (for a batch departing at `$depart`: one acked result per item,
+/// `$n` of them); any other shape, or a transport failure, as an error
+/// (of every item, acked when the failure is known).
 macro_rules! ask {
     ($self:ident, $port:ident, $req:expr => $variant:ident) => {
         match $self.call($port, $req) {
@@ -204,13 +218,14 @@ macro_rules! ask {
             Err(e) => Err(net_err(e)),
         }
     };
-    ($self:ident, $port:ident, $req:expr => $n:expr, $variant:ident) => {
-        match ($n, $self.call($port, $req)) {
-            (n, Ok(StoreResponse::$variant(rs))) if rs.len() == n => rs,
-            (n, Ok(_)) => (0..n).map(|_| Err(bad_shape())).collect(),
-            (n, Err(e)) => (0..n).map(|_| Err(net_err(e))).collect(),
+    ($self:ident, $depart:ident, $req:expr => $n:expr, $variant:ident) => {{
+        let port = Port::starting_at($depart);
+        match ($n, $self.call(&port, $req)) {
+            (n, Ok(StoreResponse::$variant(rs))) if rs.len() == n => returned($depart, &port, rs),
+            (n, Ok(_)) => (0..n).map(|_| (port.now(), Err(bad_shape()))).collect(),
+            (n, Err(e)) => (0..n).map(|_| (port.now(), Err(net_err(e)))).collect(),
         }
-    };
+    }};
 }
 
 impl ObjectStore for RemoteStore {
@@ -263,43 +278,25 @@ impl ObjectStore for RemoteStore {
         ask!(self, port, StoreRequest::List(kind, ino) => Keys)
     }
 
-    // A batch is one frame: the server still pipelines the virtual-time
-    // cost; the socket pays one round trip.
-    fn get_many(&self, port: &Port, keys: &[ObjectKey]) -> Vec<OsResult<Bytes>> {
-        ask!(self, port, StoreRequest::GetMany(keys.to_vec()) => keys.len(), Datas)
+    fn get_each(&self, depart: Nanos, keys: &[ObjectKey]) -> Acked<Bytes> {
+        ask!(self, depart, StoreRequest::GetEach(keys.to_vec()) => keys.len(), DataEach)
     }
 
-    fn put_many(&self, port: &Port, items: Vec<(ObjectKey, Bytes)>) -> Vec<OsResult<()>> {
-        ask!(self, port, StoreRequest::PutMany(items) => items.len(), Units)
-    }
-
-    fn get_range_many(
-        &self,
-        port: &Port,
-        reqs: &[(ObjectKey, u64, usize)],
-    ) -> Vec<OsResult<Bytes>> {
+    fn get_range_each(&self, depart: Nanos, reqs: &[(ObjectKey, u64, usize)]) -> Acked<Bytes> {
         let wire_reqs = reqs.iter().map(|&(k, o, l)| (k, o, l as u64)).collect();
-        ask!(self, port, StoreRequest::GetRangeMany(wire_reqs) => reqs.len(), Datas)
+        ask!(self, depart, StoreRequest::GetRangeEach(wire_reqs) => reqs.len(), DataEach)
     }
 
-    fn put_range_many(
-        &self,
-        port: &Port,
-        items: Vec<(ObjectKey, u64, Bytes)>,
-    ) -> Vec<OsResult<()>> {
-        ask!(self, port, StoreRequest::PutRangeMany(items) => items.len(), Units)
+    fn put_each(&self, depart: Nanos, items: Vec<(ObjectKey, Bytes)>) -> Acked<()> {
+        ask!(self, depart, StoreRequest::PutEach(items) => items.len(), UnitEach)
     }
 
-    fn delete_many(&self, port: &Port, keys: &[ObjectKey]) -> Vec<OsResult<()>> {
-        ask!(self, port, StoreRequest::DeleteMany(keys.to_vec()) => keys.len(), Units)
+    fn put_range_each(&self, depart: Nanos, items: Vec<(ObjectKey, u64, Bytes)>) -> Acked<()> {
+        ask!(self, depart, StoreRequest::PutRangeEach(items) => items.len(), UnitEach)
     }
 
-    // A purge behind the caller is one frame too: every key is acked
-    // when its reply arrives.
-    fn delete_each(&self, depart: Nanos, keys: &[ObjectKey]) -> Vec<(Nanos, OsResult<()>)> {
-        let port = Port::starting_at(depart);
-        let results = self.delete_many(&port, keys);
-        results.into_iter().map(|r| (port.now(), r)).collect()
+    fn delete_each(&self, depart: Nanos, keys: &[ObjectKey]) -> Acked<()> {
+        ask!(self, depart, StoreRequest::DeleteEach(keys.to_vec()) => keys.len(), UnitEach)
     }
 }
 
@@ -332,7 +329,7 @@ pub fn store_wire() -> WireFns<StoreRequest, StoreResponse> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use arkfs_objstore::{ClusterConfig, ObjectCluster};
+    use arkfs_objstore::{wait_last, BatchSpan, ClusterConfig, ObjectCluster};
     use arkfs_simkit::ClusterSpec;
 
     fn bus() -> Arc<arkfs_netsim::Bus<StoreRequest, StoreResponse>> {
@@ -370,22 +367,67 @@ mod tests {
         assert!(objects >= 1 && bytes >= 5);
         remote.delete(&port, key).unwrap();
         assert_eq!(remote.get(&port, key), Err(OsError::NotFound));
-        // Batch path.
-        let keys: Vec<ObjectKey> = (0..3)
-            .map(|i| ObjectKey {
-                kind: KeyKind::Data,
-                ino: 7,
-                index: i,
-            })
-            .collect();
-        let items: Vec<(ObjectKey, Bytes)> = keys
-            .iter()
-            .map(|&k| (k, Bytes::from(vec![k.index as u8; 4])))
-            .collect();
-        assert!(remote.put_many(&port, items).into_iter().all(|r| r.is_ok()));
-        let got = remote.get_many(&port, &keys);
-        assert_eq!(got.len(), 3);
-        assert_eq!(got[2].as_ref().unwrap().as_ref(), &[2u8; 4]);
+    }
+
+    /// Every batch verb through `store`, whose backing cluster is
+    /// `cluster`, waited for (with a refused PUT, GET misses and a ranged
+    /// write, on S3 a read-modify-write), then a purge behind the caller:
+    /// each item's ack and result, and the waiting caller's clock.
+    fn drive_batches(store: &dyn ObjectStore, cluster: &ObjectCluster) -> Vec<String> {
+        let key = |i| ObjectKey::data_chunk(7, i);
+        let (port, mut log) = (Port::starting_at(1_000), Vec::new());
+        macro_rules! waited {
+            ($span:ident, $verb:ident($arg:expr)) => {
+                wait_last(store, &port, BatchSpan::$span, |t| {
+                    let acked = store.$verb(t, $arg);
+                    log.push(format!("{acked:?}"));
+                    acked
+                });
+                log.push(format!("then {}", port.now()));
+            };
+        }
+        let data = |i| Bytes::from(vec![i as u8; 100]);
+        cluster.faults.fail_next_puts(1, None);
+        waited!(Put, put_each((0..4).map(|i| (key(i), data(i))).collect()));
+        // The refused key(0) is a miss, and so is key(9).
+        waited!(Get, get_each(&[key(0), key(1), key(2), key(9)]));
+        waited!(
+            GetRange,
+            get_range_each(&[(key(1), 10, 50), (key(9), 0, 4)])
+        );
+        let xyz = Bytes::from_static(b"xyz");
+        waited!(
+            PutRange,
+            put_range_each(vec![(key(1), 50, xyz.clone()), (key(5), 3, xyz)])
+        );
+        waited!(Get, get_each(&[key(1), key(5)]));
+        waited!(Delete, delete_each(&[key(1), key(2), key(9)]));
+        log.push(format!(
+            "{:?}",
+            store.delete_each(port.now(), &[key(3), key(5)])
+        ));
+        log
+    }
+
+    #[test]
+    fn remote_store_prices_batches_like_the_cluster() {
+        let mut s3 = ClusterConfig::test_tiny();
+        s3.profile = StoreProfile::s3(&s3.spec);
+        for config in [ClusterConfig::test_tiny(), s3] {
+            let local = ObjectCluster::new(config.clone());
+            let served = Arc::new(ObjectCluster::new(config));
+            let net = bus();
+            let service = StoreService::new(Arc::clone(&served) as Arc<dyn ObjectStore>);
+            net.register(STORE_NODE, Arc::new(service));
+            let remote = RemoteStore::connect(net).unwrap();
+            let want = drive_batches(&local, &local);
+            assert_eq!(
+                drive_batches(&*remote, &served),
+                want,
+                "{}",
+                local.profile().name
+            );
+        }
     }
 
     #[test]
@@ -402,7 +444,7 @@ mod tests {
                 16,
             ),
             StoreRequest::List(Some(KeyKind::Inode), Some(77)),
-            StoreRequest::PutMany(vec![(
+            StoreRequest::PutEach(vec![(
                 ObjectKey {
                     kind: KeyKind::Dentry,
                     ino: 3,
@@ -418,7 +460,7 @@ mod tests {
             assert_eq!(to_frame(&back), frame, "re-encode must be identical");
             // An owned frame is not copied again: the blob is a window of it.
             let owned: StoreRequest = from_frame_owned(frame).unwrap();
-            if let StoreRequest::PutMany(items) = owned {
+            if let StoreRequest::PutEach(items) = owned {
                 assert!(span.contains(&items[0].1.as_ptr()));
             }
         }
@@ -426,7 +468,7 @@ mod tests {
             StoreResponse::Unit(Err(OsError::Unsupported("ranged put"))),
             StoreResponse::Data(Ok(Bytes::from_static(b"abc"))),
             StoreResponse::Keys(Ok(vec![])),
-            StoreResponse::Units(vec![Ok(()), Err(OsError::NotFound)]),
+            StoreResponse::UnitEach(vec![(7, Ok(())), (9, Err(OsError::NotFound))]),
         ];
         for resp in &resps {
             let frame = to_frame(resp);

@@ -146,11 +146,17 @@ fn truncate_and_delete_issue_one_batched_delete() {
     assert_eq!(cluster.object_count(), CHUNKS as usize * copies);
 
     // Truncating to a chunk boundary drops the 12 dead chunks in exactly
-    // one delete_many.
-    let (calls0, items0) = cluster.batch_stats();
+    // one batched DELETE.
+    let batch_stats = || {
+        (
+            cluster.stats.batch_calls.get(),
+            cluster.stats.batch_items.get(),
+        )
+    };
+    let (calls0, items0) = batch_stats();
     prt.truncate_data(&port, INO, CHUNK * CHUNKS, CHUNK * 4)
         .unwrap();
-    let (calls1, items1) = cluster.batch_stats();
+    let (calls1, items1) = batch_stats();
     assert_eq!(
         calls1 - calls0,
         1,
@@ -163,9 +169,9 @@ fn truncate_and_delete_issue_one_batched_delete() {
     );
     assert_eq!(cluster.object_count(), 4 * copies);
 
-    // Deleting the remaining 4-chunk file is one more delete_many.
+    // Deleting the remaining 4-chunk file is one more.
     prt.delete_data(&port, INO, CHUNK * 4).unwrap();
-    let (calls2, items2) = cluster.batch_stats();
+    let (calls2, items2) = batch_stats();
     assert_eq!(
         calls2 - calls1,
         1,

@@ -12,7 +12,10 @@
 //! why the comparison deliberately excludes atime/mtime/ctime.
 
 use arkfs::cluster::MANAGER_BASE;
-use arkfs::remote::{lease_wire, ops_wire, store_wire, RemoteStore, StoreService, STORE_NODE};
+use arkfs::remote::{
+    lease_wire, ops_wire, store_wire, RemoteStore, StoreRequest, StoreResponse, StoreService,
+    STORE_NODE,
+};
 use arkfs::{ArkClient, ArkCluster, ArkConfig};
 use arkfs_netsim::{NodeId, TcpTransport, Transport};
 use arkfs_objstore::{ClusterConfig, ObjectCluster, ObjectStore};
@@ -356,9 +359,11 @@ fn tcp_run(config: ArkConfig) -> (Vec<String>, Vec<String>) {
     (log, ns)
 }
 
-#[test]
-fn a_multi_chunk_unlink_sends_one_store_frame() {
-    let done = arm_watchdog();
+type StoreNet = Arc<TcpTransport<StoreRequest, StoreResponse>>;
+
+/// A client on a store across a socket, the client side's store
+/// transport (to count its frames), and the serving transport.
+fn client_on_remote_store() -> (Arc<ArkClient>, StoreNet, StoreNet) {
     let store = Arc::new(ObjectCluster::new(ClusterConfig::test_tiny()));
     let server = Arc::new(TcpTransport::new(store_wire()));
     server.register(STORE_NODE, Arc::new(StoreService::new(store)));
@@ -367,19 +372,47 @@ fn a_multi_chunk_unlink_sends_one_store_frame() {
     let net = Arc::new(TcpTransport::new(store_wire()));
     net.register_addr(STORE_NODE, addr);
     let remote = RemoteStore::connect(net.clone()).expect("store connect");
-    let c = ArkCluster::new(ArkConfig::test_tiny(), remote).client();
+    (
+        ArkCluster::new(ArkConfig::test_tiny(), remote).client(),
+        net,
+        server,
+    )
+}
+
+#[test]
+fn a_multi_chunk_unlink_sends_one_store_frame() {
+    let done = arm_watchdog();
+    let (c, net, server) = client_on_remote_store();
     let ctx = Credentials::root();
     // Four 64-byte chunks, and nothing left to commit.
     write_file(&*c, &ctx, "/f", &[5u8; 256]).unwrap();
     c.sync_all(&ctx).unwrap();
     let before = net.message_count();
     c.unlink(&ctx, "/f").unwrap();
-    assert_eq!(net.message_count() - before, 1, "one DeleteMany frame");
+    assert_eq!(net.message_count() - before, 1, "one DeleteEach frame");
     c.sync_all(&ctx).unwrap();
     assert_eq!(
         read_file(&*c, &ctx, "/f"),
         Err(arkfs_vfs::FsError::NotFound)
     );
+    server.shutdown();
+    let _ = done.send(());
+}
+
+#[test]
+fn a_multi_chunk_close_sends_one_store_frame() {
+    let done = arm_watchdog();
+    let (c, net, server) = client_on_remote_store();
+    let ctx = Credentials::root();
+    let fh = c.create(&ctx, "/f", 0o644).unwrap();
+    c.sync_all(&ctx).unwrap();
+    // Four dirty 64-byte chunks in the cache, nothing else to send.
+    c.write(&ctx, fh, 0, &[5u8; 256]).unwrap();
+    let before = net.message_count();
+    c.close(&ctx, fh).unwrap();
+    assert_eq!(net.message_count() - before, 1, "one PutEach frame");
+    c.sync_all(&ctx).unwrap();
+    assert_eq!(read_file(&*c, &ctx, "/f"), Ok(vec![5u8; 256]));
     server.shutdown();
     let _ = done.send(());
 }

@@ -344,11 +344,11 @@ fn store_request_pool() -> Vec<StoreRequest> {
         StoreRequest::Delete(k),
         StoreRequest::Head(key(KeyKind::Inode, 5, 0)),
         StoreRequest::List(Some(KeyKind::Dentry), None),
-        StoreRequest::GetMany(vec![k, j]),
-        StoreRequest::PutMany(vec![(k, data.clone()), (j, Bytes::new())]),
-        StoreRequest::DeleteMany(vec![j]),
-        StoreRequest::GetRangeMany(vec![(k, 0, 8), (j, 8, 1 << 40)]),
-        StoreRequest::PutRangeMany(vec![(k, 7, data)]),
+        StoreRequest::GetEach(vec![k, j]),
+        StoreRequest::GetRangeEach(vec![(k, 0, 8), (j, 8, 1 << 40)]),
+        StoreRequest::PutEach(vec![(k, data.clone()), (j, Bytes::new())]),
+        StoreRequest::PutRangeEach(vec![(k, 7, data)]),
+        StoreRequest::DeleteEach(vec![j]),
     ]
 }
 
@@ -364,18 +364,19 @@ fn store_response_pool() -> Vec<StoreResponse> {
             op_latency: 0,
             partial_writes: true,
             ranged_reads: true,
+            net_half_rtt: 50_000,
         }),
         StoreResponse::Usage(12, 1 << 33),
         StoreResponse::Unit(Ok(())),
         StoreResponse::Data(Ok(data.clone())),
         StoreResponse::Size(Ok(4096)),
         StoreResponse::Keys(Ok(vec![key(KeyKind::Data, 1, 0), key(KeyKind::Data, 1, 1)])),
-        StoreResponse::Units(vec![Ok(()), Err(OsError::NotFound)]),
-        StoreResponse::Datas(vec![Ok(data), Err(OsError::Unsupported("ranged get"))]),
+        StoreResponse::UnitEach(vec![(4_000, Ok(())), (2_000, Err(OsError::NotFound))]),
+        StoreResponse::DataEach(vec![
+            (3_000, Ok(data)),
+            (1_000, Err(OsError::Unsupported("ranged get"))),
+        ]),
         StoreResponse::Unit(Err(OsError::Injected("put failed"))),
-        StoreResponse::Data(Err(OsError::BadRange)),
-        StoreResponse::Size(Err(OsError::BadKey)),
-        StoreResponse::Keys(Err(OsError::InsufficientFragments)),
     ]
 }
 

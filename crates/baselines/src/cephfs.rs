@@ -79,12 +79,7 @@ impl CephFs {
             shared: Arc::clone(self),
             mount,
             port: Port::new(),
-            data: DataPath::new(
-                Arc::clone(&self.store),
-                self.chunk_size,
-                max_ra,
-                self.spec.net_half_rtt,
-            ),
+            data: DataPath::new(Arc::clone(&self.store), self.chunk_size, max_ra),
             cache: Mutex::new(crate::datapath::counted_cache(&self.store, 256)),
             handles: Mutex::new(BTreeMap::new()),
             next_handle: AtomicU64::new(1),

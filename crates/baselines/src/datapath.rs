@@ -8,7 +8,7 @@ use arkfs::cache::{
 };
 use arkfs::prt::truncate_chunks;
 use arkfs_objstore::ObjectStore;
-use arkfs_simkit::{Nanos, Port};
+use arkfs_simkit::Port;
 use arkfs_vfs::{FsResult, Ino};
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -22,18 +22,12 @@ pub struct DataPath {
 }
 
 impl DataPath {
-    pub fn new(
-        store: Arc<dyn ObjectStore>,
-        chunk_size: u64,
-        max_readahead: u64,
-        net_half_rtt: Nanos,
-    ) -> Self {
+    pub fn new(store: Arc<dyn ObjectStore>, chunk_size: u64, max_readahead: u64) -> Self {
         assert!(chunk_size > 0);
         let policy = CachePolicy {
             chunk_size,
             max_readahead,
             full_at_zero: true,
-            net_half_rtt,
         };
         DataPath { store, policy }
     }
@@ -141,7 +135,7 @@ impl DataPath {
         size: u64,
     ) -> FsResult<()> {
         let chunks = size.div_ceil(self.policy.chunk_size);
-        purge(&*self.store, port, cache.lock(), ino, chunks, &self.policy).map(|_| ())
+        purge(&*self.store, port, cache.lock(), ino, chunks).map(|_| ())
     }
 }
 
@@ -153,7 +147,7 @@ mod tests {
     fn setup() -> (DataPath, Mutex<DataCache>, Port) {
         let store: Arc<dyn ObjectStore> = Arc::new(ObjectCluster::new(ClusterConfig::test_tiny()));
         (
-            DataPath::new(store, 64, 256, 1_000),
+            DataPath::new(store, 64, 256),
             Mutex::new(DataCache::new(8)),
             Port::new(),
         )

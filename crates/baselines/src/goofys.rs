@@ -7,7 +7,7 @@ use crate::datapath::{DataPath, RaState};
 use crate::pathfs::Bucket;
 use arkfs::cache::DataCache;
 use arkfs::prt::map_os_err;
-use arkfs_objstore::ObjectKey;
+use arkfs_objstore::{wait_last, BatchSpan, ObjectKey};
 use arkfs_simkit::{ClusterSpec, Port};
 use arkfs_vfs::{
     Acl, Credentials, DirEntry, FileHandle, FileType, FsError, FsResult, Ino, OpenFlags, SetAttr,
@@ -55,12 +55,7 @@ impl GoofysFs {
     pub fn with_readahead(bucket: Arc<Bucket>, spec: ClusterSpec, readahead: u64) -> Arc<Self> {
         let part = bucket.part_size;
         let readahead = readahead.min(part * 1024);
-        let data = DataPath::new(
-            Arc::clone(bucket.store()),
-            part,
-            readahead,
-            spec.net_half_rtt,
-        );
+        let data = DataPath::new(Arc::clone(bucket.store()), part, readahead);
         let cache_entries = ((readahead / part) as usize + 8).max(16);
         let cache = crate::datapath::counted_cache(bucket.store(), cache_entries);
         Arc::new(GoofysFs {
@@ -135,7 +130,10 @@ impl GoofysFs {
             // store round trip for an empty flush.
             return Ok(());
         }
-        for r in self.data.store().put_many(&self.port, puts) {
+        let store = &**self.data.store();
+        for r in wait_last(store, &self.port, BatchSpan::Put, |t| {
+            store.put_each(t, puts)
+        }) {
             r.map_err(map_os_err)?;
         }
         Ok(())

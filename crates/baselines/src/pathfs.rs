@@ -7,7 +7,7 @@
 //! "permission check is not done rigorously".
 
 use arkfs::prt::map_os_err;
-use arkfs_objstore::{ObjectKey, ObjectStore, OsError};
+use arkfs_objstore::{wait_last, BatchSpan, ObjectKey, ObjectStore, OsError};
 use arkfs_simkit::{Nanos, Port};
 use arkfs_vfs::{path as vpath, DirEntry, FileType, FsError, FsResult, Ino};
 use bytes::Bytes;
@@ -275,7 +275,8 @@ impl Bucket {
                 let keys: Vec<ObjectKey> = (0..chunks)
                     .map(|i| ObjectKey::data_chunk(entry.ino, i))
                     .collect();
-                let datas = self.store.get_many(port, &keys);
+                let store = &*self.store;
+                let datas = wait_last(store, port, BatchSpan::Get, |t| store.get_each(t, &keys));
                 let mut puts = Vec::new();
                 for (i, d) in datas.into_iter().enumerate() {
                     match d {
@@ -287,7 +288,7 @@ impl Bucket {
                         Err(e) => return Err(map_os_err(e)),
                     }
                 }
-                for r in self.store.put_many(port, puts) {
+                for r in wait_last(store, port, BatchSpan::Put, |t| store.put_each(t, puts)) {
                     r.map_err(map_os_err)?;
                 }
                 self.delete_data(port, entry.ino, entry.size)?;
@@ -322,7 +323,10 @@ impl Bucket {
         if keys.is_empty() {
             return Ok(());
         }
-        for r in self.store.delete_many(port, &keys) {
+        let store = &*self.store;
+        for r in wait_last(store, port, BatchSpan::Delete, |t| {
+            store.delete_each(t, &keys)
+        }) {
             match r {
                 Ok(()) | Err(OsError::NotFound) => {}
                 Err(e) => return Err(map_os_err(e)),
@@ -345,7 +349,8 @@ impl Bucket {
             off += n;
             part += 1;
         }
-        for r in self.store.put_many(port, puts) {
+        let store = &*self.store;
+        for r in wait_last(store, port, BatchSpan::Put, |t| store.put_each(t, puts)) {
             r.map_err(map_os_err)?;
         }
         Ok(())
@@ -356,7 +361,8 @@ impl Bucket {
         let chunks = size.div_ceil(self.part_size);
         let keys: Vec<ObjectKey> = (0..chunks).map(|i| ObjectKey::data_chunk(ino, i)).collect();
         let mut out = Vec::with_capacity(size as usize);
-        for r in self.store.get_many(port, &keys) {
+        let store = &*self.store;
+        for r in wait_last(store, port, BatchSpan::Get, |t| store.get_each(t, &keys)) {
             match r {
                 Ok(bytes) => out.extend_from_slice(&bytes),
                 Err(OsError::NotFound) => {}

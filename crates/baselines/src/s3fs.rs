@@ -10,6 +10,7 @@
 //! * permission checks "not done rigorously" — none are enforced.
 
 use crate::pathfs::Bucket;
+use arkfs_objstore::{wait_last, BatchSpan};
 use arkfs_simkit::{BandwidthResource, ClusterSpec, Port};
 use arkfs_vfs::{
     Acl, Credentials, DirEntry, FileHandle, FileType, FsError, FsResult, Ino, Nanos, OpenFlags,
@@ -296,7 +297,10 @@ impl Vfs for S3Fs {
                     .map(|part| arkfs_objstore::ObjectKey::data_chunk(entry.ino, part))
                     .collect();
             if !dead.is_empty() {
-                let _ = self.bucket.store().delete_many(&self.port, &dead);
+                let store = &**self.bucket.store();
+                wait_last(store, &self.port, BatchSpan::Delete, |t| {
+                    store.delete_each(t, &dead)
+                });
             }
         }
         self.bucket.set_size(path, size, self.now())

@@ -4,9 +4,9 @@ use crate::error::{OsError, OsResult};
 use crate::fault::FaultPlan;
 use crate::key::{KeyKind, ObjectKey};
 use crate::profile::StoreProfile;
-use crate::store::ObjectStore;
+use crate::store::{Acked, ObjectStore};
 use arkfs_simkit::{BandwidthResource, ClusterSpec, Nanos, Port, SharedResource};
-use arkfs_telemetry::{Counter, Registry, Telemetry, BATCH_TID, PID_STORE};
+use arkfs_telemetry::{Counter, Registry, Telemetry, PID_STORE};
 use bytes::Bytes;
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -131,8 +131,7 @@ pub struct ClusterStats {
     pub lists: Arc<Counter>,
     pub bytes_in: Arc<Counter>,
     pub bytes_out: Arc<Counter>,
-    /// Batched multi-object calls (`get_each`/`get_many`, `put_many`,
-    /// `get_range_many`, `put_range_many`, `delete_many`).
+    /// Non-empty batch calls (the five `*_each`).
     pub batch_calls: Arc<Counter>,
     /// Total items carried by those batched calls.
     pub batch_items: Arc<Counter>,
@@ -153,8 +152,10 @@ impl ClusterStats {
     }
 
     fn count_batch(&self, items: usize) {
-        self.batch_calls.inc();
-        self.batch_items.add(items as u64);
+        if items > 0 {
+            self.batch_calls.inc();
+            self.batch_items.add(items as u64);
+        }
     }
 }
 
@@ -231,10 +232,6 @@ impl ObjectCluster {
         (0..self.config.replication).map(move |i| (primary + i) % n)
     }
 
-    fn primary(&self, key: &ObjectKey) -> &Shard {
-        &self.shards[key.shard(self.config.shards)]
-    }
-
     /// Read an object's contents, tolerating shard failures: a read
     /// fails over to the next copy. Returns (bytes — `None` for synthetic
     /// payloads —, length, the shard read from).
@@ -253,15 +250,6 @@ impl ObjectCluster {
             }
         }
         Err(OsError::NotFound)
-    }
-
-    /// Record a whole-batch span on the store's synthetic batch track.
-    fn batch_span(&self, name: &'static str, start: Nanos, end: Nanos) {
-        if self.telemetry.tracer.enabled() {
-            self.telemetry
-                .tracer
-                .record(PID_STORE, BATCH_TID, name, "store", start, end);
-        }
     }
 
     /// Virtual cost of reading `bytes` from shard `idx`, departing at
@@ -290,7 +278,7 @@ impl ObjectCluster {
         if bytes > 0 {
             done = self.net.transfer(done, bytes);
         }
-        done + self.config.spec.net_half_rtt
+        done + self.config.profile.net_half_rtt
     }
 
     /// Virtual cost of one write departing at `depart`: the network
@@ -331,31 +319,13 @@ impl ObjectCluster {
         done
     }
 
-    /// Charge the virtual cost of a write to every replica (full copy
-    /// each) and return the caller's completion time.
-    fn charge_write(&self, port: &Port, key: &ObjectKey, bytes: u64) -> Nanos {
-        let t0 = port.advance(self.config.spec.net_half_rtt);
-        let done = self.charge_write_at(t0, key, bytes);
-        port.wait_until(done + self.config.spec.net_half_rtt)
-    }
-
-    /// Charge the virtual cost of a read of `bytes` from the primary.
-    fn charge_read(&self, port: &Port, key: &ObjectKey, bytes: u64) -> Nanos {
-        let t0 = port.advance(self.config.spec.net_half_rtt);
-        let shard = self.primary(key);
-        let t1 = shard.op_server.reserve(t0, self.config.profile.op_service)
-            + self.config.profile.op_latency;
-        let t2 = if bytes > 0 {
-            shard.disk.transfer(t1, bytes)
-        } else {
-            t1
-        };
-        let t3 = if bytes > 0 {
-            self.net.transfer(t2, bytes)
-        } else {
-            t2
-        };
-        port.wait_until(t3 + self.config.spec.net_half_rtt)
+    /// Charge a HEAD or LIST: one op at `key`'s primary, no bytes moved.
+    fn charge_op(&self, port: &Port, key: &ObjectKey) {
+        let half_rtt = self.config.profile.net_half_rtt;
+        let shard = &self.shards[key.shard(self.config.shards)];
+        let served =
+            (shard.op_server).reserve(port.advance(half_rtt), self.config.profile.op_service);
+        port.wait_until(served + self.config.profile.op_latency + half_rtt);
     }
 
     /// Apply a ranged write to every replica's in-memory object, each
@@ -407,6 +377,119 @@ impl ObjectCluster {
         }
     }
 
+    /// A read a caller waits for: once `load` found the object, its
+    /// bytes reach the caller from the shard it names.
+    fn wait_read(&self, port: &Port, load: OsResult<(Bytes, usize)>) -> OsResult<Bytes> {
+        let (bytes, idx) = load?;
+        let arrival = port.now() + self.config.profile.net_half_rtt;
+        port.wait_until(self.charge_read_from(arrival, idx, bytes.len() as u64));
+        Ok(bytes)
+    }
+
+    /// A write a caller waits for: `write` applies it half an RTT after
+    /// the caller's clock and returns its completion at the store; the
+    /// ack takes half an RTT back. A refused write costs nothing.
+    fn wait_write(
+        &self,
+        port: &Port,
+        write: impl FnOnce(Nanos) -> OsResult<Nanos>,
+    ) -> OsResult<()> {
+        let half_rtt = self.config.profile.net_half_rtt;
+        port.wait_until(write(port.now() + half_rtt)? + half_rtt);
+        Ok(())
+    }
+
+    /// A PUT reaching the store at `arrival`: counted, charged to every
+    /// replica and stored. Returns its completion there.
+    fn put_at(&self, arrival: Nanos, key: ObjectKey, data: Bytes) -> OsResult<Nanos> {
+        self.faults.check_put(key)?;
+        self.stats.puts.inc();
+        self.stats.bytes_in.add(data.len() as u64);
+        let done = self.charge_write_at(arrival, &key, data.len() as u64);
+        self.store_object(key, data);
+        Ok(done)
+    }
+
+    /// Price reads that depart together at `depart`, in order: a loaded
+    /// item is acked when its bytes are back, a failed one at the
+    /// batch's arrival.
+    fn read_each(
+        &self,
+        depart: Nanos,
+        loads: impl Iterator<Item = OsResult<(Bytes, usize)>>,
+    ) -> Acked<Bytes> {
+        let arrival = depart + self.config.profile.net_half_rtt;
+        loads
+            .map(|load| match load {
+                Ok((bytes, idx)) => {
+                    let done = self.charge_read_from(arrival, idx, bytes.len() as u64);
+                    (done, Ok(bytes))
+                }
+                Err(e) => (arrival, Err(e)),
+            })
+            .collect()
+    }
+
+    /// Price writes that depart together at `depart`, in order: `write`
+    /// applies one at the batch's arrival and returns its completion
+    /// there; it is acked half an RTT later, a refused one half an RTT
+    /// after the arrival.
+    fn write_each<I>(
+        &self,
+        depart: Nanos,
+        items: Vec<I>,
+        write: impl Fn(Nanos, I) -> OsResult<Nanos>,
+    ) -> Acked<()> {
+        let half_rtt = self.config.profile.net_half_rtt;
+        let arrival = depart + half_rtt;
+        items
+            .into_iter()
+            .map(|item| match write(arrival, item) {
+                Ok(done) => (done + half_rtt, Ok(())),
+                Err(e) => (arrival + half_rtt, Err(e)),
+            })
+            .collect()
+    }
+
+    /// One item of a ranged batch write reaching the store at `arrival`:
+    /// a ranged write where the profile has them, else a whole-object
+    /// read-modify-write whose rewrite departs at the read's completion
+    /// (items still overlap each other). Returns the write's completion.
+    fn put_range_at(
+        &self,
+        arrival: Nanos,
+        key: ObjectKey,
+        offset: u64,
+        data: &Bytes,
+    ) -> OsResult<Nanos> {
+        self.faults.check_put(key)?;
+        if self.config.profile.partial_writes {
+            self.stats.puts.inc();
+            self.stats.bytes_in.add(data.len() as u64);
+            let done = self.charge_write_at(arrival, &key, data.len() as u64);
+            self.apply_range_write(key, offset, data);
+            return Ok(done);
+        }
+        self.stats.gets.inc();
+        let (bytes, total_len, t_read) = match self.load_logical(key) {
+            Ok((bytes, len, idx)) => (bytes, len, self.charge_read_from(arrival, idx, len)),
+            Err(OsError::NotFound) => (Some(Bytes::new()), 0, arrival),
+            Err(e) => return Err(e),
+        };
+        self.stats.bytes_out.add(total_len);
+        let mut whole = bytes.map_or_else(|| vec![0u8; total_len as usize], Vec::from);
+        let end = offset as usize + data.len();
+        if whole.len() < end {
+            whole.resize(end, 0);
+        }
+        whole[offset as usize..end].copy_from_slice(data);
+        self.stats.puts.inc();
+        self.stats.bytes_in.add(whole.len() as u64);
+        let done = self.charge_write_at(t_read, &key, whole.len() as u64);
+        self.store_object(key, Bytes::from(whole));
+        Ok(done)
+    }
+
     /// Count a DELETE and drop every copy of the object.
     fn remove_object(&self, key: ObjectKey) -> OsResult<()> {
         self.stats.deletes.inc();
@@ -451,57 +534,36 @@ impl ObjectStore for ObjectCluster {
         (self.object_count() as u64, self.stored_bytes())
     }
 
-    fn batch_stats(&self) -> (u64, u64) {
-        (self.stats.batch_calls.get(), self.stats.batch_items.get())
-    }
-
     fn telemetry(&self) -> Option<&Arc<Telemetry>> {
         Some(&self.telemetry)
     }
 
     fn put(&self, port: &Port, key: ObjectKey, data: Bytes) -> OsResult<()> {
-        self.faults.check_put(key)?;
-        self.stats.puts.inc();
-        self.stats.bytes_in.add(data.len() as u64);
-        self.charge_write(port, &key, data.len() as u64);
-        self.store_object(key, data);
-        Ok(())
+        self.wait_write(port, |arrival| self.put_at(arrival, key, data))
     }
 
     fn get(&self, port: &Port, key: ObjectKey) -> OsResult<Bytes> {
-        let (bytes, idx) = self.load_whole(key)?;
-        let arrival = port.advance(self.config.spec.net_half_rtt);
-        let done = self.charge_read_from(arrival, idx, bytes.len() as u64);
-        port.wait_until(done);
-        Ok(bytes)
+        self.wait_read(port, self.load_whole(key))
     }
 
     fn get_range(&self, port: &Port, key: ObjectKey, offset: u64, len: usize) -> OsResult<Bytes> {
         if !self.config.profile.ranged_reads {
             return Err(OsError::Unsupported("ranged read"));
         }
-        let (slice, idx) = self.load_range(key, offset, len)?;
-        let arrival = port.advance(self.config.spec.net_half_rtt);
-        let done = self.charge_read_from(arrival, idx, slice.len() as u64);
-        port.wait_until(done);
-        Ok(slice)
+        self.wait_read(port, self.load_range(key, offset, len))
     }
 
     fn put_range(&self, port: &Port, key: ObjectKey, offset: u64, data: Bytes) -> OsResult<()> {
         if !self.config.profile.partial_writes {
             return Err(OsError::Unsupported("ranged write"));
         }
-        self.faults.check_put(key)?;
-        self.stats.puts.inc();
-        self.stats.bytes_in.add(data.len() as u64);
-        self.charge_write(port, &key, data.len() as u64);
-        // Apply to all replicas under their own shard locks.
-        self.apply_range_write(key, offset, &data);
-        Ok(())
+        self.wait_write(port, |arrival| {
+            self.put_range_at(arrival, key, offset, &data)
+        })
     }
 
     fn delete(&self, port: &Port, key: ObjectKey) -> OsResult<()> {
-        self.charge_write(port, &key, 0);
+        self.wait_write(port, |arrival| Ok(self.charge_write_at(arrival, &key, 0)))?;
         self.remove_object(key)
     }
 
@@ -509,7 +571,7 @@ impl ObjectStore for ObjectCluster {
         if self.faults.is_lost(key) {
             return Err(OsError::NotFound);
         }
-        self.charge_read(port, &key, 0);
+        self.charge_op(port, &key);
         // Any reachable copy knows the size.
         for idx in self.replica_shards(&key) {
             if self.faults.is_shard_down(idx) {
@@ -522,188 +584,44 @@ impl ObjectStore for ObjectCluster {
         Err(OsError::NotFound)
     }
 
-    fn get_many(&self, port: &Port, keys: &[ObjectKey]) -> Vec<OsResult<Bytes>> {
-        if keys.is_empty() {
-            return Vec::new();
-        }
-        // Pipelined: all requests depart at the same arrival time; the
-        // caller's port waits for the slowest completion.
-        let t0 = port.advance(self.config.spec.net_half_rtt);
-        let results = self.get_each(t0, keys);
-        let mut done = t0;
-        let out = results
-            .into_iter()
-            .map(|r| {
-                r.map(|(bytes, completion)| {
-                    done = done.max(completion);
-                    bytes
-                })
-            })
-            .collect();
-        self.batch_span("store.get_many", t0, done);
-        port.wait_until(done);
-        out
-    }
-
-    fn get_each(&self, arrival: u64, keys: &[ObjectKey]) -> Vec<OsResult<(Bytes, u64)>> {
+    fn get_each(&self, depart: Nanos, keys: &[ObjectKey]) -> Acked<Bytes> {
         self.stats.count_batch(keys.len());
-        let mut out = Vec::with_capacity(keys.len());
-        for &key in keys {
-            out.push(self.load_whole(key).map(|(bytes, idx)| {
-                let done = self.charge_read_from(arrival, idx, bytes.len() as u64);
-                (bytes, done)
-            }));
-        }
-        out
+        self.read_each(depart, keys.iter().map(|&key| self.load_whole(key)))
     }
 
-    fn put_each(&self, depart: u64, items: Vec<(ObjectKey, Bytes)>) -> Vec<OsResult<u64>> {
-        self.stats.count_batch(items.len());
-        let half_rtt = self.config.spec.net_half_rtt;
-        items
-            .into_iter()
-            .map(|(key, data)| {
-                self.faults.check_put(key)?;
-                self.stats.puts.inc();
-                self.stats.bytes_in.add(data.len() as u64);
-                let done = self.charge_write_at(depart, &key, data.len() as u64);
-                self.store_object(key, data);
-                Ok(done + half_rtt)
-            })
-            .collect()
-    }
-
-    fn put_many(&self, port: &Port, items: Vec<(ObjectKey, Bytes)>) -> Vec<OsResult<()>> {
-        if items.is_empty() {
-            return Vec::new();
-        }
-        // Pipelined: all requests depart together; the caller's port
-        // waits for the slowest ack.
-        let half_rtt = self.config.spec.net_half_rtt;
-        let t0 = port.advance(half_rtt);
-        let mut acked = t0 + half_rtt;
-        let out = self
-            .put_each(t0, items)
-            .into_iter()
-            .map(|r| r.map(|ack| acked = acked.max(ack)))
-            .collect();
-        self.batch_span("store.put_many", t0, acked - half_rtt);
-        port.wait_until(acked);
-        out
-    }
-
-    fn get_range_many(
-        &self,
-        port: &Port,
-        reqs: &[(ObjectKey, u64, usize)],
-    ) -> Vec<OsResult<Bytes>> {
-        if reqs.is_empty() {
-            return Vec::new();
-        }
+    fn get_range_each(&self, depart: Nanos, reqs: &[(ObjectKey, u64, usize)]) -> Acked<Bytes> {
         if !self.config.profile.ranged_reads {
-            return reqs
-                .iter()
-                .map(|_| Err(OsError::Unsupported("ranged read")))
-                .collect();
+            let refused = || (depart, Err(OsError::Unsupported("ranged read")));
+            return reqs.iter().map(|_| refused()).collect();
         }
         self.stats.count_batch(reqs.len());
-        // All requests depart together; the caller waits for the slowest.
-        let t0 = port.advance(self.config.spec.net_half_rtt);
-        let mut done = t0;
-        let out = reqs
+        let loads = reqs
             .iter()
-            .map(|&(key, offset, len)| {
-                let (slice, idx) = self.load_range(key, offset, len)?;
-                done = done.max(self.charge_read_from(t0, idx, slice.len() as u64));
-                Ok(slice)
-            })
-            .collect();
-        self.batch_span("store.get_range_many", t0, done);
-        port.wait_until(done);
-        out
+            .map(|&(key, at, len)| self.load_range(key, at, len));
+        self.read_each(depart, loads)
     }
 
-    fn put_range_many(
-        &self,
-        port: &Port,
-        items: Vec<(ObjectKey, u64, Bytes)>,
-    ) -> Vec<OsResult<()>> {
-        if items.is_empty() {
-            return Vec::new();
-        }
+    fn put_each(&self, depart: Nanos, items: Vec<(ObjectKey, Bytes)>) -> Acked<()> {
         self.stats.count_batch(items.len());
-        let t0 = port.advance(self.config.spec.net_half_rtt);
-        let mut done = t0;
-        let mut out = Vec::with_capacity(items.len());
-        for (key, offset, data) in items {
-            if let Err(e) = self.faults.check_put(key) {
-                out.push(Err(e));
-                continue;
-            }
-            if self.config.profile.partial_writes {
-                self.stats.puts.inc();
-                self.stats.bytes_in.add(data.len() as u64);
-                done = done.max(self.charge_write_at(t0, &key, data.len() as u64));
-                self.apply_range_write(key, offset, &data);
-                out.push(Ok(()));
-                continue;
-            }
-            // Whole-object read-modify-write: the read departs with the
-            // batch; the rewrite departs at that item's read completion.
-            // Items still overlap each other.
-            self.stats.gets.inc();
-            let (bytes, total_len, t_read) = match self.load_logical(key) {
-                Ok((bytes, len, idx)) => (bytes, len, self.charge_read_from(t0, idx, len)),
-                Err(OsError::NotFound) => (Some(Bytes::new()), 0, t0),
-                Err(e) => {
-                    out.push(Err(e));
-                    continue;
-                }
-            };
-            self.stats.bytes_out.add(total_len);
-            let mut whole = bytes.map_or_else(|| vec![0u8; total_len as usize], Vec::from);
-            let end = offset as usize + data.len();
-            if whole.len() < end {
-                whole.resize(end, 0);
-            }
-            whole[offset as usize..end].copy_from_slice(&data);
-            self.stats.puts.inc();
-            self.stats.bytes_in.add(whole.len() as u64);
-            done = done.max(self.charge_write_at(t_read, &key, whole.len() as u64));
-            self.store_object(key, Bytes::from(whole));
-            out.push(Ok(()));
-        }
-        self.batch_span("store.put_range_many", t0, done);
-        port.wait_until(done + self.config.spec.net_half_rtt);
-        out
+        self.write_each(depart, items, |arrival, (key, data)| {
+            self.put_at(arrival, key, data)
+        })
     }
 
-    fn delete_many(&self, port: &Port, keys: &[ObjectKey]) -> Vec<OsResult<()>> {
-        if keys.is_empty() {
-            return Vec::new();
-        }
-        let half_rtt = self.config.spec.net_half_rtt;
-        let t0 = port.advance(half_rtt);
-        let mut acked = t0 + half_rtt;
-        let out = self
-            .delete_each(t0, keys)
-            .into_iter()
-            .map(|(ack, r)| {
-                acked = acked.max(ack);
-                r
-            })
-            .collect();
-        self.batch_span("store.delete_many", t0, acked - half_rtt);
-        port.wait_until(acked);
-        out
+    fn put_range_each(&self, depart: Nanos, items: Vec<(ObjectKey, u64, Bytes)>) -> Acked<()> {
+        self.stats.count_batch(items.len());
+        self.write_each(depart, items, |arrival, (key, offset, data)| {
+            self.put_range_at(arrival, key, offset, &data)
+        })
     }
 
-    fn delete_each(&self, depart: u64, keys: &[ObjectKey]) -> Vec<(u64, OsResult<()>)> {
+    fn delete_each(&self, depart: Nanos, keys: &[ObjectKey]) -> Acked<()> {
         self.stats.count_batch(keys.len());
-        let half_rtt = self.config.spec.net_half_rtt;
+        let half_rtt = self.config.profile.net_half_rtt;
+        let arrival = depart + half_rtt;
         keys.iter()
             .map(|&key| {
-                let done = self.charge_write_at(depart, &key, 0);
+                let done = self.charge_write_at(arrival, &key, 0);
                 (done + half_rtt, self.remove_object(key))
             })
             .collect()
@@ -716,7 +634,7 @@ impl ObjectStore for ObjectCluster {
         ino: Option<u128>,
     ) -> OsResult<Vec<ObjectKey>> {
         self.stats.lists.inc();
-        self.charge_read(port, &ObjectKey::inode(ino.unwrap_or(0)), 0);
+        self.charge_op(port, &ObjectKey::inode(ino.unwrap_or(0)));
         let mut out = Vec::new();
         let mut seen = std::collections::HashSet::new();
         for shard in &self.shards {
@@ -740,6 +658,7 @@ impl ObjectStore for ObjectCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::{wait_last, BatchSpan};
     use arkfs_simkit::USEC;
     use proptest::prelude::*;
 
@@ -809,7 +728,8 @@ mod tests {
                         1 => Some((c.put_range(&port, key, off as u64, data.clone()), off)),
                         2 => {
                             let items = vec![(key, off as u64, data.clone())];
-                            Some((c.put_range_many(&port, items).remove(0), off))
+                            let acked = c.put_range_each(port.now(), items).remove(0);
+                            Some((acked.1, off))
                         }
                         3 => {
                             if let Ok(got) = c.get_range(&port, key, off as u64, len) {
@@ -1099,12 +1019,16 @@ mod tests {
         // Pipelined.
         let c_pipe = mk();
         let pipe = Port::new();
-        let results = c_pipe.get_many(&pipe, &keys);
+        let results = wait_last(&c_pipe, &pipe, BatchSpan::Get, |t| {
+            c_pipe.get_each(t, &keys)
+        });
         assert!(results.iter().all(Result::is_ok));
         assert!(pipe.now() < seq.now(), "pipelined must beat sequential");
-        // Missing keys report NotFound without failing the batch.
-        let r = c_pipe.get_many(&pipe, &[ObjectKey::data_chunk(9, 9)]);
-        assert_eq!(r[0], Err(OsError::NotFound));
+        // A missing key reports NotFound at its arrival without failing
+        // the batch.
+        let r = c_pipe.get_each(pipe.now(), &[ObjectKey::data_chunk(9, 9)]);
+        let arrival = pipe.now() + c_pipe.config.profile.net_half_rtt;
+        assert_eq!(r, vec![(arrival, Err(OsError::NotFound))]);
     }
 
     #[test]
@@ -1114,7 +1038,7 @@ mod tests {
         let items: Vec<(ObjectKey, Bytes)> = (0..5)
             .map(|i| (ObjectKey::data_chunk(2, i), Bytes::from(vec![i as u8; 10])))
             .collect();
-        let results = c.put_many(&port, items);
+        let results = wait_last(&c, &port, BatchSpan::Put, |t| c.put_each(t, items));
         assert!(results.iter().all(Result::is_ok));
         assert_eq!(c.object_count(), 5);
         assert_eq!(c.get(&port, ObjectKey::data_chunk(2, 3)).unwrap()[0], 3);
@@ -1122,8 +1046,8 @@ mod tests {
 
     #[test]
     fn put_each_reports_acks_instead_of_waiting() {
-        // The same batch as one put_many: each item's ack is when that
-        // PUT would have returned alone, and the slowest is put_many's.
+        // The same batch waited for: each item's ack is when that PUT
+        // would have returned alone, and the waiter's port the slowest.
         let items = || -> Vec<(ObjectKey, Bytes)> {
             (0..5)
                 .map(|i| {
@@ -1135,20 +1059,21 @@ mod tests {
                 .collect()
         };
         let (each, many) = (cluster(), cluster());
-        let half_rtt = each.config.spec.net_half_rtt;
-        let acks: Vec<u64> = each
-            .put_each(1_000 + half_rtt, items())
-            .into_iter()
-            .map(Result::unwrap)
+        let half_rtt = each.config.profile.net_half_rtt;
+        let acks: Vec<u64> = (each.put_each(1_000, items()).into_iter())
+            .map(|(ack, r)| r.map(|()| ack).unwrap())
             .collect();
         let port = Port::starting_at(1_000);
-        assert!(many.put_many(&port, items()).iter().all(Result::is_ok));
+        let waited = wait_last(&many, &port, BatchSpan::Put, |t| many.put_each(t, items()));
+        assert!(waited.iter().all(Result::is_ok));
         assert_eq!(acks.iter().max(), Some(&port.now()));
         assert!(acks.iter().all(|&ack| ack > 1_000 + 2 * half_rtt));
         assert_eq!(each.object_count(), 5);
+        // A refused PUT is acked half an RTT after its arrival.
         each.faults.fail_next_puts(1, None);
         let refused = each.put_each(0, items());
-        assert!(refused[0].is_err() && refused[1..].iter().all(Result::is_ok));
+        assert!(refused[0].1.is_err() && refused[1..].iter().all(|r| r.1.is_ok()));
+        assert_eq!(refused[0].0, 2 * half_rtt);
     }
 
     #[test]
@@ -1164,16 +1089,10 @@ mod tests {
         assert_eq!(c.head(&port, key).unwrap(), 4);
         assert_eq!(c.get_range(&port, key, 1, 2).unwrap(), &b"et"[..]);
         // The batched reads fail over the same way.
-        assert_eq!(
-            c.get_many(&port, &[key]),
-            vec![Ok(Bytes::from_static(b"meta"))]
-        );
-        assert_eq!(
-            c.get_range_many(&port, &[(key, 2, 9)]),
-            vec![Ok(Bytes::from_static(b"ta"))]
-        );
         let each = c.get_each(port.now(), &[key]);
-        assert_eq!(each[0].as_ref().unwrap().0, Bytes::from_static(b"meta"));
+        assert_eq!(each[0].1, Ok(Bytes::from_static(b"meta")));
+        let ranged = c.get_range_each(port.now(), &[(key, 2, 9)]);
+        assert_eq!(ranged[0].1, Ok(Bytes::from_static(b"ta")));
         // Both copies down: gone.
         c.faults.fail_shard((primary + 1) % 2);
         assert_eq!(c.get(&port, key), Err(OsError::NotFound));
@@ -1202,14 +1121,15 @@ mod tests {
         }
         let c_pipe = mk();
         let pipe = Port::new();
-        let results = c_pipe.get_range_many(&pipe, &reqs);
+        let span = BatchSpan::GetRange;
+        let results = wait_last(&c_pipe, &pipe, span, |t| c_pipe.get_range_each(t, &reqs));
         for r in &results {
             assert_eq!(r.as_ref().unwrap().len(), 512);
         }
         assert!(pipe.now() < seq.now(), "pipelined must beat sequential");
         // Missing keys report NotFound without failing the batch.
-        let r = c_pipe.get_range_many(&pipe, &[(ObjectKey::data_chunk(9, 9), 0, 4)]);
-        assert_eq!(r[0], Err(OsError::NotFound));
+        let r = c_pipe.get_range_each(pipe.now(), &[(ObjectKey::data_chunk(9, 9), 0, 4)]);
+        assert_eq!(r[0].1, Err(OsError::NotFound));
     }
 
     #[test]
@@ -1231,7 +1151,8 @@ mod tests {
         }
         let c_pipe = mk();
         let pipe = Port::new();
-        let results = c_pipe.put_range_many(&pipe, items);
+        let span = BatchSpan::PutRange;
+        let results = wait_last(&c_pipe, &pipe, span, |t| c_pipe.put_range_each(t, items));
         assert!(results.iter().all(Result::is_ok));
         assert!(pipe.now() < seq.now(), "pipelined must beat sequential");
         // Both clusters end up with identical contents.
@@ -1252,16 +1173,16 @@ mod tests {
         c.put(&port, key, Bytes::from_static(b"0123456789"))
             .unwrap();
         let fresh = ObjectKey::data_chunk(1, 1);
-        // put_range would be Unsupported here; put_range_many must succeed
+        // put_range would be Unsupported here; put_range_each must succeed
         // by rewriting the whole object (and creating missing ones).
-        let results = c.put_range_many(
-            &port,
+        let results = c.put_range_each(
+            port.now(),
             vec![
                 (key, 2, Bytes::from_static(b"AB")),
                 (fresh, 4, Bytes::from_static(b"xy")),
             ],
         );
-        assert!(results.iter().all(Result::is_ok));
+        assert!(results.iter().all(|r| r.1.is_ok()));
         assert_eq!(&c.get(&port, key).unwrap()[..], b"01AB456789");
         assert_eq!(&c.get(&port, fresh).unwrap()[..], b"\0\0\0\0xy");
     }
@@ -1276,7 +1197,9 @@ mod tests {
         }
         let mut with_missing = keys.clone();
         with_missing.push(ObjectKey::data_chunk(5, 99));
-        let results = c.delete_many(&port, &with_missing);
+        let results = wait_last(&c, &port, BatchSpan::Delete, |t| {
+            c.delete_each(t, &with_missing)
+        });
         assert!(results[..4].iter().all(Result::is_ok));
         assert_eq!(results[4], Err(OsError::NotFound));
         assert_eq!(c.object_count(), 0);
@@ -1292,13 +1215,15 @@ mod tests {
             }
             c.reset_timelines();
         }
-        let half_rtt = each.config.spec.net_half_rtt;
-        let acks = each.delete_each(1_000 + half_rtt, &keys);
+        let acks = each.delete_each(1_000, &keys);
         let port = Port::starting_at(1_000);
-        many.delete_many(&port, &keys);
+        wait_last(&many, &port, BatchSpan::Delete, |t| {
+            many.delete_each(t, &keys)
+        });
         assert_eq!(acks.iter().map(|a| a.0).max(), Some(port.now()));
         assert_eq!(acks[3].1, Err(OsError::NotFound));
-        assert_eq!((each.object_count(), each.batch_stats()), (0, (1, 4)));
+        let batches = (each.stats.batch_calls.get(), each.stats.batch_items.get());
+        assert_eq!((each.object_count(), batches), (0, (1, 4)));
     }
 
     /// One shard, so every key meets the same op queue; a checkpoint's
@@ -1311,7 +1236,8 @@ mod tests {
         let items = (0..inodes)
             .map(|i| (ObjectKey::inode(i), Bytes::from_static(b"i")))
             .collect();
-        assert!(c.put_many(&checkpoint, items).iter().all(Result::is_ok));
+        let done = wait_last(&c, &checkpoint, BatchSpan::Put, |t| c.put_each(t, items));
+        assert!(done.iter().all(Result::is_ok));
         (c, checkpoint.now())
     }
 
@@ -1377,11 +1303,14 @@ mod tests {
             .iter()
             .map(|&k| (k, Bytes::from_static(b"q")))
             .collect();
-        c.put_many(&port, items);
-        c.get_many(&port, &keys);
-        c.get_range_many(&port, &[(keys[0], 0, 1)]);
-        c.put_range_many(&port, vec![(keys[0], 0, Bytes::from_static(b"r"))]);
-        c.delete_many(&port, &keys);
+        let t = port.now();
+        c.put_each(t, items);
+        c.get_each(t, &keys);
+        c.get_range_each(t, &[(keys[0], 0, 1)]);
+        c.put_range_each(t, vec![(keys[0], 0, Bytes::from_static(b"r"))]);
+        c.delete_each(t, &keys);
+        // An empty batch is no call.
+        c.get_each(t, &[]);
         assert_eq!(c.stats.batch_calls.get(), 5);
         assert_eq!(c.stats.batch_items.get(), 3 + 3 + 1 + 1 + 3);
     }

@@ -14,14 +14,6 @@ pub enum OsError {
     Unsupported(&'static str),
     /// A fault injected by the test harness.
     Injected(&'static str),
-    /// Requested range lies outside the object.
-    BadRange,
-    /// Malformed object key. No in-process store raises it; it keeps its
-    /// tag in the remote store protocol (`arkfs::remote`).
-    BadKey,
-    /// No in-process store raises it; it keeps its tag in the remote
-    /// store protocol (`arkfs::remote`).
-    InsufficientFragments,
 }
 
 impl fmt::Display for OsError {
@@ -30,11 +22,6 @@ impl fmt::Display for OsError {
             OsError::NotFound => write!(f, "object not found"),
             OsError::Unsupported(what) => write!(f, "unsupported by store profile: {what}"),
             OsError::Injected(what) => write!(f, "injected fault: {what}"),
-            OsError::BadRange => write!(f, "range outside object"),
-            OsError::BadKey => write!(f, "malformed object key"),
-            OsError::InsufficientFragments => {
-                write!(f, "too many fragments unavailable to reconstruct object")
-            }
         }
     }
 }
@@ -52,7 +39,5 @@ mod tests {
             .to_string()
             .contains("ranged put"));
         assert!(OsError::Injected("crash").to_string().contains("crash"));
-        assert!(!OsError::BadRange.to_string().is_empty());
-        assert!(!OsError::BadKey.to_string().is_empty());
     }
 }

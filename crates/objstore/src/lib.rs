@@ -26,4 +26,4 @@ pub use error::{OsError, OsResult};
 pub use fault::FaultPlan;
 pub use key::{KeyKind, ObjectKey};
 pub use profile::StoreProfile;
-pub use store::ObjectStore;
+pub use store::{wait_last, Acked, BatchSpan, ObjectStore};

@@ -22,6 +22,9 @@ pub struct StoreProfile {
     /// Whether ranged reads are supported (both RADOS and S3 allow ranged
     /// GET).
     pub ranged_reads: bool,
+    /// One-way network latency between a client and the store: when a
+    /// request reaches it, and how long its ack takes back.
+    pub net_half_rtt: Nanos,
 }
 
 impl StoreProfile {
@@ -33,6 +36,7 @@ impl StoreProfile {
             op_latency: 0,
             partial_writes: true,
             ranged_reads: true,
+            net_half_rtt: spec.net_half_rtt,
         }
     }
 
@@ -46,6 +50,7 @@ impl StoreProfile {
             op_latency: spec.s3_op_service,
             partial_writes: false,
             ranged_reads: true,
+            net_half_rtt: spec.net_half_rtt,
         }
     }
 }

@@ -1,30 +1,25 @@
 //! The REST-shaped object store trait.
 
-use crate::error::{OsError, OsResult};
+use crate::error::OsResult;
 use crate::key::{KeyKind, ObjectKey};
 use crate::profile::StoreProfile;
-use arkfs_simkit::Port;
+use arkfs_simkit::{Nanos, Port};
+use arkfs_telemetry::{BATCH_TID, PID_STORE};
 use bytes::Bytes;
 
 /// A distributed object store as ArkFS sees it: GET/PUT/DELETE/HEAD/LIST
 /// plus the ranged variants the backend profile permits.
 ///
-/// Every call charges its virtual-time cost (network, service, disk) to
-/// the caller's [`Port`] and blocks the calling thread only for the real
-/// in-memory work.
+/// Every single-object call charges its virtual-time cost (network,
+/// service, disk) to the caller's [`Port`]; a batch call reports the ack
+/// of each item instead. Either blocks the calling thread only for the
+/// real in-memory work.
 pub trait ObjectStore: Send + Sync {
     /// The backend's semantic/cost profile.
     fn profile(&self) -> &StoreProfile;
 
     /// (object count, logical bytes) currently stored — `df` support.
     fn usage(&self) -> (u64, u64) {
-        (0, 0)
-    }
-
-    /// (batched calls issued, total items across them) — diagnostics for
-    /// the pipelined multi-ops. Backends that don't track them report
-    /// zeros.
-    fn batch_stats(&self) -> (u64, u64) {
         (0, 0)
     }
 
@@ -66,118 +61,99 @@ pub trait ObjectStore: Send + Sync {
         ino: Option<u128>,
     ) -> OsResult<Vec<ObjectKey>>;
 
-    /// Pipelined multi-GET: issue all requests concurrently; the caller
-    /// waits for the *last* completion instead of the sum (this is what
-    /// makes read-ahead pay off). The default falls back to sequential
-    /// GETs; clustered implementations override it.
-    fn get_many(&self, port: &Port, keys: &[ObjectKey]) -> Vec<OsResult<Bytes>> {
-        keys.iter().map(|&k| self.get(port, k)).collect()
-    }
+    // ---- batches ----------------------------------------------------
+    //
+    // A batch departs at the caller's clock `depart`; all its items
+    // reach the store together, one outbound half RTT later, and each
+    // reports, in request order, when its ack reaches the caller and its
+    // result, without advancing any port. A caller that needs every
+    // result waits through [`wait_last`]; one that goes on (read-ahead,
+    // write-behind, purge) keeps the acks. A failed item is acked at the
+    // floor a waiting caller pays for it: a GET miss at its arrival, a
+    // refused PUT half an RTT after it.
 
-    /// Asynchronous multi-GET: all requests depart at `arrival`, and each
-    /// key reports its own completion time instead of advancing a port.
-    /// This is the substrate for *asynchronous read-ahead* (§III-D of the
-    /// paper): the prefetcher issues these and the application only waits
-    /// when it actually touches a chunk before its completion.
-    fn get_each(&self, arrival: u64, keys: &[ObjectKey]) -> Vec<OsResult<(Bytes, u64)>> {
-        keys.iter()
-            .map(|&k| {
-                let port = Port::starting_at(arrival);
-                self.get(&port, k).map(|b| (b, port.now()))
-            })
-            .collect()
-    }
+    /// GET every key. This is the substrate for *asynchronous
+    /// read-ahead* (§III-D of the paper): the reader only waits when it
+    /// touches a chunk before its ack.
+    fn get_each(&self, depart: Nanos, keys: &[ObjectKey]) -> Acked<Bytes>;
 
-    /// Asynchronous multi-PUT, the write twin of
-    /// [`ObjectStore::get_each`]: every item departs at `depart` and
-    /// reports when its ack reaches the caller instead of advancing a
-    /// port. This is the substrate for *write-behind* of dirty cache
-    /// evictions: the writer goes on and only waits for an ack when it
-    /// needs the slot the PUT holds.
-    fn put_each(&self, depart: u64, items: Vec<(ObjectKey, Bytes)>) -> Vec<OsResult<u64>> {
-        items
-            .into_iter()
-            .map(|(k, d)| {
-                let port = Port::starting_at(depart);
-                self.put(&port, k, d).map(|()| port.now())
-            })
-            .collect()
-    }
+    /// Ranged GET of `(key, offset, len)` per item, with
+    /// [`ObjectStore::get_range`]'s semantics. On a profile without
+    /// ranged reads every item fails `Unsupported`, acked at `depart`.
+    fn get_range_each(&self, depart: Nanos, reqs: &[(ObjectKey, u64, usize)]) -> Acked<Bytes>;
 
-    /// Asynchronous multi-DELETE, the DELETE twin of
-    /// [`ObjectStore::put_each`]: every key departs at `depart` and
-    /// reports when its ack reaches the caller, with its result. This is
-    /// the substrate for purging a removed file's chunks behind the
-    /// caller.
-    fn delete_each(&self, depart: u64, keys: &[ObjectKey]) -> Vec<(u64, OsResult<()>)> {
-        keys.iter()
-            .map(|&k| {
-                let port = Port::starting_at(depart);
-                let r = self.delete(&port, k);
-                (port.now(), r)
-            })
-            .collect()
-    }
+    /// PUT every item. This is the substrate for *write-behind* of dirty
+    /// cache evictions: the writer only waits for an ack when it needs
+    /// the slot the PUT holds.
+    fn put_each(&self, depart: Nanos, items: Vec<(ObjectKey, Bytes)>) -> Acked<()>;
 
-    /// Pipelined multi-PUT (cache write-back flushes).
-    fn put_many(&self, port: &Port, items: Vec<(ObjectKey, Bytes)>) -> Vec<OsResult<()>> {
-        items
-            .into_iter()
-            .map(|(k, d)| self.put(port, k, d))
-            .collect()
-    }
+    /// Write each item's `data` at `offset` within its object. Unlike
+    /// [`ObjectStore::put_range`] this never fails with `Unsupported`:
+    /// backends without partial writes (the S3 profile) degrade per item
+    /// to read-modify-write of the whole object, which is exactly the
+    /// S3FS behavior the paper describes — confined to one chunk object
+    /// rather than the whole file.
+    fn put_range_each(&self, depart: Nanos, items: Vec<(ObjectKey, u64, Bytes)>) -> Acked<()>;
 
-    /// Pipelined ranged multi-GET: one `(key, offset, len)` request per
-    /// item, all issued concurrently. Per-item semantics match
-    /// [`ObjectStore::get_range`]. The default falls back to sequential
-    /// ranged GETs; clustered implementations override it.
-    fn get_range_many(
-        &self,
-        port: &Port,
-        reqs: &[(ObjectKey, u64, usize)],
-    ) -> Vec<OsResult<Bytes>> {
-        reqs.iter()
-            .map(|&(key, offset, len)| self.get_range(port, key, offset, len))
-            .collect()
-    }
+    /// DELETE every key; a missing one reports `NotFound` without failing
+    /// the batch.
+    fn delete_each(&self, depart: Nanos, keys: &[ObjectKey]) -> Acked<()>;
+}
 
-    /// Pipelined ranged multi-PUT: write each item's `data` at `offset`
-    /// within its object. Unlike [`ObjectStore::put_range`] this never
-    /// fails with `Unsupported`: backends without partial writes (the S3
-    /// profile) degrade per item to read-modify-write of the whole
-    /// object, which is exactly the S3FS behavior the paper describes —
-    /// confined to one chunk object rather than the whole file.
-    fn put_range_many(
-        &self,
-        port: &Port,
-        items: Vec<(ObjectKey, u64, Bytes)>,
-    ) -> Vec<OsResult<()>> {
-        items
-            .into_iter()
-            .map(
-                |(key, offset, data)| match self.put_range(port, key, offset, data.clone()) {
-                    Err(OsError::Unsupported(_)) => {
-                        let mut whole = match self.get(port, key) {
-                            Ok(existing) => Vec::from(existing),
-                            Err(OsError::NotFound) => Vec::new(),
-                            Err(e) => return Err(e),
-                        };
-                        let end = offset as usize + data.len();
-                        if whole.len() < end {
-                            whole.resize(end, 0);
-                        }
-                        whole[offset as usize..end].copy_from_slice(&data);
-                        self.put(port, key, Bytes::from(whole))
-                    }
-                    r => r,
-                },
-            )
-            .collect()
-    }
+/// Per item of a batch, in request order: when its ack reaches the
+/// caller, and its result.
+pub type Acked<T> = Vec<(Nanos, OsResult<T>)>;
 
-    /// Pipelined multi-DELETE. Per-item results report `NotFound` for
-    /// missing objects without failing the batch.
-    fn delete_many(&self, port: &Port, keys: &[ObjectKey]) -> Vec<OsResult<()>> {
-        keys.iter().map(|&k| self.delete(port, k)).collect()
+/// A batch verb, named by the whole-batch span [`wait_last`] records.
+#[derive(Debug, Clone, Copy)]
+pub enum BatchSpan {
+    Get,
+    GetRange,
+    Put,
+    PutRange,
+    Delete,
+}
+
+/// The one way a caller waits for a batch: it departs at `port`'s
+/// clock, and the port moves to the last item's ack. The store's tracer
+/// records the batch as one `store.*_many` span on its batch track, from
+/// its arrival at the store to its last completion there (a read's to
+/// its last ack, the data being back).
+pub fn wait_last<T>(
+    store: &dyn ObjectStore,
+    port: &Port,
+    span: BatchSpan,
+    batch: impl FnOnce(Nanos) -> Acked<T>,
+) -> Vec<OsResult<T>> {
+    let depart = port.now();
+    let mut last = depart;
+    let out: Vec<_> = batch(depart)
+        .into_iter()
+        .map(|(ack, r)| {
+            last = last.max(ack);
+            r
+        })
+        .collect();
+    port.wait_until(last);
+    if let Some(t) = store
+        .telemetry()
+        .filter(|t| !out.is_empty() && t.tracer.enabled())
+    {
+        let half_rtt = store.profile().net_half_rtt;
+        let written = last.saturating_sub(half_rtt);
+        let (name, end) = match span {
+            BatchSpan::Get => ("store.get_many", last),
+            BatchSpan::GetRange => ("store.get_range_many", last),
+            BatchSpan::Put => ("store.put_many", written),
+            BatchSpan::PutRange => ("store.put_range_many", written),
+            BatchSpan::Delete => ("store.delete_many", written),
+        };
+        // A batch the profile refused at the caller never reached the store.
+        let start = depart + half_rtt;
+        if end >= start {
+            t.tracer
+                .record(PID_STORE, BATCH_TID, name, "store", start, end);
+        }
     }
+    out
 }
