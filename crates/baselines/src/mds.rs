@@ -87,39 +87,12 @@ impl MdsCluster {
         self.ops.load(Ordering::Relaxed)
     }
 
-    /// Reset resource timelines between benchmark phases.
-    pub fn reset(&self) {
-        for s in &self.servers {
-            s.reset();
-        }
-        self.ops.store(0, Ordering::Relaxed);
-    }
-
     /// Charge one metadata operation on the directory identified by
     /// `dir_hint` to the caller's port: network round trip, service at
     /// the authoritative server, plus multi-MDS forwarding/migration.
     pub fn metadata_op(&self, port: &Port, dir_hint: u64) {
-        let seq = self.ops.fetch_add(1, Ordering::Relaxed);
-        let n = self.servers.len();
-        let primary = (dir_hint % n as u64) as usize;
         let t0 = port.advance(self.net_half_rtt);
-        let mut done = self.servers[primary].reserve(t0, self.model.op_service);
-        if n > 1 {
-            if (seq + 1).is_multiple_of(self.model.forward_every) {
-                // Request landed on the wrong server: forward.
-                let other = (primary + 1) % n;
-                let t1 = done + self.net_half_rtt;
-                done = self.servers[other].reserve(t1, self.model.op_service);
-            }
-            if seq % self.model.migrate_every == self.model.migrate_every - 1 {
-                // Dynamic subtree partitioning migrates a subtree,
-                // stalling the two servers involved.
-                let other = (primary + 1) % n;
-                let m1 = self.servers[primary].reserve(done, self.model.migrate_cost);
-                let m2 = self.servers[other].reserve(done, self.model.migrate_cost);
-                done = m1.max(m2);
-            }
-        }
+        let done = self.serve(t0, dir_hint);
         port.wait_until(done + self.net_half_rtt);
     }
 
@@ -135,29 +108,34 @@ impl MdsCluster {
         if dir_hints.is_empty() {
             return;
         }
-        let n = self.servers.len();
         let t0 = port.advance(self.net_half_rtt);
-        let mut latest = t0;
-        for &hint in dir_hints {
-            let seq = self.ops.fetch_add(1, Ordering::Relaxed);
-            let primary = (hint % n as u64) as usize;
-            let mut done = self.servers[primary].reserve(t0, self.model.op_service);
-            if n > 1 {
-                if (seq + 1).is_multiple_of(self.model.forward_every) {
-                    let other = (primary + 1) % n;
-                    let t1 = done + self.net_half_rtt;
-                    done = self.servers[other].reserve(t1, self.model.op_service);
-                }
-                if seq % self.model.migrate_every == self.model.migrate_every - 1 {
-                    let other = (primary + 1) % n;
-                    let m1 = self.servers[primary].reserve(done, self.model.migrate_cost);
-                    let m2 = self.servers[other].reserve(done, self.model.migrate_cost);
-                    done = m1.max(m2);
-                }
-            }
-            latest = latest.max(done);
-        }
+        let latest = (dir_hints.iter()).fold(t0, |latest, &hint| latest.max(self.serve(t0, hint)));
         port.wait_until(latest + self.net_half_rtt);
+    }
+
+    /// Serve one op arriving at `t0` at the server `dir_hint` picks;
+    /// returns when the cluster is done with it.
+    fn serve(&self, t0: Nanos, dir_hint: u64) -> Nanos {
+        let seq = self.ops.fetch_add(1, Ordering::Relaxed);
+        let n = self.servers.len();
+        let primary = (dir_hint % n as u64) as usize;
+        let mut done = self.servers[primary].reserve(t0, self.model.op_service);
+        if n > 1 {
+            let other = (primary + 1) % n;
+            if (seq + 1).is_multiple_of(self.model.forward_every) {
+                // Request landed on the wrong server: forward.
+                let t1 = done + self.net_half_rtt;
+                done = self.servers[other].reserve(t1, self.model.op_service);
+            }
+            if seq % self.model.migrate_every == self.model.migrate_every - 1 {
+                // Dynamic subtree partitioning migrates a subtree,
+                // stalling the two servers involved.
+                let m1 = self.servers[primary].reserve(done, self.model.migrate_cost);
+                let m2 = self.servers[other].reserve(done, self.model.migrate_cost);
+                done = m1.max(m2);
+            }
+        }
+        done
     }
 }
 
@@ -274,17 +252,5 @@ mod tests {
         let free = Port::new();
         mds.metadata_ops_batched(&free, &[]);
         assert_eq!(free.now(), 0);
-    }
-
-    #[test]
-    fn reset_clears_counters() {
-        let spec = spec();
-        let mds = MdsCluster::new(1, MdsModel::ceph(&spec), &spec);
-        mds.metadata_op(&Port::new(), 0);
-        mds.reset();
-        assert_eq!(mds.ops_served(), 0);
-        let p = Port::new();
-        mds.metadata_op(&p, 0);
-        assert_eq!(p.now(), spec.net_rtt() + spec.mds_op_service);
     }
 }

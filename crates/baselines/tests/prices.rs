@@ -4,7 +4,7 @@
 //! charges, or to what it answers, fails here before it moves a figure.
 
 use arkfs_baselines::pathfs::Bucket;
-use arkfs_baselines::{CephFs, GoofysFs, MarFs, MountType, S3Fs};
+use arkfs_baselines::{BucketFs, CephFs, MdsFs, MountType};
 use arkfs_objstore::{ClusterConfig, ObjectCluster};
 use arkfs_simkit::{ClusterSpec, Nanos};
 use arkfs_vfs::{Credentials, DirEntry, FileHandle, FsResult, OpenFlags, Stat, Vfs};
@@ -36,13 +36,13 @@ fn mount(system: &str) -> Mounted {
         "CephFS-K" => mounted(ceph(1, MountType::Kernel), |c| c.port().now()),
         "CephFS-K (16 MDS)" => mounted(ceph(16, MountType::Kernel), |c| c.port().now()),
         "CephFS-F" => mounted(ceph(1, MountType::Fuse), |c| c.port().now()),
-        "MarFS" => {
-            let shared = MarFs::deployment(rados(), spec.clone(), CHUNK);
-            mounted(MarFs::client(&shared), |c| c.port().now())
-        }
-        "S3FS" => mounted(S3Fs::new(bucket(), spec.clone()), |c| c.port().now()),
+        "MarFS" => mounted(
+            MdsFs::marfs(rados(), spec.clone(), CHUNK).client(MountType::Fuse),
+            |c| c.port().now(),
+        ),
+        "S3FS" => mounted(BucketFs::s3fs(bucket(), spec.clone()), |c| c.port().now()),
         "goofys" => mounted(
-            GoofysFs::with_readahead(bucket(), spec.clone(), 400 * 1024 * 1024),
+            BucketFs::goofys(bucket(), spec.clone(), 400 * 1024 * 1024),
             |c| c.port().now(),
         ),
         _ => unreachable!("{system}"),

@@ -84,7 +84,7 @@ pub const FIGURE: Figure = Figure {
 /// than 1.1 or writes more than 1.01 store bytes per user byte, holds
 /// more chunk buffers than it has entries, evicts read-ahead unread or
 /// loses a fill.
-fn small_cache_shape(records: &[Record]) -> Result<(), String> {
+fn small_cache_shape(records: &[Record], _: &[(&str, f64)]) -> Result<(), String> {
     // (The schema check has already refused a record without a key.)
     let get = |r: &Record, key| r.get(key).unwrap_or(f64::INFINITY);
     for r in records {
@@ -645,7 +645,7 @@ mod tests {
         // The `fio_seq` read numbers before read-ahead outlived what was
         // behind it, as 8-client rows.
         let big = row(256.0, &[]);
-        let check = |small: Record| small_cache_shape(&[small, big.clone()]);
+        let check = |small: Record| small_cache_shape(&[small, big.clone()], &[]);
         assert_eq!(check(row(6.0, &[])), Ok(()));
         for thrash in [
             row(6.0, &[(SEQ_MIB_S, 3300.0)]),
@@ -667,10 +667,10 @@ mod tests {
             [at(6.0, small), at(256.0, big)]
         };
         for (clients, small, big) in [(1.0, 588.0, 3066.0), (8.0, 2468.0, 6729.0)] {
-            assert!(small_cache_shape(&rows(clients, small, big)).is_err());
+            assert!(small_cache_shape(&rows(clients, small, big), &[]).is_err());
         }
         for (clients, small, big) in [(1.0, 1549.0, 3066.0), (8.0, 4548.0, 6729.0)] {
-            assert_eq!(small_cache_shape(&rows(clients, small, big)), Ok(()));
+            assert_eq!(small_cache_shape(&rows(clients, small, big), &[]), Ok(()));
         }
         // Dirty chunks queued on top of the cache, or written twice.
         for bad in [
@@ -678,7 +678,10 @@ mod tests {
             row(6.0, &[(WRITE_AMP, 2.0)]),
         ] {
             let big = row(256.0, &[]);
-            assert!(small_cache_shape(&[bad.clone(), big]).is_err(), "{bad:?}");
+            assert!(
+                small_cache_shape(&[bad.clone(), big], &[]).is_err(),
+                "{bad:?}"
+            );
         }
     }
 }

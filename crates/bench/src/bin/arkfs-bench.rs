@@ -78,7 +78,8 @@ fn run(name: &str, trace: Option<&str>) -> Result<(), String> {
     let peak = status.lines().find_map(|l| l.strip_prefix("VmHWM:"));
     let (secs, peak) = (started.elapsed().as_secs_f64(), peak.map_or("?", str::trim));
     eprintln!("{name}: {secs:.1} s wall, VmHWM {peak}");
-    (fig.shape)(&run.records).map_err(|e| format!("{name}: claimed shape does not hold: {e}"))
+    (fig.shape)(&run.records, &run.config)
+        .map_err(|e| format!("{name}: claimed shape does not hold: {e}"))
 }
 
 fn regen(check: bool) -> Result<(), String> {

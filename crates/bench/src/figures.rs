@@ -10,6 +10,7 @@ use crate::fleet::{
 };
 use crate::registry::{kops, Figure, Metric, Record, Run, Sample, Scale};
 use arkfs::ArkConfig;
+use arkfs_baselines::goofys::GOOFYS_READAHEAD;
 use arkfs_baselines::MountType;
 use arkfs_simkit::{ClusterSpec, ThroughputMeter};
 use arkfs_telemetry::critpath;
@@ -42,7 +43,7 @@ const fn full(files: u64, procs: usize, clients: usize) -> Scale {
     }
 }
 
-fn no_shape(_: &[Record]) -> Result<(), String> {
+fn no_shape(_: &[Record], _: &[(&str, f64)]) -> Result<(), String> {
     Ok(())
 }
 
@@ -101,7 +102,7 @@ pub const FIGURES: &[Figure] = &[
             Durable("delete", "unlink"),
         ],
         run: fig4,
-        shape: no_shape,
+        shape: fig4_shape,
     },
     Figure {
         name: "fig5",
@@ -151,7 +152,7 @@ pub const FIGURES: &[Figure] = &[
             Latency("read"),
         ],
         run: fig6,
-        shape: no_shape,
+        shape: fig6_shape,
     },
     Figure {
         name: "fig7",
@@ -407,31 +408,100 @@ fn fig5(run: &mut Run) -> Result<(), String> {
     Ok(())
 }
 
-/// §IV-B on mdtest-hard: ArkFS ahead of CephFS-F and CephFS-K in every
-/// phase, READ at most 4.65× CephFS-K's, and MarFS erring out of READ.
-fn fig5_shape(records: &[Record]) -> Result<(), String> {
-    let system = |name: &str| {
-        (records.iter().find(|r| r.system == name)).ok_or_else(|| format!("no {name} record"))
-    };
-    let ark = system("ArkFS")?;
-    for other in ["CephFS-F", "CephFS-K"] {
-        for phase in ["write", "stat", "read", "delete"] {
-            let (ours, theirs) = (ark.rate(phase), system(other)?.rate(phase));
+/// The record of system `name`.
+fn system<'r>(records: &'r [Record], name: &str) -> Result<&'r Record, String> {
+    (records.iter().find(|r| r.system == name)).ok_or_else(|| format!("no {name} record"))
+}
+
+/// Fails unless `lead` is ahead of each of `others` in every phase.
+fn ahead(records: &[Record], lead: &str, others: &[&str], phases: &[&str]) -> Result<(), String> {
+    let lead = system(records, lead)?;
+    for other in others {
+        for phase in phases {
+            let (ours, theirs) = (lead.rate(phase), system(records, other)?.rate(phase));
             if ours <= theirs {
                 return Err(format!(
-                    "ArkFS {phase} at {ours:.0} ops/s is not ahead of {other} ({theirs:.0})"
+                    "{} {phase} at {ours:.0} ops/s is not ahead of {other} ({theirs:.0})",
+                    lead.system
                 ));
             }
         }
     }
-    let read = ark.rate("read") / system("CephFS-K")?.rate("read");
+    Ok(())
+}
+
+/// §IV-B on mdtest-easy: ArkFS ahead of every system in every phase,
+/// and CephFS-K ≥ CephFS-F ≥ MarFS per phase. With the paper's 16
+/// processes, ArkFS's CREATE is also at least 24.86× CephFS-K's; with
+/// fewer (CI runs 8, 13.4×) the ratio is lower, since ArkFS's creates
+/// scale with its clients and one MDS's do not. The 16-MDS line's
+/// ≤ 2.41× of 1 MDS is a recorded deviation (EXPERIMENTS.md), not
+/// checked.
+fn fig4_shape(records: &[Record], config: &[(&str, f64)]) -> Result<(), String> {
+    let phases = ["create", "stat", "delete"];
+    let others = ["CephFS-F", "CephFS-K", "CephFS-K (16 MDS)", "MarFS"];
+    ahead(records, "ArkFS", &others, &phases)?;
+    for pair in ["CephFS-K", "CephFS-F", "MarFS"].windows(2) {
+        for phase in phases {
+            let (hi, lo) = (system(records, pair[0])?, system(records, pair[1])?);
+            if hi.rate(phase) < lo.rate(phase) {
+                return Err(format!("{} {phase} is below {}", pair[0], pair[1]));
+            }
+        }
+    }
+    let procs = config.iter().find(|(k, _)| *k == "procs").map(|&(_, v)| v);
+    let create =
+        system(records, "ArkFS")?.rate("create") / system(records, "CephFS-K")?.rate("create");
+    if procs == Some(16.0) && create < 24.86 {
+        return Err(format!(
+            "ArkFS CREATE is {create:.2}x CephFS-K, below 24.86x"
+        ));
+    }
+    Ok(())
+}
+
+/// §IV-B on mdtest-hard: ArkFS ahead of CephFS-F and CephFS-K in every
+/// phase, READ at most 4.65× CephFS-K's, and MarFS erring out of READ.
+fn fig5_shape(records: &[Record], _: &[(&str, f64)]) -> Result<(), String> {
+    let phases = ["write", "stat", "read", "delete"];
+    ahead(records, "ArkFS", &["CephFS-F", "CephFS-K"], &phases)?;
+    let read = system(records, "ArkFS")?.rate("read") / system(records, "CephFS-K")?.rate("read");
     if read > 4.65 {
         return Err(format!("ArkFS READ is {read:.2}x CephFS-K, above 4.65x"));
     }
-    match system("MarFS")?.get(READ_ERRORS) {
+    match system(records, "MarFS")?.get(READ_ERRORS) {
         Some(errors) if errors > 0.0 => Ok(()),
         _ => Err("MarFS READ must fail".to_string()),
     }
+}
+
+/// §IV-B on large files, as bounds on bandwidth ratios. (a) RADOS:
+/// ArkFS within 1.25× of CephFS-K on WRITE and READ, CephFS-F READ
+/// below a third of CephFS-K's. (b) S3: ArkFS-ra8MB at least 5.95× S3FS
+/// on WRITE and 3.59× on READ, goofys READ above ArkFS-ra8MB's,
+/// ArkFS-ra400MB READ at least goofys'.
+fn fig6_shape(records: &[Record], _: &[(&str, f64)]) -> Result<(), String> {
+    let mib = |name: &str, phase: &str| -> Result<f64, String> {
+        let key = format!("{phase}_mib_s");
+        (system(records, name)?.get(&key)).ok_or_else(|| format!("{name} has no {key}"))
+    };
+    let inf = f64::INFINITY;
+    let bounds = [
+        ("ArkFS", "CephFS-K", "write", 0.8..=1.25),
+        ("ArkFS", "CephFS-K", "read", 0.8..=1.25),
+        ("CephFS-F", "CephFS-K", "read", 0.0..=1.0 / 3.0),
+        ("ArkFS-ra8MB", "S3FS", "write", 5.95..=inf),
+        ("ArkFS-ra8MB", "S3FS", "read", 3.59..=inf),
+        ("goofys", "ArkFS-ra8MB", "read", 1.0..=inf),
+        ("ArkFS-ra400MB", "goofys", "read", 1.0..=inf),
+    ];
+    for (a, b, phase, bound) in bounds {
+        let r = mib(a, phase)? / mib(b, phase)?;
+        if !bound.contains(&r) {
+            return Err(format!("{a} {phase} is {r:.2}x {b}, outside {bound:.2?}"));
+        }
+    }
+    Ok(())
 }
 
 #[allow(clippy::field_reassign_with_default)]
@@ -460,9 +530,9 @@ fn fig6(run: &mut Run) -> Result<(), String> {
             "Figure 6(b): large-file bandwidth on S3",
             vec![
                 ark_fleet_s3(procs, 8 * 1024 * 1024, chunk, true),
-                ark_fleet_s3(procs, 400 * 1024 * 1024, chunk, true),
+                ark_fleet_s3(procs, GOOFYS_READAHEAD, chunk, true),
                 s3fs_fleet(procs, chunk, true),
-                goofys_fleet(procs, chunk, 400 * 1024 * 1024, true),
+                goofys_fleet(procs, chunk, GOOFYS_READAHEAD, true),
             ],
         ),
     ];
@@ -646,7 +716,7 @@ fn fig8_speedup(records: &[Record]) -> f64 {
     }
 }
 
-fn fig8_shape(records: &[Record]) -> Result<(), String> {
+fn fig8_shape(records: &[Record], _: &[(&str, f64)]) -> Result<(), String> {
     let speedup8 = fig8_speedup(records);
     match speedup8 >= 3.0 {
         true => Ok(()),
@@ -853,7 +923,7 @@ fn fig9(run: &mut Run) -> Result<(), String> {
 /// 4096 clients, as in CI, is too short to have one) and keep what
 /// manager-served views bought the points past it (floors measured at
 /// the committed file count: 619 and 449 kops/s).
-fn fig9_shape(records: &[Record]) -> Result<(), String> {
+fn fig9_shape(records: &[Record], _: &[(&str, f64)]) -> Result<(), String> {
     let largest = records.last().and_then(|r| r.get(CLIENTS)).unwrap_or(0.0);
     if largest >= 4096.0 && knee_index(records).is_none() {
         return Err(
@@ -969,7 +1039,7 @@ fn table2(run: &mut Run) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::check_bench;
+    use crate::registry::{check_bench, Shape};
     use arkfs_simkit::PhaseResult;
     use arkfs_telemetry::Telemetry;
 
@@ -1025,37 +1095,105 @@ mod tests {
         assert_eq!(err, "results[0] (ArkFS-P1): unknown key lease_acquires");
     }
 
-    #[test]
-    fn fig5_shape_refuses_each_broken_claim() {
-        let rec = |system: &str, rates: [f64; 4], errors: f64| Record {
-            group: "mdtest-hard".to_string(),
+    /// One record per row, its values under `keys`, with `edit`'s
+    /// (system, key, value) replacing one of them: a broken claim.
+    fn records(keys: &[&str], rows: &[(&str, &[f64])], edit: (&str, &str, f64)) -> Vec<Record> {
+        let rec = |&(system, values): &(&str, &[f64])| Record {
+            group: "shape".to_string(),
             system: system.to_string(),
-            metrics: (["write", "stat", "read", "delete"].iter().zip(rates))
-                .map(|(phase, rate)| (format!("{phase}_ops_s"), rate))
-                .chain([(READ_ERRORS.to_string(), errors)])
+            metrics: (keys.iter().zip(values))
+                .map(|(&key, &v)| match (system, key) == (edit.0, edit.1) {
+                    true => (key.to_string(), edit.2),
+                    false => (key.to_string(), v),
+                })
                 .collect(),
         };
-        let rows = |ark: [f64; 4], marfs_errors: f64| {
-            vec![
-                rec("ArkFS", ark, 0.0),
-                rec("CephFS-F", [4.0, 10.0, 5.0, 10.0], 0.0),
-                rec("CephFS-K", [5.0, 13.0, 14.0, 14.0], 0.0),
-                rec("MarFS", [1.0, 5.0, 5.0, 5.0], marfs_errors),
-            ]
-        };
-        let ark = [27.0, 109.0, 42.0, 45.0];
-        assert_eq!(fig5_shape(&rows(ark, 1.0)), Ok(()));
-        let refused = |rows: Vec<Record>, want: &str| {
-            let err = fig5_shape(&rows).unwrap_err();
-            assert!(err.contains(want), "{err}");
-        };
-        refused(rows([4.0, 109.0, 42.0, 45.0], 1.0), "write at 4 ops/s");
-        refused(
-            rows([27.0, 109.0, 14.0, 45.0], 1.0),
-            "not ahead of CephFS-K",
-        );
-        refused(rows([27.0, 109.0, 70.0, 45.0], 1.0), "READ is 5.00x");
-        refused(rows(ark, 0.0), "MarFS READ must fail");
+        rows.iter().map(rec).collect()
+    }
+
+    /// `shape` holds on `rows` and refuses each edit with its message.
+    fn refuses(
+        shape: Shape,
+        keys: &[&str],
+        rows: &[(&str, &[f64])],
+        broken: &[(&str, &str, f64, &str)],
+    ) {
+        let config = [("procs", 16.0)];
+        assert_eq!(shape(&records(keys, rows, ("", "", 0.0)), &config), Ok(()));
+        for &(system, key, value, want) in broken {
+            let err = shape(&records(keys, rows, (system, key, value)), &config).unwrap_err();
+            assert!(err.contains(want), "{system} {key}={value}: {err}");
+        }
+    }
+
+    #[test]
+    fn fig4_shape_refuses_each_broken_claim() {
+        let keys = ["create_ops_s", "stat_ops_s", "delete_ops_s"];
+        let rows: &[(&str, &[f64])] = &[
+            ("ArkFS", &[416.9, 421.1, 419.8]),
+            ("CephFS-F", &[5.56, 10.42, 10.42]),
+            ("CephFS-K", &[13.02, 13.02, 13.02]),
+            ("CephFS-K (16 MDS)", &[45.87, 41.69, 48.42]),
+            ("MarFS", &[5.11, 4.87, 4.87]),
+        ];
+        let broken = [
+            ("ArkFS", "stat_ops_s", 40.0, "ahead of CephFS-K (16"),
+            ("CephFS-K", "delete_ops_s", 10.0, "delete is below CephFS-F"),
+            ("MarFS", "create_ops_s", 6.0, "create is below MarFS"),
+            ("ArkFS", "create_ops_s", 300.0, "CREATE is 23.04x"),
+        ];
+        refuses(fig4_shape, &keys, rows, &broken);
+        // With fewer processes than the paper's 16 the ratio is not checked.
+        let fewer = records(&keys, rows, ("ArkFS", "create_ops_s", 300.0));
+        assert_eq!(fig4_shape(&fewer, &[("procs", 8.0)]), Ok(()));
+    }
+
+    #[test]
+    fn fig5_shape_refuses_each_broken_claim() {
+        let keys = [
+            "write_ops_s",
+            "stat_ops_s",
+            "read_ops_s",
+            "delete_ops_s",
+            READ_ERRORS,
+        ];
+        let rows: &[(&str, &[f64])] = &[
+            ("ArkFS", &[27.0, 109.0, 42.0, 45.0, 0.0]),
+            ("CephFS-F", &[4.0, 10.0, 5.0, 10.0, 0.0]),
+            ("CephFS-K", &[5.0, 13.0, 14.0, 14.0, 0.0]),
+            ("MarFS", &[1.0, 5.0, 5.0, 5.0, 1.0]),
+        ];
+        let broken = [
+            ("ArkFS", "write_ops_s", 4.0, "write at 4 ops/s"),
+            ("ArkFS", "read_ops_s", 14.0, "not ahead of CephFS-K"),
+            ("ArkFS", "read_ops_s", 70.0, "READ is 5.00x"),
+            ("MarFS", READ_ERRORS, 0.0, "MarFS READ must fail"),
+        ];
+        refuses(fig5_shape, &keys, rows, &broken);
+    }
+
+    #[test]
+    fn fig6_shape_refuses_each_broken_claim() {
+        let keys = ["write_mib_s", "read_mib_s"];
+        let rows: &[(&str, &[f64])] = &[
+            ("ArkFS", &[10128.0, 20971.0]),
+            ("CephFS-K", &[11485.0, 19885.0]),
+            ("CephFS-F", &[6582.0, 3077.0]),
+            ("ArkFS-ra8MB", &[3644.0, 2321.0]),
+            ("ArkFS-ra400MB", &[3644.0, 10117.0]),
+            ("S3FS", &[420.0, 428.0]),
+            ("goofys", &[147.0, 6812.0]),
+        ];
+        let broken = [
+            ("ArkFS", "write_mib_s", 15000.0, "write is 1.31x CephFS-K"),
+            ("ArkFS", "read_mib_s", 15000.0, "read is 0.75x CephFS-K"),
+            ("CephFS-F", "read_mib_s", 7000.0, "read is 0.35x CephFS-K"),
+            ("ArkFS-ra8MB", "write_mib_s", 2400.0, "write is 5.71x S3FS"),
+            ("ArkFS-ra8MB", "read_mib_s", 1500.0, "read is 3.50x S3FS"),
+            ("goofys", "read_mib_s", 2000.0, "is 0.86x ArkFS-ra8MB"),
+            ("ArkFS-ra400MB", "read_mib_s", 6000.0, "is 0.88x goofys"),
+        ];
+        refuses(fig6_shape, &keys, rows, &broken);
     }
 
     /// A valid two-point fig9 document from synthetic measurements.

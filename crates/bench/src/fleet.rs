@@ -3,7 +3,7 @@
 
 use arkfs::{ArkClient, ArkCluster, ArkConfig};
 use arkfs_baselines::pathfs::Bucket;
-use arkfs_baselines::{CephFs, GoofysFs, MarFs, MountType, S3Fs};
+use arkfs_baselines::{BucketFs, MdsFs, MountType};
 use arkfs_objstore::{ClusterConfig, ObjectCluster};
 use arkfs_simkit::ClusterSpec;
 use arkfs_telemetry::Telemetry;
@@ -125,7 +125,7 @@ pub fn ark_fleet_s3(n: usize, max_readahead: u64, chunk: u64, discard: bool) -> 
 /// Build a CephFS fleet (one deployment, n mounted clients).
 pub fn ceph_fleet(n: usize, mds: usize, mount: MountType, chunk: u64, discard: bool) -> System {
     let spec = ClusterSpec::aws_paper();
-    let fs = CephFs::new(
+    let fs = MdsFs::new(
         store(ClusterConfig::rados(spec.clone()), discard),
         mds,
         spec,
@@ -146,19 +146,21 @@ pub fn ceph_fleet(n: usize, mds: usize, mount: MountType, chunk: u64, discard: b
 /// Build a MarFS fleet.
 pub fn marfs_fleet(n: usize, chunk: u64) -> System {
     let spec = ClusterSpec::aws_paper();
-    let shared = MarFs::deployment(
+    let fs = MdsFs::marfs(
         store(ClusterConfig::rados(spec.clone()), false),
         spec,
         chunk,
     );
-    System::new("MarFS", n, || MarFs::client(&shared))
+    System::new("MarFS", n, || fs.client(MountType::Fuse))
 }
 
 /// Build an S3FS fleet on an S3-profile store.
 pub fn s3fs_fleet(n: usize, part: u64, discard: bool) -> System {
     let spec = ClusterSpec::aws_paper();
     let bucket = Bucket::new(store(ClusterConfig::s3(spec.clone()), discard), part);
-    System::new("S3FS", n, || S3Fs::new(Arc::clone(&bucket), spec.clone()))
+    System::new("S3FS", n, || {
+        BucketFs::s3fs(Arc::clone(&bucket), spec.clone())
+    })
 }
 
 /// Build a goofys fleet on an S3-profile store.
@@ -166,6 +168,6 @@ pub fn goofys_fleet(n: usize, part: u64, readahead: u64, discard: bool) -> Syste
     let spec = ClusterSpec::aws_paper();
     let bucket = Bucket::new(store(ClusterConfig::s3(spec.clone()), discard), part);
     System::new("goofys", n, || {
-        GoofysFs::with_readahead(Arc::clone(&bucket), spec.clone(), readahead)
+        BucketFs::goofys(Arc::clone(&bucket), spec.clone(), readahead)
     })
 }

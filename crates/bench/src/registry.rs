@@ -77,10 +77,14 @@ pub struct Figure {
     /// order; empty for a figure that writes tables only.
     pub metrics: &'static [Metric],
     pub run: fn(&mut Run) -> Result<(), String>,
-    /// The claimed shape as a check on the emitted records; evaluated
-    /// after a run has saved its artifacts, and by `check`.
-    pub shape: fn(&[Record]) -> Result<(), String>,
+    /// The claimed shape as a check on the emitted records and the
+    /// run's config; evaluated after a run has saved its artifacts, and
+    /// by `check`.
+    pub shape: Shape,
 }
+
+/// A claimed shape: the records and the run's config pass or fail it.
+pub type Shape = fn(&[Record], &[(&str, f64)]) -> Result<(), String>;
 
 /// What a record carries, declaratively. `phase` names a
 /// [`PhaseResult`]; `op` the `op.<op>.*` telemetry histograms behind it.
@@ -538,11 +542,12 @@ pub fn check_bench(rows: &[Figure], text: &str) -> Result<(), String> {
         "unknown bench '{bench}': no registry row writes it"
     ))?;
     let config = doc.get("config").filter(|c| matches!(c, Value::Obj(_)));
-    for (key, value) in config.ok_or("config: not an object")?.fields() {
-        value
-            .as_num()
-            .ok_or(format!("config.{key}: not a number"))?;
-    }
+    let config = (config.ok_or("config: not an object")?.fields().iter())
+        .map(|(key, value)| match value.as_num() {
+            Some(v) => Ok((key.as_str(), v)),
+            None => Err(format!("config.{key}: not a number")),
+        })
+        .collect::<Result<Vec<_>, String>>()?;
     let results = doc
         .get("results")
         .and_then(Value::as_arr)
@@ -578,7 +583,7 @@ pub fn check_bench(rows: &[Figure], text: &str) -> Result<(), String> {
             }
         }
     }
-    (fig.shape)(&records).map_err(|e| format!("shape: {e}"))
+    (fig.shape)(&records, &config).map_err(|e| format!("shape: {e}"))
 }
 
 fn record_of(result: &Value) -> Result<Record, String> {

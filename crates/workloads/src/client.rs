@@ -1,7 +1,7 @@
 //! The client abstraction the workload drivers run against.
 
 use arkfs::ArkClient;
-use arkfs_baselines::{CephClient, GoofysFs, MarFs, S3Fs};
+use arkfs_baselines::{BucketFs, MdsClient};
 use arkfs_simkit::Port;
 use arkfs_telemetry::Telemetry;
 use arkfs_vfs::Vfs;
@@ -40,9 +40,9 @@ impl SimClient for ArkClient {
     }
 }
 
-impl SimClient for CephClient {
+impl SimClient for MdsClient {
     fn port(&self) -> &Port {
-        CephClient::port(self)
+        MdsClient::port(self)
     }
 
     fn drop_caches(&self) {
@@ -50,41 +50,21 @@ impl SimClient for CephClient {
     }
 
     fn telemetry(&self) -> Option<Arc<Telemetry>> {
-        CephClient::telemetry(self)
+        MdsClient::telemetry(self)
     }
 }
 
-impl SimClient for MarFs {
+impl SimClient for BucketFs {
     fn port(&self) -> &Port {
-        MarFs::port(self)
-    }
-
-    fn telemetry(&self) -> Option<Arc<Telemetry>> {
-        MarFs::telemetry(self)
-    }
-}
-
-impl SimClient for S3Fs {
-    fn port(&self) -> &Port {
-        S3Fs::port(self)
-    }
-
-    fn telemetry(&self) -> Option<Arc<Telemetry>> {
-        S3Fs::telemetry(self)
-    }
-}
-
-impl SimClient for GoofysFs {
-    fn port(&self) -> &Port {
-        GoofysFs::port(self)
+        BucketFs::port(self)
     }
 
     fn drop_caches(&self) {
-        GoofysFs::drop_data_cache(self);
+        let _ = self.drop_data_cache();
     }
 
     fn telemetry(&self) -> Option<Arc<Telemetry>> {
-        GoofysFs::telemetry(self)
+        BucketFs::telemetry(self)
     }
 }
 

@@ -343,12 +343,12 @@ mod tests {
 
     #[test]
     fn mdtest_hard_counts_read_errors() {
-        use arkfs_baselines::MarFs;
+        use arkfs_baselines::{MdsFs, MountType};
         use arkfs_simkit::ClusterSpec;
         let store = Arc::new(ObjectCluster::new(ClusterConfig::test_tiny()));
-        let shared = MarFs::deployment(store, ClusterSpec::test_tiny(), 64);
+        let marfs = MdsFs::marfs(store, ClusterSpec::test_tiny(), 64);
         let fleet: Vec<Arc<dyn SimClient>> = (0..2)
-            .map(|_| MarFs::client(&shared) as Arc<dyn SimClient>)
+            .map(|_| marfs.client(MountType::Fuse) as Arc<dyn SimClient>)
             .collect();
         let cfg = MdtestHardConfig {
             files_total: 8,
