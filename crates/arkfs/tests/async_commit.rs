@@ -6,8 +6,8 @@
 mod common;
 
 use arkfs::{ArkCluster, ArkConfig};
-use arkfs_objstore::{ClusterConfig, ObjectCluster};
-use arkfs_simkit::{ClusterSpec, MSEC, SEC};
+use arkfs_objstore::{ClusterConfig, KeyKind, ObjectCluster};
+use arkfs_simkit::{ClusterSpec, Port, MSEC, SEC};
 use arkfs_vfs::{FsError, Vfs, ROOT_INO};
 use common::{cluster_with, counter, journal_len, root};
 use std::sync::Arc;
@@ -307,5 +307,101 @@ fn backpressure_stalls_seals_past_the_inflight_window() {
         narrow > wide,
         "in-flight bound 1 must stall behind journal flights \
          (narrow {narrow} ns vs wide {wide} ns)"
+    );
+}
+
+#[test]
+fn forced_and_window_flights_keep_their_prices() {
+    // One script through every kind of journal flight: a window-tripped
+    // group flight, a rename's 2PC records, an fsync's `FsyncDir`, a
+    // partition handoff's quiesce and a `sync_all`. After each step the
+    // caller's clock and the flight counters must read what they read
+    // when forced commits had their own flight path.
+    let window = 5 * MSEC;
+    let store = Arc::new(ObjectCluster::new(ClusterConfig::test_tiny()));
+    let config = ArkConfig::test_tiny()
+        .with_lease_period(SEC, SEC)
+        .with_journal_window(window)
+        .with_commit_inflight(8);
+    let cl = ArkCluster::new(config, store.clone());
+    let c = cl.client();
+    let ctx = root();
+    // (step, caller's clock, `journal.flight.count`, `journal.flight.txns`)
+    let expected = [
+        ("mkdir", 19_444, 0, 0),
+        ("create+write", 32_592, 0, 0),
+        // /a's window trips: one flight, /a's transaction plus the
+        // root's co-laned mkdirs as a donor.
+        ("window flight", 10_034_592, 1, 2),
+        // Prepare and decide in each directory: four forced flights.
+        ("rename", 10_067_728, 5, 6),
+        ("fsync", 10_080_302, 6, 7),
+        ("quiesce", 10_109_974, 7, 8),
+        ("sync_all", 10_138_938, 8, 9),
+    ];
+    let mut expected = expected.iter();
+    let mut pin = |step: &str| {
+        let &(name, now, flights, txns) = expected.next().expect("a recorded step");
+        assert_eq!(name, step);
+        let got = (
+            c.port().now(),
+            counter(&cl, "journal.flight.count"),
+            counter(&cl, "journal.flight.txns"),
+        );
+        assert_eq!(got, (now, flights, txns), "after {step}");
+    };
+    c.mkdir(&ctx, "/a", 0o755).unwrap();
+    c.mkdir(&ctx, "/b", 0o755).unwrap();
+    pin("mkdir");
+    let fh = c.create(&ctx, "/a/f", 0o644).unwrap();
+    c.write(&ctx, fh, 0, b"forced").unwrap();
+    c.close(&ctx, fh).unwrap();
+    pin("create+write");
+    c.port().advance(2 * window);
+    let fh = c.create(&ctx, "/a/g", 0o644).unwrap();
+    c.close(&ctx, fh).unwrap();
+    pin("window flight");
+    c.rename(&ctx, "/a/f", "/b/f").unwrap();
+    pin("rename");
+    let fh = c.create(&ctx, "/b/h", 0o644).unwrap();
+    c.write(&ctx, fh, 0, b"synced").unwrap();
+    c.fsync(&ctx, fh).unwrap();
+    c.close(&ctx, fh).unwrap();
+    pin("fsync");
+    let fh = c.create(&ctx, "/a/q", 0o644).unwrap();
+    c.close(&ctx, fh).unwrap();
+    c.set_dir_partitions(&ctx, "/a", 2).unwrap();
+    pin("quiesce");
+    let fh = c.create(&ctx, "/b/s", 0o644).unwrap();
+    c.close(&ctx, fh).unwrap();
+    c.sync_all(&ctx).unwrap();
+    pin("sync_all");
+
+    // A refused forced flight: the fsync fails, the retry is counted,
+    // and the create it carried is back in the running transaction, so
+    // the next barrier writes it at the sequence number that failed.
+    let b = c.stat(&ctx, "/b").unwrap().ino;
+    let before = arkfs::journal::scan_journal(cl.prt(), &Port::new(), b).unwrap();
+    let fh = c.create(&ctx, "/b/k", 0o644).unwrap();
+    store.faults.fail_next_puts(1, Some(KeyKind::Journal));
+    assert!(
+        c.fsync(&ctx, fh).is_err(),
+        "the refused PUT fails the fsync"
+    );
+    assert_eq!(counter(&cl, "journal.commit_retry.count"), 1);
+    let after = arkfs::journal::scan_journal(cl.prt(), &Port::new(), b).unwrap();
+    assert_eq!(after, before, "nothing of the refused flight landed");
+    c.fsync(&ctx, fh).unwrap();
+    c.close(&ctx, fh).unwrap();
+    let retried = arkfs::journal::scan_journal(cl.prt(), &Port::new(), b).unwrap();
+    assert_eq!(retried.len(), before.len() + 1);
+    let txn = retried.last().unwrap();
+    assert_eq!(txn.seq, 4, "the retry reuses the refused sequence number");
+    assert!(
+        txn.ops.iter().any(|op| matches!(
+            op,
+            arkfs::journal::JournalOp::UpsertDentry { name, .. } if name == "k"
+        )),
+        "the refused flight's create was restored and retried"
     );
 }
