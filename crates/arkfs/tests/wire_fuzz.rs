@@ -12,7 +12,8 @@
 //! checksum trailer catches truncations); (d) arbitrary garbage bytes
 //! never panic a decoder.
 
-use arkfs::meta::InodeRecord;
+use arkfs::journal::{JournalOp, Transaction};
+use arkfs::meta::{DentryBlock, DentryEntry, InodeRecord};
 use arkfs::metatable::MAX_VIEW_ENTRIES;
 use arkfs::remote::{StoreRequest, StoreResponse};
 use arkfs::rpc::{DirView, OpBody, OpRequest, OpResponse};
@@ -431,6 +432,70 @@ fn frames_equal_the_golden_vectors() {
     for (case, want) in cases.iter().zip(golden) {
         let hex: String = case.frame.iter().map(|b| format!("{b:02x}")).collect();
         assert_eq!(format!("{} {hex}", case.label), want);
+    }
+}
+
+/// A sealed journal transaction holding every `JournalOp` variant (a
+/// rename prepare with nested ops among them), and one dentry bucket:
+/// the two record kinds whose bytes live in the store.
+fn store_records() -> Vec<(&'static str, Vec<u8>)> {
+    let dentry = |name: &str, ino, ftype| JournalOp::UpsertDentry {
+        name: name.into(),
+        ino,
+        ftype,
+    };
+    let txn = Transaction {
+        dir: 0x0123_4567_89ab_cdef_0011_2233_4455_6677,
+        seq: 41,
+        ops: vec![
+            JournalOp::PutInode(rec(0x55)),
+            JournalOp::DeleteInode(0x66),
+            dentry("a.txt", 0x55, FileType::Regular),
+            JournalOp::RemoveDentry {
+                name: "gone".into(),
+            },
+            JournalOp::RenamePrepare {
+                txid: 0xfeed_beef,
+                peer_dir: 0x77,
+                ops: vec![
+                    dentry("moved", 0x88, FileType::Directory),
+                    JournalOp::PutInode(rec(0x88)),
+                    JournalOp::RemoveDentry { name: "was".into() },
+                ],
+            },
+            JournalOp::RenameCommit { txid: 0xfeed_beef },
+            JournalOp::RenameAbort { txid: 0xdead },
+        ],
+    };
+    let entry = |name: &str, ino, ftype| DentryEntry {
+        name: name.into(),
+        ino,
+        ftype,
+    };
+    let block = DentryBlock {
+        entries: vec![
+            entry("a.txt", 0x55, FileType::Regular),
+            entry("sub", 0x56, FileType::Directory),
+            entry("ln", 0x57, FileType::Symlink),
+        ],
+    };
+    vec![
+        ("journal_txn", txn.seal().to_vec()),
+        ("dentry_block", block.to_bytes()),
+    ]
+}
+
+/// On-store journal and dentry bytes are pinned like frames: a layout
+/// change would make every existing store unreadable, and no round trip
+/// notices a symmetric one.
+#[test]
+fn store_records_equal_the_golden_vectors() {
+    let golden: Vec<&str> = include_str!("golden_records.hex").lines().collect();
+    let records = store_records();
+    assert_eq!(records.len(), golden.len());
+    for ((label, bytes), want) in records.iter().zip(golden) {
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(format!("{label} {hex}"), want);
     }
 }
 
