@@ -9,7 +9,7 @@
 //! broadcasts.
 
 use super::super::ClientState;
-use crate::journal::{OpStamps, Transaction};
+use crate::journal;
 use crate::metatable::{Deposit, Metatable};
 use crate::prt::Prt;
 use crate::rpc::{OpBody, OpRequest, OpResponse};
@@ -18,7 +18,6 @@ use arkfs_netsim::NodeId;
 use arkfs_simkit::{Nanos, Port};
 use arkfs_telemetry::CtxGuard;
 use arkfs_vfs::{perm, Credentials, FileType, FsError, FsResult, Ino, AM_EXEC, AM_READ, AM_WRITE};
-use bytes::Bytes;
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -134,15 +133,11 @@ impl ClientState {
             Ok(())
         };
 
-        // Stamp a mutation for `op.<name>.durable_ns` attribution, run
-        // the commit policy, then sample this partition's sealed depth.
+        // Stamp a mutation for `op.<name>.durable_ns` attribution, then
+        // run the commit policy.
         let stamp_commit = |t: &mut Metatable, op: &'static str, force: bool| -> FsResult<()> {
             t.journal.stamp(op, now, trace);
-            let result = maybe_commit(t, force);
-            if let Some(depth) = &t.sealed_depth {
-                depth.set(t.journal.sealed_len() as i64);
-            }
-            result
+            maybe_commit(t, force)
         };
 
         let dir_perm = |t: &Metatable, want: u8| -> FsResult<()> {
@@ -528,11 +523,11 @@ impl ClientState {
         }
     }
 
-    /// One *group* flight: our freshly-sealed transactions ride together
-    /// with any co-laned directories' due work in a single batched
-    /// multi-PUT, so directories sharing a commit lane amortize the lane
-    /// reservation and the store round trip instead of queueing one
-    /// flight each.
+    /// A window-tripped *group* flight: our freshly-sealed transactions
+    /// ride together with any co-laned directories' due work in one
+    /// [`journal::flight`], so directories sharing a commit lane
+    /// amortize the lane reservation and the store round trip instead of
+    /// queueing one flight each.
     ///
     /// Donor tables are reached through the lane's member registry with
     /// raw `try_lock` — deliberately bypassing the lock-order checker,
@@ -565,67 +560,31 @@ impl ClientState {
                 {
                     g.journal.seal();
                 }
-                if g.journal.sealed_len() > 0 {
-                    donors.push(g);
+                let taken = g.journal.take_sealed();
+                if !taken.is_empty() {
+                    donors.push((g, taken));
                 }
             }
         }
+        let riders = donors.len();
         let own_taken = own.journal.take_sealed();
-        let donor_taken: Vec<Vec<(Transaction, OpStamps)>> =
-            donors.iter_mut().map(|g| g.journal.take_sealed()).collect();
-        let t0 = port.now();
-        let done = lane.res.reserve(t0, config.spec.local_meta_op);
-        port.wait_until(done);
-        let items: Vec<(Ino, u64, Bytes)> = own_taken
-            .iter()
-            .chain(donor_taken.iter().flatten())
-            .map(|(txn, _)| (txn.dir, txn.seq, txn.seal()))
+        let groups = std::iter::once((&mut own.journal, own_taken))
+            .chain(
+                donors
+                    .iter_mut()
+                    .map(|(g, taken)| (&mut g.journal, std::mem::take(taken))),
+            )
             .collect();
-        match prt.put_journal_many(port, &items) {
-            Ok(()) => {
-                let end = port.now();
-                if !own_taken.is_empty() {
-                    prt.meta_span("journal.commit", pkey, t0, end);
-                }
-                for (txn, stamps) in own_taken {
-                    for (op, start, ctx) in stamps {
-                        prt.record_durable(op, pkey, start, end, ctx);
-                    }
-                    own.journal.push_committed(txn);
-                }
-                for (g, taken) in donors.iter_mut().zip(donor_taken) {
-                    prt.meta_span("journal.commit", g.pkey(), t0, end);
-                    for (txn, stamps) in taken {
-                        for (op, start, ctx) in stamps {
-                            prt.record_durable(op, g.pkey(), start, end, ctx);
-                        }
-                        g.journal.push_committed(txn);
-                    }
-                    if let Some(depth) = &g.sealed_depth {
-                        depth.set(g.journal.sealed_len() as i64);
-                    }
-                }
-                Ok(())
-            }
-            Err(e) => {
-                // Unseal everything: the group retries from its members'
-                // running windows, exactly like a failed solo flush.
-                prt.count_commit_retry();
-                let now = port.now();
-                self.telemetry.flight.record(
-                    self.id.0,
-                    now,
-                    "commit.rollback",
-                    donors.len() as i64,
-                    "group flush failed; transactions unsealed for retry",
-                );
-                own.journal.restore_sealed(own_taken, now);
-                for (g, taken) in donors.iter_mut().zip(donor_taken) {
-                    g.journal.restore_sealed(taken, now);
-                }
-                Err(e)
-            }
-        }
+        let lane_service = config.spec.local_meta_op;
+        journal::flight(prt, port, &lane.res, lane_service, groups).inspect_err(|_| {
+            self.telemetry.flight.record(
+                self.id.0,
+                port.now(),
+                "commit.rollback",
+                riders as i64,
+                "group flush failed; transactions unsealed for retry",
+            );
+        })
     }
 
     /// On a lease conflict the leader "broadcasts cache flushing requests

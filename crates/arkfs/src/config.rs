@@ -147,16 +147,6 @@ impl ArkConfig {
         self.lease_renew_margin = (period / 8).max(1);
         self
     }
-
-    /// Number of chunks a file of `size` bytes occupies.
-    pub fn chunk_count(&self, size: u64) -> u64 {
-        size.div_ceil(self.chunk_size)
-    }
-
-    /// Split a byte offset into (chunk index, offset within chunk).
-    pub fn chunk_of(&self, offset: u64) -> (u64, u64) {
-        (offset / self.chunk_size, offset % self.chunk_size)
-    }
 }
 
 #[cfg(test)]
@@ -171,19 +161,6 @@ mod tests {
         assert_eq!(c.max_readahead, 8 * 1024 * 1024);
         assert_eq!(c.journal_window, 100 * MSEC, "the paper's is 1 s");
         assert!(c.permission_cache);
-    }
-
-    #[test]
-    fn chunk_math() {
-        let c = ArkConfig::test_tiny(); // 64-byte chunks
-        assert_eq!(c.chunk_count(0), 0);
-        assert_eq!(c.chunk_count(1), 1);
-        assert_eq!(c.chunk_count(64), 1);
-        assert_eq!(c.chunk_count(65), 2);
-        assert_eq!(c.chunk_of(0), (0, 0));
-        assert_eq!(c.chunk_of(63), (0, 63));
-        assert_eq!(c.chunk_of(64), (1, 0));
-        assert_eq!(c.chunk_of(130), (2, 2));
     }
 
     #[test]

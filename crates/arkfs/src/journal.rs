@@ -14,126 +14,32 @@
 
 use crate::meta::InodeRecord;
 use crate::prt::Prt;
-use crate::wire::{crc32, Decoder, Encoder, WireCodec, WireError, WireResult};
+use crate::wire::{crc32, wire_enum, Decoder, Encoder, WireCodec, WireError, WireResult};
 use arkfs_simkit::{Nanos, Port, SharedResource};
 use arkfs_telemetry::TraceCtx;
 use arkfs_vfs::{FileType, FsError, FsResult, Ino};
 use bytes::Bytes;
-use std::collections::VecDeque;
 
-/// One logged namespace mutation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JournalOp {
-    /// Create or update an inode record (the directory's own inode or a
-    /// child's).
-    PutInode(InodeRecord),
-    /// Remove an inode record.
-    DeleteInode(Ino),
-    /// Insert or update a directory entry.
-    UpsertDentry {
-        name: String,
-        ino: Ino,
-        ftype: FileType,
-    },
-    /// Remove a directory entry.
-    RemoveDentry {
-        name: String,
-    },
-    /// First phase of a cross-directory rename: the ops to apply here if
-    /// the transaction commits. `peer_dir` owns the other half.
-    RenamePrepare {
-        txid: u128,
-        peer_dir: Ino,
-        ops: Vec<JournalOp>,
-    },
-    /// Second-phase decision records.
-    RenameCommit {
-        txid: u128,
-    },
-    RenameAbort {
-        txid: u128,
-    },
-}
-
-impl WireCodec for JournalOp {
-    fn encode(&self, enc: &mut Encoder) {
-        match self {
-            JournalOp::PutInode(rec) => {
-                enc.put_u8(0);
-                rec.encode(enc);
-            }
-            JournalOp::DeleteInode(ino) => {
-                enc.put_u8(1);
-                enc.put_u128(*ino);
-            }
-            JournalOp::UpsertDentry { name, ino, ftype } => {
-                enc.put_u8(2);
-                enc.put_str(name);
-                enc.put_u128(*ino);
-                enc.put_u8(ftype.as_u8());
-            }
-            JournalOp::RemoveDentry { name } => {
-                enc.put_u8(3);
-                enc.put_str(name);
-            }
-            JournalOp::RenamePrepare {
-                txid,
-                peer_dir,
-                ops,
-            } => {
-                enc.put_u8(4);
-                enc.put_u128(*txid);
-                enc.put_u128(*peer_dir);
-                enc.put_u32(ops.len() as u32);
-                for op in ops {
-                    op.encode(enc);
-                }
-            }
-            JournalOp::RenameCommit { txid } => {
-                enc.put_u8(5);
-                enc.put_u128(*txid);
-            }
-            JournalOp::RenameAbort { txid } => {
-                enc.put_u8(6);
-                enc.put_u128(*txid);
-            }
-        }
-    }
-
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        Ok(match dec.get_u8()? {
-            0 => JournalOp::PutInode(InodeRecord::decode(dec)?),
-            1 => JournalOp::DeleteInode(dec.get_u128()?),
-            2 => JournalOp::UpsertDentry {
-                name: dec.get_str()?.to_string(),
-                ino: dec.get_u128()?,
-                ftype: FileType::from_u8(dec.get_u8()?).ok_or(WireError::Invalid("ftype"))?,
-            },
-            3 => JournalOp::RemoveDentry {
-                name: dec.get_str()?.to_string(),
-            },
-            4 => {
-                let txid = dec.get_u128()?;
-                let peer_dir = dec.get_u128()?;
-                let n = dec.get_u32()? as usize;
-                let mut ops = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    ops.push(JournalOp::decode(dec)?);
-                }
-                JournalOp::RenamePrepare {
-                    txid,
-                    peer_dir,
-                    ops,
-                }
-            }
-            5 => JournalOp::RenameCommit {
-                txid: dec.get_u128()?,
-            },
-            6 => JournalOp::RenameAbort {
-                txid: dec.get_u128()?,
-            },
-            _ => return Err(WireError::Invalid("journal op tag")),
-        })
+wire_enum! {
+    /// One logged namespace mutation.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum JournalOp, "journal op tag" {
+        /// Create or update an inode record (the directory's own inode
+        /// or a child's).
+        0 => PutInode(rec: InodeRecord),
+        /// Remove an inode record.
+        1 => DeleteInode(ino: Ino),
+        /// Insert or update a directory entry.
+        2 => UpsertDentry { name: String, ino: Ino, ftype: FileType },
+        /// Remove a directory entry.
+        3 => RemoveDentry { name: String },
+        /// First phase of a cross-directory rename: the ops to apply
+        /// here if the transaction commits. `peer_dir` owns the other
+        /// half.
+        4 => RenamePrepare { txid: u128, peer_dir: Ino, ops: Vec<JournalOp> },
+        /// Second-phase decision records.
+        5 => RenameCommit { txid: u128 },
+        6 => RenameAbort { txid: u128 },
     }
 }
 
@@ -152,10 +58,7 @@ impl Transaction {
         enc.put_u8(1); // version
         enc.put_u128(self.dir);
         enc.put_u64(self.seq);
-        enc.put_u32(self.ops.len() as u32);
-        for op in &self.ops {
-            op.encode(&mut enc);
-        }
+        self.ops.encode(&mut enc);
         let crc = crc32(enc.as_slice());
         enc.put_u32(crc);
         Bytes::from(enc.into_bytes())
@@ -177,14 +80,11 @@ impl Transaction {
         if v != 1 {
             return Err(WireError::BadVersion(v));
         }
-        let dir = dec.get_u128()?;
-        let seq = dec.get_u64()?;
-        let n = dec.get_u32()? as usize;
-        let mut ops = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            ops.push(JournalOp::decode(&mut dec)?);
-        }
-        Ok(Transaction { dir, seq, ops })
+        Ok(Transaction {
+            dir: dec.get_u128()?,
+            seq: dec.get_u64()?,
+            ops: Vec::decode(&mut dec)?,
+        })
     }
 }
 
@@ -194,13 +94,18 @@ impl Transaction {
 /// originating client op as a follow-from span.
 pub type OpStamps = Vec<(&'static str, Nanos, TraceCtx)>;
 
+/// Sealed transactions taken from one journal for a [`flight`], each
+/// with its stamps.
+pub type Sealed = Vec<(Transaction, OpStamps)>;
+
 /// The in-memory journaling state of one directory at its leader.
 ///
-/// A transaction moves through three states: **running** (buffering,
-/// mutable), **sealed** (sequence number assigned, ops frozen, waiting
-/// for its commit lane's durable flush — the state that lets the async
-/// pipeline ack before durability), and **committed** (in the journal
-/// object stream, awaiting checkpoint).
+/// A mutation is buffered in the **running** transaction until it is
+/// sealed: it gets the next sequence number and its ops freeze. Sealing
+/// is a hand-off, not a queue: the table-lock hold that seals a
+/// transaction also hands it to a [`flight`], which writes it to the
+/// journal object stream, where it stays until checkpoint truncates the
+/// stream. A flight that fails unseals it back into running.
 #[derive(Debug)]
 pub struct DirJournal {
     dir: Ino,
@@ -215,16 +120,10 @@ pub struct DirJournal {
     /// buffered in `running`, used to attribute durability latency
     /// (`op.*.durable_ns`) once the transaction lands in the store.
     running_stamps: OpStamps,
-    /// Sealed transactions awaiting their lane's durable flush. Nothing
-    /// here has reached the object store: on a crash these are lost
-    /// exactly like `running` ops.
-    sealed: VecDeque<Transaction>,
-    /// Stamps riding with each sealed transaction (parallel to `sealed`).
-    sealed_stamps: VecDeque<OpStamps>,
-    /// Sequence numbers of the sealed-and-journaled transactions awaiting
-    /// checkpoint. Their ops go once durable: the checkpoint writes the
-    /// metatable's dirty state, it does not replay them.
-    committed: Vec<u64>,
+    /// Sealed transactions not yet taken by a flight. Nothing here has
+    /// reached the object store: on a crash these are lost exactly like
+    /// `running` ops.
+    sealed: Sealed,
 }
 
 impl DirJournal {
@@ -238,9 +137,7 @@ impl DirJournal {
             running: Vec::new(),
             running_since: None,
             running_stamps: Vec::new(),
-            sealed: VecDeque::new(),
-            sealed_stamps: VecDeque::new(),
-            committed: Vec::new(),
+            sealed: Vec::new(),
         }
     }
 
@@ -272,15 +169,6 @@ impl DirJournal {
         self.running.len()
     }
 
-    /// Number of sealed transactions waiting for their durable flush.
-    pub fn sealed_len(&self) -> usize {
-        self.sealed.len()
-    }
-
-    pub fn committed_len(&self) -> usize {
-        self.committed.len()
-    }
-
     /// Should the running transaction be sealed now? True when the
     /// buffering window has elapsed or the entry bound is hit.
     pub fn commit_due(&self, now: Nanos, window: Nanos, max_entries: usize) -> bool {
@@ -296,12 +184,12 @@ impl DirJournal {
         }
     }
 
-    /// Seal the running transaction: assign it the next sequence number,
-    /// freeze its ops, and queue it for the commit lane's durable flush.
-    /// From this point the caller may ack — later ops observe the
-    /// mutation through the in-memory metatable — but nothing is durable
-    /// until [`DirJournal::flush_sealed`] lands it. Returns the sealed
-    /// sequence number, or `None` when the running transaction was empty.
+    /// Seal the running transaction: assign it the next sequence number
+    /// and freeze its ops for the next [`flight`]. From this point the
+    /// caller may ack — later ops observe the mutation through the
+    /// in-memory metatable — but nothing is durable until the flight
+    /// lands it. Returns the sealed sequence number, or `None` when the
+    /// running transaction was empty.
     pub fn seal(&mut self) -> Option<u64> {
         if self.running.is_empty() {
             return None;
@@ -313,117 +201,45 @@ impl DirJournal {
         };
         self.next_seq += 1;
         self.running_since = None;
-        self.sealed_stamps
-            .push_back(std::mem::take(&mut self.running_stamps));
         let seq = txn.seq;
-        self.sealed.push_back(txn);
+        self.sealed
+            .push((txn, std::mem::take(&mut self.running_stamps)));
         Some(seq)
     }
 
-    /// Flush every sealed transaction to the journal object stream in
-    /// sequence order. The `lane` models the commit thread this directory
-    /// is statically mapped to; its reservation serializes flushes
-    /// sharing a lane in virtual time. On failure the failed transaction
-    /// and everything sealed behind it are unsealed back into `running`
-    /// (ahead of any ops buffered meanwhile) and the sequence counter
-    /// rolls back — safe because none of them reached the store — so a
-    /// later commit retries them; each pushback bumps
-    /// `journal.commit_retry.count`.
-    pub fn flush_sealed(
-        &mut self,
-        prt: &Prt,
-        port: &Port,
-        lane: &SharedResource,
-        lane_service: Nanos,
-    ) -> FsResult<()> {
-        while let Some(txn) = self.sealed.pop_front() {
-            let stamps = self.sealed_stamps.pop_front().unwrap_or_default();
-            let t0 = port.now();
-            let done = lane.reserve(t0, lane_service);
-            port.wait_until(done);
-            match prt.put_journal(port, self.dir, txn.seq, txn.seal()) {
-                Ok(()) => {
-                    let end = port.now();
-                    for (op, start, ctx) in stamps {
-                        prt.record_durable(op, self.dir, start, end, ctx);
-                    }
-                    self.committed.push(txn.seq);
-                    prt.meta_span("journal.commit", self.dir, t0, end);
-                }
-                Err(e) => {
-                    prt.count_commit_retry();
-                    self.next_seq = txn.seq;
-                    let mut ops = txn.ops;
-                    let mut restored = stamps;
-                    while let Some(t) = self.sealed.pop_front() {
-                        ops.extend(t.ops);
-                        restored.extend(self.sealed_stamps.pop_front().unwrap_or_default());
-                    }
-                    ops.extend(std::mem::take(&mut self.running));
-                    restored.extend(std::mem::take(&mut self.running_stamps));
-                    self.running = ops;
-                    self.running_stamps = restored;
-                    self.running_since.get_or_insert(port.now());
-                    return Err(e);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Drain the sealed queue for a *group* flight (the leader's
-    /// `flush_group`): the caller batches the returned
-    /// transactions — possibly together with other directories' — into
-    /// one multi-PUT, then reports back per transaction with
-    /// [`DirJournal::push_committed`], or gives everything back with
-    /// [`DirJournal::restore_sealed`] if the flight failed.
-    pub fn take_sealed(&mut self) -> Vec<(Transaction, OpStamps)> {
-        let txns = std::mem::take(&mut self.sealed);
-        let stamps = std::mem::take(&mut self.sealed_stamps);
-        txns.into_iter()
-            .zip(stamps.into_iter().chain(std::iter::repeat_with(Vec::new)))
-            .collect()
-    }
-
-    /// Record a group-flight transaction as durable (its journal object
-    /// was written by the caller's batched flight).
-    pub fn push_committed(&mut self, txn: Transaction) {
-        self.committed.push(txn.seq);
+    /// Take the sealed transactions for a [`flight`].
+    pub fn take_sealed(&mut self) -> Sealed {
+        std::mem::take(&mut self.sealed)
     }
 
     /// Give back transactions taken by [`DirJournal::take_sealed`] after
-    /// a failed group flight: they unseal — together with anything sealed
-    /// or buffered since — back into `running` at the front, and the
-    /// sequence counter rolls back, exactly like a failed
-    /// [`DirJournal::flush_sealed`]. Re-putting the same sequence numbers
-    /// on retry is safe even if part of the flight landed: those ops were
-    /// already acked and a replay applies them idempotently. The caller
-    /// counts the retry.
-    pub fn restore_sealed(&mut self, taken: Vec<(Transaction, OpStamps)>, now: Nanos) {
+    /// a failed flight: they unseal — together with anything sealed or
+    /// buffered since — back into `running` at the front, and the
+    /// sequence counter rolls back, so a later commit retries them.
+    /// Re-putting the same sequence numbers is safe even if part of the
+    /// flight landed: those ops were already acked and a replay applies
+    /// them idempotently.
+    fn restore_sealed(&mut self, taken: Sealed, now: Nanos) {
         let Some((first, _)) = taken.first() else {
             return;
         };
         self.next_seq = first.seq;
         let mut ops = Vec::new();
         let mut stamps = Vec::new();
-        for (txn, st) in taken {
+        for (txn, st) in taken.into_iter().chain(std::mem::take(&mut self.sealed)) {
             ops.extend(txn.ops);
             stamps.extend(st);
         }
-        while let Some(t) = self.sealed.pop_front() {
-            ops.extend(t.ops);
-            stamps.extend(self.sealed_stamps.pop_front().unwrap_or_default());
-        }
-        ops.extend(std::mem::take(&mut self.running));
-        stamps.extend(std::mem::take(&mut self.running_stamps));
+        ops.append(&mut self.running);
+        stamps.append(&mut self.running_stamps);
         self.running = ops;
         self.running_stamps = stamps;
         self.running_since.get_or_insert(now);
     }
 
-    /// Seal the running transaction and flush everything sealed: the
-    /// synchronous commit path (the caller's timeline pays the journal
-    /// append).
+    /// The forced commit (2PC records, `FsyncDir`, a handoff's quiesce):
+    /// seal the running transaction and fly it on the caller's timeline,
+    /// alone — a forced flight carries no co-laned donors.
     pub fn commit(
         &mut self,
         prt: &Prt,
@@ -432,14 +248,8 @@ impl DirJournal {
         lane_service: Nanos,
     ) -> FsResult<()> {
         self.seal();
-        self.flush_sealed(prt, port, lane, lane_service)
-    }
-
-    /// Take the sequence numbers of the committed transactions for
-    /// checkpointing. The caller writes the home objects, then calls
-    /// [`DirJournal::truncate`] to delete the journal objects.
-    pub fn take_committed(&mut self) -> Vec<u64> {
-        std::mem::take(&mut self.committed)
+        let taken = self.take_sealed();
+        flight(prt, port, lane, lane_service, vec![(self, taken)])
     }
 
     /// Delete checkpointed journal objects up to (excluding) `next_seq`
@@ -451,11 +261,50 @@ impl DirJournal {
         self.oldest_live = self.next_seq;
         Ok(())
     }
+}
 
-    /// Whether everything is durable and applied.
-    pub fn is_quiescent(&self) -> bool {
-        self.running.is_empty() && self.sealed.is_empty() && self.committed.is_empty()
+/// One journal flight, the only way a sealed transaction reaches the
+/// store. `groups` pairs each journal with the transactions taken from
+/// it; the flight reserves the commit `lane` once and writes them all,
+/// in group order, in one multi-PUT. Once it lands, every stamp's
+/// `op.*.durable_ns` is recorded and each group that carried anything
+/// records a `journal.commit` span. If it fails, every group's
+/// transactions unseal back into its running transaction and
+/// `journal.commit_retry.count` counts the retry. A flight with nothing
+/// to carry returns before reserving the lane.
+pub fn flight(
+    prt: &Prt,
+    port: &Port,
+    lane: &SharedResource,
+    lane_service: Nanos,
+    groups: Vec<(&mut DirJournal, Sealed)>,
+) -> FsResult<()> {
+    if groups.iter().all(|(_, taken)| taken.is_empty()) {
+        return Ok(());
     }
+    let t0 = port.now();
+    port.wait_until(lane.reserve(t0, lane_service));
+    let items: Vec<(Ino, u64, Bytes)> = groups
+        .iter()
+        .flat_map(|(_, taken)| taken)
+        .map(|(txn, _)| (txn.dir, txn.seq, txn.seal()))
+        .collect();
+    if let Err(e) = prt.put_journal_many(port, &items) {
+        prt.count_commit_retry();
+        let now = port.now();
+        for (journal, taken) in groups {
+            journal.restore_sealed(taken, now);
+        }
+        return Err(e);
+    }
+    let end = port.now();
+    for (journal, taken) in groups.into_iter().filter(|(_, taken)| !taken.is_empty()) {
+        prt.meta_span("journal.commit", journal.dir, t0, end);
+        for (op, start, ctx) in taken.into_iter().flat_map(|(_, stamps)| stamps) {
+            prt.record_durable(op, journal.dir, start, end, ctx);
+        }
+    }
+    Ok(())
 }
 
 /// Scan a directory's journal object stream: one LIST, then one batched
@@ -649,7 +498,7 @@ mod tests {
             0,
         );
         j.commit(&prt, &port, &lane, 10).unwrap();
-        assert!(j.running_len() == 0 && j.committed_len() == 1);
+        assert_eq!(j.running_len(), 0);
         assert_eq!(prt.list_journal(&port, 7).unwrap(), vec![0]);
 
         // Second compound transaction.
@@ -657,10 +506,10 @@ mod tests {
         j.commit(&prt, &port, &lane, 10).unwrap();
         assert_eq!(prt.list_journal(&port, 7).unwrap(), vec![0, 1]);
 
-        assert_eq!(j.take_committed(), [0, 1]);
         j.truncate(&prt, &port).unwrap();
         assert!(prt.list_journal(&port, 7).unwrap().is_empty());
-        assert!(j.is_quiescent());
+        assert_eq!(j.running_len(), 0);
+        assert!(j.take_sealed().is_empty());
     }
 
     #[test]
@@ -670,6 +519,8 @@ mod tests {
         let lane = SharedResource::ideal("commit");
         let mut j = DirJournal::new(7, 0);
         j.commit(&prt, &port, &lane, 10).unwrap();
+        assert_eq!(lane.served(), 0, "an empty flight reserves no lane time");
+        assert_eq!(port.now(), 0);
         assert!(prt.list_journal(&port, 7).unwrap().is_empty());
     }
 
@@ -685,7 +536,7 @@ mod tests {
         assert!(j.commit(&prt, &port, &lane, 10).is_err());
         assert_eq!(j.running_len(), 1, "ops restored for retry");
         j.commit(&prt, &port, &lane, 10).unwrap();
-        assert_eq!(j.committed_len(), 1);
+        assert_eq!(prt.list_journal(&port, 7).unwrap(), vec![0]);
     }
 
     #[test]
@@ -697,7 +548,6 @@ mod tests {
         j.append(JournalOp::DeleteInode(1), 0);
         assert_eq!(j.seal(), Some(0));
         assert_eq!(j.running_len(), 0);
-        assert_eq!(j.sealed_len(), 1);
         assert!(
             prt.list_journal(&port, 7).unwrap().is_empty(),
             "sealed is not durable"
@@ -705,10 +555,11 @@ mod tests {
         // Ops appended after the seal start a new running transaction.
         j.append(JournalOp::DeleteInode(2), 5);
         assert_eq!(j.seal(), Some(1));
-        assert_eq!(j.sealed_len(), 2);
-        j.flush_sealed(&prt, &port, &lane, 10).unwrap();
-        assert_eq!(j.sealed_len(), 0);
-        assert_eq!(j.committed_len(), 2);
+        let taken = j.take_sealed();
+        let seqs: Vec<u64> = taken.iter().map(|(txn, _)| txn.seq).collect();
+        assert_eq!(seqs, [0, 1]);
+        flight(&prt, &port, &lane, 10, vec![(&mut j, taken)]).unwrap();
+        assert!(j.take_sealed().is_empty());
         assert_eq!(prt.list_journal(&port, 7).unwrap(), vec![0, 1]);
     }
 
@@ -716,7 +567,7 @@ mod tests {
     fn empty_seal_is_none() {
         let mut j = DirJournal::new(7, 0);
         assert_eq!(j.seal(), None);
-        assert_eq!(j.sealed_len(), 0);
+        assert!(j.take_sealed().is_empty());
     }
 
     #[test]
@@ -736,10 +587,12 @@ mod tests {
             .telemetry()
             .registry
             .counter("journal.commit_retry.count");
-        store.faults.fail_next_puts(1, None);
-        assert!(j.flush_sealed(&prt, &port, &lane, 10).is_err());
+        // Both PUTs of the flight are refused.
+        store.faults.fail_next_puts(2, None);
+        let taken = j.take_sealed();
+        assert!(flight(&prt, &port, &lane, 10, vec![(&mut j, taken)]).is_err());
         assert_eq!(retries.get(), 1, "pushback is counted");
-        assert_eq!(j.sealed_len(), 0);
+        assert!(j.take_sealed().is_empty());
         assert_eq!(
             j.running_len(),
             3,
@@ -773,7 +626,7 @@ mod tests {
         let taken = j.take_sealed();
         assert_eq!(taken.len(), 2);
         assert_eq!(taken[0].1, vec![("unlink", 0, TraceCtx::NONE)]);
-        assert_eq!(j.sealed_len(), 0);
+        assert!(j.take_sealed().is_empty());
         // Failed flight: everything (taken + ops buffered meanwhile)
         // unseals for retry at the original sequence number.
         j.append(JournalOp::DeleteInode(3), 1);
@@ -784,17 +637,33 @@ mod tests {
     }
 
     #[test]
-    fn group_push_committed_feeds_checkpoint() {
-        let mut j = DirJournal::new(7, 0);
-        j.append(JournalOp::DeleteInode(1), 0);
-        j.seal();
-        let taken = j.take_sealed();
-        for (txn, _) in taken {
-            j.push_committed(txn);
-        }
-        assert_eq!(j.committed_len(), 1);
-        assert!(!j.is_quiescent(), "committed still awaits checkpoint");
-        assert_eq!(j.take_committed().len(), 1);
+    fn one_flight_carries_every_group_in_order() {
+        let store = Arc::new(ObjectCluster::new(ClusterConfig::test_tiny()));
+        let prt = Prt::new(store.clone(), 64);
+        let port = Port::new();
+        let lane = SharedResource::ideal("commit");
+        let (mut a, mut b) = (DirJournal::new(7, 0), DirJournal::new(8, 3));
+        a.append(JournalOp::DeleteInode(1), 0);
+        a.seal();
+        b.append(JournalOp::DeleteInode(2), 0);
+        b.seal();
+        let (ta, tb) = (a.take_sealed(), b.take_sealed());
+        flight(&prt, &port, &lane, 10, vec![(&mut a, ta), (&mut b, tb)]).unwrap();
+        assert_eq!(lane.served(), 1, "one reservation for the whole flight");
+        let flights = prt.telemetry().registry.counter("journal.flight.count");
+        assert_eq!(flights.get(), 1, "one multi-PUT");
+        assert_eq!(prt.list_journal(&port, 7).unwrap(), vec![0]);
+        assert_eq!(prt.list_journal(&port, 8).unwrap(), vec![3]);
+        // A refused flight unseals every group for retry.
+        a.append(JournalOp::DeleteInode(3), 1);
+        a.seal();
+        b.append(JournalOp::DeleteInode(4), 1);
+        b.seal();
+        store.faults.fail_next_puts(1, None);
+        let (ta, tb) = (a.take_sealed(), b.take_sealed());
+        assert!(flight(&prt, &port, &lane, 10, vec![(&mut a, ta), (&mut b, tb)]).is_err());
+        assert_eq!((a.running_len(), b.running_len()), (1, 1));
+        assert_eq!((a.seal(), b.seal()), (Some(1), Some(4)));
     }
 
     #[test]
@@ -811,9 +680,9 @@ mod tests {
             seq: 1,
             ops: vec![JournalOp::DeleteInode(2)],
         };
-        prt.put_journal(&port, 7, 0, good.seal()).unwrap();
         let sealed = torn.seal();
-        prt.put_journal(&port, 7, 1, sealed.slice(..sealed.len() - 2))
+        let torn = sealed.slice(..sealed.len() - 2);
+        prt.put_journal_many(&port, &[(7, 0, good.seal()), (7, 1, torn)])
             .unwrap();
         let txns = scan_journal(&prt, &port, 7).unwrap();
         assert_eq!(txns, vec![good]);
@@ -870,7 +739,7 @@ mod tests {
             seq: 0,
             ops: vec![JournalOp::RenameCommit { txid: 2 }],
         };
-        prt.put_journal(&port, 8, 0, peer.seal()).unwrap();
+        prt.put_journal_many(&port, &[(8, 0, peer.seal())]).unwrap();
 
         let ops = resolve_renames(&prt, &port, &txns).unwrap();
         assert_eq!(

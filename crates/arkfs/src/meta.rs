@@ -3,7 +3,7 @@
 //! "We need to keep not only the file data but also the file metadata,
 //! including inodes and directory entries, in the form of objects" (§II-C).
 
-use crate::wire::{Decoder, Encoder, WireCodec, WireError, WireResult};
+use crate::wire::{wire_struct, Decoder, Encoder, WireCodec, WireError, WireResult};
 use arkfs_vfs::{Acl, AclEntry, AclQualifier, FileType, Ino, Nanos, Stat};
 
 /// Current record format version.
@@ -151,21 +151,7 @@ pub struct DentryEntry {
     pub ftype: FileType,
 }
 
-impl WireCodec for DentryEntry {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_str(&self.name);
-        enc.put_u128(self.ino);
-        enc.put_u8(self.ftype.as_u8());
-    }
-
-    fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
-        Ok(DentryEntry {
-            name: dec.get_str()?.to_string(),
-            ino: dec.get_u128()?,
-            ftype: FileType::from_u8(dec.get_u8()?).ok_or(WireError::Invalid("ftype"))?,
-        })
-    }
-}
+wire_struct!(DentryEntry { name, ino, ftype });
 
 /// One hash bucket of a directory's entries, stored in `e<dir>.<bucket>`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -176,10 +162,7 @@ pub struct DentryBlock {
 impl WireCodec for DentryBlock {
     fn encode(&self, enc: &mut Encoder) {
         enc.put_u8(META_VERSION);
-        enc.put_u32(self.entries.len() as u32);
-        for e in &self.entries {
-            e.encode(enc);
-        }
+        self.entries.encode(enc);
     }
 
     fn decode(dec: &mut Decoder<'_>) -> WireResult<Self> {
@@ -187,12 +170,9 @@ impl WireCodec for DentryBlock {
         if v != META_VERSION {
             return Err(WireError::BadVersion(v));
         }
-        let n = dec.get_u32()? as usize;
-        let mut entries = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            entries.push(DentryEntry::decode(dec)?);
-        }
-        Ok(DentryBlock { entries })
+        Ok(DentryBlock {
+            entries: Vec::decode(dec)?,
+        })
     }
 }
 

@@ -21,7 +21,6 @@ use crate::prt::Prt;
 use crate::rpc::DirView;
 use arkfs_lease::{FileLeaseTable, LeaseView};
 use arkfs_simkit::{Nanos, Port};
-use arkfs_telemetry::Gauge;
 use arkfs_vfs::{DirEntry, FileType, FsError, FsResult, Ino, SetAttr};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -60,9 +59,6 @@ pub struct Metatable {
     /// Split/merge quiesce: a frozen partition refuses service so its
     /// journal can be drained before the new map is installed.
     pub frozen: bool,
-    /// `journal.sealed_depth.p<idx>`: this partition's sealed-but-not-
-    /// durable transaction count, sampled after each mutation.
-    pub(crate) sealed_depth: Option<Arc<Gauge>>,
     dirty_dir: bool,
     dirty_children: HashSet<Ino>,
     deleted_children: HashSet<Ino>,
@@ -177,11 +173,6 @@ impl Metatable {
             bucket_lo: lo,
             bucket_hi: hi,
             frozen: false,
-            sealed_depth: Some(
-                prt.telemetry()
-                    .registry
-                    .gauge(&format!("journal.sealed_depth.p{pidx}")),
-            ),
             dirty_dir: false,
             dirty_children: HashSet::new(),
             deleted_children: HashSet::new(),
@@ -208,7 +199,6 @@ impl Metatable {
             bucket_lo: 0,
             bucket_hi: buckets,
             frozen: false,
-            sealed_depth: None,
             dirty_dir: false,
             dirty_children: HashSet::new(),
             deleted_children: HashSet::new(),
@@ -673,7 +663,6 @@ impl Metatable {
     /// objects pays a handful of fan-outs, not N round trips.
     pub fn checkpoint(&mut self, prt: &Prt, port: &Port) -> FsResult<()> {
         let t0 = port.now();
-        self.journal.take_committed();
         // Sorted drains: hash-order iteration varies between runs and
         // would jitter the virtual-time arrival order on shard resources.
         let mut dirty_children: Vec<Ino> = self.dirty_children.drain().collect();
@@ -1053,7 +1042,7 @@ mod tests {
         mt.create_child(file_inode(1), "keep.txt", 5).unwrap();
         mt.add_subdir("sub", 200, 6).unwrap();
         mt.flush(&prt, &port, &lane, 0).unwrap();
-        assert!(mt.journal.is_quiescent());
+        assert_eq!(mt.journal.running_len(), 0);
         assert!(prt.list_journal(&port, DIR).unwrap().is_empty());
 
         let loaded = Metatable::load(&prt, &port, DIR, BUCKETS, 1000).unwrap();
@@ -1141,7 +1130,8 @@ mod tests {
                 },
             ],
         };
-        prt.put_journal(&port, DIR, 0, txn.seal()).unwrap();
+        prt.put_journal_many(&port, &[(DIR, 0, txn.seal())])
+            .unwrap();
         let first = recover_directory(&prt, &port, DIR, BUCKETS).unwrap();
         assert_eq!(first.replayed, 1);
         assert_eq!(first.next_seq, 1);

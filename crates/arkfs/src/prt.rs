@@ -427,48 +427,7 @@ impl Prt {
         }
     }
 
-    /// Batched fetch of a directory's inode and its partition map in one
-    /// two-object flight — max-of-completions pricing makes the map read
-    /// free on the leader-takeover path, where both are always needed.
-    pub fn load_inode_and_pmap(
-        &self,
-        port: &Port,
-        dir: Ino,
-    ) -> FsResult<(Option<InodeRecord>, Option<PartitionMap>)> {
-        self.meta.batched_gets.add(2);
-        let keys = [
-            ObjectKey::inode(dir),
-            ObjectKey::dentry_bucket(dir, PMAP_BUCKET),
-        ];
-        let store = &*self.store;
-        let results = wait_last(store, port, BatchSpan::Get, |t| store.get_each(t, &keys));
-        let mut results = results.into_iter();
-        let inode = match results.next().expect("inode slot") {
-            Ok(data) => {
-                Some(InodeRecord::from_bytes(&data).map_err(|e| FsError::Io(e.to_string()))?)
-            }
-            Err(OsError::NotFound) => None,
-            Err(e) => return Err(map_os_err(e)),
-        };
-        let pmap = match results.next().expect("pmap slot") {
-            Ok(data) => {
-                Some(PartitionMap::from_bytes(&data).map_err(|e| FsError::Io(e.to_string()))?)
-            }
-            Err(OsError::NotFound) => None,
-            Err(e) => return Err(map_os_err(e)),
-        };
-        Ok((inode, pmap))
-    }
-
     // ---- journal objects -------------------------------------------------
-
-    pub fn put_journal(&self, port: &Port, dir: Ino, seq: u64, data: Bytes) -> FsResult<()> {
-        self.meta.journal_flights.inc();
-        self.meta.journal_flight_txns.inc();
-        self.store
-            .put(port, ObjectKey::journal(dir, seq), data)
-            .map_err(map_os_err)
-    }
 
     pub fn get_journal(&self, port: &Port, dir: Ino, seq: u64) -> FsResult<Bytes> {
         self.store
@@ -857,11 +816,8 @@ mod tests {
     fn journal_stream_roundtrip() {
         let prt = rados_prt();
         let port = Port::new();
-        prt.put_journal(&port, 10, 0, Bytes::from_static(b"t0"))
-            .unwrap();
-        prt.put_journal(&port, 10, 2, Bytes::from_static(b"t2"))
-            .unwrap();
-        prt.put_journal(&port, 10, 1, Bytes::from_static(b"t1"))
+        let t = |seq: u64, data: &'static [u8]| (10, seq, Bytes::from_static(data));
+        prt.put_journal_many(&port, &[t(0, b"t0"), t(2, b"t2"), t(1, b"t1")])
             .unwrap();
         assert_eq!(prt.list_journal(&port, 10).unwrap(), vec![0, 1, 2]);
         assert_eq!(
@@ -886,9 +842,6 @@ mod tests {
         };
         prt.store_pmap(&port, &map).unwrap();
         assert_eq!(prt.load_pmap(&port, 5).unwrap(), Some(map));
-        let (ino, got) = prt.load_inode_and_pmap(&port, 5).unwrap();
-        assert_eq!(ino, None);
-        assert_eq!(got, Some(map));
         // rmdir's dentry sweep removes the map along with the buckets.
         prt.delete_buckets(&port, 5).unwrap();
         assert_eq!(prt.load_pmap(&port, 5).unwrap(), None);

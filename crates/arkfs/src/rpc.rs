@@ -299,32 +299,3 @@ pub struct DirView {
 }
 
 wire_struct!(DirView { dir, subdirs });
-
-impl OpResponse {
-    /// Fold an `FsResult` into a response.
-    pub fn from_result<T, F: FnOnce(T) -> OpResponse>(r: Result<T, FsError>, f: F) -> OpResponse {
-        match r {
-            Ok(v) => f(v),
-            Err(e) => OpResponse::Err(e),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn from_result_folds() {
-        let ok: Result<u32, FsError> = Ok(5);
-        assert!(matches!(
-            OpResponse::from_result(ok, |_| OpResponse::Ok),
-            OpResponse::Ok
-        ));
-        let err: Result<u32, FsError> = Err(FsError::NotFound);
-        assert!(matches!(
-            OpResponse::from_result(err, |_| OpResponse::Ok),
-            OpResponse::Err(FsError::NotFound)
-        ));
-    }
-}

@@ -79,10 +79,6 @@ impl Encoder {
         self.buf.push(v);
     }
 
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -153,10 +149,6 @@ impl<'a> Decoder<'a> {
 
     pub fn get_u8(&mut self) -> WireResult<u8> {
         Ok(self.take(1)?[0])
-    }
-
-    pub fn get_u16(&mut self) -> WireResult<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
     }
 
     pub fn get_u32(&mut self) -> WireResult<u32> {
@@ -783,7 +775,6 @@ mod tests {
     fn scalar_roundtrips() {
         let mut e = Encoder::new();
         e.put_u8(0xAB);
-        e.put_u16(0xCDEF);
         e.put_u32(0xDEADBEEF);
         e.put_u64(u64::MAX - 1);
         e.put_u128(u128::MAX / 3);
@@ -794,7 +785,6 @@ mod tests {
         let bytes = e.into_bytes();
         let mut d = Decoder::new(&bytes);
         assert_eq!(d.get_u8().unwrap(), 0xAB);
-        assert_eq!(d.get_u16().unwrap(), 0xCDEF);
         assert_eq!(d.get_u32().unwrap(), 0xDEADBEEF);
         assert_eq!(d.get_u64().unwrap(), u64::MAX - 1);
         assert_eq!(d.get_u128().unwrap(), u128::MAX / 3);

@@ -428,7 +428,8 @@ fn run_recovery_case(
             } else {
                 sealed
             };
-            prt.put_journal(&setup, DIR, seq as u64, bytes).unwrap();
+            prt.put_journal_many(&setup, &[(DIR, seq as u64, bytes)])
+                .unwrap();
         }
     }
 
@@ -543,7 +544,8 @@ fn run_lifecycle_case(ops: &[LcOp], s3: bool) {
     }
     mt.journal.commit(&prt_a, &port, &lane, 0).unwrap();
     mt.checkpoint(&prt_a, &port).unwrap();
-    assert!(mt.journal.is_quiescent());
+    assert_eq!(mt.journal.running_len(), 0);
+    assert!(prt_a.list_journal(&port, DIR).unwrap().is_empty());
 
     // Serial reference: the final durable state, one object at a time.
     // (A clean object's stored bytes always equal its current encoding,
@@ -649,8 +651,7 @@ fn run_seal_crash_case(dirs: &[(Vec<Vec<RecOp>>, usize, bool)], s3: bool) {
             for (k, op) in ops.iter().enumerate() {
                 j.append(to_journal_op(op), k as u64);
             }
-            j.seal();
-            j.flush_sealed(&prt_a, &port, lane, 0).unwrap();
+            j.commit(&prt_a, &port, lane, 0).unwrap();
         }
         if *torn && durable < batches.len() {
             let txn = Transaction {
@@ -659,13 +660,9 @@ fn run_seal_crash_case(dirs: &[(Vec<Vec<RecOp>>, usize, bool)], s3: bool) {
                 ops: batches[durable].iter().map(to_journal_op).collect(),
             };
             let sealed = txn.seal();
+            let torn = sealed.slice(..sealed.len().saturating_sub(3));
             prt_a
-                .put_journal(
-                    &port,
-                    dir,
-                    durable as u64,
-                    sealed.slice(..sealed.len().saturating_sub(3)),
-                )
+                .put_journal_many(&port, &[(dir, durable as u64, torn)])
                 .unwrap();
         }
 
@@ -768,8 +765,7 @@ fn rename_2pc_caught_mid_prepare_presumed_aborts() {
         },
         0,
     );
-    js.seal();
-    js.flush_sealed(&prt, &port, &lane, 0).unwrap();
+    js.commit(&prt, &port, &lane, 0).unwrap();
     let dst_prep = Transaction {
         dir: dst,
         seq: 0,
@@ -784,8 +780,8 @@ fn rename_2pc_caught_mid_prepare_presumed_aborts() {
         }],
     }
     .seal();
-    prt.put_journal(&port, dst, 0, dst_prep.slice(..dst_prep.len() - 3))
-        .unwrap();
+    let torn = dst_prep.slice(..dst_prep.len() - 3);
+    prt.put_journal_many(&port, &[(dst, 0, torn)]).unwrap();
 
     // Recovery: the undecided source prepare consults the peer journal,
     // finds no commit record (the torn prepare was never acknowledged),
@@ -820,8 +816,7 @@ fn rename_2pc_commit_record_in_peer_journal_wins() {
         },
         0,
     );
-    js.seal();
-    js.flush_sealed(&prt, &port, &lane, 0).unwrap();
+    js.commit(&prt, &port, &lane, 0).unwrap();
     let mut jd = DirJournal::new(dst, 0);
     jd.append(
         JournalOp::RenamePrepare {
@@ -836,8 +831,7 @@ fn rename_2pc_commit_record_in_peer_journal_wins() {
         0,
     );
     jd.append(JournalOp::RenameCommit { txid }, 1);
-    jd.seal();
-    jd.flush_sealed(&prt, &port, &lane, 0).unwrap();
+    jd.commit(&prt, &port, &lane, 0).unwrap();
 
     // The source recovers first (its consult must read the peer journal
     // before the destination's own recovery truncates it).

@@ -189,9 +189,6 @@ pub const FIGURES: &[Figure] = &[
             Counter(PARTITION_SPLITS, "meta.partition.split.count"),
             Counter("partition_handoffs", "meta.partition.handoff.count"),
             Counter("lease_handoff_failed", "lease.handoff_failed.count"),
-            // `journal.sealed_depth.p<i>`, sampled after the last
-            // create, before the drain barrier zeroes it.
-            PerPartition("sealed_depth_p", PARTITIONS),
             CritPath("create", false),
         ],
         run: fig8,
@@ -651,20 +648,12 @@ fn fig8(run: &mut Run) -> Result<(), String> {
         // writers that first touch each partition, not on the admin.
         admin.release_all(&ctx).unwrap();
         let clients = sim_clients(&cluster, procs);
-        let mut sealed_depth = vec![0.0; pcount as usize];
-        let result = shared_dir_create(&clients, "/shared", files, || {
-            for (p, slot) in sealed_depth.iter_mut().enumerate() {
-                let gauge = tel.registry.gauge(&format!("journal.sealed_depth.p{p}"));
-                *slot = gauge.get() as f64;
-            }
-        })
-        .expect("shared-dir create");
+        let result = shared_dir_create(&clients, "/shared", files).expect("shared-dir create");
         assert_eq!(result.errors[0], 0, "shared-dir creates failed");
         let sample = Sample {
             phases: &result.phases,
             telemetry: Some(&tel),
             given: &[(PARTITIONS, pcount as f64)],
-            per_partition: &sealed_depth,
             ..Sample::default()
         };
         run.record("shared-dir-create", &system, &sample);

@@ -112,9 +112,6 @@ pub enum Metric {
     /// [`Metric::Given`], strictly increasing over the records: the X
     /// axis of a scaling curve.
     Axis(&'static str),
-    /// `<prefix><i>` for each `i` below the record's own value of the
-    /// second key; values from [`Sample::per_partition`].
-    PerPartition(&'static str, &'static str),
     /// `<phase>_cp_<segment>_ns` per [`critpath::SEGMENTS`] entry plus
     /// `<phase>_cp_total_ns`, from sampled causal traces: all or
     /// nothing, segments summing to at most the total. `true`: every
@@ -154,9 +151,7 @@ struct Keys {
 }
 
 impl Metric {
-    /// `partitions` gives the record's own value of a
-    /// [`Metric::PerPartition`] count key.
-    fn keys(&self, partitions: impl Fn(&str) -> usize) -> Keys {
+    fn keys(&self) -> Keys {
         let plain = |keys| Keys {
             keys,
             optional: false,
@@ -177,11 +172,6 @@ impl Metric {
             Metric::Counter(key, _) | Metric::Given(key) | Metric::Axis(key) => {
                 plain(vec![key.to_string()])
             }
-            Metric::PerPartition(prefix, count) => plain(
-                (0..partitions(count))
-                    .map(|i| format!("{prefix}{i}"))
-                    .collect(),
-            ),
             Metric::CritPath(p, required) => Keys {
                 optional: !required,
                 summed: true,
@@ -229,7 +219,6 @@ impl Metric {
                 let (_, v) = given.unwrap_or_else(|| panic!("the run gave no value for {key:?}"));
                 Some(vec![*v])
             }
-            Metric::PerPartition(..) => Some(s.per_partition.to_vec()),
             Metric::CritPath(p, required) => {
                 let aggs = critpath::aggregate(&telemetry().tracer.events());
                 let n = critpath::SEGMENTS.len();
@@ -254,7 +243,7 @@ impl Metric {
             optional,
             ordered,
             summed,
-        } = self.keys(|count| rec.get(count).unwrap_or(0.0) as usize);
+        } = self.keys();
         let values: Vec<f64> = keys.iter().filter_map(|k| rec.get(k)).collect();
         if values.is_empty() && optional {
             return Ok(());
@@ -299,7 +288,6 @@ pub struct Sample<'a> {
     pub bytes: u64,
     pub telemetry: Option<&'a Telemetry>,
     pub given: &'a [(&'static str, f64)],
-    pub per_partition: &'a [f64],
 }
 
 /// One measured series in a benchmark: a system under test plus its
@@ -415,7 +403,7 @@ impl<'a> Run<'a> {
         let mut metrics = Vec::new();
         for m in self.fig.metrics {
             if let Some(values) = m.values(sample) {
-                let keys = m.keys(|_| sample.per_partition.len()).keys;
+                let keys = m.keys().keys;
                 assert_eq!(keys.len(), values.len(), "{m:?}");
                 metrics.extend(keys.into_iter().zip(values));
             }

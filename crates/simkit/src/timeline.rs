@@ -63,11 +63,6 @@ impl Port {
     pub fn wait_until(&self, t: Nanos) -> Nanos {
         self.now.fetch_max(t, Ordering::AcqRel).max(t)
     }
-
-    /// Reset to a given origin (between benchmark phases).
-    pub fn reset_to(&self, t: Nanos) {
-        self.now.store(t, Ordering::Release);
-    }
 }
 
 /// Contention behaviour of a [`SharedResource`].
@@ -151,12 +146,6 @@ impl SharedResource {
             min_track: 0,
             inner: Mutex::new(ResourceInner::default()),
         }
-    }
-
-    /// Skip busy-interval tracking for reservations shorter than `min`.
-    pub fn with_min_track(mut self, min: Nanos) -> Self {
-        self.min_track = min;
-        self
     }
 
     /// An ideal FIFO server (no degradation).
@@ -293,7 +282,10 @@ pub struct BandwidthResource {
 impl BandwidthResource {
     pub fn new(name: &'static str, bytes_per_sec: u64) -> Self {
         BandwidthResource {
-            resource: SharedResource::ideal(name).with_min_track(200),
+            resource: SharedResource {
+                min_track: 200,
+                ..SharedResource::ideal(name)
+            },
             bytes_per_sec,
         }
     }
@@ -330,8 +322,6 @@ mod tests {
         p.wait_until(25);
         p.wait_until(5);
         assert_eq!(p.now(), 25);
-        p.reset_to(100);
-        assert_eq!(p.now(), 100);
         let p2 = Port::starting_at(7);
         assert_eq!(p2.now(), 7);
     }
@@ -541,7 +531,7 @@ mod tests {
             } else {
                 ContentionModel::degrading(alpha_pct as f64 / 1_000.0)
             };
-            let deque = SharedResource::new("deque", contention).with_min_track(min_track);
+            let deque = SharedResource { min_track, ..SharedResource::new("deque", contention) };
             let mut btree = BTreeTimeline::new(contention, min_track);
             let mut clock: Nanos = 0;
             for (kind, a, b) in steps {

@@ -164,15 +164,11 @@ pub fn mdtest_easy(
 /// CREATE phase into ONE shared directory: every process creates empty
 /// files into the same directory — the hot-directory worst case that
 /// partitioned dentry leadership targets (Fig. 8). The caller creates
-/// `dir` beforehand (choosing its partition count); `before_sync` runs
-/// after the last create and before the per-client durability barriers,
-/// so in-flight state (e.g. per-partition sealed-depth gauges) can be
-/// observed before the drain zeroes it.
+/// `dir` beforehand (choosing its partition count).
 pub fn shared_dir_create(
     clients: &[Arc<dyn SimClient>],
     dir: &str,
     files_total: u64,
-    before_sync: impl FnOnce(),
 ) -> FsResult<MdtestResult> {
     assert!(!clients.is_empty());
     let per_proc = (files_total / clients.len() as u64).max(1);
@@ -187,7 +183,6 @@ pub fn shared_dir_create(
         })
         .collect();
     let report = run_ops(clients, gens, Some(&meter));
-    before_sync();
     for (i, c) in clients.iter().enumerate() {
         let _ = c.sync_all(&ctx());
         meter.record_span(per_proc, starts[i], c.port().now());
