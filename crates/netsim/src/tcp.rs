@@ -92,6 +92,8 @@ struct Shared<Req, Resp> {
     shutdown_cv: Condvar,
     /// Where the accept loop listens, once [`TcpTransport::listen`] ran.
     local_addr: Mutex<Option<SocketAddr>>,
+    /// The accept loop's thread, once [`TcpTransport::listen`] ran.
+    acceptor: Mutex<Option<JoinHandle<()>>>,
     /// Every accepted connection: a handle that closes it, and its thread.
     conns: Mutex<Vec<(TcpStream, JoinHandle<()>)>>,
 }
@@ -131,6 +133,7 @@ impl<Req: Send + Sync + 'static, Resp: Send + Sync + 'static> TcpTransport<Req, 
                 shutdown: StdMutex::new(false),
                 shutdown_cv: Condvar::new(),
                 local_addr: Mutex::new(None),
+                acceptor: Mutex::new(None),
                 conns: Mutex::new(Vec::new()),
             }),
             registry: RwLock::new(HashMap::new()),
@@ -158,9 +161,10 @@ impl<Req: Send + Sync + 'static, Resp: Send + Sync + 'static> TcpTransport<Req, 
         let bound = listener.local_addr()?;
         *self.shared.local_addr.lock() = Some(bound);
         let shared = Arc::clone(&self.shared);
-        std::thread::Builder::new()
+        let acceptor = std::thread::Builder::new()
             .name(format!("arkfs-accept-{bound}"))
             .spawn(move || accept_loop(listener, shared))?;
+        *self.shared.acceptor.lock() = Some(acceptor);
         Ok(bound)
     }
 
@@ -175,9 +179,10 @@ impl<Req: Send + Sync + 'static, Resp: Send + Sync + 'static> TcpTransport<Req, 
         }
     }
 
-    /// Stop the accept loop, release any [`wait_shutdown`] waiters, and
-    /// close every accepted connection and wait for its thread. No
-    /// connection thread outlives the call, so none can be the one that
+    /// Stop the accept loop and wait for its thread, release any
+    /// [`wait_shutdown`] waiters, and close every accepted connection and
+    /// wait for its thread. No thread of the transport outlives the
+    /// call, so none can be the one that
     /// drops the last reference to a service (and, through it, frees a
     /// whole deployment) at some later moment, on whatever the process
     /// is doing then.
@@ -185,6 +190,12 @@ impl<Req: Send + Sync + 'static, Resp: Send + Sync + 'static> TcpTransport<Req, 
     /// [`wait_shutdown`]: TcpTransport::wait_shutdown
     pub fn shutdown(&self) {
         self.shared.request_stop();
+        // Joined first: once the accept loop has returned, no connection
+        // can be added behind the drain below.
+        let acceptor = self.shared.acceptor.lock().take();
+        if let Some(thread) = acceptor {
+            let _ = thread.join();
+        }
         for (conn, thread) in std::mem::take(&mut *self.shared.conns.lock()) {
             let _ = conn.shutdown(Shutdown::Both);
             let _ = thread.join();
