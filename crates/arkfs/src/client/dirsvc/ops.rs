@@ -560,9 +560,8 @@ impl ClientState {
                 {
                     g.journal.seal();
                 }
-                let taken = g.journal.take_sealed();
-                if !taken.is_empty() {
-                    donors.push((g, taken));
+                if let Some(taken) = g.journal.take_sealed() {
+                    donors.push((g, Some(taken)));
                 }
             }
         }

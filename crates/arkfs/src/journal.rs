@@ -94,9 +94,10 @@ impl Transaction {
 /// originating client op as a follow-from span.
 pub type OpStamps = Vec<(&'static str, Nanos, TraceCtx)>;
 
-/// Sealed transactions taken from one journal for a [`flight`], each
-/// with its stamps.
-pub type Sealed = Vec<(Transaction, OpStamps)>;
+/// The sealed transaction taken from one journal for a [`flight`], with
+/// its stamps. A journal holds at most one, so a flight carries at most
+/// one object per journal stream.
+pub type Sealed = Option<(Transaction, OpStamps)>;
 
 /// The in-memory journaling state of one directory at its leader.
 ///
@@ -120,8 +121,8 @@ pub struct DirJournal {
     /// buffered in `running`, used to attribute durability latency
     /// (`op.*.durable_ns`) once the transaction lands in the store.
     running_stamps: OpStamps,
-    /// Sealed transactions not yet taken by a flight. Nothing here has
-    /// reached the object store: on a crash these are lost exactly like
+    /// The sealed transaction not yet taken by a flight. Nothing here
+    /// has reached the object store: on a crash it is lost exactly like
     /// `running` ops.
     sealed: Sealed,
 }
@@ -137,7 +138,7 @@ impl DirJournal {
             running: Vec::new(),
             running_since: None,
             running_stamps: Vec::new(),
-            sealed: Vec::new(),
+            sealed: None,
         }
     }
 
@@ -188,47 +189,60 @@ impl DirJournal {
     /// and freeze its ops for the next [`flight`]. From this point the
     /// caller may ack — later ops observe the mutation through the
     /// in-memory metatable — but nothing is durable until the flight
-    /// lands it. Returns the sealed sequence number, or `None` when the
-    /// running transaction was empty.
+    /// lands it. A transaction sealed before a flight took the previous
+    /// one joins it at its sequence number: a flight writes at most one
+    /// object per stream, so one refused item can never leave a later
+    /// object of the same stream landed behind it. Returns the sealed
+    /// sequence number, or `None` when the running transaction was empty.
     pub fn seal(&mut self) -> Option<u64> {
         if self.running.is_empty() {
             return None;
         }
-        let txn = Transaction {
-            dir: self.dir,
-            seq: self.next_seq,
-            ops: std::mem::take(&mut self.running),
-        };
-        self.next_seq += 1;
+        let ops = std::mem::take(&mut self.running);
+        let stamps = std::mem::take(&mut self.running_stamps);
         self.running_since = None;
-        let seq = txn.seq;
-        self.sealed
-            .push((txn, std::mem::take(&mut self.running_stamps)));
-        Some(seq)
+        match &mut self.sealed {
+            Some((txn, sealed_stamps)) => {
+                txn.ops.extend(ops);
+                sealed_stamps.extend(stamps);
+                Some(txn.seq)
+            }
+            None => {
+                let seq = self.next_seq;
+                self.next_seq += 1;
+                let txn = Transaction {
+                    dir: self.dir,
+                    seq,
+                    ops,
+                };
+                self.sealed = Some((txn, stamps));
+                Some(seq)
+            }
+        }
     }
 
-    /// Take the sealed transactions for a [`flight`].
+    /// Take the sealed transaction for a [`flight`].
     pub fn take_sealed(&mut self) -> Sealed {
-        std::mem::take(&mut self.sealed)
+        self.sealed.take()
     }
 
-    /// Give back transactions taken by [`DirJournal::take_sealed`] after
-    /// a failed flight: they unseal — together with anything sealed or
-    /// buffered since — back into `running` at the front, and the
-    /// sequence counter rolls back, so a later commit retries them.
-    /// Re-putting the same sequence numbers is safe even if part of the
-    /// flight landed: those ops were already acked and a replay applies
-    /// them idempotently.
+    /// Give back the transaction taken by [`DirJournal::take_sealed`]
+    /// after a failed flight: it unseals — together with anything sealed
+    /// or buffered since — back into `running` at the front, and the
+    /// sequence counter rolls back, so a later commit retries it at the
+    /// same sequence number. That is safe even if its PUT landed while
+    /// another item of the flight was refused: the retry overwrites that
+    /// one object with a superset whose ops come first and in order, and
+    /// the stream has no later object of this journal.
     fn restore_sealed(&mut self, taken: Sealed, now: Nanos) {
-        let Some((first, _)) = taken.first() else {
+        let Some((txn, mut stamps)) = taken else {
             return;
         };
-        self.next_seq = first.seq;
-        let mut ops = Vec::new();
-        let mut stamps = Vec::new();
-        for (txn, st) in taken.into_iter().chain(std::mem::take(&mut self.sealed)) {
-            ops.extend(txn.ops);
-            stamps.extend(st);
+        self.next_seq = txn.seq;
+        let mut ops = txn.ops;
+        if let Some((later, later_stamps)) = self.sealed.take() {
+            ops.extend(later.ops);
+            stamps.extend(later_stamps);
         }
         ops.append(&mut self.running);
         stamps.append(&mut self.running_stamps);
@@ -264,12 +278,12 @@ impl DirJournal {
 }
 
 /// One journal flight, the only way a sealed transaction reaches the
-/// store. `groups` pairs each journal with the transactions taken from
+/// store. `groups` pairs each journal with the transaction taken from
 /// it; the flight reserves the commit `lane` once and writes them all,
 /// in group order, in one multi-PUT. Once it lands, every stamp's
 /// `op.*.durable_ns` is recorded and each group that carried anything
 /// records a `journal.commit` span. If it fails, every group's
-/// transactions unseal back into its running transaction and
+/// transaction unseals back into its running transaction and
 /// `journal.commit_retry.count` counts the retry. A flight with nothing
 /// to carry returns before reserving the lane.
 pub fn flight(
@@ -279,7 +293,7 @@ pub fn flight(
     lane_service: Nanos,
     groups: Vec<(&mut DirJournal, Sealed)>,
 ) -> FsResult<()> {
-    if groups.iter().all(|(_, taken)| taken.is_empty()) {
+    if groups.iter().all(|(_, taken)| taken.is_none()) {
         return Ok(());
     }
     let t0 = port.now();
@@ -298,9 +312,12 @@ pub fn flight(
         return Err(e);
     }
     let end = port.now();
-    for (journal, taken) in groups.into_iter().filter(|(_, taken)| !taken.is_empty()) {
+    for (journal, (_, stamps)) in groups
+        .into_iter()
+        .filter_map(|(journal, taken)| Some((journal, taken?)))
+    {
         prt.meta_span("journal.commit", journal.dir, t0, end);
-        for (op, start, ctx) in taken.into_iter().flat_map(|(_, stamps)| stamps) {
+        for (op, start, ctx) in stamps {
             prt.record_durable(op, journal.dir, start, end, ctx);
         }
     }
@@ -509,7 +526,7 @@ mod tests {
         j.truncate(&prt, &port).unwrap();
         assert!(prt.list_journal(&port, 7).unwrap().is_empty());
         assert_eq!(j.running_len(), 0);
-        assert!(j.take_sealed().is_empty());
+        assert!(j.take_sealed().is_none());
     }
 
     #[test]
@@ -552,22 +569,26 @@ mod tests {
             prt.list_journal(&port, 7).unwrap().is_empty(),
             "sealed is not durable"
         );
-        // Ops appended after the seal start a new running transaction.
+        // Ops appended after the seal start a new running transaction;
+        // sealed before a flight took the first, they join it.
         j.append(JournalOp::DeleteInode(2), 5);
-        assert_eq!(j.seal(), Some(1));
+        assert_eq!(j.running_len(), 1);
+        assert_eq!(j.seal(), Some(0));
         let taken = j.take_sealed();
-        let seqs: Vec<u64> = taken.iter().map(|(txn, _)| txn.seq).collect();
-        assert_eq!(seqs, [0, 1]);
+        let ops = taken.as_ref().map(|(txn, _)| txn.ops.len());
+        assert_eq!(ops, Some(2));
         flight(&prt, &port, &lane, 10, vec![(&mut j, taken)]).unwrap();
-        assert!(j.take_sealed().is_empty());
-        assert_eq!(prt.list_journal(&port, 7).unwrap(), vec![0, 1]);
+        assert!(j.take_sealed().is_none());
+        assert_eq!(prt.list_journal(&port, 7).unwrap(), vec![0]);
+        j.append(JournalOp::DeleteInode(3), 6);
+        assert_eq!(j.seal(), Some(1), "a flight closes the sequence number");
     }
 
     #[test]
     fn empty_seal_is_none() {
         let mut j = DirJournal::new(7, 0);
         assert_eq!(j.seal(), None);
-        assert!(j.take_sealed().is_empty());
+        assert!(j.take_sealed().is_none());
     }
 
     #[test]
@@ -587,12 +608,11 @@ mod tests {
             .telemetry()
             .registry
             .counter("journal.commit_retry.count");
-        // Both PUTs of the flight are refused.
-        store.faults.fail_next_puts(2, None);
+        store.faults.fail_next_puts(1, None);
         let taken = j.take_sealed();
         assert!(flight(&prt, &port, &lane, 10, vec![(&mut j, taken)]).is_err());
         assert_eq!(retries.get(), 1, "pushback is counted");
-        assert!(j.take_sealed().is_empty());
+        assert!(j.take_sealed().is_none());
         assert_eq!(
             j.running_len(),
             3,
@@ -624,9 +644,10 @@ mod tests {
         j.append(JournalOp::DeleteInode(2), 0);
         j.seal();
         let taken = j.take_sealed();
-        assert_eq!(taken.len(), 2);
-        assert_eq!(taken[0].1, vec![("unlink", 0, TraceCtx::NONE)]);
-        assert!(j.take_sealed().is_empty());
+        let (txn, stamps) = taken.as_ref().expect("sealed");
+        assert_eq!((txn.seq, txn.ops.len()), (0, 2));
+        assert_eq!(stamps, &vec![("unlink", 0, TraceCtx::NONE)]);
+        assert!(j.take_sealed().is_none());
         // Failed flight: everything (taken + ops buffered meanwhile)
         // unseals for retry at the original sequence number.
         j.append(JournalOp::DeleteInode(3), 1);
@@ -663,7 +684,18 @@ mod tests {
         let (ta, tb) = (a.take_sealed(), b.take_sealed());
         assert!(flight(&prt, &port, &lane, 10, vec![(&mut a, ta), (&mut b, tb)]).is_err());
         assert_eq!((a.running_len(), b.running_len()), (1, 1));
+        // Only `a`'s item was refused: `b`'s landed, and its retry
+        // overwrites that object rather than leaving it behind.
+        assert_eq!(prt.list_journal(&port, 8).unwrap(), vec![3, 4]);
+        b.append(JournalOp::DeleteInode(5), 2);
         assert_eq!((a.seal(), b.seal()), (Some(1), Some(4)));
+        let (ta, tb) = (a.take_sealed(), b.take_sealed());
+        flight(&prt, &port, &lane, 10, vec![(&mut a, ta), (&mut b, tb)]).unwrap();
+        assert_eq!(prt.list_journal(&port, 7).unwrap(), vec![0, 1]);
+        assert_eq!(prt.list_journal(&port, 8).unwrap(), vec![3, 4]);
+        let txn = Transaction::unseal(&prt.get_journal(&port, 8, 4).unwrap()).unwrap();
+        let expected = vec![JournalOp::DeleteInode(4), JournalOp::DeleteInode(5)];
+        assert_eq!(txn.ops, expected);
     }
 
     #[test]
