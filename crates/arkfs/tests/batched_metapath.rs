@@ -159,11 +159,12 @@ mod acceptance {
         )))
     }
 
-    /// A flushed 1024-entry directory plus a few committed-but-not-
+    /// A flushed 1024-entry directory plus `extra` committed-but-not-
     /// checkpointed creates the crash leaves in the journal, so the next
     /// leader's takeover includes recovery. Timelines reset afterwards so
-    /// the measured takeover starts on an idle store.
-    fn populate(cluster: &Arc<ObjectCluster>) {
+    /// the measured takeover starts on an idle store. With `extra` 0 the
+    /// directory is flushed and its journal empty.
+    fn populate(cluster: &Arc<ObjectCluster>, extra: u64) {
         let prt = Prt::new(Arc::clone(cluster) as Arc<dyn ObjectStore>, CHUNK);
         let port = Port::new();
         let lane = SharedResource::ideal("setup-lane");
@@ -174,7 +175,7 @@ mod acceptance {
                 .unwrap();
         }
         mt.flush(&prt, &port, &lane, 0).unwrap();
-        for i in 0..EXTRA {
+        for i in 0..extra {
             mt.create_child(file_rec(5000 + i as Ino), &format!("x{i}"), 2000 + i)
                 .unwrap();
         }
@@ -221,9 +222,9 @@ mod acceptance {
     #[test]
     fn takeover_of_1024_entry_directory_halves_serial_virtual_time() {
         let c_serial = rados_cluster();
-        populate(&c_serial);
+        populate(&c_serial, EXTRA);
         let c_batched = rados_cluster();
-        populate(&c_batched);
+        populate(&c_batched, EXTRA);
 
         let prt_serial = Prt::new(Arc::clone(&c_serial) as Arc<dyn ObjectStore>, CHUNK);
         let serial_port = Port::new();
@@ -256,6 +257,43 @@ mod acceptance {
             batched_port.now(),
             serial_port.now()
         );
+    }
+
+    /// Store GETs, PUTs, DELETEs and LISTs, `meta.takeover.objects`
+    /// and virtual ns of one takeover of the 1024-entry directory.
+    fn takeover_price(extra: u64) -> [u64; 6] {
+        let cluster = rados_cluster();
+        populate(&cluster, extra);
+        let prt = Prt::new(Arc::clone(&cluster) as Arc<dyn ObjectStore>, CHUNK);
+        let objects = prt.telemetry().registry.counter("meta.takeover.objects");
+        let s = &cluster.stats;
+        let count = || {
+            [
+                s.gets.get(),
+                s.puts.get(),
+                s.deletes.get(),
+                s.lists.get(),
+                objects.get(),
+            ]
+        };
+        let (before, port) = (count(), Port::new());
+        let mt = Metatable::load(&prt, &port, DIR, BUCKETS, 1000).unwrap();
+        assert_eq!(mt.len() as u64, ENTRIES + extra);
+        let after = count();
+        std::array::from_fn(|i| after.get(i).map_or(port.now(), |a| a - before[i]))
+    }
+
+    /// Pins the price of a takeover, flushed and crashed, so a change
+    /// to the load or recovery path shows what it moved.
+    #[test]
+    fn takeover_prices_of_the_1024_entry_directory() {
+        // Flushed: pmap GET, LIST, dir GET, 128 bucket GETs and 1024
+        // child inode GETs; nothing written.
+        assert_eq!(takeover_price(0), [1_154, 0, 0, 1, 1_153, 15_214_673]);
+        // Crashed with 8 journaled creates: recovery reads the home
+        // objects, rewrites every bucket and deletes the stream, then the
+        // load reads the directory inode and every bucket again.
+        assert_eq!(takeover_price(EXTRA), [1_292, 137, 1, 1, 1_161, 19_427_945]);
     }
 
     const CKPT_CHILDREN: u64 = 256;
