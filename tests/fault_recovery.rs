@@ -4,7 +4,7 @@
 use arkfs::{ArkCluster, ArkConfig};
 use arkfs_objstore::{ClusterConfig, KeyKind, ObjectCluster, ObjectKey, ObjectStore};
 use arkfs_simkit::{Port, MSEC};
-use arkfs_vfs::{read_file, write_file, Credentials, FsError, Vfs};
+use arkfs_vfs::{read_file, write_file, Credentials, FileType, FsError, OpenFlags, Vfs};
 use std::sync::Arc;
 
 fn crash_config() -> ArkConfig {
@@ -312,4 +312,160 @@ fn concurrent_clients_hammer_one_directory() {
     for path in ["/shared/c0-f0", "/shared/c7-f24", "/shared/c3-f12"] {
         assert_eq!(read_file(&*probe, &ctx, path).unwrap(), path.as_bytes());
     }
+}
+
+/// A crashed tree left in the store: journal window 0, so every
+/// acknowledged mutation sits in a journal object until a takeover
+/// replays it. Returns every stored object, sorted by key.
+fn crashed_tree_snapshot() -> Vec<(ObjectKey, bytes::Bytes)> {
+    let (store, cluster) = setup(crash_config());
+    let ctx = root();
+    let c1 = cluster.client();
+    for dir in ["/a", "/b", "/a/sub"] {
+        c1.mkdir(&ctx, dir, 0o755).unwrap();
+    }
+    write_file(&*c1, &ctx, "/a/f1", b"first").unwrap();
+    write_file(&*c1, &ctx, "/a/f2", b"second").unwrap();
+    write_file(&*c1, &ctx, "/b/g", b"third").unwrap();
+    c1.rename(&ctx, "/a/f1", "/b/h").unwrap();
+    c1.unlink(&ctx, "/a/f2").unwrap();
+    c1.crash();
+    let port = Port::new();
+    store
+        .list(&port, None, None)
+        .unwrap()
+        .into_iter()
+        .map(|key| (key, store.get(&port, key).unwrap()))
+        .collect()
+}
+
+/// One seeded corruption of `data`: a bit flip, a truncation, an
+/// overwrite of a short range, or a random tail.
+fn corrupt(data: &[u8], rng: &mut rand::rngs::StdRng) -> Vec<u8> {
+    use rand::RngExt;
+    let mut out = data.to_vec();
+    let len = out.len().max(1);
+    match rng.random_range(0u8..4) {
+        0 if !out.is_empty() => {
+            let bit = rng.random_range(0..out.len() * 8);
+            out[bit / 8] ^= 1 << (bit % 8);
+        }
+        1 => out.truncate(rng.random_range(0..len)),
+        2 if !out.is_empty() => {
+            let at = rng.random_range(0..out.len());
+            let end = (at + rng.random_range(1usize..9)).min(out.len());
+            for b in &mut out[at..end] {
+                *b = rng.random();
+            }
+        }
+        _ => {
+            out.truncate(rng.random_range(0..len));
+            for _ in 0..rng.random_range(1usize..33) {
+                out.push(rng.random());
+            }
+        }
+    }
+    out
+}
+
+/// A fresh deployment over a copy of `snapshot`, with the object at
+/// `corrupt.0` (if any) replaced by `corrupt.1`.
+fn mount_copy(
+    snapshot: &[(ObjectKey, bytes::Bytes)],
+    corrupt: Option<(usize, Vec<u8>)>,
+) -> Arc<arkfs::ArkClient> {
+    let store = Arc::new(ObjectCluster::new(ClusterConfig::test_tiny()));
+    let port = Port::new();
+    for (i, (key, data)) in snapshot.iter().enumerate() {
+        let data = match &corrupt {
+            Some((victim, bytes)) if *victim == i => bytes.clone().into(),
+            _ => data.clone(),
+        };
+        store.put(&port, *key, data).unwrap();
+    }
+    ArkCluster::new(crash_config(), store as Arc<dyn ObjectStore>).client()
+}
+
+/// Walk a mounted tree: readdir every directory, stat every entry and
+/// open+read a bounded prefix of every file. Errors are answers; only a
+/// panic is a failure. Depth and entry count are bounded so a corrupt
+/// dentry that names an ancestor cannot loop.
+fn walk(fs: &dyn Vfs, ctx: &Credentials, path: &str, depth: usize, budget: &mut usize) {
+    let Ok(entries) = fs.readdir(ctx, path) else {
+        return;
+    };
+    for e in entries {
+        if *budget == 0 {
+            return;
+        }
+        *budget -= 1;
+        let child = format!("{}/{}", path.trim_end_matches('/'), e.name);
+        let Ok(st) = fs.stat(ctx, &child) else {
+            continue;
+        };
+        match st.ftype {
+            FileType::Directory if depth < 8 => walk(fs, ctx, &child, depth + 1, budget),
+            FileType::Regular => {
+                if let Ok(fh) = fs.open(ctx, &child, OpenFlags::RDONLY) {
+                    let mut buf = [0u8; 4096];
+                    let _ = fs.read(ctx, fh, 0, &mut buf);
+                    let _ = fs.close(ctx, fh);
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
+/// ROADMAP aim 3, "no byte sequence from the store can panic a
+/// process": each case copies the crashed tree into a fresh store with
+/// one metadata object (inode, dentry bucket or journal object)
+/// corrupted, mounts a fresh deployment over it and walks it. Takeovers
+/// replay the journals, so corrupt transactions, corrupt base state and
+/// corrupt replay results are all read.
+#[test]
+fn corrupt_metadata_objects_never_panic_a_mount() {
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+    const CASES: usize = 1_000;
+    let snapshot = crashed_tree_snapshot();
+    let metadata: Vec<usize> = (0..snapshot.len())
+        .filter(|&i| snapshot[i].0.kind != KeyKind::Data)
+        .collect();
+    let journals = metadata
+        .iter()
+        .filter(|&&i| snapshot[i].0.kind == KeyKind::Journal)
+        .count();
+    assert!(journals >= 8, "the crash must leave journals to replay");
+    // Untouched, the copy mounts to the tree the crashed client acked.
+    let ctx = root();
+    let intact = mount_copy(&snapshot, None);
+    let names = |dir: &str| -> Vec<String> {
+        let entries = intact.readdir(&ctx, dir).unwrap();
+        entries.into_iter().map(|e| e.name).collect()
+    };
+    assert_eq!(
+        (names("/a"), names("/b")),
+        (vec!["sub".into()], vec!["g".into(), "h".into()])
+    );
+    assert_eq!(read_file(&*intact, &ctx, "/b/h").unwrap(), b"first");
+    let mut rng = StdRng::seed_from_u64(0xC022_5EED);
+    let mut panics = Vec::new();
+    for case in 0..CASES {
+        let victim = metadata[rng.random_range(0..metadata.len())];
+        let bytes = corrupt(&snapshot[victim].1, &mut rng);
+        let mount = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let client = mount_copy(&snapshot, Some((victim, bytes)));
+            walk(&*client, &ctx, "/", 0, &mut 256);
+        }));
+        if let Err(payload) = mount {
+            let msg = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default();
+            panics.push(format!("case {case}: {:?}: {msg}", snapshot[victim].0));
+        }
+    }
+    assert!(panics.is_empty(), "{} panics: {panics:#?}", panics.len());
 }
