@@ -114,6 +114,9 @@ pub struct DirJournal {
     next_seq: u64,
     /// First journal object that is still live (not yet checkpointed).
     oldest_live: u64,
+    /// Objects a crashed leader left in the stream, replayed by the
+    /// takeover and deleted by the next [`DirJournal::truncate`].
+    adopted: Vec<u64>,
     /// The running (buffering) transaction.
     running: Vec<JournalOp>,
     running_since: Option<Nanos>,
@@ -135,6 +138,7 @@ impl DirJournal {
             dir,
             next_seq: resume_from,
             oldest_live: resume_from,
+            adopted: Vec::new(),
             running: Vec::new(),
             running_since: None,
             running_stamps: Vec::new(),
@@ -266,12 +270,25 @@ impl DirJournal {
         flight(prt, port, lane, lane_service, vec![(self, taken)])
     }
 
-    /// Delete checkpointed journal objects up to (excluding) `next_seq`
-    /// with one batched multi-DELETE: truncation pays the slowest object,
-    /// not one round trip per sealed transaction.
+    /// Hand the next truncate the objects a takeover listed in this
+    /// stream (torn ones included), once their ops are in the table.
+    pub(crate) fn adopt(&mut self, listed: Vec<u64>) {
+        self.adopted = listed;
+    }
+
+    /// Delete checkpointed journal objects — the adopted ones, then
+    /// everything flown up to (excluding) `next_seq` — with one batched
+    /// multi-DELETE: truncation pays the slowest object, not one round
+    /// trip per sealed transaction.
     pub fn truncate(&mut self, prt: &Prt, port: &Port) -> FsResult<()> {
-        let dead: Vec<u64> = (self.oldest_live..self.next_seq).collect();
+        let dead: Vec<u64> = self
+            .adopted
+            .iter()
+            .copied()
+            .chain(self.oldest_live..self.next_seq)
+            .collect();
         prt.delete_journal_many(port, self.dir, &dead)?;
+        self.adopted = Vec::new();
         self.oldest_live = self.next_seq;
         Ok(())
     }
@@ -420,6 +437,12 @@ mod tests {
 
     fn inode(ino: Ino) -> InodeRecord {
         InodeRecord::new(ino, FileType::Regular, 0o644, 0, 0, 0)
+    }
+
+    /// The transaction stored at `dir`'s journal object `seq`.
+    fn stored(prt: &Prt, dir: Ino, seq: u64) -> Transaction {
+        let mut data = prt.get_journal_many(&Port::new(), dir, &[seq]).unwrap();
+        Transaction::unseal(&data.remove(0).expect("stored")).unwrap()
     }
 
     fn sample_ops() -> Vec<JournalOp> {
@@ -621,9 +644,8 @@ mod tests {
         // Retry commits everything at the original sequence number.
         j.commit(&prt, &port, &lane, 10).unwrap();
         assert_eq!(prt.list_journal(&port, 7).unwrap(), vec![0]);
-        let txn = Transaction::unseal(&prt.get_journal(&port, 7, 0).unwrap()).unwrap();
         assert_eq!(
-            txn.ops,
+            stored(&prt, 7, 0).ops,
             vec![
                 JournalOp::DeleteInode(1),
                 JournalOp::DeleteInode(2),
@@ -693,9 +715,8 @@ mod tests {
         flight(&prt, &port, &lane, 10, vec![(&mut a, ta), (&mut b, tb)]).unwrap();
         assert_eq!(prt.list_journal(&port, 7).unwrap(), vec![0, 1]);
         assert_eq!(prt.list_journal(&port, 8).unwrap(), vec![3, 4]);
-        let txn = Transaction::unseal(&prt.get_journal(&port, 8, 4).unwrap()).unwrap();
         let expected = vec![JournalOp::DeleteInode(4), JournalOp::DeleteInode(5)];
-        assert_eq!(txn.ops, expected);
+        assert_eq!(stored(&prt, 8, 4).ops, expected);
     }
 
     #[test]

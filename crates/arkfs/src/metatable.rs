@@ -85,18 +85,19 @@ pub(crate) enum Deposit {
 }
 
 impl Metatable {
-    /// Build the metatable by pulling the directory's metadata from
-    /// object storage, running journal recovery first if the stream is
-    /// non-empty (§III-E: "the new leader checks whether the journal has
-    /// any valid transactions").
+    /// Take over a directory: build its metatable from object storage,
+    /// replaying the journal stream first if it is non-empty (§III-E:
+    /// "the new leader checks whether the journal has any valid
+    /// transactions").
     ///
-    /// The pull is fully batched (§III-C at full fan-out): one GET for
-    /// the directory inode, one batched sweep over every dentry bucket,
-    /// then one batched fetch of every non-directory child inode — a
-    /// takeover of an N-entry directory pays three store round trips
-    /// (plus recovery), not N. Recovery already listed the journal
-    /// stream, so its returned resume point is reused instead of a
-    /// second LIST.
+    /// One pass, fully batched (§III-C at full fan-out): one LIST (and
+    /// one multi-GET) of the journal stream, one GET for the directory
+    /// inode, one batched sweep over every dentry bucket, the replay
+    /// into this table and one [`Self::checkpoint`] when the stream held
+    /// transactions, then one batched fetch of the child inodes the
+    /// replay did not supply. The home objects are read once, and a
+    /// takeover of an N-entry directory pays a handful of store round
+    /// trips, not N.
     pub fn load(
         prt: &Prt,
         port: &Port,
@@ -126,78 +127,61 @@ impl Metatable {
         if store_p != pcount || pidx >= pcount {
             return Err(FsError::Stale);
         }
-        let pkey = partition_ino(dir_ino, pidx);
-        let lo = partition_lo(pidx, buckets, pcount);
-        let hi = partition_hi(pidx, buckets, pcount);
-        let recovery = recover_directory_scoped(prt, port, dir_ino, pkey, buckets, lo, hi)?;
-        let dir = prt.load_inode(port, dir_ino)?;
-        if dir.ftype != FileType::Directory {
+        let (mut mt, _) =
+            Self::recover(prt, port, dir_ino, pidx, pcount, buckets, file_lease_period)?;
+        if mt.dir.ftype != FileType::Directory {
             return Err(FsError::NotADirectory);
         }
-        let mut dentries = HashMap::new();
-        let bucket_ids: Vec<u64> = (lo..hi).collect();
-        for block in prt.load_buckets_many(port, dir_ino, &bucket_ids)? {
-            for entry in block.entries {
-                dentries.insert(entry.name.clone(), entry);
-            }
-        }
-        let mut child_inos: Vec<Ino> = dentries
+        // The table holds the inode of every non-directory child and no
+        // other. Sorted, so the fetch order is deterministic (hash-order
+        // iteration would jitter virtual-time arrivals between runs).
+        let mut files: Vec<Ino> = mt
+            .dentries
             .values()
             .filter(|e| e.ftype != FileType::Directory)
             .map(|e| e.ino)
             .collect();
-        // Deterministic fetch order (hash-order iteration would jitter
-        // virtual-time arrivals between runs).
-        child_inos.sort_unstable();
-        let mut children = HashMap::new();
-        for (ino, rec) in child_inos
-            .iter()
-            .zip(prt.load_inodes_many(port, &child_inos)?)
-        {
-            let rec = rec.ok_or(FsError::NotFound)?;
-            children.insert(*ino, rec);
+        files.sort_unstable();
+        mt.children
+            .retain(|ino, _| files.binary_search(ino).is_ok());
+        files.retain(|ino| !mt.children.contains_key(ino));
+        for (ino, rec) in files.iter().zip(prt.load_inodes_many(port, &files)?) {
+            mt.children.insert(*ino, rec.ok_or(FsError::NotFound)?);
         }
-        prt.count_takeover(1 + (hi - lo) + child_inos.len() as u64);
-        prt.meta_span("meta.takeover", pkey, t0, port.now());
-        let resume = recovery.next_seq;
-        Ok(Metatable {
-            dir,
-            dentries,
-            children,
-            journal: DirJournal::new(pkey, resume),
-            file_leases: FileLeaseTable::new(file_lease_period),
-            buckets,
-            partition: pidx,
-            pcount,
-            pkey,
-            bucket_lo: lo,
-            bucket_hi: hi,
-            frozen: false,
-            dirty_dir: false,
-            dirty_children: HashSet::new(),
-            deleted_children: HashSet::new(),
-            dirty_buckets: HashSet::new(),
-            subdir_view: None,
-            deposit: Deposit::None,
-        })
+        prt.count_takeover(1 + (mt.bucket_hi - mt.bucket_lo) + files.len() as u64);
+        prt.meta_span("meta.takeover", mt.pkey, t0, port.now());
+        Ok(mt)
     }
 
     /// A metatable for a brand-new directory whose inode object was just
     /// written (mkdir path) — nothing to load.
     pub fn fresh(dir: InodeRecord, buckets: u64, file_lease_period: Nanos) -> Self {
-        let ino = dir.ino;
+        Self::new(dir, buckets, 0, 1, 0, file_lease_period)
+    }
+
+    /// An empty table for partition `partition` of `pcount`, whose
+    /// journal resumes at `next_seq`.
+    fn new(
+        dir: InodeRecord,
+        buckets: u64,
+        partition: u32,
+        pcount: u32,
+        next_seq: u64,
+        file_lease_period: Nanos,
+    ) -> Self {
+        let pkey = partition_ino(dir.ino, partition);
         Metatable {
             dir,
             dentries: HashMap::new(),
             children: HashMap::new(),
-            journal: DirJournal::new(ino, 0),
+            journal: DirJournal::new(pkey, next_seq),
             file_leases: FileLeaseTable::new(file_lease_period),
             buckets,
-            partition: 0,
-            pcount: 1,
-            pkey: ino,
-            bucket_lo: 0,
-            bucket_hi: buckets,
+            partition,
+            pcount,
+            pkey,
+            bucket_lo: partition_lo(partition, buckets, pcount),
+            bucket_hi: partition_hi(partition, buckets, pcount),
             frozen: false,
             dirty_dir: false,
             dirty_children: HashSet::new(),
@@ -205,6 +189,91 @@ impl Metatable {
             dirty_buckets: HashSet::new(),
             subdir_view: None,
             deposit: Deposit::None,
+        }
+    }
+
+    /// Journal recovery (§III-E.1), the first part of a takeover: scan
+    /// the partition's journal stream, read the directory inode and the
+    /// owned buckets, replay the surviving ops (2PC decisions folded by
+    /// [`resolve_renames`]) into the table, and, if the stream held an
+    /// intact transaction, checkpoint: the write-back deletes every
+    /// listed journal object, torn ones included. A directory inode
+    /// missing and not replayed, or deleted by the replay, is `NotFound`.
+    fn recover(
+        prt: &Prt,
+        port: &Port,
+        dir_ino: Ino,
+        pidx: u32,
+        pcount: u32,
+        buckets: u64,
+        file_lease_period: Nanos,
+    ) -> FsResult<(Self, Recovery)> {
+        let t0 = port.now();
+        let (seqs, txns) = scan_journal_stream(prt, port, partition_ino(dir_ino, pidx))?;
+        let next_seq = seqs.last().map_or(0, |s| s + 1);
+        let ops = resolve_renames(prt, port, &txns)?;
+        let dir = match prt.load_inode(port, dir_ino) {
+            Ok(rec) if rec.ino != dir_ino => {
+                return Err(FsError::Io(format!("i{dir_ino} holds another inode")))
+            }
+            Err(FsError::NotFound) if !txns.is_empty() => None,
+            res => Some(res?),
+        };
+        let loaded = dir.is_some();
+        let dir = dir.unwrap_or_else(|| InodeRecord::new(dir_ino, FileType::Directory, 0, 0, 0, 0));
+        let mut mt = Self::new(dir, buckets, pidx, pcount, next_seq, file_lease_period);
+        let bucket_ids: Vec<u64> = (mt.bucket_lo..mt.bucket_hi).collect();
+        for block in prt.load_buckets_many(port, dir_ino, &bucket_ids)? {
+            for entry in block.entries {
+                mt.dentries.insert(entry.name.clone(), entry);
+            }
+        }
+        let replayed = txns.len();
+        if replayed > 0 {
+            ops.into_iter().for_each(|op| mt.replay(op));
+            let dir_gone = !(loaded || mt.dirty_dir) || mt.deleted_children.contains(&dir_ino);
+            mt.journal.adopt(seqs);
+            mt.checkpoint(prt, port)?;
+            prt.meta_span("meta.recover", mt.pkey, t0, port.now());
+            if dir_gone {
+                return Err(FsError::NotFound);
+            }
+        }
+        Ok((mt, Recovery { replayed, next_seq }))
+    }
+
+    /// Apply one resolved journal op, marking the dirty sets the live
+    /// mutation that logged it marked, without logging it again. Dentry
+    /// ops outside the owned buckets cannot appear in this partition's
+    /// journal (leaders validate ownership before journaling); ignoring
+    /// them bounds a corrupt stream to this partition's buckets.
+    fn replay(&mut self, op: JournalOp) {
+        match op {
+            JournalOp::PutInode(rec) if rec.ino == self.dir.ino => {
+                self.dir = rec;
+                self.dirty_dir = true;
+            }
+            JournalOp::PutInode(rec) => {
+                self.deleted_children.remove(&rec.ino);
+                self.dirty_children.insert(rec.ino);
+                self.children.insert(rec.ino, rec);
+            }
+            JournalOp::DeleteInode(ino) => {
+                self.children.remove(&ino);
+                self.dirty_children.remove(&ino);
+                self.deleted_children.insert(ino);
+            }
+            JournalOp::UpsertDentry { name, ino, ftype } if self.owns_name(&name) => {
+                self.mark_dentry(&name);
+                self.dentries
+                    .insert(name.clone(), DentryEntry { name, ino, ftype });
+            }
+            JournalOp::RemoveDentry { name } if self.owns_name(&name) => {
+                self.mark_dentry(&name);
+                self.dentries.remove(&name);
+            }
+            // Unowned dentry ops, and 2PC records (folded already).
+            _ => {}
         }
     }
 
@@ -752,143 +821,16 @@ pub struct Recovery {
     /// The sequence number the next sealed transaction should use:
     /// one past the highest journal object observed (torn ones
     /// included, so a new leader never overwrites a stale object), or 0
-    /// on an empty stream. Returned so `Metatable::load` does not have
-    /// to LIST the journal a second time just to compute its resume
-    /// point.
+    /// on an empty stream.
     pub next_seq: u64,
 }
 
-/// Journal recovery for a directory (§III-E.1): scan the journal stream
-/// (one LIST + one batched multi-GET), fold 2PC decisions, apply the
-/// surviving ops onto the home objects with batched base-state loads and
-/// write-backs, and delete the stream with one batched multi-DELETE.
-/// Idempotent; a no-op when the journal is empty.
+/// Journal recovery of an unpartitioned directory without the rest of
+/// the takeover: [`Metatable::load`]'s scan, replay and checkpoint, with
+/// no child-inode fetch. Idempotent; writes nothing when the journal is
+/// empty.
 pub fn recover_directory(prt: &Prt, port: &Port, dir_ino: Ino, buckets: u64) -> FsResult<Recovery> {
-    recover_directory_scoped(prt, port, dir_ino, dir_ino, buckets, 0, buckets)
-}
-
-/// Partition-scoped journal recovery: replay the journal stream of
-/// `journal_key` (a partition key of `dir_home`) against the owned
-/// bucket range `[lo, hi)` only. Other partitions' buckets — possibly
-/// being recovered or checkpointed concurrently by *their* leaders — are
-/// never read or written. With `journal_key == dir_home` and the full
-/// range this is exactly the classic single-journal recovery.
-pub fn recover_directory_scoped(
-    prt: &Prt,
-    port: &Port,
-    dir_home: Ino,
-    journal_key: Ino,
-    buckets: u64,
-    lo: u64,
-    hi: u64,
-) -> FsResult<Recovery> {
-    let t0 = port.now();
-    let (seqs, txns) = scan_journal_stream(prt, port, journal_key)?;
-    let next_seq = seqs.last().map_or(0, |s| s + 1);
-    if txns.is_empty() {
-        return Ok(Recovery {
-            replayed: 0,
-            next_seq,
-        });
-    }
-    let ops = resolve_renames(prt, port, &txns)?;
-
-    // Base state: what the home objects currently say — the directory
-    // inode plus one batched sweep over the owned dentry buckets.
-    let mut dir = match prt.load_inode(port, dir_home) {
-        Ok(rec) => Some(rec),
-        Err(FsError::NotFound) => None,
-        Err(e) => return Err(e),
-    };
-    let mut dir_replayed = false;
-    let mut dentries: HashMap<String, DentryEntry> = HashMap::new();
-    let bucket_ids: Vec<u64> = (lo..hi).collect();
-    for block in prt.load_buckets_many(port, dir_home, &bucket_ids)? {
-        for entry in block.entries {
-            dentries.insert(entry.name.clone(), entry);
-        }
-    }
-    let mut put_inodes: HashMap<Ino, InodeRecord> = HashMap::new();
-    let mut del_inodes: HashSet<Ino> = HashSet::new();
-
-    let owned = |name: &str| {
-        let b = dentry_bucket(name, buckets);
-        b >= lo && b < hi
-    };
-    for op in ops {
-        match op {
-            JournalOp::PutInode(rec) => {
-                if rec.ino == dir_home {
-                    dir = Some(rec);
-                    dir_replayed = true;
-                } else {
-                    del_inodes.remove(&rec.ino);
-                    put_inodes.insert(rec.ino, rec);
-                }
-            }
-            JournalOp::DeleteInode(ino) => {
-                put_inodes.remove(&ino);
-                del_inodes.insert(ino);
-            }
-            // Dentry ops outside the owned range cannot appear in this
-            // partition's journal (leaders validate ownership before
-            // journaling); the filter is a defensive bound so a corrupt
-            // stream can never clobber a peer partition's buckets.
-            JournalOp::UpsertDentry { name, ino, ftype } => {
-                if owned(&name) {
-                    dentries.insert(name.clone(), DentryEntry { name, ino, ftype });
-                }
-            }
-            JournalOp::RemoveDentry { name } => {
-                if owned(&name) {
-                    dentries.remove(&name);
-                }
-            }
-            // 2PC records were folded by resolve_renames.
-            JournalOp::RenamePrepare { .. }
-            | JournalOp::RenameCommit { .. }
-            | JournalOp::RenameAbort { .. } => {}
-        }
-    }
-
-    // Write everything back: one batched PUT for every surviving inode,
-    // one batched DELETE for the dead ones, one batched bucket
-    // write-back, and one batched DELETE of the journal stream (the scan
-    // already listed it — no second LIST). The directory inode is
-    // written by its own partition (journal_key == dir_home) or when the
-    // journal replayed an update to it; secondary partitions otherwise
-    // leave `i<dir>` alone so they never clobber partition 0's copy.
-    let mut recs: Vec<&InodeRecord> = if journal_key == dir_home || dir_replayed {
-        dir.iter().collect()
-    } else {
-        Vec::new()
-    };
-    recs.extend(put_inodes.values());
-    // Deterministic write-back order (hash-order iteration would jitter
-    // virtual-time arrivals between runs).
-    recs.sort_unstable_by_key(|r| r.ino);
-    prt.store_inodes_many(port, &recs)?;
-    let mut dead: Vec<Ino> = del_inodes.into_iter().collect();
-    dead.sort_unstable();
-    prt.delete_inodes_many(port, &dead)?;
-    let blocks: Vec<(u64, DentryBlock)> = (lo..hi)
-        .map(|bucket| {
-            let mut entries: Vec<DentryEntry> = dentries
-                .values()
-                .filter(|e| dentry_bucket(&e.name, buckets) == bucket)
-                .cloned()
-                .collect();
-            entries.sort_by(|a, b| a.name.cmp(&b.name));
-            (bucket, DentryBlock { entries })
-        })
-        .collect();
-    prt.store_buckets_many(port, dir_home, &blocks)?;
-    prt.delete_journal_many(port, journal_key, &seqs)?;
-    prt.meta_span("meta.recover", journal_key, t0, port.now());
-    Ok(Recovery {
-        replayed: txns.len(),
-        next_seq,
-    })
+    Metatable::recover(prt, port, dir_ino, 0, 1, buckets, 0).map(|(_, recovery)| recovery)
 }
 
 #[cfg(test)]
