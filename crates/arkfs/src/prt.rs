@@ -307,34 +307,6 @@ impl Prt {
 
     // ---- dentry buckets ------------------------------------------------
 
-    /// Load one dentry bucket; a missing object is an empty bucket.
-    pub fn load_bucket(&self, port: &Port, dir: Ino, bucket: u64) -> FsResult<DentryBlock> {
-        match self.store.get(port, ObjectKey::dentry_bucket(dir, bucket)) {
-            Ok(data) => DentryBlock::from_bytes(&data).map_err(|e| FsError::Io(e.to_string())),
-            Err(OsError::NotFound) => Ok(DentryBlock::default()),
-            Err(e) => Err(map_os_err(e)),
-        }
-    }
-
-    pub fn store_bucket(
-        &self,
-        port: &Port,
-        dir: Ino,
-        bucket: u64,
-        block: &DentryBlock,
-    ) -> FsResult<()> {
-        let key = ObjectKey::dentry_bucket(dir, bucket);
-        if block.entries.is_empty() {
-            return match self.store.delete(port, key) {
-                Ok(()) | Err(OsError::NotFound) => Ok(()),
-                Err(e) => Err(map_os_err(e)),
-            };
-        }
-        self.store
-            .put(port, key, Bytes::from(block.to_bytes()))
-            .map_err(map_os_err)
-    }
-
     /// Batched dentry-bucket sweep: one pipelined multi-GET over the
     /// requested bucket indices; missing objects read as empty buckets.
     /// A whole-directory load pays the slowest bucket, not the sum.
@@ -355,7 +327,7 @@ impl Prt {
     }
 
     /// Batched dentry-bucket write-back. Empty blocks delete their
-    /// object (same rule as [`Prt::store_bucket`]); the non-empty blocks
+    /// object (a missing bucket reads as empty); the non-empty blocks
     /// go out as one multi-PUT and the empties as one multi-DELETE, so a
     /// checkpoint of many dirty buckets pays two fan-outs at most.
     pub fn store_buckets_many(
@@ -429,12 +401,6 @@ impl Prt {
 
     // ---- journal objects -------------------------------------------------
 
-    pub fn get_journal(&self, port: &Port, dir: Ino, seq: u64) -> FsResult<Bytes> {
-        self.store
-            .get(port, ObjectKey::journal(dir, seq))
-            .map_err(map_os_err)
-    }
-
     /// Sequence numbers of all journal objects of a directory, ascending.
     pub fn list_journal(&self, port: &Port, dir: Ino) -> FsResult<Vec<u64>> {
         let keys = self
@@ -444,13 +410,6 @@ impl Prt {
         let mut seqs: Vec<u64> = keys.into_iter().map(|k| k.index).collect();
         seqs.sort_unstable();
         Ok(seqs)
-    }
-
-    pub fn delete_journal(&self, port: &Port, dir: Ino, seq: u64) -> FsResult<()> {
-        match self.store.delete(port, ObjectKey::journal(dir, seq)) {
-            Ok(()) | Err(OsError::NotFound) => Ok(()),
-            Err(e) => Err(map_os_err(e)),
-        }
     }
 
     /// Group-commit append: one pipelined multi-PUT of sealed
@@ -694,8 +653,8 @@ mod tests {
         let prt = rados_prt();
         let port = Port::new();
         assert_eq!(
-            prt.load_bucket(&port, 1, 0).unwrap(),
-            DentryBlock::default()
+            prt.load_buckets_many(&port, 1, &[0]).unwrap(),
+            vec![DentryBlock::default()]
         );
     }
 
@@ -709,14 +668,17 @@ mod tests {
             ino: 9,
             ftype: FileType::Regular,
         });
-        prt.store_bucket(&port, 1, 0, &block).unwrap();
-        assert_eq!(prt.load_bucket(&port, 1, 0).unwrap(), block);
-        prt.store_bucket(&port, 1, 0, &DentryBlock::default())
+        prt.store_buckets_many(&port, 1, &[(0, block.clone())])
+            .unwrap();
+        assert_eq!(prt.load_buckets_many(&port, 1, &[0]).unwrap(), vec![block]);
+        prt.store_buckets_many(&port, 1, &[(0, DentryBlock::default())])
             .unwrap();
         assert_eq!(
-            prt.load_bucket(&port, 1, 0).unwrap(),
-            DentryBlock::default()
+            prt.load_buckets_many(&port, 1, &[0]).unwrap(),
+            vec![DentryBlock::default()]
         );
+        let key = ObjectKey::dentry_bucket(1, 0);
+        assert_eq!(prt.store().head(&port, key), Err(OsError::NotFound));
     }
 
     #[test]
@@ -821,10 +783,10 @@ mod tests {
             .unwrap();
         assert_eq!(prt.list_journal(&port, 10).unwrap(), vec![0, 1, 2]);
         assert_eq!(
-            prt.get_journal(&port, 10, 1).unwrap(),
-            Bytes::from_static(b"t1")
+            prt.get_journal_many(&port, 10, &[1]).unwrap(),
+            vec![Some(Bytes::from_static(b"t1"))]
         );
-        prt.delete_journal(&port, 10, 0).unwrap();
+        prt.delete_journal_many(&port, 10, &[0]).unwrap();
         assert_eq!(prt.list_journal(&port, 10).unwrap(), vec![1, 2]);
         // Other directory's journal is separate.
         assert!(prt.list_journal(&port, 11).unwrap().is_empty());
@@ -864,8 +826,8 @@ mod tests {
         assert_eq!(prt.list_journal(&port, 20).unwrap(), vec![0, 1]);
         assert_eq!(prt.list_journal(&port, 21).unwrap(), vec![0]);
         assert_eq!(
-            prt.get_journal(&port, 21, 0).unwrap(),
-            Bytes::from_static(b"b")
+            prt.get_journal_many(&port, 21, &[0]).unwrap(),
+            vec![Some(Bytes::from_static(b"b"))]
         );
     }
 }
