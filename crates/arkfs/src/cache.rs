@@ -20,11 +20,12 @@
 use crate::prt::{chunk_spans, map_os_err, read_spans};
 use crate::radix::RadixTree;
 use arkfs_objstore::{wait_last, BatchSpan, ObjectKey, ObjectStore, OsError, OsResult};
+use arkfs_simkit::hash::HashMap;
 use arkfs_simkit::{Nanos, Port};
 use arkfs_telemetry::{Counter, Gauge, Registry};
 use arkfs_vfs::{FsResult, Ino};
 use bytes::Bytes;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::ops::{DerefMut, Range};
 use std::sync::Arc;
 
@@ -83,7 +84,7 @@ fn fetch_fills(
     ino: Ino,
     chunks: &[u64],
 ) -> FsResult<HashMap<u64, Bytes>> {
-    let mut fills = HashMap::new();
+    let mut fills = HashMap::default();
     if chunks.is_empty() {
         return Ok(fills);
     }
@@ -549,7 +550,7 @@ impl DataCache {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0);
         DataCache {
-            files: HashMap::new(),
+            files: HashMap::default(),
             lru: BTreeMap::new(),
             in_flight: Vec::new(),
             capacity,
@@ -1203,7 +1204,7 @@ mod tests {
     #[test]
     fn write_many_installs_fills_before_writes() {
         let mut c = DataCache::new(8);
-        let mut fills = HashMap::new();
+        let mut fills = HashMap::default();
         fills.insert(0u64, Bytes::from_static(b"abcd"));
         // Partial overwrite of chunk 0 merges with the fill; chunk 1 is a
         // fresh write with no fill.
@@ -1219,7 +1220,7 @@ mod tests {
         // Capacity 1: every chunk of the span displaces the previous one;
         // all dirty evictions must come back from the single call.
         let mut c = DataCache::new(1);
-        let ev = c.write_many(1, 1, 0, b"abc", HashMap::new(), 0);
+        let ev = c.write_many(1, 1, 0, b"abc", HashMap::default(), 0);
         assert_eq!(ev.len(), 2);
         assert_eq!(
             ev[0],
@@ -1240,7 +1241,7 @@ mod tests {
         assert_eq!(c.get(1, 2).unwrap(), b"c");
         // A fill is never displaced before its own write applies, even at
         // capacity 1.
-        let mut fills = HashMap::new();
+        let mut fills = HashMap::default();
         fills.insert(5u64, Bytes::from_static(b"stored"));
         let ev = c.write_many(1, 6, 30, b"W", fills, 0);
         assert_eq!(
@@ -1516,7 +1517,7 @@ mod tests {
         for chunk in 0..3 {
             c.write(1, chunk, 0, b"a");
         }
-        let behind = c.write_many(1, 1, 3, b"b", HashMap::new(), 0);
+        let behind = c.write_many(1, 1, 3, b"b", HashMap::default(), 0);
         // Every dirty chunk went behind, in LRU order; over capacity by
         // one, the writer waits for the oldest PUT's ack, and whatever
         // was acked by then frees its slot too.
@@ -1529,7 +1530,9 @@ mod tests {
         // slot it holds alone, and a write that fits does not wait.
         assert_eq!(c.in_flight_until(1, [2, 3]), 900);
         assert_eq!(c.claim_window(1, 3, 10, 700), (4, vec![]));
-        assert!(c.write_many(1, 1, 4, b"c", HashMap::new(), 700).is_empty());
+        assert!(c
+            .write_many(1, 1, 4, b"c", HashMap::default(), 700)
+            .is_empty());
         assert_eq!(c.went_behind([], Stat::WriteBehind, 700), 700);
         // A drain forgets the file's PUTs and returns the last ack.
         assert_eq!(c.drain(Some(2)), 0, "another file's PUTs stay");

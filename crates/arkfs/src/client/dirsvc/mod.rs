@@ -53,11 +53,12 @@ use crate::partition::{partition_ino, PartitionMap};
 use crate::rpc::{DirView, OpBody, OpRequest, OpResponse};
 use arkfs_lease::{LeaseRequest, LeaseResponse};
 use arkfs_netsim::{NetError, NodeId, Service};
+use arkfs_simkit::hash::HashMap;
 use arkfs_simkit::{Nanos, Port};
 use arkfs_telemetry::PID_CLIENT;
 use arkfs_vfs::{Credentials, FileType, FsError, FsResult, Ino};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 

@@ -19,10 +19,10 @@ use crate::cache::RaState;
 use crate::meta::InodeRecord;
 use crate::rpc::{OpBody, OpResponse};
 use arkfs_lease::FileLeaseDecision;
+use arkfs_simkit::hash::HashMap;
 use arkfs_simkit::{Nanos, Port};
 use arkfs_vfs::{Credentials, FsError, FsResult, Ino, OpenFlags};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// What a handle holds of its file's lease (§III-D).

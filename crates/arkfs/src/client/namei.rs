@@ -22,12 +22,12 @@ use super::lockorder::{self, Rank, Ranked};
 use super::{ArkClient, ClientState};
 use crate::meta::InodeRecord;
 use crate::rpc::{DirView, OpBody, OpResponse};
+use arkfs_simkit::hash::HashMap;
 use arkfs_simkit::Nanos;
 use arkfs_vfs::{
     path as vpath, perm, Credentials, FileType, FsError, FsResult, Ino, AM_EXEC, ROOT_INO,
 };
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A cached view of a remote directory used in permission-cache mode
@@ -98,7 +98,7 @@ impl ClientState {
         let mut pc = self.pcache.lock();
         let entry = PermCacheEntry {
             view,
-            lookups: HashMap::new(),
+            lookups: HashMap::default(),
             expires_at,
         };
         if entry.live(now) && !pc.get(&dir).is_some_and(|held| held.live(now)) {

@@ -13,12 +13,12 @@ use super::{ArkClient, Op, MAX_LEASE_RETRIES};
 use crate::meta::InodeRecord;
 use crate::partition::steer_ino;
 use crate::rpc::{OpBody, OpResponse};
+use arkfs_simkit::hash::HashSet;
 use arkfs_simkit::Port;
 use arkfs_vfs::{
     path as vpath, perm, Acl, Credentials, DirEntry, FileHandle, FileType, FsError, FsResult,
     FsStats, Ino, OpenFlags, SetAttr, Stat, Vfs, AM_READ, AM_WRITE, ROOT_INO,
 };
-use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 
 impl ArkClient {
@@ -501,7 +501,7 @@ impl Vfs for ArkClient {
             // the parent's running transaction and drain its commit lane
             // before fsync returns — on every partition of the parent,
             // not just the one the name hashes to.
-            self.fsync_dir_barrier(ctx, parent, &HashSet::new())
+            self.fsync_dir_barrier(ctx, parent, &HashSet::default())
         })
     }
 

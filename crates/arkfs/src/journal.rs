@@ -378,9 +378,9 @@ pub fn scan_journal(prt: &Prt, port: &Port, dir: Ino) -> FsResult<Vec<Transactio
 /// committed prepares expand to their ops, aborted or undecided-without-
 /// peer-commit prepares are dropped.
 pub fn resolve_renames(prt: &Prt, port: &Port, txns: &[Transaction]) -> FsResult<Vec<JournalOp>> {
-    use std::collections::HashMap;
+    use arkfs_simkit::hash::HashMap;
     // Gather local decisions.
-    let mut decisions: HashMap<u128, bool> = HashMap::new();
+    let mut decisions: HashMap<u128, bool> = HashMap::default();
     for txn in txns {
         for op in &txn.ops {
             match op {

@@ -307,7 +307,7 @@ mod tests {
     #[test]
     fn buckets_are_stable_and_spread() {
         assert_eq!(dentry_bucket("hello", 16), dentry_bucket("hello", 16));
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = arkfs_simkit::hash::HashSet::default();
         for i in 0..100 {
             seen.insert(dentry_bucket(&format!("file{i}"), 16));
         }

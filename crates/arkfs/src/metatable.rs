@@ -20,9 +20,9 @@ use crate::partition::{lease_partition, partition_hi, partition_ino, partition_l
 use crate::prt::Prt;
 use crate::rpc::DirView;
 use arkfs_lease::{FileLeaseTable, LeaseView};
+use arkfs_simkit::hash::{HashMap, HashSet};
 use arkfs_simkit::{Nanos, Port};
 use arkfs_vfs::{DirEntry, FileType, FsError, FsResult, Ino, SetAttr};
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Most subdirectory dentries a directory view ships
@@ -172,8 +172,8 @@ impl Metatable {
         let pkey = partition_ino(dir.ino, partition);
         Metatable {
             dir,
-            dentries: HashMap::new(),
-            children: HashMap::new(),
+            dentries: HashMap::default(),
+            children: HashMap::default(),
             journal: DirJournal::new(pkey, next_seq),
             file_leases: FileLeaseTable::new(file_lease_period),
             buckets,
@@ -184,9 +184,9 @@ impl Metatable {
             bucket_hi: partition_hi(partition, buckets, pcount),
             frozen: false,
             dirty_dir: false,
-            dirty_children: HashSet::new(),
-            deleted_children: HashSet::new(),
-            dirty_buckets: HashSet::new(),
+            dirty_children: HashSet::default(),
+            deleted_children: HashSet::default(),
+            dirty_buckets: HashSet::default(),
             subdir_view: None,
             deposit: Deposit::None,
         }
@@ -750,12 +750,24 @@ impl Metatable {
         let mut deleted: Vec<Ino> = self.deleted_children.drain().collect();
         deleted.sort_unstable();
         prt.delete_inodes_many(port, &deleted)?;
-        let mut dirty_bucket_ids: Vec<u64> = self.dirty_buckets.drain().collect();
-        dirty_bucket_ids.sort_unstable();
-        let dirty_buckets: Vec<(u64, DentryBlock)> = dirty_bucket_ids
-            .into_iter()
-            .map(|bucket| (bucket, self.bucket_block(bucket)))
+        let mut dirty_buckets: Vec<(u64, DentryBlock)> = self
+            .dirty_buckets
+            .drain()
+            .map(|bucket| (bucket, DentryBlock::default()))
             .collect();
+        dirty_buckets.sort_unstable_by_key(|&(bucket, _)| bucket);
+        // One pass over the dentries fills every dirty block.
+        if !dirty_buckets.is_empty() {
+            for e in self.dentries.values() {
+                let bucket = dentry_bucket(&e.name, self.buckets);
+                if let Ok(i) = dirty_buckets.binary_search_by_key(&bucket, |&(b, _)| b) {
+                    dirty_buckets[i].1.entries.push(e.clone());
+                }
+            }
+        }
+        for (_, block) in &mut dirty_buckets {
+            block.entries.sort_by(|a, b| a.name.cmp(&b.name));
+        }
         prt.store_buckets_many(port, self.dir.ino, &dirty_buckets)?;
         self.journal.truncate(prt, port)?;
         prt.meta_span("meta.checkpoint", self.pkey, t0, port.now());
@@ -780,17 +792,6 @@ impl Metatable {
         self.journal.commit(prt, port, lane, lane_service)?;
         let background = Port::starting_at(port.now());
         self.checkpoint(prt, &background)
-    }
-
-    fn bucket_block(&self, bucket: u64) -> DentryBlock {
-        let mut entries: Vec<DentryEntry> = self
-            .dentries
-            .values()
-            .filter(|e| dentry_bucket(&e.name, self.buckets) == bucket)
-            .cloned()
-            .collect();
-        entries.sort_by(|a, b| a.name.cmp(&b.name));
-        DentryBlock { entries }
     }
 }
 

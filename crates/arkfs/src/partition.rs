@@ -209,7 +209,7 @@ mod tests {
 
     #[test]
     fn partition_keys_are_distinct_across_partitions_and_dirs() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = arkfs_simkit::hash::HashSet::default();
         for dir in [2u128, 3, 100, 1 << 64] {
             for p in 0..8u32 {
                 assert!(seen.insert(partition_ino(dir, p)), "collision {dir}/{p}");

@@ -15,12 +15,12 @@ use crate::meta::{DentryBlock, InodeRecord};
 use crate::partition::{PartitionMap, PMAP_BUCKET};
 use crate::wire::WireCodec;
 use arkfs_objstore::{wait_last, BatchSpan, ObjectKey, ObjectStore, OsError};
+use arkfs_simkit::hash::HashMap;
 use arkfs_simkit::Port;
 use arkfs_telemetry::{Counter, LatencyHistogram, Telemetry, TraceCtx};
 use arkfs_vfs::{FsError, FsResult, Ino};
 use bytes::Bytes;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Map an object-store error onto the file system error space.
@@ -92,7 +92,7 @@ impl Prt {
             chunk_size,
             telemetry,
             meta,
-            durable_hists: Mutex::new(HashMap::new()),
+            durable_hists: Mutex::new(HashMap::default()),
         }
     }
 

@@ -226,8 +226,8 @@ impl<V> RadixTree<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use arkfs_simkit::hash::HashMap;
     use proptest::prelude::*;
-    use std::collections::HashMap;
 
     #[test]
     fn insert_get_remove() {
@@ -313,7 +313,7 @@ mod tests {
         fn behaves_like_a_hashmap(ops in prop::collection::vec(
             (0u64..10_000, 0u8..3, any::<u32>()), 1..300)) {
             let mut tree = RadixTree::new();
-            let mut model: HashMap<u64, u32> = HashMap::new();
+            let mut model: HashMap<u64, u32> = HashMap::default();
             for (key, op, val) in ops {
                 match op {
                     0 => {

@@ -267,14 +267,14 @@ pub const INTERN_OVERFLOW: &str = "(unknown: intern table full)";
 /// ([`FsError::Unsupported`] and friends). Each distinct string leaks
 /// once, ever; repeats return the existing allocation.
 pub(crate) fn intern(s: &str) -> WireResult<&'static str> {
-    use std::collections::HashSet;
+    use arkfs_simkit::hash::HashSet;
     use std::sync::{Mutex, OnceLock};
     const MAX_INTERN_LEN: usize = 256;
     if s.len() > MAX_INTERN_LEN {
         return Err(WireError::Invalid("interned string too long"));
     }
     static TABLE: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
-    let table = TABLE.get_or_init(|| Mutex::new(HashSet::new()));
+    let table = TABLE.get_or_init(|| Mutex::new(HashSet::default()));
     let mut set = table.lock().unwrap();
     if let Some(&existing) = set.get(s) {
         return Ok(existing);

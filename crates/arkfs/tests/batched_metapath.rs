@@ -12,11 +12,11 @@ use arkfs::wire::{WireCodec, WireError};
 use arkfs_objstore::{
     ClusterConfig, KeyKind, ObjectCluster, ObjectKey, ObjectStore, OsError, StoreProfile,
 };
+use arkfs_simkit::hash::{HashMap, HashSet};
 use arkfs_simkit::{ClusterSpec, Port, SharedResource};
 use arkfs_vfs::{FileType, FsError, Ino};
 use bytes::Bytes;
 use proptest::prelude::*;
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 const DIR: Ino = 100;
@@ -76,14 +76,14 @@ fn serial_recover(prt: &Prt, port: &Port, dir_ino: Ino, buckets: u64) -> (usize,
         Err(FsError::NotFound) => None,
         Err(e) => panic!("reference recovery: {e:?}"),
     };
-    let mut dentries: HashMap<String, DentryEntry> = HashMap::new();
+    let mut dentries: HashMap<String, DentryEntry> = HashMap::default();
     for b in 0..buckets {
         for e in load_bucket(prt, port, dir_ino, b).entries {
             dentries.insert(e.name.clone(), e);
         }
     }
-    let mut put_inodes: HashMap<Ino, InodeRecord> = HashMap::new();
-    let mut del_inodes: HashSet<Ino> = HashSet::new();
+    let mut put_inodes: HashMap<Ino, InodeRecord> = HashMap::default();
+    let mut del_inodes: HashSet<Ino> = HashSet::default();
     for txn in &txns {
         for op in &txn.ops {
             match op {
@@ -231,13 +231,13 @@ mod acceptance {
             .last()
             .map_or(0, |s| s + 1);
         let dir = prt.load_inode(port, dir_ino).unwrap();
-        let mut dentries = HashMap::new();
+        let mut dentries = HashMap::default();
         for b in 0..buckets {
             for e in load_bucket(prt, port, dir_ino, b).entries {
                 dentries.insert(e.name.clone(), e);
             }
         }
-        let mut children = HashMap::new();
+        let mut children = HashMap::default();
         for e in dentries.values() {
             if e.ftype != FileType::Directory {
                 children.insert(e.ino, prt.load_inode(port, e.ino).unwrap());
@@ -465,7 +465,7 @@ fn run_recovery_case(
             rec.size = size;
             prt.store_inode(&setup, &rec).unwrap();
         }
-        let mut dentries: HashMap<String, DentryEntry> = HashMap::new();
+        let mut dentries: HashMap<String, DentryEntry> = HashMap::default();
         for (name, ino) in base_dentries {
             dentries.insert(
                 name.clone(),
@@ -796,7 +796,7 @@ fn rename_base(prt: &Prt, port: &Port, src: Ino, dst: Ino) {
         prt.store_inode(port, &dir_rec_at(d)).unwrap();
     }
     prt.store_inode(port, &file_rec(9)).unwrap();
-    let mut dentries = HashMap::new();
+    let mut dentries = HashMap::default();
     dentries.insert(
         "f".to_string(),
         DentryEntry {

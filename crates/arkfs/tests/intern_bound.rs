@@ -6,8 +6,8 @@
 //! table would turn other tests' static strings into the overflow text.
 
 use arkfs::wire::{Encoder, WireCodec, INTERN_OVERFLOW, MAX_INTERNED};
+use arkfs_simkit::hash::HashSet;
 use arkfs_vfs::FsError;
-use std::collections::HashSet;
 
 /// The bytes of `FsError::Unsupported(what)`, as a peer would send them.
 fn unsupported(what: &str) -> Vec<u8> {
@@ -20,7 +20,7 @@ fn unsupported(what: &str) -> Vec<u8> {
 #[test]
 fn distinct_strings_leak_at_most_the_cap() {
     let extra = 50;
-    let mut seen: HashSet<&'static str> = HashSet::new();
+    let mut seen: HashSet<&'static str> = HashSet::default();
     for i in 0..MAX_INTERNED + extra {
         let sent = format!("feature-{i}");
         let FsError::Unsupported(got) = FsError::from_bytes(&unsupported(&sent)).unwrap() else {

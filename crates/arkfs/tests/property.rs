@@ -7,11 +7,11 @@ use arkfs::metatable::Metatable;
 use arkfs::prt::Prt;
 use arkfs::wire::WireCodec;
 use arkfs_objstore::{ClusterConfig, ObjectCluster, ObjectKey, ObjectStore, OsError, StoreProfile};
+use arkfs_simkit::hash::HashMap;
 use arkfs_simkit::Port;
 use arkfs_vfs::{Acl, AclEntry, FileType, FsError};
 use bytes::Bytes;
 use proptest::prelude::*;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 // ---- strategies --------------------------------------------------------------
@@ -165,7 +165,7 @@ proptest! {
         let dir = InodeRecord::new(100, FileType::Directory, 0o755, 0, 0, 0);
         let mut mt = Metatable::fresh(dir, 4, 1000);
         // Model: name -> (ino, size).
-        let mut model: HashMap<String, (u128, u64)> = HashMap::new();
+        let mut model: HashMap<String, (u128, u64)> = HashMap::default();
         let mut created: Vec<u128> = Vec::new();
         for (t, op) in ops.into_iter().enumerate() {
             let now = t as u64;
@@ -469,7 +469,7 @@ fn run_critpath_conservation(ops: &[(u8, u8, u8)], s3: bool) {
 
     let breakdowns = critpath::analyze(&tel.tracer.events());
     assert!(!breakdowns.is_empty(), "no complete traces analyzed");
-    let mut by_op: HashMap<String, (u64, u64, u64, u64)> = HashMap::new();
+    let mut by_op: HashMap<String, (u64, u64, u64, u64)> = HashMap::default();
     for b in &breakdowns {
         assert_eq!(
             b.segs.iter().sum::<u64>(),
@@ -708,13 +708,13 @@ proptest! {
         let mut cache = DataCache::new(capacity);
         // Ground truth of every chunk ever written, and where flushed
         // bytes went (the store applies a PUT's bytes at issue).
-        let mut truth: HashMap<(u128, u64), u8> = HashMap::new();
-        let mut store: HashMap<(u128, u64), u8> = HashMap::new();
+        let mut truth: HashMap<(u128, u64), u8> = HashMap::default();
+        let mut store: HashMap<(u128, u64), u8> = HashMap::default();
         let mut now = 0;
         for (ino, chunk, val, is_write) in ops {
             now += 10;
             if is_write {
-                let behind = cache.write_many(ino, 1, chunk, &[val], HashMap::new(), now);
+                let behind = cache.write_many(ino, 1, chunk, &[val], HashMap::default(), now);
                 truth.insert((ino, chunk), val);
                 let ack = now + 1 + u64::from(val % 64);
                 for e in &behind {

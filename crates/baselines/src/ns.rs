@@ -4,11 +4,12 @@
 //! All methods take full paths and perform resolution + POSIX permission
 //! checks internally, mirroring a server that owns the whole hierarchy.
 
+use arkfs_simkit::hash::HashMap;
 use arkfs_vfs::{
     path as vpath, perm, Acl, Credentials, DirEntry, FileType, FsError, FsResult, Ino, Nanos,
     SetAttr, Stat, AM_EXEC, AM_READ, AM_WRITE, ROOT_INO,
 };
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// One node in the tree.
 #[derive(Debug, Clone)]
@@ -78,7 +79,7 @@ impl Default for Namespace {
 
 impl Namespace {
     pub fn new() -> Self {
-        let mut nodes = HashMap::new();
+        let mut nodes = HashMap::default();
         nodes.insert(
             ROOT_INO,
             Node::new(ROOT_INO, FileType::Directory, 0o755, 0, 0, 0),

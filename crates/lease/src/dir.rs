@@ -6,11 +6,11 @@
 
 use crate::Ino;
 use arkfs_netsim::{NodeId, Service};
+use arkfs_simkit::hash::HashMap;
 use arkfs_simkit::{Nanos, SharedResource, SEC};
 use arkfs_telemetry::{Counter, Telemetry, PID_LEASE};
 use parking_lot::Mutex;
 use std::any::Any;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -177,7 +177,7 @@ impl LeaseManager {
             config,
             server: SharedResource::ideal("lease-mgr"),
             state: Mutex::new(ManagerState {
-                leases: HashMap::new(),
+                leases: HashMap::default(),
                 now: boot_at,
             }),
             boot_at,

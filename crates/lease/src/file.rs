@@ -13,8 +13,8 @@
 
 use crate::Ino;
 use arkfs_netsim::NodeId;
+use arkfs_simkit::hash::HashMap;
 use arkfs_simkit::Nanos;
-use std::collections::HashMap;
 
 /// Outcome of a lease request at the directory leader.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,8 +54,8 @@ pub struct FileLeaseTable {
 impl FileLeaseTable {
     pub fn new(period: Nanos) -> Self {
         FileLeaseTable {
-            files: HashMap::new(),
-            returned: HashMap::new(),
+            files: HashMap::default(),
+            returned: HashMap::default(),
             period,
         }
     }
@@ -101,7 +101,7 @@ impl FileLeaseTable {
         let expires_at = now + self.period;
         match self.files.get_mut(&ino) {
             None => {
-                let mut readers = HashMap::new();
+                let mut readers = HashMap::default();
                 readers.insert(client, expires_at);
                 self.files.insert(ino, FileState::Readers(readers));
                 FileLeaseDecision::Granted { expires_at }

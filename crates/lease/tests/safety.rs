@@ -7,8 +7,8 @@
 
 use arkfs_lease::{LeaseConfig, LeaseManager, LeaseRequest, LeaseResponse, LeaseView};
 use arkfs_netsim::{NodeId, Service};
+use arkfs_simkit::hash::HashMap;
 use proptest::prelude::*;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 #[derive(Debug, Clone, Copy)]
@@ -53,9 +53,9 @@ proptest! {
         let mut now: u64 = 0;
         // Current belief: dir -> (holder, expires_at), from granted
         // responses only.
-        let mut holders: HashMap<u8, (u32, u64)> = HashMap::new();
+        let mut holders: HashMap<u8, (u32, u64)> = HashMap::default();
         // The view each directory's holder has with the manager.
-        let mut views: HashMap<u8, LeaseView> = HashMap::new();
+        let mut views: HashMap<u8, LeaseView> = HashMap::default();
         for act in acts {
             let (client, dir, deposit) = match act {
                 Act::Advance(dt) => {

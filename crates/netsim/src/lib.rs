@@ -22,10 +22,10 @@ pub mod tcp;
 
 pub use tcp::{TcpTransport, WireFns};
 
+use arkfs_simkit::hash::HashMap;
 use arkfs_simkit::{Nanos, Port};
 use arkfs_telemetry::{Counter, Registry};
 use parking_lot::RwLock;
-use std::collections::HashMap;
 use std::fmt;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -265,7 +265,7 @@ impl<Req, Resp> Bus<Req, Resp> {
     pub fn new(half_rtt: Nanos) -> Self {
         Bus {
             half_rtt,
-            services: RwLock::new(HashMap::new()),
+            services: RwLock::new(HashMap::default()),
             messages: AtomicU64::new(0),
         }
     }

@@ -31,9 +31,9 @@
 //! bus — which is what the differential test asserts.
 
 use crate::{NetError, NodeId, Service, Transport};
+use arkfs_simkit::hash::HashMap;
 use arkfs_simkit::{Nanos, Port};
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
 use std::io::{self, BufReader, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -127,7 +127,7 @@ impl<Req: Send + Sync + 'static, Resp: Send + Sync + 'static> TcpTransport<Req, 
         TcpTransport {
             shared: Arc::new(Shared {
                 codec,
-                services: RwLock::new(HashMap::new()),
+                services: RwLock::new(HashMap::default()),
                 messages: AtomicU64::new(0),
                 stop: AtomicBool::new(false),
                 shutdown: StdMutex::new(false),
@@ -136,8 +136,8 @@ impl<Req: Send + Sync + 'static, Resp: Send + Sync + 'static> TcpTransport<Req, 
                 acceptor: Mutex::new(None),
                 conns: Mutex::new(Vec::new()),
             }),
-            registry: RwLock::new(HashMap::new()),
-            pool: Mutex::new(HashMap::new()),
+            registry: RwLock::new(HashMap::default()),
+            pool: Mutex::new(HashMap::default()),
             read_timeout,
         }
     }

@@ -5,11 +5,11 @@ use crate::fault::FaultPlan;
 use crate::key::{KeyKind, ObjectKey};
 use crate::profile::StoreProfile;
 use crate::store::{Acked, ObjectStore};
+use arkfs_simkit::hash::HashMap;
 use arkfs_simkit::{BandwidthResource, ClusterSpec, Nanos, Port, SharedResource};
 use arkfs_telemetry::{Counter, Registry, Telemetry, PID_STORE};
 use bytes::Bytes;
 use parking_lot::RwLock;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Construction parameters for an [`ObjectCluster`].
@@ -177,7 +177,7 @@ impl ObjectCluster {
         assert!(config.replication >= 1 && config.replication <= config.shards);
         let shards = (0..config.shards)
             .map(|_| Shard {
-                objects: RwLock::new(HashMap::new()),
+                objects: RwLock::new(HashMap::default()),
                 op_server: SharedResource::ideal("osd-op"),
                 journal_lane: SharedResource::ideal("osd-op-journal"),
                 disk: BandwidthResource::new("osd-disk", config.spec.disk_bw),
@@ -636,7 +636,7 @@ impl ObjectStore for ObjectCluster {
         self.stats.lists.inc();
         self.charge_op(port, &ObjectKey::inode(ino.unwrap_or(0)));
         let mut out = Vec::new();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = arkfs_simkit::hash::HashSet::default();
         for shard in &self.shards {
             for key in shard.objects.read().keys() {
                 if kind.is_some_and(|k| k != key.kind) {
@@ -713,7 +713,7 @@ mod tests {
         ) {
             for c in aliasing_clusters() {
                 let port = Port::new();
-                let mut model: HashMap<ObjectKey, Vec<u8>> = HashMap::new();
+                let mut model: HashMap<ObjectKey, Vec<u8>> = HashMap::default();
                 let mut handed_out: Vec<(Bytes, Vec<u8>)> = Vec::new();
                 for &(op, k, off, len, fill) in &ops {
                     let key = ObjectKey::data_chunk(1, k);

@@ -2,8 +2,8 @@
 
 use crate::error::{OsError, OsResult};
 use crate::key::{KeyKind, ObjectKey};
+use arkfs_simkit::hash::HashSet;
 use parking_lot::Mutex;
-use std::collections::HashSet;
 
 #[derive(Debug, Default)]
 struct FaultState {

@@ -137,10 +137,22 @@ mod tests {
     #[test]
     fn shards_spread_chunks() {
         // 256 chunks of one file should not all land on one of 16 shards.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = arkfs_simkit::hash::HashSet::default();
         for c in 0..256 {
             seen.insert(ObjectKey::data_chunk(1, c).shard(16));
         }
         assert!(seen.len() > 8, "poor spread: {seen:?}");
+    }
+
+    /// The workspace hasher on the store's map key, pinned like its
+    /// other golden values in `arkfs_simkit::hash`.
+    #[test]
+    fn fixed_hash_of_a_key() {
+        use std::hash::BuildHasher;
+        let state = arkfs_simkit::hash::FixedState::default();
+        assert_eq!(
+            state.hash_one(ObjectKey::data_chunk(99, 5)),
+            3_818_645_720_767_751_081
+        );
     }
 }

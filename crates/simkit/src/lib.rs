@@ -16,6 +16,7 @@
 
 pub mod costs;
 pub mod engine;
+pub mod hash;
 pub mod stats;
 pub mod timeline;
 

@@ -25,7 +25,7 @@ use crate::ctx::{self, TraceCtx};
 use crate::json;
 use parking_lot::Mutex;
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Track group for client-side operation spans (tid = client node id).
@@ -88,7 +88,7 @@ pub struct Tracer {
     /// (set by the op allocator on every Nth op per client).
     sample_every: AtomicU64,
     capacity: usize,
-    stripes: Vec<Mutex<HashMap<(u32, u32), Track>>>,
+    stripes: Vec<Mutex<BTreeMap<(u32, u32), Track>>>,
     process_names: Mutex<BTreeMap<u32, String>>,
     dropped: AtomicU64,
 }
@@ -105,7 +105,7 @@ impl Tracer {
             enabled: AtomicBool::new(false),
             sample_every: AtomicU64::new(0),
             capacity,
-            stripes: (0..STRIPES).map(|_| Mutex::new(HashMap::new())).collect(),
+            stripes: (0..STRIPES).map(|_| Mutex::new(BTreeMap::new())).collect(),
             process_names: Mutex::new(BTreeMap::new()),
             dropped: AtomicU64::new(0),
         }

@@ -248,7 +248,7 @@ fn chaos_crash_recovery_loop_never_loses_acknowledged_files() {
         c.port().advance(last_now.max(bootstrap_now) + 10 * MSEC);
         bootstrap_now = 0;
         // Verify everything acknowledged so far survived.
-        let listed: std::collections::HashSet<String> = c
+        let listed: arkfs_simkit::hash::HashSet<String> = c
             .readdir(&ctx, "/chaos")
             .unwrap_or_else(|e| panic!("round {round}: readdir failed: {e}"))
             .into_iter()
