@@ -543,6 +543,94 @@ fn second_client_forwards_to_leader() {
     assert_eq!(read_file(&*c1, &ctx, "/shared/from2.txt").unwrap(), b"two!");
 }
 
+/// Every read, and every write an unprivileged user is refused, as one
+/// line per call: the result of `c` answering them.
+fn answers(c: &dyn Vfs, alice: &Credentials) -> Vec<String> {
+    let ctx = root();
+    let paths = [
+        "/",
+        "/d",
+        "/d/sub",
+        "/d/f",
+        "/d/l",
+        "/d/nope",
+        "/d/f/x",
+        "/d/nope/x",
+    ];
+    let mut out = Vec::new();
+    for p in paths {
+        for who in [&ctx, alice] {
+            let u = who.uid;
+            out.push(format!("{u} stat {p}: {:?}", c.stat(who, p)));
+            out.push(format!("{u} readlink {p}: {:?}", c.readlink(who, p)));
+            out.push(format!("{u} get_acl {p}: {:?}", c.get_acl(who, p)));
+            for mode in [AM_READ, AM_WRITE] {
+                out.push(format!(
+                    "{u} access {mode} {p}: {:?}",
+                    c.access(who, p, mode)
+                ));
+            }
+            out.push(format!("{u} readdir {p}: {:?}", c.readdir(who, p)));
+            out.push(format!("{u} open-read {p}: {:?}", read_file(c, who, p)));
+        }
+        if p == "/" {
+            continue;
+        }
+        let refused = [
+            ("unlink", c.unlink(alice, p).map(drop)),
+            ("rename", c.rename(alice, p, "/d/g").map(drop)),
+            (
+                "setattr",
+                c.setattr(alice, p, &SetAttr::chmod(0o777)).map(drop),
+            ),
+            (
+                "mkdir",
+                c.mkdir(alice, &format!("{p}.new"), 0o755).map(drop),
+            ),
+        ];
+        for (op, r) in refused {
+            out.push(format!("{} {op} {p}: {r:?}", alice.uid));
+        }
+    }
+    out
+}
+
+/// §III-B: the leader performs a forwarded op "on behalf of the other
+/// clients", so a forwarder sees exactly what the leader sees.
+fn leader_and_forwarder_answer_alike(pcache: bool) {
+    let cl = cluster_with(ArkConfig::test_tiny().with_permission_cache(pcache));
+    let (leader, forwarder) = (cl.client(), cl.client());
+    let ctx = root();
+    let alice = Credentials::user(100);
+    leader.mkdir(&ctx, "/d", 0o755).unwrap();
+    leader.mkdir(&ctx, "/d/sub", 0o755).unwrap();
+    write_file(&*leader, &ctx, "/d/f", b"bytes").unwrap();
+    leader.symlink(&ctx, "/d/l", "/d/f").unwrap();
+    let acl = Acl::new(vec![AclEntry::user(100, 0o4)]);
+    leader.set_acl(&ctx, "/d/f", &acl).unwrap();
+    let led = answers(&*leader, &alice);
+    let forwarded = answers(&*forwarder, &alice);
+    assert_eq!(
+        forwarder.led_directories(),
+        0,
+        "the forwarder led a directory"
+    );
+    for (l, f) in led.iter().zip(&forwarded) {
+        assert_eq!(l, f, "leader and forwarder disagree");
+    }
+    assert_eq!(led.len(), forwarded.len());
+}
+
+#[test]
+fn leader_and_forwarder_answer_alike_without_pcache() {
+    leader_and_forwarder_answer_alike(false);
+}
+
+#[test]
+fn leader_and_forwarder_answer_alike_with_pcache() {
+    leader_and_forwarder_answer_alike(true);
+}
+
 #[test]
 fn clients_lead_disjoint_directories() {
     let cl = cluster();
