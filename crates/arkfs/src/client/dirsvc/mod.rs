@@ -11,10 +11,14 @@
 //!   [`PartitionMap`]s keyed by directory ino;
 //! * lease acquire/extend/release and the takeover/recovery entry point
 //!   ([`ClientState::dir_ref_part`] → [`Metatable::load_partition`]);
-//! * the leader-side RPC service ([`ClientService`], [`ClientState::serve`])
-//!   and leader-initiated cache-flush broadcasts (§III-D);
-//! * client-side routing helpers ([`ArkClient::on_dir`],
-//!   [`ArkClient::remote_call`]) and the split/merge protocol
+//! * the one serve path ([`ClientState::serve_local`], in `ops`), which
+//!   answers every directory op as an `FsResult`, and the leader-side
+//!   RPC service in front of it ([`ClientService`], the wire boundary
+//!   where a refusal becomes `OpResponse::Err`; [`ClientState::serve`]),
+//!   plus leader-initiated cache-flush broadcasts (§III-D);
+//! * client-side routing helpers ([`ArkClient::on_dir`] routes an op,
+//!   [`ArkClient::on_dir_ref`] runs one already routed, locally or
+//!   forwarded alike) and the split/merge protocol
 //!   ([`ArkClient::set_dir_partitions`]).
 //!
 //! ## Partition routing
@@ -55,7 +59,7 @@ use arkfs_lease::{LeaseRequest, LeaseResponse};
 use arkfs_netsim::{NetError, NodeId, Service};
 use arkfs_simkit::hash::HashMap;
 use arkfs_simkit::{Nanos, Port};
-use arkfs_telemetry::PID_CLIENT;
+use arkfs_telemetry::{ctx, PID_CLIENT};
 use arkfs_vfs::{Credentials, FileType, FsError, FsResult, Ino};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -163,7 +167,8 @@ impl Service<OpRequest, OpResponse> for ClientService {
             self.0.leader_forgotten.add(forgot);
         }
         let port = Port::starting_at(start);
-        let resp = self.0.serve(&port, req);
+        // The wire boundary: the one place a refusal becomes a reply.
+        let resp = self.0.serve(&port, req).unwrap_or_else(OpResponse::Err);
         (resp, port.now())
     }
 }
@@ -447,7 +452,7 @@ impl ClientState {
     /// checks in `serve_local` still reject misdirected names, so a map
     /// disagreement degrades to `NotLeader` + refresh, never to serving
     /// out of the wrong partition.
-    pub(crate) fn serve(&self, port: &Port, req: OpRequest) -> OpResponse {
+    pub(crate) fn serve(&self, port: &Port, req: OpRequest) -> FsResult<OpResponse> {
         // Cache flushes are addressed to the client, not a directory.
         if let OpBody::FlushCache { file } = req.body {
             return self.serve_flush(port, file);
@@ -457,13 +462,11 @@ impl ClientState {
         if let OpBody::RelinquishPartition { dir, partition } = req.body {
             return self.serve_relinquish(port, dir, partition);
         }
-        let Some(pkey) = self.route_pkey(&req.body) else {
-            return OpResponse::Err(FsError::InvalidArgument);
-        };
+        let pkey = self.route_pkey(&req.body).ok_or(FsError::InvalidArgument)?;
         let table = {
             let mut s = self.dirs.lock();
             let Some(table) = s.tables.get(&pkey).cloned() else {
-                return OpResponse::NotLeader;
+                return Ok(OpResponse::NotLeader);
             };
             let valid = s.leases.get(&pkey).is_some_and(|&e| e > port.now());
             if !valid {
@@ -481,13 +484,13 @@ impl ClientState {
                     _ => {
                         s.tables.remove(&pkey);
                         s.leases.remove(&pkey);
-                        return OpResponse::NotLeader;
+                        return Ok(OpResponse::NotLeader);
                     }
                 }
             }
             table
         };
-        self.serve_local(port, &table, req)
+        self.serve_local(port, &table, &req.creds, req.trace, &req.body)
     }
 
     /// Split/merge handoff (the "seal and hand off" step of the
@@ -499,22 +502,20 @@ impl ClientState {
     /// `NotLeader` tells the caller to take the partition over itself
     /// (its own takeover recovery then drains whatever stream a crashed
     /// leader may have left).
-    pub(crate) fn serve_relinquish(&self, port: &Port, dir: Ino, partition: u32) -> OpResponse {
+    pub(crate) fn serve_relinquish(
+        &self,
+        port: &Port,
+        dir: Ino,
+        partition: u32,
+    ) -> FsResult<OpResponse> {
         let pkey = partition_ino(dir, partition);
-        let table = {
-            let s = self.dirs.lock();
-            match s.tables.get(&pkey).cloned() {
-                Some(t) => t,
-                None => return OpResponse::NotLeader,
-            }
+        let Some(table) = self.dirs.lock().tables.get(&pkey).cloned() else {
+            return Ok(OpResponse::NotLeader);
         };
         // On failure we stay leader (unfrozen); the caller counts the
         // failed handoff and falls back to takeover or aborts. `Busy`:
         // another repartition already owns this handoff.
-        let quiesced = self.quiesce(port, pkey, &mut self.lock_table(&table));
-        if let Err(e) = quiesced {
-            return OpResponse::Err(e);
-        }
+        self.quiesce(port, pkey, &mut self.lock_table(&table))?;
         self.dirs.forget(pkey);
         self.release_lease(port, pkey);
         self.partition_handoffs.inc();
@@ -525,7 +526,7 @@ impl ClientState {
             partition as i64,
             "partition quiesced and relinquished",
         );
-        OpResponse::Ok
+        Ok(OpResponse::Ok)
     }
 
     /// Quiesce a led partition for a split/merge handoff: freeze it (no
@@ -559,14 +560,12 @@ impl ClientState {
     /// cache flush, §III-D), answering only once every PUT of it is
     /// acked, those behind our writes included. Also flips matching open
     /// handles to direct mode.
-    pub(crate) fn serve_flush(&self, port: &Port, file: Ino) -> OpResponse {
+    pub(crate) fn serve_flush(&self, port: &Port, file: Ino) -> FsResult<OpResponse> {
         let store = &**self.cluster.prt().store();
-        if let Err(e) = flush(store, port, self.lock_cache(), Some(file)) {
-            return OpResponse::Err(e);
-        }
+        flush(store, port, self.lock_cache(), Some(file))?;
         self.lock_cache().invalidate_file(file);
         let size = self.files.flip_to_direct(file);
-        OpResponse::Flushed { size }
+        Ok(OpResponse::Flushed { size })
     }
 }
 
@@ -607,43 +606,63 @@ impl ArkClient {
         Err(FsError::TimedOut)
     }
 
-    /// The inode record of a directory, local or remote.
+    /// The inode record of a directory, from its leader.
     pub(crate) fn dir_inode(&self, dir: Ino) -> FsResult<InodeRecord> {
-        match self.dir_ref(dir)? {
-            DirRef::Local(table) => {
-                self.port.advance(self.config().spec.local_meta_op);
-                Ok(self.state.lock_table(&table).dir.clone())
-            }
-            DirRef::Remote(leader) => {
-                let resp =
-                    self.remote_call(&Credentials::root(), leader, OpBody::DirInode { dir })?;
-                match resp {
-                    OpResponse::Inode(rec) => Ok(rec),
-                    OpResponse::Err(e) => Err(e),
-                    _ => Err(FsError::Io("unexpected dir-inode response".into())),
-                }
-            }
+        let route = self.dir_ref(dir)?;
+        match self.on_dir_ref(&Credentials::root(), route, OpBody::DirInode { dir })? {
+            OpResponse::Inode(rec) => Ok(rec),
+            _ => Err(FsError::Io("unexpected dir-inode response".into())),
         }
     }
 
-    /// RPC to a known leader of the partition owning `body`; falls back
-    /// into the full routing loop when the leader changed.
-    pub(crate) fn remote_call(
+    /// Serve `body` at `route` on `port`: by our own table or by a
+    /// remote leader. `None` when it was turned away (the table is not,
+    /// or no longer, the one that owns the op) or the leader could not be
+    /// reached; a leader's refusal is an `Err`.
+    fn serve_at(
+        &self,
+        port: &Port,
+        ctx: &Credentials,
+        route: &DirRef,
+        body: &OpBody,
+    ) -> FsResult<Option<OpResponse>> {
+        let resp = match route {
+            DirRef::Local(table) => {
+                port.advance(self.config().spec.local_meta_op);
+                self.state
+                    .serve_local(port, table, ctx, ctx::current(), body)?
+            }
+            DirRef::Remote(leader) => {
+                let req = OpRequest::new(ctx.clone(), body.clone());
+                match self.state.cluster.call_ops(port, *leader, req) {
+                    Ok(resp) => resp.into_result()?,
+                    Err(_) => OpResponse::NotLeader,
+                }
+            }
+        };
+        Ok(match resp {
+            OpResponse::NotLeader => None,
+            resp => Some(resp),
+        })
+    }
+
+    /// Run `body` where `route` says its partition is served (a read
+    /// routed by the caller, who consults the permission cache only for a
+    /// remote route); falls back into the full routing loop when it was
+    /// turned away.
+    pub(crate) fn on_dir_ref(
         &self,
         ctx: &Credentials,
-        leader: NodeId,
+        route: DirRef,
         body: OpBody,
     ) -> FsResult<OpResponse> {
-        let req = OpRequest::new(ctx.clone(), body.clone());
-        match self.state.cluster.call_ops(&self.port, leader, req) {
-            Ok(OpResponse::NotLeader) | Err(_) => {
-                if let Some(pkey) = self.state.route_pkey(&body) {
-                    self.state.dirs.forget_hint(pkey);
-                }
-                self.on_dir(ctx, body)
-            }
-            Ok(resp) => Ok(resp),
+        if let Some(resp) = self.serve_at(&self.port, ctx, &route, &body)? {
+            return Ok(resp);
         }
+        if let (DirRef::Remote(_), Some(pkey)) = (route, self.state.route_pkey(&body)) {
+            self.state.dirs.forget_hint(pkey);
+        }
+        self.on_dir(ctx, body)
     }
 
     /// Run an operation against the directory it is addressed to
@@ -668,7 +687,6 @@ impl ArkClient {
         let kind = OpBody::KINDS[body.tag() as usize];
         match self.on_dir_port(port, ctx, body)? {
             OpResponse::Ok => Ok(()),
-            OpResponse::Err(e) => Err(e),
             _ => Err(FsError::Io(format!("unexpected {kind} response"))),
         }
     }
@@ -696,49 +714,30 @@ impl ArkClient {
             let pmap = self.state.cached_pmap(dir);
             let pidx = pmap.partition_of(key, config.dentry_buckets);
             let pkey = pmap.pkey(pidx);
-            match self.state.dir_ref_part(port, dir, pidx, pmap.partitions) {
-                Ok(DirRef::Local(table)) => {
-                    port.advance(config.spec.local_meta_op);
-                    let req = OpRequest::new(ctx.clone(), body.clone());
-                    match self.state.serve_local(port, &table, req) {
-                        OpResponse::NotLeader => {
-                            // Our own table rejected the op: routed under
-                            // a stale map, or frozen by an in-flight
-                            // split. Refresh and re-route.
-                            self.state.telemetry.flight.record(
-                                self.state.id.0,
-                                port.now(),
-                                "op.notleader",
-                                pidx as i64,
-                                "own table rejected op; refreshing map",
-                            );
-                            self.state.refresh_pmap(port, dir)?;
-                        }
-                        resp => return Ok(resp),
-                    }
-                }
-                Ok(DirRef::Remote(leader)) => {
-                    let req = OpRequest::new(ctx.clone(), body.clone());
-                    match self.state.cluster.call_ops(port, leader, req) {
-                        Ok(OpResponse::NotLeader) | Err(_) => {
-                            self.state.telemetry.flight.record(
-                                self.state.id.0,
-                                port.now(),
-                                "op.notleader",
-                                leader.0 as i64,
-                                "remote leader bounced op; refreshing map",
-                            );
-                            self.state.dirs.forget_hint(pkey);
-                            self.state.refresh_pmap(port, dir)?;
-                        }
-                        Ok(resp) => return Ok(resp),
-                    }
-                }
+            let route = match self.state.dir_ref_part(port, dir, pidx, pmap.partitions) {
+                Ok(route) => route,
                 Err(FsError::Stale) => {
                     self.state.refresh_pmap(port, dir)?;
+                    continue;
                 }
                 Err(e) => return Err(e),
+            };
+            if let Some(resp) = self.serve_at(port, ctx, &route, &body)? {
+                return Ok(resp);
             }
+            // Turned away: our own table was routed to under a stale map
+            // or is frozen by an in-flight split, or the remote leader
+            // bounced the op. Refresh and re-route.
+            let (at, what) = match route {
+                DirRef::Local(_) => (pidx as i64, "own table rejected op; refreshing map"),
+                DirRef::Remote(leader) => {
+                    self.state.dirs.forget_hint(pkey);
+                    (leader.0 as i64, "remote leader bounced op; refreshing map")
+                }
+            };
+            let flight = &self.state.telemetry.flight;
+            flight.record(self.state.id.0, port.now(), "op.notleader", at, what);
+            self.state.refresh_pmap(port, dir)?;
         }
         Err(FsError::TimedOut)
     }
@@ -812,14 +811,15 @@ impl ArkClient {
                             Credentials::root(),
                             OpBody::RelinquishPartition { dir, partition: p },
                         );
-                        match self.state.cluster.call_ops(&self.port, leader, req) {
-                            Ok(OpResponse::Ok) => {
+                        let resp = self.state.cluster.call_ops(&self.port, leader, req);
+                        match resp.map(OpResponse::into_result) {
+                            Ok(Ok(OpResponse::Ok)) => {
                                 self.state.dirs.forget_hint(pkey);
                                 self.state.partition_handoffs.inc();
                                 quiesced = true;
                                 break;
                             }
-                            Ok(OpResponse::Err(FsError::Busy)) => {
+                            Ok(Err(FsError::Busy)) => {
                                 self.unfreeze(&frozen);
                                 return Err(FsError::Busy);
                             }

@@ -1,22 +1,24 @@
 //! Leader-side execution of directory operations.
 //!
-//! [`ClientState::serve_local`] runs an operation against a led
-//! directory's [`Metatable`] — for forwarded RPCs and for the client's
-//! own local operations alike — journaling every mutation (§III-E) and
-//! enforcing permissions at the leader. Holds the metatable (rank
+//! [`ClientState::serve_local`] answers every directory operation against
+//! a led directory's [`Metatable`] — reads and writes, forwarded RPCs and
+//! the client's own operations alike — journaling every mutation
+//! (§III-E) and enforcing permissions at the leader. What it serves is an
+//! `FsResult`: a refused op is an `Err` here and on the caller's side,
+//! and `OpResponse::Err` exists only on the wire. Holds the metatable (rank
 //! *Metatable*); the only higher-rank locks it touches are the data
 //! cache and the handle table (rank *Leaf*) via lease-conflict flush
 //! broadcasts.
 
 use super::super::ClientState;
-use crate::journal;
+use crate::journal::{self, JournalOp};
 use crate::metatable::{Deposit, Metatable};
 use crate::prt::Prt;
 use crate::rpc::{OpBody, OpRequest, OpResponse};
 use arkfs_lease::{FileLeaseDecision, LeaseRequest};
 use arkfs_netsim::NodeId;
 use arkfs_simkit::{Nanos, Port};
-use arkfs_telemetry::CtxGuard;
+use arkfs_telemetry::{CtxGuard, TraceCtx};
 use arkfs_vfs::{perm, Credentials, FileType, FsError, FsResult, Ino, AM_EXEC, AM_READ, AM_WRITE};
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -32,17 +34,30 @@ fn lease_time(port: &Port, t: &mut Metatable, client: NodeId, file: Ino, now: Na
     now.max(back)
 }
 
+/// May `creds` remove `name` from `t`: its dentry, or the leader's
+/// copy of its inode, decides the victim's owner for the sticky rule.
+fn may_delete(t: &Metatable, creds: &Credentials, name: &str) -> FsResult<()> {
+    let entry = t.lookup(name).ok_or(FsError::NotFound)?;
+    let victim_uid = t.child_inode(entry.ino).map_or(t.dir.uid, |r| r.uid);
+    let d = &t.dir;
+    perm::check_delete(creds, d.uid, d.gid, d.mode, &d.acl, victim_uid)
+}
+
 impl ClientState {
-    /// Execute an operation as the leader of its directory. Runs both for
-    /// forwarded RPCs and for the client's own local operations.
+    /// Execute an operation as the leader of its directory: for forwarded
+    /// RPCs and for the client's own operations alike, reads and writes.
+    /// A refused op is an `Err`; `Ok(OpResponse::NotLeader)` sends the
+    /// caller back to routing.
     pub(crate) fn serve_local(
         &self,
         port: &Port,
         table: &Arc<Mutex<Metatable>>,
-        req: OpRequest,
-    ) -> OpResponse {
+        creds: &Credentials,
+        trace: TraceCtx,
+        body: &OpBody,
+    ) -> FsResult<OpResponse> {
         let mut t = self.lock_table(table);
-        let resp = self.serve_locked(port, &mut t, req);
+        let resp = self.serve_locked(port, &mut t, creds, trace, body);
         // The op changed what the view left with the lease manager
         // shows (a subdirectory dentry, the directory's permissions):
         // withdraw the view before the change is acked, so that a client
@@ -57,8 +72,14 @@ impl ClientState {
         resp
     }
 
-    fn serve_locked(&self, port: &Port, t: &mut Metatable, req: OpRequest) -> OpResponse {
-        let OpRequest { creds, trace, body } = req;
+    fn serve_locked(
+        &self,
+        port: &Port,
+        t: &mut Metatable,
+        creds: &Credentials,
+        trace: TraceCtx,
+        body: &OpBody,
+    ) -> FsResult<OpResponse> {
         // Serve under the originating op's trace context: spans recorded
         // below (journal commits, store I/O, meta churn) link back to the
         // client op that issued the request, whether it arrived over the
@@ -70,24 +91,22 @@ impl ClientState {
         // A frozen table is mid-handoff (split/merge drain): its journal
         // is being sealed under the *old* map, so no new work may enter.
         if t.frozen {
-            return OpResponse::NotLeader;
+            return Ok(OpResponse::NotLeader);
         }
         // Authority: the routed table must own the op's route key. A
         // mismatch means the sender (or our serve()) routed under a stale
         // partition map; NotLeader makes it refresh and re-route — we
         // never serve a name outside our bucket range.
         if !body.route().is_some_and(|(_, key)| t.owns(key)) {
-            return OpResponse::NotLeader;
+            return Ok(OpResponse::NotLeader);
         }
         let pkey = t.pkey();
         // A close message is a size push that also hands back the
         // closer's file lease. It is routed by name; a sender whose map
         // is stale may find this partition is not the lease shard, and
         // is told so before anything is done.
-        let closer = match body {
-            OpBody::CloseFile { ino, .. } if !t.leases_file(ino) => {
-                return OpResponse::Err(FsError::Stale);
-            }
+        let closer = match *body {
+            OpBody::CloseFile { ino, .. } if !t.leases_file(ino) => return Err(FsError::Stale),
             OpBody::CloseFile { client, .. } => Some(client),
             _ => None,
         };
@@ -141,21 +160,17 @@ impl ClientState {
         };
 
         let dir_perm = |t: &Metatable, want: u8| -> FsResult<()> {
-            perm::check_access(&creds, t.dir.uid, t.dir.gid, t.dir.mode, &t.dir.acl, want)
+            perm::check_access(creds, t.dir.uid, t.dir.gid, t.dir.mode, &t.dir.acl, want)
         };
 
-        match body {
+        Ok(match body {
             OpBody::Lookup { name, .. } => {
-                if let Err(e) = dir_perm(t, AM_EXEC) {
-                    return OpResponse::Err(e);
-                }
-                match t.lookup(&name) {
-                    Some(entry) => OpResponse::Entry {
-                        ino: entry.ino,
-                        ftype: entry.ftype,
-                        rec: t.child_inode(entry.ino).cloned(),
-                    },
-                    None => OpResponse::Err(FsError::NotFound),
+                dir_perm(t, AM_EXEC)?;
+                let entry = t.lookup(name).ok_or(FsError::NotFound)?;
+                OpResponse::Entry {
+                    ino: entry.ino,
+                    ftype: entry.ftype,
+                    rec: t.child_inode(entry.ino).cloned(),
                 }
             }
             OpBody::DirInode { .. } => OpResponse::Inode(t.dir.clone()),
@@ -163,77 +178,42 @@ impl ClientState {
             // Create-and-open records nothing the plain create does not:
             // the open handle takes its lease at its first data access.
             OpBody::Create { name, rec, .. } | OpBody::CreateOpen { name, rec, .. } => {
-                if let Err(e) = dir_perm(t, AM_WRITE | AM_EXEC) {
-                    return OpResponse::Err(e);
-                }
-                match t
-                    .create_child(rec, &name, now)
-                    .and_then(|()| stamp_commit(t, "op.create", false))
-                {
-                    Ok(()) => OpResponse::Ok,
-                    Err(e) => OpResponse::Err(e),
-                }
+                dir_perm(t, AM_WRITE | AM_EXEC)?;
+                t.create_child(rec.clone(), name, now)?;
+                stamp_commit(t, "op.create", false)?;
+                OpResponse::Ok
             }
             OpBody::AddSubdir { name, child, .. } => {
-                if let Err(e) = dir_perm(t, AM_WRITE | AM_EXEC) {
-                    return OpResponse::Err(e);
-                }
-                match t
-                    .add_subdir(&name, child, now)
-                    .and_then(|()| stamp_commit(t, "op.mkdir", false))
-                {
-                    Ok(()) => OpResponse::Ok,
-                    Err(e) => OpResponse::Err(e),
-                }
+                dir_perm(t, AM_WRITE | AM_EXEC)?;
+                t.add_subdir(name, *child, now)?;
+                stamp_commit(t, "op.mkdir", false)?;
+                OpResponse::Ok
             }
             OpBody::Unlink { name, .. } => {
-                let victim_uid = match t.lookup(&name) {
-                    Some(entry) => t.child_inode(entry.ino).map(|r| r.uid).unwrap_or(t.dir.uid),
-                    None => return OpResponse::Err(FsError::NotFound),
-                };
-                if let Err(e) = perm::check_delete(
-                    &creds, t.dir.uid, t.dir.gid, t.dir.mode, &t.dir.acl, victim_uid,
-                ) {
-                    return OpResponse::Err(e);
-                }
-                match t.unlink_child(&name, now) {
-                    Ok(rec) => match stamp_commit(t, "op.unlink", false) {
-                        Ok(()) => {
-                            t.file_leases.forget(rec.ino);
-                            OpResponse::Inode(rec)
-                        }
-                        Err(e) => OpResponse::Err(e),
-                    },
-                    Err(e) => OpResponse::Err(e),
-                }
+                may_delete(t, creds, name)?;
+                let rec = t.unlink_child(name, now)?;
+                stamp_commit(t, "op.unlink", false)?;
+                t.file_leases.forget(rec.ino);
+                OpResponse::Inode(rec)
             }
             OpBody::RemoveSubdir { name, .. } => {
-                let child_ino = match t.lookup(&name) {
+                let child_ino = match t.lookup(name) {
                     Some(e) if e.ftype == FileType::Directory => e.ino,
-                    Some(_) => return OpResponse::Err(FsError::NotADirectory),
-                    None => return OpResponse::Err(FsError::NotFound),
+                    Some(_) => return Err(FsError::NotADirectory),
+                    None => return Err(FsError::NotFound),
                 };
                 let victim_uid = prt
                     .load_inode(port, child_ino)
                     .map(|r| r.uid)
                     .unwrap_or(t.dir.uid);
-                if let Err(e) = perm::check_delete(
-                    &creds, t.dir.uid, t.dir.gid, t.dir.mode, &t.dir.acl, victim_uid,
-                ) {
-                    return OpResponse::Err(e);
-                }
-                match t
-                    .remove_subdir(&name, now)
-                    .and_then(|_| stamp_commit(t, "op.rmdir", false))
-                {
-                    Ok(()) => OpResponse::Ok,
-                    Err(e) => OpResponse::Err(e),
-                }
+                let d = &t.dir;
+                perm::check_delete(creds, d.uid, d.gid, d.mode, &d.acl, victim_uid)?;
+                t.remove_subdir(name, now)?;
+                stamp_commit(t, "op.rmdir", false)?;
+                OpResponse::Ok
             }
             OpBody::Readdir { .. } => {
-                if let Err(e) = dir_perm(t, AM_READ) {
-                    return OpResponse::Err(e);
-                }
+                dir_perm(t, AM_READ)?;
                 // The partition count rides along as the staleness guard:
                 // readdir carries no name for the ownership check, so the
                 // caller compares this against the count it fanned out
@@ -244,133 +224,76 @@ impl ClientState {
                 }
             }
             OpBody::SetSize { ino, size, .. } | OpBody::CloseFile { ino, size, .. } => {
-                if let Some(rec) = t.child_inode(ino) {
-                    if let Err(e) =
-                        perm::check_access(&creds, rec.uid, rec.gid, rec.mode, &rec.acl, AM_WRITE)
-                    {
-                        return OpResponse::Err(e);
-                    }
+                if let Some(rec) = t.child_inode(*ino) {
+                    perm::check_access(creds, rec.uid, rec.gid, rec.mode, &rec.acl, AM_WRITE)?;
                 }
                 // The size update seals into the pipeline; the explicit
                 // fsync/sync_all barrier (FsyncDir) makes it durable.
-                match t
-                    .set_child_size(ino, size, now)
-                    .and_then(|()| stamp_commit(t, "op.setsize", false))
-                {
-                    Ok(()) => {
-                        if let Some(client) = closer {
-                            t.file_leases.release(client, ino, now);
-                        }
-                        OpResponse::Ok
-                    }
-                    Err(e) => OpResponse::Err(e),
+                t.set_child_size(*ino, *size, now)?;
+                stamp_commit(t, "op.setsize", false)?;
+                if let Some(client) = closer {
+                    t.file_leases.release(client, *ino, now);
                 }
+                OpResponse::Ok
             }
             OpBody::SetAttrChild { ino, attr, .. } => {
-                let owner = match t.child_inode(ino) {
-                    Some(rec) => rec.uid,
-                    None => return OpResponse::Err(FsError::Stale),
-                };
+                let owner = t.child_inode(*ino).ok_or(FsError::Stale)?.uid;
                 let changing_owner = attr.uid.is_some() || attr.gid.is_some();
-                if let Err(e) = perm::check_setattr(&creds, owner, changing_owner) {
-                    return OpResponse::Err(e);
-                }
-                match t.set_child_attr(ino, &attr, now) {
-                    Ok(rec) => match stamp_commit(t, "op.setattr", false) {
-                        Ok(()) => OpResponse::Inode(rec),
-                        Err(e) => OpResponse::Err(e),
-                    },
-                    Err(e) => OpResponse::Err(e),
-                }
+                perm::check_setattr(creds, owner, changing_owner)?;
+                let rec = t.set_child_attr(*ino, attr, now)?;
+                stamp_commit(t, "op.setattr", false)?;
+                OpResponse::Inode(rec)
             }
             OpBody::SetAttrDir { attr, .. } => {
                 let changing_owner = attr.uid.is_some() || attr.gid.is_some();
-                if let Err(e) = perm::check_setattr(&creds, t.dir.uid, changing_owner) {
-                    return OpResponse::Err(e);
-                }
-                let rec = t.set_dir_attr(&attr, now);
-                match stamp_commit(t, "op.setattr", false) {
-                    Ok(()) => OpResponse::Inode(rec),
-                    Err(e) => OpResponse::Err(e),
-                }
+                perm::check_setattr(creds, t.dir.uid, changing_owner)?;
+                let rec = t.set_dir_attr(attr, now);
+                stamp_commit(t, "op.setattr", false)?;
+                OpResponse::Inode(rec)
             }
             OpBody::SetAcl { target, acl, .. } => {
-                let owner = if target == t.ino() {
+                let owner = if *target == t.ino() {
                     t.dir.uid
                 } else {
-                    match t.child_inode(target) {
-                        Some(rec) => rec.uid,
-                        None => return OpResponse::Err(FsError::Stale),
-                    }
+                    t.child_inode(*target).ok_or(FsError::Stale)?.uid
                 };
-                if let Err(e) = perm::check_setattr(&creds, owner, false) {
-                    return OpResponse::Err(e);
-                }
-                match t
-                    .set_acl(target, acl, now)
-                    .and_then(|()| stamp_commit(t, "op.set_acl", false))
-                {
-                    Ok(()) => OpResponse::Ok,
-                    Err(e) => OpResponse::Err(e),
-                }
+                perm::check_setattr(creds, owner, false)?;
+                t.set_acl(*target, acl.clone(), now)?;
+                stamp_commit(t, "op.set_acl", false)?;
+                OpResponse::Ok
             }
             OpBody::RenameLocal { from, to, .. } => {
-                let victim_uid = match t.lookup(&from) {
-                    Some(entry) => t.child_inode(entry.ino).map(|r| r.uid).unwrap_or(t.dir.uid),
-                    None => return OpResponse::Err(FsError::NotFound),
-                };
-                if let Err(e) = perm::check_delete(
-                    &creds, t.dir.uid, t.dir.gid, t.dir.mode, &t.dir.acl, victim_uid,
-                ) {
-                    return OpResponse::Err(e);
-                }
+                may_delete(t, creds, from)?;
                 // The reply names what moved, so the renamer can cache
                 // the new name positively.
-                match t.rename_local(&from, &to, now).and_then(|moved| {
-                    stamp_commit(t, "op.rename", false)?;
-                    Ok(moved)
-                }) {
-                    Ok((ino, ftype)) => OpResponse::Entry {
-                        ino,
-                        ftype,
-                        rec: None,
-                    },
-                    Err(e) => OpResponse::Err(e),
+                let (ino, ftype) = t.rename_local(from, to, now)?;
+                stamp_commit(t, "op.rename", false)?;
+                OpResponse::Entry {
+                    ino,
+                    ftype,
+                    rec: None,
                 }
             }
             OpBody::RenameSrcPrepare {
                 name, txid, peer, ..
             } => {
-                let victim_uid = match t.lookup(&name) {
-                    Some(entry) => t.child_inode(entry.ino).map(|r| r.uid).unwrap_or(t.dir.uid),
-                    None => return OpResponse::Err(FsError::NotFound),
-                };
-                if let Err(e) = perm::check_delete(
-                    &creds, t.dir.uid, t.dir.gid, t.dir.mode, &t.dir.acl, victim_uid,
-                ) {
-                    return OpResponse::Err(e);
-                }
+                may_delete(t, creds, name)?;
                 t.journal.append(
-                    crate::journal::JournalOp::RenamePrepare {
-                        txid,
-                        peer_dir: peer,
-                        ops: vec![crate::journal::JournalOp::RemoveDentry { name: name.clone() }],
+                    JournalOp::RenamePrepare {
+                        txid: *txid,
+                        peer_dir: *peer,
+                        ops: vec![JournalOp::RemoveDentry { name: name.clone() }],
                     },
                     now,
                 );
-                let (entry, rec) = match t.detach_child(&name, now) {
-                    Ok(v) => v,
-                    Err(e) => return OpResponse::Err(e),
-                };
+                let (entry, rec) = t.detach_child(name, now)?;
                 // 2PC prepares are forced durable: the decision protocol
                 // presumes the prepare record survives.
-                match stamp_commit(t, "op.rename", true) {
-                    Ok(()) => OpResponse::Detached {
-                        ino: entry.ino,
-                        ftype: entry.ftype,
-                        rec,
-                    },
-                    Err(e) => OpResponse::Err(e),
+                stamp_commit(t, "op.rename", true)?;
+                OpResponse::Detached {
+                    ino: entry.ino,
+                    ftype: entry.ftype,
+                    rec,
                 }
             }
             OpBody::RenameDstPrepare {
@@ -382,70 +305,50 @@ impl ClientState {
                 rec,
                 ..
             } => {
-                if let Err(e) = dir_perm(t, AM_WRITE | AM_EXEC) {
-                    return OpResponse::Err(e);
-                }
+                dir_perm(t, AM_WRITE | AM_EXEC)?;
                 // POSIX rename replaces an existing file target; the
                 // victim's removal rides inside the 2PC prepare so it is
                 // atomic with the move. Directory targets are rejected
                 // (cross-directory directory replacement is out of scope).
-                let existing = t.lookup(&name).map(|e| (e.name.clone(), e.ftype));
-                let victim = match existing {
-                    Some((_, FileType::Directory)) => {
-                        return OpResponse::Err(FsError::AlreadyExists);
-                    }
-                    Some((victim_name, _)) => match t.unlink_child(&victim_name, now) {
-                        Ok(rec) => Some(rec),
-                        Err(e) => return OpResponse::Err(e),
-                    },
+                let victim = match t.lookup(name).map(|e| e.ftype) {
+                    Some(FileType::Directory) => return Err(FsError::AlreadyExists),
+                    Some(_) => Some(t.unlink_child(name, now)?),
                     None => None,
                 };
-                let mut ops = vec![crate::journal::JournalOp::UpsertDentry {
+                let mut ops = vec![JournalOp::UpsertDentry {
                     name: name.clone(),
-                    ino,
-                    ftype,
+                    ino: *ino,
+                    ftype: *ftype,
                 }];
-                if let Some(rec) = &rec {
-                    ops.push(crate::journal::JournalOp::PutInode(rec.clone()));
+                if let Some(rec) = rec {
+                    ops.push(JournalOp::PutInode(rec.clone()));
                 }
                 t.journal.append(
-                    crate::journal::JournalOp::RenamePrepare {
-                        txid,
-                        peer_dir: peer,
+                    JournalOp::RenamePrepare {
+                        txid: *txid,
+                        peer_dir: *peer,
                         ops,
                     },
                     now,
                 );
-                if let Err(e) = t.attach_child(&name, ino, ftype, rec, now) {
-                    return OpResponse::Err(e);
-                }
-                match stamp_commit(t, "op.rename", true) {
-                    Ok(()) => match victim {
-                        Some(rec) => OpResponse::Inode(rec),
-                        None => OpResponse::Ok,
-                    },
-                    Err(e) => OpResponse::Err(e),
-                }
+                t.attach_child(name, *ino, *ftype, rec.clone(), now)?;
+                stamp_commit(t, "op.rename", true)?;
+                victim.map_or(OpResponse::Ok, OpResponse::Inode)
             }
             OpBody::RenameDecide {
                 txid, commit, undo, ..
             } => {
-                if commit {
-                    t.journal
-                        .append(crate::journal::JournalOp::RenameCommit { txid }, now);
+                let txid = *txid;
+                if *commit {
+                    t.journal.append(JournalOp::RenameCommit { txid }, now);
                 } else {
-                    t.journal
-                        .append(crate::journal::JournalOp::RenameAbort { txid }, now);
+                    t.journal.append(JournalOp::RenameAbort { txid }, now);
                     if let Some((name, ino, ftype, rec)) = undo {
-                        if let Err(e) = t.attach_child(&name, ino, ftype, rec, now) {
-                            return OpResponse::Err(e);
-                        }
+                        t.attach_child(name, *ino, *ftype, rec.clone(), now)?;
                     }
                 }
-                match stamp_commit(t, "op.rename", true) {
-                    Ok(()) => OpResponse::Ok,
-                    Err(e) => OpResponse::Err(e),
-                }
+                stamp_commit(t, "op.rename", true)?;
+                OpResponse::Ok
             }
             OpBody::FsyncDir { .. } => {
                 // Durability barrier: flush running + sealed transactions
@@ -453,32 +356,25 @@ impl ClientState {
                 // in-flight background flushes, so everything this
                 // partition acked is durable when we respond.
                 let lane = self.lane(pkey);
-                match t
-                    .journal
-                    .commit(prt, port, &lane.res, config.spec.local_meta_op)
-                {
-                    Ok(()) => {
-                        let done = lane.drain_until(port.now());
-                        port.wait_until(done);
-                        OpResponse::Ok
-                    }
-                    Err(e) => OpResponse::Err(e),
-                }
+                t.journal
+                    .commit(prt, port, &lane.res, config.spec.local_meta_op)?;
+                port.wait_until(lane.drain_until(port.now()));
+                OpResponse::Ok
             }
             OpBody::AcquireReadLease { file, client, .. } => {
-                let now = lease_time(port, t, client, file, now);
-                let decision = t.file_leases.acquire_read(client, file, now);
-                self.broadcast_flushes(port, t, file, &decision);
+                let now = lease_time(port, t, *client, *file, now);
+                let decision = t.file_leases.acquire_read(*client, *file, now);
+                self.broadcast_flushes(port, t, *file, &decision);
                 OpResponse::Lease(decision)
             }
             OpBody::AcquireWriteLease { file, client, .. } => {
-                let now = lease_time(port, t, client, file, now);
-                let decision = t.file_leases.acquire_write(client, file, now);
-                self.broadcast_flushes(port, t, file, &decision);
+                let now = lease_time(port, t, *client, *file, now);
+                let decision = t.file_leases.acquire_write(*client, *file, now);
+                self.broadcast_flushes(port, t, *file, &decision);
                 OpResponse::Lease(decision)
             }
             OpBody::ReleaseFileLease { file, client, .. } => {
-                t.file_leases.release(client, file, now);
+                t.file_leases.release(*client, *file, now);
                 OpResponse::Ok
             }
             // The lookup, then the read lease of what it found: a denied
@@ -490,26 +386,23 @@ impl ClientState {
                 access,
                 ..
             } => {
-                if let Err(e) = dir_perm(t, AM_EXEC) {
-                    return OpResponse::Err(e);
+                dir_perm(t, AM_EXEC)?;
+                let entry = t.lookup(name).ok_or(FsError::NotFound)?;
+                if entry.ftype == FileType::Directory {
+                    return Err(FsError::IsADirectory);
                 }
-                let ino = match t.lookup(&name) {
-                    Some(e) if e.ftype == FileType::Directory => {
-                        return OpResponse::Err(FsError::IsADirectory)
-                    }
-                    Some(e) => e.ino,
-                    None => return OpResponse::Err(FsError::NotFound),
-                };
-                let Some(rec) = t.child_inode(ino).cloned() else {
-                    return OpResponse::Err(FsError::Io("dangling dentry".into()));
-                };
+                let ino = entry.ino;
+                let rec = t
+                    .child_inode(ino)
+                    .cloned()
+                    .ok_or_else(|| FsError::Io("dangling dentry".into()))?;
                 let lease = (rec.ftype == FileType::Regular
                     && t.leases_file(ino)
-                    && perm::check_access(&creds, rec.uid, rec.gid, rec.mode, &rec.acl, access)
+                    && perm::check_access(creds, rec.uid, rec.gid, rec.mode, &rec.acl, *access)
                         .is_ok())
                 .then(|| {
-                    let now = lease_time(port, t, client, ino, now);
-                    let decision = t.file_leases.acquire_read(client, ino, now);
+                    let now = lease_time(port, t, *client, ino, now);
+                    let decision = t.file_leases.acquire_read(*client, ino, now);
                     self.broadcast_flushes(port, t, ino, &decision);
                     decision
                 });
@@ -520,7 +413,7 @@ impl ClientState {
             OpBody::FlushCache { .. } | OpBody::RelinquishPartition { .. } => {
                 unreachable!("handled in serve()")
             }
-        }
+        })
     }
 
     /// A window-tripped *group* flight: our freshly-sealed transactions
@@ -604,13 +497,13 @@ impl ClientState {
         for &target in flush {
             let flushed = if target == self.id {
                 // Flush our own cache inline.
-                Ok(self.serve_flush(port, file))
+                self.serve_flush(port, file).ok()
             } else {
                 // Crashed holders simply drain via lease expiry.
                 let req = OpRequest::new(Credentials::root(), OpBody::FlushCache { file });
-                self.cluster.call_ops(port, target, req)
+                self.cluster.call_ops(port, target, req).ok()
             };
-            if let Ok(OpResponse::Flushed { size: Some(size) }) = flushed {
+            if let Some(OpResponse::Flushed { size: Some(size) }) = flushed {
                 if t.child_inode(file).is_some_and(|r| size > r.size) {
                     let _ = t.set_child_size(file, size, now);
                 }

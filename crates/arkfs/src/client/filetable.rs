@@ -221,7 +221,6 @@ impl ArkClient {
         };
         let (rec, lease) = match self.on_dir(ctx, body)? {
             OpResponse::Opened { rec, lease } => (rec, lease),
-            OpResponse::Err(e) => return Err(e),
             _ => return Err(FsError::Io("unexpected open response".into())),
         };
         let held = match lease {
@@ -278,8 +277,8 @@ impl ArkClient {
         let reply = Port::starting_at(self.port.now());
         let decision = match self.on_dir_port(&reply, &Credentials::root(), body) {
             Ok(OpResponse::Lease(decision)) => Ok(decision),
-            Ok(OpResponse::Err(e)) | Err(e) => Err(e),
             Ok(_) => Err(FsError::Io("unexpected lease response".into())),
+            Err(e) => Err(e),
         };
         let acked = reply.now();
         if !(write && matches!(decision, Ok(FileLeaseDecision::Granted { .. }))) {
@@ -318,9 +317,11 @@ impl ArkClient {
         };
         // Routed like the acquire (lease service shards by file ino),
         // so the release reaches the partition holding the lease entry.
-        match self.on_dir_port(port, &Credentials::root(), body) {
-            Ok(OpResponse::Ok) => {}
-            Ok(_) | Err(_) => self.state.lease_release_failed.inc(),
+        if self
+            .on_dir_port_ok(port, &Credentials::root(), body)
+            .is_err()
+        {
+            self.state.lease_release_failed.inc();
         }
     }
 

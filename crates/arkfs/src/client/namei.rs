@@ -1,8 +1,12 @@
 //! Path resolution, permission checks, and the permission cache.
 //!
 //! Paths resolve component by component through [`ArkClient::lookup_step`];
-//! every step checks exec permission on the containing directory. For
-//! *remote* directories, permission-cache mode (§III-C) caches a
+//! every step checks exec permission on the containing directory. A step,
+//! like every read here, is the leader's own `Lookup` / `DirView` /
+//! `DirInode`: served by this client's table when it leads the directory
+//! and forwarded otherwise ([`ArkClient::on_dir_ref`]), so a leader and a
+//! forwarder answer alike. For *remote* directories, permission-cache
+//! mode (§III-C) caches a
 //! *directory view* — the directory's inode (permissions + stat) and its
 //! subdirectory dentries, handed over by the lease manager with the
 //! redirect that names the leader, or fetched from the leader in one
@@ -116,45 +120,43 @@ impl ArkClient {
         dir: Ino,
         name: &str,
     ) -> FsResult<(Ino, FileType)> {
-        match self.dir_ref_name(dir, name)? {
-            DirRef::Local(table) => {
-                self.port.advance(self.config().spec.local_meta_op);
-                let t = self.state.lock_table(&table);
-                perm::check_access(ctx, t.dir.uid, t.dir.gid, t.dir.mode, &t.dir.acl, AM_EXEC)?;
-                let entry = t.lookup(name).ok_or(FsError::NotFound)?;
-                Ok((entry.ino, entry.ftype))
+        let route = self.dir_ref_name(dir, name)?;
+        // Only a forwarded lookup goes through the permission cache.
+        let cached = matches!(route, DirRef::Remote(_)) && self.config().permission_cache;
+        if cached {
+            if let Some(hit) = self.pcache_lookup(ctx, dir, name)? {
+                return hit;
             }
-            DirRef::Remote(leader) => {
-                if self.config().permission_cache {
-                    if let Some(hit) = self.pcache_lookup(ctx, dir, name)? {
-                        return hit;
-                    }
-                }
-                let resp = self.remote_call(
-                    ctx,
-                    leader,
-                    OpBody::Lookup {
-                        dir,
-                        name: name.to_string(),
-                    },
-                )?;
-                match resp {
-                    OpResponse::Entry { ino, ftype, .. } => {
-                        if self.config().permission_cache {
-                            self.pcache_note(dir, name, Some((ino, ftype)));
-                        }
-                        Ok((ino, ftype))
-                    }
-                    OpResponse::Err(FsError::NotFound) => {
-                        if self.config().permission_cache {
-                            self.pcache_note(dir, name, None);
-                        }
-                        Err(FsError::NotFound)
-                    }
-                    OpResponse::Err(e) => Err(e),
-                    _ => Err(FsError::Io("unexpected lookup response".into())),
-                }
+        }
+        let found = self.lookup(ctx, route, dir, name);
+        if cached {
+            // A `NotFound` that is not the leader's means `dir` itself is
+            // gone: the name is not in it either way.
+            match found {
+                Ok((ino, ftype, _)) => self.pcache_note(dir, name, Some((ino, ftype))),
+                Err(FsError::NotFound) => self.pcache_note(dir, name, None),
+                Err(_) => {}
             }
+        }
+        found.map(|(ino, ftype, _)| (ino, ftype))
+    }
+
+    /// `Lookup` of `name` in `dir`, served where `route` says: the
+    /// dentry, and the inode record of a non-directory.
+    fn lookup(
+        &self,
+        ctx: &Credentials,
+        route: DirRef,
+        dir: Ino,
+        name: &str,
+    ) -> FsResult<(Ino, FileType, Option<InodeRecord>)> {
+        let body = OpBody::Lookup {
+            dir,
+            name: name.to_string(),
+        };
+        match self.on_dir_ref(ctx, route, body)? {
+            OpResponse::Entry { ino, ftype, rec } => Ok((ino, ftype, rec)),
+            _ => Err(FsError::Io("unexpected lookup response".into())),
         }
     }
 
@@ -195,24 +197,15 @@ impl ArkClient {
     /// remote), stamped with this client's clock at the request.
     fn pcache_fill(&self, dir: Ino) -> FsResult<()> {
         let sent = self.port.now();
-        let view = match self.dir_ref(dir)? {
-            DirRef::Local(table) => {
-                self.port.advance(self.config().spec.local_meta_op);
-                self.state.lock_table(&table).dir_view()
-            }
-            DirRef::Remote(leader) => {
-                // Asked just now, the manager may have sent the view
-                // along with the leader's name.
-                if (self.state.pcache.lock().get(&dir)).is_some_and(|e| e.live(sent)) {
-                    return Ok(());
-                }
-                let root = Credentials::root();
-                match self.remote_call(&root, leader, OpBody::DirView { dir })? {
-                    OpResponse::View(view) => view,
-                    OpResponse::Err(e) => return Err(e),
-                    _ => return Err(FsError::Io("unexpected dir-view response".into())),
-                }
-            }
+        let route = self.dir_ref(dir)?;
+        // Asked just now, the manager may have sent the view along with
+        // the leader's name.
+        if (self.state.pcache.lock().get(&dir)).is_some_and(|e| e.live(sent)) {
+            return Ok(());
+        }
+        let view = match self.on_dir_ref(&Credentials::root(), route, OpBody::DirView { dir })? {
+            OpResponse::View(view) => view,
+            _ => return Err(FsError::Io("unexpected dir-view response".into())),
         };
         let expires_at = sent + self.config().lease_period;
         self.state
@@ -276,101 +269,30 @@ impl ArkClient {
             return Ok((ROOT_INO, rec));
         }
         let (dir, name) = self.resolve_parent(ctx, path)?;
-        match self.dir_ref_name(dir, name)? {
-            DirRef::Local(table) => {
-                self.port.advance(self.config().spec.local_meta_op);
-                let t = self.state.lock_table(&table);
-                perm::check_access(ctx, t.dir.uid, t.dir.gid, t.dir.mode, &t.dir.acl, AM_EXEC)?;
-                let entry = t.lookup(name).ok_or(FsError::NotFound)?;
-                if entry.ftype == FileType::Directory {
-                    let ino = entry.ino;
-                    drop(t);
-                    let rec = self.dir_inode(ino)?;
-                    Ok((ino, rec))
-                } else {
-                    let rec = t
-                        .child_inode(entry.ino)
-                        .cloned()
-                        .ok_or_else(|| FsError::Io("dangling dentry".into()))?;
-                    Ok((entry.ino, rec))
-                }
-            }
-            DirRef::Remote(leader) => {
-                let resp = self.remote_call(
-                    ctx,
-                    leader,
-                    OpBody::Lookup {
-                        dir,
-                        name: name.to_string(),
-                    },
-                )?;
-                match resp {
-                    OpResponse::Entry { ino, ftype, rec } => {
-                        if self.config().permission_cache {
-                            self.pcache_note(dir, name, Some((ino, ftype)));
-                        }
-                        match rec {
-                            Some(rec) => Ok((ino, rec)),
-                            None => {
-                                // Directory: ask its own leader.
-                                let rec = self.dir_inode(ino)?;
-                                Ok((ino, rec))
-                            }
-                        }
-                    }
-                    OpResponse::Err(e) => Err(e),
-                    _ => Err(FsError::Io("unexpected lookup response".into())),
-                }
-            }
-        }
+        self.lookup_record(ctx, dir, name, true)
     }
 
     /// Resolve (parent, name) → the child's inode record, through the
-    /// appropriate leader.
+    /// appropriate leader. With `note`, a forwarded answer is noted in
+    /// the permission cache.
     pub(crate) fn lookup_record(
         &self,
         ctx: &Credentials,
         dir: Ino,
         name: &str,
+        note: bool,
     ) -> FsResult<(Ino, InodeRecord)> {
-        match self.dir_ref_name(dir, name)? {
-            DirRef::Local(table) => {
-                self.port.advance(self.config().spec.local_meta_op);
-                let t = self.state.lock_table(&table);
-                perm::check_access(ctx, t.dir.uid, t.dir.gid, t.dir.mode, &t.dir.acl, AM_EXEC)?;
-                let entry = t.lookup(name).ok_or(FsError::NotFound)?;
-                if entry.ftype == FileType::Directory {
-                    let ino = entry.ino;
-                    drop(t);
-                    Ok((ino, self.dir_inode(ino)?))
-                } else {
-                    let rec = t
-                        .child_inode(entry.ino)
-                        .cloned()
-                        .ok_or_else(|| FsError::Io("dangling dentry".into()))?;
-                    Ok((entry.ino, rec))
-                }
-            }
-            DirRef::Remote(leader) => {
-                let resp = self.remote_call(
-                    ctx,
-                    leader,
-                    OpBody::Lookup {
-                        dir,
-                        name: name.to_string(),
-                    },
-                )?;
-                match resp {
-                    OpResponse::Entry {
-                        ino,
-                        rec: Some(rec),
-                        ..
-                    } => Ok((ino, rec)),
-                    OpResponse::Entry { ino, rec: None, .. } => Ok((ino, self.dir_inode(ino)?)),
-                    OpResponse::Err(e) => Err(e),
-                    _ => Err(FsError::Io("unexpected lookup response".into())),
-                }
-            }
+        let route = self.dir_ref_name(dir, name)?;
+        let note = note && matches!(route, DirRef::Remote(_)) && self.config().permission_cache;
+        let (ino, ftype, rec) = self.lookup(ctx, route, dir, name)?;
+        if note {
+            self.pcache_note(dir, name, Some((ino, ftype)));
+        }
+        match rec {
+            Some(rec) => Ok((ino, rec)),
+            // A directory's record is its own leader's.
+            None if ftype == FileType::Directory => Ok((ino, self.dir_inode(ino)?)),
+            None => Err(FsError::Io("dangling dentry".into())),
         }
     }
 }

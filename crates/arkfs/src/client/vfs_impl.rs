@@ -49,7 +49,7 @@ impl ArkClient {
         let (ino, rec, lease) = if flags.readable() && !trunc {
             self.open_lookup(ctx, parent, name, want)?
         } else {
-            let (ino, rec) = self.lookup_record(ctx, parent, name)?;
+            let (ino, rec) = self.lookup_record(ctx, parent, name, false)?;
             (ino, rec, Held::None)
         };
         match rec.ftype {
@@ -141,10 +141,10 @@ impl ArkClient {
                 continue; // committed + drained locally by the caller
             }
             let fork = Port::starting_at(start);
-            match self.on_dir_port(&fork, ctx, OpBody::FsyncDir { dir, partition: p }) {
-                Ok(OpResponse::Ok) => {}
-                Ok(OpResponse::Err(e)) => return Err(e),
-                Ok(_) => return Err(FsError::Io("unexpected fsync-dir response".into())),
+            // A leader answers `FsyncDir` with neither of these: they are
+            // the routing's own.
+            match self.on_dir_port_ok(&fork, ctx, OpBody::FsyncDir { dir, partition: p }) {
+                Ok(()) => {}
                 Err(e @ (FsError::Stale | FsError::TimedOut)) if p > 0 => {
                     let fresh = self.state.refresh_pmap(&fork, dir)?;
                     if p < fresh.partitions {
@@ -204,7 +204,6 @@ impl ArkClient {
                     merged = entries;
                     partitions
                 }
-                OpResponse::Err(e) => return Err(e),
                 _ => return Err(FsError::Io("unexpected readdir response".into())),
             };
             let start = self.port.now();
@@ -215,6 +214,8 @@ impl ArkClient {
                     dir: ino,
                     partition: p,
                 };
+                // A leader answers `Readdir` with neither `Stale` nor
+                // `TimedOut`: they are the routing's own.
                 match self.on_dir_port(&fork, ctx, body) {
                     Ok(OpResponse::Entries {
                         entries,
@@ -227,7 +228,6 @@ impl ArkClient {
                         let _ = self.state.refresh_pmap(&self.port, ino);
                         continue 'scan;
                     }
-                    Ok(OpResponse::Err(e)) => return Err(e),
                     Ok(_) => return Err(FsError::Io("unexpected readdir response".into())),
                     Err(e) => return Err(e),
                 }
@@ -258,26 +258,19 @@ impl Vfs for ArkClient {
             // The child directory's inode object is written eagerly so its
             // first leader can load it (the dentry itself is journaled).
             self.prt().store_inode(&self.port, &rec)?;
-            match self.on_dir(
-                ctx,
-                OpBody::AddSubdir {
-                    dir: parent,
-                    name: name.to_string(),
-                    child: ino,
-                },
-            )? {
-                OpResponse::Ok => {
-                    if self.config().permission_cache {
-                        self.pcache_note(parent, name, Some((ino, FileType::Directory)));
-                    }
-                    Ok(rec.to_stat())
-                }
-                OpResponse::Err(e) => {
-                    let _ = self.prt().delete_inode(&self.port, ino);
-                    Err(e)
-                }
-                _ => Err(FsError::Io("unexpected mkdir response".into())),
+            let body = OpBody::AddSubdir {
+                dir: parent,
+                name: name.to_string(),
+                child: ino,
+            };
+            if let Err(e) = self.on_dir_ok(ctx, body) {
+                let _ = self.prt().delete_inode(&self.port, ino);
+                return Err(e);
             }
+            if self.config().permission_cache {
+                self.pcache_note(parent, name, Some((ino, FileType::Directory)));
+            }
+            Ok(rec.to_stat())
         })
     }
 
@@ -544,7 +537,6 @@ impl Vfs for ArkClient {
                     }
                     Ok(())
                 }
-                OpResponse::Err(e) => Err(e),
                 _ => Err(FsError::Io("unexpected unlink response".into())),
             }
         })
@@ -621,11 +613,11 @@ impl Vfs for ArkClient {
                         }
                         return Ok(());
                     }
-                    Ok(OpResponse::Err(e)) => return Err(e),
                     Ok(_) => return Err(FsError::Io("unexpected rename response".into())),
                     // A stale singleton map can route a cross-partition
                     // pair as RenameLocal; no partition owns both names,
-                    // so the request bounces until it times out. Check
+                    // so the request bounces until it times out (a leader
+                    // never answers `TimedOut` itself). Check
                     // against a fresh map and fall through to the 2PC if
                     // that is what happened.
                     Err(FsError::TimedOut)
@@ -654,7 +646,6 @@ impl Vfs for ArkClient {
                 },
             )? {
                 OpResponse::Detached { ino, ftype, rec } => (ino, ftype, rec),
-                OpResponse::Err(e) => return Err(e),
                 _ => return Err(FsError::Io("unexpected rename-src response".into())),
             };
             let dst_result = self.on_dir(
@@ -668,15 +659,16 @@ impl Vfs for ArkClient {
                     ftype,
                     rec: rec.clone(),
                 },
-            )?;
+            );
             match dst_result {
-                OpResponse::Ok => {}
-                OpResponse::Inode(victim) => {
+                Ok(OpResponse::Ok) => {}
+                Ok(OpResponse::Inode(victim)) => {
                     // The destination replaced an existing file; its data
                     // chunks are ours to reclaim.
                     self.purge_file_data(victim.ino, victim.size)?;
                 }
-                OpResponse::Err(e) => {
+                Ok(_) => return Err(FsError::Io("unexpected rename-dst response".into())),
+                Err(e) => {
                     // Abort: undo the source detach.
                     let _ = self.on_dir(
                         ctx,
@@ -690,7 +682,6 @@ impl Vfs for ArkClient {
                     );
                     return Err(e);
                 }
-                _ => return Err(FsError::Io("unexpected rename-dst response".into())),
             }
             for (dir, name) in [(src_dir, src_name), (dst_dir, dst_name)] {
                 self.on_dir_ok(
@@ -718,7 +709,7 @@ impl Vfs for ArkClient {
                 return Err(FsError::IsADirectory);
             }
             let (parent, name) = self.resolve_parent(ctx, path)?;
-            let (ino, rec) = self.lookup_record(ctx, parent, name)?;
+            let (ino, rec) = self.lookup_record(ctx, parent, name, false)?;
             if rec.ftype == FileType::Directory {
                 return Err(FsError::IsADirectory);
             }
@@ -741,7 +732,6 @@ impl Vfs for ArkClient {
             };
             match self.on_dir(ctx, body)? {
                 OpResponse::Inode(rec) => Ok(rec.to_stat()),
-                OpResponse::Err(e) => Err(e),
                 _ => Err(FsError::Io("unexpected setattr response".into())),
             }
         })
@@ -763,23 +753,16 @@ impl Vfs for ArkClient {
             rec.symlink_target = target.to_string();
             rec.size = target.len() as u64;
             let stat = rec.to_stat();
-            match self.on_dir(
-                ctx,
-                OpBody::Create {
-                    dir: parent,
-                    name: name.to_string(),
-                    rec,
-                },
-            )? {
-                OpResponse::Ok => {
-                    if self.config().permission_cache {
-                        self.pcache_note(parent, name, Some((ino, FileType::Symlink)));
-                    }
-                    Ok(stat)
-                }
-                OpResponse::Err(e) => Err(e),
-                _ => Err(FsError::Io("unexpected symlink response".into())),
+            let body = OpBody::Create {
+                dir: parent,
+                name: name.to_string(),
+                rec,
+            };
+            self.on_dir_ok(ctx, body)?;
+            if self.config().permission_cache {
+                self.pcache_note(parent, name, Some((ino, FileType::Symlink)));
             }
+            Ok(stat)
         })
     }
 

@@ -15,7 +15,7 @@ use crate::wire::{wire_enum, wire_struct};
 use arkfs_lease::FileLeaseDecision;
 use arkfs_netsim::NodeId;
 use arkfs_telemetry::{ctx, TraceCtx};
-use arkfs_vfs::{Acl, Credentials, DirEntry, FileType, FsError, Ino, SetAttr};
+use arkfs_vfs::{Acl, Credentials, DirEntry, FileType, FsError, FsResult, Ino, SetAttr};
 use std::sync::Arc;
 
 /// A forwarded file-system operation, carrying the originator's
@@ -273,6 +273,10 @@ wire_enum! {
         /// The destination no longer leads `dir` (lease lapsed and someone
         /// else may own it); the caller goes back to the lease manager.
         7 => NotLeader,
+        /// A refused op, on the wire only. A leader serves every op as an
+        /// `FsResult`; the leader's RPC service (`ClientService::handle`)
+        /// is the one place its `Err` becomes this variant, and
+        /// [`OpResponse::into_result`] the one place it turns back.
         8 => Err(error: FsError),
         /// DirView result: the directory inode and its subdirectory
         /// dentries, sorted by name. The list is built once per change at
@@ -285,6 +289,17 @@ wire_enum! {
         /// OpenRead result: the file's (or symlink's) inode record, and
         /// the read-lease decision when the leader took one with it.
         10 => Opened { rec: InodeRecord, lease: Option<FileLeaseDecision> },
+    }
+}
+
+impl OpResponse {
+    /// A reply as the served result it carries: [`OpResponse::Err`] back
+    /// into the refusal it was built from, anything else as it came.
+    pub fn into_result(self) -> FsResult<OpResponse> {
+        match self {
+            OpResponse::Err(e) => Err(e),
+            resp => Ok(resp),
+        }
     }
 }
 
