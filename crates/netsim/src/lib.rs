@@ -121,11 +121,6 @@ pub trait Transport<Req, Resp>: Send + Sync {
     /// Synchronous RPC to the service at `to`.
     fn call(&self, port: &Port, to: NodeId, req: Req) -> Result<Resp, NetError>;
 
-    /// One-way notification: delivery is attempted, the response (if the
-    /// implementation produces one) is discarded, and only the send cost
-    /// is charged.
-    fn notify(&self, port: &Port, to: NodeId, req: Req) -> Result<(), NetError>;
-
     /// Attach a service at `node`, replacing any previous one ("restart").
     fn register(&self, node: NodeId, service: Arc<dyn Service<Req, Resp>>);
 
@@ -288,17 +283,6 @@ impl<Req: Send, Resp: Send> Transport<Req, Resp> for Bus<Req, Resp> {
         Ok(resp)
     }
 
-    /// Charges only the send latency (e.g. a cache-flush broadcast): the
-    /// destination still processes the message functionally and its
-    /// completion time is discarded.
-    fn notify(&self, port: &Port, to: NodeId, req: Req) -> Result<(), NetError> {
-        let service = self.service(to)?;
-        self.messages.fetch_add(1, Ordering::Relaxed);
-        let arrival = port.advance(self.half_rtt);
-        let _ = service.handle(arrival, req);
-        Ok(())
-    }
-
     fn register(&self, node: NodeId, service: Arc<dyn Service<Req, Resp>>) {
         self.services.write().insert(node, service);
     }
@@ -389,15 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn notify_charges_one_way_only() {
-        let bus: Bus<(), ()> = Bus::new(100);
-        bus.register(NodeId(1), Arc::new(|a: Nanos, _| ((), a + 1_000_000)));
-        let port = Port::new();
-        bus.notify(&port, NodeId(1), ()).unwrap();
-        assert_eq!(port.now(), 100);
-    }
-
-    #[test]
     fn reregistering_replaces_service() {
         let bus: Bus<u8, u8> = Bus::new(0);
         bus.register(NodeId(1), Arc::new(|a: Nanos, _| (1u8, a)));
@@ -436,9 +411,6 @@ mod tests {
                 return Err(self.error);
             }
             self.inner.call(port, to, req)
-        }
-        fn notify(&self, port: &Port, to: NodeId, req: u32) -> Result<(), NetError> {
-            self.inner.notify(port, to, req)
         }
         fn register(&self, node: NodeId, service: Arc<dyn Service<u32, u32>>) {
             self.inner.register(node, service)

@@ -8,7 +8,7 @@
 //! the calling side. Frames are:
 //!
 //! ```text
-//! request:  u32 len | u8 kind (0=call, 1=notify, 2=shutdown) |
+//! request:  u32 len | u8 kind (0=call, 2=shutdown; 1 is reserved) |
 //!           u32 dest-node | u64 virtual-arrival | payload bytes
 //! response: u32 len | u8 status (0=ok, 1=unreachable, 2=decode) |
 //!           u64 virtual-done | payload bytes
@@ -43,7 +43,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 const KIND_CALL: u8 = 0;
-const KIND_NOTIFY: u8 = 1;
+// Kind 1 was a one-way notification; it stays reserved.
 const KIND_SHUTDOWN: u8 = 2;
 
 const STATUS_OK: u8 = 0;
@@ -311,26 +311,6 @@ impl<Req: Send + Sync + 'static, Resp: Send + Sync + 'static> Transport<Req, Res
         out
     }
 
-    fn notify(&self, port: &Port, to: NodeId, req: Req) -> Result<(), NetError> {
-        self.shared.messages.fetch_add(1, Ordering::Relaxed);
-        if let Some(service) = self.local(to) {
-            let _ = service.handle(port.now(), req);
-            return Ok(());
-        }
-        let addr = self
-            .registry
-            .read()
-            .get(&to)
-            .copied()
-            .ok_or(NetError::Unreachable)?;
-        let payload = (self.shared.codec.enc_req)(&req);
-        let mut conn = self.checkout(addr)?;
-        write_request(conn.get_mut(), KIND_NOTIFY, to, port.now(), &payload)
-            .map_err(|_| NetError::ConnReset)?;
-        self.checkin(addr, conn);
-        Ok(())
-    }
-
     fn register(&self, node: NodeId, service: Arc<dyn Service<Req, Resp>>) {
         self.shared.services.write().insert(node, service);
     }
@@ -410,26 +390,20 @@ fn connection_loop<Req, Resp>(stream: TcpStream, shared: Arc<Shared<Req, Resp>>)
                 shared.request_stop();
                 return;
             }
-            KIND_CALL | KIND_NOTIFY => {
+            KIND_CALL => {
                 let service = shared.services.read().get(&dest).cloned();
                 let Some(service) = service else {
-                    if kind == KIND_CALL {
-                        let _ = write_response(reader.get_mut(), STATUS_UNREACHABLE, 0, &[]);
-                    }
+                    let _ = write_response(reader.get_mut(), STATUS_UNREACHABLE, 0, &[]);
                     continue;
                 };
                 let Some(req) = (shared.codec.dec_req)(payload) else {
-                    if kind == KIND_CALL {
-                        let _ = write_response(reader.get_mut(), STATUS_DECODE, 0, &[]);
-                    }
+                    let _ = write_response(reader.get_mut(), STATUS_DECODE, 0, &[]);
                     continue;
                 };
                 let (resp, done) = service.handle(arrival, req);
-                if kind == KIND_CALL {
-                    let bytes = (shared.codec.enc_resp)(&resp);
-                    if write_response(reader.get_mut(), STATUS_OK, done, &bytes).is_err() {
-                        return;
-                    }
+                let bytes = (shared.codec.enc_resp)(&resp);
+                if write_response(reader.get_mut(), STATUS_OK, done, &bytes).is_err() {
+                    return;
                 }
             }
             _ => return, // unknown frame kind: drop the connection
@@ -600,33 +574,5 @@ mod tests {
         assert!(closed, "accept loop still listening after shutdown");
         assert!(t0.elapsed() < Duration::from_secs(5));
         server.shutdown(); // idempotent
-    }
-
-    #[test]
-    fn notify_is_fire_and_forget() {
-        let server = Arc::new(TcpTransport::new(u32_codec()));
-        let hits = Arc::new(AtomicU64::new(0));
-        let service = {
-            let hits = Arc::clone(&hits);
-            move |arrival: Nanos, _req: u32| {
-                hits.fetch_add(1, Ordering::SeqCst);
-                (0u32, arrival)
-            }
-        };
-        Transport::register(&*server, NodeId(2), Arc::new(service));
-        let addr = server.listen("127.0.0.1:0").unwrap();
-        let client = TcpTransport::new(u32_codec());
-        client.register_addr(NodeId(2), addr);
-        let port = Port::new();
-        client.notify(&port, NodeId(2), 9).unwrap();
-        // Delivery is asynchronous; poll briefly.
-        for _ in 0..200 {
-            if hits.load(Ordering::SeqCst) == 1 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert_eq!(hits.load(Ordering::SeqCst), 1);
-        server.shutdown();
     }
 }
