@@ -34,8 +34,8 @@ fn lease_time(port: &Port, t: &mut Metatable, client: NodeId, file: Ino, now: Na
     now.max(back)
 }
 
-/// May `creds` remove `name` from `t`: its dentry, or the leader's
-/// copy of its inode, decides the victim's owner for the sticky rule.
+/// May `creds` remove `name` (`NotFound` if absent) from `t`? The sticky
+/// rule's victim owner is its inode's, or for a subdirectory the directory's.
 fn may_delete(t: &Metatable, creds: &Credentials, name: &str) -> FsResult<()> {
     let entry = t.lookup(name).ok_or(FsError::NotFound)?;
     let victim_uid = t.child_inode(entry.ino).map_or(t.dir.uid, |r| r.uid);
