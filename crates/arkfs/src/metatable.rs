@@ -1263,4 +1263,111 @@ mod tests {
         assert_eq!(mt.dir.acl, acl);
         assert_eq!(mt.set_acl(999, acl, 7), Err(FsError::Stale));
     }
+
+    const NAMES: usize = 5;
+
+    /// Everything of `mt` a checkpoint writes, each part sorted. Child
+    /// records no dentry names are left out: a detached file's record
+    /// leaves the live table but stays in a replayed one, and a takeover
+    /// keeps only the records its dentries name (`load_partition`).
+    fn checkpointed(mt: &Metatable) -> [String; 6] {
+        fn sorted<T: std::fmt::Debug>(part: &str, items: impl Iterator<Item = T>) -> String {
+            let mut items: Vec<String> = items.map(|item| format!("{item:?}")).collect();
+            items.sort();
+            format!("{part}: {items:?}")
+        }
+        let named = |ino: &Ino| mt.dentries.values().any(|e| e.ino == *ino);
+        [
+            format!("dir: {:?}, dirty {}", mt.dir, mt.dirty_dir),
+            sorted("dentries", mt.dentries.values()),
+            sorted("children", mt.children.values().filter(|r| named(&r.ino))),
+            sorted("dirty", mt.dirty_children.iter().filter(|ino| named(ino))),
+            sorted("deleted", mt.deleted_children.iter()),
+            sorted("buckets", mt.dirty_buckets.iter()),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// §III-E: a takeover rebuilds a directory by replaying its
+        /// journal, so an op must change a table alike when a live leader
+        /// logs it and when a new leader replays it. Runs `script` on a
+        /// live partition, replays its sealed journal into a fresh table
+        /// and compares what each would checkpoint. A step is a mutation
+        /// kind and two picks from names the partition owns; a refused
+        /// step changes nothing, and step `t` makes inode `10 + t`.
+        #[test]
+        fn every_mutation_replays_as_it_was_applied(
+            script in prop::collection::vec((0u8..11, 0..NAMES, 0..NAMES), 1..40),
+            (pidx, pcount) in prop_oneof![Just((0, 1)), Just((1, 2))],
+        ) {
+            use arkfs_vfs::{Acl, AclEntry};
+            let table = || Metatable::new(dir_inode(), BUCKETS, pidx, pcount, 0, 1000);
+            let mut live = table();
+            let names: Vec<String> = (0..)
+                .map(|i| format!("n{i}"))
+                .filter(|name| live.owns_name(name))
+                .take(NAMES)
+                .collect();
+            for (t, &(kind, a, b)) in script.iter().enumerate() {
+                let (now, ino, txid) = (t as Nanos + 1, t as Ino + 10, t as u128);
+                let (a, b, even) = (&names[a], &names[b], b % 2 == 0);
+                let file = live.lookup(a).filter(|e| e.ftype != FileType::Directory).map(|e| e.ino);
+                let acl = Acl::new(vec![AclEntry::user(1, 6)]);
+                match kind {
+                    0 => drop(live.create_child(file_inode(ino), a, now)),
+                    1 => drop(live.add_subdir(a, ino, now)),
+                    2 => drop(file.map(|f| live.set_child_size(f, now * 512, now))),
+                    3 => drop(file.map(|f| live.set_child_attr(f, &SetAttr::chmod(0o600), now))),
+                    4 => drop(live.set_dir_attr(&SetAttr::chmod(0o700), now)),
+                    5 => drop(live.set_acl(file.unwrap_or(DIR), acl, now)),
+                    // A rename onto itself never reaches the leader.
+                    6 if a != b => drop(live.rename_local(a, b, now)),
+                    7 => drop(live.unlink_child(a, now)),
+                    8 => drop(live.remove_subdir(a, now)),
+                    // A rename out, committed, or aborted and undone.
+                    9 => if live.lookup(a).is_some() {
+                        let ops = vec![JournalOp::RemoveDentry { name: a.clone() }];
+                        let prepare = JournalOp::RenamePrepare { txid, peer_dir: 999, ops };
+                        live.journal.append(prepare, now);
+                        let (e, rec) = live.detach_child(a, now).unwrap();
+                        if even {
+                            live.journal.append(JournalOp::RenameCommit { txid }, now);
+                        } else {
+                            live.journal.append(JournalOp::RenameAbort { txid }, now);
+                            live.attach_child(a, e.ino, e.ftype, rec, now).unwrap();
+                        }
+                    },
+                    // A committed rename in, of a directory or a file.
+                    10 => {
+                        let (ftype, rec) = match even {
+                            true => (FileType::Directory, None),
+                            false => (FileType::Regular, Some(file_inode(ino))),
+                        };
+                        if live.lookup(a).is_none() {
+                            let mut ops = vec![JournalOp::UpsertDentry { name: a.clone(), ino, ftype }];
+                            ops.extend(rec.clone().map(JournalOp::PutInode));
+                            let prepare = JournalOp::RenamePrepare { txid, peer_dir: 999, ops };
+                            live.journal.append(prepare, now);
+                            live.attach_child(a, ino, ftype, rec, now).unwrap();
+                            live.journal.append(JournalOp::RenameCommit { txid }, now);
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            live.journal.seal();
+            let sealed = live.journal.take_sealed();
+            let txns: Vec<Transaction> = sealed.into_iter().map(|(txn, _)| txn).collect();
+            let (prt, port) = setup();
+            let mut replayed = table();
+            for op in resolve_renames(&prt, &port, &txns).unwrap() {
+                replayed.replay(op);
+            }
+            for (live, replayed) in checkpointed(&live).iter().zip(&checkpointed(&replayed)) {
+                prop_assert_eq!(live, replayed, "live, replayed: {pidx} of {pcount}, {script:?}");
+            }
+        }
+    }
 }
