@@ -278,15 +278,7 @@ impl ClientState {
                 name, txid, peer, ..
             } => {
                 may_delete(t, creds, name)?;
-                t.journal.append(
-                    JournalOp::RenamePrepare {
-                        txid: *txid,
-                        peer_dir: *peer,
-                        ops: vec![JournalOp::RemoveDentry { name: name.clone() }],
-                    },
-                    now,
-                );
-                let (entry, rec) = t.detach_child(name, now)?;
+                let (entry, rec) = t.detach_child(name, *txid, *peer, now)?;
                 // 2PC prepares are forced durable: the decision protocol
                 // presumes the prepare record survives.
                 stamp_commit(t, "op.rename", true)?;
@@ -315,23 +307,8 @@ impl ClientState {
                     Some(_) => Some(t.unlink_child(name, now)?),
                     None => None,
                 };
-                let mut ops = vec![JournalOp::UpsertDentry {
-                    name: name.clone(),
-                    ino: *ino,
-                    ftype: *ftype,
-                }];
-                if let Some(rec) = rec {
-                    ops.push(JournalOp::PutInode(rec.clone()));
-                }
-                t.journal.append(
-                    JournalOp::RenamePrepare {
-                        txid: *txid,
-                        peer_dir: *peer,
-                        ops,
-                    },
-                    now,
-                );
-                t.attach_child(name, *ino, *ftype, rec.clone(), now)?;
+                let prepare = Some((*txid, *peer));
+                t.attach_child(name, *ino, *ftype, rec.clone(), prepare, now)?;
                 stamp_commit(t, "op.rename", true)?;
                 victim.map_or(OpResponse::Ok, OpResponse::Inode)
             }
@@ -344,7 +321,7 @@ impl ClientState {
                 } else {
                     t.journal.append(JournalOp::RenameAbort { txid }, now);
                     if let Some((name, ino, ftype, rec)) = undo {
-                        t.attach_child(name, *ino, *ftype, rec.clone(), now)?;
+                        t.attach_child(name, *ino, *ftype, rec.clone(), None, now)?;
                     }
                 }
                 stamp_commit(t, "op.rename", true)?;

@@ -11,8 +11,10 @@
 //! while its leader's lease is valid: the directory inode, its dentries
 //! (hash-bucketed), the inodes of its non-directory children, the
 //! [`DirJournal`], and the [`FileLeaseTable`] for child-file read/write
-//! leases. Mutations update memory, append journal ops, and track dirty
-//! objects for checkpointing.
+//! leases. A mutation checks its preconditions and logs journal ops;
+//! `Metatable::apply` changes the table for each, the same function a
+//! takeover replays the journal with, and tracks the dirty objects for
+//! checkpointing.
 
 use crate::journal::{resolve_renames, scan_journal_stream, DirJournal, JournalOp};
 use crate::meta::{dentry_bucket, DentryBlock, DentryEntry, InodeRecord};
@@ -223,14 +225,17 @@ impl Metatable {
         let dir = dir.unwrap_or_else(|| InodeRecord::new(dir_ino, FileType::Directory, 0, 0, 0, 0));
         let mut mt = Self::new(dir, buckets, pidx, pcount, next_seq, file_lease_period);
         let bucket_ids: Vec<u64> = (mt.bucket_lo..mt.bucket_hi).collect();
-        for block in prt.load_buckets_many(port, dir_ino, &bucket_ids)? {
-            for entry in block.entries {
-                mt.dentries.insert(entry.name.clone(), entry);
-            }
-        }
+        mt.dentries = (prt
+            .load_buckets_many(port, dir_ino, &bucket_ids)?
+            .into_iter())
+        .flat_map(|block| block.entries)
+        .map(|entry| (entry.name.clone(), entry))
+        .collect();
         let replayed = txns.len();
         if replayed > 0 {
-            ops.into_iter().for_each(|op| mt.replay(op));
+            ops.iter().for_each(|op| {
+                mt.apply(op);
+            });
             let dir_gone = !(loaded || mt.dirty_dir) || mt.deleted_children.contains(&dir_ino);
             mt.journal.adopt(seqs);
             mt.checkpoint(prt, port)?;
@@ -242,39 +247,61 @@ impl Metatable {
         Ok((mt, Recovery { replayed, next_seq }))
     }
 
-    /// Apply one resolved journal op, marking the dirty sets the live
-    /// mutation that logged it marked, without logging it again. Dentry
-    /// ops outside the owned buckets cannot appear in this partition's
-    /// journal (leaders validate ownership before journaling); ignoring
-    /// them bounds a corrupt stream to this partition's buckets.
-    fn replay(&mut self, op: JournalOp) {
-        match op {
+    /// Apply one journal op: the only change of the table's dentries,
+    /// child records and dirty sets (besides loading, and
+    /// [`Self::detach_child`] dropping a moved file's record), whether a
+    /// live mutation logs the op ([`Self::log`]) or a takeover replays
+    /// it, so both leave the same table (§III-E). Returns the record a
+    /// `DeleteInode` removed. Dentry ops outside the owned buckets cannot
+    /// appear in this partition's journal (leaders validate ownership
+    /// before journaling); ignoring them bounds a corrupt stream to this
+    /// partition's buckets.
+    fn apply(&mut self, op: &JournalOp) -> Option<InodeRecord> {
+        let (name, upsert) = match op {
             JournalOp::PutInode(rec) if rec.ino == self.dir.ino => {
-                self.dir = rec;
+                self.dir = rec.clone();
                 self.dirty_dir = true;
+                return None;
             }
             JournalOp::PutInode(rec) => {
                 self.deleted_children.remove(&rec.ino);
                 self.dirty_children.insert(rec.ino);
-                self.children.insert(rec.ino, rec);
+                self.children.insert(rec.ino, rec.clone());
+                return None;
             }
             JournalOp::DeleteInode(ino) => {
-                self.children.remove(&ino);
-                self.dirty_children.remove(&ino);
-                self.deleted_children.insert(ino);
+                self.dirty_children.remove(ino);
+                self.deleted_children.insert(*ino);
+                return self.children.remove(ino);
             }
-            JournalOp::UpsertDentry { name, ino, ftype } if self.owns_name(&name) => {
-                self.mark_dentry(&name);
-                self.dentries
-                    .insert(name.clone(), DentryEntry { name, ino, ftype });
-            }
-            JournalOp::RemoveDentry { name } if self.owns_name(&name) => {
-                self.mark_dentry(&name);
-                self.dentries.remove(&name);
-            }
-            // Unowned dentry ops, and 2PC records (folded already).
-            _ => {}
+            JournalOp::UpsertDentry { name, ino, ftype } => (name, Some((*ino, *ftype))),
+            JournalOp::RemoveDentry { name } => (name, None),
+            // 2PC records (folded already).
+            _ => return None,
+        };
+        let bucket = dentry_bucket(name, self.buckets);
+        if !(self.bucket_lo..self.bucket_hi).contains(&bucket) {
+            return None;
         }
+        self.dirty_buckets.insert(bucket);
+        let old = match upsert {
+            Some((ino, ftype)) => {
+                let entry = DentryEntry {
+                    name: name.clone(),
+                    ino,
+                    ftype,
+                };
+                self.dentries.insert(name.clone(), entry)
+            }
+            None => self.dentries.remove(name),
+        };
+        // A subdirectory dentry changed: drop the cached view.
+        let subdir = |ftype| ftype == FileType::Directory;
+        if upsert.is_some_and(|(_, ftype)| subdir(ftype)) || old.is_some_and(|e| subdir(e.ftype)) {
+            self.subdir_view = None;
+            self.outdate_deposit();
+        }
+        None
     }
 
     pub fn ino(&self) -> Ino {
@@ -406,31 +433,31 @@ impl Metatable {
         }
     }
 
-    fn subdirs_changed(&mut self) {
-        self.subdir_view = None;
-        self.outdate_deposit();
+    // ---- mutations: each logs its journal ops through `apply` ---------------
+
+    /// Journal `op` and apply it. Returns what [`Self::apply`] returns.
+    fn log(&mut self, op: JournalOp, now: Nanos) -> Option<InodeRecord> {
+        if let JournalOp::UpsertDentry { name, .. } | JournalOp::RemoveDentry { name } = &op {
+            debug_assert!(self.owns_name(name), "{name} is not this partition's");
+        }
+        let removed = self.apply(&op);
+        self.journal.append(op, now);
+        removed
     }
 
-    // ---- mutations (memory + journal) -------------------------------------
-
-    fn mark_dentry(&mut self, name: &str) {
-        self.dirty_buckets.insert(dentry_bucket(name, self.buckets));
-    }
-
-    fn touch_dir(&mut self, now: Nanos) {
-        // Partitions > 0 hold a read-only directory-inode copy: mtime /
-        // nlink maintenance belongs to partition 0 alone, so concurrent
-        // partitions never write conflicting `i<dir>` updates. A
-        // partitioned directory's mtime therefore tracks partition-0
-        // activity only (documented relaxation, DESIGN.md §9).
+    /// Log the directory inode with mtime and ctime `now` and `subdirs`
+    /// more links. Only partition 0 maintains it, so partitions never
+    /// write conflicting `i<dir>` updates: a partitioned directory's mtime
+    /// tracks partition-0 activity only (relaxation, DESIGN.md §9).
+    fn touch_dir(&mut self, now: Nanos, subdirs: i32) {
         if self.partition != 0 {
             return;
         }
-        self.dir.mtime = now;
-        self.dir.ctime = now;
-        self.dirty_dir = true;
-        self.journal
-            .append(JournalOp::PutInode(self.dir.clone()), now);
+        let mut dir = self.dir.clone();
+        dir.mtime = now;
+        dir.ctime = now;
+        dir.nlink = dir.nlink.saturating_add_signed(subdirs);
+        self.log(JournalOp::PutInode(dir), now);
     }
 
     /// Insert a child file/symlink with a freshly-allocated inode.
@@ -443,26 +470,11 @@ impl Metatable {
             FileType::Directory,
             "use add_subdir for directories"
         );
-        let entry = DentryEntry {
-            name: name.to_string(),
-            ino: rec.ino,
-            ftype: rec.ftype,
-        };
-        self.journal.append(JournalOp::PutInode(rec.clone()), now);
-        self.journal.append(
-            JournalOp::UpsertDentry {
-                name: name.to_string(),
-                ino: rec.ino,
-                ftype: rec.ftype,
-            },
-            now,
-        );
-        self.deleted_children.remove(&rec.ino);
-        self.dirty_children.insert(rec.ino);
-        self.children.insert(rec.ino, rec);
-        self.dentries.insert(name.to_string(), entry);
-        self.mark_dentry(name);
-        self.touch_dir(now);
+        let (ino, ftype) = (rec.ino, rec.ftype);
+        self.log(JournalOp::PutInode(rec), now);
+        let name = name.to_string();
+        self.log(JournalOp::UpsertDentry { name, ino, ftype }, now);
+        self.touch_dir(now, 0);
         Ok(())
     }
 
@@ -472,28 +484,13 @@ impl Metatable {
         if self.dentries.contains_key(name) {
             return Err(FsError::AlreadyExists);
         }
-        self.journal.append(
-            JournalOp::UpsertDentry {
-                name: name.to_string(),
-                ino: child_ino,
-                ftype: FileType::Directory,
-            },
-            now,
-        );
-        self.dentries.insert(
-            name.to_string(),
-            DentryEntry {
-                name: name.to_string(),
-                ino: child_ino,
-                ftype: FileType::Directory,
-            },
-        );
-        self.mark_dentry(name);
-        self.subdirs_changed();
-        if self.partition == 0 {
-            self.dir.nlink += 1;
-        }
-        self.touch_dir(now);
+        let op = JournalOp::UpsertDentry {
+            name: name.to_string(),
+            ino: child_ino,
+            ftype: FileType::Directory,
+        };
+        self.log(op, now);
+        self.touch_dir(now, 1);
         Ok(())
     }
 
@@ -505,47 +502,31 @@ impl Metatable {
             return Err(FsError::IsADirectory);
         }
         let ino = entry.ino;
-        let rec = self
-            .children
-            .remove(&ino)
-            .ok_or_else(|| FsError::Io(format!("dentry {name} points at unknown inode")))?;
-        self.dentries.remove(name);
-        self.journal.append(
-            JournalOp::RemoveDentry {
-                name: name.to_string(),
-            },
-            now,
-        );
-        self.journal.append(JournalOp::DeleteInode(ino), now);
-        self.dirty_children.remove(&ino);
-        self.deleted_children.insert(ino);
-        self.mark_dentry(name);
-        self.touch_dir(now);
-        Ok(rec)
+        if !self.children.contains_key(&ino) {
+            return Err(FsError::Io(format!(
+                "dentry {name} points at unknown inode"
+            )));
+        }
+        let name = name.to_string();
+        self.log(JournalOp::RemoveDentry { name }, now);
+        let rec = self.log(JournalOp::DeleteInode(ino), now);
+        self.touch_dir(now, 0);
+        Ok(rec.expect("the record was checked above"))
     }
 
     /// Remove a subdirectory entry (caller has verified emptiness while
-    /// holding the child's lease).
+    /// holding the child's lease). The child's inode is marked deleted,
+    /// so the next checkpoint deletes its object.
     pub fn remove_subdir(&mut self, name: &str, now: Nanos) -> FsResult<Ino> {
         let entry = self.dentries.get(name).ok_or(FsError::NotFound)?;
         if entry.ftype != FileType::Directory {
             return Err(FsError::NotADirectory);
         }
         let ino = entry.ino;
-        self.dentries.remove(name);
-        self.journal.append(
-            JournalOp::RemoveDentry {
-                name: name.to_string(),
-            },
-            now,
-        );
-        self.journal.append(JournalOp::DeleteInode(ino), now);
-        self.mark_dentry(name);
-        self.subdirs_changed();
-        if self.partition == 0 {
-            self.dir.nlink = self.dir.nlink.saturating_sub(1);
-        }
-        self.touch_dir(now);
+        let name = name.to_string();
+        self.log(JournalOp::RemoveDentry { name }, now);
+        self.log(JournalOp::DeleteInode(ino), now);
+        self.touch_dir(now, -1);
         Ok(ino)
     }
 
@@ -553,12 +534,10 @@ impl Metatable {
     /// modification time of a child file is renewed, the updated file
     /// inode will be written in the journal of the parent directory."
     pub fn set_child_size(&mut self, ino: Ino, size: u64, now: Nanos) -> FsResult<()> {
-        let rec = self.children.get_mut(&ino).ok_or(FsError::Stale)?;
+        let mut rec = self.children.get(&ino).ok_or(FsError::Stale)?.clone();
         rec.size = size;
         rec.mtime = now;
-        let snapshot = rec.clone();
-        self.journal.append(JournalOp::PutInode(snapshot), now);
-        self.dirty_children.insert(ino);
+        self.log(JournalOp::PutInode(rec), now);
         Ok(())
     }
 
@@ -570,154 +549,132 @@ impl Metatable {
         attr: &SetAttr,
         now: Nanos,
     ) -> FsResult<InodeRecord> {
-        let rec = self.children.get_mut(&ino).ok_or(FsError::Stale)?;
-        apply_setattr(rec, attr, now);
-        let snapshot = rec.clone();
-        self.journal
-            .append(JournalOp::PutInode(snapshot.clone()), now);
-        self.dirty_children.insert(ino);
-        Ok(snapshot)
+        let mut rec = self.children.get(&ino).ok_or(FsError::Stale)?.clone();
+        apply_setattr(&mut rec, attr, now);
+        self.log(JournalOp::PutInode(rec.clone()), now);
+        Ok(rec)
     }
 
     /// Apply a `setattr` to the directory itself.
     pub fn set_dir_attr(&mut self, attr: &SetAttr, now: Nanos) -> InodeRecord {
-        apply_setattr(&mut self.dir, attr, now);
+        let mut dir = self.dir.clone();
+        apply_setattr(&mut dir, attr, now);
         self.outdate_deposit();
-        self.dirty_dir = true;
-        self.journal
-            .append(JournalOp::PutInode(self.dir.clone()), now);
-        self.dir.clone()
+        self.log(JournalOp::PutInode(dir.clone()), now);
+        dir
     }
 
     /// Replace the ACL on a child or the directory.
     pub fn set_acl(&mut self, target: Ino, acl: arkfs_vfs::Acl, now: Nanos) -> FsResult<()> {
-        if target == self.dir.ino {
-            self.dir.acl = acl;
+        let mut rec = if target == self.dir.ino {
             self.outdate_deposit();
-            self.dir.ctime = now;
-            self.dirty_dir = true;
-            self.journal
-                .append(JournalOp::PutInode(self.dir.clone()), now);
-            return Ok(());
-        }
-        let rec = self.children.get_mut(&target).ok_or(FsError::Stale)?;
+            self.dir.clone()
+        } else {
+            self.children.get(&target).ok_or(FsError::Stale)?.clone()
+        };
         rec.acl = acl;
         rec.ctime = now;
-        let snapshot = rec.clone();
-        self.journal.append(JournalOp::PutInode(snapshot), now);
-        self.dirty_children.insert(target);
+        self.log(JournalOp::PutInode(rec), now);
         Ok(())
     }
 
     /// Same-directory rename (no 2PC needed: one journal). Returns what
     /// moved.
     pub fn rename_local(&mut self, from: &str, to: &str, now: Nanos) -> FsResult<(Ino, FileType)> {
-        let entry = self.dentries.get(from).ok_or(FsError::NotFound)?.clone();
-        if let Some(existing) = self.dentries.get(to) {
+        let entry = self.dentries.get(from).ok_or(FsError::NotFound)?;
+        let (ino, ftype) = (entry.ino, entry.ftype);
+        let victim = match self.dentries.get(to) {
             // POSIX: replace only a matching type; non-empty dir targets
             // are the caller's job to reject.
-            if existing.ftype == FileType::Directory && entry.ftype != FileType::Directory {
-                return Err(FsError::IsADirectory);
+            Some(existing) if existing.ftype == FileType::Directory => {
+                if ftype != FileType::Directory {
+                    return Err(FsError::IsADirectory);
+                }
+                None
             }
-            if existing.ftype != FileType::Directory && entry.ftype == FileType::Directory {
-                return Err(FsError::NotADirectory);
-            }
-            if existing.ftype != FileType::Directory {
-                // Replacing a file: drop its inode.
-                let victim = existing.ino;
-                self.children.remove(&victim);
-                self.journal.append(JournalOp::DeleteInode(victim), now);
-                self.dirty_children.remove(&victim);
-                self.deleted_children.insert(victim);
-            }
-        }
-        self.dentries.remove(from);
-        let moved = DentryEntry {
-            name: to.to_string(),
-            ino: entry.ino,
-            ftype: entry.ftype,
+            Some(_) if ftype == FileType::Directory => return Err(FsError::NotADirectory),
+            // Replacing a file: drop its inode.
+            existing => existing.map(|e| e.ino),
         };
-        self.dentries.insert(to.to_string(), moved);
-        self.journal.append(
-            JournalOp::RemoveDentry {
-                name: from.to_string(),
-            },
-            now,
-        );
-        self.journal.append(
-            JournalOp::UpsertDentry {
-                name: to.to_string(),
-                ino: entry.ino,
-                ftype: entry.ftype,
-            },
-            now,
-        );
-        self.mark_dentry(from);
-        self.mark_dentry(to);
-        if entry.ftype == FileType::Directory {
-            self.subdirs_changed();
+        if let Some(victim) = victim {
+            self.log(JournalOp::DeleteInode(victim), now);
         }
-        self.touch_dir(now);
-        Ok((entry.ino, entry.ftype))
+        let name = from.to_string();
+        self.log(JournalOp::RemoveDentry { name }, now);
+        let name = to.to_string();
+        self.log(JournalOp::UpsertDentry { name, ino, ftype }, now);
+        self.touch_dir(now, 0);
+        Ok((ino, ftype))
     }
 
-    /// Detach a child (source half of a cross-directory rename). Returns
+    /// Log `ops` as this directory's `RenamePrepare` of cross-directory
+    /// rename `txid` with `peer_dir`, and apply them now; a replay applies
+    /// them only once the rename is decided committed (`resolve_renames`).
+    fn log_prepare(&mut self, txid: u128, peer_dir: Ino, ops: Vec<JournalOp>, now: Nanos) {
+        ops.iter().for_each(|op| {
+            self.apply(op);
+        });
+        let prepare = JournalOp::RenamePrepare {
+            txid,
+            peer_dir,
+            ops,
+        };
+        self.journal.append(prepare, now);
+    }
+
+    /// Detach a child: the source half of rename `txid`, whose prepare
+    /// removes the dentry. A file's record leaves the table without being
+    /// marked deleted, as its inode moves to the other directory. Returns
     /// the dentry and, for files, the inode record that must move with it.
     pub fn detach_child(
         &mut self,
         name: &str,
+        txid: u128,
+        peer_dir: Ino,
         now: Nanos,
     ) -> FsResult<(DentryEntry, Option<InodeRecord>)> {
         let entry = self.dentries.get(name).ok_or(FsError::NotFound)?.clone();
-        let rec = if entry.ftype != FileType::Directory {
-            let rec = self.children.remove(&entry.ino);
-            self.dirty_children.remove(&entry.ino);
-            rec
-        } else {
-            self.subdirs_changed();
-            if self.partition == 0 {
-                self.dir.nlink = self.dir.nlink.saturating_sub(1);
-            }
+        let ops = vec![JournalOp::RemoveDentry {
+            name: name.to_string(),
+        }];
+        self.log_prepare(txid, peer_dir, ops, now);
+        let subdir = entry.ftype == FileType::Directory;
+        let rec = if subdir {
             None
+        } else {
+            self.dirty_children.remove(&entry.ino);
+            self.children.remove(&entry.ino)
         };
-        self.dentries.remove(name);
-        self.mark_dentry(name);
-        self.touch_dir(now);
+        self.touch_dir(now, -i32::from(subdir));
         Ok((entry, rec))
     }
 
-    /// Attach a child (destination half of a cross-directory rename).
+    /// Attach a child: the destination half of a rename (`prepare` names
+    /// its `txid` and source), whose prepare adds the dentry and a file's
+    /// record, or an aborted source's undo (`None`: the ops are applied
+    /// unlogged, as a replay drops the aborted prepare's removal).
     pub fn attach_child(
         &mut self,
         name: &str,
-        entry_ino: Ino,
+        ino: Ino,
         ftype: FileType,
         rec: Option<InodeRecord>,
+        prepare: Option<(u128, Ino)>,
         now: Nanos,
     ) -> FsResult<()> {
         if self.dentries.contains_key(name) {
             return Err(FsError::AlreadyExists);
         }
-        self.dentries.insert(
-            name.to_string(),
-            DentryEntry {
-                name: name.to_string(),
-                ino: entry_ino,
-                ftype,
-            },
-        );
-        if ftype == FileType::Directory {
-            self.subdirs_changed();
-            if self.partition == 0 {
-                self.dir.nlink += 1;
-            }
+        let name = name.to_string();
+        let mut ops = vec![JournalOp::UpsertDentry { name, ino, ftype }];
+        ops.extend(rec.map(JournalOp::PutInode));
+        match prepare {
+            Some((txid, peer_dir)) => self.log_prepare(txid, peer_dir, ops, now),
+            None => ops.iter().for_each(|op| {
+                self.apply(op);
+            }),
         }
-        if let Some(rec) = rec {
-            self.dirty_children.insert(rec.ino);
-            self.children.insert(rec.ino, rec);
-        }
-        self.mark_dentry(name);
-        self.touch_dir(now);
+        self.touch_dir(now, i32::from(ftype == FileType::Directory));
         Ok(())
     }
 
@@ -929,9 +886,9 @@ mod tests {
         assert_eq!(names(&mt.subdir_view()), ["b"]);
         mt.rename_local("b", "c", 5).unwrap();
         assert_eq!(names(&mt.subdir_view()), ["c"]);
-        let (entry, _) = mt.detach_child("c", 6).unwrap();
+        let (entry, _) = mt.detach_child("c", 1, 300, 6).unwrap();
         assert!(mt.subdir_view().is_empty());
-        mt.attach_child("d", entry.ino, entry.ftype, None, 7)
+        mt.attach_child("d", entry.ino, entry.ftype, None, Some((2, 300)), 7)
             .unwrap();
         assert_eq!(names(&mt.subdir_view()), ["d"]);
     }
@@ -1093,14 +1050,14 @@ mod tests {
             1000,
         );
         src.create_child(file_inode(1), "mv.txt", 0).unwrap();
-        let (entry, rec) = src.detach_child("mv.txt", 1).unwrap();
+        let (entry, rec) = src.detach_child("mv.txt", 1, 300, 1).unwrap();
         assert!(src.lookup("mv.txt").is_none());
-        dst.attach_child("moved.txt", entry.ino, entry.ftype, rec, 1)
+        dst.attach_child("moved.txt", entry.ino, entry.ftype, rec, Some((1, DIR)), 1)
             .unwrap();
         assert_eq!(dst.lookup("moved.txt").unwrap().ino, 1);
         assert!(dst.child_inode(1).is_some());
         // Attach over existing name fails.
-        let err = dst.attach_child("moved.txt", 9, FileType::Regular, None, 2);
+        let err = dst.attach_child("moved.txt", 9, FileType::Regular, None, None, 2);
         assert_eq!(err, Err(FsError::AlreadyExists));
     }
 
@@ -1327,16 +1284,12 @@ mod tests {
                     7 => drop(live.unlink_child(a, now)),
                     8 => drop(live.remove_subdir(a, now)),
                     // A rename out, committed, or aborted and undone.
-                    9 => if live.lookup(a).is_some() {
-                        let ops = vec![JournalOp::RemoveDentry { name: a.clone() }];
-                        let prepare = JournalOp::RenamePrepare { txid, peer_dir: 999, ops };
-                        live.journal.append(prepare, now);
-                        let (e, rec) = live.detach_child(a, now).unwrap();
+                    9 => if let Ok((e, rec)) = live.detach_child(a, txid, 999, now) {
                         if even {
                             live.journal.append(JournalOp::RenameCommit { txid }, now);
                         } else {
                             live.journal.append(JournalOp::RenameAbort { txid }, now);
-                            live.attach_child(a, e.ino, e.ftype, rec, now).unwrap();
+                            live.attach_child(a, e.ino, e.ftype, rec, None, now).unwrap();
                         }
                     },
                     // A committed rename in, of a directory or a file.
@@ -1345,12 +1298,7 @@ mod tests {
                             true => (FileType::Directory, None),
                             false => (FileType::Regular, Some(file_inode(ino))),
                         };
-                        if live.lookup(a).is_none() {
-                            let mut ops = vec![JournalOp::UpsertDentry { name: a.clone(), ino, ftype }];
-                            ops.extend(rec.clone().map(JournalOp::PutInode));
-                            let prepare = JournalOp::RenamePrepare { txid, peer_dir: 999, ops };
-                            live.journal.append(prepare, now);
-                            live.attach_child(a, ino, ftype, rec, now).unwrap();
+                        if live.attach_child(a, ino, ftype, rec, Some((txid, 999)), now).is_ok() {
                             live.journal.append(JournalOp::RenameCommit { txid }, now);
                         }
                     }
@@ -1363,7 +1311,7 @@ mod tests {
             let (prt, port) = setup();
             let mut replayed = table();
             for op in resolve_renames(&prt, &port, &txns).unwrap() {
-                replayed.replay(op);
+                replayed.apply(&op);
             }
             for (live, replayed) in checkpointed(&live).iter().zip(&checkpointed(&replayed)) {
                 prop_assert_eq!(live, replayed, "live, replayed: {pidx} of {pcount}, {script:?}");
