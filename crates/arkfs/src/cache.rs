@@ -1421,25 +1421,6 @@ mod tests {
         fn profile(&self) -> &arkfs_objstore::StoreProfile {
             self.inner.profile()
         }
-        fn put(&self, port: &Port, key: ObjectKey, data: Bytes) -> OsResult<()> {
-            self.inner.put(port, key, data)?;
-            self.acks.lock().insert(key, port.now());
-            Ok(())
-        }
-        fn get(&self, port: &Port, key: ObjectKey) -> OsResult<Bytes> {
-            self.check(port.now(), key);
-            self.inner.get(port, key)
-        }
-        fn get_range(&self, port: &Port, key: ObjectKey, at: u64, len: usize) -> OsResult<Bytes> {
-            self.check(port.now(), key);
-            self.inner.get_range(port, key, at, len)
-        }
-        fn put_range(&self, port: &Port, key: ObjectKey, at: u64, data: Bytes) -> OsResult<()> {
-            self.inner.put_range(port, key, at, data)
-        }
-        fn delete(&self, port: &Port, key: ObjectKey) -> OsResult<()> {
-            self.inner.delete(port, key)
-        }
         fn head(&self, port: &Port, key: ObjectKey) -> OsResult<u64> {
             self.inner.head(port, key)
         }

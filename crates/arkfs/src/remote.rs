@@ -245,26 +245,6 @@ impl ObjectStore for RemoteStore {
         Some(&self.telemetry)
     }
 
-    fn put(&self, port: &Port, key: ObjectKey, data: Bytes) -> OsResult<()> {
-        ask!(self, port, StoreRequest::Put(key, data) => Unit)
-    }
-
-    fn get(&self, port: &Port, key: ObjectKey) -> OsResult<Bytes> {
-        ask!(self, port, StoreRequest::Get(key) => Data)
-    }
-
-    fn get_range(&self, port: &Port, key: ObjectKey, offset: u64, len: usize) -> OsResult<Bytes> {
-        ask!(self, port, StoreRequest::GetRange(key, offset, len as u64) => Data)
-    }
-
-    fn put_range(&self, port: &Port, key: ObjectKey, offset: u64, data: Bytes) -> OsResult<()> {
-        ask!(self, port, StoreRequest::PutRange(key, offset, data) => Unit)
-    }
-
-    fn delete(&self, port: &Port, key: ObjectKey) -> OsResult<()> {
-        ask!(self, port, StoreRequest::Delete(key) => Unit)
-    }
-
     fn head(&self, port: &Port, key: ObjectKey) -> OsResult<u64> {
         ask!(self, port, StoreRequest::Head(key) => Size)
     }

@@ -377,28 +377,6 @@ impl ObjectCluster {
         }
     }
 
-    /// A read a caller waits for: once `load` found the object, its
-    /// bytes reach the caller from the shard it names.
-    fn wait_read(&self, port: &Port, load: OsResult<(Bytes, usize)>) -> OsResult<Bytes> {
-        let (bytes, idx) = load?;
-        let arrival = port.now() + self.config.profile.net_half_rtt;
-        port.wait_until(self.charge_read_from(arrival, idx, bytes.len() as u64));
-        Ok(bytes)
-    }
-
-    /// A write a caller waits for: `write` applies it half an RTT after
-    /// the caller's clock and returns its completion at the store; the
-    /// ack takes half an RTT back. A refused write costs nothing.
-    fn wait_write(
-        &self,
-        port: &Port,
-        write: impl FnOnce(Nanos) -> OsResult<Nanos>,
-    ) -> OsResult<()> {
-        let half_rtt = self.config.profile.net_half_rtt;
-        port.wait_until(write(port.now() + half_rtt)? + half_rtt);
-        Ok(())
-    }
-
     /// A PUT reaching the store at `arrival`: counted, charged to every
     /// replica and stored. Returns its completion there.
     fn put_at(&self, arrival: Nanos, key: ObjectKey, data: Bytes) -> OsResult<Nanos> {
@@ -536,35 +514,6 @@ impl ObjectStore for ObjectCluster {
 
     fn telemetry(&self) -> Option<&Arc<Telemetry>> {
         Some(&self.telemetry)
-    }
-
-    fn put(&self, port: &Port, key: ObjectKey, data: Bytes) -> OsResult<()> {
-        self.wait_write(port, |arrival| self.put_at(arrival, key, data))
-    }
-
-    fn get(&self, port: &Port, key: ObjectKey) -> OsResult<Bytes> {
-        self.wait_read(port, self.load_whole(key))
-    }
-
-    fn get_range(&self, port: &Port, key: ObjectKey, offset: u64, len: usize) -> OsResult<Bytes> {
-        if !self.config.profile.ranged_reads {
-            return Err(OsError::Unsupported("ranged read"));
-        }
-        self.wait_read(port, self.load_range(key, offset, len))
-    }
-
-    fn put_range(&self, port: &Port, key: ObjectKey, offset: u64, data: Bytes) -> OsResult<()> {
-        if !self.config.profile.partial_writes {
-            return Err(OsError::Unsupported("ranged write"));
-        }
-        self.wait_write(port, |arrival| {
-            self.put_range_at(arrival, key, offset, &data)
-        })
-    }
-
-    fn delete(&self, port: &Port, key: ObjectKey) -> OsResult<()> {
-        self.wait_write(port, |arrival| Ok(self.charge_write_at(arrival, &key, 0)))?;
-        self.remove_object(key)
     }
 
     fn head(&self, port: &Port, key: ObjectKey) -> OsResult<u64> {
@@ -1215,6 +1164,8 @@ mod tests {
             }
             c.reset_timelines();
         }
+        let batches = || (each.stats.batch_calls.get(), each.stats.batch_items.get());
+        let before = batches();
         let acks = each.delete_each(1_000, &keys);
         let port = Port::starting_at(1_000);
         wait_last(&many, &port, BatchSpan::Delete, |t| {
@@ -1222,8 +1173,9 @@ mod tests {
         });
         assert_eq!(acks.iter().map(|a| a.0).max(), Some(port.now()));
         assert_eq!(acks[3].1, Err(OsError::NotFound));
-        let batches = (each.stats.batch_calls.get(), each.stats.batch_items.get());
-        assert_eq!((each.object_count(), batches), (0, (1, 4)));
+        let (calls, items) = batches();
+        let delta = (calls - before.0, items - before.1);
+        assert_eq!((each.object_count(), delta), (0, (1, 4)));
     }
 
     /// One shard, so every key meets the same op queue; a checkpoint's

@@ -1,6 +1,6 @@
 //! The REST-shaped object store trait.
 
-use crate::error::OsResult;
+use crate::error::{OsError, OsResult};
 use crate::key::{KeyKind, ObjectKey};
 use crate::profile::StoreProfile;
 use arkfs_simkit::{Nanos, Port};
@@ -10,10 +10,14 @@ use bytes::Bytes;
 /// A distributed object store as ArkFS sees it: GET/PUT/DELETE/HEAD/LIST
 /// plus the ranged variants the backend profile permits.
 ///
-/// Every single-object call charges its virtual-time cost (network,
-/// service, disk) to the caller's [`Port`]; a batch call reports the ack
-/// of each item instead. Either blocks the calling thread only for the
-/// real in-memory work.
+/// A batch call (the five `*_each`) reports the ack of each item; HEAD
+/// and LIST charge their virtual-time cost (network, service, disk) to
+/// the caller's [`Port`], and so do the single-object verbs. Each of
+/// those is a one-item batch, waited for by the rule DESIGN.md §5
+/// "Batched data path" assumes: a success waits for its ack, a DELETE
+/// whatever it found, and a GET miss, a refused PUT or a profile refusal
+/// costs the caller nothing. Every call blocks the calling thread only
+/// for the real in-memory work.
 pub trait ObjectStore: Send + Sync {
     /// The backend's semantic/cost profile.
     fn profile(&self) -> &StoreProfile;
@@ -30,24 +34,43 @@ pub trait ObjectStore: Send + Sync {
         None
     }
 
-    /// PUT a whole object (creates or replaces).
-    fn put(&self, port: &Port, key: ObjectKey, data: Bytes) -> OsResult<()>;
+    /// PUT a whole object (creates or replaces): a one-item
+    /// [`ObjectStore::put_each`].
+    fn put(&self, port: &Port, key: ObjectKey, data: Bytes) -> OsResult<()> {
+        wait_one(port, false, self.put_each(port.now(), vec![(key, data)]))
+    }
 
-    /// GET a whole object.
-    fn get(&self, port: &Port, key: ObjectKey) -> OsResult<Bytes>;
+    /// GET a whole object: a one-item [`ObjectStore::get_each`].
+    fn get(&self, port: &Port, key: ObjectKey) -> OsResult<Bytes> {
+        wait_one(port, false, self.get_each(port.now(), &[key]))
+    }
 
     /// GET `len` bytes at `offset`. Reading past EOF truncates; an offset
     /// at or past EOF returns an empty buffer. Errors with `Unsupported`
-    /// if the profile lacks ranged reads.
-    fn get_range(&self, port: &Port, key: ObjectKey, offset: u64, len: usize) -> OsResult<Bytes>;
+    /// if the profile lacks ranged reads. A one-item
+    /// [`ObjectStore::get_range_each`].
+    fn get_range(&self, port: &Port, key: ObjectKey, offset: u64, len: usize) -> OsResult<Bytes> {
+        let reqs = [(key, offset, len)];
+        wait_one(port, false, self.get_range_each(port.now(), &reqs))
+    }
 
     /// Write `data` at `offset` within an object, creating it or extending
     /// it (zero-filled gap) as needed. Errors with `Unsupported` on
-    /// profiles without partial writes (S3).
-    fn put_range(&self, port: &Port, key: ObjectKey, offset: u64, data: Bytes) -> OsResult<()>;
+    /// profiles without partial writes (S3), writing nothing; elsewhere a
+    /// one-item [`ObjectStore::put_range_each`].
+    fn put_range(&self, port: &Port, key: ObjectKey, offset: u64, data: Bytes) -> OsResult<()> {
+        if !self.profile().partial_writes {
+            return Err(OsError::Unsupported("ranged write"));
+        }
+        let items = vec![(key, offset, data)];
+        wait_one(port, false, self.put_range_each(port.now(), items))
+    }
 
-    /// DELETE an object. `NotFound` if it does not exist.
-    fn delete(&self, port: &Port, key: ObjectKey) -> OsResult<()>;
+    /// DELETE an object. `NotFound` if it does not exist. A one-item
+    /// [`ObjectStore::delete_each`].
+    fn delete(&self, port: &Port, key: ObjectKey) -> OsResult<()> {
+        wait_one(port, true, self.delete_each(port.now(), &[key]))
+    }
 
     /// HEAD: object size in bytes.
     fn head(&self, port: &Port, key: ObjectKey) -> OsResult<u64>;
@@ -103,6 +126,16 @@ pub trait ObjectStore: Send + Sync {
 /// Per item of a batch, in request order: when its ack reaches the
 /// caller, and its result.
 pub type Acked<T> = Vec<(Nanos, OsResult<T>)>;
+
+/// How a single-object verb waits for its one-item batch (the rule in
+/// [`ObjectStore`]'s doc; `always` for a DELETE).
+fn wait_one<T>(port: &Port, always: bool, acked: Acked<T>) -> OsResult<T> {
+    let (ack, result) = acked.into_iter().next().expect("one item, one ack");
+    if always || result.is_ok() {
+        port.wait_until(ack);
+    }
+    result
+}
 
 /// A batch verb, named by the whole-batch span [`wait_last`] records.
 #[derive(Debug, Clone, Copy)]
