@@ -10,21 +10,21 @@
 //! The client is decomposed into layered services, each in its own
 //! submodule:
 //!
-//! * [`dirsvc`] — directory-leadership lifecycle: lease
+//! * `dirsvc` — directory-leadership lifecycle: lease
 //!   acquire/extend/release, takeover and recovery entry, local-vs-remote
 //!   routing, and the leader-side RPC service.
-//! * [`namei`] — path resolution, permission checks, and the permission
+//! * `namei` — path resolution, permission checks, and the permission
 //!   cache (§III-C).
-//! * [`filetable`] — open-file handles and per-file lease
+//! * `filetable` — open-file handles and per-file lease
 //!   acquisition/release with flush-on-conflict (§III-D).
-//! * [`datapath`] — [`DataCache`] interaction: read-ahead policy,
+//! * `datapath` — [`DataCache`] interaction: read-ahead policy,
 //!   write-back, and the cached read/write paths.
-//! * [`vfs_impl`] — the thin [`Vfs`] surface composing the layers.
+//! * `vfs_impl` — the thin [`Vfs`] surface composing the layers.
 //!
 //! Each table of shared state (led directories, permission cache, open
 //! handles, data cache) has one lock. The lock-ordering rule
 //! (**dir → metatable → cache**) is documented and enforced (in debug
-//! builds) by [`lockorder`].
+//! builds) by `lockorder`.
 
 pub(crate) mod datapath;
 pub(crate) mod dirsvc;

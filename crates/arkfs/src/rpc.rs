@@ -5,7 +5,7 @@
 //! other clients"), plus file-lease traffic and cache-flush broadcasts.
 //!
 //! This file is the single definition of that protocol: each request is
-//! one row of the [`op_table!`] below, each response one line of
+//! one row of the `op_table!` below, each response one line of
 //! [`OpResponse`], and the enum, wire codec, tag, counter name,
 //! `mutates` flag and partition route all come from those lines.
 

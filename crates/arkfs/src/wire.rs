@@ -253,12 +253,12 @@ fn decode_frame<T: WireCodec>(buf: &[u8], shared: Option<&Bytes>) -> WireResult<
     Ok(v)
 }
 
-/// Most distinct strings [`intern`] ever leaks. With each entry at most
+/// Most distinct strings `intern` ever leaks. With each entry at most
 /// `MAX_INTERN_LEN` bytes the table is bounded at 64 KiB however many
 /// distinct strings a peer sends.
 pub const MAX_INTERNED: usize = 256;
 
-/// What [`intern`] answers for a new string once the table is full. The
+/// What `intern` answers for a new string once the table is full. The
 /// vocabulary of static strings in the protocol is a few dozen, so a
 /// well-behaved peer never sees it.
 pub const INTERN_OVERFLOW: &str = "(unknown: intern table full)";
@@ -481,7 +481,7 @@ impl WireCodec for String {
 }
 
 /// Static strings (error payloads, profile names) decode through the
-/// bounded [`intern`] table.
+/// bounded `intern` table.
 impl WireCodec for &'static str {
     fn encode(&self, enc: &mut Encoder) {
         enc.put_str(self);

@@ -5,9 +5,9 @@
 //! failure) or on demand (`cli obs dump`).
 //!
 //! Tracks are keyed by client/node id. Each event carries the ambient
-//! [`TraceCtx`] trace id, so a flight-recorder dump cross-references
-//! the span graph of the same run. The disabled path is a single
-//! relaxed atomic load, mirroring [`crate::Tracer`].
+//! [`TraceCtx`](crate::TraceCtx) trace id, so a flight-recorder dump
+//! cross-references the span graph of the same run. The disabled path is
+//! a single relaxed atomic load, mirroring [`crate::Tracer`].
 
 use crate::ctx::{self};
 use parking_lot::Mutex;
