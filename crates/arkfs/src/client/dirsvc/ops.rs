@@ -298,19 +298,13 @@ impl ClientState {
                 ..
             } => {
                 dir_perm(t, AM_WRITE | AM_EXEC)?;
-                // POSIX rename replaces an existing file target; the
-                // victim's removal rides inside the 2PC prepare so it is
-                // atomic with the move. Directory targets are rejected
-                // (cross-directory directory replacement is out of scope).
-                let victim = match t.lookup(name).map(|e| e.ftype) {
-                    Some(FileType::Directory) => return Err(FsError::AlreadyExists),
-                    Some(_) => Some(t.unlink_child(name, now)?),
-                    None => None,
-                };
-                let prepare = Some((*txid, *peer));
-                t.attach_child(name, *ino, *ftype, rec.clone(), prepare, now)?;
+                // A replaced file target is deleted inside the prepare;
+                // directory targets are rejected (cross-directory
+                // directory replacement is out of scope).
+                let prepare = (*txid, *peer);
+                let replaced = t.attach_child(name, *ino, *ftype, rec.clone(), prepare, now)?;
                 stamp_commit(t, "op.rename", true)?;
-                victim.map_or(OpResponse::Ok, OpResponse::Inode)
+                replaced.map_or(OpResponse::Ok, OpResponse::Inode)
             }
             OpBody::RenameDecide {
                 txid, commit, undo, ..
@@ -320,8 +314,12 @@ impl ClientState {
                     t.journal.append(JournalOp::RenameCommit { txid }, now);
                 } else {
                     t.journal.append(JournalOp::RenameAbort { txid }, now);
-                    if let Some((name, ino, ftype, rec)) = undo {
-                        t.attach_child(name, *ino, *ftype, rec.clone(), None, now)?;
+                    // The source puts its entry back through the ordinary
+                    // logged create: a replay drops the aborted prepare.
+                    match undo {
+                        Some((name, _, _, Some(rec))) => t.create_child(rec.clone(), name, now)?,
+                        Some((name, ino, _, None)) => t.add_subdir(name, *ino, now)?,
+                        None => {}
                     }
                 }
                 stamp_commit(t, "op.rename", true)?;

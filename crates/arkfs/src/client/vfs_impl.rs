@@ -660,13 +660,12 @@ impl Vfs for ArkClient {
                     rec: rec.clone(),
                 },
             );
-            match dst_result {
-                Ok(OpResponse::Ok) => {}
-                Ok(OpResponse::Inode(victim)) => {
-                    // The destination replaced an existing file; its data
-                    // chunks are ours to reclaim.
-                    self.purge_file_data(victim.ino, victim.size)?;
-                }
+            // The destination's prepare may replace an existing file,
+            // whose data chunks are ours to reclaim once both decisions
+            // are acked: until then the rename may still abort.
+            let replaced = match dst_result {
+                Ok(OpResponse::Ok) => None,
+                Ok(OpResponse::Inode(replaced)) => Some(replaced),
                 Ok(_) => return Err(FsError::Io("unexpected rename-dst response".into())),
                 Err(e) => {
                     // Abort: undo the source detach.
@@ -682,7 +681,7 @@ impl Vfs for ArkClient {
                     );
                     return Err(e);
                 }
-            }
+            };
             for (dir, name) in [(src_dir, src_name), (dst_dir, dst_name)] {
                 self.on_dir_ok(
                     ctx,
@@ -699,7 +698,7 @@ impl Vfs for ArkClient {
                 self.pcache_note(src_dir, src_name, None);
                 self.pcache_note(dst_dir, dst_name, Some((ino, ftype)));
             }
-            Ok(())
+            replaced.map_or(Ok(()), |r| self.purge_file_data(r.ino, r.size))
         })
     }
 

@@ -346,8 +346,10 @@ pub fn flight(
 /// stream pays the slowest object, not N round trips. Returns the listed
 /// sequence numbers (including torn objects, so callers can compute the
 /// resume point and truncate without re-listing) and every intact
-/// transaction in sequence order. Torn/corrupt objects are skipped (they
-/// were never acknowledged).
+/// transaction in sequence order. An object that fails its CRC or is cut
+/// short is skipped wherever it sits in the stream: a torn newest one was
+/// never acknowledged, but a corrupt one below an intact one drops an
+/// acknowledged transaction silently (ROADMAP item 19).
 pub fn scan_journal_stream(
     prt: &Prt,
     port: &Port,
@@ -374,52 +376,37 @@ pub fn scan_journal(prt: &Prt, port: &Port, dir: Ino) -> FsResult<Vec<Transactio
 }
 
 /// Resolve the fate of rename transactions found while scanning `dir`'s
-/// journal: returns the effective op list with 2PC records folded in —
-/// committed prepares expand to their ops, aborted or undecided-without-
-/// peer-commit prepares are dropped.
+/// journal: returns the effective op list with 2PC records folded in.
+/// A committed prepare stays whole, for `Metatable::apply` to apply as a
+/// live leader did; an aborted prepare, an undecided one the peer journal
+/// does not commit, and the decision records are dropped.
 pub fn resolve_renames(prt: &Prt, port: &Port, txns: &[Transaction]) -> FsResult<Vec<JournalOp>> {
     use arkfs_simkit::hash::HashMap;
-    // Gather local decisions.
-    let mut decisions: HashMap<u128, bool> = HashMap::default();
-    for txn in txns {
-        for op in &txn.ops {
-            match op {
-                JournalOp::RenameCommit { txid } => {
-                    decisions.insert(*txid, true);
-                }
-                JournalOp::RenameAbort { txid } => {
-                    decisions.insert(*txid, false);
-                }
-                _ => {}
-            }
-        }
-    }
+    let ops = || txns.iter().flat_map(|txn| &txn.ops);
+    // Local decisions: the last one of a txid counts.
+    let decisions: HashMap<u128, bool> = ops()
+        .filter_map(|op| match op {
+            JournalOp::RenameCommit { txid } => Some((*txid, true)),
+            JournalOp::RenameAbort { txid } => Some((*txid, false)),
+            _ => None,
+        })
+        .collect();
     let mut out = Vec::new();
-    for txn in txns {
-        for op in &txn.ops {
-            match op {
-                JournalOp::RenamePrepare {
-                    txid,
-                    peer_dir,
-                    ops,
-                } => {
-                    let committed = match decisions.get(txid) {
-                        Some(d) => *d,
-                        None => {
-                            // Undecided locally: consult the peer journal.
-                            let peer = scan_journal(prt, port, *peer_dir)?;
-                            peer.iter().flat_map(|t| &t.ops).any(
-                                |o| matches!(o, JournalOp::RenameCommit { txid: t } if t == txid),
-                            )
-                        }
-                    };
-                    if committed {
-                        out.extend(ops.iter().cloned());
-                    }
-                }
-                JournalOp::RenameCommit { .. } | JournalOp::RenameAbort { .. } => {}
-                other => out.push(other.clone()),
-            }
+    for op in ops() {
+        let keep = match op {
+            JournalOp::RenamePrepare { txid, peer_dir, .. } => match decisions.get(txid) {
+                Some(committed) => *committed,
+                // Undecided locally: consult the peer journal.
+                None => scan_journal(prt, port, *peer_dir)?
+                    .iter()
+                    .flat_map(|t| &t.ops)
+                    .any(|o| matches!(o, JournalOp::RenameCommit { txid: t } if t == txid)),
+            },
+            JournalOp::RenameCommit { .. } | JournalOp::RenameAbort { .. } => false,
+            _ => true,
+        };
+        if keep {
+            out.push(op.clone());
         }
     }
     Ok(out)
@@ -795,18 +782,8 @@ mod tests {
         prt.put_journal_many(&port, &[(8, 0, peer.seal())]).unwrap();
 
         let ops = resolve_renames(&prt, &port, &txns).unwrap();
-        assert_eq!(
-            ops,
-            vec![
-                JournalOp::RemoveDentry { name: "a".into() }, // committed locally
-                JournalOp::RemoveDentry { name: "b".into() }, // committed at peer
-                JournalOp::UpsertDentry {
-                    name: "z".into(),
-                    ino: 9,
-                    ftype: FileType::Regular
-                },
-            ]
-        );
+        // Committed prepares stay whole: txid 1 locally, 2 at the peer.
+        assert_eq!(ops, [0, 2, 5].map(|i| txns[0].ops[i].clone()));
     }
 
     #[test]

@@ -248,37 +248,62 @@ impl Metatable {
     }
 
     /// Apply one journal op: the only change of the table's dentries,
-    /// child records and dirty sets (besides loading, and
-    /// [`Self::detach_child`] dropping a moved file's record), whether a
-    /// live mutation logs the op ([`Self::log`]) or a takeover replays
-    /// it, so both leave the same table (§III-E). Returns the record a
-    /// `DeleteInode` removed. Dentry ops outside the owned buckets cannot
-    /// appear in this partition's journal (leaders validate ownership
-    /// before journaling); ignoring them bounds a corrupt stream to this
-    /// partition's buckets.
+    /// child records and dirty sets besides loading, whether a live
+    /// mutation logs the op ([`Self::log`]) or a takeover replays it, so
+    /// both leave the same table (§III-E). A `RenamePrepare` applies its
+    /// half of a cross-directory rename, under one rule of its own: a file
+    /// whose dentry the prepare removes has moved to the peer directory,
+    /// so its record leaves the table without being marked deleted.
+    /// Returns the record a `DeleteInode` removed or a prepare moved out.
+    /// Dentry ops outside the owned buckets cannot appear in this
+    /// partition's journal (leaders validate ownership before journaling);
+    /// ignoring them bounds a corrupt stream to this partition's buckets.
     fn apply(&mut self, op: &JournalOp) -> Option<InodeRecord> {
-        let (name, upsert) = match op {
+        match op {
             JournalOp::PutInode(rec) if rec.ino == self.dir.ino => {
                 self.dir = rec.clone();
                 self.dirty_dir = true;
-                return None;
             }
             JournalOp::PutInode(rec) => {
                 self.deleted_children.remove(&rec.ino);
                 self.dirty_children.insert(rec.ino);
                 self.children.insert(rec.ino, rec.clone());
-                return None;
             }
             JournalOp::DeleteInode(ino) => {
                 self.dirty_children.remove(ino);
                 self.deleted_children.insert(*ino);
                 return self.children.remove(ino);
             }
-            JournalOp::UpsertDentry { name, ino, ftype } => (name, Some((*ino, *ftype))),
-            JournalOp::RemoveDentry { name } => (name, None),
-            // 2PC records (folded already).
-            _ => return None,
-        };
+            JournalOp::UpsertDentry { name, ino, ftype } => {
+                self.set_dentry(name, Some((*ino, *ftype)));
+            }
+            JournalOp::RemoveDentry { name } => {
+                self.set_dentry(name, None);
+            }
+            JournalOp::RenamePrepare { ops, .. } => {
+                return ops.iter().fold(None, |out, op| {
+                    let removed = match op {
+                        JournalOp::RemoveDentry { name } => self
+                            .set_dentry(name, None)
+                            .filter(|e| e.ftype != FileType::Directory)
+                            .and_then(|moved| {
+                                self.dirty_children.remove(&moved.ino);
+                                self.children.remove(&moved.ino)
+                            }),
+                        op => self.apply(op),
+                    };
+                    removed.or(out)
+                });
+            }
+            // Decisions: `resolve_renames` keeps only committed prepares.
+            JournalOp::RenameCommit { .. } | JournalOp::RenameAbort { .. } => {}
+        }
+        None
+    }
+
+    /// Upsert (`Some`) or remove `name`'s dentry, returning the entry it
+    /// replaced; a name outside the owned buckets changes nothing.
+    fn set_dentry(&mut self, name: &str, upsert: Option<(Ino, FileType)>) -> Option<DentryEntry> {
         let bucket = dentry_bucket(name, self.buckets);
         if !(self.bucket_lo..self.bucket_hi).contains(&bucket) {
             return None;
@@ -286,22 +311,19 @@ impl Metatable {
         self.dirty_buckets.insert(bucket);
         let old = match upsert {
             Some((ino, ftype)) => {
-                let entry = DentryEntry {
-                    name: name.clone(),
-                    ino,
-                    ftype,
-                };
-                self.dentries.insert(name.clone(), entry)
+                let name = name.to_string();
+                self.dentries
+                    .insert(name.clone(), DentryEntry { name, ino, ftype })
             }
             None => self.dentries.remove(name),
         };
         // A subdirectory dentry changed: drop the cached view.
-        let subdir = |ftype| ftype == FileType::Directory;
-        if upsert.is_some_and(|(_, ftype)| subdir(ftype)) || old.is_some_and(|e| subdir(e.ftype)) {
+        let subdir = |ftype: Option<FileType>| ftype == Some(FileType::Directory);
+        if subdir(upsert.map(|(_, ftype)| ftype)) || subdir(old.as_ref().map(|e| e.ftype)) {
             self.subdir_view = None;
             self.outdate_deposit();
         }
-        None
+        old
     }
 
     pub fn ino(&self) -> Ino {
@@ -607,25 +629,9 @@ impl Metatable {
         Ok((ino, ftype))
     }
 
-    /// Log `ops` as this directory's `RenamePrepare` of cross-directory
-    /// rename `txid` with `peer_dir`, and apply them now; a replay applies
-    /// them only once the rename is decided committed (`resolve_renames`).
-    fn log_prepare(&mut self, txid: u128, peer_dir: Ino, ops: Vec<JournalOp>, now: Nanos) {
-        ops.iter().for_each(|op| {
-            self.apply(op);
-        });
-        let prepare = JournalOp::RenamePrepare {
-            txid,
-            peer_dir,
-            ops,
-        };
-        self.journal.append(prepare, now);
-    }
-
-    /// Detach a child: the source half of rename `txid`, whose prepare
-    /// removes the dentry. A file's record leaves the table without being
-    /// marked deleted, as its inode moves to the other directory. Returns
-    /// the dentry and, for files, the inode record that must move with it.
+    /// Detach a child: the source half of rename `txid` with `peer_dir`,
+    /// logged as its prepare. Returns the dentry and, for a file, the
+    /// inode record that moves with it.
     pub fn detach_child(
         &mut self,
         name: &str,
@@ -634,48 +640,47 @@ impl Metatable {
         now: Nanos,
     ) -> FsResult<(DentryEntry, Option<InodeRecord>)> {
         let entry = self.dentries.get(name).ok_or(FsError::NotFound)?.clone();
-        let ops = vec![JournalOp::RemoveDentry {
-            name: name.to_string(),
-        }];
-        self.log_prepare(txid, peer_dir, ops, now);
-        let subdir = entry.ftype == FileType::Directory;
-        let rec = if subdir {
-            None
-        } else {
-            self.dirty_children.remove(&entry.ino);
-            self.children.remove(&entry.ino)
+        let ops = vec![JournalOp::RemoveDentry { name: name.into() }];
+        let prepare = JournalOp::RenamePrepare {
+            txid,
+            peer_dir,
+            ops,
         };
-        self.touch_dir(now, -i32::from(subdir));
+        let rec = self.log(prepare, now);
+        self.touch_dir(now, -i32::from(entry.ftype == FileType::Directory));
         Ok((entry, rec))
     }
 
-    /// Attach a child: the destination half of a rename (`prepare` names
-    /// its `txid` and source), whose prepare adds the dentry and a file's
-    /// record, or an aborted source's undo (`None`: the ops are applied
-    /// unlogged, as a replay drops the aborted prepare's removal).
+    /// Attach a child: the destination half of rename `txid` with
+    /// `peer_dir`, logged as its prepare, which adds the dentry and a
+    /// file's record and deletes a file the name held (POSIX replace,
+    /// atomic with the move). Returns the replaced file's record; a
+    /// directory at the name is `AlreadyExists`.
     pub fn attach_child(
         &mut self,
         name: &str,
         ino: Ino,
         ftype: FileType,
         rec: Option<InodeRecord>,
-        prepare: Option<(u128, Ino)>,
+        (txid, peer_dir): (u128, Ino),
         now: Nanos,
-    ) -> FsResult<()> {
-        if self.dentries.contains_key(name) {
-            return Err(FsError::AlreadyExists);
-        }
+    ) -> FsResult<Option<InodeRecord>> {
+        let replaced = match self.dentries.get(name) {
+            Some(e) if e.ftype == FileType::Directory => return Err(FsError::AlreadyExists),
+            e => e.map(|e| JournalOp::DeleteInode(e.ino)),
+        };
         let name = name.to_string();
-        let mut ops = vec![JournalOp::UpsertDentry { name, ino, ftype }];
+        let mut ops = Vec::from_iter(replaced);
+        ops.push(JournalOp::UpsertDentry { name, ino, ftype });
         ops.extend(rec.map(JournalOp::PutInode));
-        match prepare {
-            Some((txid, peer_dir)) => self.log_prepare(txid, peer_dir, ops, now),
-            None => ops.iter().for_each(|op| {
-                self.apply(op);
-            }),
-        }
+        let prepare = JournalOp::RenamePrepare {
+            txid,
+            peer_dir,
+            ops,
+        };
+        let replaced = self.log(prepare, now);
         self.touch_dir(now, i32::from(ftype == FileType::Directory));
-        Ok(())
+        Ok(replaced)
     }
 
     // ---- durability --------------------------------------------------------
@@ -888,7 +893,7 @@ mod tests {
         assert_eq!(names(&mt.subdir_view()), ["c"]);
         let (entry, _) = mt.detach_child("c", 1, 300, 6).unwrap();
         assert!(mt.subdir_view().is_empty());
-        mt.attach_child("d", entry.ino, entry.ftype, None, Some((2, 300)), 7)
+        mt.attach_child("d", entry.ino, entry.ftype, None, (2, 300), 7)
             .unwrap();
         assert_eq!(names(&mt.subdir_view()), ["d"]);
     }
@@ -1052,12 +1057,24 @@ mod tests {
         src.create_child(file_inode(1), "mv.txt", 0).unwrap();
         let (entry, rec) = src.detach_child("mv.txt", 1, 300, 1).unwrap();
         assert!(src.lookup("mv.txt").is_none());
-        dst.attach_child("moved.txt", entry.ino, entry.ftype, rec, Some((1, DIR)), 1)
-            .unwrap();
+        assert!(src.child_inode(1).is_none() && !src.deleted_children.contains(&1));
+        let attached = dst.attach_child("moved.txt", entry.ino, entry.ftype, rec, (1, DIR), 1);
+        assert_eq!(attached, Ok(None));
         assert_eq!(dst.lookup("moved.txt").unwrap().ino, 1);
         assert!(dst.child_inode(1).is_some());
-        // Attach over existing name fails.
-        let err = dst.attach_child("moved.txt", 9, FileType::Regular, None, None, 2);
+        // Attaching over a file replaces it; over a directory fails.
+        let replaced = dst.attach_child(
+            "moved.txt",
+            9,
+            FileType::Regular,
+            Some(file_inode(9)),
+            (2, DIR),
+            2,
+        );
+        assert_eq!(replaced.unwrap().map(|r| r.ino), Some(1));
+        assert!(dst.child_inode(1).is_none() && dst.deleted_children.contains(&1));
+        dst.add_subdir("sub", 200, 3).unwrap();
+        let err = dst.attach_child("sub", 10, FileType::Regular, None, (3, DIR), 4);
         assert_eq!(err, Err(FsError::AlreadyExists));
     }
 
@@ -1223,22 +1240,18 @@ mod tests {
 
     const NAMES: usize = 5;
 
-    /// Everything of `mt` a checkpoint writes, each part sorted. Child
-    /// records no dentry names are left out: a detached file's record
-    /// leaves the live table but stays in a replayed one, and a takeover
-    /// keeps only the records its dentries name (`load_partition`).
+    /// Everything of `mt` a checkpoint writes, each part sorted.
     fn checkpointed(mt: &Metatable) -> [String; 6] {
         fn sorted<T: std::fmt::Debug>(part: &str, items: impl Iterator<Item = T>) -> String {
             let mut items: Vec<String> = items.map(|item| format!("{item:?}")).collect();
             items.sort();
             format!("{part}: {items:?}")
         }
-        let named = |ino: &Ino| mt.dentries.values().any(|e| e.ino == *ino);
         [
             format!("dir: {:?}, dirty {}", mt.dir, mt.dirty_dir),
             sorted("dentries", mt.dentries.values()),
-            sorted("children", mt.children.values().filter(|r| named(&r.ino))),
-            sorted("dirty", mt.dirty_children.iter().filter(|ino| named(ino))),
+            sorted("children", mt.children.values()),
+            sorted("dirty", mt.dirty_children.iter()),
             sorted("deleted", mt.deleted_children.iter()),
             sorted("buckets", mt.dirty_buckets.iter()),
         ]
@@ -1283,22 +1296,27 @@ mod tests {
                     6 if a != b => drop(live.rename_local(a, b, now)),
                     7 => drop(live.unlink_child(a, now)),
                     8 => drop(live.remove_subdir(a, now)),
-                    // A rename out, committed, or aborted and undone.
+                    // A rename out, committed, or aborted and undone as
+                    // the serve path undoes it.
                     9 => if let Ok((e, rec)) = live.detach_child(a, txid, 999, now) {
                         if even {
                             live.journal.append(JournalOp::RenameCommit { txid }, now);
                         } else {
                             live.journal.append(JournalOp::RenameAbort { txid }, now);
-                            live.attach_child(a, e.ino, e.ftype, rec, None, now).unwrap();
+                            match rec {
+                                Some(rec) => live.create_child(rec, a, now).unwrap(),
+                                None => live.add_subdir(a, e.ino, now).unwrap(),
+                            }
                         }
                     },
-                    // A committed rename in, of a directory or a file.
+                    // A committed rename in, of a directory or a file,
+                    // replacing a file the name held.
                     10 => {
                         let (ftype, rec) = match even {
                             true => (FileType::Directory, None),
                             false => (FileType::Regular, Some(file_inode(ino))),
                         };
-                        if live.attach_child(a, ino, ftype, rec, Some((txid, 999)), now).is_ok() {
+                        if live.attach_child(a, ino, ftype, rec, (txid, 999), now).is_ok() {
                             live.journal.append(JournalOp::RenameCommit { txid }, now);
                         }
                     }

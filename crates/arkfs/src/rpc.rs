@@ -172,7 +172,7 @@ op_table! {
     12 => RenameSrcPrepare "rename_src_prepare" { dir: Ino, name: String, txid: u128, peer: Ino }
         mutates: true, route: on(dir, Name(name));
     /// 2PC rename, destination half: journal a prepare that inserts the
-    /// entry, attach it in memory.
+    /// entry and deletes a file the name held; answers that file's inode.
     13 => RenameDstPrepare "rename_dst_prepare" {
             dir: Ino, name: String, txid: u128, peer: Ino,
             ino: Ino, ftype: FileType, rec: Option<InodeRecord>,
@@ -180,7 +180,7 @@ op_table! {
         mutates: true, route: on(dir, Name(name));
     /// 2PC decision; `name` routes it to the partition that journaled
     /// the matching prepare. On abort of a source half, `undo` carries
-    /// the detached entry to re-attach.
+    /// the detached entry, which the source logs again as a create.
     14 => RenameDecide "rename_decide" {
             dir: Ino, name: String, txid: u128, commit: bool,
             undo: Option<(String, Ino, FileType, Option<InodeRecord>)>,

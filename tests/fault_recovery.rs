@@ -1,10 +1,15 @@
 //! Crash-consistency and fault-injection tests spanning the object
 //! store, the journal, the lease manager, and multiple clients (§III-E).
 
+use arkfs::journal::{JournalOp, Transaction};
 use arkfs::{ArkCluster, ArkConfig};
-use arkfs_objstore::{ClusterConfig, KeyKind, ObjectCluster, ObjectKey, ObjectStore};
-use arkfs_simkit::{Port, MSEC};
+use arkfs_objstore::{
+    Acked, ClusterConfig, KeyKind, ObjectCluster, ObjectKey, ObjectStore, OsError, OsResult,
+    StoreProfile,
+};
+use arkfs_simkit::{Nanos, Port, MSEC};
 use arkfs_vfs::{read_file, write_file, Credentials, FileType, FsError, OpenFlags, Vfs};
+use bytes::Bytes;
 use std::sync::Arc;
 
 fn crash_config() -> ArkConfig {
@@ -72,6 +77,134 @@ fn crash_mid_cross_directory_rename_resolves_consistently() {
         "rename must be atomic across crashes (s={in_s} t={in_t})"
     );
     assert_eq!(read_file(&*c2, &ctx, "/t/g").unwrap(), b"moving");
+}
+
+/// A file created in `/s`, renamed to `/t/g`, then written and
+/// fsync'd keeps its size through two plain crashes, whichever directory
+/// the second client recovers first: replaying `/s`'s committed prepare
+/// moves the file's record out of `/s`, as the live leader did, so
+/// `/s`'s recovery checkpoint cannot write the create's stale record
+/// over the one `/t` holds.
+fn fsynced_rename_target_survives_two_crashes(target_first: bool) {
+    let (_store, cluster) = setup(crash_config());
+    let ctx = root();
+    let data: Vec<u8> = (0..4096u32).map(|i| i as u8).collect();
+    let c1 = cluster.client();
+    c1.mkdir(&ctx, "/s", 0o755).unwrap();
+    c1.mkdir(&ctx, "/t", 0o755).unwrap();
+    let fh = c1.create(&ctx, "/s/f", 0o644).unwrap();
+    c1.close(&ctx, fh).unwrap();
+    c1.rename(&ctx, "/s/f", "/t/g").unwrap();
+    let fh = c1.open(&ctx, "/t/g", OpenFlags::WRONLY).unwrap();
+    assert_eq!(c1.write(&ctx, fh, 0, &data), Ok(data.len()));
+    c1.fsync(&ctx, fh).unwrap();
+    c1.close(&ctx, fh).unwrap();
+    c1.crash();
+
+    let c2 = cluster.client();
+    c2.port().advance(10 * MSEC);
+    let recover_t = || assert_eq!(c2.stat(&ctx, "/t/g").unwrap().size, 4096);
+    let recover_s = || assert!(c2.readdir(&ctx, "/s").unwrap().is_empty());
+    if target_first {
+        recover_t();
+        recover_s();
+    } else {
+        recover_s();
+        recover_t();
+    }
+    c2.sync_all(&ctx).unwrap();
+    c2.crash();
+
+    let c3 = cluster.client();
+    c3.port().advance(1_000 * MSEC);
+    assert_eq!(c3.stat(&ctx, "/t/g").unwrap().size, 4096);
+    assert_eq!(read_file(&*c3, &ctx, "/t/g").unwrap(), data);
+}
+
+#[test]
+fn fsynced_rename_target_survives_two_crashes_target_recovered_first() {
+    fsynced_rename_target_survives_two_crashes(true);
+}
+
+#[test]
+fn fsynced_rename_target_survives_two_crashes_source_recovered_first() {
+    fsynced_rename_target_survives_two_crashes(false);
+}
+
+/// An object store that refuses every journal PUT whose transaction
+/// commits a rename: a cross-directory rename's prepares become durable
+/// in both journals and neither decision does.
+struct RefuseRenameCommits(Arc<ObjectCluster>);
+
+impl RefuseRenameCommits {
+    fn commits_rename(key: &ObjectKey, data: &[u8]) -> bool {
+        key.kind == KeyKind::Journal
+            && Transaction::unseal(data).is_ok_and(|txn| {
+                (txn.ops.iter()).any(|op| matches!(op, JournalOp::RenameCommit { .. }))
+            })
+    }
+}
+
+impl ObjectStore for RefuseRenameCommits {
+    fn profile(&self) -> &StoreProfile {
+        self.0.profile()
+    }
+    fn head(&self, port: &Port, key: ObjectKey) -> OsResult<u64> {
+        self.0.head(port, key)
+    }
+    fn list(
+        &self,
+        port: &Port,
+        kind: Option<KeyKind>,
+        ino: Option<u128>,
+    ) -> OsResult<Vec<ObjectKey>> {
+        self.0.list(port, kind, ino)
+    }
+    fn get_each(&self, depart: Nanos, keys: &[ObjectKey]) -> Acked<Bytes> {
+        self.0.get_each(depart, keys)
+    }
+    fn get_range_each(&self, depart: Nanos, reqs: &[(ObjectKey, u64, usize)]) -> Acked<Bytes> {
+        self.0.get_range_each(depart, reqs)
+    }
+    fn put_each(&self, depart: Nanos, items: Vec<(ObjectKey, Bytes)>) -> Acked<()> {
+        let refused = || (depart, Err(OsError::Injected("rename commit refused")));
+        (items.into_iter())
+            .flat_map(|(key, data)| match Self::commits_rename(&key, &data) {
+                true => vec![refused()],
+                false => self.0.put_each(depart, vec![(key, data)]),
+            })
+            .collect()
+    }
+    fn put_range_each(&self, depart: Nanos, items: Vec<(ObjectKey, u64, Bytes)>) -> Acked<()> {
+        self.0.put_range_each(depart, items)
+    }
+    fn delete_each(&self, depart: Nanos, keys: &[ObjectKey]) -> Acked<()> {
+        self.0.delete_each(depart, keys)
+    }
+}
+
+/// A rename onto an existing file whose decision never lands is presumed
+/// aborted by recovery, and so is the replaced file's deletion: it rides
+/// inside the destination's prepare, and its chunks are purged only once
+/// both decisions are acked.
+#[test]
+fn undecided_rename_keeps_the_file_it_would_replace() {
+    let inner = Arc::new(ObjectCluster::new(ClusterConfig::test_tiny()));
+    let store = Arc::new(RefuseRenameCommits(Arc::clone(&inner)));
+    let cluster = ArkCluster::new(crash_config(), store as Arc<dyn ObjectStore>);
+    let ctx = root();
+    let c1 = cluster.client();
+    c1.mkdir(&ctx, "/s", 0o755).unwrap();
+    c1.mkdir(&ctx, "/t", 0o755).unwrap();
+    write_file(&*c1, &ctx, "/s/f", b"moving").unwrap();
+    write_file(&*c1, &ctx, "/t/g", b"victim").unwrap();
+    c1.sync_all(&ctx).unwrap();
+    assert!(c1.rename(&ctx, "/s/f", "/t/g").is_err());
+    c1.crash();
+
+    let fresh = ArkCluster::new(crash_config(), inner as Arc<dyn ObjectStore>).client();
+    assert_eq!(read_file(&*fresh, &ctx, "/s/f").unwrap(), b"moving");
+    assert_eq!(read_file(&*fresh, &ctx, "/t/g").unwrap(), b"victim");
 }
 
 #[test]
